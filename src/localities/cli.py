@@ -14,10 +14,12 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .groups import SizeCapExceeded
-from .locality import Locality, check_locality
+from .locality import Locality, LocalityConstructionError, check_locality
 from .model import ModelError, emit_quotient, parse_model
 from .normal import enumerate_partial_normals, is_partial_normal, product_theorem1, product_theorem2
-from .partial import PartialGroup, check_axioms, classify_subset, subset_product
+from .partial import (
+    PartialGroup, SweepBudgetExceeded, check_axioms, classify_subset, subset_product
+)
 from .quotient import QuotientConstructionError, build_quotient, verify_quotient_lemmas
 from .report import CheckRecord, VerificationReport
 
@@ -273,7 +275,10 @@ def cmd_lemmas(args, catalog: Catalog) -> VerificationReport:
     if not args.kernel:
         raise InputError("--kernel NAME is required")
     K = catalog.subset(entry, args.kernel)
-    rep = verify_quotient_lemmas(loc, K, seed=args.seed)
+    try:
+        rep = verify_quotient_lemmas(loc, K, seed=args.seed)
+    except QuotientConstructionError as exc:
+        rep = exc.report
     rep.title = f"lemmas {entry.name} / {args.kernel}"
     return rep
 
@@ -362,8 +367,11 @@ def main(argv=None) -> int:
     try:
         catalog = load_catalog(args)
         report = COMMANDS[args.command](args, catalog)
-    except (InputError, ModelError, SizeCapExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, ModelError, SizeCapExceeded, ValueError,
+            LocalityConstructionError, SweepBudgetExceeded) as exc:
+        # a construction error carries its whole report: print its first line
+        message = str(exc).partition("\n")[0]
+        print(f"error: {message}", file=sys.stderr)
         return 2
     if args.format == "json":
         print(report.json(with_timings=args.timings))

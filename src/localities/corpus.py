@@ -13,16 +13,15 @@ from functools import lru_cache
 from .groups import (
     FiniteGroup,
     SubgroupRef,
-    all_subgroups,
     closure_members,
     generate_group,
     sylow_p,
 )
 from .locality import (
-    DeltaFamily,
     Locality,
     as_locality,
     delta_close,
+    delta_min_order,
     locality_from_group,
 )
 from .partial import AmalgamPartialGroup, AmalgamSpec, build_amalgam
@@ -110,16 +109,6 @@ def amalgam_counterexample() -> AmalgamFixture:
     )
 
 
-def _delta_min_order(M: FiniteGroup, S: SubgroupRef, min_order: int) -> DeltaFamily:
-    sg, selems = S.as_group()
-    members = frozenset(
-        frozenset(selems[i] for i in sub.members)
-        for sub in all_subgroups(sg)
-        if sub.order >= min_order
-    )
-    return DeltaFamily(sylow=S.members, members=members)
-
-
 def _loc_subset(loc: Locality, group_members) -> frozenset[int]:
     return frozenset(loc.to_local[g] for g in group_members)  # type: ignore[attr-defined]
 
@@ -175,7 +164,7 @@ def locality_c2xs4() -> LocalityFixture:
     """C2 x S4 at p = 2 with objects of order at least 8; several kernels."""
     M = generate_group([(1, 0), (0, 1, 3, 4, 5, 2), (0, 1, 3, 2, 4, 5)])
     S = sylow_p(M, 2)
-    delta = _delta_min_order(M, S, 8)
+    delta = delta_min_order(S, 8)
     loc = locality_from_group(M, 2, delta)
     flip = M.index_of_perm((1, 0))
 
@@ -211,7 +200,7 @@ def locality_s5() -> LocalityFixture:
     """
     M = generate_group([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
     S = sylow_p(M, 2)
-    delta = _delta_min_order(M, S, 2)
+    delta = delta_min_order(S, 2)
     loc = locality_from_group(M, 2, delta)
     from .normal import enumerate_partial_normals
 

@@ -8,22 +8,15 @@ through all its letters (staying inside S at every step) belongs to Delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .groups import (
-    FiniteGroup,
-    SubgroupRef,
-    all_subgroups,
-    closure_members,
-    sylow_p,
-    _is_prime,
-    _p_part,
-)
+from .groups import FiniteGroup, SubgroupRef, all_subgroups, _is_prime, _p_part
 from .partial import (
     PartialGroup,
     SubsetHandle,
     Word,
+    _is_prime_power,
     classify_subset,
     partial_subgroup_closure,
 )
@@ -34,7 +27,8 @@ class LocalityConstructionError(RuntimeError):
     """Construction produced an object that fails its own axioms."""
 
     def __init__(self, report: VerificationReport):
-        super().__init__("construction failed verification:\n" + report.text())
+        failed = ", ".join(c.name for c in report.failures())
+        super().__init__(f"construction failed verification ({failed}):\n" + report.text())
         self.report = report
 
 
@@ -96,6 +90,17 @@ def delta_close(
             if img <= S.members and img not in family:
                 queue.append(img)
     return DeltaFamily(sylow=S.members, members=frozenset(family))
+
+
+def delta_min_order(S: SubgroupRef, min_order: int) -> DeltaFamily:
+    """The subgroups of S of order at least min_order."""
+    s_group, s_elems = S.as_group()
+    members = frozenset(
+        frozenset(s_elems[i] for i in sub.members)
+        for sub in all_subgroups(s_group)
+        if sub.order >= min_order
+    )
+    return DeltaFamily(sylow=S.members, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +178,6 @@ class ThreadAutomaton:
         alphabet = list(letters) if letters is not None else list(range(self._n))
         seen = {0}
         queue: list[tuple[int, Word]] = [(0, ())]
-        ok = True
-        witness = None
         while queue:
             sid, path = queue.pop()
             if not self.in_delta[sid]:
@@ -184,7 +187,7 @@ class ThreadAutomaton:
                 if nid not in seen:
                     seen.add(nid)
                     queue.append((nid, path + (g,)))
-        return ok, witness
+        return True, None
 
 
 class LocalityPartialGroup(PartialGroup):
@@ -227,10 +230,19 @@ class LocalityPartialGroup(PartialGroup):
             out = self._mul_raw(out, x)
         return out
 
+    def product_table(self) -> list[list[int]]:
+        """The base class table, filled from the domain and the raw product."""
+        if self._product_table is None:
+            n = range(self.size)
+            self._product_table = [
+                [self._mul_raw(a, b) if self.in_domain((a, b)) else -1 for b in n]
+                for a in n
+            ]
+        return self._product_table
+
     def mul2(self, a: int, b: int) -> int | None:
-        if self.in_domain((a, b)):
-            return self._mul_raw(a, b)
-        return None
+        v = self.product_table()[a][b]
+        return None if v < 0 else v
 
     def walk_start(self):
         return 0
@@ -257,9 +269,7 @@ class LocalityPartialGroup(PartialGroup):
     def _vector_components(self):
         if not self.domain_is_total:
             return None
-        elems = tuple(self.elements())
-        mult = [[self._mul_raw(a, b) for b in elems] for a in elems]
-        return [(elems, FiniteGroup(mult, labels=self.labels))]
+        return [(tuple(self.elements()), FiniteGroup(self.product_table(), labels=self.labels))]
 
 
 # ---------------------------------------------------------------------------
@@ -631,19 +641,17 @@ def as_locality(
 # verification
 
 
-def _p_subgroup_above(loc: Locality, base: frozenset[int]) -> tuple | None:
-    """A p-subgroup strictly above base reached by one closure extension."""
+def _p_subgroup_above(
+    loc: Locality, base: frozenset[int], candidates: Iterable[int]
+) -> tuple | None:
+    """(x, closure of base and x) for the first candidate x outside base
+    whose closure with base is a p-subgroup; None if there is none."""
     pg = loc.pg
-    for x in pg.elements():
+    for x in candidates:
         if x in base:
             continue
         grown = partial_subgroup_closure(pg, base | {x})
-        if len(grown) == len(base):
-            continue
-        k = len(grown)
-        while k % loc.p == 0:
-            k //= loc.p
-        if k != 1:
+        if len(grown) == len(base) or not _is_prime_power(len(grown), loc.p):
             continue
         ok, _, _ = pg.words_all_in_domain(grown)
         if ok:
@@ -679,11 +687,10 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     # (L1)
     ok_s, _, bad_word = pg.words_all_in_domain(loc.sylow_set)
     order = len(loc.sylow_set)
-    k = order
-    while k % loc.p == 0:
-        k //= loc.p
-    is_p_group = k == 1
-    above = _p_subgroup_above(loc, loc.sylow_set) if ok_s and is_p_group else None
+    is_p_group = _is_prime_power(order, loc.p)
+    above = (
+        _p_subgroup_above(loc, loc.sylow_set, pg.elements()) if ok_s and is_p_group else None
+    )
     l1_ok = ok_s and is_p_group and above is None
     wit = []
     if not ok_s:

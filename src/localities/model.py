@@ -22,8 +22,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .groups import FiniteGroup, SubgroupRef, all_subgroups, closure_members, pad_perm, sylow_p
-from .locality import DeltaFamily, Locality, LocalityPartialGroup, delta_close, locality_from_group
+from .groups import FiniteGroup, SubgroupRef, closure_members, pad_perm, sylow_p
+from .locality import (
+    DeltaFamily, Locality, LocalityPartialGroup, delta_close, delta_min_order, locality_from_group
+)
 from .partial import AmalgamPartialGroup, AmalgamSpec, AmalgamSpecError, build_amalgam
 from .quotient import QuotientBundle
 
@@ -170,13 +172,7 @@ def _parse_locality(model: ModelFile, body: str, line: int) -> Locality:
             floor = int(dspec.split(":", 1)[1])
         except ValueError:
             raise ModelError(f"bad min-order in {dspec!r}", line)
-        sg, selems = S.as_group()
-        members = frozenset(
-            frozenset(selems[i] for i in sub.members)
-            for sub in all_subgroups(sg)
-            if sub.order >= floor
-        )
-        delta = DeltaFamily(sylow=S.members, members=members)
+        delta = delta_min_order(S, floor)
     elif dspec.startswith("seeds:"):
         seeds = []
         for chunk in dspec[len("seeds:"):].split(";"):
@@ -328,12 +324,12 @@ def emit_quotient(bundle: QuotientBundle, name: str = "quotient") -> str:
             if v is not None and v in loc.sylow_set:
                 conj_entries.append(f"({s} {g} {v})")
     parts.append("conj " + " ".join(conj_entries))
-    prod_entries = []
-    for a in pg.elements():
-        for b in pg.elements():
-            v = pg.mul2(a, b)
-            if v is not None:
-                prod_entries.append(f"({a} {b} {v})")
+    prod_entries = [
+        f"({a} {b} {v})"
+        for a, row in enumerate(pg.product_table())
+        for b, v in enumerate(row)
+        if v >= 0
+    ]
     parts.append("prod " + " ".join(prod_entries))
     body = " : ".join(parts)
     lines = [

@@ -8,19 +8,21 @@ words, and normality checks as data instead of assuming any theorem.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .groups import SizeCapExceeded
-from .locality import Locality
+from .locality import Locality, _p_subgroup_above
 from .partial import (
     SubsetHandle,
     Word,
+    _close,
+    _closure_failure,
+    _is_prime_power,
     classify_subset,
-    partial_subgroup_closure,
     subset_product,
 )
-from .report import CheckRecord, VerificationReport
+from .report import VerificationReport
 
 ENUMERATION_CAP = 200
 MAX_FACTORS = 4
@@ -42,19 +44,13 @@ def is_partial_normal(loc: Locality, members: Iterable[int]) -> tuple[bool, tupl
     X = frozenset(int(x) for x in members)
     if not X:
         raise ValueError("the empty set is not a partial subgroup")
-    pg = loc.pg
-    for a in sorted(X):
-        if pg.inverse(a) not in X:
-            return False, ("closure", "inverse", a)
-    for a in sorted(X):
-        for b in sorted(X):
-            c = pg.mul2(a, b)
-            if c is not None and c not in X:
-                return False, ("closure", "product", a, b, c)
+    bad = _closure_failure(loc.pg, X)
+    if bad is not None:
+        return False, ("closure",) + bad
     conj = loc.conj_table()
     for x in sorted(X):
         row = conj[x]
-        for f in pg.elements():
+        for f in loc.elements():
             v = row[f]
             if v >= 0 and v not in X:
                 return False, (x, f, v)
@@ -62,33 +58,14 @@ def is_partial_normal(loc: Locality, members: Iterable[int]) -> tuple[bool, tupl
 
 
 def partial_normal_closure(loc: Locality, seed: Iterable[int]) -> SubsetHandle:
-    """Least partial normal subgroup containing the seed."""
+    """Least partial normal subgroup containing the seed, classified.
+
+    The frontier closure of partial_subgroup_closure, run with the rows of
+    loc.conj_table() so that every defined conjugate x^f of a member joins.
+    """
     _require_locality(loc)
-    pg = loc.pg
-    conj = loc.conj_table()
-    members = {pg.identity}
-    members.update(int(x) for x in seed)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(members):
-            y = pg.inverse(x)
-            if y not in members:
-                members.add(y)
-                changed = True
-        snapshot = sorted(members)
-        for a in snapshot:
-            for b in snapshot:
-                c = pg.mul2(a, b)
-                if c is not None and c not in members:
-                    members.add(c)
-                    changed = True
-        for x in list(members):
-            for v in conj[x]:
-                if v >= 0 and v not in members:
-                    members.add(v)
-                    changed = True
-    return classify_subset(pg, members, p=loc.p)
+    members = _close(loc.pg, seed, loc.conj_table())
+    return classify_subset(loc.pg, members, p=loc.p)
 
 
 def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
@@ -161,25 +138,11 @@ def strongly_closed_and_T(
     report.record("setwise-invariant", not bad, bad[:5], "T^g = T whenever T <= S_g")
 
     ok_t, _, bad_word = loc.pg.words_all_in_domain(T)
-    k = len(T)
-    while k % loc.p == 0:
-        k //= loc.p
-    above = None
-    if ok_t and k == 1:
-        for x in sorted(N - T):
-            grown = partial_subgroup_closure(loc.pg, T | {x})
-            kk = len(grown)
-            while kk % loc.p == 0:
-                kk //= loc.p
-            if kk != 1:
-                continue
-            okg, _, _ = loc.pg.words_all_in_domain(grown)
-            if okg:
-                above = (x, sorted(grown))
-                break
+    t_is_p = _is_prime_power(len(T), loc.p)
+    above = _p_subgroup_above(loc, T, sorted(N - T)) if ok_t and t_is_p else None
     report.record(
         "maximal-p-subgroup-of-N",
-        ok_t and k == 1 and above is None,
+        ok_t and t_is_p and above is None,
         [w for w in [bad_word, above] if w],
         "T is a p-subgroup of N maximal among p-subgroups of N",
     )

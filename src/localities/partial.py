@@ -6,7 +6,6 @@ x^g means pi((g^-1, x, g)) whenever that word is in the domain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -35,6 +34,7 @@ class PartialGroup:
     labels: tuple[str, ...]
     p: int | None = None
     domain_is_total: bool = False
+    _product_table: list[list[int]] | None = None
 
     def inverse(self, x: int) -> int:
         raise NotImplementedError
@@ -55,6 +55,22 @@ class PartialGroup:
 
     def mul2(self, a: int, b: int) -> int | None:
         return self.pi((a, b))
+
+    def product_table(self) -> list[list[int]]:
+        """Binary products: row a holds mul2(a, b) at b, or -1 off the domain.
+
+        Built from mul2 on first use and kept on the instance, so overridden
+        products (CorruptedProducts, quotients) are what the closures see.
+        It holds size**2 Python ints (3,136 for a 56-element locality) for
+        the life of the partial group.  It is per-instance, never a cache
+        keyed by id(), because ids are reused once an object is collected.
+        """
+        if self._product_table is None:
+            n = range(self.size)
+            self._product_table = [
+                [-1 if (v := self.mul2(a, b)) is None else v for b in n] for a in n
+            ]
+        return self._product_table
 
     def elements(self) -> range:
         return range(self.size)
@@ -339,31 +355,49 @@ def swap_two_products(base: PartialGroup, w1: Word, w2: Word) -> CorruptedProduc
 # subset machinery
 
 
+def _close(
+    pg: PartialGroup, seed: Iterable[int], rows: Sequence[Sequence[int]] = ()
+) -> frozenset[int]:
+    """Frontier closure: the least subset containing the identity and seed
+    that is closed under inversion, under every defined product of two
+    members and, when rows are given, under every entry >= 0 of rows[x] for
+    each member x.
+
+    Each round multiplies only the elements added in the previous round with
+    the current members, in both orders, reading pg.product_table(); pairs
+    of older members are never multiplied again.
+    """
+    table = pg.product_table()
+    members = {pg.identity}
+    members.update(int(x) for x in seed)
+    frontier = list(members)
+    while frontier:
+        current = list(members)
+        fresh: set[int] = set()
+        for a in frontier:
+            fresh.add(pg.inverse(a))
+            row = table[a]
+            fresh.update([row[b] for b in current])
+            fresh.update([table[b][a] for b in current])
+            if rows:
+                fresh.update(rows[a])
+        fresh.discard(-1)
+        fresh -= members
+        members |= fresh
+        frontier = list(fresh)
+    return frozenset(members)
+
+
 def partial_subgroup_closure(pg: PartialGroup, seed: Iterable[int]) -> frozenset[int]:
     """Least subset containing seed that is closed under inversion and
     under the product of every domain word with entries in the subset.
 
     Closing under defined length-2 products suffices: any longer domain word
     collapses to nested length-2 products by the partial group axioms.
+    Computed by the frontier kernel _close over pg.product_table(), so the
+    first call on a partial group also builds its table.
     """
-    members = {pg.identity}
-    members.update(int(x) for x in seed)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(members):
-            y = pg.inverse(x)
-            if y not in members:
-                members.add(y)
-                changed = True
-        snapshot = list(members)
-        for a in snapshot:
-            for b in snapshot:
-                c = pg.mul2(a, b)
-                if c is not None and c not in members:
-                    members.add(c)
-                    changed = True
-    return frozenset(members)
+    return _close(pg, seed)
 
 
 @dataclass
@@ -400,13 +434,16 @@ class SubsetHandle:
 
 def _closure_failure(pg: PartialGroup, X: frozenset[int]) -> tuple | None:
     """A witness that X is not a partial subgroup, or None if it is one."""
-    for a in sorted(X):
+    elems = sorted(X)
+    for a in elems:
         if pg.inverse(a) not in X:
             return ("inverse", a)
-    for a in sorted(X):
-        for b in sorted(X):
-            c = pg.mul2(a, b)
-            if c is not None and c not in X:
+    table = pg.product_table()
+    for a in elems:
+        row = table[a]
+        for b in elems:
+            c = row[b]
+            if c >= 0 and c not in X:
                 return ("product", a, b, c)
     return None
 

@@ -10,25 +10,15 @@ re-verified on the instance at hand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import weakref
+from dataclasses import dataclass
+from typing import Iterable
 
-from .groups import FiniteGroup, SizeCapExceeded, all_subgroups
-from .locality import (
-    DeltaFamily,
-    Locality,
-    LocalityConstructionError,
-    check_locality,
-)
+from .groups import FiniteGroup, SizeCapExceeded
+from .locality import DeltaFamily, Locality, check_locality
 from .normal import enumerate_partial_normals, is_partial_normal
-from .partial import (
-    PartialGroup,
-    Word,
-    classify_subset,
-    partial_subgroup_closure,
-    subset_product,
-)
-from .report import CheckRecord, VerificationReport
+from .partial import PartialGroup, Word, partial_subgroup_closure, subset_product
+from .report import VerificationReport
 
 LEMMA_CAP = 200
 
@@ -190,13 +180,19 @@ def _left_coset(loc: Locality, K: frozenset[int], f: int) -> frozenset[int]:
     return frozenset(out)
 
 
-_KERNEL_CACHE: dict[tuple[int, frozenset[int]], CosetPartition] = {}
+# Verified partitions per locality, then per kernel.  The weak keys drop a
+# locality's partitions when it is collected, so a later locality that
+# reuses its id() never receives them.
+_KERNEL_CACHE: weakref.WeakKeyDictionary[Locality, dict[frozenset[int], CosetPartition]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
     """All cosets of K, the maximal ones, and the verified partition of L."""
     K = frozenset(K)
-    cached = _KERNEL_CACHE.get((id(loc), K))
+    per_kernel = _KERNEL_CACHE.setdefault(loc, {})
+    cached = per_kernel.get(K)
     if cached is not None:
         return cached
     ok, wit = is_partial_normal(loc, K)
@@ -279,7 +275,7 @@ def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
         report=report,
     )
     if report.ok:
-        _KERNEL_CACHE[(id(loc), K)] = part
+        per_kernel[K] = part
     return part
 
 
@@ -355,11 +351,7 @@ class QuotientPartialGroup(PartialGroup):
     def _vector_components(self):
         if not self.domain_is_total:
             return None
-        elems = tuple(range(self.size))
-        mult = [[self.mul2(a, b) for b in elems] for a in elems]
-        from .groups import FiniteGroup
-
-        return [(elems, FiniteGroup(mult, labels=self.labels))]
+        return [(tuple(self.elements()), FiniteGroup(self.product_table(), labels=self.labels))]
 
     def words_all_in_domain(self, members: frozenset[int]):
         ok, criterion, wit = self.base.words_all_in_domain(

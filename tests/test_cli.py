@@ -1,0 +1,88 @@
+"""CLI exit codes and the emit/parse round trip of quotient localities."""
+
+import json
+
+import pytest
+
+from localities import cli
+from localities.locality import LocalityConstructionError, check_locality
+from localities.model import parse_model
+from localities.partial import SweepBudgetExceeded
+from localities.quotient import QuotientConstructionError, build_quotient
+from localities.report import VerificationReport
+
+
+def _failing_report(title: str) -> VerificationReport:
+    rep = VerificationReport(title)
+    rep.record("partition", False, [[1, 2]], "maximal cosets overlap")
+    return rep
+
+
+def test_exit_code_0_when_every_check_passes(capsys):
+    assert cli.main(["normals", "--builtin", "GRP-S4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+
+
+def test_exit_code_1_when_lemmas_cannot_build_the_quotient(monkeypatch, capsys):
+    def broken(loc, K, seed):
+        raise QuotientConstructionError(_failing_report("quotient"))
+
+    monkeypatch.setattr(cli, "verify_quotient_lemmas", broken)
+    argv = ["lemmas", "--builtin", "GRP-S4", "--kernel", "V4", "--format", "json"]
+    assert cli.main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["title"] == "lemmas GRP-S4 / V4"
+    assert out["overall"] == "fail"
+    assert [c["name"] for c in out["checks"]] == ["partition"]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        LocalityConstructionError(_failing_report("locality construction")),
+        SweepBudgetExceeded("generic bounded-length subgroup sweep is too large"),
+    ],
+    ids=["construction", "sweep-budget"],
+)
+def test_exit_code_2_with_one_line_error(monkeypatch, capsys, exc):
+    def broken(loc):
+        raise exc
+
+    monkeypatch.setattr(cli, "enumerate_partial_normals", broken)
+    assert cli.main(["normals", "--builtin", "GRP-S4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+
+
+def _emit(tmp_path, capsys, builtin, kernel):
+    path = tmp_path / "q.model"
+    argv = ["quotient", "--builtin", builtin, "--kernel", kernel, "--max-word-len", "3",
+            "--emit", str(path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    return path
+
+
+def test_emit_parse_round_trip(s5f, tmp_path, capsys):
+    path = _emit(tmp_path, capsys, "LOC-S5", "N5")
+    (loc,) = parse_model(path).localities.values()
+    assert check_locality(loc).ok
+    expected = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient.pg
+    assert loc.size == expected.size == 24
+    assert loc.pg.product_table() == expected.product_table()
+
+
+def test_plocality_missing_product_entry_exits_2(tmp_path, capsys):
+    path = _emit(tmp_path, capsys, "GRP-S4", "V4")
+    lines = path.read_text().splitlines()
+    lineno, line = next((i, l) for i, l in enumerate(lines, 1) if l.startswith("plocality"))
+    head, _, prod = line.partition(" : prod ")
+    dropped = prod.split(") (")[1]
+    lines[lineno - 1] = head + " : prod " + prod.replace(f" ({dropped})", "", 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["loc-check", "--model", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    a, b, _ = dropped.split()
+    assert err == [f"error: line {lineno}: product table has no entry for ({a},{b})"]

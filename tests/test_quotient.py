@@ -1,6 +1,10 @@
+import gc
+
 import pytest
 
-from localities.locality import s_of_word
+from localities import quotient
+from localities.groups import generate_group, sylow_p
+from localities.locality import delta_min_order, locality_from_group, s_of_word
 from localities.normal import enumerate_partial_normals
 from localities.quotient import (
     LDeltaPair,
@@ -243,3 +247,23 @@ def test_bridge_checks_present_when_kernel_is_intersection(c2s4f):
     by_name = {c.name: c for c in rep.checks}
     assert by_name["images-intersect-trivially"].status == "pass"
     assert by_name["product-preimage-splitting"].status == "pass"
+
+
+def test_kernel_cache_ignores_reused_ids(monkeypatch):
+    """A collected locality's partitions never reach a later locality.
+
+    CPython may hand a collected object's id() to a new one; the patched
+    id() below makes that happen every time, as a cache keyed by id() would
+    see it.
+    """
+    monkeypatch.setattr(quotient, "id", lambda obj: 0, raising=False)
+    M = generate_group([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    S = sylow_p(M, 2)
+    small = locality_from_group(M, 2, delta_min_order(S, 8))
+    assert small.size == 8
+    assert len(coset_partition(small, {small.identity}).maximal) == 8
+    del small
+    gc.collect()
+    big = locality_from_group(M, 2, delta_min_order(S, 1))
+    assert big.size == 120
+    assert len(coset_partition(big, {big.identity}).maximal) == 120
