@@ -7,6 +7,7 @@ Exit codes: 0 every check passed, 1 at least one check failed (a finding),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -374,9 +375,18 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(report.json(with_timings=args.timings))
+        text = report.json(with_timings=args.timings)
     else:
-        print(report.text(with_timings=args.timings))
+        text = report.text(with_timings=args.timings)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`).  Point stdout at devnull so
+        # the interpreter's own flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.ok else 1
 
 

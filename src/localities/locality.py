@@ -665,6 +665,21 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     (L1) S is maximal among p-subgroups; (L2) a word is in the domain iff a
     conjugation chain through Delta witnesses it, for all words up to
     max_len; (L3) Delta is closed under overgroups of images inside S.
+
+    The (L2) sweep grows words one letter at a time and carries, per
+    prefix, its chain front (the Delta members a chain can reach), its
+    walker state pg.walk_step and its threading state automaton.step.
+    What the sweep finds below a prefix depends only on the key (front,
+    walker state, threading state, remaining length) and the suffix: the
+    front fixes chain existence, the walker state fixes domain membership
+    (it decides every extension) and the threading state fixes S_w.  So a
+    key whose subtree added no finding is recorded and skipped when it
+    recurs, since it would add none again (the finding count only grows,
+    so the cap never reopens a subtree).  Every other subtree is swept in
+    the literal order under the same cap, so both findings lists equal
+    those of the word-by-word sweep.  Below a word off the domain the
+    walker has no state: those words ask pg.in_domain and are not recorded.
+    Fronts and recorded keys live for one call.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -721,30 +736,53 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     full_front = frozenset(range(len(delta_list)))
     mismatches: list[tuple] = []
     prop_e_mismatches: list[tuple] = []
+    automaton = loc.automaton
+    fronts: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+    clean: set[tuple] = set()
+    visited = 0
 
-    def sweep(word: Word, front: frozenset[int], budget: int) -> None:
+    def sweep(word: Word, front: frozenset[int], state, sid: int, budget: int) -> None:
+        nonlocal visited
         if budget == 0 or len(mismatches) + len(prop_e_mismatches) > 20:
             return
         for g in pg.elements():
+            visited += 1
             w = word + (g,)
-            nxt = frozenset(
-                t for t in (chain_step[i][g] for i in front) if t >= 0
-            )
-            in_dom = pg.in_domain(w)
+            nxt = fronts.get((front, g))
+            if nxt is None:
+                nxt = frozenset(t for t in (chain_step[i][g] for i in front) if t >= 0)
+                fronts[(front, g)] = nxt
+            if state is None:
+                nstate, in_dom = None, pg.in_domain(w)
+            else:
+                nstate = pg.walk_step(state, g)
+                in_dom = nstate is not None
+            nsid = automaton.step(sid, g)
             if in_dom != bool(nxt):
                 mismatches.append((w, in_dom, bool(nxt)))
-            if (loc.thread_subgroup(w) in loc.delta.members) != in_dom:
+            if (automaton.start_sets[nsid] in loc.delta.members) != in_dom:
                 prop_e_mismatches.append(w)
-            if nxt:
-                sweep(w, nxt, budget - 1)
+            if not nxt:
+                continue
+            key = (nxt, nstate, nsid, budget - 1)
+            if nstate is None:
+                sweep(w, *key)
+            elif key not in clean:
+                found = len(mismatches) + len(prop_e_mismatches)
+                sweep(w, *key)
+                if found == len(mismatches) + len(prop_e_mismatches):
+                    clean.add(key)
 
-    sweep((), full_front, max_len)
+    sweep((), full_front, pg.walk_start(), 0, max_len)
     checks.append(
         CheckRecord(
             name="L2-domain-iff-chain",
             status="pass" if not mismatches else "fail",
             witnesses=mismatches[:10],
-            detail=f"chain existence matches the domain on words up to length {max_len}",
+            detail=(
+                f"chain existence matches the domain on words up to length {max_len}"
+                f" ({visited} words visited)"
+            ),
         )
     )
     checks.append(

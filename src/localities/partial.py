@@ -82,6 +82,11 @@ class PartialGroup:
     # A walker extends a word one letter at a time and returns None as soon
     # as no extension of the prefix can be in the domain (valid for partial
     # groups because domain words have all their prefixes in the domain).
+    # Contract, relied on by subset_product, build_quotient and the (L2)
+    # sweep of check_locality: walk_step(state, x) is None exactly when
+    # in_domain(word + (x,)) is false, where state is the state of word;
+    # a state is hashable and decides every extension, so two words with
+    # equal states have the same domain status under every suffix.
 
     def walk_start(self):
         return ()
@@ -338,6 +343,12 @@ class CorruptedProducts(PartialGroup):
         if word in self.overrides:
             return self.overrides[word]
         return self.base._raw_product(word)
+
+    def walk_start(self):
+        return self.base.walk_start()
+
+    def walk_step(self, state, x: int):
+        return self.base.walk_step(state, x)
 
     def words_all_in_domain(self, members: frozenset[int]):
         return self.base.words_all_in_domain(members)

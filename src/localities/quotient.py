@@ -426,7 +426,7 @@ def build_quotient(
 
     mism: list[Word] = []
 
-    def sweep(word: Word, state, value) -> None:
+    def sweep(word: Word, bar: Word, state, value) -> None:
         if len(mism) > 5:
             return
         for g in loc.elements():
@@ -435,13 +435,14 @@ def build_quotient(
                 continue
             v = g if value is None else loc.pg.mul2(value, g)
             w = word + (g,)
-            bar = tuple(rho[x] for x in w)
-            if not qpg.in_domain(bar) or qpg.pi(bar) != rho[v]:
+            b = bar + (rho[g],)
+            # pi is None off the quotient domain, so this also checks the domain
+            if qpg.pi(b) != rho[v]:
                 mism.append(w)
             elif len(w) < hom_len:
-                sweep(w, nxt, v)
+                sweep(w, b, nxt, v)
 
-    sweep((), loc.pg.walk_start(), None)
+    sweep((), (), loc.pg.walk_start(), None)
     report.record(
         "product-homomorphism",
         not mism,

@@ -1,6 +1,8 @@
 """CLI exit codes and the emit/parse round trip of quotient localities."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -86,3 +88,40 @@ def test_plocality_missing_product_entry_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     a, b, _ = dropped.split()
     assert err == [f"error: line {lineno}: product table has no entry for ({a},{b})"]
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away; its descriptor is a plain file."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["normals", "--builtin", "GRP-S4"], 0),
+        (["loc-check", "--builtin", "PG-AM20", "--max-word-len", "3"], 1),
+    ],
+    ids=["pass", "finding"],
+)
+def test_closed_pipe_keeps_the_report_exit_code(monkeypatch, tmp_path, argv, code):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert cli.main(argv) == code
+        os.write(fd, b"flushed at exit")
+    finally:
+        os.close(fd)
+    # the descriptor now points at devnull, so nothing reaches the file
+    assert path.read_bytes() == b""

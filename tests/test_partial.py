@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from localities.partial import (
     subset_product,
     swap_two_products,
 )
+from localities.quotient import build_quotient
 
 import _frozen as frozen
 
@@ -242,3 +244,44 @@ def test_dedekind_random_triples(which, request):
         K = frozenset(rng.sample(sorted(A), rng.randint(1, len(A))))
         rep = dedekind_verify(pg, A, H, K)
         assert rep.ok, (sorted(A), sorted(H), sorted(K), rep.witnesses)
+
+
+def _s5_mod_n5(request):
+    s5f = request.getfixturevalue("s5f")
+    return build_quotient(s5f.loc, s5f.subsets["N5"]).quotient.pg, "sample"
+
+
+WALKER_CASES = {
+    "GroupPartialGroup-S4": lambda r: (GroupPartialGroup(r.getfixturevalue("s4f").group), "all"),
+    "LocalityPartialGroup-GRP-S4": lambda r: (r.getfixturevalue("s4f").loc.pg, "all"),
+    "AmalgamPartialGroup-PG-AM20": lambda r: (r.getfixturevalue("am20").pg, "all"),
+    "CorruptedProducts-PG-AM20": lambda r: (
+        swap_two_products(r.getfixturevalue("am20").pg, (1, 1), (1, 2)), "all"
+    ),
+    "LocalityPartialGroup-LOC-S5": lambda r: (r.getfixturevalue("s5f").loc.pg, "sample"),
+    "QuotientPartialGroup-LOC-S5/N5": _s5_mod_n5,
+}
+
+
+@pytest.mark.parametrize("name", list(WALKER_CASES))
+def test_walker_contract(request, name):
+    """walk_step is None exactly off the domain, and equal states agree on
+    the domain status of every one-letter extension."""
+    pg, words = WALKER_CASES[name](request)
+    if words == "all":
+        words = itertools.product(pg.elements(), repeat=3)
+    else:
+        rng = random.Random(name)
+        words = [tuple(rng.randrange(pg.size) for _ in range(4)) for _ in range(3000)]
+    decided = {}
+    for word in words:
+        state = pg.walk_start()
+        for k, x in enumerate(word):
+            grown = word[: k + 1]
+            in_dom = pg.in_domain(grown)
+            if state is None:
+                assert not in_dom, grown
+                continue
+            assert decided.setdefault((state, x), in_dom) == in_dom, grown
+            state = pg.walk_step(state, x)
+            assert (state is not None) == in_dom, grown
