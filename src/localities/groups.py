@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -193,6 +193,15 @@ def generate_group(
     return FiniteGroup(mult, perms=elems)
 
 
+def subset_group(
+    elems: Sequence[int], mul: Callable[[int, int], int], labels: Sequence[str]
+) -> FiniteGroup:
+    """The group on elems, a subset closed under mul: id i stands for elems[i]."""
+    pos = {g: i for i, g in enumerate(elems)}
+    mult = [[pos[mul(a, b)] for b in elems] for a in elems]
+    return FiniteGroup(mult, labels=[labels[g] for g in elems])
+
+
 class SubgroupRef:
     """A validated subgroup of a FiniteGroup, kept as a member id set."""
 
@@ -220,10 +229,7 @@ class SubgroupRef:
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Export as a standalone FiniteGroup plus the member id map."""
         elems = self.sorted_members()
-        pos = {g: i for i, g in enumerate(elems)}
-        mult = [[pos[self.parent.mul(a, b)] for b in elems] for a in elems]
-        labels = [self.parent.labels[g] for g in elems]
-        return FiniteGroup(mult, labels=labels), elems
+        return subset_group(elems, self.parent.mul, self.parent.labels), elems
 
     def __eq__(self, other: object) -> bool:
         return (

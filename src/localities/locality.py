@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .groups import FiniteGroup, SubgroupRef, all_subgroups, _is_prime, _p_part
+import numpy as np
+
+from .groups import FiniteGroup, SubgroupRef, all_subgroups, subset_group, _is_prime, _p_part
 from .partial import (
     PartialGroup,
     SubsetHandle,
@@ -113,6 +115,9 @@ class ThreadAutomaton:
     A state is the injective partial map start -> current over S positions;
     prefixes with the same state behave identically under extension, which
     collapses word sweeps to walks over a small interned state set.
+    Transitions live in one dense row of n_elements ints per state, -1 for
+    a transition not computed yet; step fills a row lazily, so states are
+    interned in the order the walks first reach them.
     """
 
     def __init__(
@@ -132,7 +137,7 @@ class ThreadAutomaton:
         self._state_ids: dict[tuple, int] = {start: 0}
         self.start_sets: list[frozenset[int]] = [frozenset(s_elems)]
         self.in_delta: list[bool] = [in_delta_of(self.start_sets[0])]
-        self._trans: dict[tuple[int, int], int] = {}
+        self._rows: list[list[int]] = [[-1] * n_elements]
 
     def _step_map(self, g: int) -> tuple[int, ...]:
         got = self._steps.get(g)
@@ -142,9 +147,8 @@ class ThreadAutomaton:
         return got
 
     def step(self, sid: int, g: int) -> int:
-        key = (sid, g)
-        got = self._trans.get(key)
-        if got is not None:
+        got = self._rows[sid][g]
+        if got >= 0:
             return got
         mp = self._step_map(g)
         new_pairs = []
@@ -161,13 +165,16 @@ class ThreadAutomaton:
             starts = frozenset(self.s_elems[a] for a, _ in state)
             self.start_sets.append(starts)
             self.in_delta.append(self._in_delta_of(starts))
-        self._trans[key] = nid
+            self._rows.append([-1] * self._n)
+        self._rows[sid][g] = nid
         return nid
 
     def walk(self, word: Word) -> int:
+        rows = self._rows
         sid = 0
         for g in word:
-            sid = self.step(sid, g)
+            nid = rows[sid][g]
+            sid = nid if nid >= 0 else self.step(sid, g)
         return sid
 
     def full_closure(self, letters: Iterable[int] | None = None) -> tuple[bool, Word | None]:
@@ -269,7 +276,7 @@ class LocalityPartialGroup(PartialGroup):
     def _vector_components(self):
         if not self.domain_is_total:
             return None
-        return [(tuple(self.elements()), FiniteGroup(self.product_table(), labels=self.labels))]
+        return [(tuple(self.elements()), subset_group(self.elements(), self.mul2, self.labels))]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +320,6 @@ class Locality:
                 self.sylow, step, pg.size, lambda starts: starts in delta.members
             )
         self._s_group: FiniteGroup | None = None
-        self._s_group_elems: tuple[int, ...] | None = None
         self._conj_full: list[tuple[int, ...]] | None = None
 
     # -- basic maps ----------------------------------------------------------
@@ -360,14 +366,7 @@ class Locality:
     def s_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """S as an honest FiniteGroup plus the member id map."""
         if self._s_group is None:
-            elems = self.sylow
-            pos = self._s_pos
-            mult = [
-                [pos[self.pg.mul2(a, b)] for b in elems] for a in elems
-            ]
-            labels = [self.pg.labels[g] for g in elems]
-            self._s_group = FiniteGroup(mult, labels=labels)
-            self._s_group_elems = elems
+            self._s_group = subset_group(self.sylow, self.pg.mul2, self.pg.labels)
         return self._s_group, self.sylow
 
     def s_subgroup_sets(self) -> list[frozenset[int]]:
@@ -460,11 +459,8 @@ def normalizer_in_L(loc: Locality, X: Iterable[int]) -> NormalizerResult:
     group = None
     mapping = None
     if X in loc.delta.members and handle.is_subgroup:
-        elems = tuple(sorted(members))
-        pos = {g: i for i, g in enumerate(elems)}
-        mult = [[pos[loc.pg.mul2(a, b)] for b in elems] for a in elems]
-        group = FiniteGroup(mult, labels=[loc.pg.labels[g] for g in elems])
-        mapping = elems
+        mapping = tuple(sorted(members))
+        group = subset_group(mapping, loc.pg.mul2, loc.pg.labels)
     return NormalizerResult(handle=handle, group=group, member_map=mapping)
 
 
@@ -574,11 +570,15 @@ def locality_from_group(
 
     local_delta = delta.translate(to_local)
     s_local = tuple(to_local[s] for s in s_sorted)
-    keep_set = set(keep)
+    # The ambient product over the kept elements in local ids, -1 where it
+    # leaves L: tabulated once, so mul_raw is a list read.
+    local_of = np.full(M.order, -1, dtype=np.int64)
+    local_of[keep] = np.arange(len(keep))
+    raw: list[list[int]] = local_of[M.mult[np.ix_(keep, keep)]].tolist()
 
     def mul_raw(a: int, b: int) -> int:
-        v = M.mul(to_ambient[a], to_ambient[b])
-        if v not in keep_set:
+        v = raw[a][b]
+        if v < 0:
             raise LocalityConstructionError(
                 VerificationReport(
                     "locality construction",
@@ -591,7 +591,7 @@ def locality_from_group(
                     ],
                 )
             )
-        return to_local[v]
+        return v
 
     s_pos_local = {to_local[s]: i for i, s in enumerate(s_sorted)}
 
@@ -683,20 +683,18 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
-    checks: list[CheckRecord] = []
+    report = VerificationReport("locality axioms")
     pg = loc.pg
 
     # S in Delta and Delta members are proper subgroups of S
     delta_ok = loc.sylow_set in loc.delta.members
     lattice = set(loc.s_subgroup_sets())
     stray = [P for P in loc.delta.members if P not in lattice]
-    checks.append(
-        CheckRecord(
-            name="delta-well-formed",
-            status="pass" if delta_ok and not stray else "fail",
-            witnesses=[sorted(next(iter(stray)))] if stray else [],
-            detail="S belongs to Delta and members are subgroups of S",
-        )
+    report.record(
+        "delta-well-formed",
+        delta_ok and not stray,
+        [sorted(next(iter(stray)))] if stray else [],
+        "S belongs to Delta and members are subgroups of S",
     )
 
     # (L1)
@@ -714,13 +712,11 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
         wit.append(("S-order-not-p-power", order))
     if above is not None:
         wit.append(("larger-p-subgroup", sorted(above[1])))
-    checks.append(
-        CheckRecord(
-            name="L1-sylow-maximal",
-            status="pass" if l1_ok else "fail",
-            witnesses=wit,
-            detail="S is a p-subgroup and no p-subgroup properly contains it",
-        )
+    report.record(
+        "L1-sylow-maximal",
+        l1_ok,
+        wit,
+        "S is a p-subgroup and no p-subgroup properly contains it",
     )
 
     # (L2): domain decision vs chain existence, all words up to max_len
@@ -774,24 +770,18 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
                     clean.add(key)
 
     sweep((), full_front, pg.walk_start(), 0, max_len)
-    checks.append(
-        CheckRecord(
-            name="L2-domain-iff-chain",
-            status="pass" if not mismatches else "fail",
-            witnesses=mismatches[:10],
-            detail=(
-                f"chain existence matches the domain on words up to length {max_len}"
-                f" ({visited} words visited)"
-            ),
-        )
+    report.record(
+        "L2-domain-iff-chain",
+        not mismatches,
+        mismatches[:10],
+        f"chain existence matches the domain on words up to length {max_len}"
+        f" ({visited} words visited)",
     )
-    checks.append(
-        CheckRecord(
-            name="threading-matches-domain",
-            status="pass" if not prop_e_mismatches else "fail",
-            witnesses=prop_e_mismatches[:10],
-            detail="S_w in Delta exactly on domain words",
-        )
+    report.record(
+        "threading-matches-domain",
+        not prop_e_mismatches,
+        prop_e_mismatches[:10],
+        "S_w in Delta exactly on domain words",
     )
 
     # (L3)
@@ -812,12 +802,10 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
                     l3_bad.append((sorted(P), g, sorted(Q)))
         if len(l3_bad) > 10:
             break
-    checks.append(
-        CheckRecord(
-            name="L3-overgroup-closure",
-            status="pass" if not l3_bad else "fail",
-            witnesses=l3_bad[:10],
-            detail="overgroups of conjugated members stay in Delta",
-        )
+    report.record(
+        "L3-overgroup-closure",
+        not l3_bad,
+        l3_bad[:10],
+        "overgroups of conjugated members stay in Delta",
     )
-    return VerificationReport("locality axioms", checks)
+    return report

@@ -14,7 +14,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import FiniteGroup, SizeCapExceeded
+from .groups import SizeCapExceeded, subset_group
 from .locality import DeltaFamily, Locality, check_locality
 from .normal import enumerate_partial_normals, is_partial_normal
 from .partial import PartialGroup, Word, partial_subgroup_closure, subset_product
@@ -351,7 +351,7 @@ class QuotientPartialGroup(PartialGroup):
     def _vector_components(self):
         if not self.domain_is_total:
             return None
-        return [(tuple(self.elements()), FiniteGroup(self.product_table(), labels=self.labels))]
+        return [(tuple(self.elements()), subset_group(self.elements(), self.mul2, self.labels))]
 
     def words_all_in_domain(self, members: frozenset[int]):
         ok, criterion, wit = self.base.words_all_in_domain(
@@ -424,25 +424,38 @@ def build_quotient(
     bad = [c for c in range(qpg.size) if qpg.inverse(qpg.inverse(c)) != c]
     report.record("quotient-inversion-involutory", not bad, bad[:5])
 
+    # Many base words share one coset word, so pi(bar) is asked once per
+    # coset word and kept in a list indexed by the word's bijective base-q
+    # code (() -> 0, bar + (c,) -> code * q + c + 1): -2 not asked yet, -1
+    # off the quotient domain (pi None), else the value.
+    q = qpg.size
+    q_pi = [-2] * sum(q**k for k in range(hom_len + 1))
+    walk_step, mul2 = loc.pg.walk_step, loc.pg.mul2
     mism: list[Word] = []
 
-    def sweep(word: Word, bar: Word, state, value) -> None:
+    def sweep(word: Word, code: int, state, value) -> None:
         if len(mism) > 5:
             return
         for g in loc.elements():
-            nxt = loc.pg.walk_step(state, g)
+            nxt = walk_step(state, g)
             if nxt is None:
                 continue
-            v = g if value is None else loc.pg.mul2(value, g)
+            v = g if value is None else mul2(value, g)
             w = word + (g,)
-            b = bar + (rho[g],)
-            # pi is None off the quotient domain, so this also checks the domain
-            if qpg.pi(b) != rho[v]:
+            c = code * q + rho[g] + 1
+            got = q_pi[c]
+            if got == -2:
+                got = qpg.pi(tuple(rho[x] for x in w))
+                if got is None:
+                    got = -1
+                q_pi[c] = got
+            # -1 never equals rho[v], so this also checks the domain
+            if got != rho[v]:
                 mism.append(w)
             elif len(w) < hom_len:
-                sweep(w, b, nxt, v)
+                sweep(w, c, nxt, v)
 
-    sweep((), (), loc.pg.walk_start(), None)
+    sweep((), 0, loc.pg.walk_start(), None)
     report.record(
         "product-homomorphism",
         not mism,

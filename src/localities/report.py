@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,8 +44,16 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
+    """Checks in the order they ran.
+
+    record and skip stamp each check with the wall time since the report's
+    previous check (or its creation), so a report that computes each check
+    right before recording it times every check.
+    """
+
     title: str
     checks: list[CheckRecord] = field(default_factory=list)
+    _mark: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -57,20 +66,25 @@ class VerificationReport:
     def failures(self) -> list[CheckRecord]:
         return [c for c in self.checks if c.status == "fail"]
 
-    def record(self, name: str, ok: bool, witnesses: list | None = None, detail: str = "") -> CheckRecord:
-        rec = CheckRecord(
-            name=name,
-            status="pass" if ok else "fail",
-            witnesses=witnesses or [],
-            detail=detail,
-        )
+    def _add(self, rec: CheckRecord) -> CheckRecord:
+        now = time.perf_counter()
+        rec.timing_ms = (now - self._mark) * 1000.0
+        self._mark = now
         self.checks.append(rec)
         return rec
 
+    def record(self, name: str, ok: bool, witnesses: list | None = None, detail: str = "") -> CheckRecord:
+        return self._add(
+            CheckRecord(
+                name=name,
+                status="pass" if ok else "fail",
+                witnesses=witnesses or [],
+                detail=detail,
+            )
+        )
+
     def skip(self, name: str, detail: str = "") -> CheckRecord:
-        rec = CheckRecord(name=name, status="skipped", detail=detail)
-        self.checks.append(rec)
-        return rec
+        return self._add(CheckRecord(name=name, status="skipped", detail=detail))
 
     def extend(self, other: "VerificationReport", prefix: str = "") -> None:
         for c in other.checks:
@@ -83,6 +97,8 @@ class VerificationReport:
                     timing_ms=c.timing_ms,
                 )
             )
+        # the copied checks keep their own times; the next check starts now
+        self._mark = time.perf_counter()
 
     def text(self, with_timings: bool = False) -> str:
         lines = [f"== {self.title}: {self.overall} =="]

@@ -125,3 +125,22 @@ def test_closed_pipe_keeps_the_report_exit_code(monkeypatch, tmp_path, argv, cod
         os.close(fd)
     # the descriptor now points at devnull, so nothing reaches the file
     assert path.read_bytes() == b""
+
+
+TIMED_COMMANDS = [
+    ["pg-check", "--builtin", "GRP-S4", "--max-word-len", "3"],
+    ["loc-check", "--builtin", "GRP-S4", "--max-word-len", "3"],
+    ["quotient", "--builtin", "GRP-S4", "--kernel", "V4", "--max-word-len", "3"],
+    ["lemmas", "--builtin", "GRP-S4", "--kernel", "A4"],
+]
+
+
+@pytest.mark.parametrize("argv", TIMED_COMMANDS, ids=[a[0] for a in TIMED_COMMANDS])
+def test_timings_stamp_every_check(capsys, argv):
+    assert cli.main(argv + ["--format", "json", "--timings"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks
+    assert all(c["timing_ms"] is not None and c["timing_ms"] >= 0 for c in checks), checks
+    assert cli.main(argv + ["--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert all(c["timing_ms"] is None for c in checks)

@@ -1,0 +1,126 @@
+"""The dense tables under the domain layer against literal recomputation.
+
+ThreadAutomaton keeps one transition row per state; the reference here is
+the dict-keyed automaton it replaced, and the states themselves are
+recomputed straight from the conjugation step maps.  locality_from_group
+tabulates the ambient product once; the reference is the ambient product
+read element by element.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from localities.locality import LocalityConstructionError, ThreadAutomaton
+from localities.quotient import build_quotient
+
+
+class DictAutomaton:
+    """The automaton with transitions in a dict keyed by (state, letter)."""
+
+    def __init__(self, s_elems, step_of, n_elements, in_delta_of):
+        self.s_elems = s_elems
+        self._step_of = step_of
+        self._in_delta_of = in_delta_of
+        start = tuple((i, i) for i in range(len(s_elems)))
+        self.states = [start]
+        self._state_ids = {start: 0}
+        self.start_sets = [frozenset(s_elems)]
+        self.in_delta = [in_delta_of(self.start_sets[0])]
+        self._trans = {}
+
+    def step(self, sid, g):
+        got = self._trans.get((sid, g))
+        if got is not None:
+            return got
+        mp = self._step_of(g)
+        state = tuple((start, mp[cur]) for start, cur in self.states[sid] if mp[cur] >= 0)
+        nid = self._state_ids.get(state)
+        if nid is None:
+            nid = len(self.states)
+            self.states.append(state)
+            self._state_ids[state] = nid
+            starts = frozenset(self.s_elems[a] for a, _ in state)
+            self.start_sets.append(starts)
+            self.in_delta.append(self._in_delta_of(starts))
+        self._trans[(sid, g)] = nid
+        return nid
+
+    def walk(self, word):
+        sid = 0
+        for g in word:
+            sid = self.step(sid, g)
+        return sid
+
+
+def _s5_mod_n5(request):
+    s5f = request.getfixturevalue("s5f")
+    return build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
+
+
+# Each locality with the number of threading states reachable from the start.
+CASES = {
+    "LOC-S5": (lambda r: r.getfixturevalue("s5f").loc, 15),
+    "GRP-S4": (lambda r: r.getfixturevalue("s4f").loc, 10),
+    "LOC-S5/N5": (_s5_mod_n5, 10),
+    "PG-AM20": (lambda r: r.getfixturevalue("am20").as_locality(), 17),
+}
+
+
+def _words(n, name):
+    short = [w for k in (1, 2) for w in itertools.product(range(n), repeat=k)]
+    rng = random.Random(name)
+    return short + [tuple(rng.randrange(n) for _ in range(4)) for _ in range(3000)]
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_walk_matches_literal_states(request, name):
+    build, reachable = CASES[name]
+    aut = build(request).automaton
+    n = aut._n
+    maps = [aut._step_of(g) for g in range(n)]
+    start = tuple((i, i) for i in range(len(aut.s_elems)))
+    for word in _words(n, name):
+        pairs = start
+        for g in word:
+            pairs = tuple((s, maps[g][c]) for s, c in pairs if maps[g][c] >= 0)
+        assert aut.states[aut.walk(word)] == pairs, word
+
+    # fresh automata over the same step maps intern the same states in the
+    # same order as the dict-keyed reference
+    args = (aut.s_elems, aut._step_of, n, aut._in_delta_of)
+    dense, ref = ThreadAutomaton(*args), DictAutomaton(*args)
+    for word in _words(n, name):
+        assert dense.walk(word) == ref.walk(word), word
+    assert dense.states == ref.states
+    assert dense.start_sets == ref.start_sets
+    assert dense.in_delta == ref.in_delta
+
+    seen, queue = {0}, [0]
+    while queue:
+        sid = queue.pop()
+        for g in range(n):
+            nid = dense.step(sid, g)
+            if nid not in seen:
+                seen.add(nid)
+                queue.append(nid)
+    assert len(seen) == len(dense.states) == reachable
+
+
+def test_raw_product_table_matches_ambient(s5f):
+    loc = s5f.loc
+    M, to_ambient, to_local = loc.ambient, loc.to_ambient, loc.to_local
+    escaping = []
+    for a, b in itertools.product(range(loc.size), repeat=2):
+        v = M.mul(to_ambient[a], to_ambient[b])
+        if v in to_local:
+            assert loc.pg._mul_raw(a, b) == to_local[v], (a, b)
+            continue
+        with pytest.raises(LocalityConstructionError) as err:
+            loc.pg._mul_raw(a, b)
+        assert [c.name for c in err.value.report.failures()] == ["product-closure"]
+        assert f"({a},{b})" in err.value.report.checks[0].detail
+        escaping.append((a, b))
+    assert len(escaping) == 1536
+    assert escaping[0] == (2, 24)
