@@ -338,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timings", action="store_true", help="include timings in output")
         if name == "product":
             p.add_argument("--ideals", help="comma-separated subset names")
-            p.add_argument("--verify", action="store_true",
-                           help="accepted for compatibility; verification always runs")
         if name in ("quotient", "lemmas"):
             p.add_argument("--kernel", help="subset name of the kernel")
         if name == "quotient":

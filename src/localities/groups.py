@@ -356,16 +356,31 @@ def _is_prime(p: int) -> bool:
 def sylow_p(G: FiniteGroup, p: int) -> SubgroupRef:
     """One Sylow p-subgroup, chosen as the least candidate member list.
 
-    Brute force over the subgroup lattice; deterministic and plenty fast at
-    the orders this engine works with.
+    Grown from the identity by p-elements: while P is not Sylow, N_G(P)/P
+    has an element of order p (Sylow's theorem), so the least x in
+    N_G(P) \\ P with x^p in P extends P to P<x> of order p|P|.  All Sylow
+    p-subgroups are conjugate, so the least conjugate of the result is the
+    least Sylow p-subgroup of the whole lattice.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     target = _p_part(G.order, p)
-    if target == 1:
-        return SubgroupRef(G, {G.identity})
-    best = min(
-        (s for s in all_subgroups(G) if s.order == target),
-        key=lambda s: s.sorted_members(),
-    )
-    return best
+    everyone = np.arange(G.order)
+    inv = np.asarray(G.inv)
+
+    def conjugates(P: frozenset[int]) -> np.ndarray:
+        """Row g holds P^g, member by member."""
+        members = np.fromiter(P, dtype=np.int64)
+        return G.mult[G.mult[inv[:, None], members[None, :]], everyone[:, None]]
+
+    power = everyone
+    for _ in range(p - 1):
+        power = G.mult[power, everyone]
+    P = frozenset({G.identity})
+    while len(P) < target:
+        inside = np.zeros(G.order, dtype=bool)
+        inside[list(P)] = True
+        grows = inside[conjugates(P)].all(axis=1) & ~inside & inside[power]
+        P = closure_members(G, P | {int(np.argmax(grows))})
+    least = min(tuple(sorted(row)) for row in conjugates(P).tolist())
+    return SubgroupRef(G, least)

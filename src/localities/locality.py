@@ -177,6 +177,19 @@ class ThreadAutomaton:
             sid = nid if nid >= 0 else self.step(sid, g)
         return sid
 
+    def dense_rows(self) -> np.ndarray:
+        """trans[state, x] over every state reachable from the start.
+
+        Fills the row of every state with all letters, so it interns the
+        states outside Delta too (full_closure stops at the first of them).
+        """
+        sid = 0
+        while sid < len(self.states):
+            for g in range(self._n):
+                self.step(sid, g)
+            sid += 1
+        return np.array(self._rows, dtype=np.int32)
+
     def full_closure(self, letters: Iterable[int] | None = None) -> tuple[bool, Word | None]:
         """Explore all states reachable over the letters (default: everything).
 
@@ -198,7 +211,11 @@ class ThreadAutomaton:
 
 
 class LocalityPartialGroup(PartialGroup):
-    """Partial group whose domain is decided by the threading subgroup."""
+    """Partial group whose domain is decided by the threading subgroup.
+
+    raw[a][b] is the underlying product of a and b, -1 where it is
+    undefined; multiplying such a pair raises raw_missing(a, b).
+    """
 
     def __init__(
         self,
@@ -206,7 +223,8 @@ class LocalityPartialGroup(PartialGroup):
         identity: int,
         inv: tuple[int, ...],
         labels: tuple[str, ...],
-        mul_raw: Callable[[int, int], int],
+        raw: list[list[int]],
+        raw_missing: Callable[[int, int], Exception],
         p: int,
         s_elems: tuple[int, ...],
         delta_sets: frozenset[frozenset[int]],
@@ -216,7 +234,8 @@ class LocalityPartialGroup(PartialGroup):
         self.identity = identity
         self._inv = inv
         self.labels = labels
-        self._mul_raw = mul_raw
+        self._raw = raw
+        self._raw_missing = raw_missing
         self.p = p
         self.s_elems = s_elems
         self.delta_sets = delta_sets
@@ -231,11 +250,25 @@ class LocalityPartialGroup(PartialGroup):
     def in_domain(self, word: Word) -> bool:
         return self.automaton.in_delta[self.automaton.walk(word)]
 
+    def _mul_raw(self, a: int, b: int) -> int:
+        v = self._raw[a][b]
+        if v < 0:
+            raise self._raw_missing(a, b)
+        return v
+
     def _raw_product(self, word: Word) -> int:
         out = self.identity
         for x in word:
             out = self._mul_raw(out, x)
         return out
+
+    def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(trans, in_delta, raw) as arrays for the axiom sweep: the
+        automaton's transitions over every reachable state, its accept mask
+        and the raw product with -1 where it is undefined."""
+        trans = self.automaton.dense_rows()
+        in_delta = np.array(self.automaton.in_delta, dtype=bool)
+        return trans, in_delta, np.array(self._raw, dtype=np.int32)
 
     def product_table(self) -> list[list[int]]:
         """The base class table, filled from the domain and the raw product."""
@@ -571,27 +604,24 @@ def locality_from_group(
     local_delta = delta.translate(to_local)
     s_local = tuple(to_local[s] for s in s_sorted)
     # The ambient product over the kept elements in local ids, -1 where it
-    # leaves L: tabulated once, so mul_raw is a list read.
+    # leaves L: tabulated once, so _mul_raw is a list read.
     local_of = np.full(M.order, -1, dtype=np.int64)
     local_of[keep] = np.arange(len(keep))
     raw: list[list[int]] = local_of[M.mult[np.ix_(keep, keep)]].tolist()
 
-    def mul_raw(a: int, b: int) -> int:
-        v = raw[a][b]
-        if v < 0:
-            raise LocalityConstructionError(
-                VerificationReport(
-                    "locality construction",
-                    [
-                        CheckRecord(
-                            name="product-closure",
-                            status="fail",
-                            detail=f"domain product escapes the element set at ({a},{b})",
-                        )
-                    ],
-                )
+    def escapes(a: int, b: int) -> LocalityConstructionError:
+        return LocalityConstructionError(
+            VerificationReport(
+                "locality construction",
+                [
+                    CheckRecord(
+                        name="product-closure",
+                        status="fail",
+                        detail=f"domain product escapes the element set at ({a},{b})",
+                    )
+                ],
             )
-        return v
+        )
 
     s_pos_local = {to_local[s]: i for i, s in enumerate(s_sorted)}
 
@@ -608,7 +638,8 @@ def locality_from_group(
         identity=to_local[M.identity],
         inv=tuple(to_local[M.inv[g]] for g in keep),
         labels=tuple(M.labels[g] for g in keep),
-        mul_raw=mul_raw,
+        raw=raw,
+        raw_missing=escapes,
         p=p,
         s_elems=s_local,
         delta_sets=local_delta.members,

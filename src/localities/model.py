@@ -220,17 +220,16 @@ def _parse_plocality(body: str, line: int) -> Locality:
     conj: dict[tuple[int, int], int] = {}
     for s, g, v in _TRIPLE_RE.findall(sections["conj"]):
         conj[(int(s), int(g))] = int(v)
-    prod: dict[tuple[int, int], int] = {}
+    raw = [[-1] * size for _ in range(size)]
     for a, b, v in _TRIPLE_RE.findall(sections["prod"]):
-        prod[(int(a), int(b))] = int(v)
+        a, b, v = int(a), int(b), int(v)
+        if a < size and b < size and v < size:
+            raw[a][b] = v
 
     s_pos = {s: i for i, s in enumerate(sylow)}
 
-    def mul_raw(a: int, b: int) -> int:
-        try:
-            return prod[(a, b)]
-        except KeyError:
-            raise ModelError(f"product table has no entry for ({a},{b})", line)
+    def no_entry(a: int, b: int) -> ModelError:
+        return ModelError(f"product table has no entry for ({a},{b})", line)
 
     def conj_step(g: int) -> tuple[int, ...]:
         out = []
@@ -244,7 +243,8 @@ def _parse_plocality(body: str, line: int) -> Locality:
         identity=identity,
         inv=inv,
         labels=tuple(f"q{i}" for i in range(size)),
-        mul_raw=mul_raw,
+        raw=raw,
+        raw_missing=no_entry,
         p=p,
         s_elems=sylow,
         delta_sets=delta_members,

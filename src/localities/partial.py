@@ -6,6 +6,7 @@ x^g means pi((g^-1, x, g)) whenever that word is in the domain.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -16,6 +17,8 @@ from .groups import FiniteGroup, SubgroupRef
 Word = tuple[int, ...]
 
 GENERIC_SWEEP_CAP = 500_000
+# The most words one check_axioms call sweeps (LOC-S5 at length 4: 10,013,304).
+AXIOM_SWEEP_CAP = 20_000_000
 
 
 class AmalgamSpecError(ValueError):
@@ -694,80 +697,242 @@ def _dfs_axiom_sweep(pg: PartialGroup, max_len: int) -> tuple[int, list[AxiomVio
     return words_checked, out
 
 
+# Words of one length are swept in blocks that fix their leading letters,
+# at most this many words to a block, so the arrays stay a few MB at any
+# length.
+_SWEEP_BLOCK = 1 << 18
+
+
+def _block_split(m: int, n: int) -> tuple[int, int]:
+    """(lead, tail): words of length n = lead fixed letters + tail swept ones."""
+    tail = n
+    while tail > 1 and m**tail > _SWEEP_BLOCK:
+        tail -= 1
+    return n - tail, tail
+
+
 def _digit_arrays(m: int, n: int) -> list[np.ndarray]:
-    idx = np.arange(m**n)
+    idx = np.arange(m**n, dtype=np.int32)
     return [(idx // m ** (n - 1 - k)) % m for k in range(n)]
+
+
+class _Findings:
+    """Violations of a table sweep, reported as the DFS reports them.
+
+    The DFS visits words in pre-order (a word, then its extensions), checks
+    each word in a fixed order, and stops checking words once
+    MAX_REPORTED_VIOLATIONS are found, finishing the word it is on.  A
+    length's blocks come in word order, so once that many violating words of
+    one length are kept, no later word of that length can be reported and
+    the sweep of that length stops.
+    """
+
+    def __init__(self, letters: Sequence[int]):
+        self.letters = letters
+        self.kept: list[tuple[Word, int, str, str]] = []
+        self.words_of_length: dict[int, int] = {}
+
+    def full(self, n: int) -> bool:
+        return self.words_of_length.get(n, 0) >= MAX_REPORTED_VIOLATIONS
+
+    def add(
+        self,
+        lead: Word,
+        tails: np.ndarray,
+        m: int,
+        tail_len: int,
+        checks: list[tuple[str, str, np.ndarray]],
+    ) -> None:
+        """checks[c] = (axiom, detail, mask): mask[k] says whether the word
+        lead + (tail code tails[k]) fails check c (c is its per-word order)."""
+        n = len(lead) + tail_len
+        found = self.words_of_length.get(n, 0)
+        bad = np.logical_or.reduce([mask for _, _, mask in checks])
+        hits = np.flatnonzero(bad)[: MAX_REPORTED_VIOLATIONS - found]
+        self.words_of_length[n] = found + hits.size
+        for k in hits.tolist():
+            tail = np.unravel_index(tails[k], (m,) * tail_len)
+            word = lead + tuple(int(x) for x in tail)
+            for c, (axiom, detail, mask) in enumerate(checks):
+                if mask[k]:
+                    self.kept.append((word, c, axiom, detail))
+
+    def violations(self) -> list[AxiomViolation]:
+        out: list[AxiomViolation] = []
+        last = None
+        # tuples compare in pre-order: a prefix sorts before its extensions
+        for word, _, axiom, detail in sorted(self.kept):
+            if word != last:
+                if len(out) >= MAX_REPORTED_VIOLATIONS:
+                    break
+                last = word
+            out.append(AxiomViolation(axiom, tuple(self.letters[x] for x in word), detail))
+        return out
+
+
+def _table_axiom_sweep(pg: PartialGroup, max_len: int) -> tuple[int, list[AxiomViolation]] | None:
+    """Every check of _dfs_axiom_sweep on the dense tables of pg.sweep_tables().
+
+    Per block the words of the domain are found by walking the automaton
+    over the block, then each check runs on arrays of all those words at
+    once: prefix and segment states and values are carried letter by
+    letter, and each squeezed or cancelled word is walked and folded from
+    them exactly as pg.pi would walk and fold it.  The violations, their
+    order and the cap are those of the DFS.  Returns None when a product the
+    DFS would take leaves the raw table; the DFS then reports (or raises)
+    what it finds.
+    """
+    trans, in_delta, raw = pg.sweep_tables()
+    m = pg.size
+    e = pg.identity
+    inv = np.array([pg.inverse(x) for x in range(m)], dtype=np.int32)
+    tf = trans.ravel()
+    # raw products with one extra row of -1: a missing product v = -1 reads
+    # index -m + x, which wraps into that row, so -1 stays -1 along a fold.
+    rf = np.concatenate((raw.ravel(), np.full(m, -1, dtype=np.int32)))
+
+    def step(s, x):
+        return np.take(tf, s * m + x)
+
+    def mul(v, x):
+        return np.take(rf, v * m + x)
+
+    def word_checks(w: list[np.ndarray], n: int) -> list[tuple[str, str, np.ndarray]] | None:
+        """The DFS's checks, in its order, on the domain words w (one letter
+        array per position); None if one of their products leaves raw."""
+        st: dict[tuple[int, int], np.ndarray] = {}
+        val: dict[tuple[int, int], np.ndarray] = {}
+        for i in range(n):
+            s, v = step(0, w[i]), mul(e, w[i])
+            st[i, i + 1], val[i, i + 1] = s, v
+            for j in range(i + 2, n + 1):
+                s, v = step(s, w[j - 1]), mul(v, w[j - 1])
+                st[i, j], val[i, j] = s, v
+        total = val[0, n]
+        missing = total < 0
+        none = np.zeros(total.size, dtype=bool)
+        checks = []
+        for k in range(1, n):
+            checks.append(("split", f"prefix of length {k} not in domain", ~in_delta[st[0, k]]))
+            checks.append(("split", f"suffix from {k} not in domain", ~in_delta[st[k, n]]))
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                if j == i + 1:
+                    continue
+                leaves = f"collapse [{i}:{j}] leaves domain"
+                changes = f"collapse [{i}:{j}] changes the product"
+                if i < j:
+                    mid, mid_in = val[i, j], in_delta[st[i, j]]
+                    missing |= mid_in & (mid < 0)
+                elif in_delta[0]:
+                    mid, mid_in = e, ~none
+                else:  # pi(()) is undefined: nothing to insert
+                    checks += [("collapse", leaves, none), ("collapse", changes, none)]
+                    continue
+                s, v = (st[0, i], val[0, i]) if i else (0, e)
+                s, v = step(s, mid), mul(v, mid)
+                for t in range(j, n):
+                    s, v = step(s, w[t]), mul(v, w[t])
+                sq_in = in_delta[s] & mid_in
+                missing |= sq_in & (v < 0)
+                checks.append(("collapse", leaves, mid_in & ~sq_in))
+                checks.append(("collapse", changes, sq_in & (v != total)))
+        s, v = 0, e
+        for x in reversed(w):
+            s, v = step(s, inv[x]), mul(v, inv[x])
+        for x in w:
+            s, v = step(s, x), mul(v, x)
+        c_in = in_delta[s]
+        missing |= c_in & (v < 0)
+        if missing.any():
+            return None
+        checks.append(("cancellation", "w^-1 ∘ w not in domain", ~c_in))
+        checks.append(("cancellation", "pi(w^-1 ∘ w) != 1", c_in & (v != e)))
+        return checks
+
+    findings = _Findings(range(m))
+    for n in range(1, max_len + 1):
+        lead_len, tail_len = _block_split(m, n)
+        tail_digits = _digit_arrays(m, tail_len)
+        for lead in itertools.product(range(m), repeat=lead_len):
+            state = 0
+            for x in lead:
+                state = int(trans[state, x])
+            reach = trans[state][tail_digits[0]]
+            for d in tail_digits[1:]:
+                reach = step(reach, d)
+            tails = np.flatnonzero(in_delta[reach])
+            if not tails.size:
+                continue
+            w = [np.full(tails.size, x, dtype=np.int32) for x in lead]
+            w += [d[tails] for d in tail_digits]
+            checks = word_checks(w, n)
+            if checks is None:
+                return None
+            findings.add(lead, tails, m, tail_len, checks)
+            if findings.full(n):
+                break
+    return sum(m**k for k in range(1, max_len + 1)), findings.violations()
 
 
 def _vector_axiom_sweep(
     elems: tuple[int, ...], group: FiniteGroup, max_len: int
 ) -> tuple[int, list[AxiomViolation]]:
-    """Vectorized sweep of one total component (all words over it are in D)."""
-    out: list[AxiomViolation] = []
-    words_checked = 0
-    T = group.mult
-    inv = np.array(group.inv)
+    """Vectorized sweep of one total component (all words over it are in D).
+
+    Products are read from the group's flat int32 table.  Each length is
+    swept in blocks that fix the leading letters; the tail digits, the
+    products of the tail segments and the tail of every cancellation word
+    are computed once per length and shared by its blocks.  Violations come
+    in the DFS's order under its cap.
+    """
     m = group.order
+    tf = group.mult.ravel()
+    inv = np.array(group.inv, dtype=np.int32)
+    e = group.identity
 
-    def report(axiom: str, digits, bad: np.ndarray, detail: str) -> None:
-        for flat in bad[: MAX_REPORTED_VIOLATIONS - len(out)]:
-            word = tuple(elems[int(d[flat])] for d in digits)
-            out.append(AxiomViolation(axiom, word, detail))
+    def mul(a, b):
+        return np.take(tf, a * m + b)
 
+    findings = _Findings(elems)
     for n in range(2, max_len + 1):
-        chunk_elems = m ** n > 2_000_000
-        first_digits = range(m) if chunk_elems else [None]
-        k = n - 1 if chunk_elems else n
-        digits = _digit_arrays(m, k)
-        # rolling products R[i][j] over word positions i..j of the chunk part
-        R: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(k):
-            R[(i, i + 1)] = digits[i]
-            for j in range(i + 2, k + 1):
-                R[(i, j)] = T[R[(i, j - 1)], digits[j - 1]]
-        for a in first_digits:
-            words_checked += m ** k
-            if a is None:
-                full = {(i, j): R[(i, j)] for i in range(k) for j in range(i + 1, k + 1)}
-                digs = digits
-            else:
-                # prepend the fixed leading letter a
-                col = np.full(m ** k, a)
-                digs = [col] + digits
-                full = {}
-                for i in range(k):
-                    for j in range(i + 1, k + 1):
-                        full[(i + 1, j + 1)] = R[(i, j)]
-                full[(0, 1)] = col
-                for j in range(2, n + 1):
-                    full[(0, j)] = T[full[(0, j - 1)], digs[j - 1]]
-            total = full[(0, n)]
-            e_col = np.full(total.shape, group.identity)
-
-            def seg(i: int, j: int) -> np.ndarray:
-                if i == j:
-                    return e_col
-                return full[(i, j)]
-
+        lead_len, tail_len = _block_split(m, n)
+        tail_digits = _digit_arrays(m, tail_len)
+        shared: dict[tuple[int, int], np.ndarray] = {}
+        for i in range(lead_len, n):
+            shared[i, i + 1] = tail_digits[i - lead_len]
+            for j in range(i + 2, n + 1):
+                shared[i, j] = mul(shared[i, j - 1], tail_digits[j - 1 - lead_len])
+        tail_cancel = e
+        for d in reversed(tail_digits):
+            tail_cancel = mul(tail_cancel, inv[d])
+        tails = np.arange(m**tail_len)
+        for lead in itertools.product(range(m), repeat=lead_len):
+            w = list(lead) + tail_digits
+            seg = dict(shared)
+            for i in range(lead_len):
+                seg[i, i + 1] = lead[i]
+                for j in range(i + 2, n + 1):
+                    seg[i, j] = mul(seg[i, j - 1], w[j - 1])
+            for i in range(n + 1):
+                seg[i, i] = e
+            total = seg[0, n]
+            checks = []
             for i in range(n + 1):
                 for j in range(i, n + 1):
-                    if j == i + 1:
-                        continue
-                    val = T[T[seg(0, i), seg(i, j)], seg(j, n)]
-                    bad = np.nonzero(val != total)[0]
-                    if bad.size:
-                        report("collapse", digs, bad, f"collapse [{i}:{j}]")
-            acc = e_col
-            for kk in range(n - 1, -1, -1):
-                acc = T[acc, inv[digs[kk]]]
-            for kk in range(n):
-                acc = T[acc, digs[kk]]
-            bad = np.nonzero(acc != group.identity)[0]
-            if bad.size:
-                report("cancellation", digs, bad, "pi(w^-1 ∘ w) != 1")
-            if len(out) >= MAX_REPORTED_VIOLATIONS:
-                return words_checked, out
-    return words_checked, out
+                    if j != i + 1:
+                        val = mul(mul(seg[0, i], seg[i, j]), seg[j, n])
+                        checks.append(("collapse", f"collapse [{i}:{j}]", val != total))
+            acc = tail_cancel
+            for x in reversed(lead):
+                acc = mul(acc, inv[x])
+            for x in w:
+                acc = mul(acc, x)
+            checks.append(("cancellation", "pi(w^-1 ∘ w) != 1", acc != e))
+            findings.add(lead, tails, m, tail_len, checks)
+            if findings.full(n):
+                break
+    return sum(m**k for k in range(2, max_len + 1)), findings.violations()
 
 
 def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
@@ -777,21 +942,45 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
     domain words, collapsing an inner factor keeps the word in the domain with
     the same product, and w^-1 ∘ w multiplies to the identity.  Violations are
     reported, never repaired.
+
+    The words are swept by one of three routes:
+    - total components (pg._vector_components() is not None: groups, an
+      amalgam's two sides, a locality or quotient whose domain is total):
+      _vector_axiom_sweep over each component's group table, words of
+      length 2..max_len;
+    - automaton-backed partial domains (pg.sweep_tables() exists: a
+      LocalityPartialGroup whose domain is not total): _table_axiom_sweep
+      over the automaton and raw product tables;
+    - everything else (CorruptedProducts, a partial QuotientPartialGroup,
+      generic partial groups), and a table sweep that meets a product
+      missing from the raw table: the per-word _dfs_axiom_sweep.
+    The word count is stated before the sweep: over AXIOM_SWEEP_CAP words
+    raises SweepBudgetExceeded.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
-    violations: list[AxiomViolation] = []
-    notes: list[str] = []
-    _base_axiom_checks(pg, violations)
     components = getattr(pg, "_vector_components", lambda: None)()
     if components is not None:
-        words = 0
-        for elems, grp in components:
-            w, v = _vector_axiom_sweep(elems, grp, max_len)
-            words += w
-            violations.extend(v)
-        notes.append("domain words swept per total component (vectorized)")
+        words = sum(len(el) ** k for el, _ in components for k in range(2, max_len + 1))
     else:
-        words, v = _dfs_axiom_sweep(pg, max_len)
-        violations.extend(v)
-    return AxiomReport(max_len=max_len, words_checked=words, violations=violations, notes=notes)
+        words = sum(pg.size**k for k in range(1, max_len + 1))
+    if words > AXIOM_SWEEP_CAP:
+        raise SweepBudgetExceeded(
+            f"axiom sweep to length {max_len} needs {words} words,"
+            f" over the budget of {AXIOM_SWEEP_CAP}"
+        )
+    violations: list[AxiomViolation] = []
+    _base_axiom_checks(pg, violations)
+    if components is not None:
+        for elems, grp in components:
+            violations.extend(_vector_axiom_sweep(elems, grp, max_len)[1])
+        note = "route: vectorized sweep per total component"
+    else:
+        swept = _table_axiom_sweep(pg, max_len) if hasattr(pg, "sweep_tables") else None
+        if swept is not None:
+            note = "route: dense automaton and raw product tables"
+        else:
+            swept = _dfs_axiom_sweep(pg, max_len)
+            note = "route: per-word DFS"
+        violations.extend(swept[1])
+    return AxiomReport(max_len=max_len, words_checked=words, violations=violations, notes=[note])

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from localities import cli
+from localities import cli, partial
 from localities.locality import LocalityConstructionError, check_locality
 from localities.model import parse_model
 from localities.partial import SweepBudgetExceeded
@@ -76,6 +76,20 @@ def test_emit_parse_round_trip(s5f, tmp_path, capsys):
     assert loc.pg.product_table() == expected.product_table()
 
 
+def test_pg_check_over_the_word_budget_exits_2_before_sweeping(monkeypatch, capsys):
+    def no_sweep(*args):
+        raise AssertionError("the sweep started")
+
+    for kernel in ("_table_axiom_sweep", "_dfs_axiom_sweep", "_vector_axiom_sweep"):
+        monkeypatch.setattr(partial, kernel, no_sweep)
+    assert cli.main(["pg-check", "--builtin", "LOC-S5", "--max-word-len", "6"]) == 2
+    words = sum(56**k for k in range(1, 7))
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: axiom sweep to length 6 needs {words} words,"
+        f" over the budget of {partial.AXIOM_SWEEP_CAP}"
+    ]
+
+
 def test_plocality_missing_product_entry_exits_2(tmp_path, capsys):
     path = _emit(tmp_path, capsys, "GRP-S4", "V4")
     lines = path.read_text().splitlines()
@@ -87,6 +101,21 @@ def test_plocality_missing_product_entry_exits_2(tmp_path, capsys):
     assert cli.main(["loc-check", "--model", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     a, b, _ = dropped.split()
+    assert err == [f"error: line {lineno}: product table has no entry for ({a},{b})"]
+
+
+def test_plocality_out_of_range_product_reads_as_missing(tmp_path, capsys):
+    path = _emit(tmp_path, capsys, "GRP-S4", "V4")
+    lines = path.read_text().splitlines()
+    lineno, line = next((i, l) for i, l in enumerate(lines, 1) if l.startswith("plocality"))
+    size = int(line.partition(" : size ")[2].split()[0])
+    head, _, prod = line.partition(" : prod ")
+    entry = prod.split(") (")[1]
+    a, b, _ = entry.split()
+    lines[lineno - 1] = head + " : prod " + prod.replace(f"({entry})", f"({a} {b} {size})", 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["loc-check", "--model", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
     assert err == [f"error: line {lineno}: product table has no entry for ({a},{b})"]
 
 

@@ -130,6 +130,36 @@ def test_sylow_is_full_p_part():
         assert sylow_p(G, p).order == expect
 
 
+def lattice_sylow(G, p):
+    """The rule sylow_p used before p-element growth: the Sylow p-subgroup
+    with the least sorted member tuple among all subgroups of G."""
+    target = 1
+    n = G.order
+    while n % p == 0:
+        target *= p
+        n //= p
+    return min(
+        (s for s in all_subgroups(G) if s.order == target), key=lambda s: s.sorted_members()
+    )
+
+
+@pytest.mark.parametrize(
+    "gens, primes",
+    [
+        ([(1, 2, 3, 0), (1, 0, 2, 3)], (2, 3)),  # S4
+        ([(1, 0), (0, 1, 3, 4, 5, 2), (0, 1, 3, 2, 4, 5)], (2, 3)),  # C2xS4
+        ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], (2, 3, 5)),  # S5
+        ([(1, 0), (0, 1, 3, 4, 5, 2)], (2,)),  # C2xC4
+        ([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)], (2,)),  # D16
+        ([(1, 2, 0)], (2,)),  # C3
+    ],
+)
+def test_sylow_growth_picks_the_lattice_rule_subgroup(gens, primes):
+    G = generate_group(gens)
+    for p in primes:
+        assert sylow_p(G, p).members == lattice_sylow(G, p).members, p
+
+
 def test_sylow_rejects_composite():
     with pytest.raises(ValueError):
         sylow_p(s4(), 4)
