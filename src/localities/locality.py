@@ -298,10 +298,6 @@ class LocalityPartialGroup(PartialGroup):
             self._total = ok
         return self._total
 
-    def thread_subgroup(self, word: Word) -> frozenset[int]:
-        """The subgroup of S whose elements conjugate through the word."""
-        return self.automaton.start_sets[self.automaton.walk(word)]
-
     def words_all_in_domain(self, members: frozenset[int]):
         ok, witness = self.automaton.full_closure(sorted(members))
         return ok, "domain-closure", witness
@@ -333,7 +329,6 @@ class Locality:
         p: int,
         sylow: Iterable[int],
         delta: DeltaFamily,
-        thread_step_of: Callable[[int], tuple[int, ...]] | None = None,
     ):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -348,46 +343,35 @@ class Locality:
         if isinstance(pg, LocalityPartialGroup):
             self.automaton = pg.automaton
         else:
-            step = thread_step_of or self._definitional_step
             self.automaton = ThreadAutomaton(
-                self.sylow, step, pg.size, lambda starts: starts in delta.members
+                self.sylow, self._definitional_step, pg.size,
+                lambda starts: starts in delta.members,
             )
         self._s_group: FiniteGroup | None = None
-        self._conj_full: list[tuple[int, ...]] | None = None
 
     # -- basic maps ----------------------------------------------------------
 
     def _definitional_step(self, g: int) -> tuple[int, ...]:
-        """Conjugation map on S positions computed straight from pi."""
-        out = []
-        ginv = self.pg.inverse(g)
-        for s in self.sylow:
-            v = self.pg.pi((ginv, s, g))
-            out.append(self._s_pos.get(v, -1) if v is not None else -1)
-        return tuple(out)
+        """Conjugation map on S positions: column g of the rows of S."""
+        conj = self.pg.conj_table()
+        return tuple(self._s_pos.get(conj[s][g], -1) for s in self.sylow)
 
     def conjugate(self, x: int, g: int) -> int | None:
         """x^g = pi((g^-1, x, g)) when defined."""
-        return self.pg.pi((self.pg.inverse(g), x, g))
+        v = self.pg.conj_table()[x][g]
+        return None if v < 0 else v
 
-    def conj_table(self) -> list[tuple[int, ...]]:
-        """Full table x -> (x^g per g), with -1 for undefined pairs."""
-        if self._conj_full is None:
-            tbl = []
-            for x in self.pg.elements():
-                row = []
-                for g in self.pg.elements():
-                    v = self.conjugate(x, g)
-                    row.append(-1 if v is None else v)
-                tbl.append(tuple(row))
-            self._conj_full = tbl
-        return self._conj_full
+    def conj_table(self) -> list[list[int]]:
+        """The partial group's conjugation table, pg.conj_table()."""
+        return self.pg.conj_table()
 
     def conjugate_set(self, X: Iterable[int], g: int) -> frozenset[int] | None:
+        """X^g, or None when some x^g is undefined."""
+        conj = self.pg.conj_table()
         out = set()
         for x in X:
-            v = self.conjugate(x, g)
-            if v is None:
+            v = conj[x][g]
+            if v < 0:
                 return None
             out.add(v)
         return frozenset(out)
@@ -660,8 +644,9 @@ def as_locality(
 ) -> Locality:
     """Wrap an arbitrary partial group as a locality candidate (unchecked).
 
-    Conjugation for the threading machinery is read off pi directly; run
-    check_locality to find out whether the axioms actually hold.
+    Conjugation for the threading machinery is read off pg.conj_table(),
+    which is built from pi; run check_locality to find out whether the
+    axioms actually hold.
     """
     sylow = frozenset(sylow)
     delta = DeltaFamily(sylow=sylow, members=frozenset(delta_members) | {sylow})

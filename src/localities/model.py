@@ -317,12 +317,10 @@ def emit_quotient(bundle: QuotientBundle, name: str = "quotient") -> str:
             for P in sorted(loc.delta.members, key=sorted)
         ),
     ]
-    conj_entries = []
-    for s in loc.sylow:
-        for g in pg.elements():
-            v = loc.conjugate(s, g)
-            if v is not None and v in loc.sylow_set:
-                conj_entries.append(f"({s} {g} {v})")
+    conj = pg.conj_table()
+    conj_entries = [
+        f"({s} {g} {v})" for s in loc.sylow for g, v in enumerate(conj[s]) if v in loc.sylow_set
+    ]
     parts.append("conj " + " ".join(conj_entries))
     prod_entries = [
         f"({a} {b} {v})"

@@ -18,6 +18,7 @@ from .partial import (
     Word,
     _close,
     _closure_failure,
+    _conjugation_failure,
     _is_prime_power,
     classify_subset,
     subset_product,
@@ -47,14 +48,8 @@ def is_partial_normal(loc: Locality, members: Iterable[int]) -> tuple[bool, tupl
     bad = _closure_failure(loc.pg, X)
     if bad is not None:
         return False, ("closure",) + bad
-    conj = loc.conj_table()
-    for x in sorted(X):
-        row = conj[x]
-        for f in loc.elements():
-            v = row[f]
-            if v >= 0 and v not in X:
-                return False, (x, f, v)
-    return True, None
+    bad = _conjugation_failure(loc.pg, X)
+    return bad is None, bad
 
 
 def partial_normal_closure(loc: Locality, seed: Iterable[int]) -> SubsetHandle:
@@ -202,13 +197,13 @@ class ProductCertificate:
 
 
 def _scan_product(
-    loc: Locality, factors: Sequence[frozenset[int]], want_witnesses: bool
+    loc: Locality, factors: Sequence[frozenset[int]]
 ) -> tuple[frozenset[int], dict[int, Word], dict[int, int]]:
     """Enumerate all domain words across the factors.
 
-    Collects the product set and, on request, the first witness word per
-    product value whose threading subgroup equals that of the value, plus a
-    count of all such witnesses.
+    Collects the product set, the first witness word per product value whose
+    threading subgroup equals that of the value, and a count of all such
+    witnesses.  Bare product sets come from subset_product.
     """
     pg = loc.pg
     lists = [sorted(f) for f in factors]
@@ -228,15 +223,14 @@ def _scan_product(
             w = word + (x,)
             if i == last:
                 out.add(v)
-                if want_witnesses:
-                    target = s_of.get(v)
-                    if target is None:
-                        target = loc.thread_subgroup((v,))
-                        s_of[v] = target
-                    if auto.start_sets[nid] == target:
-                        counts[v] = counts.get(v, 0) + 1
-                        if v not in witnesses:
-                            witnesses[v] = w
+                target = s_of.get(v)
+                if target is None:
+                    target = loc.thread_subgroup((v,))
+                    s_of[v] = target
+                if auto.start_sets[nid] == target:
+                    counts[v] = counts.get(v, 0) + 1
+                    if v not in witnesses:
+                        witnesses[v] = w
             else:
                 rec(i + 1, nid, v, w)
 
@@ -260,8 +254,8 @@ def product_theorem1(
         ok, wit = is_partial_normal(loc, X)
         if not ok:
             raise ValueError(f"{name} is not partial normal (witness {wit})")
-    product, witnesses, counts = _scan_product(loc, [M, N], want_witnesses=True)
-    reverse, _, _ = _scan_product(loc, [N, M], want_witnesses=False)
+    product, witnesses, counts = _scan_product(loc, [M, N])
+    reverse = subset_product(loc.pg, [N, M])
     pn, pn_wit = is_partial_normal(loc, product)
     lhs = product & loc.sylow_set
     rhs = subset_product(loc.pg, [M & loc.sylow_set, N & loc.sylow_set])
@@ -306,11 +300,11 @@ def product_theorem2(
         key = tuple(fs)
         got = memo.get(key)
         if got is None:
-            got, _, _ = _scan_product(loc, fs, want_witnesses=False)
+            got = subset_product(loc.pg, fs)
             memo[key] = got
         return got
 
-    product, witnesses, counts = _scan_product(loc, facs, want_witnesses=True)
+    product, witnesses, counts = _scan_product(loc, facs)
     memo[tuple(facs)] = product
 
     bracketing = True

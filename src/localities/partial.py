@@ -38,6 +38,7 @@ class PartialGroup:
     p: int | None = None
     domain_is_total: bool = False
     _product_table: list[list[int]] | None = None
+    _conj_table: list[list[int]] | None = None
 
     def inverse(self, x: int) -> int:
         raise NotImplementedError
@@ -74,6 +75,22 @@ class PartialGroup:
                 [-1 if (v := self.mul2(a, b)) is None else v for b in n] for a in n
             ]
         return self._product_table
+
+    def conj_table(self) -> list[list[int]]:
+        """Conjugates: row x holds x^f = pi((f^-1, x, f)) at f, or -1 off
+        the domain.
+
+        Built from pi on first use and kept on the instance, as
+        product_table() is, so overridden products (CorruptedProducts,
+        quotients) are what every conjugation reads.
+        """
+        if self._conj_table is None:
+            n = range(self.size)
+            inv = [self.inverse(f) for f in n]
+            self._conj_table = [
+                [-1 if (v := self.pi((inv[f], x, f))) is None else v for f in n] for x in n
+            ]
+        return self._conj_table
 
     def elements(self) -> range:
         return range(self.size)
@@ -463,11 +480,12 @@ def _closure_failure(pg: PartialGroup, X: frozenset[int]) -> tuple | None:
 
 
 def _conjugation_failure(pg: PartialGroup, X: frozenset[int]) -> tuple | None:
-    """A witness (x, f) with x^f defined outside X, or None."""
+    """A witness (x, f, x^f) with x^f defined outside X, or None; the
+    first in sorted x, then f, read from pg.conj_table()."""
+    conj = pg.conj_table()
     for x in sorted(X):
-        for f in pg.elements():
-            v = pg.pi((pg.inverse(f), x, f))
-            if v is not None and v not in X:
+        for f, v in enumerate(conj[x]):
+            if v >= 0 and v not in X:
                 return (x, f, v)
     return None
 

@@ -47,34 +47,9 @@ def transporter_in_K(
     loc: Locality, K: Iterable[int], P: Iterable[int], Q: Iterable[int]
 ) -> frozenset[int]:
     """{x in K : P inside D(x) and P^x = Q} (exact transporter)."""
-    K = frozenset(K)
     P = frozenset(P)
     Q = frozenset(Q)
-    conj = loc.conj_table()
-    out = set()
-    for x in sorted(K):
-        img = set()
-        ok = True
-        for p in P:
-            v = conj[p][x]
-            if v < 0:
-                ok = False
-                break
-            img.add(v)
-        if ok and img == Q:
-            out.add(x)
-    return frozenset(out)
-
-
-def _conj_into(loc: Locality, P: frozenset[int], x: int) -> frozenset[int] | None:
-    conj = loc.conj_table()
-    img = set()
-    for p in P:
-        v = conj[p][x]
-        if v < 0:
-            return None
-        img.add(v)
-    return frozenset(img)
+    return frozenset(x for x in K if loc.conjugate_set(P, x) == Q)
 
 
 def up_relates(
@@ -99,7 +74,7 @@ def up_relates(
         return None
     f_inv = pg.inverse(f)
     for x in sorted(K):
-        Px = _conj_into(loc, P, x)
+        Px = loc.conjugate_set(P, x)
         if Px is None or not Px <= Q:
             continue
         h = pg.pi((x, g))
@@ -110,7 +85,7 @@ def up_relates(
             continue
         if pg.pi((f, y)) != h:
             continue
-        Pfy = _conj_into(loc, Pf, y)
+        Pfy = loc.conjugate_set(Pf, y)
         if Pfy is None or not Pfy <= Qg:
             continue
         return (x, y)
@@ -309,7 +284,6 @@ class QuotientPartialGroup(PartialGroup):
         self._inv = tuple(part.coset_of[base.inverse(r)] for r in self.reps)
         self.labels = tuple("[" + base.labels[r] + "]" for r in self.reps)
         self.p = p
-        self._total: bool | None = None
 
     def rep_word(self, word: Word) -> Word:
         return tuple(self.reps[c] for c in word)
@@ -331,22 +305,7 @@ class QuotientPartialGroup(PartialGroup):
 
     @property
     def domain_is_total(self) -> bool:  # type: ignore[override]
-        if self._total is None:
-            total = True
-            seen = {self.base.walk_start()}
-            queue = list(seen)
-            while queue and total:
-                state = queue.pop()
-                for x in range(self.size):
-                    nxt = self.base.walk_step(state, self.reps[x])
-                    if nxt is None:
-                        total = False
-                        break
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            self._total = total
-        return self._total
+        return self.words_all_in_domain(frozenset(self.elements()))[0]
 
     def _vector_components(self):
         if not self.domain_is_total:
@@ -354,15 +313,13 @@ class QuotientPartialGroup(PartialGroup):
         return [(tuple(self.elements()), subset_group(self.elements(), self.mul2, self.labels))]
 
     def words_all_in_domain(self, members: frozenset[int]):
+        """The base verdict on the representatives; the base witness is a
+        word over them, read back as a coset word through rho."""
         ok, criterion, wit = self.base.words_all_in_domain(
             frozenset(self.reps[c] for c in members)
         )
-        if wit is not None and not isinstance(wit, (int, float)):
-            back = {r: c for c, r in enumerate(self.reps)}
-            try:
-                wit = tuple(back[x] for x in wit)
-            except KeyError:
-                pass
+        if wit is not None:
+            wit = tuple(self.rho[x] for x in wit)
         return ok, criterion, wit
 
 

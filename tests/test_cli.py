@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -71,9 +72,19 @@ def test_emit_parse_round_trip(s5f, tmp_path, capsys):
     path = _emit(tmp_path, capsys, "LOC-S5", "N5")
     (loc,) = parse_model(path).localities.values()
     assert check_locality(loc).ok
-    expected = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient.pg
+    quotient = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
+    expected = quotient.pg
     assert loc.size == expected.size == 24
     assert loc.pg.product_table() == expected.product_table()
+    conj = path.read_text().partition(" : conj ")[2].partition(" : prod ")[0]
+    want = {
+        (s, g, v)
+        for s in quotient.sylow
+        for g in expected.elements()
+        if (v := expected.pi((expected.inverse(g), s, g))) in quotient.sylow_set
+    }
+    got = {tuple(map(int, t)) for t in re.findall(r"\((\d+) (\d+) (\d+)\)", conj)}
+    assert got == want
 
 
 def test_pg_check_over_the_word_budget_exits_2_before_sweeping(monkeypatch, capsys):

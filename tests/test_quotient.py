@@ -9,6 +9,7 @@ from localities.normal import enumerate_partial_normals
 from localities.quotient import (
     LDeltaPair,
     QuotientConstructionError,
+    QuotientPartialGroup,
     build_quotient,
     coset_partition,
     is_up_maximal,
@@ -267,3 +268,32 @@ def test_kernel_cache_ignores_reused_ids(monkeypatch):
     big = locality_from_group(M, 2, delta_min_order(S, 1))
     assert big.size == 120
     assert len(coset_partition(big, {big.identity}).maximal) == 120
+
+
+def bfs_domain_is_total(qpg):
+    """The walk domain_is_total used to run: every base walker state reached
+    over the representatives has every representative extension."""
+    seen = {qpg.base.walk_start()}
+    queue = list(seen)
+    while queue:
+        state = queue.pop()
+        for x in range(qpg.size):
+            nxt = qpg.base.walk_step(state, qpg.reps[x])
+            if nxt is None:
+                return False
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
+def test_trivial_kernel_quotient_domain_is_partial(s5f):
+    loc = s5f.loc
+    qpg = QuotientPartialGroup(loc.pg, coset_partition(loc, {loc.identity}), 2)
+    assert qpg.size == 56
+    assert bfs_domain_is_total(qpg) is False
+    assert qpg.domain_is_total is False
+    ok, _, wit = qpg.words_all_in_domain(frozenset(qpg.elements()))
+    assert not ok
+    assert all(0 <= c < qpg.size for c in wit)
+    assert not qpg.in_domain(wit)
