@@ -21,6 +21,7 @@ from .partial import (
     _is_prime_power,
     classify_subset,
     partial_subgroup_closure,
+    total_group_component,
 )
 from .report import CheckRecord, VerificationReport
 
@@ -303,9 +304,7 @@ class LocalityPartialGroup(PartialGroup):
         return ok, "domain-closure", witness
 
     def _vector_components(self):
-        if not self.domain_is_total:
-            return None
-        return [(tuple(self.elements()), subset_group(self.elements(), self.mul2, self.labels))]
+        return total_group_component(self)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import SizeCapExceeded, subset_group
+from .groups import SizeCapExceeded
 from .locality import DeltaFamily, Locality, check_locality
 from .normal import enumerate_partial_normals, is_partial_normal
-from .partial import PartialGroup, Word, partial_subgroup_closure, subset_product
+from .partial import (
+    PartialGroup, Word, partial_subgroup_closure, subset_product, total_group_component
+)
 from .report import VerificationReport
 
 LEMMA_CAP = 200
@@ -308,9 +310,7 @@ class QuotientPartialGroup(PartialGroup):
         return self.words_all_in_domain(frozenset(self.elements()))[0]
 
     def _vector_components(self):
-        if not self.domain_is_total:
-            return None
-        return [(tuple(self.elements()), subset_group(self.elements(), self.mul2, self.labels))]
+        return total_group_component(self)
 
     def words_all_in_domain(self, members: frozenset[int]):
         """The base verdict on the representatives; the base witness is a
@@ -556,6 +556,7 @@ def verify_quotient_lemmas(
 
     # 6/7: partial subgroups above K correspond to quotient partial subgroups
     if len(K) == 1:
+        overs = [frozenset(loc.elements())]
         report.record(
             "oversubgroup-partition",
             qpg.size == loc.size,
@@ -595,16 +596,13 @@ def verify_quotient_lemmas(
 
     # 8: images of intersections with oversubgroups (sampled subsets)
     rng = random.Random(seed)
-    overs_for_pre2 = (
-        partial_subgroups_containing(pg, K) if len(K) > 1 else [frozenset(loc.elements())]
-    )
     bad = []
     universe = list(loc.elements())
     for _ in range(samples):
         size = rng.randint(1, loc.size)
         X = frozenset(rng.sample(universe, size))
         xbar = frozenset(rho[x] for x in X)
-        for H in overs_for_pre2:
+        for H in overs:
             hbar = frozenset(rho[x] for x in H)
             if xbar & hbar != frozenset(rho[x] for x in X & H):
                 bad.append((sorted(X), sorted(H)))

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from localities import partial
-from localities.groups import generate_group
+from localities.groups import certify_group_table, generate_group
 from localities.locality import LocalityConstructionError, LocalityPartialGroup
 from localities.partial import (
     MAX_REPORTED_VIOLATIONS,
+    GroupPartialGroup,
     _dfs_axiom_sweep,
     _table_axiom_sweep,
     _vector_axiom_sweep,
@@ -250,3 +251,53 @@ def test_total_kernel_finds_what_the_reference_finds_on_a_tampered_table(monkeyp
     got_words, got = _vector_axiom_sweep(elems, G, 5)
     assert got_words == words
     assert got == capped(dfs_order(ref))
+
+
+# -- the group-table certificate on total components ---------------------------
+
+
+def certified_note(proved, total):
+    return (
+        f"route: group-table certificate (Light's test) on {proved} of {total}"
+        f" total component(s), vectorized sweep on {total - proved}"
+    )
+
+
+@pytest.mark.parametrize(
+    "pg_of, max_len, words, components",
+    [
+        (lambda request: request.getfixturevalue("c2s4f").loc.pg, 4, 5421312, 1),
+        (lambda request: request.getfixturevalue("am20").pg, 5, 1155904, 2),
+    ],
+    ids=["GRP-C2xS4-4", "PG-AM20-5"],
+)
+def test_certified_components_sweep_no_word(request, monkeypatch, pg_of, max_len, words, components):
+    def no_sweep(*args):
+        raise AssertionError("a certified component was swept")
+
+    monkeypatch.setattr(partial, "_vector_axiom_sweep", no_sweep)
+    report = check_axioms(pg_of(request), max_len)
+    assert report.summary() == f"axiom sweep to length {max_len}: {words} words, ok"
+    assert report.notes == [certified_note(components, components)]
+
+
+def test_tampered_table_is_swept_with_the_kernels_witnesses():
+    elems, G = tampered_s3()
+    report = check_axioms(GroupPartialGroup(G), 5)
+    swept = _vector_axiom_sweep(elems, G, 5)[1]
+    assert swept
+    assert report.violations == swept
+    assert report.notes == [certified_note(0, 1)]
+
+
+def test_a_table_changed_into_another_group_is_swept():
+    """Still a group, but its identity is no longer the one the kernel reads."""
+    G = generate_group([(1, 2, 0), (1, 0, 2)])
+    swap = np.array([1, 0, 2, 3, 4, 5])  # its own inverse
+    G.mult[:] = swap[G.mult[np.ix_(swap, swap)]]
+    assert certify_group_table(G.mult)[0] == 1 != G.identity
+    report = check_axioms(GroupPartialGroup(G), 3)
+    swept = _vector_axiom_sweep(tuple(G.elements()), G, 3)[1]
+    assert swept
+    assert report.violations[-len(swept):] == swept
+    assert report.notes == [certified_note(0, 1)]

@@ -184,3 +184,29 @@ def test_timings_stamp_every_check(capsys, argv):
     assert cli.main(argv + ["--format", "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert all(c["timing_ms"] is None for c in checks)
+
+
+# BAD3: a total-domain candidate whose table has identity 0 and every element
+# its own inverse, but 1*2 = 2 and 2*1 = 1, so it is not associative.
+BAD3 = (
+    "plocality BAD3 = p 2 : size 3 : identity 0 : inv 0 1 2 : sylow 0 1 2 : delta { 0 1 2 }"
+    " : conj " + " ".join(f"({s} {g} {s})" for s in range(3) for g in range(3))
+    + " : prod (0 0 0) (0 1 1) (0 2 2) (1 0 1) (1 1 0) (1 2 2) (2 0 2) (2 1 1) (2 2 0)\n"
+)
+
+
+def test_pg_check_on_a_total_domain_that_is_not_a_group_reports_violations(tmp_path, capsys):
+    path = tmp_path / "bad3.txt"
+    path.write_text(BAD3)
+    argv = ["pg-check", "--model", str(path), "--locality", "BAD3", "--max-word-len", "3"]
+    assert cli.main(argv + ["--format", "json"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    pg = parse_model(path).localities["BAD3"].pg
+    assert pg.domain_is_total
+    assert partial.total_group_component(pg) is None
+    words, expected = partial._dfs_axiom_sweep(pg, 3)
+    assert (words, len(expected)) == (39, 16)
+    assert partial._table_axiom_sweep(pg, 3) == (words, expected)
+    assert expected[0] == partial.AxiomViolation("cancellation", (0, 1, 2), "pi(w^-1 ∘ w) != 1")
+    assert check["detail"] == "axiom sweep to length 3: 39 words, 16 violation(s)"
+    assert check["witnesses"] == [[v.axiom, list(v.word), v.detail] for v in expected[:10]]

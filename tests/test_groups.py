@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from localities.groups import (
@@ -5,6 +6,7 @@ from localities.groups import (
     SizeCapExceeded,
     SubgroupRef,
     all_subgroups,
+    certify_group_table,
     generate_group,
     group_landmarks,
     subgroup_closure,
@@ -170,3 +172,161 @@ def test_table_group_validation():
         FiniteGroup([[0, 1], [1, 1]])  # no inverse structure
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative
+
+
+# ---------------------------------------------------------------------------
+# the group-table certificate and the numpy Cayley table
+
+
+def reference_generate_group(generators, order_cap=10_000):
+    """The pure-Python closure and table that generate_group replaced."""
+
+    def compose(p, q):
+        return tuple(q[p[i]] for i in range(len(p)))
+
+    degree = max((len(p) for p in generators), default=0)
+    gens = [tuple(p) + tuple(range(len(p), degree)) for p in generators]
+    e = tuple(range(degree))
+    found = {e}
+    frontier = [e]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = compose(p, g)
+                if q not in found:
+                    if len(found) >= order_cap:
+                        raise SizeCapExceeded(f"closure exceeds the order cap of {order_cap}")
+                    found.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    elems = sorted(found)
+    index = {p: i for i, p in enumerate(elems)}
+    mult = [[index[compose(a, b)] for b in elems] for a in elems]
+    return mult, elems
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [],
+        [(1, 0)],
+        [(1, 2, 0), (1, 0, 2)],
+        [(1, 2, 3, 0), (2, 1, 0, 3)],
+        [(1, 2, 3, 0), (1, 0, 2, 3)],
+        [(1, 0), (0, 1, 3, 4, 5, 2), (0, 1, 3, 2, 4, 5)],
+        [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+        [tuple(range(1, 17)) + (0,)],  # degree 17: keys past int64
+    ],
+    ids=["empty", "C2", "S3", "D8", "S4", "C2xS4", "S5", "C17-on-17-points"],
+)
+def test_generate_group_matches_the_reference(gens):
+    G = generate_group(gens)
+    mult, elems = reference_generate_group(gens)
+    assert G.mult.tolist() == mult
+    assert G.perms == tuple(elems)
+
+
+def test_order_cap_fires_at_the_reference_bound():
+    s5 = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    for cap in (50, 119):
+        with pytest.raises(SizeCapExceeded):
+            generate_group(s5, order_cap=cap)
+    assert generate_group(s5, order_cap=120).order == 120
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[1, 1], [1, 0]],  # no two-sided identity
+        [[0, 1, 2], [1, 0, 0], [2, 2, 1]],  # 1*2 = 0 but 2*1 = 2
+        [[0, 1], [1, 2]],  # entry out of range
+        [[0, 1, 2], [1, 0, 2]],  # not square
+        [],  # no elements
+    ],
+)
+def test_bad_tables_are_rejected(table):
+    with pytest.raises(ValueError):
+        FiniteGroup(table)
+
+
+def associative(T):
+    T = np.asarray(T)
+    return (T[T] == T[:, T].transpose(1, 0, 2)).all()
+
+
+def right_closure(T, gens, start):
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        frontier = [T[x][a] for x in frontier for a in gens if T[x][a] not in reached]
+        reached.update(frontier)
+    return reached
+
+
+# A loop of order 5: identity 0, every element its own inverse, every row
+# and column a permutation, and (1 1) 2 = 2 != 3 = 1 (1 2).
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+# Identity 0 and two-sided inverses; Light's test holds for 1, the first
+# greedy generator, whose left-normed powers reach only {0, 1}.  The failing
+# triple (2 2) 1 = 0 != 1 = 2 (2 1) needs the second generator, 2.
+SECOND_GENERATOR = [
+    [0, 1, 2, 3],
+    [1, 0, 2, 3],
+    [2, 2, 0, 0],
+    [3, 3, 0, 0],
+]
+
+
+@pytest.mark.parametrize("table", [LOOP5, SECOND_GENERATOR], ids=["loop5", "second-generator"])
+def test_non_associative_tables_with_identity_and_inverses_are_rejected(table):
+    assert not associative(table)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(table)
+
+
+def test_second_generator_table_passes_light_on_the_first():
+    T = np.asarray(SECOND_GENERATOR)
+    assert (T[T[:, 1]] == T[:, T[1]]).all()
+    assert right_closure(SECOND_GENERATOR, [1], 0) == {0, 1}
+    assert not (T[T[:, 2]] == T[:, T[2]]).all()
+
+
+def test_certificate_agrees_with_the_cube_on_every_order_4_table():
+    """Every 4x4 table with identity 0 and two-sided inverses: the
+    certificate accepts exactly the associative ones."""
+    n = 4
+    fill = np.indices((n,) * (n - 1) ** 2).reshape((n - 1) ** 2, -1).T
+    tables = np.empty((len(fill), n, n), dtype=np.int64)
+    tables[:, 0, :] = np.arange(n)
+    tables[:, :, 0] = np.arange(n)
+    tables[:, 1:, 1:] = fill.reshape(-1, n - 1, n - 1)
+    zero = tables == 0
+    inverses = (zero == zero.transpose(0, 2, 1)).all(axis=(1, 2)) & zero.any(axis=2).all(axis=1)
+    candidates = tables[inverses]
+    idx = np.arange(len(candidates))[:, None, None, None]
+    a, b, c = np.indices((n, n, n))
+    left = candidates[idx, candidates[idx, a, b], c]
+    right = candidates[idx, a, candidates[idx, b, c]]
+    assoc = (left == right).all(axis=(1, 2, 3))
+    assert len(candidates) == 6409 and 0 < assoc.sum() < len(candidates)
+    for table, expected in zip(candidates, assoc):
+        try:
+            FiniteGroup(table)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected, table.tolist()
+
+
+def test_certificate_returns_identity_and_inverses():
+    G = generate_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert certify_group_table(G.mult) == (G.identity, G.inv)
+    assert all(G.mul(x, G.inv[x]) == G.identity for x in G.elements())

@@ -241,6 +241,20 @@ def test_lemma_suite_s5_nontrivial_kernels(s5f):
         assert rep.ok, [c.name for c in rep.failures()]
 
 
+def test_lemma_suite_enumerates_the_oversubgroups_once(s5f, monkeypatch):
+    calls = []
+    enumerate_all = quotient.partial_subgroups_containing
+
+    def counted(pg, seed, *args, **kwargs):
+        calls.append(pg)
+        return enumerate_all(pg, seed, *args, **kwargs)
+
+    monkeypatch.setattr(quotient, "partial_subgroups_containing", counted)
+    rep = verify_quotient_lemmas(s5f.loc, s5f.subsets["N5"])
+    assert rep.ok, [c.name for c in rep.failures()]
+    assert sum(pg is s5f.loc.pg for pg in calls) == 1
+
+
 def test_bridge_checks_present_when_kernel_is_intersection(c2s4f):
     """K = S4 part cap twisted S4 part = A4 part; bridges must run."""
     rep = verify_quotient_lemmas(c2s4f.loc, c2s4f.subsets["A4"])
