@@ -71,6 +71,7 @@ from .quotient import (
     is_up_maximal,
     maximal_cosets,
     transporter_in_K,
+    up_maximal_flags,
     up_relates,
     verify_quotient_lemmas,
 )

@@ -104,8 +104,9 @@ def certify_group_table(table: np.ndarray) -> tuple[int, tuple[int, ...]]:
         gens.append(int(np.argmin(reached)))
         frontier = np.nonzero(reached)[0]
         while frontier.size:
-            prods = table[frontier][:, gens].ravel()
-            frontier = np.unique(prods[~reached[prods]])
+            fresh = np.zeros(n, dtype=bool)
+            fresh[table[frontier][:, gens].ravel()] = True
+            frontier = np.flatnonzero(fresh & ~reached)
             reached[frontier] = True
     block = max(1, _PRODUCT_BLOCK // n)
     for a in gens:
@@ -182,6 +183,19 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for a 1-d array, by a sort and a comparison of
+    neighbours: np.unique checks for masked arrays, which imports numpy.ma
+    (about 15 ms) into every process that calls it."""
+    out = np.sort(values)
+    if out.size:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        keep[1:] = out[1:] != out[:-1]
+        out = out[keep]
+    return out
+
+
 def generate_group(
     generators: Sequence[Sequence[int]], order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
@@ -225,7 +239,7 @@ def generate_group(
     while frontier.size:
         # p then g maps i to g[p[i]]
         images = gen_rows[:, frontier].reshape(-1, degree)
-        fresh = np.unique(key_of(images.T, len(images)))
+        fresh = _sorted_distinct(key_of(images.T, len(images)))
         seen = keys[np.minimum(np.searchsorted(keys, fresh), len(keys) - 1)] == fresh
         fresh = fresh[~seen]
         if len(keys) + len(fresh) > order_cap:
@@ -298,10 +312,12 @@ class SubgroupRef:
 
 def closure_members(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     """Member set of the least subgroup containing seed."""
+    # the first frontier is the seed without the identity
     inside = np.zeros(G.order, dtype=bool)
+    inside[[int(x) for x in seed]] = True
+    inside[G.identity] = False
+    frontier = np.flatnonzero(inside)
     inside[G.identity] = True
-    frontier = np.unique([int(x) for x in seed if not inside[int(x)]]).astype(np.int64)
-    inside[frontier] = True
     while frontier.size:
         members = np.nonzero(inside)[0]
         prods = np.concatenate(
@@ -311,10 +327,10 @@ def closure_members(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
                 np.asarray(G.inv, dtype=np.int64)[frontier],
             )
         )
-        fresh = np.unique(prods)
-        fresh = fresh[~inside[fresh]]
-        inside[fresh] = True
-        frontier = fresh
+        fresh = np.zeros(G.order, dtype=bool)
+        fresh[prods] = True
+        frontier = np.flatnonzero(fresh & ~inside)
+        inside[frontier] = True
     return frozenset(int(x) for x in np.nonzero(inside)[0])
 
 

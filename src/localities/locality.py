@@ -680,6 +680,9 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     (L1) S is maximal among p-subgroups; (L2) a word is in the domain iff a
     conjugation chain through Delta witnesses it, for all words up to
     max_len; (L3) Delta is closed under overgroups of images inside S.
+    When the products on S are not a group (FiniteGroup rejects them), a
+    failing check S-is-a-group carries the certificate's message, and the
+    two checks that need the subgroup lattice of S are skipped.
 
     The (L2) sweep grows words one letter at a time and carries, per
     prefix, its chain front (the Delta members a chain can reach), its
@@ -702,15 +705,22 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     pg = loc.pg
 
     # S in Delta and Delta members are proper subgroups of S
-    delta_ok = loc.sylow_set in loc.delta.members
-    lattice = set(loc.s_subgroup_sets())
-    stray = [P for P in loc.delta.members if P not in lattice]
-    report.record(
-        "delta-well-formed",
-        delta_ok and not stray,
-        [sorted(next(iter(stray)))] if stray else [],
-        "S belongs to Delta and members are subgroups of S",
-    )
+    no_lattice = "S is not a group, so it has no subgroup lattice"
+    try:
+        lattice = set(loc.s_subgroup_sets())
+    except ValueError as exc:  # the products on S fail the group certificate
+        report.record("S-is-a-group", False, [], str(exc))
+        lattice = None
+        report.skip("delta-well-formed", no_lattice)
+    else:
+        delta_ok = loc.sylow_set in loc.delta.members
+        stray = [P for P in loc.delta.members if P not in lattice]
+        report.record(
+            "delta-well-formed",
+            delta_ok and not stray,
+            [sorted(next(iter(stray)))] if stray else [],
+            "S belongs to Delta and members are subgroups of S",
+        )
 
     # (L1)
     ok_s, _, bad_word = pg.words_all_in_domain(loc.sylow_set)
@@ -800,6 +810,9 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     )
 
     # (L3)
+    if lattice is None:
+        report.skip("L3-overgroup-closure", no_lattice)
+        return report
     l3_bad: list[tuple] = []
     overs: dict[frozenset[int], list[frozenset[int]]] = {}
     for P in lattice:

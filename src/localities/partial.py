@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -399,24 +399,32 @@ def swap_two_products(base: PartialGroup, w1: Word, w2: Word) -> CorruptedProduc
 
 
 def _close(
-    pg: PartialGroup, seed: Iterable[int], rows: Sequence[Sequence[int]] = ()
+    pg: PartialGroup,
+    seed: Iterable[int],
+    rows: Sequence[Sequence[int]] = (),
+    closed: frozenset[int] = frozenset(),
 ) -> frozenset[int]:
-    """Frontier closure: the least subset containing the identity and seed
-    that is closed under inversion, under every defined product of two
-    members and, when rows are given, under every entry >= 0 of rows[x] for
-    each member x.
+    """Frontier closure: the least subset containing the identity, closed
+    and seed that is closed under inversion, under every defined product of
+    two members and, when rows are given, under every entry >= 0 of rows[x]
+    for each member x.
 
-    Each round multiplies only the elements added in the previous round with
-    the current members, in both orders, reading pg.product_table(); pairs
-    of older members are never multiplied again.
+    closed must already be closed in that sense (a partial subgroup when no
+    rows are given); its members start out as old members, so only the seed
+    elements outside it form the first frontier.  Each round multiplies only
+    the elements added in the previous round with the current members, in
+    both orders, reading pg.product_table(); pairs of older members are
+    never multiplied again.
     """
     table = pg.product_table()
-    members = {pg.identity}
-    members.update(int(x) for x in seed)
-    frontier = list(members)
+    members = set(closed)
+    fresh = {pg.identity}
+    fresh.update(int(x) for x in seed)
+    frontier = list(fresh - members)
+    members |= fresh
     while frontier:
         current = list(members)
-        fresh: set[int] = set()
+        fresh = set()
         for a in frontier:
             fresh.add(pg.inverse(a))
             row = table[a]
@@ -431,16 +439,124 @@ def _close(
     return frozenset(members)
 
 
-def partial_subgroup_closure(pg: PartialGroup, seed: Iterable[int]) -> frozenset[int]:
-    """Least subset containing seed that is closed under inversion and
-    under the product of every domain word with entries in the subset.
+def partial_subgroup_closure(
+    pg: PartialGroup, seed: Iterable[int], closed: frozenset[int] = frozenset()
+) -> frozenset[int]:
+    """Least subset containing seed and closed that is closed under
+    inversion and under the product of every domain word with entries in
+    the subset; closed, when given, must be a partial subgroup already.
 
     Closing under defined length-2 products suffices: any longer domain word
     collapses to nested length-2 products by the partial group axioms.
     Computed by the frontier kernel _close over pg.product_table(), so the
     first call on a partial group also builds its table.
     """
-    return _close(pg, seed)
+    return _close(pg, seed, closed=closed)
+
+
+# ---------------------------------------------------------------------------
+# word levels
+
+
+def walker_table(pg: PartialGroup, letters: Sequence[int], depth: int) -> np.ndarray:
+    """pg's prefix walker over letters as a dense table.
+
+    States are interned from pg.walk_start() (id 0) in the order a
+    breadth-first walk first reaches them.  Row i holds, at column j, the id
+    of pg.walk_step(state i, letters[j]), -1 where it is None; rows are
+    filled for the states of words shorter than depth and are -1 for the
+    others.  One more row of -1 ends the table, so the dead state -1 reads
+    it and stays dead.  This serves every backend alike: for a
+    LocalityPartialGroup the rows are those of its threading automaton.
+    """
+    start = pg.walk_start()
+    ids = {start: 0}
+    states = [start]
+    rows: dict[int, list[int]] = {}
+    frontier = [0]
+    for _ in range(depth):
+        reached = []
+        for i in frontier:
+            row = rows[i] = []
+            for x in letters:
+                nxt = pg.walk_step(states[i], x)
+                if nxt is None:
+                    row.append(-1)
+                    continue
+                j = ids.get(nxt)
+                if j is None:
+                    j = ids[nxt] = len(states)
+                    states.append(nxt)
+                    reached.append(j)
+                row.append(j)
+        frontier = reached
+    table = np.full((len(states) + 1, len(letters)), -1, dtype=np.int32)
+    for i, row in rows.items():
+        table[i] = row
+    return table
+
+
+# Each level of sweep_word_levels is grown in blocks of about this many words.
+_LEVEL_BLOCK = 4096
+
+
+# grow(k, parents' carried arrays, letters) -> (carried arrays, bad mask, keep mask)
+LevelGrow = Callable[
+    [int, list[np.ndarray], np.ndarray], tuple[Sequence[np.ndarray], np.ndarray, np.ndarray]
+]
+
+
+def sweep_word_levels(
+    n_letters: int, max_len: int, start: Sequence[int], grow: LevelGrow, limit: int = 5
+) -> list[Word]:
+    """The first limit failing words of a word sweep, in pre-order.
+
+    Words over the letters 0..n_letters-1 of length 1..max_len are grown
+    level by level, each carrying a tuple of ints (a walker state, a value,
+    a code ...); the empty word carries start.  Level k is the words of
+    level k-1 that grow kept, each extended by every letter, in
+    lexicographic order, handed to grow in blocks of about _LEVEL_BLOCK
+    words.  grow(k, carried, letters) gets the arrays of each word's
+    parent's carried values and its last letter, and returns (carried, bad,
+    keep): the words' own carried arrays, a mask of the words that fail and
+    a mask of those whose extensions form level k+1.  Only the kept words of
+    one level are held whole.
+
+    A depth-first sweep that records a failing word, extends only kept
+    words and stops once more than limit words have failed reports the
+    first limit failures in pre-order.  Those of one length are the first
+    ones of its level, so the first limit of each level are kept and sorted
+    (a tuple sorts before its extensions).  Returned words are tuples of
+    letter indices.
+    """
+    if not n_letters:
+        return []
+    rows = max(1, _LEVEL_BLOCK // n_letters)
+    carried = [np.array([s], dtype=np.int64) for s in start]
+    codes = np.zeros(1, dtype=np.int64)
+    found: list[Word] = []
+    for k in range(1, max_len + 1):
+        level_bad: list[int] = []
+        kept: list[tuple[list[np.ndarray], np.ndarray]] = []
+        for lo in range(0, codes.size, rows):
+            parents = [np.repeat(a[lo:lo + rows], n_letters) for a in carried]
+            block_codes = np.repeat(codes[lo:lo + rows], n_letters)
+            letters = np.tile(np.arange(n_letters), block_codes.size // n_letters)
+            block_codes = block_codes * n_letters + letters
+            block, bad, keep = grow(k, parents, letters)
+            if len(level_bad) < limit:
+                level_bad += block_codes[bad][: limit - len(level_bad)].tolist()
+            if k < max_len:
+                kept.append(([a[keep] for a in block], block_codes[keep]))
+        shape = (n_letters,) * k
+        found += [tuple(int(d) for d in np.unravel_index(c, shape)) for c in level_bad]
+        if k == max_len:
+            break
+        carried = [np.concatenate(parts) for parts in zip(*(a for a, _ in kept))]
+        codes = np.concatenate([c for _, c in kept])
+        if not codes.size:
+            break
+    return sorted(found)[:limit]
 
 
 @dataclass

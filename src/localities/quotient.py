@@ -14,11 +14,19 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .groups import SizeCapExceeded
 from .locality import DeltaFamily, Locality, check_locality
 from .normal import enumerate_partial_normals, is_partial_normal
 from .partial import (
-    PartialGroup, Word, partial_subgroup_closure, subset_product, total_group_component
+    PartialGroup,
+    Word,
+    partial_subgroup_closure,
+    subset_product,
+    sweep_word_levels,
+    total_group_component,
+    walker_table,
 )
 from .report import VerificationReport
 
@@ -116,6 +124,78 @@ def is_up_maximal(loc: Locality, K: Iterable[int], f: int) -> bool:
     return True
 
 
+def _padded_products(pg: PartialGroup) -> np.ndarray:
+    """pg.product_table() as an (n+1) x (n+1) array whose last row and
+    column are -1, so a product with the missing value -1 is missing too."""
+    n = pg.size
+    table = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    table[:n, :n] = pg.product_table()
+    return table
+
+
+def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
+    """is_up_maximal(loc, K, f) for every f, in one pass.
+
+    up_relates runs on the top pairs (f, S_f), (g, S_g) for every f and g
+    at once.  The stations S_f and their images S_f^f are interned as ids.
+    Each conjugate of an interned station by an x in K is computed once
+    (conjugate_set per station and x), and containment between the
+    interned sets is read from one matrix.  For each f, an array over
+    (x in K, g) says whether x and y = f^-1 (x g) are the witness
+    up_relates looks for, with every product read from product_table()
+    rows.  f is maximal unless it relates upward to some g that does not
+    relate back.
+    """
+    K = frozenset(K)
+    pg = loc.pg
+    n = pg.size
+    tops = [_top_pair(loc, f) for f in loc.elements()]
+    if not all(pair_is_valid(loc, pair) for pair in tops):
+        raise ValueError("both pairs must satisfy station <= S_f with station in Delta")
+    sets: list[frozenset[int]] = []
+    ids: dict[frozenset[int], int] = {}
+
+    def intern(X: frozenset[int] | None) -> int:
+        if X is None:
+            return -1
+        i = ids.get(X)
+        if i is None:
+            i = ids[X] = len(sets)
+            sets.append(X)
+        return i
+
+    station = np.array([intern(pair.station) for pair in tops])
+    image = np.array([intern(loc.conjugate_set(pair.station, pair.f)) for pair in tops])
+    ks = np.array(sorted(K))
+    # conj[s, x] is the id of sets[s]^x for x in K, -1 elsewhere; the last
+    # row and column stay -1, for a missing set and a missing element
+    conj = np.full((len(sets) + 1, n + 1), -1)
+    for s in range(len(sets)):
+        for x in ks.tolist():
+            conj[s, x] = intern(loc.conjugate_set(sets[s], x))
+    has = np.zeros((len(sets), n), dtype=bool)
+    for i, X in enumerate(sets):
+        has[i, list(X)] = True
+    # sub[a, b]: sets[a] <= sets[b]; the last row and column (-1) are False
+    sub = np.zeros((len(sets) + 1, len(sets) + 1), dtype=bool)
+    sub[:-1, :-1] = ~(has[:, None, :] & ~has[None, :, :]).any(axis=2)
+
+    table = _padded_products(pg)
+    in_k = np.zeros(n + 1, dtype=bool)
+    in_k[ks] = True
+    h = table[ks, :n]  # x g, one row per x in K
+    relates = np.zeros((n, n), dtype=bool)
+    for f in range(n):
+        if image[f] < 0:
+            continue
+        y = table[pg.inverse(f)][h]
+        ok = (h >= 0) & in_k[y] & (table[f][y] == h)
+        ok &= sub[conj[station[f], ks]][:, station]  # S_f^x <= S_g
+        ok &= sub[conj[image[f]][y], image]  # (S_f^f)^y <= S_g^g
+        relates[f] = ok.any(axis=0)
+    return tuple((~(relates & ~relates.T).any(axis=1)).tolist())
+
+
 # ---------------------------------------------------------------------------
 # cosets and the partition
 
@@ -138,23 +218,15 @@ class CosetPartition:
 
 
 def _right_coset(loc: Locality, K: frozenset[int], f: int) -> frozenset[int]:
-    pg = loc.pg
-    out = set()
-    for k in K:
-        v = pg.pi((k, f))
-        if v is not None:
-            out.add(v)
-    return frozenset(out)
+    """Kf: the defined products k f, read from product_table()."""
+    table = loc.pg.product_table()
+    return frozenset(table[k][f] for k in K) - {-1}
 
 
 def _left_coset(loc: Locality, K: frozenset[int], f: int) -> frozenset[int]:
-    pg = loc.pg
-    out = set()
-    for k in K:
-        v = pg.pi((f, k))
-        if v is not None:
-            out.add(v)
-    return frozenset(out)
+    """fK: the defined products f k, read from product_table()."""
+    row = loc.pg.product_table()[f]
+    return frozenset(row[k] for k in K) - {-1}
 
 
 # Verified partitions per locality, then per kernel.  The weak keys drop a
@@ -166,7 +238,12 @@ _KERNEL_CACHE: weakref.WeakKeyDictionary[Locality, dict[frozenset[int], CosetPar
 
 
 def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
-    """All cosets of K, the maximal ones, and the verified partition of L."""
+    """All cosets of K, the maximal ones, and the verified partition of L.
+
+    The relative maximality flag of every element comes from one
+    up_maximal_flags pass; cosets are read from product_table() rows.  A
+    partition whose report passes is kept per locality and kernel.
+    """
     K = frozenset(K)
     per_kernel = _KERNEL_CACHE.setdefault(loc, {})
     cached = per_kernel.get(K)
@@ -195,7 +272,7 @@ def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
         "maximal cosets are disjoint and cover every element",
     )
 
-    flags = tuple(is_up_maximal(loc, K, f) for f in loc.elements())
+    flags = up_maximal_flags(loc, K)
     maximal_set_lookup = set(maximal_sets)
     # Relatively maximal elements generate maximal cosets.  The converse
     # (every generator of a maximal coset is relatively maximal) is false
@@ -286,6 +363,7 @@ class QuotientPartialGroup(PartialGroup):
         self._inv = tuple(part.coset_of[base.inverse(r)] for r in self.reps)
         self.labels = tuple("[" + base.labels[r] + "]" for r in self.reps)
         self.p = p
+        self._word_products: dict[int, np.ndarray] = {}
 
     def rep_word(self, word: Word) -> Word:
         return tuple(self.reps[c] for c in word)
@@ -298,6 +376,28 @@ class QuotientPartialGroup(PartialGroup):
 
     def _raw_product(self, word: Word) -> int:
         return self.rho[self.base._raw_product(self.rep_word(word))]
+
+    def word_products(self, k: int, codes: np.ndarray) -> np.ndarray:
+        """pi of the coset words of length k with these codes (the letters
+        as digits in base size): -1 off the domain, else the value.
+
+        Each word is asked of pi once and its answer kept on the instance,
+        in one array per length over all size**k codes (-2 not asked yet);
+        the distinct new codes are found by a boolean scatter.
+        """
+        q = self.size
+        got = self._word_products.get(k)
+        if got is None:
+            got = self._word_products[k] = np.full(q**k, -2, dtype=np.int32)
+        new = codes[got[codes] == -2]
+        if new.size:
+            asked = np.zeros(q**k, dtype=bool)
+            asked[new] = True
+            places = [q**i for i in reversed(range(k))]
+            for c in np.flatnonzero(asked).tolist():
+                v = self.pi(tuple(c // place % q for place in places))
+                got[c] = -1 if v is None else v
+        return got[codes]
 
     def walk_start(self):
         return self.base.walk_start()
@@ -349,6 +449,13 @@ def build_quotient(
     Verified here: the coset partition, pi-homomorphism of the quotient map
     on all domain words up to hom_len, the kernel identity, inversion
     compatibility, and the locality axioms of the quotient up to check_len.
+
+    The homomorphism sweep runs on dense tables (sweep_word_levels): base
+    walker rows from walker_table, values from product_table() rows and
+    the coset word's code carried along.  The quotient's product comes from
+    qpg.pi alone, through qpg.word_products, so once per coset word.  The
+    witnesses are the first mismatches in pre-order, as a depth-first sweep
+    that stops extending a mismatching word finds them.
     """
     K = frozenset(K)
     part = coset_partition(loc, K)
@@ -381,38 +488,27 @@ def build_quotient(
     bad = [c for c in range(qpg.size) if qpg.inverse(qpg.inverse(c)) != c]
     report.record("quotient-inversion-involutory", not bad, bad[:5])
 
-    # Many base words share one coset word, so pi(bar) is asked once per
-    # coset word and kept in a list indexed by the word's bijective base-q
-    # code (() -> 0, bar + (c,) -> code * q + c + 1): -2 not asked yet, -1
-    # off the quotient domain (pi None), else the value.
-    q = qpg.size
-    q_pi = [-2] * sum(q**k for k in range(hom_len + 1))
-    walk_step, mul2 = loc.pg.walk_step, loc.pg.mul2
-    mism: list[Word] = []
+    # Every base domain word up to hom_len, grown level by level: a word
+    # carries its walker state, its value and the code of its coset word,
+    # and one that fails is not extended.  -1 never equals rho of a value,
+    # so a coset word off the quotient domain fails too.
+    pg = loc.pg
+    trans = walker_table(pg, pg.elements(), hom_len)
+    table = _padded_products(pg)
+    rho_of = np.array(rho + (-3,))  # a missing value, -1, reads -3
 
-    def sweep(word: Word, code: int, state, value) -> None:
-        if len(mism) > 5:
-            return
-        for g in loc.elements():
-            nxt = walk_step(state, g)
-            if nxt is None:
-                continue
-            v = g if value is None else mul2(value, g)
-            w = word + (g,)
-            c = code * q + rho[g] + 1
-            got = q_pi[c]
-            if got == -2:
-                got = qpg.pi(tuple(rho[x] for x in w))
-                if got is None:
-                    got = -1
-                q_pi[c] = got
-            # -1 never equals rho[v], so this also checks the domain
-            if got != rho[v]:
-                mism.append(w)
-            elif len(w) < hom_len:
-                sweep(w, c, nxt, v)
+    def grow(k, carried, letters):
+        state, value, bar = carried
+        state = trans[state, letters]
+        live = state >= 0
+        value = letters if k == 1 else table[value, letters]
+        bar = bar * qpg.size + rho_of[letters]
+        got = np.full(letters.size, -1)
+        got[live] = qpg.word_products(k, bar[live])
+        bad = live & (got != rho_of[value])
+        return (state, value, bar), bad, live & ~bad
 
-    sweep((), 0, loc.pg.walk_start(), None)
+    mism = sweep_word_levels(pg.size, hom_len, (0, -1, 0), grow)
     report.record(
         "product-homomorphism",
         not mism,
@@ -444,16 +540,30 @@ def build_quotient(
 def partial_subgroups_containing(
     loc_pg: PartialGroup, seed: frozenset[int], cap: int = 20_000
 ) -> list[frozenset[int]]:
-    """All partial subgroups of the partial group that contain the seed set."""
+    """All partial subgroups of the partial group that contain the seed set.
+
+    Each one found is grown by one element x outside it and closed again.
+    current is already closed, so the closure starts from it with x alone
+    as the frontier.  Elements with the same singleton closure <x> give the
+    same grown closure (it contains <x>), so one x per distinct <x> is tried.
+    """
     base = partial_subgroup_closure(loc_pg, seed)
+    singles: dict[int, frozenset[int]] = {}
     found = {base}
     queue = [base]
     while queue:
         current = queue.pop()
+        tried = set()
         for x in loc_pg.elements():
             if x in current:
                 continue
-            grown = partial_subgroup_closure(loc_pg, current | {x})
+            single = singles.get(x)
+            if single is None:
+                single = singles[x] = partial_subgroup_closure(loc_pg, {x})
+            if single in tried:
+                continue
+            tried.add(single)
+            grown = partial_subgroup_closure(loc_pg, {x}, closed=current)
             if grown not in found:
                 if len(found) >= cap:
                     raise SizeCapExceeded("too many partial subgroups to enumerate")
@@ -472,6 +582,47 @@ def _partial_normals_cached(loc: Locality) -> list[frozenset[int]]:
 
 # ---------------------------------------------------------------------------
 # the lemma suite
+
+
+def _descent_failures(
+    pg: PartialGroup,
+    qpg: QuotientPartialGroup,
+    rho: tuple[int, ...],
+    letters: list[int],
+    max_len: int = 3,
+) -> list[Word]:
+    """The first five words w over letters, up to max_len, in pre-order,
+    whose coset word bar(w) is in the quotient domain while w is off the
+    base domain or rho(pi(w)) != pi(bar(w)).
+
+    Grown level by level (sweep_word_levels): a word carries its base and
+    quotient walker states, its value and the code of bar(w); the quotient
+    product comes from qpg.pi alone, through qpg.word_products, which
+    keeps the answers build_quotient's sweep asked.  A word off the
+    quotient domain is not extended, since none of its extensions is in it;
+    one off the base domain is, with the dead base state -1.
+    """
+    base_trans = walker_table(pg, letters, max_len)
+    bar_trans = walker_table(qpg, [rho[f] for f in letters], max_len)
+    table = _padded_products(pg)
+    rho_of = np.array(rho + (-3,))  # a missing value, -1, reads -3
+    letter_of = np.array(letters)
+
+    def grow(k, carried, idx):
+        state, bar_state, value, bar = carried
+        state = base_trans[state, idx]
+        bar_state = bar_trans[bar_state, idx]
+        in_q = bar_state >= 0
+        f = letter_of[idx]
+        value = f if k == 1 else table[value, f]
+        bar = bar * qpg.size + rho_of[f]
+        got = np.full(f.size, -1)
+        got[in_q] = qpg.word_products(k, bar[in_q])
+        bad = in_q & ((state < 0) | (rho_of[value] != got))
+        return (state, bar_state, value, bar), bad, in_q
+
+    found = sweep_word_levels(len(letters), max_len, (0, 0, -1, 0), grow)
+    return [tuple(letters[i] for i in w) for w in found]
 
 
 def verify_quotient_lemmas(
@@ -535,22 +686,7 @@ def verify_quotient_lemmas(
     report.record("equal-image-lands-in-coset", not bad, bad[:5])
 
     # 5: words of maximal representatives descend from the quotient domain
-    bad = []
-
-    def word_sweep(word: Word, bar: Word) -> None:
-        if len(bad) > 5 or len(word) >= 3:
-            return
-        for f in max_elements:
-            w = word + (f,)
-            b = bar + (rho[f],)
-            in_q = qpg.in_domain(b)
-            in_l = pg.in_domain(w)
-            if in_q:
-                if not in_l or rho[pg.pi(w)] != qpg.pi(b):
-                    bad.append(w)
-            word_sweep(w, b)
-
-    word_sweep((), ())
+    bad = _descent_failures(pg, qpg, rho, max_elements)
     report.record("max-word-descent", not bad, bad[:5],
                   "quotient-domain words of maximal reps are domain words below")
 

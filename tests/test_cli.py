@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -210,3 +211,45 @@ def test_pg_check_on_a_total_domain_that_is_not_a_group_reports_violations(tmp_p
     assert expected[0] == partial.AxiomViolation("cancellation", (0, 1, 2), "pi(w^-1 ∘ w) != 1")
     assert check["detail"] == "axiom sweep to length 3: 39 words, 16 violation(s)"
     assert check["witnesses"] == [[v.axiom, list(v.word), v.detail] for v in expected[:10]]
+
+
+def test_loc_check_on_a_total_domain_that_is_not_a_group_reports_a_failing_check(
+    tmp_path, capsys
+):
+    path = tmp_path / "bad3.txt"
+    path.write_text(BAD3)
+    argv = ["loc-check", "--model", str(path), "--locality", "BAD3", "--format", "json"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert checks["S-is-a-group"]["status"] == "fail"
+    assert checks["S-is-a-group"]["detail"] == (
+        "table is not associative: (x 1) y != x (1 y) for some x, y"
+    )
+    assert checks["delta-well-formed"]["status"] == "skipped"
+    assert checks["L3-overgroup-closure"]["status"] == "skipped"
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """np.unique imports numpy.ma, about 15 ms per process; nothing on the
+    fixture, quotient or lemma paths calls it."""
+    script = """
+import contextlib, io, sys
+from localities import cli
+runs = [["counterexample"], ["loc-check", "--builtin", "PG-AM20", "--max-word-len", "2"]]
+for name, kernel in [("GRP-S4", "V4"), ("GRP-C2xS4", "A4"), ("LOC-S5", "N5")]:
+    runs += [["normals", "--builtin", name], ["quotient", "--builtin", name, "--kernel", kernel],
+             ["lemmas", "--builtin", name, "--kernel", kernel]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

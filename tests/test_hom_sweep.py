@@ -7,7 +7,7 @@ word, in the same order and under the same cap.
 
 import pytest
 
-from localities import quotient
+from localities import partial, quotient
 from localities.quotient import (
     QuotientConstructionError,
     QuotientPartialGroup,
@@ -71,6 +71,22 @@ def test_sweep_matches_per_word_reference(request, fixture, kernel):
     fix = request.getfixturevalue(fixture)
     rec = _assert_matches_reference(fix.loc, fix.subsets[kernel])
     assert rec.status == "pass"
+
+
+def test_sweep_matches_per_word_reference_on_a_quotient_base(s5f):
+    """A base whose pg is a QuotientPartialGroup, not a LocalityPartialGroup:
+    its walker states are those of the LOC-S5 automaton it delegates to."""
+    base = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
+    assert isinstance(base.pg, QuotientPartialGroup)
+    rec = _assert_matches_reference(base, frozenset({base.identity}))
+    assert rec.status == "pass"
+
+
+@pytest.mark.parametrize("block", [1, 50, None], ids=["block-1", "block-50", "block-default"])
+def test_sweep_finds_a_corrupted_coset_product_at_any_block_size(s4f, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(partial, "_LEVEL_BLOCK", block)
+    test_sweep_finds_a_corrupted_coset_product(s4f, monkeypatch)
 
 
 def test_sweep_finds_a_corrupted_coset_product(s4f, monkeypatch):
