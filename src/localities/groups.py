@@ -261,9 +261,16 @@ def generate_group(
 def subset_group(
     elems: Sequence[int], mul: Callable[[int, int], int], labels: Sequence[str]
 ) -> FiniteGroup:
-    """The group on elems, a subset closed under mul: id i stands for elems[i]."""
+    """The group on elems, a subset closed under mul: id i stands for elems[i].
+
+    Raises ValueError when a product is undefined or leaves elems, or when
+    the products on elems are not a group."""
     pos = {g: i for i, g in enumerate(elems)}
-    mult = [[pos[mul(a, b)] for b in elems] for a in elems]
+    mult = [[pos.get(mul(a, b), -1) for b in elems] for a in elems]
+    for a, row in zip(elems, mult):
+        if -1 in row:
+            b = elems[row.index(-1)]
+            raise ValueError(f"{labels[a]}*{labels[b]} is undefined or not in the subset")
     return FiniteGroup(mult, labels=[labels[g] for g in elems])
 
 

@@ -707,12 +707,13 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     # S in Delta and Delta members are proper subgroups of S
     no_lattice = "S is not a group, so it has no subgroup lattice"
     try:
-        lattice = set(loc.s_subgroup_sets())
-    except ValueError as exc:  # the products on S fail the group certificate
+        loc.s_group()
+    except ValueError as exc:  # products on S are undefined, leave S or are no group
         report.record("S-is-a-group", False, [], str(exc))
         lattice = None
         report.skip("delta-well-formed", no_lattice)
     else:
+        lattice = set(loc.s_subgroup_sets())
         delta_ok = loc.sylow_set in loc.delta.members
         stray = [P for P in loc.delta.members if P not in lattice]
         report.record(

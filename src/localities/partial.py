@@ -498,6 +498,8 @@ def walker_table(pg: PartialGroup, letters: Sequence[int], depth: int) -> np.nda
 
 # Each level of sweep_word_levels is grown in blocks of about this many words.
 _LEVEL_BLOCK = 4096
+# sweep_word_levels reports at most this many failing words.
+_WITNESS_LIMIT = 5
 
 
 # grow(k, parents' carried arrays, letters) -> (carried arrays, bad mask, keep mask)
@@ -507,9 +509,9 @@ LevelGrow = Callable[
 
 
 def sweep_word_levels(
-    n_letters: int, max_len: int, start: Sequence[int], grow: LevelGrow, limit: int = 5
+    n_letters: int, max_len: int, start: Sequence[int], grow: LevelGrow
 ) -> list[Word]:
-    """The first limit failing words of a word sweep, in pre-order.
+    """The first _WITNESS_LIMIT failing words of a word sweep, in pre-order.
 
     Words over the letters 0..n_letters-1 of length 1..max_len are grown
     level by level, each carrying a tuple of ints (a walker state, a value,
@@ -523,14 +525,15 @@ def sweep_word_levels(
     one level are held whole.
 
     A depth-first sweep that records a failing word, extends only kept
-    words and stops once more than limit words have failed reports the
-    first limit failures in pre-order.  Those of one length are the first
-    ones of its level, so the first limit of each level are kept and sorted
-    (a tuple sorts before its extensions).  Returned words are tuples of
-    letter indices.
+    words and stops once more than _WITNESS_LIMIT words have failed reports
+    the first _WITNESS_LIMIT failures in pre-order.  Those of one length are
+    the first ones of its level, so the first _WITNESS_LIMIT of each level
+    are kept and sorted (a tuple sorts before its extensions).  Returned
+    words are tuples of letter indices.
     """
     if not n_letters:
         return []
+    limit = _WITNESS_LIMIT
     rows = max(1, _LEVEL_BLOCK // n_letters)
     carried = [np.array([s], dtype=np.int64) for s in start]
     codes = np.zeros(1, dtype=np.int64)

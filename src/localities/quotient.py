@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import SizeCapExceeded
+from .groups import SizeCapExceeded, _sorted_distinct
 from .locality import DeltaFamily, Locality, check_locality
 from .normal import enumerate_partial_normals, is_partial_normal
 from .partial import (
@@ -382,8 +382,7 @@ class QuotientPartialGroup(PartialGroup):
         as digits in base size): -1 off the domain, else the value.
 
         Each word is asked of pi once and its answer kept on the instance,
-        in one array per length over all size**k codes (-2 not asked yet);
-        the distinct new codes are found by a boolean scatter.
+        in one array per length over all size**k codes (-2 not asked yet).
         """
         q = self.size
         got = self._word_products.get(k)
@@ -391,10 +390,8 @@ class QuotientPartialGroup(PartialGroup):
             got = self._word_products[k] = np.full(q**k, -2, dtype=np.int32)
         new = codes[got[codes] == -2]
         if new.size:
-            asked = np.zeros(q**k, dtype=bool)
-            asked[new] = True
             places = [q**i for i in reversed(range(k))]
-            for c in np.flatnonzero(asked).tolist():
+            for c in _sorted_distinct(new).tolist():
                 v = self.pi(tuple(c // place % q for place in places))
                 got[c] = -1 if v is None else v
         return got[codes]
@@ -589,9 +586,8 @@ def _descent_failures(
     qpg: QuotientPartialGroup,
     rho: tuple[int, ...],
     letters: list[int],
-    max_len: int = 3,
 ) -> list[Word]:
-    """The first five words w over letters, up to max_len, in pre-order,
+    """The first five words w over letters, up to length 3, in pre-order,
     whose coset word bar(w) is in the quotient domain while w is off the
     base domain or rho(pi(w)) != pi(bar(w)).
 
@@ -602,8 +598,8 @@ def _descent_failures(
     quotient domain is not extended, since none of its extensions is in it;
     one off the base domain is, with the dead base state -1.
     """
-    base_trans = walker_table(pg, letters, max_len)
-    bar_trans = walker_table(qpg, [rho[f] for f in letters], max_len)
+    base_trans = walker_table(pg, letters, 3)
+    bar_trans = walker_table(qpg, [rho[f] for f in letters], 3)
     table = _padded_products(pg)
     rho_of = np.array(rho + (-3,))  # a missing value, -1, reads -3
     letter_of = np.array(letters)
@@ -621,7 +617,7 @@ def _descent_failures(
         bad = in_q & ((state < 0) | (rho_of[value] != got))
         return (state, bar_state, value, bar), bad, in_q
 
-    found = sweep_word_levels(len(letters), max_len, (0, 0, -1, 0), grow)
+    found = sweep_word_levels(len(letters), 3, (0, 0, -1, 0), grow)
     return [tuple(letters[i] for i in w) for w in found]
 
 

@@ -231,6 +231,30 @@ def test_loc_check_on_a_total_domain_that_is_not_a_group_reports_a_failing_check
     assert checks["L3-overgroup-closure"]["status"] == "skipped"
 
 
+# OPEN4: the cyclic group of order 4 with S = {0, 1}, which 1*1 = 2 leaves.
+OPEN4 = (
+    "plocality OPEN4 = p 2 : size 4 : identity 0 : inv 0 3 2 1 : sylow 0 1 : delta { 0 1 }"
+    " : conj " + " ".join(f"({s} {g} {s})" for s in range(4) for g in range(4))
+    + " : prod " + " ".join(f"({a} {b} {(a + b) % 4})" for a in range(4) for b in range(4))
+    + "\n"
+)
+
+
+def test_loc_check_on_a_sylow_set_not_closed_under_products_reports_a_failing_check(
+    tmp_path, capsys
+):
+    path = tmp_path / "open4.txt"
+    path.write_text(OPEN4)
+    argv = ["loc-check", "--model", str(path), "--locality", "OPEN4", "--format", "json"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert checks["S-is-a-group"]["status"] == "fail"
+    assert checks["S-is-a-group"]["detail"] == "q1*q1 is undefined or not in the subset"
+    assert checks["delta-well-formed"]["status"] == "skipped"
+
+
 def test_no_command_imports_numpy_ma(tmp_path):
     """np.unique imports numpy.ma, about 15 ms per process; nothing on the
     fixture, quotient or lemma paths calls it."""

@@ -163,7 +163,8 @@ def test_level_sweep_reports_what_the_depth_first_sweep_reports(monkeypatch, blo
         return (total,), bad, keep
 
     for limit in (1, 5, 50):
-        got = sweep_word_levels(6, 4, (0,), grow, limit=limit)
+        monkeypatch.setattr(partial, "_WITNESS_LIMIT", limit)
+        got = sweep_word_levels(6, 4, (0,), grow)
         assert got == dfs_levels(6, 4, is_bad, extends, limit=limit)
         assert got
 
