@@ -36,6 +36,10 @@ class CatalogEntry:
     subsets: dict[str, frozenset[int]]
 
 
+def _a(kind: str) -> str:
+    return f"an {kind}" if kind[0] in "aeiou" else f"a {kind}"
+
+
 class Catalog:
     """Named objects from a builtin fixture or a parsed model file."""
 
@@ -55,10 +59,13 @@ class Catalog:
                     f"no object named {name!r}; available: {sorted(self.entries)}"
                 )
             if kind is not None and got.kind != kind:
-                raise InputError(f"object {name!r} is a {got.kind}, need a {kind}")
+                raise InputError(f"{name!r} is {_a(got.kind)}; this command needs {_a(kind)}")
             return got
         if len(pool) == 1:
             return pool[0]
+        if not pool and self.entries:
+            kinds = ", ".join(f"{e.name!r} is {_a(e.kind)}" for e in self.entries.values())
+            raise InputError(f"{kinds}; this command needs {_a(kind)}")
         raise InputError(
             f"select an object with --locality/--object; available: {sorted(e.name for e in pool)}"
         )

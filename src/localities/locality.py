@@ -20,6 +20,7 @@ from .partial import (
     Word,
     _is_prime_power,
     classify_subset,
+    closure_twins,
     partial_subgroup_closure,
     total_group_component,
 )
@@ -660,17 +661,25 @@ def _p_subgroup_above(
     loc: Locality, base: frozenset[int], candidates: Iterable[int]
 ) -> tuple | None:
     """(x, closure of base and x) for the first candidate x outside base
-    whose closure with base is a p-subgroup; None if there is none."""
+    whose closure with base is a p-subgroup; None if there is none.
+
+    Each closure starts from base | {x}, since base (S on a candidate) is
+    not proved closed.  After a failing x, its closure twins over base are
+    skipped: closure_twins proves that each has the same closure, which
+    fails too, so the first success and its witness are those of the
+    candidate-by-candidate search.
+    """
     pg = loc.pg
+    done = set(base)
     for x in candidates:
-        if x in base:
+        if x in done:
             continue
         grown = partial_subgroup_closure(pg, base | {x})
-        if len(grown) == len(base) or not _is_prime_power(len(grown), loc.p):
-            continue
-        ok, _, _ = pg.words_all_in_domain(grown)
-        if ok:
-            return (x, grown)
+        if len(grown) != len(base) and _is_prime_power(len(grown), loc.p):
+            ok, _, _ = pg.words_all_in_domain(grown)
+            if ok:
+                return (x, grown)
+        done.update(closure_twins(pg, base, x))
     return None
 
 

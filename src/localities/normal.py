@@ -52,14 +52,18 @@ def is_partial_normal(loc: Locality, members: Iterable[int]) -> tuple[bool, tupl
     return bad is None, bad
 
 
-def partial_normal_closure(loc: Locality, seed: Iterable[int]) -> SubsetHandle:
-    """Least partial normal subgroup containing the seed, classified.
+def partial_normal_closure(
+    loc: Locality, seed: Iterable[int], closed: frozenset[int] = frozenset()
+) -> SubsetHandle:
+    """Least partial normal subgroup containing the seed and closed,
+    classified; closed, when given, must already be closed under products,
+    inverses and conjugates, as every result of this function is.
 
     The frontier closure of partial_subgroup_closure, run with the rows of
     loc.conj_table() so that every defined conjugate x^f of a member joins.
     """
     _require_locality(loc)
-    members = _close(loc.pg, seed, loc.conj_table())
+    members = _close(loc.pg, seed, loc.conj_table(), closed=closed)
     return classify_subset(loc.pg, members, p=loc.p)
 
 
@@ -68,26 +72,40 @@ def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
 
     Every partial normal subgroup is the join of the closures of its own
     singletons, so closing the singleton closures under pairwise join is
-    exhaustive.
+    exhaustive.  One singleton closure is made per conjugacy class: after
+    x, each y = x^f with y^(f^-1) = x is skipped, and so is x^-1 when its
+    inverse is x, since each closure then contains the other's generator.
+    Both lookups are checked per instance, never assumed.  A join of h
+    with another closure starts from h, which is already closed.
     """
     _require_locality(loc)
     if loc.size > ENUMERATION_CAP:
         raise SizeCapExceeded(
-            f"partial normal enumeration is capped at {ENUMERATION_CAP} elements"
+            f"partial normal enumeration is capped at {ENUMERATION_CAP} elements; "
+            f"the locality has {loc.size}"
         )
+    conj = loc.conj_table()
+    inv = [loc.pg.inverse(f) for f in loc.elements()]
     closures: dict[frozenset[int], SubsetHandle] = {}
+    done: set[int] = set()
     for x in loc.elements():
+        if x in done:
+            continue
         h = partial_normal_closure(loc, [x])
         closures.setdefault(h.members, h)
+        if inv[inv[x]] == x:
+            done.add(inv[x])
+        for f, y in enumerate(conj[x]):
+            if y >= 0 and conj[y][inv[f]] == x:
+                done.add(y)
     family = dict(closures)
     queue = list(closures.values())
     while queue:
         h = queue.pop()
         for other in list(family.values()):
-            joined = h.members | other.members
-            if joined in family:
+            if h.members | other.members in family:
                 continue
-            grown = partial_normal_closure(loc, joined)
+            grown = partial_normal_closure(loc, other.members, closed=h.members)
             if grown.members not in family:
                 family[grown.members] = grown
                 queue.append(grown)

@@ -454,6 +454,27 @@ def partial_subgroup_closure(
     return _close(pg, seed, closed=closed)
 
 
+def closure_twins(pg: PartialGroup, base: Iterable[int], x: int) -> list[int]:
+    """Elements y whose closure with base equals the closure of base and x.
+
+    These are the y = h*x (h in base) with h^-1 * y = x, read off
+    pg.product_table().  The closure of base | {x} contains h and x, so it
+    contains y; the closure of base | {y} contains h, its inverse and y, so
+    it contains x.  Each closure therefore contains the other's generators,
+    and the two are equal.  This holds for any base, closed or not, and for
+    any table: the return lookup is checked per y, never assumed.  On a
+    genuine partial group it always holds, so the twins are the coset
+    base*x.
+    """
+    table = pg.product_table()
+    twins = []
+    for h in base:
+        y = table[h][x]
+        if y >= 0 and table[pg.inverse(h)][y] == x:
+            twins.append(y)
+    return twins
+
+
 # ---------------------------------------------------------------------------
 # word levels
 

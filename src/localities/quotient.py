@@ -22,6 +22,7 @@ from .normal import enumerate_partial_normals, is_partial_normal
 from .partial import (
     PartialGroup,
     Word,
+    closure_twins,
     partial_subgroup_closure,
     subset_product,
     sweep_word_levels,
@@ -541,29 +542,27 @@ def partial_subgroups_containing(
 
     Each one found is grown by one element x outside it and closed again.
     current is already closed, so the closure starts from it with x alone
-    as the frontier.  Elements with the same singleton closure <x> give the
-    same grown closure (it contains <x>), so one x per distinct <x> is tried.
+    as the frontier.  After x, its closure twins over current (the coset
+    current*x on a genuine partial group) are skipped: closure_twins proves
+    that each gives the same grown closure.  More than cap results raise
+    SizeCapExceeded.
     """
     base = partial_subgroup_closure(loc_pg, seed)
-    singles: dict[int, frozenset[int]] = {}
     found = {base}
     queue = [base]
     while queue:
         current = queue.pop()
-        tried = set()
+        done = set(current)
         for x in loc_pg.elements():
-            if x in current:
+            if x in done:
                 continue
-            single = singles.get(x)
-            if single is None:
-                single = singles[x] = partial_subgroup_closure(loc_pg, {x})
-            if single in tried:
-                continue
-            tried.add(single)
             grown = partial_subgroup_closure(loc_pg, {x}, closed=current)
+            done.update(closure_twins(loc_pg, current, x))
             if grown not in found:
                 if len(found) >= cap:
-                    raise SizeCapExceeded("too many partial subgroups to enumerate")
+                    raise SizeCapExceeded(
+                        f"too many partial subgroups to enumerate: more than the cap of {cap}"
+                    )
                 found.add(grown)
                 queue.append(grown)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
@@ -635,7 +634,10 @@ def verify_quotient_lemmas(
     """
     K = frozenset(K)
     if loc.size > LEMMA_CAP:
-        raise SizeCapExceeded(f"lemma verification is capped at {LEMMA_CAP} elements")
+        raise SizeCapExceeded(
+            f"lemma verification is capped at {LEMMA_CAP} elements; "
+            f"the locality has {loc.size}"
+        )
     if bundle is None:
         bundle = build_quotient(loc, K)
     part = coset_partition(loc, K)

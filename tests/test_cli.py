@@ -60,6 +60,15 @@ def test_exit_code_2_with_one_line_error(monkeypatch, capsys, exc):
     assert len(err) == 1 and err[0].startswith("error: "), captured.err
 
 
+def test_a_locality_command_on_an_amalgam_says_what_it_needs(capsys):
+    assert cli.main(["normals", "--builtin", "PG-AM20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: 'PG-AM20' is an amalgam; this command needs a locality"
+    ]
+
+
 def _emit(tmp_path, capsys, builtin, kernel):
     path = tmp_path / "q.model"
     argv = ["quotient", "--builtin", builtin, "--kernel", kernel, "--max-word-len", "3",

@@ -1,5 +1,7 @@
 import pytest
 
+from localities import normal
+from localities.groups import SizeCapExceeded
 from localities.normal import (
     enumerate_partial_normals,
     is_partial_normal,
@@ -54,6 +56,12 @@ def test_enumeration_matches_frozen(s4f, c2s4f, s5f):
     ):
         handles = enumerate_partial_normals(fix.loc)
         assert [len(h.members) for h in handles] == expect
+
+
+def test_enumeration_cap_error_names_the_cap_and_the_size(s4f, monkeypatch):
+    monkeypatch.setattr(normal, "ENUMERATION_CAP", 20)
+    with pytest.raises(SizeCapExceeded, match=r"capped at 20 elements; the locality has 24$"):
+        enumerate_partial_normals(s4f.loc)
 
 
 def test_enumeration_matches_group_normals(s4f):

@@ -12,7 +12,7 @@
 import numpy as np
 import pytest
 
-from localities import partial
+from localities import partial, quotient
 from localities.groups import SizeCapExceeded
 from localities.partial import partial_subgroup_closure, sweep_word_levels
 from localities.quotient import (
@@ -24,6 +24,7 @@ from localities.quotient import (
     is_up_maximal,
     partial_subgroups_containing,
     up_maximal_flags,
+    verify_quotient_lemmas,
 )
 
 import _frozen as frozen
@@ -206,3 +207,14 @@ def test_oversubgroup_cap_is_kept(s4f):
     assert len(partial_subgroups_containing(loc.pg, trivial, cap=30)) == 30
     with pytest.raises(SizeCapExceeded):
         partial_subgroups_containing(loc.pg, trivial, cap=29)
+
+
+def test_oversubgroup_cap_error_names_the_cap(s4f):
+    with pytest.raises(SizeCapExceeded, match=r"more than the cap of 29$"):
+        partial_subgroups_containing(s4f.loc.pg, frozenset({s4f.loc.identity}), cap=29)
+
+
+def test_lemma_cap_error_names_the_cap_and_the_size(s4f, monkeypatch):
+    monkeypatch.setattr(quotient, "LEMMA_CAP", 20)
+    with pytest.raises(SizeCapExceeded, match=r"capped at 20 elements; the locality has 24$"):
+        verify_quotient_lemmas(s4f.loc, s4f.subsets["V4"])
