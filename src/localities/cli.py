@@ -129,7 +129,7 @@ def load_catalog(args) -> Catalog:
             return Catalog([_entry_from_builtin(args.builtin)])
         except KeyError as exc:
             raise InputError(str(exc))
-    target = getattr(args, "locality", None) or getattr(args, "object", None)
+    target = args.locality
     if target:
         try:
             return Catalog([_entry_from_builtin(target)])
@@ -151,7 +151,7 @@ def _pg_of(entry: CatalogEntry) -> PartialGroup:
 
 
 def cmd_pg_check(args, catalog: Catalog) -> VerificationReport:
-    entry = catalog.pick(args.object or args.locality)
+    entry = catalog.pick(args.locality)
     pg = _pg_of(entry)
     rep = VerificationReport(f"pg-check {entry.name}")
     axioms = check_axioms(pg, max_len=args.max_word_len)
@@ -171,7 +171,7 @@ def _as_locality(entry: CatalogEntry) -> Locality:
 
 
 def cmd_loc_check(args, catalog: Catalog) -> VerificationReport:
-    entry = catalog.pick(args.locality or args.object)
+    entry = catalog.pick(args.locality)
     loc = _as_locality(entry)
     rep = check_locality(loc, max_len=args.max_word_len)
     rep.title = f"loc-check {entry.name}"
@@ -179,7 +179,7 @@ def cmd_loc_check(args, catalog: Catalog) -> VerificationReport:
 
 
 def cmd_normals(args, catalog: Catalog) -> VerificationReport:
-    entry = catalog.pick(args.locality or args.object, kind="locality")
+    entry = catalog.pick(args.locality, kind="locality")
     loc: Locality = entry.obj
     rep = VerificationReport(f"normals {entry.name}")
     handles = enumerate_partial_normals(loc)
@@ -200,7 +200,7 @@ def cmd_normals(args, catalog: Catalog) -> VerificationReport:
 
 
 def cmd_product(args, catalog: Catalog) -> VerificationReport:
-    entry = catalog.pick(args.locality or args.object, kind="locality")
+    entry = catalog.pick(args.locality, kind="locality")
     loc: Locality = entry.obj
     names = [n.strip() for n in (args.ideals or "").split(",") if n.strip()]
     if len(names) < 2:
@@ -240,7 +240,7 @@ def cmd_product(args, catalog: Catalog) -> VerificationReport:
 
 
 def cmd_quotient(args, catalog: Catalog) -> VerificationReport:
-    entry = catalog.pick(args.locality or args.object, kind="locality")
+    entry = catalog.pick(args.locality, kind="locality")
     loc: Locality = entry.obj
     if not args.kernel:
         raise InputError("--kernel NAME is required")
@@ -265,7 +265,7 @@ def cmd_quotient(args, catalog: Catalog) -> VerificationReport:
 
 
 def cmd_lemmas(args, catalog: Catalog) -> VerificationReport:
-    entry = catalog.pick(args.locality or args.object, kind="locality")
+    entry = catalog.pick(args.locality, kind="locality")
     loc: Locality = entry.obj
     if not args.kernel:
         raise InputError("--kernel NAME is required")
@@ -279,7 +279,7 @@ def cmd_lemmas(args, catalog: Catalog) -> VerificationReport:
 
 
 def cmd_counterexample(args, catalog: Catalog) -> VerificationReport:
-    entry = catalog.pick(args.object or args.locality)
+    entry = catalog.pick(args.locality)
     if entry.kind != "amalgam":
         raise InputError("the counterexample command runs on the amalgam builtin")
     fixture: corpus_mod.AmalgamFixture = entry.obj
@@ -337,10 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--builtin", help="builtin object name (PG-AM20, GRP-S4, GRP-C2xS4, LOC-S5)")
         p.add_argument("--model", help="path to a model file")
-        p.add_argument("--locality", help="object name inside the source")
-        p.add_argument("--object", help="alias for --locality")
-        p.add_argument("--max-word-len", type=int, default=4)
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
+        p.add_argument("--locality", "--object", help="object name inside the source")
+        if name in ("pg-check", "loc-check", "quotient"):
+            p.add_argument("--max-word-len", type=int, default=4)
+        if name == "lemmas":
+            p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--timings", action="store_true", help="include timings in output")
         if name == "product":
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "counterexample" and not (args.builtin or args.model or args.locality or args.object):
+    if args.command == "counterexample" and not (args.builtin or args.model or args.locality):
         args.builtin = "PG-AM20"
     try:
         catalog = load_catalog(args)

@@ -214,17 +214,25 @@ def _parse_plocality(body: str, line: int) -> Locality:
         raise ModelError(f"bad plocality numbers: {exc}", line)
     if len(inv) != size:
         raise ModelError("inv length does not match size", line)
-    delta_members = frozenset(
-        frozenset(int(t) for t in body.split()) for body in _BRACE_RE.findall(sections["delta"])
-    )
-    conj: dict[tuple[int, int], int] = {}
-    for s, g, v in _TRIPLE_RE.findall(sections["conj"]):
-        conj[(int(s), int(g))] = int(v)
+    delta_lists = [[int(t) for t in body.split()] for body in _BRACE_RE.findall(sections["delta"])]
+    delta_members = frozenset(frozenset(P) for P in delta_lists)
+    conj_triples = [tuple(map(int, t)) for t in _TRIPLE_RE.findall(sections["conj"])]
+    prod_triples = [tuple(map(int, t)) for t in _TRIPLE_RE.findall(sections["prod"])]
+    for section, ids in [
+        ("identity", [identity]),
+        ("inv", inv),
+        ("sylow", sylow),
+        ("delta", [x for P in delta_lists for x in P]),
+        ("conj", [x for t in conj_triples for x in t]),
+        ("prod", [x for t in prod_triples for x in t]),
+    ]:
+        bad = next((x for x in ids if not 0 <= x < size), None)
+        if bad is not None:
+            raise ModelError(f"{section} holds id {bad}, outside 0..{size - 1}", line)
+    conj = {(s, g): v for s, g, v in conj_triples}
     raw = [[-1] * size for _ in range(size)]
-    for a, b, v in _TRIPLE_RE.findall(sections["prod"]):
-        a, b, v = int(a), int(b), int(v)
-        if a < size and b < size and v < size:
-            raw[a][b] = v
+    for a, b, v in prod_triples:
+        raw[a][b] = v
 
     s_pos = {s: i for i, s in enumerate(sylow)}
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,11 +109,10 @@ class PartialGroup:
     # equal states have the same domain status under every suffix.
 
     def walk_start(self):
-        return ()
+        raise NotImplementedError
 
     def walk_step(self, state, x: int):
-        word = state + (x,)
-        return word if self.in_domain(word) else None
+        raise NotImplementedError
 
     # -- subgroup certificates ----------------------------------------------
 
@@ -940,22 +939,47 @@ class _Findings:
         return out
 
 
-def _table_axiom_sweep(pg: PartialGroup, max_len: int) -> tuple[int, list[AxiomViolation]] | None:
-    """Every check of _dfs_axiom_sweep on the dense tables of pg.sweep_tables().
+class AxiomTables(NamedTuple):
+    """What _table_axiom_sweep reads.  Words are over the letters
+    0..len(inv)-1; letter x stands for the partial group's id letters[x]."""
+
+    trans: np.ndarray  # automaton transitions, from state 0
+    in_delta: np.ndarray  # accept mask of its states
+    raw: np.ndarray  # raw products, -1 where undefined
+    inv: Sequence[int]
+    identity: int
+    letters: Sequence[int]
+
+
+def _component_tables(elems: Sequence[int], group: FiniteGroup) -> AxiomTables:
+    """A total component as a one-state automaton over its group table."""
+    return AxiomTables(
+        np.zeros((1, group.order), dtype=np.int32), np.ones(1, dtype=bool), group.mult,
+        group.inv, group.identity, elems,
+    )
+
+
+def _table_axiom_sweep(
+    pg: PartialGroup, max_len: int, tables: AxiomTables | None = None
+) -> tuple[int, list[AxiomViolation]] | None:
+    """Every check of _dfs_axiom_sweep on dense tables, by default those of
+    pg.sweep_tables(); check_axioms passes a total component's tables.
 
     Per block the words of the domain are found by walking the automaton
     over the block, then each check runs on arrays of all those words at
     once: prefix and segment states and values are carried letter by
     letter, and each squeezed or cancelled word is walked and folded from
-    them exactly as pg.pi would walk and fold it.  The violations, their
+    them exactly as pi would walk and fold it.  The violations, their
     order and the cap are those of the DFS.  Returns None when a product the
     DFS would take leaves the raw table; the DFS then reports (or raises)
     what it finds.
     """
-    trans, in_delta, raw = pg.sweep_tables()
-    m = pg.size
-    e = pg.identity
-    inv = np.array([pg.inverse(x) for x in range(m)], dtype=np.int32)
+    if tables is None:
+        inverses = [pg.inverse(x) for x in pg.elements()]
+        tables = AxiomTables(*pg.sweep_tables(), inverses, pg.identity, pg.elements())
+    trans, in_delta, raw, inv, e, letters = tables
+    m = len(inv)
+    inv = np.asarray(inv, dtype=np.int32)
     tf = trans.ravel()
     # raw products with one extra row of -1: a missing product v = -1 reads
     # index -m + x, which wraps into that row, so -1 stays -1 along a fold.
@@ -1020,7 +1044,7 @@ def _table_axiom_sweep(pg: PartialGroup, max_len: int) -> tuple[int, list[AxiomV
         checks.append(("cancellation", "pi(w^-1 ∘ w) != 1", c_in & (v != e)))
         return checks
 
-    findings = _Findings(range(m))
+    findings = _Findings(letters)
     for n in range(1, max_len + 1):
         lead_len, tail_len = _block_split(m, n)
         tail_digits = _digit_arrays(m, tail_len)
@@ -1045,70 +1069,10 @@ def _table_axiom_sweep(pg: PartialGroup, max_len: int) -> tuple[int, list[AxiomV
     return sum(m**k for k in range(1, max_len + 1)), findings.violations()
 
 
-def _vector_axiom_sweep(
-    elems: tuple[int, ...], group: FiniteGroup, max_len: int
-) -> tuple[int, list[AxiomViolation]]:
-    """Vectorized sweep of one total component (all words over it are in D).
-
-    Products are read from the group's flat int32 table.  Each length is
-    swept in blocks that fix the leading letters; the tail digits, the
-    products of the tail segments and the tail of every cancellation word
-    are computed once per length and shared by its blocks.  Violations come
-    in the DFS's order under its cap.
-    """
-    m = group.order
-    tf = group.mult.ravel()
-    inv = np.array(group.inv, dtype=np.int32)
-    e = group.identity
-
-    def mul(a, b):
-        return np.take(tf, a * m + b)
-
-    findings = _Findings(elems)
-    for n in range(2, max_len + 1):
-        lead_len, tail_len = _block_split(m, n)
-        tail_digits = _digit_arrays(m, tail_len)
-        shared: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(lead_len, n):
-            shared[i, i + 1] = tail_digits[i - lead_len]
-            for j in range(i + 2, n + 1):
-                shared[i, j] = mul(shared[i, j - 1], tail_digits[j - 1 - lead_len])
-        tail_cancel = e
-        for d in reversed(tail_digits):
-            tail_cancel = mul(tail_cancel, inv[d])
-        tails = np.arange(m**tail_len)
-        for lead in itertools.product(range(m), repeat=lead_len):
-            w = list(lead) + tail_digits
-            seg = dict(shared)
-            for i in range(lead_len):
-                seg[i, i + 1] = lead[i]
-                for j in range(i + 2, n + 1):
-                    seg[i, j] = mul(seg[i, j - 1], w[j - 1])
-            for i in range(n + 1):
-                seg[i, i] = e
-            total = seg[0, n]
-            checks = []
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    if j != i + 1:
-                        val = mul(mul(seg[0, i], seg[i, j]), seg[j, n])
-                        checks.append(("collapse", f"collapse [{i}:{j}]", val != total))
-            acc = tail_cancel
-            for x in reversed(lead):
-                acc = mul(acc, inv[x])
-            for x in w:
-                acc = mul(acc, x)
-            checks.append(("cancellation", "pi(w^-1 ∘ w) != 1", acc != e))
-            findings.add(lead, tails, m, tail_len, checks)
-            if findings.full(n):
-                break
-    return sum(m**k for k in range(2, max_len + 1)), findings.violations()
-
-
 def _still_a_group(group: FiniteGroup) -> bool:
     """Whether group.mult, as it stands now, is a group whose identity and
-    inverses are the ones the total kernel reads (the table may have been
-    changed after construction)."""
+    inverses are the ones its component sweep reads (the table may have
+    been changed after construction)."""
     try:
         identity, inv = certify_group_table(group.mult)
     except ValueError:
@@ -1131,8 +1095,9 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
     certify_group_table with the identity and inverses the component
     holds, every word over it satisfies the axioms.  The fallbacks sweep:
     - a total component that fails the certificate (a table changed after
-      construction): _vector_axiom_sweep over its group table, words of
-      length 2..max_len, violations in the DFS's order;
+      construction): _table_axiom_sweep over its group table as a
+      one-state automaton, which reports what _dfs_axiom_sweep reports on
+      GroupPartialGroup(its group), read back through the component's ids;
     - automaton-backed partial domains (pg.sweep_tables() exists: a
       LocalityPartialGroup whose domain is not total or whose table is not
       a group): _table_axiom_sweep over the automaton and raw product
@@ -1160,7 +1125,10 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
     if components is not None:
         unproved = [(elems, grp) for elems, grp in components if not _still_a_group(grp)]
         for elems, grp in unproved:
-            violations.extend(_vector_axiom_sweep(elems, grp, max_len)[1])
+            swept = _table_axiom_sweep(pg, max_len, _component_tables(elems, grp))
+            if swept is None:
+                raise ValueError("a total component's table holds a product outside it")
+            violations.extend(swept[1])
         note = (
             f"route: group-table certificate (Light's test) on"
             f" {len(components) - len(unproved)} of {len(components)} total component(s),"

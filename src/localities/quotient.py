@@ -32,6 +32,10 @@ from .partial import (
 from .report import VerificationReport
 
 LEMMA_CAP = 200
+# build_quotient checks the product homomorphism on domain words up to this length.
+HOM_LEN = 3
+# verify_quotient_lemmas checks images of intersections on this many sampled subsets.
+LEMMA_SAMPLES = 100
 
 
 class QuotientConstructionError(RuntimeError):
@@ -439,13 +443,11 @@ class QuotientBundle:
         return frozenset(x for x in self.base.elements() if self.rho[x] in wanted)
 
 
-def build_quotient(
-    loc: Locality, K: Iterable[int], check_len: int = 3, hom_len: int = 3
-) -> QuotientBundle:
+def build_quotient(loc: Locality, K: Iterable[int], check_len: int = 3) -> QuotientBundle:
     """Form the quotient locality by K and verify it end to end.
 
     Verified here: the coset partition, pi-homomorphism of the quotient map
-    on all domain words up to hom_len, the kernel identity, inversion
+    on all domain words up to HOM_LEN, the kernel identity, inversion
     compatibility, and the locality axioms of the quotient up to check_len.
 
     The homomorphism sweep runs on dense tables (sweep_word_levels): base
@@ -486,12 +488,12 @@ def build_quotient(
     bad = [c for c in range(qpg.size) if qpg.inverse(qpg.inverse(c)) != c]
     report.record("quotient-inversion-involutory", not bad, bad[:5])
 
-    # Every base domain word up to hom_len, grown level by level: a word
+    # Every base domain word up to HOM_LEN, grown level by level: a word
     # carries its walker state, its value and the code of its coset word,
     # and one that fails is not extended.  -1 never equals rho of a value,
     # so a coset word off the quotient domain fails too.
     pg = loc.pg
-    trans = walker_table(pg, pg.elements(), hom_len)
+    trans = walker_table(pg, pg.elements(), HOM_LEN)
     table = _padded_products(pg)
     rho_of = np.array(rho + (-3,))  # a missing value, -1, reads -3
 
@@ -506,12 +508,12 @@ def build_quotient(
         bad = live & (got != rho_of[value])
         return (state, value, bar), bad, live & ~bad
 
-    mism = sweep_word_levels(pg.size, hom_len, (0, -1, 0), grow)
+    mism = sweep_word_levels(pg.size, HOM_LEN, (0, -1, 0), grow)
     report.record(
         "product-homomorphism",
         not mism,
         mism[:5],
-        f"bar(pi(v)) = pi(bar(v)) on all domain words up to length {hom_len}",
+        f"bar(pi(v)) = pi(bar(v)) on all domain words up to length {HOM_LEN}",
     )
 
     loc_report = check_locality(quotient, max_len=check_len)
@@ -624,7 +626,6 @@ def verify_quotient_lemmas(
     loc: Locality,
     K: Iterable[int],
     seed: int = 0,
-    samples: int = 100,
     bundle: QuotientBundle | None = None,
 ) -> VerificationReport:
     """Instance-check the quotient toolbox on every admissible tuple.
@@ -732,7 +733,7 @@ def verify_quotient_lemmas(
     rng = random.Random(seed)
     bad = []
     universe = list(loc.elements())
-    for _ in range(samples):
+    for _ in range(LEMMA_SAMPLES):
         size = rng.randint(1, loc.size)
         X = frozenset(rng.sample(universe, size))
         xbar = frozenset(rho[x] for x in X)
@@ -742,7 +743,7 @@ def verify_quotient_lemmas(
                 bad.append((sorted(X), sorted(H)))
                 break
     report.record("image-intersection", not bad, bad[:2],
-                  f"bar(X) cap bar(H) = bar(X cap H) on {samples} sampled X")
+                  f"bar(X) cap bar(H) = bar(X cap H) on {LEMMA_SAMPLES} sampled X")
 
     # 9: preimages of subgroups of S
     s_sets = loc.s_subgroup_sets()

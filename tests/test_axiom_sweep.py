@@ -1,24 +1,29 @@
-"""The table routes of check_axioms against their references.
+"""The swept routes of check_axioms against the literal DFS.
 
-The automaton-backed route, _table_axiom_sweep, is compared with the
-per-word DFS, _dfs_axiom_sweep, which asks pg.pi and pg.in_domain of every
-word: equal word counts and equal violation lists, in the same order and
-under the same cap.  The total-component kernel, _vector_axiom_sweep, is
-compared with the kernel it replaced, kept below as reference_vector_sweep.
+Both swept routes run _table_axiom_sweep: over the automaton and raw
+product tables of a partial domain, and over the group table of a total
+component that fails its certificate, as a one-state automaton.  Each is
+compared with the per-word DFS, _dfs_axiom_sweep, which asks pi and
+in_domain of every word (for a component, those of GroupPartialGroup on its
+group): equal word counts and equal violation lists, in the same order and
+under the same cap.
 """
 
 import numpy as np
 import pytest
 
 from localities import partial
-from localities.groups import certify_group_table, generate_group
+from localities.groups import FiniteGroup, certify_group_table, generate_group
 from localities.locality import LocalityConstructionError, LocalityPartialGroup
 from localities.partial import (
     MAX_REPORTED_VIOLATIONS,
+    AmalgamPartialGroup,
+    AmalgamSpec,
+    AxiomViolation,
     GroupPartialGroup,
+    _component_tables,
     _dfs_axiom_sweep,
     _table_axiom_sweep,
-    _vector_axiom_sweep,
     check_axioms,
 )
 
@@ -119,88 +124,26 @@ def test_products_off_the_raw_table_past_the_cap_report_what_the_dfs_reports(s5f
     assert report.violations[-len(swept):] == swept
 
 
-# -- the total-component kernel -------------------------------------------------
+# -- the total-component route -------------------------------------------------
 
 
-def reference_vector_sweep(elems, group, max_len):
-    """_vector_axiom_sweep before the flat table and the bounded blocks."""
-    out = []
-    words_checked = 0
-    T = group.mult
-    inv = np.array(group.inv)
-    m = group.order
-
-    def digit_arrays(m, n):
-        idx = np.arange(m**n)
-        return [(idx // m ** (n - 1 - k)) % m for k in range(n)]
-
-    def report(axiom, digits, bad, detail):
-        for flat in bad[: partial.MAX_REPORTED_VIOLATIONS - len(out)]:
-            word = tuple(elems[int(d[flat])] for d in digits)
-            out.append(partial.AxiomViolation(axiom, word, detail))
-
-    for n in range(2, max_len + 1):
-        chunk_elems = m**n > 2_000_000
-        first_digits = range(m) if chunk_elems else [None]
-        k = n - 1 if chunk_elems else n
-        digits = digit_arrays(m, k)
-        R = {}
-        for i in range(k):
-            R[(i, i + 1)] = digits[i]
-            for j in range(i + 2, k + 1):
-                R[(i, j)] = T[R[(i, j - 1)], digits[j - 1]]
-        for a in first_digits:
-            words_checked += m**k
-            if a is None:
-                full = {(i, j): R[(i, j)] for i in range(k) for j in range(i + 1, k + 1)}
-                digs = digits
-            else:
-                col = np.full(m**k, a)
-                digs = [col] + digits
-                full = {}
-                for i in range(k):
-                    for j in range(i + 1, k + 1):
-                        full[(i + 1, j + 1)] = R[(i, j)]
-                full[(0, 1)] = col
-                for j in range(2, n + 1):
-                    full[(0, j)] = T[full[(0, j - 1)], digs[j - 1]]
-            total = full[(0, n)]
-            e_col = np.full(total.shape, group.identity)
-
-            def seg(i, j):
-                return e_col if i == j else full[(i, j)]
-
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    if j == i + 1:
-                        continue
-                    val = T[T[seg(0, i), seg(i, j)], seg(j, n)]
-                    bad = np.nonzero(val != total)[0]
-                    if bad.size:
-                        report("collapse", digs, bad, f"collapse [{i}:{j}]")
-            acc = e_col
-            for kk in range(n - 1, -1, -1):
-                acc = T[acc, inv[digs[kk]]]
-            for kk in range(n):
-                acc = T[acc, digs[kk]]
-            bad = np.nonzero(acc != group.identity)[0]
-            if bad.size:
-                report("cancellation", digs, bad, "pi(w^-1 ∘ w) != 1")
-            if len(out) >= partial.MAX_REPORTED_VIOLATIONS:
-                return words_checked, out
-    return words_checked, out
+def component_sweep(pg, component, max_len):
+    """What check_axioms sweeps on a total component that fails its certificate."""
+    return _table_axiom_sweep(pg, max_len, _component_tables(*component))
 
 
 def test_total_kernel_matches_the_reference_on_grp_s4(s4f):
-    (component,) = s4f.loc.pg._vector_components()
-    got = _vector_axiom_sweep(*component, 4)
-    assert got == reference_vector_sweep(*component, 4)
-    assert got[0] == 24**2 + 24**3 + 24**4
+    pg = s4f.loc.pg
+    (component,) = pg._vector_components()
+    got = component_sweep(pg, component, 3)
+    assert got == _dfs_axiom_sweep(GroupPartialGroup(component[1]), 3)
+    assert got == (24 + 24**2 + 24**3, [])
 
 
 def test_total_kernel_matches_the_reference_on_pg_am20(am20):
-    for component in am20.pg._vector_components():
-        assert _vector_axiom_sweep(*component, 5) == reference_vector_sweep(*component, 5)
+    for elems, group in am20.pg._vector_components():
+        got = component_sweep(am20.pg, (elems, group), 3)
+        assert got == _dfs_axiom_sweep(GroupPartialGroup(group), 3)
 
 
 def tampered_s3():
@@ -208,49 +151,23 @@ def tampered_s3():
     G = generate_group([(1, 2, 0), (1, 0, 2)])
     assert G.mult[1, 2] != G.mult[2, 1]
     G.mult[1, 2], G.mult[2, 1] = G.mult[2, 1], G.mult[1, 2]
-    return tuple(G.elements()), G
-
-
-def dfs_order(violations):
-    """The violations in the DFS's order: words in pre-order (a word before
-    its extensions), a word's checks in the order the kernel runs them."""
-
-    def check_index(v):
-        n = len(v.word)
-        spans = [(i, j) for i in range(n + 1) for j in range(i, n + 1) if j != i + 1]
-        details = [f"collapse [{i}:{j}]" for i, j in spans] + ["pi(w^-1 ∘ w) != 1"]
-        return details.index(v.detail)
-
-    return sorted(violations, key=lambda v: (v.word, check_index(v)))
-
-
-def capped(ordered):
-    """The DFS's cap: a word's violations are all reported if fewer than
-    MAX_REPORTED_VIOLATIONS came before it, and none otherwise."""
-    out = []
-    for v in ordered:
-        if len(out) >= MAX_REPORTED_VIOLATIONS and v.word != out[-1].word:
-            break
-        out.append(v)
-    return out
+    return G
 
 
 @pytest.mark.parametrize("block", [partial._SWEEP_BLOCK, 36], ids=["block-default", "block-36"])
 def test_total_kernel_finds_what_the_reference_finds_on_a_tampered_table(monkeypatch, block):
-    elems, G = tampered_s3()
-    words = sum(6**k for k in range(2, 6))
+    pg = GroupPartialGroup(tampered_s3())
     monkeypatch.setattr(partial, "_SWEEP_BLOCK", block)
     monkeypatch.setattr(partial, "MAX_REPORTED_VIOLATIONS", 10**9)
-    ref_words, ref = reference_vector_sweep(elems, G, 5)
-    got_words, got = _vector_axiom_sweep(elems, G, 5)
-    assert got_words == ref_words == words
-    assert len(got) > MAX_REPORTED_VIOLATIONS
-    assert dfs_order(got) == got
-    assert got == dfs_order(ref)
+    dfs = _dfs_axiom_sweep(pg, 5)[1]
+    assert len(dfs) > MAX_REPORTED_VIOLATIONS
+    assert check_axioms(pg, 5).violations == dfs
     monkeypatch.setattr(partial, "MAX_REPORTED_VIOLATIONS", MAX_REPORTED_VIOLATIONS)
-    got_words, got = _vector_axiom_sweep(elems, G, 5)
-    assert got_words == words
-    assert got == capped(dfs_order(ref))
+    report = check_axioms(pg, 5)
+    assert report.words_checked == sum(6**k for k in range(2, 6))
+    assert report.violations == _dfs_axiom_sweep(pg, 5)[1]
+    # the rebracketed collapse, (u)(v)(w), also flagged words the DFS passes
+    assert AxiomViolation("collapse", (1, 1, 2), "collapse [1:1] changes the product") not in dfs
 
 
 # -- the group-table certificate on total components ---------------------------
@@ -275,18 +192,18 @@ def test_certified_components_sweep_no_word(request, monkeypatch, pg_of, max_len
     def no_sweep(*args):
         raise AssertionError("a certified component was swept")
 
-    monkeypatch.setattr(partial, "_vector_axiom_sweep", no_sweep)
+    monkeypatch.setattr(partial, "_table_axiom_sweep", no_sweep)
     report = check_axioms(pg_of(request), max_len)
     assert report.summary() == f"axiom sweep to length {max_len}: {words} words, ok"
     assert report.notes == [certified_note(components, components)]
 
 
 def test_tampered_table_is_swept_with_the_kernels_witnesses():
-    elems, G = tampered_s3()
-    report = check_axioms(GroupPartialGroup(G), 5)
-    swept = _vector_axiom_sweep(elems, G, 5)[1]
-    assert swept
-    assert report.violations == swept
+    pg = GroupPartialGroup(tampered_s3())
+    report = check_axioms(pg, 5)
+    dfs = _dfs_axiom_sweep(pg, 5)[1]
+    assert dfs
+    assert report.violations == dfs
     assert report.notes == [certified_note(0, 1)]
 
 
@@ -296,8 +213,36 @@ def test_a_table_changed_into_another_group_is_swept():
     swap = np.array([1, 0, 2, 3, 4, 5])  # its own inverse
     G.mult[:] = swap[G.mult[np.ix_(swap, swap)]]
     assert certify_group_table(G.mult)[0] == 1 != G.identity
-    report = check_axioms(GroupPartialGroup(G), 3)
-    swept = _vector_axiom_sweep(tuple(G.elements()), G, 3)[1]
-    assert swept
-    assert report.violations[-len(swept):] == swept
+    pg = GroupPartialGroup(G)
+    report = check_axioms(pg, 3)
+    dfs = _dfs_axiom_sweep(pg, 3)[1]
+    assert dfs
+    # pi((x,)) is no longer x: the length-1 check fails first
+    assert {v.axiom for v in report.violations[: -len(dfs)]} == {"length-1"}
+    assert report.violations[-len(dfs):] == dfs
     assert report.notes == [certified_note(0, 1)]
+
+
+def test_a_component_table_with_an_id_outside_it_is_refused():
+    G = generate_group([(1, 2, 0), (1, 0, 2)])
+    G.mult[1, 2] = -1
+    with pytest.raises(ValueError, match="product outside it"):
+        check_axioms(GroupPartialGroup(G), 3)
+
+
+def test_a_tampered_amalgam_side_is_swept_in_the_amalgams_ids(am20):
+    """The right side's violations, as the DFS finds them on its own group,
+    read back through from_right; the left side is still certified."""
+    spec = am20.spec
+    right = FiniteGroup(spec.right.mult.copy())
+    pg = AmalgamPartialGroup(AmalgamSpec(spec.left, right, spec.pairing))
+    a, b = 1, 2
+    assert right.mult[a, b] != right.mult[b, a]
+    right.mult[a, b], right.mult[b, a] = right.mult[b, a], right.mult[a, b]
+    report = check_axioms(pg, 3)
+    dfs = _dfs_axiom_sweep(GroupPartialGroup(right), 3)[1]
+    assert dfs
+    assert report.violations == [
+        AxiomViolation(v.axiom, tuple(pg.from_right[x] for x in v.word), v.detail) for v in dfs
+    ]
+    assert report.notes == [certified_note(1, 2)]

@@ -101,7 +101,7 @@ def test_pg_check_over_the_word_budget_exits_2_before_sweeping(monkeypatch, caps
     def no_sweep(*args):
         raise AssertionError("the sweep started")
 
-    for kernel in ("_table_axiom_sweep", "_dfs_axiom_sweep", "_vector_axiom_sweep"):
+    for kernel in ("_table_axiom_sweep", "_dfs_axiom_sweep"):
         monkeypatch.setattr(partial, kernel, no_sweep)
     assert cli.main(["pg-check", "--builtin", "LOC-S5", "--max-word-len", "6"]) == 2
     words = sum(56**k for k in range(1, 7))
@@ -125,19 +125,50 @@ def test_plocality_missing_product_entry_exits_2(tmp_path, capsys):
     assert err == [f"error: line {lineno}: product table has no entry for ({a},{b})"]
 
 
-def test_plocality_out_of_range_product_reads_as_missing(tmp_path, capsys):
-    path = _emit(tmp_path, capsys, "GRP-S4", "V4")
-    lines = path.read_text().splitlines()
-    lineno, line = next((i, l) for i, l in enumerate(lines, 1) if l.startswith("plocality"))
-    size = int(line.partition(" : size ")[2].split()[0])
-    head, _, prod = line.partition(" : prod ")
-    entry = prod.split(") (")[1]
-    a, b, _ = entry.split()
-    lines[lineno - 1] = head + " : prod " + prod.replace(f"({entry})", f"({a} {b} {size})", 1)
-    path.write_text("\n".join(lines) + "\n")
-    assert cli.main(["loc-check", "--model", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: line {lineno}: product table has no entry for ({a},{b})"]
+OUT_OF_RANGE = [
+    ("identity", "identity 0 :", "identity 9 :", 9),
+    ("inv", "inv 0 1 :", "inv 0 7 :", 7),
+    ("sylow", "sylow 0 1 :", "sylow 0 3 :", 3),
+    ("delta", "{ 0 1 }", "{ 0 4 }", 4),
+    ("conj", "(1 1 1)", "(1 1 8)", 8),
+    ("prod", "(1 1 0)", "(1 1 5)", 5),
+]
+
+
+@pytest.mark.parametrize("field, old, new, bad", OUT_OF_RANGE, ids=[c[0] for c in OUT_OF_RANGE])
+def test_plocality_out_of_range_id_exits_2(tmp_path, capsys, field, old, new, bad):
+    path = _emit(tmp_path, capsys, "GRP-S4", "A4")
+    text = path.read_text()
+    assert " : size 2 : " in text and text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    for command in ("pg-check", "loc-check", "normals"):
+        assert cli.main([command, "--model", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: line 2: {field} holds id {bad}, outside 0..1"]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_object_is_another_name_for_locality(command):
+    parser = cli.build_parser()
+    args = parser.parse_args([command, "--object", "A"])
+    assert args.locality == "A" and not hasattr(args, "object")
+    assert parser.parse_args([command, "--locality", "A", "--object", "B"]).locality == "B"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_flags_are_taken_only_by_the_commands_that_read_them(command, capsys):
+    parser = cli.build_parser()
+    for flag, readers in [
+        ("--max-word-len", {"pg-check", "loc-check", "quotient"}),
+        ("--seed", {"lemmas"}),
+    ]:
+        if command in readers:
+            parser.parse_args([command, flag, "3"])
+            continue
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args([command, flag, "3"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 class _ClosedPipe:

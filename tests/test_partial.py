@@ -8,6 +8,7 @@ from localities.partial import (
     AmalgamSpec,
     AmalgamSpecError,
     GroupPartialGroup,
+    PartialGroup,
     build_amalgam,
     check_axioms,
     classify_subset,
@@ -285,3 +286,13 @@ def test_walker_contract(request, name):
             assert decided.setdefault((state, x), in_dom) == in_dom, grown
             state = pg.walk_step(state, x)
             assert (state is not None) == in_dom, grown
+
+
+
+def test_the_base_class_brings_no_walker():
+    """Every backend walks its own domain; the base class has no walker."""
+    pg = PartialGroup()
+    with pytest.raises(NotImplementedError):
+        pg.walk_start()
+    with pytest.raises(NotImplementedError):
+        pg.walk_step((), 0)
