@@ -188,8 +188,29 @@ def _parse_locality(model: ModelFile, body: str, line: int) -> Locality:
     return locality_from_group(M, p, delta)
 
 
-_TRIPLE_RE = re.compile(r"\(\s*(\d+)\s+(\d+)\s+(\d+)\s*\)")
 _BRACE_RE = re.compile(r"\{([^}]*)\}")
+
+
+def _entries(section: str, text: str, pattern: re.Pattern, line: int) -> list[str]:
+    """The bodies of a section's bracketed entries; any text outside them
+    is an error."""
+    if pattern.sub(" ", text).strip():
+        raise ModelError(f"{section} holds text outside its entries", line)
+    return pattern.findall(text)
+
+
+def _triples(section: str, text: str, line: int) -> list[tuple[int, ...]]:
+    """The (a b c) entries of a conj or prod section."""
+    triples = []
+    for body in _entries(section, text, _CYCLE_RE, line):
+        try:
+            triple = tuple(int(t) for t in body.split())
+        except ValueError:
+            triple = ()
+        if len(triple) != 3:
+            raise ModelError(f"{section} entry ({body.strip()}) is not three integers", line)
+        triples.append(triple)
+    return triples
 
 
 def _parse_plocality(body: str, line: int) -> Locality:
@@ -210,14 +231,17 @@ def _parse_plocality(body: str, line: int) -> Locality:
         identity = int(sections["identity"])
         inv = tuple(int(t) for t in sections["inv"].split())
         sylow = tuple(sorted(int(t) for t in sections["sylow"].split()))
+        delta_lists = [
+            [int(t) for t in body.split()]
+            for body in _entries("delta", sections["delta"], _BRACE_RE, line)
+        ]
     except ValueError as exc:
         raise ModelError(f"bad plocality numbers: {exc}", line)
     if len(inv) != size:
         raise ModelError("inv length does not match size", line)
-    delta_lists = [[int(t) for t in body.split()] for body in _BRACE_RE.findall(sections["delta"])]
     delta_members = frozenset(frozenset(P) for P in delta_lists)
-    conj_triples = [tuple(map(int, t)) for t in _TRIPLE_RE.findall(sections["conj"])]
-    prod_triples = [tuple(map(int, t)) for t in _TRIPLE_RE.findall(sections["prod"])]
+    conj_triples = _triples("conj", sections["conj"], line)
+    prod_triples = _triples("prod", sections["prod"], line)
     for section, ids in [
         ("identity", [identity]),
         ("inv", inv),
@@ -234,10 +258,31 @@ def _parse_plocality(body: str, line: int) -> Locality:
     for a, b, v in prod_triples:
         raw[a][b] = v
 
-    s_pos = {s: i for i, s in enumerate(sylow)}
-
     def no_entry(a: int, b: int) -> ModelError:
         return ModelError(f"product table has no entry for ({a},{b})", line)
+
+    # Each conj entry must be s^g = (g^-1 s) g.  An entry means (g^-1, s, g)
+    # is a domain word, so both products must exist.
+    for s, g, v in conj_triples:
+        h = raw[inv[g]][s]
+        if h < 0:
+            raise no_entry(inv[g], s)
+        if (w := raw[h][g]) < 0:
+            raise no_entry(h, g)
+        if w != v:
+            raise ModelError(
+                f"conj entry ({s} {g} {v}) disagrees with prod, where (g^-1 s) g is {w}", line
+            )
+    s_set = set(sylow)
+    for s in sylow:
+        for g in range(size):
+            h = raw[inv[g]][s]
+            if (s, g) not in conj and h >= 0 and (w := raw[h][g]) in s_set:
+                raise ModelError(
+                    f"conj has no entry for ({s},{g}), whose conjugate {w} lies in sylow", line
+                )
+
+    s_pos = {s: i for i, s in enumerate(sylow)}
 
     def conj_step(g: int) -> tuple[int, ...]:
         out = []

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +19,8 @@ Word = tuple[int, ...]
 GENERIC_SWEEP_CAP = 500_000
 # The most words one check_axioms call sweeps (LOC-S5 at length 4: 10,013,304).
 AXIOM_SWEEP_CAP = 20_000_000
+# The most states one state_fixpoint search interns (LOC-S5's quotient checks: 80).
+STATE_FIXPOINT_CAP = 1_000_000
 
 
 class AmalgamSpecError(ValueError):
@@ -106,7 +108,10 @@ class PartialGroup:
     # sweep of check_locality: walk_step(state, x) is None exactly when
     # in_domain(word + (x,)) is false, where state is the state of word;
     # a state is hashable and decides every extension, so two words with
-    # equal states have the same domain status under every suffix.
+    # equal states have the same domain status under every suffix.  A
+    # walker reaches finitely many states from walk_start(): the quotient's
+    # word checks search them to a fixpoint (state_fixpoint), which ends
+    # only because they are finite.
 
     def walk_start(self):
         raise NotImplementedError
@@ -475,111 +480,59 @@ def closure_twins(pg: PartialGroup, base: Iterable[int], x: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# word levels
+# word-state fixpoints
 
 
-def walker_table(pg: PartialGroup, letters: Sequence[int], depth: int) -> np.ndarray:
-    """pg's prefix walker over letters as a dense table.
+def state_fixpoint(
+    start: Hashable, letters: Sequence[int], step: Callable[[Hashable, int], tuple]
+) -> tuple[int, list[Word]]:
+    """Every failing transition of a word check whose verdict is a state.
 
-    States are interned from pg.walk_start() (id 0) in the order a
-    breadth-first walk first reaches them.  Row i holds, at column j, the id
-    of pg.walk_step(state i, letters[j]), -1 where it is None; rows are
-    filled for the states of words shorter than depth and are -1 for the
-    others.  One more row of -1 ends the table, so the dead state -1 reads
-    it and stays dead.  This serves every backend alike: for a
-    LocalityPartialGroup the rows are those of its threading automaton.
+    A word over letters is read from start one letter at a time:
+    step(state, x) returns (next, bad), the state of the word extended by x
+    (None where the check does not extend it) and whether that extended
+    word fails.  When the states are finite, searching them breadth first
+    to a fixpoint decides the check on words of every length; this is the
+    product-automaton construction of Epstein et al., Word Processing in
+    Groups (1992).
+
+    States are interned in the order they are first reached, each with the
+    state and letter that reached it; letters are tried in the order given,
+    so that chain spells the least word of each state in shortlex order
+    (letters ranked as given).  Returns (number of states reached, one
+    failing word per failing transition: the least word of its state
+    followed by its letter).  The words come in shortlex order, the
+    shortest failing word first.  Interning more than STATE_FIXPOINT_CAP
+    states raises SweepBudgetExceeded.
     """
-    start = pg.walk_start()
-    ids = {start: 0}
+    seen = {start}
     states = [start]
-    rows: dict[int, list[int]] = {}
-    frontier = [0]
-    for _ in range(depth):
-        reached = []
-        for i in frontier:
-            row = rows[i] = []
-            for x in letters:
-                nxt = pg.walk_step(states[i], x)
-                if nxt is None:
-                    row.append(-1)
-                    continue
-                j = ids.get(nxt)
-                if j is None:
-                    j = ids[nxt] = len(states)
-                    states.append(nxt)
-                    reached.append(j)
-                row.append(j)
-        frontier = reached
-    table = np.full((len(states) + 1, len(letters)), -1, dtype=np.int32)
-    for i, row in rows.items():
-        table[i] = row
-    return table
+    reached_by = [(-1, -1)]  # (id of the state it was reached from, letter)
+    failing: list[tuple[int, int]] = []
+    for i, state in enumerate(states):  # states grows while it is read
+        for x in letters:
+            nxt, bad = step(state, x)
+            if bad:
+                failing.append((i, x))
+            if nxt is None or nxt in seen:
+                continue
+            if len(states) == STATE_FIXPOINT_CAP:
+                raise SweepBudgetExceeded(
+                    f"word-state search reached {len(states) + 1} states,"
+                    f" over the budget of {STATE_FIXPOINT_CAP}"
+                )
+            seen.add(nxt)
+            states.append(nxt)
+            reached_by.append((i, x))
 
+    def least_word(i: int) -> Word:
+        word = []
+        while i > 0:
+            i, x = reached_by[i]
+            word.append(x)
+        return tuple(reversed(word))
 
-# Each level of sweep_word_levels is grown in blocks of about this many words.
-_LEVEL_BLOCK = 4096
-# sweep_word_levels reports at most this many failing words.
-_WITNESS_LIMIT = 5
-
-
-# grow(k, parents' carried arrays, letters) -> (carried arrays, bad mask, keep mask)
-LevelGrow = Callable[
-    [int, list[np.ndarray], np.ndarray], tuple[Sequence[np.ndarray], np.ndarray, np.ndarray]
-]
-
-
-def sweep_word_levels(
-    n_letters: int, max_len: int, start: Sequence[int], grow: LevelGrow
-) -> list[Word]:
-    """The first _WITNESS_LIMIT failing words of a word sweep, in pre-order.
-
-    Words over the letters 0..n_letters-1 of length 1..max_len are grown
-    level by level, each carrying a tuple of ints (a walker state, a value,
-    a code ...); the empty word carries start.  Level k is the words of
-    level k-1 that grow kept, each extended by every letter, in
-    lexicographic order, handed to grow in blocks of about _LEVEL_BLOCK
-    words.  grow(k, carried, letters) gets the arrays of each word's
-    parent's carried values and its last letter, and returns (carried, bad,
-    keep): the words' own carried arrays, a mask of the words that fail and
-    a mask of those whose extensions form level k+1.  Only the kept words of
-    one level are held whole.
-
-    A depth-first sweep that records a failing word, extends only kept
-    words and stops once more than _WITNESS_LIMIT words have failed reports
-    the first _WITNESS_LIMIT failures in pre-order.  Those of one length are
-    the first ones of its level, so the first _WITNESS_LIMIT of each level
-    are kept and sorted (a tuple sorts before its extensions).  Returned
-    words are tuples of letter indices.
-    """
-    if not n_letters:
-        return []
-    limit = _WITNESS_LIMIT
-    rows = max(1, _LEVEL_BLOCK // n_letters)
-    carried = [np.array([s], dtype=np.int64) for s in start]
-    codes = np.zeros(1, dtype=np.int64)
-    found: list[Word] = []
-    for k in range(1, max_len + 1):
-        level_bad: list[int] = []
-        kept: list[tuple[list[np.ndarray], np.ndarray]] = []
-        for lo in range(0, codes.size, rows):
-            parents = [np.repeat(a[lo:lo + rows], n_letters) for a in carried]
-            block_codes = np.repeat(codes[lo:lo + rows], n_letters)
-            letters = np.tile(np.arange(n_letters), block_codes.size // n_letters)
-            block_codes = block_codes * n_letters + letters
-            block, bad, keep = grow(k, parents, letters)
-            if len(level_bad) < limit:
-                level_bad += block_codes[bad][: limit - len(level_bad)].tolist()
-            if k < max_len:
-                kept.append(([a[keep] for a in block], block_codes[keep]))
-        shape = (n_letters,) * k
-        found += [tuple(int(d) for d in np.unravel_index(c, shape)) for c in level_bad]
-        if k == max_len:
-            break
-        carried = [np.concatenate(parts) for parts in zip(*(a for a, _ in kept))]
-        codes = np.concatenate([c for _, c in kept])
-        if not codes.size:
-            break
-    return sorted(found)[:limit]
+    return len(states), [least_word(i) + (x,) for i, x in failing]
 
 
 @dataclass

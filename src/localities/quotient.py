@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import SizeCapExceeded, _sorted_distinct
+from .groups import SizeCapExceeded
 from .locality import DeltaFamily, Locality, check_locality
 from .normal import enumerate_partial_normals, is_partial_normal
 from .partial import (
@@ -24,16 +24,13 @@ from .partial import (
     Word,
     closure_twins,
     partial_subgroup_closure,
+    state_fixpoint,
     subset_product,
-    sweep_word_levels,
     total_group_component,
-    walker_table,
 )
 from .report import VerificationReport
 
 LEMMA_CAP = 200
-# build_quotient checks the product homomorphism on domain words up to this length.
-HOM_LEN = 3
 # verify_quotient_lemmas checks images of intersections on this many sampled subsets.
 LEMMA_SAMPLES = 100
 
@@ -354,8 +351,10 @@ class QuotientPartialGroup(PartialGroup):
     """Cosets of a kernel, multiplied through relatively-maximal representatives.
 
     A coset word is in the domain exactly when its representative word is in
-    the base domain; this is well defined because products of maximal
-    representatives descend, a fact the bundle verifies exhaustively.
+    the base domain, and its product is rho of the representative word's
+    product.  This is well defined because products of maximal
+    representatives descend: build_quotient checks that rho is a
+    homomorphism onto it on base domain words of every length.
     """
 
     def __init__(self, base: PartialGroup, part: CosetPartition, p: int | None):
@@ -368,7 +367,6 @@ class QuotientPartialGroup(PartialGroup):
         self._inv = tuple(part.coset_of[base.inverse(r)] for r in self.reps)
         self.labels = tuple("[" + base.labels[r] + "]" for r in self.reps)
         self.p = p
-        self._word_products: dict[int, np.ndarray] = {}
 
     def rep_word(self, word: Word) -> Word:
         return tuple(self.reps[c] for c in word)
@@ -381,25 +379,6 @@ class QuotientPartialGroup(PartialGroup):
 
     def _raw_product(self, word: Word) -> int:
         return self.rho[self.base._raw_product(self.rep_word(word))]
-
-    def word_products(self, k: int, codes: np.ndarray) -> np.ndarray:
-        """pi of the coset words of length k with these codes (the letters
-        as digits in base size): -1 off the domain, else the value.
-
-        Each word is asked of pi once and its answer kept on the instance,
-        in one array per length over all size**k codes (-2 not asked yet).
-        """
-        q = self.size
-        got = self._word_products.get(k)
-        if got is None:
-            got = self._word_products[k] = np.full(q**k, -2, dtype=np.int32)
-        new = codes[got[codes] == -2]
-        if new.size:
-            places = [q**i for i in reversed(range(k))]
-            for c in _sorted_distinct(new).tolist():
-                v = self.pi(tuple(c // place % q for place in places))
-                got[c] = -1 if v is None else v
-        return got[codes]
 
     def walk_start(self):
         return self.base.walk_start()
@@ -443,19 +422,54 @@ class QuotientBundle:
         return frozenset(x for x in self.base.elements() if self.rho[x] in wanted)
 
 
+def _coset_word_reads(pg: PartialGroup, qpg: QuotientPartialGroup):
+    """What the word checks of a quotient read: pg.product_table() with a
+    last row and column of -1 (so a missing value, -1, stays missing), rho
+    with -1 appended (a missing value has no coset), and the representative
+    of each base element's coset."""
+    rep = [qpg.reps[c] for c in qpg.rho]
+    return _padded_products(pg).tolist(), qpg.rho + (-1,), rep
+
+
+def _homomorphism_failures(
+    pg: PartialGroup, qpg: QuotientPartialGroup
+) -> tuple[int, list[Word]]:
+    """(states, words): the base domain words v, of every length, whose coset
+    word bar(v) is off the quotient domain or has pi(bar(v)) != rho(pi(v)),
+    one per failing transition of state_fixpoint.
+
+    The state of v is (walker state of v, pi(v), walker state of its
+    representative word, pi of that word), with values read from
+    pg.product_table().  pi(bar(v)) is rho of the last entry, as
+    QuotientPartialGroup._raw_product defines it.  A failing word is not
+    extended.
+    """
+    table, rho, rep = _coset_word_reads(pg, qpg)
+
+    def step(state, f):
+        base, v, bar, r = state
+        base = pg.walk_step(base, f)
+        if base is None:
+            return None, False
+        bar = pg.walk_step(bar, rep[f])
+        v, r = table[v][f], table[r][rep[f]]
+        if bar is None or r < 0 or rho[v] != rho[r]:
+            return None, True
+        return (base, v, bar, r), False
+
+    s, e = pg.walk_start(), pg.identity
+    return state_fixpoint((s, e, s, e), pg.elements(), step)
+
+
 def build_quotient(loc: Locality, K: Iterable[int], check_len: int = 3) -> QuotientBundle:
     """Form the quotient locality by K and verify it end to end.
 
     Verified here: the coset partition, pi-homomorphism of the quotient map
-    on all domain words up to HOM_LEN, the kernel identity, inversion
+    on the domain words of every length, the kernel identity, inversion
     compatibility, and the locality axioms of the quotient up to check_len.
 
-    The homomorphism sweep runs on dense tables (sweep_word_levels): base
-    walker rows from walker_table, values from product_table() rows and
-    the coset word's code carried along.  The quotient's product comes from
-    qpg.pi alone, through qpg.word_products, so once per coset word.  The
-    witnesses are the first mismatches in pre-order, as a depth-first sweep
-    that stops extending a mismatching word finds them.
+    The homomorphism check is a state_fixpoint search (_homomorphism_failures),
+    so its witnesses come in shortlex order, the shortest first.
     """
     K = frozenset(K)
     part = coset_partition(loc, K)
@@ -488,32 +502,12 @@ def build_quotient(loc: Locality, K: Iterable[int], check_len: int = 3) -> Quoti
     bad = [c for c in range(qpg.size) if qpg.inverse(qpg.inverse(c)) != c]
     report.record("quotient-inversion-involutory", not bad, bad[:5])
 
-    # Every base domain word up to HOM_LEN, grown level by level: a word
-    # carries its walker state, its value and the code of its coset word,
-    # and one that fails is not extended.  -1 never equals rho of a value,
-    # so a coset word off the quotient domain fails too.
-    pg = loc.pg
-    trans = walker_table(pg, pg.elements(), HOM_LEN)
-    table = _padded_products(pg)
-    rho_of = np.array(rho + (-3,))  # a missing value, -1, reads -3
-
-    def grow(k, carried, letters):
-        state, value, bar = carried
-        state = trans[state, letters]
-        live = state >= 0
-        value = letters if k == 1 else table[value, letters]
-        bar = bar * qpg.size + rho_of[letters]
-        got = np.full(letters.size, -1)
-        got[live] = qpg.word_products(k, bar[live])
-        bad = live & (got != rho_of[value])
-        return (state, value, bar), bad, live & ~bad
-
-    mism = sweep_word_levels(pg.size, HOM_LEN, (0, -1, 0), grow)
+    states, mism = _homomorphism_failures(loc.pg, qpg)
     report.record(
         "product-homomorphism",
         not mism,
         mism[:5],
-        f"bar(pi(v)) = pi(bar(v)) on all domain words up to length {HOM_LEN}",
+        f"bar(pi(v)) = pi(bar(v)) on all domain words ({states} states)",
     )
 
     loc_report = check_locality(quotient, max_len=check_len)
@@ -583,43 +577,33 @@ def _partial_normals_cached(loc: Locality) -> list[frozenset[int]]:
 
 
 def _descent_failures(
-    pg: PartialGroup,
-    qpg: QuotientPartialGroup,
-    rho: tuple[int, ...],
-    letters: list[int],
-) -> list[Word]:
-    """The first five words w over letters, up to length 3, in pre-order,
-    whose coset word bar(w) is in the quotient domain while w is off the
-    base domain or rho(pi(w)) != pi(bar(w)).
+    pg: PartialGroup, qpg: QuotientPartialGroup, letters: list[int]
+) -> tuple[int, list[Word]]:
+    """(states, words): the words w over letters, of every length, whose
+    coset word bar(w) is in the quotient domain while w is off the base
+    domain or rho(pi(w)) != pi(bar(w)), one per failing transition of
+    state_fixpoint.
 
-    Grown level by level (sweep_word_levels): a word carries its base and
-    quotient walker states, its value and the code of bar(w); the quotient
-    product comes from qpg.pi alone, through qpg.word_products, which
-    keeps the answers build_quotient's sweep asked.  A word off the
-    quotient domain is not extended, since none of its extensions is in it;
-    one off the base domain is, with the dead base state -1.
+    States are those of _homomorphism_failures, except that a word off the
+    base domain carries the dead base state None and the missing value -1
+    and is still extended; a word off the quotient domain is not, since
+    none of its extensions is in it.
     """
-    base_trans = walker_table(pg, letters, 3)
-    bar_trans = walker_table(qpg, [rho[f] for f in letters], 3)
-    table = _padded_products(pg)
-    rho_of = np.array(rho + (-3,))  # a missing value, -1, reads -3
-    letter_of = np.array(letters)
+    table, rho, rep = _coset_word_reads(pg, qpg)
 
-    def grow(k, carried, idx):
-        state, bar_state, value, bar = carried
-        state = base_trans[state, idx]
-        bar_state = bar_trans[bar_state, idx]
-        in_q = bar_state >= 0
-        f = letter_of[idx]
-        value = f if k == 1 else table[value, f]
-        bar = bar * qpg.size + rho_of[f]
-        got = np.full(f.size, -1)
-        got[in_q] = qpg.word_products(k, bar[in_q])
-        bad = in_q & ((state < 0) | (rho_of[value] != got))
-        return (state, bar_state, value, bar), bad, in_q
+    def step(state, f):
+        base, v, bar, r = state
+        bar = pg.walk_step(bar, rep[f])
+        if bar is None:
+            return None, False
+        if base is not None:
+            base = pg.walk_step(base, f)
+        v = -1 if base is None else table[v][f]
+        r = table[r][rep[f]]
+        return (base, v, bar, r), base is None or r < 0 or rho[v] != rho[r]
 
-    found = sweep_word_levels(len(letters), 3, (0, 0, -1, 0), grow)
-    return [tuple(letters[i] for i in w) for w in found]
+    s, e = pg.walk_start(), pg.identity
+    return state_fixpoint((s, e, s, e), letters, step)
 
 
 def verify_quotient_lemmas(
@@ -685,9 +669,10 @@ def verify_quotient_lemmas(
     report.record("equal-image-lands-in-coset", not bad, bad[:5])
 
     # 5: words of maximal representatives descend from the quotient domain
-    bad = _descent_failures(pg, qpg, rho, max_elements)
+    states, bad = _descent_failures(pg, qpg, max_elements)
     report.record("max-word-descent", not bad, bad[:5],
-                  "quotient-domain words of maximal reps are domain words below")
+                  "quotient-domain words of maximal reps are domain words below,"
+                  f" on all domain words ({states} states)")
 
     # 6/7: partial subgroups above K correspond to quotient partial subgroups
     if len(K) == 1:

@@ -147,6 +147,41 @@ def test_plocality_out_of_range_id_exits_2(tmp_path, capsys, field, old, new, ba
         assert err == [f"error: line 2: {field} holds id {bad}, outside 0..1"]
 
 
+MALFORMED = [
+    ("conj-pair", "(1 1 1)", "(1 1)", "conj entry (1 1) is not three integers"),
+    ("conj-stray-text", "(1 1 1)", "(1 1 1) x", "conj holds text outside its entries"),
+    ("prod-negative", "(1 1 0)", "(1 1 -1)", "prod holds id -1, outside 0..1"),
+    ("delta-word", "{ 0 1 }", "{ 0 x }",
+     "bad plocality numbers: invalid literal for int() with base 10: 'x'"),
+    ("conj-against-prod", "(1 1 1)", "(1 1 0)",
+     "conj entry (1 1 0) disagrees with prod, where (g^-1 s) g is 1"),
+    ("conj-missing", " (1 1 1)", "",
+     "conj has no entry for (1,1), whose conjugate 1 lies in sylow"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_plocality_malformed_entry_exits_2_naming_its_line(tmp_path, capsys, old, new, message):
+    path = _emit(tmp_path, capsys, "GRP-S4", "A4")
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert cli.main(["loc-check", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: line 2: {message}"]
+
+
+def test_quotient_over_the_state_budget_exits_2(monkeypatch, capsys):
+    """The homomorphism check of GRP-S4 / V4 reaches 32 states."""
+    monkeypatch.setattr(partial, "STATE_FIXPOINT_CAP", 31)
+    assert cli.main(["quotient", "--builtin", "GRP-S4", "--kernel", "V4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: word-state search reached 32 states, over the budget of 31"
+    ]
+
+
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_object_is_another_name_for_locality(command):
     parser = cli.build_parser()
@@ -228,10 +263,14 @@ def test_timings_stamp_every_check(capsys, argv):
 
 
 # BAD3: a total-domain candidate whose table has identity 0 and every element
-# its own inverse, but 1*2 = 2 and 2*1 = 1, so it is not associative.
+# its own inverse, but 1*2 = 2 and 2*1 = 1, so it is not associative.  Its
+# conj entries are s^g = (g s) g, read from the same table.
+BAD3_MUL = [[0, 1, 2], [1, 0, 2], [2, 1, 0]]
 BAD3 = (
     "plocality BAD3 = p 2 : size 3 : identity 0 : inv 0 1 2 : sylow 0 1 2 : delta { 0 1 2 }"
-    " : conj " + " ".join(f"({s} {g} {s})" for s in range(3) for g in range(3))
+    " : conj " + " ".join(
+        f"({s} {g} {BAD3_MUL[BAD3_MUL[g][s]][g]})" for s in range(3) for g in range(3)
+    )
     + " : prod (0 0 0) (0 1 1) (0 2 2) (1 0 1) (1 1 0) (1 2 2) (2 0 2) (2 1 1) (2 2 0)\n"
 )
 

@@ -1,20 +1,23 @@
-"""The product-homomorphism sweep of build_quotient against the per-word sweep.
+"""The product-homomorphism check of build_quotient against the per-word sweep.
 
-The reference is the sweep build_quotient ran before it kept one answer per
-coset word: every base domain word up to hom_len asks qpg.pi of its coset
-word, in the same order and under the same cap.
+build_quotient decides the check on base domain words of every length by a
+state_fixpoint search.  The reference asks qpg.pi of the coset word of
+every base domain word up to length 3, one word at a time.  Both must give
+the same verdict, and every word the fixpoint reports must fail the
+per-word predicate.
 """
 
 import pytest
 
-from localities import partial, quotient
+from localities import quotient
 from localities.quotient import (
     QuotientConstructionError,
     QuotientPartialGroup,
+    _homomorphism_failures,
+    _partial_normals_cached,
     build_quotient,
     coset_partition,
 )
-from localities.report import VerificationReport
 
 
 def per_word_hom_sweep(loc, qpg, rho, hom_len=3):
@@ -39,6 +42,14 @@ def per_word_hom_sweep(loc, qpg, rho, hom_len=3):
     return mism
 
 
+def fails_per_word(loc, qpg, word):
+    """The reference's predicate: word is a base domain word whose coset
+    word is off the quotient domain or has the wrong product."""
+    return loc.pg.in_domain(word) and qpg.pi(tuple(qpg.rho[x] for x in word)) != qpg.rho[
+        loc.pg.pi(word)
+    ]
+
+
 def _hom_record(loc, K):
     try:
         report = build_quotient(loc, K).report
@@ -50,12 +61,14 @@ def _hom_record(loc, K):
 def _assert_matches_reference(loc, K):
     rec = _hom_record(loc, K)
     part = coset_partition(loc, K)
-    mism = per_word_hom_sweep(loc, QuotientPartialGroup(loc.pg, part, loc.p), part.coset_of)
+    qpg = QuotientPartialGroup(loc.pg, part, loc.p)
+    mism = per_word_hom_sweep(loc, qpg, part.coset_of)
     assert rec.status == ("pass" if not mism else "fail")
-    assert rec.witnesses == mism[:5]
+    assert all(fails_per_word(loc, qpg, w) for w in rec.witnesses)
     return rec
 
 
+# every partial normal subgroup of the three localities, by fixture name
 CASES = [
     ("s5f", "N5"),
     ("s5f", "N20"),
@@ -63,7 +76,26 @@ CASES = [
     ("c2s4f", "A4"),
     ("c2s4f", "S4twist"),
     ("s4f", "1"),
+    ("s4f", "V4"),
+    ("s4f", "A4"),
+    ("s4f", "L"),
+    ("c2s4f", "1"),
+    ("c2s4f", "C2"),
+    ("c2s4f", "C2xV4"),
+    ("c2s4f", "S4"),
+    ("c2s4f", "C2xA4"),
+    ("c2s4f", "L"),
+    ("s5f", "1"),
+    ("s5f", "N28"),
+    ("s5f", "L"),
 ]
+
+
+@pytest.mark.parametrize("fixture", ["s4f", "c2s4f", "s5f"])
+def test_cases_name_every_partial_normal_subgroup(request, fixture):
+    fix = request.getfixturevalue(fixture)
+    named = {fix.subsets[k] for name, k in CASES if name == fixture}
+    assert named == set(_partial_normals_cached(fix.loc))
 
 
 @pytest.mark.parametrize("fixture,kernel", CASES)
@@ -71,6 +103,7 @@ def test_sweep_matches_per_word_reference(request, fixture, kernel):
     fix = request.getfixturevalue(fixture)
     rec = _assert_matches_reference(fix.loc, fix.subsets[kernel])
     assert rec.status == "pass"
+    assert rec.detail.startswith("bar(pi(v)) = pi(bar(v)) on all domain words (")
 
 
 def test_sweep_matches_per_word_reference_on_a_quotient_base(s5f):
@@ -78,46 +111,45 @@ def test_sweep_matches_per_word_reference_on_a_quotient_base(s5f):
     its walker states are those of the LOC-S5 automaton it delegates to."""
     base = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
     assert isinstance(base.pg, QuotientPartialGroup)
-    rec = _assert_matches_reference(base, frozenset({base.identity}))
-    assert rec.status == "pass"
+    for K in _partial_normals_cached(base):
+        rec = _assert_matches_reference(base, K)
+        assert rec.status == "pass"
 
 
-@pytest.mark.parametrize("block", [1, 50], ids=["block-1", "block-50"])
-def test_sweep_finds_a_corrupted_coset_product_at_small_block_sizes(s4f, monkeypatch, block):
-    monkeypatch.setattr(partial, "_LEVEL_BLOCK", block)
-    test_sweep_finds_a_corrupted_coset_product(s4f, monkeypatch)
-
-
-def test_sweep_finds_a_corrupted_coset_product(s4f, monkeypatch):
-    loc, K = s4f.loc, s4f.subsets["V4"]
-    bad_word = (1, 2)
-    honest = QuotientPartialGroup._raw_product
-
-    def corrupted(self, word):
-        v = honest(self, word)
-        return (v + 1) % self.size if word == bad_word else v
-
-    monkeypatch.setattr(QuotientPartialGroup, "_raw_product", corrupted)
+def _mutated(loc, K, coset, rep):
+    """The quotient by K with the representative of one coset replaced."""
     qpg = QuotientPartialGroup(loc.pg, coset_partition(loc, K), loc.p)
-    assert qpg.in_domain(bad_word)
-    rec = _assert_matches_reference(loc, K)
+    qpg.reps = qpg.reps[:coset] + (rep,) + qpg.reps[coset + 1:]
+    return qpg
+
+
+def test_sweep_finds_a_corrupted_coset_product(s5f, monkeypatch):
+    """LOC-S5 / N5 with the identity coset represented by 26, another member
+    of N5: both sweeps read the representatives, and both fail."""
+    loc, K = s5f.loc, s5f.subsets["N5"]
+    assert 26 in K
+    qpg = _mutated(loc, K, 0, 26)
+    states, words = _homomorphism_failures(loc.pg, qpg)
+    assert (states, len(words)) == (416, 1344)
+    assert words == sorted(words, key=lambda w: (len(w), w))
+    assert all(fails_per_word(loc, qpg, w) for w in words)
+    assert per_word_hom_sweep(loc, qpg, qpg.rho)
+
+    class Mutated(QuotientPartialGroup):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.reps = qpg.reps
+
+    monkeypatch.setattr(quotient, "QuotientPartialGroup", Mutated)
+    rec = _hom_record(loc, K)
     assert rec.status == "fail"
-    assert all(tuple(qpg.rho[x] for x in w) == bad_word for w in rec.witnesses)
+    assert rec.witnesses == words[:5]
 
 
-@pytest.mark.parametrize("fixture,kernel", CASES)
-def test_pi_is_asked_once_per_coset_word(request, monkeypatch, fixture, kernel):
-    fix = request.getfixturevalue(fixture)
-    calls = 0
-    pi = QuotientPartialGroup.pi
-
-    def counted(self, word):
-        nonlocal calls
-        calls += 1
-        return pi(self, word)
-
-    monkeypatch.setattr(QuotientPartialGroup, "pi", counted)
-    # the quotient's own locality check asks pi too; only the sweep is counted
-    monkeypatch.setattr(quotient, "check_locality", lambda loc, max_len: VerificationReport("stub"))
-    q = build_quotient(fix.loc, fix.subsets[kernel]).quotient.size
-    assert 0 < calls <= q + q**2 + q**3
+@pytest.mark.parametrize("kernel,rep", [("N20", 7), ("N28", 3)])
+def test_another_identity_representative_in_the_kernel_passes_both_sweeps(s5f, kernel, rep):
+    loc, K = s5f.loc, s5f.subsets[kernel]
+    assert rep in K
+    qpg = _mutated(loc, K, 0, rep)
+    assert _homomorphism_failures(loc.pg, qpg)[1] == []
+    assert per_word_hom_sweep(loc, qpg, qpg.rho) == []

@@ -2,19 +2,20 @@
 
 - up_maximal_flags against is_up_maximal, element by element, and against
   the naive relation of tests/oracle.py;
-- the max-word-descent level sweep against the recursive word sweep the
-  lemma suite ran before;
-- sweep_word_levels against a depth-first sweep, at several block sizes;
+- the max-word-descent check, a state_fixpoint search over words of every
+  length, against the recursive word sweep up to length 3 the lemma suite
+  ran before;
+- state_fixpoint against a sweep bounded at length 3, on a defect that
+  first shows at length 4;
 - partial_subgroups_containing against the enumeration that closed
   current | {x} from scratch for every x outside current.
 """
 
-import numpy as np
 import pytest
 
-from localities import partial, quotient
+from localities import quotient
 from localities.groups import SizeCapExceeded
-from localities.partial import partial_subgroup_closure, sweep_word_levels
+from localities.partial import partial_subgroup_closure, state_fixpoint
 from localities.quotient import (
     QuotientPartialGroup,
     _descent_failures,
@@ -91,83 +92,93 @@ def recursive_descent(pg, qpg, rho, max_elements):
     return bad[:5]
 
 
+def fails_descent(pg, qpg, word):
+    """The recursive sweep's predicate: bar(word) is in the quotient domain
+    while word is off the base domain or has another image."""
+    bar = tuple(qpg.rho[f] for f in word)
+    return qpg.in_domain(bar) and (
+        not pg.in_domain(word) or qpg.rho[pg.pi(word)] != qpg.pi(bar)
+    )
+
+
 @pytest.mark.parametrize("fixture,index", KERNELS, ids=KERNEL_IDS)
 def test_descent_sweep_matches_the_recursive_sweep(request, fixture, index):
     loc, K = _kernel(request, fixture, index)
     bundle = build_quotient(loc, K)
     qpg = bundle.quotient.pg
     max_elements = [f for f in loc.elements() if coset_partition(loc, K).up_max[f]]
-    got = _descent_failures(loc.pg, qpg, bundle.rho, max_elements)
+    _, got = _descent_failures(loc.pg, qpg, max_elements)
     assert got == recursive_descent(loc.pg, qpg, bundle.rho, max_elements) == []
 
 
-@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "block-default"])
-def test_descent_sweep_finds_a_corrupted_coset_product(s4f, monkeypatch, block):
-    """Sixteen words over the maximal elements map to the corrupted coset
-    word (1, 2); both sweeps report the same first five."""
-    if block is not None:
-        monkeypatch.setattr(partial, "_LEVEL_BLOCK", block)
+def test_descent_sweep_matches_the_recursive_sweep_on_a_quotient_base(s5f):
+    base = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
+    for K in _partial_normals_cached(base):
+        qpg = build_quotient(base, K).quotient.pg
+        max_elements = [f for f in base.elements() if coset_partition(base, K).up_max[f]]
+        _, got = _descent_failures(base.pg, qpg, max_elements)
+        assert got == recursive_descent(base.pg, qpg, qpg.rho, max_elements) == []
+
+
+def test_descent_sweep_finds_a_corrupted_coset_product(s4f):
+    """GRP-S4 / V4 with coset 1 represented by the identity, outside it:
+    both sweeps read the representatives, and both fail."""
     loc, K = s4f.loc, s4f.subsets["V4"]
-    honest = QuotientPartialGroup._raw_product
-
-    def corrupted(self, word):
-        v = honest(self, word)
-        return (v + 1) % self.size if word == (1, 2) else v
-
-    monkeypatch.setattr(QuotientPartialGroup, "_raw_product", corrupted)
     part = coset_partition(loc, K)
     qpg = QuotientPartialGroup(loc.pg, part, loc.p)
+    assert qpg.rho[loc.identity] != 1
+    qpg.reps = (qpg.reps[0], loc.identity) + qpg.reps[2:]
     max_elements = [f for f in loc.elements() if part.up_max[f]]
-    got = _descent_failures(loc.pg, qpg, part.coset_of, max_elements)
-    assert len(got) == 5
-    assert all(tuple(part.coset_of[x] for x in w) == (1, 2) for w in got)
-    assert got == recursive_descent(loc.pg, QuotientPartialGroup(loc.pg, part, loc.p),
-                                    part.coset_of, max_elements)
+    states, got = _descent_failures(loc.pg, qpg, max_elements)
+    assert (states, len(got)) == (152, 2976)
+    assert got[0] == (1,)
+    assert got == sorted(got, key=lambda w: (len(w), w))
+    assert all(fails_descent(loc.pg, qpg, w) for w in got)
+    assert recursive_descent(loc.pg, qpg, qpg.rho, max_elements)
 
 
-def dfs_levels(n, max_len, is_bad, extends, limit=5):
+def bounded_sweep(start, letters, step, max_len):
+    """The failing words up to max_len, depth first, from the same step."""
     bad = []
 
-    def rec(word):
-        if len(bad) > limit or len(word) >= max_len:
-            return
-        for x in range(n):
-            w = word + (x,)
-            if is_bad(w):
-                bad.append(w)
-            if extends(w):
-                rec(w)
+    def rec(state, word):
+        for x in letters:
+            nxt, fails = step(state, x)
+            if fails:
+                bad.append(word + (x,))
+            if nxt is not None and len(word) + 1 < max_len:
+                rec(nxt, word + (x,))
 
-    rec(())
-    return bad[:limit]
+    rec(start, ())
+    return bad
 
 
-@pytest.mark.parametrize("block", [1, 5, 64, None])
-@pytest.mark.parametrize("rule", ["fail-stops", "fail-extends"])
-def test_level_sweep_reports_what_the_depth_first_sweep_reports(monkeypatch, block, rule):
-    """Words over 6 letters carrying their letter sum; a word fails when
-    the sum is 11 mod 13, and either stops there or is extended too."""
-    if block is not None:
-        monkeypatch.setattr(partial, "_LEVEL_BLOCK", block)
+def count_twos(count, x):
+    """Words over 0, 1, 2 carry their number of 2s mod 5; a fourth 2 fails."""
+    count = (count + (x == 2)) % 5
+    return count, x == 2 and count == 4
 
-    def is_bad(w):
-        return sum(w) % 13 == 11
 
-    def extends(w):
-        return rule == "fail-extends" or not is_bad(w)
+def test_a_defect_first_shown_at_length_4_fails_only_the_fixpoint():
+    assert bounded_sweep(0, range(3), count_twos, 3) == []
+    assert state_fixpoint(0, range(3), count_twos) == (5, [(2, 2, 2, 2)])
+    assert bounded_sweep(0, range(3), count_twos, 4) == [(2, 2, 2, 2)]
 
-    def grow(k, carried, letters):
-        (total,) = carried
-        total = total + letters
-        bad = total % 13 == 11
-        keep = ~bad if rule == "fail-stops" else np.ones_like(bad)
-        return (total,), bad, keep
 
-    for limit in (1, 5, 50):
-        monkeypatch.setattr(partial, "_WITNESS_LIMIT", limit)
-        got = sweep_word_levels(6, 4, (0,), grow)
-        assert got == dfs_levels(6, 4, is_bad, extends, limit=limit)
-        assert got
+def test_fixpoint_words_are_the_least_word_of_each_failing_transition():
+    """Words over 0, 1 carry their letter sum mod 3; a word ending in 1 at
+    sum 0 fails and is not extended."""
+
+    def step(total, x):
+        total = (total + x) % 3
+        return (None, True) if x == 1 and total == 0 else (total, False)
+
+    states, words = state_fixpoint(0, (0, 1), step)
+    assert states == 3
+    # sum 2 is first reached by (1, 1); from it, 1 fails
+    assert words == [(1, 1, 1)]
+    assert set(bounded_sweep(0, (0, 1), step, 4)) == {(1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                                                     (1, 1, 0, 1)}
 
 
 def enumerate_by_full_closures(pg, seed, cap=20_000):
