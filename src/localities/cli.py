@@ -212,7 +212,8 @@ def cmd_product(args, catalog: Catalog) -> VerificationReport:
     else:
         cert = product_theorem2(loc, factors)
     # recorded first, so its time is that of the certificate
-    rep.record("product-order", True, [], f"product has {len(cert.product)} elements")
+    rep.record("product-order", True, [],
+               f"product has {len(cert.product)} elements ({cert.word_states} word states)")
     if len(factors) == 2:
         rep.record("product-commutes", bool(cert.flags.commutes), [],
                    "the two factor orders give the same set")

@@ -214,14 +214,18 @@ def _triples(section: str, text: str, line: int) -> list[tuple[int, ...]]:
 
 
 def _parse_plocality(body: str, line: int) -> Locality:
+    needed = {"p", "size", "identity", "inv", "sylow", "delta", "conj", "prod"}
     sections: dict[str, str] = {}
     for chunk in body.split(" : "):
         chunk = chunk.strip()
         if not chunk:
             continue
         key, _, rest = chunk.partition(" ")
+        if key not in needed:
+            raise ModelError(f"plocality has unknown section {key!r}", line)
+        if key in sections:
+            raise ModelError(f"plocality repeats section {key!r}", line)
         sections[key] = rest.strip()
-    needed = {"p", "size", "identity", "inv", "sylow", "delta", "conj", "prod"}
     missing = needed - set(sections)
     if missing:
         raise ModelError(f"plocality missing sections: {sorted(missing)}", line)

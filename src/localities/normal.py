@@ -1,8 +1,9 @@
 """Partial normal subgroups, their enumeration, and the product theorems.
 
-The product of conjugation-closed partial subgroups is computed by direct
-word enumeration and certified: the engine records set equalities, witness
-words, and normality checks as data instead of assuming any theorem.
+The product of conjugation-closed partial subgroups is computed over every
+domain word across the factors and certified: the engine records set
+equalities, witness words, and normality checks as data instead of assuming
+any theorem.
 """
 
 from __future__ import annotations
@@ -197,6 +198,7 @@ class ProductCertificate:
     product: frozenset[int]
     witnesses: dict[int, Word]
     witness_counts: dict[int, int]
+    word_states: int  # (automaton state, value) keys the product scan visited
     flags: CertFlags
     normality_witness: tuple | None = None
 
@@ -216,44 +218,47 @@ class ProductCertificate:
 
 def _scan_product(
     loc: Locality, factors: Sequence[frozenset[int]]
-) -> tuple[frozenset[int], dict[int, Word], dict[int, int]]:
-    """Enumerate all domain words across the factors.
+) -> tuple[frozenset[int], dict[int, Word], dict[int, int], int]:
+    """The product over all domain words x1..xl (xi in factor i), folded
+    left to right with mul2 and merged by (automaton state, value) after
+    each factor, as in subset_product.
 
-    Collects the product set, the first witness word per product value whose
-    threading subgroup equals that of the value, and a count of all such
-    witnesses.  Bare product sets come from subset_product.
+    Returns the product, the lexicographically least word of each value v
+    whose threading subgroup is that of v, the number of such words, and
+    the number of keys visited.  A key keeps the first word that reaches
+    it, its least word, since keys are extended in the order they were
+    reached and letters in sorted order; it counts the words that reach it.
     """
     pg = loc.pg
-    lists = [sorted(f) for f in factors]
-    out: set[int] = set()
+    auto = loc.automaton
+    frontier: dict[tuple, list] = {(0, None): [(), 1]}  # key -> [least word, words]
+    visited = 0
+    for xs in [sorted(f) for f in factors]:
+        grown: dict[tuple, list] = {}
+        for (sid, value), (word, mult) in frontier.items():
+            for x in xs:
+                nid = auto.step(sid, x)
+                if not auto.in_delta[nid]:
+                    continue
+                key = (nid, x if value is None else pg.mul2(value, x))
+                entry = grown.get(key)
+                if entry is None:
+                    grown[key] = [word + (x,), mult]
+                else:
+                    entry[1] += mult
+        visited += len(grown)
+        frontier = grown
     witnesses: dict[int, Word] = {}
     counts: dict[int, int] = {}
     s_of: dict[int, frozenset[int]] = {}
-    auto = loc.automaton
-    last = len(lists) - 1
-
-    def rec(i: int, sid: int, value, word: Word) -> None:
-        for x in lists[i]:
-            nid = auto.step(sid, x)
-            if not auto.in_delta[nid]:
-                continue
-            v = x if value is None else pg.mul2(value, x)
-            w = word + (x,)
-            if i == last:
-                out.add(v)
-                target = s_of.get(v)
-                if target is None:
-                    target = loc.thread_subgroup((v,))
-                    s_of[v] = target
-                if auto.start_sets[nid] == target:
-                    counts[v] = counts.get(v, 0) + 1
-                    if v not in witnesses:
-                        witnesses[v] = w
-            else:
-                rec(i + 1, nid, v, w)
-
-    rec(0, 0, None, ())
-    return frozenset(out), witnesses, counts
+    for (nid, v), (word, mult) in frontier.items():
+        target = s_of.get(v)
+        if target is None:
+            target = s_of[v] = loc.thread_subgroup((v,))
+        if auto.start_sets[nid] == target:
+            counts[v] = counts.get(v, 0) + mult
+            witnesses.setdefault(v, word)
+    return frozenset(v for _, v in frontier), witnesses, counts, visited
 
 
 def product_theorem1(
@@ -272,7 +277,7 @@ def product_theorem1(
         ok, wit = is_partial_normal(loc, X)
         if not ok:
             raise ValueError(f"{name} is not partial normal (witness {wit})")
-    product, witnesses, counts = _scan_product(loc, [M, N])
+    product, witnesses, counts, states = _scan_product(loc, [M, N])
     reverse = subset_product(loc.pg, [N, M])
     pn, pn_wit = is_partial_normal(loc, product)
     lhs = product & loc.sylow_set
@@ -289,6 +294,7 @@ def product_theorem1(
         product=product,
         witnesses=witnesses,
         witness_counts=counts,
+        word_states=states,
         flags=flags,
         normality_witness=pn_wit,
     )
@@ -322,7 +328,7 @@ def product_theorem2(
             memo[key] = got
         return got
 
-    product, witnesses, counts = _scan_product(loc, facs)
+    product, witnesses, counts, states = _scan_product(loc, facs)
     memo[tuple(facs)] = product
 
     bracketing = True
@@ -358,6 +364,7 @@ def product_theorem2(
         product=product,
         witnesses=witnesses,
         witness_counts=counts,
+        word_states=states,
         flags=flags,
         normality_witness=pn_wit,
     )

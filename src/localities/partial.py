@@ -104,14 +104,16 @@ class PartialGroup:
     # A walker extends a word one letter at a time and returns None as soon
     # as no extension of the prefix can be in the domain (valid for partial
     # groups because domain words have all their prefixes in the domain).
-    # Contract, relied on by subset_product, build_quotient and the (L2)
-    # sweep of check_locality: walk_step(state, x) is None exactly when
+    # Contract, relied on by subset_product, the product scan of
+    # normal._scan_product, build_quotient and the (L2) sweep of
+    # check_locality: walk_step(state, x) is None exactly when
     # in_domain(word + (x,)) is false, where state is the state of word;
     # a state is hashable and decides every extension, so two words with
-    # equal states have the same domain status under every suffix.  A
-    # walker reaches finitely many states from walk_start(): the quotient's
-    # word checks search them to a fixpoint (state_fixpoint), which ends
-    # only because they are finite.
+    # equal states have the same domain status under every suffix.  The
+    # products merge words with equal (state, value) pairs after each
+    # factor for that reason.  A walker reaches finitely many states from
+    # walk_start(): the quotient's word checks search them to a fixpoint
+    # (state_fixpoint), which ends only because they are finite.
 
     def walk_start(self):
         raise NotImplementedError
@@ -639,9 +641,13 @@ def classify_subset(
 
 
 def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozenset[int]:
-    """{pi(x1..xl) : xi in factor i, the word lies in the domain}.
+    """{x1 x2 ... xl : xi in factor i, the word lies in the domain}.
 
-    Computed by direct l-fold word enumeration, never by rebracketing.
+    Each word is folded left to right with mul2, never rebracketed (pi of
+    the word on a partial group).  After each factor the words are merged
+    by their (walker state, value) pair, which decides every extension
+    because walk_step and mul2 are deterministic: the merge is exact on
+    every instance, corrupted ones included.
     """
     if len(factors) == 0:
         raise ValueError("subset_product needs at least one factor")
@@ -649,22 +655,20 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
     for f in factor_lists:
         if not f:
             raise ValueError("subset_product factors must be nonempty")
-    out: set[int] = set()
-    last = len(factor_lists) - 1
-
-    def rec(i: int, state, value) -> None:
-        for x in factor_lists[i]:
-            nxt = pg.walk_step(state, x)
-            if nxt is None:
-                continue
-            v = x if value is None else pg.mul2(value, x)
-            if i == last:
-                out.add(v)
-            else:
-                rec(i + 1, nxt, v)
-
-    rec(0, pg.walk_start(), None)
-    return frozenset(out)
+    frontier = {(pg.walk_start(), None)}
+    for xs in factor_lists[:-1]:
+        frontier = {
+            (nxt, x if value is None else pg.mul2(value, x))
+            for state, value in frontier
+            for x in xs
+            if (nxt := pg.walk_step(state, x)) is not None
+        }
+    return frozenset(
+        x if value is None else pg.mul2(value, x)
+        for state, value in frontier
+        for x in factor_lists[-1]
+        if pg.walk_step(state, x) is not None
+    )
 
 
 # ---------------------------------------------------------------------------

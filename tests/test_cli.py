@@ -157,6 +157,9 @@ MALFORMED = [
      "conj entry (1 1 0) disagrees with prod, where (g^-1 s) g is 1"),
     ("conj-missing", " (1 1 1)", "",
      "conj has no entry for (1,1), whose conjugate 1 lies in sylow"),
+    ("unknown-section", " : prod ", " : foo 1 : prod ", "plocality has unknown section 'foo'"),
+    ("repeated-section", " : size 2 : ", " : size 2 : size 7 : ",
+     "plocality repeats section 'size'"),
 ]
 
 

@@ -1,0 +1,213 @@
+"""The product scans against the literal enumeration of their words.
+
+subset_product and normal._scan_product merge the words of a product by
+(walker state, value) after each factor.  The references below ask the engine
+about every word x1..xl on its own and read the words in the lexicographic
+order of itertools.product over the sorted factors.
+"""
+
+import functools
+import itertools
+
+import numpy as np
+import pytest
+
+from localities import normal
+from localities.normal import enumerate_partial_normals, product_theorem2
+from localities.partial import subset_product, swap_two_products
+from localities.quotient import QuotientPartialGroup, build_quotient
+
+
+class WordTable:
+    """The engine's answer on every word of each length over all of L,
+    asked once per word, as arrays indexed by the word's letters.
+
+    A product over sorted factors reads the block np.ix_(*factors) of the
+    array for its length; flattened in C order, that block lists the words
+    of itertools.product(*factors), in lexicographic order.
+    """
+
+    def __init__(self, pg, answer):
+        self.pg, self.answer, self.arrays = pg, answer, {}
+
+    def block(self, factors):
+        n = len(factors)
+        if n not in self.arrays:
+            words = itertools.product(range(self.pg.size), repeat=n)
+            values = np.array([self.answer(word) for word in words])
+            self.arrays[n] = values.reshape((self.pg.size,) * n)
+        return self.arrays[n][np.ix_(*(sorted(f) for f in factors))].ravel()
+
+
+def fold_table(pg):
+    """x1 * ... * xl folded left to right by mul2, or -1 off the domain."""
+    return WordTable(pg, lambda w: functools.reduce(pg.mul2, w) if pg.in_domain(w) else -1)
+
+
+def fold_product(table, factors):
+    values = table.block(factors)
+    return set(values[values >= 0].tolist())
+
+
+class ScanReference:
+    """(product, witnesses, witness_counts) as _scan_product defines them,
+    from pi(word) and thread_subgroup(word) asked of the engine per word:
+    the product of every domain word, the least word of each value whose
+    threading subgroup is that of the value, and the number of such words.
+    """
+
+    def __init__(self, loc):
+        self.subgroups = {}  # threading subgroup -> its id
+        self.values = WordTable(loc.pg, lambda w: -1 if (v := loc.pi(w)) is None else v)
+        self.threads = WordTable(loc.pg, lambda w: self.subgroup_id(loc.thread_subgroup(w)))
+        self.target = np.array(
+            [self.subgroup_id(loc.thread_subgroup((v,))) for v in loc.elements()]
+        )
+
+    def subgroup_id(self, s):
+        return self.subgroups.setdefault(s, len(self.subgroups))
+
+    def __call__(self, factors):
+        values, threads = self.values.block(factors), self.threads.block(factors)
+        domain = values >= 0
+        matching = np.flatnonzero(domain & (threads == self.target[np.where(domain, values, 0)]))
+        firsts = np.sort(matching[np.unique(values[matching], return_index=True)[1]])
+        letters = np.unravel_index(firsts, [len(f) for f in factors])
+        words = zip(*(np.array(sorted(f))[k].tolist() for f, k in zip(factors, letters)))
+        witnesses = dict(zip(values[firsts].tolist(), words))
+        counts = np.bincount(values[matching])
+        product = set(values[domain].tolist())
+        return product, witnesses, {v: int(counts[v]) for v in witnesses}
+
+
+def pool(loc):
+    """The partial normals, S, and the three least elements other than
+    the identity, which is not a subgroup."""
+    others = [x for x in loc.elements() if x != loc.identity][:3]
+    return [h.members for h in enumerate_partial_normals(loc)] + [
+        loc.sylow_set,
+        frozenset(others),
+    ]
+
+
+def tuples(sets, lengths):
+    for n in lengths:
+        yield from itertools.product(sets, repeat=n)
+
+
+def assert_scan_matches(loc, factor_tuples):
+    reference = ScanReference(loc)
+    for factors in factor_tuples:
+        product, witnesses, counts = reference(factors)
+        got = normal._scan_product(loc, list(factors))
+        assert got[0] == product
+        assert list(got[1].items()) == list(witnesses.items())
+        assert got[2] == counts
+        assert subset_product(loc.pg, factors) == product
+
+
+@pytest.mark.parametrize("name", ["s4f", "c2s4f", "s5f"])
+def test_scan_and_subset_product_match_the_word_enumeration(request, name):
+    loc = request.getfixturevalue(name).loc
+    assert_scan_matches(loc, tuples(pool(loc), (1, 2, 3)))
+
+
+def test_four_factor_products_match_the_word_enumeration(s4f):
+    normals = [h.members for h in enumerate_partial_normals(s4f.loc)]
+    assert_scan_matches(s4f.loc, tuples(normals, (4,)))
+
+
+def test_subset_product_on_the_amalgam(am20):
+    table = fold_table(am20.pg)
+    for factors in tuples(list(am20.subsets.values()), (1, 2, 3)):
+        assert subset_product(am20.pg, factors) == fold_product(table, factors)
+
+
+def test_subset_product_on_corrupted_products(s4f):
+    """Two swapped binary products: the fold reads them, pi of a longer word
+    does not, so the reference folds mul2 as subset_product does."""
+    pg = swap_two_products(s4f.loc.pg, (1, 2), (2, 1))
+    table, genuine = fold_table(pg), fold_table(s4f.loc.pg)
+    changed = 0
+    for factors in tuples(pool(s4f.loc), (1, 2, 3)):
+        expected = fold_product(table, factors)
+        assert subset_product(pg, factors) == expected
+        changed += expected != fold_product(genuine, factors)
+    assert changed
+
+
+def test_subset_product_on_a_quotient(s5f):
+    qloc = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
+    qpg = qloc.pg
+    assert isinstance(qpg, QuotientPartialGroup)
+    table = fold_table(qpg)
+    for factors in tuples(pool(qloc), (1, 2, 3)):
+        assert subset_product(qpg, factors) == fold_product(table, factors)
+
+
+class CountingWalker:
+    """Counts walk_step and mul2 calls on a partial group, delegating both."""
+
+    def __init__(self, pg):
+        self.pg = pg
+        self.walk_steps = 0
+        self.mul2s = 0
+
+    def walk_start(self):
+        return self.pg.walk_start()
+
+    def walk_step(self, state, x):
+        self.walk_steps += 1
+        return self.pg.walk_step(state, x)
+
+    def mul2(self, a, b):
+        self.mul2s += 1
+        return self.pg.mul2(a, b)
+
+
+def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
+    """C2 * V4 * A4 * S4 on GRP-C2xS4: one walk_step per (frontier key,
+    letter), where a key is a distinct (walker state, value) pair of the
+    domain words before that factor, and one mul2 per such step after the
+    first factor.  Enumerating the words takes one step per (prefix word,
+    letter): 2,410 here."""
+    loc = c2s4f.loc
+    factors = [c2s4f.subsets[n] for n in ("C2", "V4", "A4", "S4")]
+    pg = loc.pg
+    keys = [{(pg.walk_start(), None)}]
+    for n in range(1, len(factors)):
+        keys.append(set())
+        for word in itertools.product(*(sorted(f) for f in factors[:n])):
+            if pg.in_domain(word):
+                state = functools.reduce(pg.walk_step, word, pg.walk_start())
+                keys[-1].add((state, pg.pi(word)))
+    bound = sum(len(k) * len(f) for k, f in zip(keys, factors))
+    words = sum(
+        len(f) * sum(1 for w in itertools.product(*factors[:n]) if pg.in_domain(w))
+        for n, f in enumerate(factors)
+    )
+    assert (bound, words) == (682, 2410)
+
+    counting = CountingWalker(pg)
+    assert subset_product(counting, factors) == {
+        pg.pi(w) for w in itertools.product(*factors) if pg.in_domain(w)
+    }
+    assert counting.walk_steps <= bound
+    assert counting.mul2s <= bound - len(factors[0])
+
+
+def test_product_certificate_counts_its_word_states(c2s4f):
+    """word_states is the number of distinct (automaton state, value) keys
+    of the domain words over every prefix length 1..l."""
+    loc = c2s4f.loc
+    factors = [c2s4f.subsets[n] for n in ("C2", "V4", "A4", "S4")]
+    keys = 0
+    for n in range(1, len(factors) + 1):
+        keys += len({
+            (loc.automaton.walk(word), loc.pi(word))
+            for word in itertools.product(*factors[:n])
+            if loc.in_domain(word)
+        })
+    cert = product_theorem2(loc, factors)
+    assert cert.word_states == keys
+    assert len(cert.product) == 48
