@@ -664,9 +664,11 @@ def _p_subgroup_above(
     whose closure with base is a p-subgroup; None if there is none.
 
     Each closure starts from base | {x}, since base (S on a candidate) is
-    not proved closed.  After a failing x, its closure twins over base are
-    skipped: closure_twins proves that each has the same closure, which
-    fails too, so the first success and its witness are those of the
+    not proved closed.  After a failing x, its whole twin class over base
+    is skipped (base*x*base with its inverses on a genuine partial group):
+    closure_twins proves, per element and on any table, for a base that
+    need not be closed, that each twin has the same closure, which fails
+    too, so the first success and its witness are those of the
     candidate-by-candidate search.
     """
     pg = loc.pg

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .groups import SizeCapExceeded
 from .locality import Locality, _p_subgroup_above
 from .partial import (
+    EMPTY_WORD,
     SubsetHandle,
     Word,
     _close,
@@ -54,7 +55,10 @@ def is_partial_normal(loc: Locality, members: Iterable[int]) -> tuple[bool, tupl
 
 
 def partial_normal_closure(
-    loc: Locality, seed: Iterable[int], closed: frozenset[int] = frozenset()
+    loc: Locality,
+    seed: Iterable[int],
+    closed: frozenset[int] = frozenset(),
+    known: dict[frozenset[int], SubsetHandle] | None = None,
 ) -> SubsetHandle:
     """Least partial normal subgroup containing the seed and closed,
     classified; closed, when given, must already be closed under products,
@@ -62,9 +66,16 @@ def partial_normal_closure(
 
     The frontier closure of partial_subgroup_closure, run with the rows of
     loc.conj_table() so that every defined conjugate x^f of a member joins.
+    known maps closures made before to their handles.  The closure stops as
+    soon as its members equal one of them (exact, see _close), and a
+    closure equal to one of them returns that handle without classifying
+    the same set again.
     """
     _require_locality(loc)
-    members = _close(loc.pg, seed, loc.conj_table(), closed=closed)
+    known = {} if known is None else known
+    members = _close(loc.pg, seed, loc.conj_table(), closed=closed, known=known)
+    if members in known:
+        return known[members]
     return classify_subset(loc.pg, members, p=loc.p)
 
 
@@ -77,7 +88,11 @@ def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
     x, each y = x^f with y^(f^-1) = x is skipped, and so is x^-1 when its
     inverse is x, since each closure then contains the other's generator.
     Both lookups are checked per instance, never assumed.  A join of h
-    with another closure starts from h, which is already closed.
+    with another closure starts from h, which is already closed.  Every
+    closure is handed the family found so far: it stops when its members
+    equal one of those sets, each a closure and so closed on any table, and
+    a set already in the family is never classified again, so
+    classify_subset runs once per set returned.
     """
     _require_locality(loc)
     if loc.size > ENUMERATION_CAP:
@@ -87,26 +102,25 @@ def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
         )
     conj = loc.conj_table()
     inv = [loc.pg.inverse(f) for f in loc.elements()]
-    closures: dict[frozenset[int], SubsetHandle] = {}
+    family: dict[frozenset[int], SubsetHandle] = {}
     done: set[int] = set()
     for x in loc.elements():
         if x in done:
             continue
-        h = partial_normal_closure(loc, [x])
-        closures.setdefault(h.members, h)
+        h = partial_normal_closure(loc, [x], known=family)
+        family.setdefault(h.members, h)
         if inv[inv[x]] == x:
             done.add(inv[x])
         for f, y in enumerate(conj[x]):
             if y >= 0 and conj[y][inv[f]] == x:
                 done.add(y)
-    family = dict(closures)
-    queue = list(closures.values())
+    queue = list(family.values())
     while queue:
         h = queue.pop()
         for other in list(family.values()):
             if h.members | other.members in family:
                 continue
-            grown = partial_normal_closure(loc, other.members, closed=h.members)
+            grown = partial_normal_closure(loc, other.members, closed=h.members, known=family)
             if grown.members not in family:
                 family[grown.members] = grown
                 queue.append(grown)
@@ -228,10 +242,11 @@ def _scan_product(
     the number of keys visited.  A key keeps the first word that reaches
     it, its least word, since keys are extended in the order they were
     reached and letters in sorted order; it counts the words that reach it.
+    A word whose fold meets an undefined mul2 has no value and is dropped.
     """
     pg = loc.pg
     auto = loc.automaton
-    frontier: dict[tuple, list] = {(0, None): [(), 1]}  # key -> [least word, words]
+    frontier: dict[tuple, list] = {(0, EMPTY_WORD): [(), 1]}  # key -> [least word, words]
     visited = 0
     for xs in [sorted(f) for f in factors]:
         grown: dict[tuple, list] = {}
@@ -240,7 +255,10 @@ def _scan_product(
                 nid = auto.step(sid, x)
                 if not auto.in_delta[nid]:
                     continue
-                key = (nid, x if value is None else pg.mul2(value, x))
+                v = x if value is EMPTY_WORD else pg.mul2(value, x)
+                if v is None:
+                    continue
+                key = (nid, v)
                 entry = grown.get(key)
                 if entry is None:
                     grown[key] = [word + (x,), mult]

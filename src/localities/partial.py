@@ -8,13 +8,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .groups import FiniteGroup, SubgroupRef, certify_group_table, subset_group
 
 Word = tuple[int, ...]
+
+# The value of the empty word in the left folds of the product scans: no
+# element id, and not None, which is mul2's answer off the domain.
+EMPTY_WORD = object()
 
 GENERIC_SWEEP_CAP = 500_000
 # The most words one check_axioms call sweeps (LOC-S5 at length 4: 10,013,304).
@@ -409,6 +413,7 @@ def _close(
     seed: Iterable[int],
     rows: Sequence[Sequence[int]] = (),
     closed: frozenset[int] = frozenset(),
+    known: Container[frozenset[int]] = (),
 ) -> frozenset[int]:
     """Frontier closure: the least subset containing the identity, closed
     and seed that is closed under inversion, under every defined product of
@@ -421,6 +426,13 @@ def _close(
     the elements added in the previous round with the current members, in
     both orders, reading pg.product_table(); pairs of older members are
     never multiplied again.
+
+    known holds sets already closed in the same sense.  Before each round
+    the closure stops when the members equal one of them or are all of L.
+    The members always lie inside the closure, and the closure lies inside
+    every closed set that holds them, so a closed set equal to the members
+    is the closure: the stop is exact on any table.  Only equality proves
+    it; members inside a larger known set say nothing.
     """
     table = pg.product_table()
     members = set(closed)
@@ -429,6 +441,8 @@ def _close(
     frontier = list(fresh - members)
     members |= fresh
     while frontier:
+        if len(members) == pg.size or (known and frozenset(members) in known):
+            break
         current = list(members)
         fresh = set()
         for a in frontier:
@@ -446,38 +460,61 @@ def _close(
 
 
 def partial_subgroup_closure(
-    pg: PartialGroup, seed: Iterable[int], closed: frozenset[int] = frozenset()
+    pg: PartialGroup,
+    seed: Iterable[int],
+    closed: frozenset[int] = frozenset(),
+    known: Container[frozenset[int]] = (),
 ) -> frozenset[int]:
     """Least subset containing seed and closed that is closed under
     inversion and under the product of every domain word with entries in
-    the subset; closed, when given, must be a partial subgroup already.
+    the subset; closed, when given, must be a partial subgroup already, and
+    so must every member of known (where _close may stop early).
 
     Closing under defined length-2 products suffices: any longer domain word
     collapses to nested length-2 products by the partial group axioms.
     Computed by the frontier kernel _close over pg.product_table(), so the
     first call on a partial group also builds its table.
     """
-    return _close(pg, seed, closed=closed)
+    return _close(pg, seed, closed=closed, known=known)
 
 
-def closure_twins(pg: PartialGroup, base: Iterable[int], x: int) -> list[int]:
-    """Elements y whose closure with base equals the closure of base and x.
+def closure_twins(pg: PartialGroup, base: Iterable[int], x: int) -> set[int]:
+    """The twin class of x over base: elements y whose closure with base
+    equals the closure of base and x, x among them.
 
-    These are the y = h*x (h in base) with h^-1 * y = x, read off
-    pg.product_table().  The closure of base | {x} contains h and x, so it
-    contains y; the closure of base | {y} contains h, its inverse and y, so
-    it contains x.  Each closure therefore contains the other's generators,
-    and the two are equal.  This holds for any base, closed or not, and for
-    any table: the return lookup is checked per y, never assumed.  On a
-    genuine partial group it always holds, so the twins are the coset
-    base*x.
+    The class is closed under three moves, each proved per pair from
+    pg.product_table() and pg.inverse, never assumed:
+    - y = h*x (h in base) with h^-1 * y = x;
+    - y = x*h (h in base) with y * h^-1 = x;
+    - y = x^-1 with (x^-1)^-1 = x.
+    In each, the closure of base | {x} holds y (a product or the inverse of
+    its members), and the closure of base | {y} holds x by the return
+    lookup (h^-1 is in it as the inverse of h), so the two closures hold
+    each other's generators and are equal.  This holds for any base, closed
+    or not, and for any table; equality is transitive, so the whole class
+    shares one closure.  On a genuine partial group every lookup succeeds
+    where the products are defined, and the class is the double coset
+    base*x*base together with its inverses.
     """
     table = pg.product_table()
-    twins = []
-    for h in base:
-        y = table[h][x]
-        if y >= 0 and table[pg.inverse(h)][y] == x:
-            twins.append(y)
+    hs = [(h, pg.inverse(h)) for h in base]
+    twins = {x}
+    queue = [x]
+    while queue:
+        z = queue.pop()
+        found = [pg.inverse(z)] if pg.inverse(pg.inverse(z)) == z else []
+        row = table[z]
+        for h, h_inv in hs:
+            y = table[h][z]
+            if y >= 0 and table[h_inv][y] == z:
+                found.append(y)
+            y = row[h]
+            if y >= 0 and table[y][h_inv] == z:
+                found.append(y)
+        for y in found:
+            if y not in twins:
+                twins.add(y)
+                queue.append(y)
     return twins
 
 
@@ -647,7 +684,9 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
     the word on a partial group).  After each factor the words are merged
     by their (walker state, value) pair, which decides every extension
     because walk_step and mul2 are deterministic: the merge is exact on
-    every instance, corrupted ones included.
+    every instance, corrupted ones included.  The empty word carries the
+    value EMPTY_WORD; a domain word whose fold meets an undefined mul2 (on
+    a table that breaks the axioms) has no value and is dropped.
     """
     if len(factors) == 0:
         raise ValueError("subset_product needs at least one factor")
@@ -655,19 +694,21 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
     for f in factor_lists:
         if not f:
             raise ValueError("subset_product factors must be nonempty")
-    frontier = {(pg.walk_start(), None)}
+    frontier = {(pg.walk_start(), EMPTY_WORD)}
     for xs in factor_lists[:-1]:
         frontier = {
-            (nxt, x if value is None else pg.mul2(value, x))
+            (nxt, v)
             for state, value in frontier
             for x in xs
             if (nxt := pg.walk_step(state, x)) is not None
+            and (v := x if value is EMPTY_WORD else pg.mul2(value, x)) is not None
         }
     return frozenset(
-        x if value is None else pg.mul2(value, x)
+        v
         for state, value in frontier
         for x in factor_lists[-1]
         if pg.walk_step(state, x) is not None
+        and (v := x if value is EMPTY_WORD else pg.mul2(value, x)) is not None
     )
 
 

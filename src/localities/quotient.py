@@ -532,27 +532,36 @@ def build_quotient(loc: Locality, K: Iterable[int], check_len: int = 3) -> Quoti
 
 
 def partial_subgroups_containing(
-    loc_pg: PartialGroup, seed: frozenset[int], cap: int = 20_000
+    loc_pg: PartialGroup,
+    seed: frozenset[int],
+    cap: int = 20_000,
+    stats: dict[str, int] | None = None,
 ) -> list[frozenset[int]]:
     """All partial subgroups of the partial group that contain the seed set.
 
     Each one found is grown by one element x outside it and closed again.
     current is already closed, so the closure starts from it with x alone
-    as the frontier.  After x, its closure twins over current (the coset
-    current*x on a genuine partial group) are skipped: closure_twins proves
-    that each gives the same grown closure.  More than cap results raise
-    SizeCapExceeded.
+    as the frontier, and it stops as soon as its members equal a partial
+    subgroup already found (found holds only closures, each closed on any
+    table, so the stop is exact; see _close).  After x, its whole twin
+    class over current is skipped: closure_twins proves, per element and
+    on any table, that each twin gives the same grown closure (on a
+    genuine partial group the class is current*x*current with its
+    inverses).  More than cap results raise SizeCapExceeded.  When stats
+    is given, stats["closures"] is set to the number of closures made.
     """
     base = partial_subgroup_closure(loc_pg, seed)
     found = {base}
     queue = [base]
+    closures = 1
     while queue:
         current = queue.pop()
         done = set(current)
         for x in loc_pg.elements():
             if x in done:
                 continue
-            grown = partial_subgroup_closure(loc_pg, {x}, closed=current)
+            grown = partial_subgroup_closure(loc_pg, {x}, closed=current, known=found)
+            closures += 1
             done.update(closure_twins(loc_pg, current, x))
             if grown not in found:
                 if len(found) >= cap:
@@ -561,6 +570,8 @@ def partial_subgroups_containing(
                     )
                 found.add(grown)
                 queue.append(grown)
+    if stats is not None:
+        stats["closures"] = closures
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -685,7 +696,8 @@ def verify_quotient_lemmas(
         )
         report.record("oversubgroup-bijection", qpg.size == loc.size, [])
     else:
-        overs = partial_subgroups_containing(pg, K)
+        stats: dict[str, int] = {}
+        overs = partial_subgroups_containing(pg, K, stats=stats)
         bad = []
         for H in overs:
             inside = [rec.members for rec in part.maximal if rec.members <= H]
@@ -693,7 +705,8 @@ def verify_quotient_lemmas(
             if union != H:
                 bad.append(sorted(H - union))
         report.record("oversubgroup-partition", not bad, bad[:3],
-                      "maximal cosets inside H partition H")
+                      f"maximal cosets inside H partition H ({len(overs)} partial subgroups, "
+                      f"{stats['closures']} closures)")
 
         images = {}
         bad = []
@@ -718,12 +731,12 @@ def verify_quotient_lemmas(
     rng = random.Random(seed)
     bad = []
     universe = list(loc.elements())
+    bars = [(H, frozenset(rho[x] for x in H)) for H in overs]
     for _ in range(LEMMA_SAMPLES):
         size = rng.randint(1, loc.size)
         X = frozenset(rng.sample(universe, size))
         xbar = frozenset(rho[x] for x in X)
-        for H in overs:
-            hbar = frozenset(rho[x] for x in H)
+        for H, hbar in bars:
             if xbar & hbar != frozenset(rho[x] for x in X & H):
                 bad.append((sorted(X), sorted(H)))
                 break

@@ -10,9 +10,13 @@ that close every candidate.
 
 on the builtins and their kernels, and on candidates that are not partial
 groups or localities: product swaps of GRP-S4, PG-AM20 read as a locality,
-and S smaller than a Sylow 2-subgroup.  Two controls show that the swaps
-tell apart a skip without its return lookup and an (L1) search that
-trusts S to be closed.
+S smaller than a Sylow 2-subgroup, and GRP-S4 with an inverse that is not
+an involution.  Two controls show that the swaps tell apart a skip without
+its return lookup and an (L1) search that trusts S to be closed.
+
+The kernels under the loops are checked on their own: every member of a
+twin class has the closure of the class's element, and a closure handed
+sets known to be closed equals the closure without them.
 """
 
 import itertools
@@ -25,7 +29,9 @@ from localities.locality import _p_subgroup_above, as_locality, check_locality
 from localities.normal import enumerate_partial_normals, partial_normal_closure
 from localities.partial import (
     CorruptedProducts,
+    _close,
     _is_prime_power,
+    closure_twins,
     partial_subgroup_closure,
     swap_two_products,
 )
@@ -221,18 +227,19 @@ def _counting(monkeypatch, module, name, seed_len=None):
 
 
 def test_oversubgroups_of_n5_close_at_most_one_coset_each(s5f, monkeypatch):
-    # 864 closures when every x with a new singleton closure <x> was tried
+    # 864 closures when every x with a new singleton closure <x> was tried,
+    # 301 when one left coset current*x was closed per x
     calls = _counting(monkeypatch, quotient, "partial_subgroup_closure")
     assert len(partial_subgroups_containing(s5f.loc.pg, s5f.subsets["N5"])) == 30
-    assert len(calls) <= 301
+    assert len(calls) <= 101
 
 
 def test_l1_on_loc_s5_closes_at_most_one_coset_each(s5f, monkeypatch):
-    # 48 closures when every element outside S was tried
+    # 48 closures when every element outside S was tried, 6 with left cosets
     loc = s5f.loc
     calls = _counting(monkeypatch, locality, "partial_subgroup_closure")
     assert _p_subgroup_above(loc, loc.sylow_set, loc.elements()) is None
-    assert len(calls) <= 6
+    assert len(calls) <= 2
 
 
 def test_loc_s5_enumeration_closes_one_singleton_per_class(s5f, monkeypatch):
@@ -249,3 +256,129 @@ def test_loc_s5_enumeration_closes_one_singleton_per_class(s5f, monkeypatch):
     singles = _counting(monkeypatch, normal, "partial_normal_closure", seed_len=1)
     enumerate_partial_normals(loc)
     assert len(singles) <= n_classes == 9
+
+
+def test_enumeration_classifies_each_set_once(request, monkeypatch):
+    classified = _counting(monkeypatch, normal, "classify_subset")
+    for name in LOCALITIES:
+        classified.clear()
+        got = enumerate_partial_normals(LOCALITIES[name](request))
+        assert sorted(map(sorted, classified)) == sorted(sorted(h.members) for h in got)
+
+
+# -- the kernels: twin classes and closures stopped at known closed sets
+
+
+def assert_twins_share_the_closure(pg, base):
+    """Every member of the twin class of x over base closes with base to
+    the closure of base and x, for every x."""
+    closure_of = {y: partial_subgroup_closure(pg, base | {y}) for y in pg.elements()}
+    for x in pg.elements():
+        twins = closure_twins(pg, base, x)
+        assert x in twins
+        assert {closure_of[y] for y in twins} == {closure_of[x]}, (sorted(base), x)
+
+
+def _bases(pg, S):
+    """A closed base (the closure of S) and one that is not: three elements
+    of S, never a subgroup of a 2-group."""
+    return partial_subgroup_closure(pg, S), frozenset(sorted(S)[:3])
+
+
+@pytest.mark.parametrize("name", list(LOCALITIES))
+def test_twins_share_the_closure(request, name):
+    loc = LOCALITIES[name](request)
+    closed, loose = _bases(loc.pg, loc.sylow_set)
+    assert partial_subgroup_closure(loc.pg, loose) != loose
+    assert_twins_share_the_closure(loc.pg, closed)
+    assert_twins_share_the_closure(loc.pg, loose)
+
+
+@pytest.mark.parametrize("name", ["GRP-S4", "GRP-C2xS4"])
+def test_twin_classes_of_a_group_are_double_cosets_with_inverses(request, name):
+    pg = LOCALITIES[name](request).pg
+    assert pg.domain_is_total
+    table = pg.product_table()
+    H = sorted(partial_subgroup_closure(pg, LOCALITIES[name](request).sylow_set))
+    for x in pg.elements():
+        coset = {table[table[h][x]][k] for h in H for k in H}
+        assert closure_twins(pg, H, x) == coset | {pg.inverse(y) for y in coset}
+
+
+def test_twins_share_the_closure_on_product_swaps(swapped):
+    for cand, _ in swapped:
+        for base in _bases(cand.pg, cand.sylow_set):
+            assert_twins_share_the_closure(cand.pg, base)
+
+
+def assert_known_sets_change_no_closure(pg, family, rows=(), closed_sets=()):
+    """_close handed the closed sets of family equals _close without them,
+    from every seed {x}, alone and over each of closed_sets."""
+    family = set(family)
+    for x in pg.elements():
+        for H in [frozenset(), *closed_sets]:
+            assert _close(pg, {x}, rows, closed=H, known=family) == _close(
+                pg, {x}, rows, closed=H
+            )
+
+
+@pytest.mark.parametrize("fixture,kernel", [("s4f", None), ("c2s4f", "V4"), ("s5f", "N5")])
+def test_close_with_known_sets_matches_close_without(request, fixture, kernel):
+    """The family: the partial subgroups above the kernel (by full closures),
+    each also taken as closed; then the partial normals, with conj rows."""
+    f = request.getfixturevalue(fixture)
+    loc = f.loc
+    overs = enumerate_by_full_closures(loc.pg, f.subsets[kernel] if kernel else {loc.identity})
+    assert_known_sets_change_no_closure(loc.pg, overs, closed_sets=overs)
+    normals = [h.members for h in enumerate_by_every_closure(loc)]
+    assert_known_sets_change_no_closure(loc.pg, normals, loc.conj_table(), normals)
+
+
+def test_close_with_known_sets_matches_close_without_on_am20_and_swaps(am20, swapped):
+    loc = am20.as_locality()
+    overs = enumerate_by_full_closures(loc.pg, {loc.identity})
+    assert_known_sets_change_no_closure(loc.pg, overs, closed_sets=overs)
+    for cand, oversubgroups in swapped:
+        pg = cand.pg
+        closed = [partial_subgroup_closure(pg, cand.sylow_set)]
+        assert_known_sets_change_no_closure(pg, oversubgroups, closed_sets=closed)
+        normals = [h.members for h in enumerate_by_every_closure(cand)]
+        assert_known_sets_change_no_closure(pg, normals, cand.conj_table(), normals)
+
+
+class SkewedInverse(CorruptedProducts):
+    """A partial group whose inverse map is overridden on chosen elements."""
+
+    def __init__(self, base, inverses):
+        super().__init__(base, {})
+        self.inverses = dict(inverses)
+
+    def inverse(self, x):
+        return self.inverses.get(x, self.base.inverse(x))
+
+
+def test_an_inverse_without_the_return_lookup_keeps_its_own_closure(s4f):
+    """GRP-S4 with the inverse of the least 3-cycle a read as a transposition
+    b > a of the S3 through a.  inv(inv(a)) = b, so b is no inverse twin of
+    a: the closure of {a} holds b, but the closure of {b} is {1, b}, which
+    only x = b reaches from the trivial subgroup."""
+    table = s4f.loc.pg.product_table()
+
+    def order(x):
+        k, y = 1, x
+        while y != s4f.loc.identity:
+            k, y = k + 1, table[y][x]
+        return k
+
+    a = min(x for x in s4f.loc.elements() if order(x) == 3)
+    b = min(
+        y for y in s4f.loc.elements()
+        if y > a and order(y) == 2 and table[table[y][a]][y] == s4f.loc.pg.inverse(a)
+    )
+    pg = SkewedInverse(s4f.loc.pg, {a: b})
+    trivial = frozenset({pg.identity})
+    assert b not in closure_twins(pg, trivial, a)
+    assert_twins_share_the_closure(pg, trivial)
+    oversubgroups = enumerate_by_full_closures(pg, trivial)
+    assert frozenset({pg.identity, b}) in oversubgroups
+    assert partial_subgroups_containing(pg, trivial) == oversubgroups

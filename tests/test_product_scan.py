@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from localities import normal
+from localities.locality import Locality
 from localities.normal import enumerate_partial_normals, product_theorem2
-from localities.partial import subset_product, swap_two_products
+from localities.partial import CorruptedProducts, subset_product, swap_two_products
 from localities.quotient import QuotientPartialGroup, build_quotient
 
 
@@ -134,6 +135,20 @@ def test_subset_product_on_corrupted_products(s4f):
         assert subset_product(pg, factors) == expected
         changed += expected != fold_product(genuine, factors)
     assert changed
+
+
+def test_a_word_whose_fold_is_undefined_has_no_value(s5f):
+    """(1, 1) is faked to 24 on LOC-S5, where 24*2 is undefined although
+    (1, 1, 2) and (1, 1, 2, 2) are domain words: their folds have no value,
+    so neither scan puts None in the product or restarts the fold at 2."""
+    loc = s5f.loc
+    bad = CorruptedProducts(loc.pg, {(1, 1): 24})
+    assert bad.mul2(1, 1) == 24 and bad.mul2(24, 2) is None
+    assert bad.in_domain((1, 1, 2)) and bad.in_domain((1, 1, 2, 2))
+    cand = Locality(bad, loc.p, loc.sylow_set, loc.delta)
+    for factors in ([{1}, {1}, {2}], [{1}, {1}, {2}, {2}]):
+        assert subset_product(bad, factors) == frozenset()
+        assert normal._scan_product(cand, factors)[:3] == (frozenset(), {}, {})
 
 
 def test_subset_product_on_a_quotient(s5f):
