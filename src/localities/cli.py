@@ -368,6 +368,10 @@ def main(argv=None) -> int:
         message = str(exc).partition("\n")[0]
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a --model file not read, an --emit file not written
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         text = report.json(with_timings=args.timings)
     else:

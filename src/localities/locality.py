@@ -64,6 +64,20 @@ class DeltaFamily:
         )
 
 
+def subgroup_sets(group: FiniteGroup, elems: Sequence[int]) -> list[frozenset[int]]:
+    """The subgroups of group as sets of elems: id i of group stands for
+    elems[i], as subset_group, SubgroupRef.as_group and Locality.s_group
+    return them.
+
+    The lattice is cached on group alone.  A fixture's S inside its ambient
+    group and the locality's own S group hold the same elements but are two
+    groups: the second takes the locality's products, which check_locality
+    tests through this lattice, so reading the first's lattice there would
+    serve one object's result for another.
+    """
+    return [frozenset(elems[i] for i in sub.members) for sub in all_subgroups(group)]
+
+
 def delta_close(
     S: SubgroupRef, seeds: Sequence[SubgroupRef], ambient_group: FiniteGroup
 ) -> DeltaFamily:
@@ -75,9 +89,7 @@ def delta_close(
     for seed in seeds:
         if not seed.members <= S.members:
             raise ValueError("seeds must be subgroups of S")
-    s_group, s_elems = S.as_group()
-    pos = {g: i for i, g in enumerate(s_elems)}
-    lattice = [frozenset(s_elems[i] for i in sub.members) for sub in all_subgroups(s_group)]
+    lattice = subgroup_sets(*S.as_group())
 
     family: set[frozenset[int]] = set()
     queue = [seed.members for seed in seeds]
@@ -98,12 +110,7 @@ def delta_close(
 
 def delta_min_order(S: SubgroupRef, min_order: int) -> DeltaFamily:
     """The subgroups of S of order at least min_order."""
-    s_group, s_elems = S.as_group()
-    members = frozenset(
-        frozenset(s_elems[i] for i in sub.members)
-        for sub in all_subgroups(s_group)
-        if sub.order >= min_order
-    )
+    members = frozenset(P for P in subgroup_sets(*S.as_group()) if len(P) >= min_order)
     return DeltaFamily(sylow=S.members, members=members)
 
 
@@ -387,10 +394,8 @@ class Locality:
         return self._s_group, self.sylow
 
     def s_subgroup_sets(self) -> list[frozenset[int]]:
-        grp, elems = self.s_group()
-        return [
-            frozenset(elems[i] for i in sub.members) for sub in all_subgroups(grp)
-        ]
+        """The subgroups of S under the locality's own products."""
+        return subgroup_sets(*self.s_group())
 
     def in_domain(self, word: Word) -> bool:
         return self.pg.in_domain(tuple(word))

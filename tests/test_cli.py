@@ -69,6 +69,25 @@ def test_a_locality_command_on_an_amalgam_says_what_it_needs(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["normals", "--model", "{tmp}/missing.model"], "No such file or directory"),
+        (["normals", "--model", "{tmp}"], "Is a directory"),
+        (["quotient", "--builtin", "GRP-S4", "--kernel", "V4", "--max-word-len", "3",
+          "--emit", "{tmp}/no/dir/x.model"], "No such file or directory"),
+    ],
+    ids=["missing-model", "model-is-a-directory", "emit-to-a-missing-directory"],
+)
+def test_a_file_that_cannot_be_read_or_written_exits_2_naming_it(tmp_path, capsys, argv, reason):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    path = next(a for a in argv if a.startswith(str(tmp_path)))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: {reason}"]
+
+
 def _emit(tmp_path, capsys, builtin, kernel):
     path = tmp_path / "q.model"
     argv = ["quotient", "--builtin", builtin, "--kernel", kernel, "--max-word-len", "3",

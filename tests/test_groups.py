@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from localities.groups import (
     SubgroupRef,
     all_subgroups,
     certify_group_table,
+    closure_members,
     generate_group,
     group_landmarks,
     subgroup_closure,
@@ -14,6 +17,7 @@ from localities.groups import (
 )
 
 import _frozen as frozen
+from oracle import OGroup, o_all_subgroups, o_subgroup_closure
 
 
 def s4():
@@ -330,3 +334,68 @@ def test_certificate_returns_identity_and_inverses():
     G = generate_group([(1, 2, 3, 0), (1, 0, 2, 3)])
     assert certify_group_table(G.mult) == (G.identity, G.inv)
     assert all(G.mul(x, G.inv[x]) == G.identity for x in G.elements())
+
+
+# ---------------------------------------------------------------------------
+# the closure kernel against the oracle
+
+
+def same_lattice(G, O):
+    """all_subgroups(G) lists the oracle's subgroups of O, in the same order;
+    id i of G is position i of O."""
+    assert [sub.members for sub in all_subgroups(G)] == o_all_subgroups(O)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [(1, 0), (0, 1, 3, 2)],  # C2xC2
+        [(1, 0), (0, 1, 3, 4, 5, 2)],  # C2xC4
+        [(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)],  # D16
+        [(1, 2, 3, 0), (1, 0, 2, 3)],  # S4
+        [(1, 0), (0, 1, 3, 4, 5, 6, 7, 8, 9, 2), (0, 1, 2, 9, 8, 7, 6, 5, 4, 3)],  # C2xD16
+    ],
+    ids=["C2xC2", "C2xC4", "D16", "S4", "C2xD16"],
+)
+def test_all_subgroups_matches_the_oracle(gens):
+    G = generate_group(gens)
+    same_lattice(G, OGroup(G.perms))
+
+
+@pytest.mark.parametrize("fixture", ["s4f", "c2s4f", "s5f"])
+def test_the_lattices_of_s_match_the_oracle(fixture, request):
+    """S of each builtin locality, as a subgroup of the ambient group and as
+    the locality's own S group (the locality's products)."""
+    fix = request.getfixturevalue(fixture)
+    M = fix.group
+    S_group, elems = sylow_p(M, 2).as_group()
+    same_lattice(S_group, OGroup([M.perms[g] for g in elems]))
+    loc = fix.loc
+    loc_group, local = loc.s_group()
+    same_lattice(loc_group, OGroup([M.perms[loc.to_ambient[s]] for s in local]))
+
+
+def test_the_lattices_of_the_amalgams_s_match_the_oracle(am20):
+    """S = G2 of PG-AM20, as a subgroup of G2 and under the amalgam's products."""
+    G2 = am20.spec.right
+    S_group, elems = SubgroupRef(G2, G2.elements()).as_group()
+    same_lattice(S_group, OGroup([G2.perms[g] for g in elems]))
+    to_right = {pid: j for j, pid in enumerate(am20.pg.from_right)}
+    loc_group, local = am20.as_locality().s_group()
+    same_lattice(loc_group, OGroup([G2.perms[to_right[s]] for s in local]))
+
+
+@pytest.mark.parametrize("group", ["S5", "GRP-C2xS4"])
+def test_closure_members_matches_the_oracle_on_random_seeds(group, c2s4f):
+    """The empty seed and 40 seeds of 1-4 elements (repeats allowed)."""
+    if group == "S5":
+        G = generate_group([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    else:
+        G = c2s4f.group
+    O = OGroup(G.perms)
+    rng = random.Random(1)
+    seeds = [()] + [
+        tuple(rng.randrange(G.order) for _ in range(rng.randrange(1, 5))) for _ in range(40)
+    ]
+    for seed in seeds:
+        assert closure_members(G, seed) == o_subgroup_closure(O, seed), seed
