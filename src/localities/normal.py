@@ -234,17 +234,19 @@ def _scan_product(
     loc: Locality, factors: Sequence[frozenset[int]]
 ) -> tuple[frozenset[int], dict[int, Word], dict[int, int], int]:
     """The product over all domain words x1..xl (xi in factor i), folded
-    left to right with mul2 and merged by (automaton state, value) after
-    each factor, as in subset_product.
+    left to right by binary products read from pg.product_table() rows and
+    merged by (automaton state, value) after each factor, as in
+    subset_product: the automaton steps once per key and letter.
 
     Returns the product, the lexicographically least word of each value v
     whose threading subgroup is that of v, the number of such words, and
     the number of keys visited.  A key keeps the first word that reaches
     it, its least word, since keys are extended in the order they were
     reached and letters in sorted order; it counts the words that reach it.
-    A word whose fold meets an undefined mul2 has no value and is dropped.
+    A word whose fold meets an undefined product (-1) has no value and is
+    dropped.
     """
-    pg = loc.pg
+    table = loc.pg.product_table()
     auto = loc.automaton
     frontier: dict[tuple, list] = {(0, EMPTY_WORD): [(), 1]}  # key -> [least word, words]
     visited = 0
@@ -255,8 +257,8 @@ def _scan_product(
                 nid = auto.step(sid, x)
                 if not auto.in_delta[nid]:
                     continue
-                v = x if value is EMPTY_WORD else pg.mul2(value, x)
-                if v is None:
+                v = x if value is EMPTY_WORD else table[value][x]
+                if v < 0:
                     continue
                 key = (nid, v)
                 entry = grown.get(key)

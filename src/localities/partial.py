@@ -114,10 +114,12 @@ class PartialGroup:
     # in_domain(word + (x,)) is false, where state is the state of word;
     # a state is hashable and decides every extension, so two words with
     # equal states have the same domain status under every suffix.  The
-    # products merge words with equal (state, value) pairs after each
-    # factor for that reason.  A walker reaches finitely many states from
-    # walk_start(): the quotient's word checks search them to a fixpoint
-    # (state_fixpoint), which ends only because they are finite.
+    # products step the walker once per (state, value) pair and letter,
+    # read each value from product_table() rows, and merge words with
+    # equal (state, value) pairs after each factor for that reason.  A
+    # walker reaches finitely many states from walk_start(): the
+    # quotient's word checks search them to a fixpoint (state_fixpoint),
+    # which ends only because they are finite.
 
     def walk_start(self):
         raise NotImplementedError
@@ -680,13 +682,16 @@ def classify_subset(
 def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozenset[int]:
     """{x1 x2 ... xl : xi in factor i, the word lies in the domain}.
 
-    Each word is folded left to right with mul2, never rebracketed (pi of
-    the word on a partial group).  After each factor the words are merged
-    by their (walker state, value) pair, which decides every extension
-    because walk_step and mul2 are deterministic: the merge is exact on
-    every instance, corrupted ones included.  The empty word carries the
-    value EMPTY_WORD; a domain word whose fold meets an undefined mul2 (on
-    a table that breaks the axioms) has no value and is dropped.
+    Each word is folded left to right by binary products read from
+    pg.product_table() rows, never rebracketed (pi of the word on a
+    partial group).  The table is the instance's own cache of mul2, so the
+    fold is the mul2 fold on every instance, corrupted ones and quotients
+    included.  After each factor the words are merged by their (walker
+    state, value) pair, which decides every extension because walk_step
+    and the table are deterministic: the walker steps once per pair and
+    letter.  The empty word carries the value EMPTY_WORD; a domain word
+    whose fold meets an undefined product (-1, on a table that breaks the
+    axioms) has no value and is dropped.
     """
     if len(factors) == 0:
         raise ValueError("subset_product needs at least one factor")
@@ -694,6 +699,7 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
     for f in factor_lists:
         if not f:
             raise ValueError("subset_product factors must be nonempty")
+    table = pg.product_table()
     frontier = {(pg.walk_start(), EMPTY_WORD)}
     for xs in factor_lists[:-1]:
         frontier = {
@@ -701,14 +707,14 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
             for state, value in frontier
             for x in xs
             if (nxt := pg.walk_step(state, x)) is not None
-            and (v := x if value is EMPTY_WORD else pg.mul2(value, x)) is not None
+            and (v := x if value is EMPTY_WORD else table[value][x]) >= 0
         }
     return frozenset(
         v
         for state, value in frontier
         for x in factor_lists[-1]
         if pg.walk_step(state, x) is not None
-        and (v := x if value is EMPTY_WORD else pg.mul2(value, x)) is not None
+        and (v := x if value is EMPTY_WORD else table[value][x]) >= 0
     )
 
 

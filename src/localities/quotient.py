@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import weakref
+from itertools import chain, compress
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +26,6 @@ from .partial import (
     closure_twins,
     partial_subgroup_closure,
     state_fixpoint,
-    subset_product,
     total_group_component,
 )
 from .report import VerificationReport
@@ -617,6 +617,40 @@ def _descent_failures(
     return state_fixpoint((s, e, s, e), letters, step)
 
 
+def _image_reader(rho: tuple[int, ...]):
+    """(image, column): image(masks) maps boolean rows over L (the last
+    axis) to boolean rows over the cosets rho meets, True where the row's
+    set meets that coset; column[x] is the column of x's coset.
+
+    The elements are sorted by coset once, so each image is one
+    np.logical_or.reduceat over the runs of a coset.  Only cosets that rho
+    meets get a column (all of them on a genuine bundle), so no run is
+    empty: reduceat would read an empty run as the next element.  The
+    sort is done in Python; numpy's sorting routines would add about half
+    a megabyte of resident memory the first time they run.
+    """
+    order = sorted(range(len(rho)), key=rho.__getitem__)
+    column = [0] * len(rho)
+    starts = []
+    for i, x in enumerate(order):
+        if i == 0 or rho[x] != rho[order[i - 1]]:
+            starts.append(i)
+        column[x] = len(starts) - 1
+
+    def image(masks: np.ndarray) -> np.ndarray:
+        return np.logical_or.reduceat(masks[..., order], starts, axis=-1)
+
+    return image, np.array(column)
+
+
+def _set_rows(sets: Iterable[Iterable[int]], n: int) -> np.ndarray:
+    """One boolean row over n elements per set, True on its members."""
+    sets = [list(X) for X in sets]
+    rows = np.zeros((len(sets), n), dtype=bool)
+    rows[np.repeat(np.arange(len(sets)), [len(X) for X in sets]), list(chain(*sets))] = True
+    return rows
+
+
 def verify_quotient_lemmas(
     loc: Locality,
     K: Iterable[int],
@@ -626,7 +660,16 @@ def verify_quotient_lemmas(
     """Instance-check the quotient toolbox on every admissible tuple.
 
     Each check is a theorem for genuine localities, so any failure reported
-    here points at an engine bug rather than at the input.
+    here points at an engine bug rather than at the input.  A bundle, when
+    given, must be one built for loc and K; it is checked as it stands.
+
+    The set checks read arrays, each built by the first check that needs
+    it: images of sets through the coset sort of _image_reader (checks 8
+    and 9), the right cosets Kf as boolean rows from pg.product_table()
+    (checks 9 and 13), and the product tables of L and of the quotient as
+    arrays (the products m n, bar m bar n and the witness search m^-1 f
+    of check 15).  Each check is computed right before it is recorded,
+    so the report's per-check times are its own.
     """
     K = frozenset(K)
     if loc.size > LEMMA_CAP:
@@ -636,6 +679,8 @@ def verify_quotient_lemmas(
         )
     if bundle is None:
         bundle = build_quotient(loc, K)
+    elif bundle.base is not loc or bundle.kernel != K:
+        raise ValueError("the quotient bundle was built for another locality or kernel")
     part = coset_partition(loc, K)
     flags = part.up_max
     rho = bundle.rho
@@ -643,8 +688,10 @@ def verify_quotient_lemmas(
     qpg = qloc.pg
     report = VerificationReport(f"quotient lemmas, kernel order {len(K)}")
     pg = loc.pg
+    n = pg.size
     T = K & loc.sylow_set
     max_elements = [f for f in loc.elements() if flags[f]]
+    ks = sorted(K)
 
     # 1: every element of N_L(S), in particular of S, is relatively maximal
     nls = loc.normalizer(loc.sylow_set)
@@ -657,11 +704,12 @@ def verify_quotient_lemmas(
     report.record("maximal-station-contains-T", not bad, bad[:5])
 
     # 3: splitting off a kernel factor keeps the threading subgroup
+    rows = pg.product_table()
     bad = []
-    for x in sorted(K):
+    for x in ks:
         for f in max_elements:
-            v = pg.pi((x, f))
-            if v is None:
+            v = rows[x][f]
+            if v < 0:
                 continue
             if loc.thread_subgroup((x, f)) != loc.thread_subgroup((v,)):
                 bad.append((x, f))
@@ -727,46 +775,56 @@ def verify_quotient_lemmas(
                       "H -> image is a bijection onto quotient partial subgroups, "
                       "preserving normality")
 
-    # 8: images of intersections with oversubgroups (sampled subsets)
+    # 8: images of intersections with oversubgroups (sampled subsets).  All
+    # samples are drawn first, by the same rng calls in the same order as
+    # one sample at a time; then each H, from the last to the first, marks
+    # the samples it fails, so each failing sample keeps its first failing H.
+    image, column = _image_reader(rho)
     rng = random.Random(seed)
-    bad = []
     universe = list(loc.elements())
-    bars = [(H, frozenset(rho[x] for x in H)) for H in overs]
+    samples = []
     for _ in range(LEMMA_SAMPLES):
         size = rng.randint(1, loc.size)
-        X = frozenset(rng.sample(universe, size))
-        xbar = frozenset(rho[x] for x in X)
-        for H, hbar in bars:
-            if xbar & hbar != frozenset(rho[x] for x in X & H):
-                bad.append((sorted(X), sorted(H)))
-                break
+        samples.append(rng.sample(universe, size))
+    xs = _set_rows(samples, n)
+    h_rows = _set_rows(overs, n)
+    both = image(h_rows)[:, None, :] & image(xs)  # bar(H) cap bar(X), per H and X
+    first = np.full(LEMMA_SAMPLES, -1)
+    for i in reversed(range(len(overs))):
+        first[(both[i] != image(xs & h_rows[i])).any(axis=1)] = i
+    bad = [(sorted(X), sorted(overs[i])) for X, i in zip(samples, first.tolist()) if i >= 0]
     report.record("image-intersection", not bad, bad[:2],
                   f"bar(X) cap bar(H) = bar(X cap H) on {LEMMA_SAMPLES} sampled X")
 
-    # 9: preimages of subgroups of S
+    # 9: preimages of subgroups of S, every R at once: row R of pre holds
+    # the elements whose coset meets R, and row R of kr the union of the
+    # right cosets Kr over r in R, which is KR.  in_kf[f, g]: g lies in
+    # Kf, set from the products k f; a missing product (-1) lands in the
+    # last column, which is dropped
+    in_kf = np.zeros((n, n + 1), dtype=bool)
+    in_kf[np.arange(n), [rows[k] for k in ks]] = True
+    in_kf = in_kf[:, :n]
     s_sets = loc.s_subgroup_sets()
-    bad = []
-    for R in s_sets:
-        rbar = frozenset(rho[r] for r in R)
-        pre = frozenset(x for x in loc.elements() if rho[x] in rbar)
-        KR = subset_product(pg, [K, R])
-        if pre != KR:
-            bad.append(sorted(R))
+    pre = image(_set_rows(s_sets, n))[:, column]
+    kr = np.array([in_kf[list(R)].any(axis=0) for R in s_sets])
+    bad = [sorted(R) for R, wrong in zip(s_sets, (pre != kr).any(axis=1).tolist()) if wrong]
     report.record("preimage-is-KR", not bad, bad[:3],
                   "{f : bar f in bar R} = KR for every R <= S")
 
-    # 10/11: exactness over T and normalizer images inside S
-    s_group, s_elems = loc.s_group()
-    qs_group, qs_elems = qloc.s_group()
-    qs_pos = {g: i for i, g in enumerate(qs_elems)}
-    bad10, bad11 = [], []
-    for R in s_sets:
-        if not T <= R:
-            continue
+    # 10: exactness over T
+    over_t = [R for R in s_sets if T <= R]
+    bad = []
+    for R in over_t:
         rbar = frozenset(rho[r] for r in R)
-        back = frozenset(s for s in loc.sylow_set if rho[s] in rbar)
-        if back != R:
-            bad10.append(sorted(R))
+        if frozenset(s for s in loc.sylow_set if rho[s] in rbar) != R:
+            bad.append(sorted(R))
+    report.record("preimage-exactness-over-T", not bad, bad[:3],
+                  "R = {s in S : bar s in bar R} whenever T <= R <= S")
+
+    # 11: normalizer images inside S
+    bad = []
+    for R in over_t:
+        rbar = frozenset(rho[r] for r in R)
         ns_r = frozenset(
             s for s in loc.sylow_set
             if loc.conjugate_set(R, s) == R
@@ -776,10 +834,8 @@ def verify_quotient_lemmas(
             if qloc.conjugate_set(rbar, s) == rbar
         )
         if frozenset(rho[x] for x in ns_r) != q_ns:
-            bad11.append(sorted(R))
-    report.record("preimage-exactness-over-T", not bad10, bad10[:3],
-                  "R = {s in S : bar s in bar R} whenever T <= R <= S")
-    report.record("normalizer-image", not bad11, bad11[:3],
+            bad.append(sorted(R))
+    report.record("normalizer-image", not bad, bad[:3],
                   "N_{bar S}(bar R) = bar(N_S(R)) whenever T <= R <= S")
 
     # 12: threading subgroups of maximal elements push forward
@@ -791,7 +847,9 @@ def verify_quotient_lemmas(
     report.record("station-image-for-maximal", not bad, bad[:5],
                   "bar(S_f) equals the quotient threading subgroup of bar f")
 
-    # 13: equal image and equal station promote maximality
+    # 13: equal image and equal station promote maximality; equal rows of
+    # in_kf are equal cosets Kf
+    coset_key = [row.tobytes() for row in in_kf]
     bad = []
     for f in max_elements:
         Sf = loc.thread_subgroup((f,))
@@ -800,7 +858,7 @@ def verify_quotient_lemmas(
                 continue
             if not flags[g]:
                 bad.append((f, g))
-            elif _right_coset(loc, K, g) != _right_coset(loc, K, f):
+            elif coset_key[g] != coset_key[f]:
                 bad.append((f, g, "coset"))
     report.record("same-image-same-station-maximal", not bad, bad[:5])
 
@@ -815,34 +873,46 @@ def verify_quotient_lemmas(
     if not pairs:
         report.skip("images-intersect-trivially", "no partial normal pair intersects in K")
         report.skip("product-preimage-splitting", "no partial normal pair intersects in K")
-    else:
-        bad14, bad15 = [], []
-        for M, N in pairs:
-            mbar = frozenset(rho[x] for x in M)
-            nbar = frozenset(rho[x] for x in N)
-            if mbar & nbar != {qpg.identity}:
-                bad14.append((len(M), len(N)))
-            mnbar = subset_product(qpg, [mbar, nbar])
-            MN = subset_product(pg, [M, N])
-            for fx in loc.elements():
-                if rho[fx] not in mnbar:
-                    continue
-                if fx not in MN:
-                    bad15.append((len(M), len(N), fx, "not-in-MN"))
-                    continue
-                Sf = loc.thread_subgroup((fx,))
-                found = False
-                for m in sorted(M):
-                    n = pg.pi((pg.inverse(m), fx))
-                    if n is None or n not in N:
-                        continue
-                    if pg.pi((m, n)) == fx and loc.thread_subgroup((m, n)) == Sf:
-                        found = True
-                        break
-                if not found:
-                    bad15.append((len(M), len(N), fx, "no-witness"))
-        report.record("images-intersect-trivially", not bad14, bad14[:3],
-                      "bar M cap bar N = 1 when M cap N = K")
-        report.record("product-preimage-splitting", not bad15, bad15[:3],
-                      "f with bar f in bar M bar N lies in MN with a matching witness")
+        return report
+    bad = []
+    for M, N in pairs:
+        if frozenset(rho[x] for x in M) & frozenset(rho[x] for x in N) != {qpg.identity}:
+            bad.append((len(M), len(N)))
+    report.record("images-intersect-trivially", not bad, bad[:3],
+                  "bar M cap bar N = 1 when M cap N = K")
+
+    # 15: f with bar f in bar M bar N is some m n with S_(m,n) = S_f; the
+    # candidates n = m^-1 f come from table rows, for every m in M and f.
+    # A missing product (-1) reads the pad of table, where it stays -1
+    table = _padded_products(pg)
+    qtable = _padded_products(qpg)
+    rho_of = np.array(rho)
+    inv = np.array([pg.inverse(x) for x in loc.elements()])
+    targets = np.arange(n)
+    stations = [loc.thread_subgroup((f,)) for f in loc.elements()]
+    bad = []
+    for M, N in pairs:
+        ms, ns = sorted(M), sorted(N)
+        mnbar = np.zeros(qpg.size + 1, dtype=bool)
+        mnbar[qtable[np.ix_(sorted({rho[x] for x in ms}), sorted({rho[x] for x in ns}))]] = True
+        mn = np.zeros(n + 1, dtype=bool)
+        mn[table[np.ix_(ms, ns)]] = True
+        in_n = np.zeros(n + 1, dtype=bool)
+        in_n[ns] = True
+        cand = table[inv[ms], :n]  # cand[i, f] = m_i^-1 f, -1 where undefined
+        hits = in_n[cand] & (table[np.array(ms)[:, None], cand] == targets)
+        # per f, the (m, m^-1 f) with m^-1 f in N and m (m^-1 f) = f, m ascending
+        cand_of, hits_of = cand.T.tolist(), hits.T.tolist()
+        in_mn = mn.tolist()
+        for fx in np.flatnonzero(mnbar[rho_of]).tolist():
+            if not in_mn[fx]:
+                bad.append((len(M), len(N), fx, "not-in-MN"))
+                continue
+            if not any(
+                loc.thread_subgroup((m, y)) == stations[fx]
+                for m, y in compress(zip(ms, cand_of[fx]), hits_of[fx])
+            ):
+                bad.append((len(M), len(N), fx, "no-witness"))
+    report.record("product-preimage-splitting", not bad, bad[:3],
+                  "f with bar f in bar M bar N lies in MN with a matching witness")
     return report

@@ -1,0 +1,143 @@
+"""The lemma checks that verify_quotient_lemmas reads from tables, computed
+element by element as the suite once computed them: each set built one pi,
+mul2 or thread_subgroup call at a time, and each product folded with one
+mul2 call per (walker state, value) pair and letter.
+
+reference_checks(loc, K, seed, bundle) gives {check name: (status,
+witnesses)} for those checks: kernel-splitting (3),
+equal-image-lands-in-coset (4), image-intersection (8), preimage-is-KR (9),
+same-image-same-station-maximal (13), images-intersect-trivially (14) and
+product-preimage-splitting (15).
+"""
+
+import random
+
+from localities.partial import EMPTY_WORD
+from localities.quotient import (
+    LEMMA_SAMPLES,
+    _partial_normals_cached,
+    coset_partition,
+    partial_subgroups_containing,
+)
+
+
+def mul2_product(pg, factors):
+    """{x1 ... xl : xi in factor i, the word in the domain}, merged by
+    (walker state, value) and folded with one mul2 call per pair and
+    letter."""
+    frontier = {(pg.walk_start(), EMPTY_WORD)}
+    for xs in factors:
+        frontier = {
+            (nxt, v)
+            for state, value in frontier
+            for x in sorted(xs)
+            if (nxt := pg.walk_step(state, x)) is not None
+            and (v := x if value is EMPTY_WORD else pg.mul2(value, x)) is not None
+        }
+    return frozenset(v for _, v in frontier)
+
+
+def right_coset(pg, K, f):
+    """Kf: the defined products k f, one mul2 call each."""
+    return frozenset(v for k in K if (v := pg.mul2(k, f)) is not None)
+
+
+def _result(bad, keep):
+    return ("pass" if not bad else "fail", bad[:keep])
+
+
+def reference_checks(loc, K, seed, bundle):
+    K = frozenset(K)
+    part = coset_partition(loc, K)
+    flags = part.up_max
+    rho = bundle.rho
+    qpg = bundle.quotient.pg
+    pg = loc.pg
+    max_elements = [f for f in loc.elements() if flags[f]]
+    out = {}
+
+    bad = []
+    for x in sorted(K):
+        for f in max_elements:
+            v = pg.pi((x, f))
+            if v is not None and loc.thread_subgroup((x, f)) != loc.thread_subgroup((v,)):
+                bad.append((x, f))
+    out["kernel-splitting"] = _result(bad, 5)
+
+    bad = []
+    for f in max_elements:
+        Kf = right_coset(pg, K, f)
+        if Kf != part.maximal[rho[f]].members:
+            bad.append(("coset-mismatch", f))
+        for g in loc.elements():
+            if (rho[g] == rho[f]) != (g in Kf):
+                bad.append((f, g))
+    out["equal-image-lands-in-coset"] = _result(bad, 5)
+
+    overs = [frozenset(loc.elements())] if len(K) == 1 else partial_subgroups_containing(pg, K)
+    rng = random.Random(seed)
+    bad = []
+    universe = list(loc.elements())
+    bars = [(H, frozenset(rho[x] for x in H)) for H in overs]
+    for _ in range(LEMMA_SAMPLES):
+        size = rng.randint(1, loc.size)
+        X = frozenset(rng.sample(universe, size))
+        xbar = frozenset(rho[x] for x in X)
+        for H, hbar in bars:
+            if xbar & hbar != frozenset(rho[x] for x in X & H):
+                bad.append((sorted(X), sorted(H)))
+                break
+    out["image-intersection"] = _result(bad, 2)
+
+    bad = []
+    for R in loc.s_subgroup_sets():
+        rbar = frozenset(rho[r] for r in R)
+        pre = frozenset(x for x in loc.elements() if rho[x] in rbar)
+        if pre != mul2_product(pg, [K, R]):
+            bad.append(sorted(R))
+    out["preimage-is-KR"] = _result(bad, 3)
+
+    bad = []
+    for f in max_elements:
+        Sf = loc.thread_subgroup((f,))
+        for g in part.maximal[rho[f]].members:
+            if loc.thread_subgroup((g,)) != Sf:
+                continue
+            if not flags[g]:
+                bad.append((f, g))
+            elif right_coset(pg, K, g) != right_coset(pg, K, f):
+                bad.append((f, g, "coset"))
+    out["same-image-same-station-maximal"] = _result(bad, 5)
+
+    pns = _partial_normals_cached(loc)
+    pairs = [(M, N) for M in pns for N in pns if M & N == K]
+    if not pairs:
+        out["images-intersect-trivially"] = ("skipped", [])
+        out["product-preimage-splitting"] = ("skipped", [])
+        return out
+    bad14, bad15 = [], []
+    for M, N in pairs:
+        mbar = frozenset(rho[x] for x in M)
+        nbar = frozenset(rho[x] for x in N)
+        if mbar & nbar != {qpg.identity}:
+            bad14.append((len(M), len(N)))
+        mnbar = mul2_product(qpg, [mbar, nbar])
+        MN = mul2_product(pg, [M, N])
+        for fx in loc.elements():
+            if rho[fx] not in mnbar:
+                continue
+            if fx not in MN:
+                bad15.append((len(M), len(N), fx, "not-in-MN"))
+                continue
+            Sf = loc.thread_subgroup((fx,))
+            for m in sorted(M):
+                n = pg.pi((pg.inverse(m), fx))
+                if n is None or n not in N:
+                    continue
+                if pg.pi((m, n)) == fx and loc.thread_subgroup((m, n)) == Sf:
+                    break
+            else:
+                bad15.append((len(M), len(N), fx, "no-witness"))
+    out["images-intersect-trivially"] = _result(bad14, 3)
+    out["product-preimage-splitting"] = _result(bad15, 3)
+    return out

@@ -1,0 +1,138 @@
+"""The lemma suite's table checks against the per-element reference.
+
+verify_quotient_lemmas reads checks 3, 4, 8, 9, 13, 14 and 15 from
+product-table rows and coset arrays; tests/lemma_reference.py computes the
+same checks element by element.  They are compared on every partial normal
+kernel of GRP-S4, GRP-C2xS4 and LOC-S5 at three seeds, and on bundles whose
+rho moves one element, or a whole coset, into another coset, where checks
+8, 9 and 15 fail, and on pairs that are not partial normal, where check 15
+finds no witness.
+"""
+
+import dataclasses
+from types import SimpleNamespace
+
+import pytest
+
+import lemma_reference
+import localities.report as report_module
+from localities import quotient
+from localities.locality import Locality
+from localities.quotient import (
+    _partial_normals_cached,
+    _right_coset,
+    build_quotient,
+    verify_quotient_lemmas,
+)
+
+import _frozen as frozen
+from lemma_reference import reference_checks
+
+FIXTURES = [
+    ("s4f", frozen.S4_PN_ORDERS),
+    ("c2s4f", frozen.C2XS4_PN_ORDERS),
+    ("s5f", frozen.S5_PN_ORDERS),
+]
+# (fixture, index of the kernel in the sorted partial normal subgroups)
+KERNELS = [(name, i) for name, orders in FIXTURES for i in range(len(orders))]
+KERNEL_IDS = [f"{name}-{orders[i]}-{i}" for name, orders in FIXTURES for i in range(len(orders))]
+SEEDS = (0, 1, 3)
+
+
+def table_checks(report, names):
+    return {c.name: (c.status, c.witnesses) for c in report.checks if c.name in names}
+
+
+@pytest.mark.parametrize("fixture,index", KERNELS, ids=KERNEL_IDS)
+def test_table_checks_match_the_reference(request, fixture, index):
+    loc = request.getfixturevalue(fixture).loc
+    K = _partial_normals_cached(loc)[index]
+    bundle = build_quotient(loc, K)
+    for seed in SEEDS:
+        expected = reference_checks(loc, K, seed, bundle)
+        report = verify_quotient_lemmas(loc, K, seed=seed, bundle=bundle)
+        assert report.ok
+        assert table_checks(report, expected) == expected
+
+
+def moved(bundle, xs, coset):
+    """The bundle with the elements xs sent to another coset by rho."""
+    rho = list(bundle.rho)
+    for x in xs:
+        assert rho[x] != coset
+        rho[x] = coset
+    return dataclasses.replace(bundle, rho=tuple(rho))
+
+
+@pytest.mark.parametrize("whole_coset", [False, True], ids=["one-element", "whole-coset"])
+def test_a_tampered_rho_fails_alike(s4f, whole_coset):
+    """GRP-S4 over V4 with element 1 of S, or its whole coset, moved into
+    the identity coset.  Moving the whole coset leaves it empty, so the
+    coset sort has a coset with no run."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    bundle = build_quotient(loc, K)
+    xs = [x for x in loc.elements() if bundle.rho[x] == bundle.rho[1]] if whole_coset else [1]
+    bundle = moved(bundle, xs, 0)
+    failing = {"image-intersection", "preimage-is-KR", "product-preimage-splitting"}
+    for seed in SEEDS:
+        expected = reference_checks(loc, K, seed, bundle)
+        report = verify_quotient_lemmas(loc, K, seed=seed, bundle=bundle)
+        assert failing <= {c.name for c in report.failures()}
+        assert table_checks(report, expected) == expected
+
+
+def test_pairs_that_are_not_partial_normal_fail_alike(s4f, monkeypatch):
+    """Checks 14 and 15 on the pair V4 u V4a, V4 u V4b of GRP-S4, for
+    every a and b, in place of the partial normal subgroups: some products
+    of such a pair have no witness (m, n) with a matching threading
+    subgroup."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    bundle = build_quotient(loc, K)
+    unions = sorted({K | _right_coset(loc, K, f) for f in loc.elements()}, key=sorted)
+    found = set()
+    for M in unions:
+        for N in unions:
+            for module in (quotient, lemma_reference):
+                monkeypatch.setattr(module, "_partial_normals_cached", lambda loc: [M, N])
+            expected = reference_checks(loc, K, 0, bundle)
+            report = verify_quotient_lemmas(loc, K, bundle=bundle)
+            assert table_checks(report, expected) == expected
+            found.update(w[-1] for w in expected["product-preimage-splitting"][1])
+    assert found == {"no-witness"}
+
+
+def test_a_bundle_for_another_kernel_or_locality_is_refused(s4f, c2s4f):
+    loc = s4f.loc
+    bundle = build_quotient(loc, s4f.subsets["V4"])
+    with pytest.raises(ValueError, match="another locality or kernel"):
+        verify_quotient_lemmas(loc, s4f.subsets["A4"], bundle=bundle)
+    with pytest.raises(ValueError, match="another locality or kernel"):
+        verify_quotient_lemmas(c2s4f.loc, c2s4f.subsets["V4"], bundle=bundle)
+    assert verify_quotient_lemmas(loc, s4f.subsets["V4"], bundle=bundle).ok
+
+
+def test_each_check_carries_its_own_time(c2s4f, monkeypatch):
+    """A clock that moves only in conjugate_set and thread_subgroup calls.
+    preimage-exactness-over-T reads rho alone and images-intersect-trivially
+    images alone, so neither carries time; normalizer-image conjugates and
+    product-preimage-splitting threads, so both do."""
+    loc, K = c2s4f.loc, c2s4f.subsets["A4"]
+    bundle = build_quotient(loc, K)
+    _partial_normals_cached(loc)
+    clock = [0.0]
+
+    def ticking(method):
+        def wrapper(*args, **kwargs):
+            clock[0] += 1.0
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(report_module, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    for name in ("conjugate_set", "thread_subgroup"):
+        monkeypatch.setattr(Locality, name, ticking(getattr(Locality, name)))
+    report = verify_quotient_lemmas(loc, K, bundle=bundle)
+    ms = {c.name: c.timing_ms for c in report.checks}
+    assert ms["preimage-exactness-over-T"] == ms["images-intersect-trivially"] == 0
+    assert ms["normalizer-image"] > 0
+    assert ms["product-preimage-splitting"] > 0

@@ -160,13 +160,27 @@ def test_subset_product_on_a_quotient(s5f):
         assert subset_product(qpg, factors) == fold_product(table, factors)
 
 
+class CountingRow(list):
+    """A product-table row that counts its reads on its walker."""
+
+    def __init__(self, row, walker):
+        super().__init__(row)
+        self.walker = walker
+
+    def __getitem__(self, i):
+        self.walker.table_reads += 1
+        return super().__getitem__(i)
+
+
 class CountingWalker:
-    """Counts walk_step and mul2 calls on a partial group, delegating both."""
+    """Counts walk_step calls and product-table reads on a partial group,
+    delegating both."""
 
     def __init__(self, pg):
         self.pg = pg
         self.walk_steps = 0
-        self.mul2s = 0
+        self.table_reads = 0
+        self.table = [CountingRow(row, self) for row in pg.product_table()]
 
     def walk_start(self):
         return self.pg.walk_start()
@@ -175,17 +189,34 @@ class CountingWalker:
         self.walk_steps += 1
         return self.pg.walk_step(state, x)
 
-    def mul2(self, a, b):
-        self.mul2s += 1
-        return self.pg.mul2(a, b)
+    def product_table(self):
+        return self.table
+
+
+def fold_each_word(pg, factors):
+    """The product word by word: one walk_step per (prefix word, letter)
+    and one table read per such step after the first factor, never
+    merging words."""
+    table = pg.product_table()
+    words = [(pg.walk_start(), None)]
+    for xs in factors:
+        words = [
+            (nxt, x if value is None else table[value][x])
+            for state, value in words
+            for x in sorted(xs)
+            if (nxt := pg.walk_step(state, x)) is not None
+        ]
+        words = [(state, value) for state, value in words if value >= 0]
+    return {value for _, value in words}
 
 
 def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
     """C2 * V4 * A4 * S4 on GRP-C2xS4: one walk_step per (frontier key,
     letter), where a key is a distinct (walker state, value) pair of the
-    domain words before that factor, and one mul2 per such step after the
-    first factor.  Enumerating the words takes one step per (prefix word,
-    letter): 2,410 here."""
+    domain words before that factor, and one product-table read per such
+    step after the first factor.  Enumerating the words takes one step per
+    (prefix word, letter): 2,410 here, so the word-by-word fold breaks the
+    bound."""
     loc = c2s4f.loc
     factors = [c2s4f.subsets[n] for n in ("C2", "V4", "A4", "S4")]
     pg = loc.pg
@@ -202,13 +233,15 @@ def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
         for n, f in enumerate(factors)
     )
     assert (bound, words) == (682, 2410)
+    expected = {pg.pi(w) for w in itertools.product(*factors) if pg.in_domain(w)}
 
-    counting = CountingWalker(pg)
-    assert subset_product(counting, factors) == {
-        pg.pi(w) for w in itertools.product(*factors) if pg.in_domain(w)
-    }
-    assert counting.walk_steps <= bound
-    assert counting.mul2s <= bound - len(factors[0])
+    def within_bound(product):
+        counting = CountingWalker(pg)
+        assert product(counting, factors) == expected
+        return counting.walk_steps <= bound and counting.table_reads <= bound - len(factors[0])
+
+    assert within_bound(subset_product)
+    assert not within_bound(fold_each_word)
 
 
 def test_product_certificate_counts_its_word_states(c2s4f):
