@@ -24,7 +24,6 @@ from .locality import (
     LocalityConstructionError,
     as_locality,
     check_locality,
-    conj_iso,
     conjugate_elem,
     delta_close,
     domain_chain,

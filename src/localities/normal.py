@@ -235,8 +235,9 @@ def _scan_product(
 ) -> tuple[frozenset[int], dict[int, Word], dict[int, int], int]:
     """The product over all domain words x1..xl (xi in factor i), folded
     left to right by binary products read from pg.product_table() rows and
-    merged by (automaton state, value) after each factor, as in
-    subset_product: the automaton steps once per key and letter.
+    merged by (automaton state, value) after each factor, as subset_product
+    merges by (walker code, value): the automaton steps once per key and
+    letter.
 
     Returns the product, the lexicographically least word of each value v
     whose threading subgroup is that of v, the number of such words, and

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Container, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,12 +23,18 @@ EMPTY_WORD = object()
 GENERIC_SWEEP_CAP = 500_000
 # The most words one check_axioms call sweeps (LOC-S5 at length 4: 10,013,304).
 AXIOM_SWEEP_CAP = 20_000_000
-# The most states one state_fixpoint search interns (LOC-S5's quotient checks: 80).
+# The most states one walker table or state_fixpoint search interns
+# (LOC-S5's quotient checks: 80).
 STATE_FIXPOINT_CAP = 1_000_000
 
 
 class AmalgamSpecError(ValueError):
     """The identification of an amalgam is not a subgroup isomorphism."""
+
+
+class WalkerTable(NamedTuple):  # see PartialGroup.walker_table
+    rows: list[list[int]]  # rows[c][x]: the code of walk_step(state c, x), -1 for None
+    array: np.ndarray  # rows as int64 plus a last row of -1: code -1 stays -1
 
 
 class PartialGroup:
@@ -44,7 +50,9 @@ class PartialGroup:
     p: int | None = None
     domain_is_total: bool = False
     _product_table: list[list[int]] | None = None
+    _padded_products: np.ndarray | None = None
     _conj_table: list[list[int]] | None = None
+    _walker_table: WalkerTable | None = None
 
     def inverse(self, x: int) -> int:
         raise NotImplementedError
@@ -82,6 +90,16 @@ class PartialGroup:
             ]
         return self._product_table
 
+    def padded_products(self) -> np.ndarray:
+        """product_table() as an (n+1) x (n+1) int64 array whose last row
+        and column are -1, so a product with the missing value -1 is
+        missing too.  Built on first use and kept on the instance."""
+        if self._padded_products is None:
+            n = self.size
+            self._padded_products = np.full((n + 1, n + 1), -1, dtype=np.int64)
+            self._padded_products[:n, :n] = self.product_table()
+        return self._padded_products
+
     def conj_table(self) -> list[list[int]]:
         """Conjugates: row x holds x^f = pi((f^-1, x, f)) at f, or -1 off
         the domain.
@@ -113,19 +131,47 @@ class PartialGroup:
     # check_locality: walk_step(state, x) is None exactly when
     # in_domain(word + (x,)) is false, where state is the state of word;
     # a state is hashable and decides every extension, so two words with
-    # equal states have the same domain status under every suffix.  The
-    # products step the walker once per (state, value) pair and letter,
-    # read each value from product_table() rows, and merge words with
-    # equal (state, value) pairs after each factor for that reason.  A
-    # walker reaches finitely many states from walk_start(): the
-    # quotient's word checks search them to a fixpoint (state_fixpoint),
-    # which ends only because they are finite.
+    # equal states have the same domain status under every suffix.
+    # walker_table() numbers the states that walk_start() reaches; it is
+    # built once per instance, on first use, and interning more than
+    # STATE_FIXPOINT_CAP states raises SweepBudgetExceeded, so a walker
+    # must reach finitely many states for it to end.  subset_product and
+    # the quotient's word checks (state_fixpoint) read its rows, and
+    # merge words with equal (code, value) pairs for that reason.
 
     def walk_start(self):
         raise NotImplementedError
 
     def walk_step(self, state, x: int):
         raise NotImplementedError
+
+    def walker_table(self) -> WalkerTable:
+        """The walker states as codes 0, 1, ... in the order one breadth
+        first pass over the letters 0..size-1 reaches them from walk_start()
+        (code 0): two words share a code exactly when they share a state."""
+        if self._walker_table is None:
+            start = self.walk_start()
+            codes = {start: 0}
+            states = [start]
+            rows = []
+            for state in states:  # states grows while it is read
+                row = []
+                for x in range(self.size):
+                    nxt = self.walk_step(state, x)
+                    code = -1 if nxt is None else codes.get(nxt)
+                    if code is None:
+                        if len(states) == STATE_FIXPOINT_CAP:
+                            raise SweepBudgetExceeded(
+                                f"walker table reached {len(states) + 1} states,"
+                                f" over the budget of {STATE_FIXPOINT_CAP}"
+                            )
+                        code = codes[nxt] = len(states)
+                        states.append(nxt)
+                    row.append(code)
+                rows.append(row)
+            array = np.array(rows + [[-1] * self.size], dtype=np.int64)
+            self._walker_table = WalkerTable(rows, array)
+        return self._walker_table
 
     # -- subgroup certificates ----------------------------------------------
 
@@ -524,56 +570,67 @@ def closure_twins(pg: PartialGroup, base: Iterable[int], x: int) -> set[int]:
 # word-state fixpoints
 
 
+# The most (state, letter) pairs one state_fixpoint step takes at once, so
+# that a level's arrays and keys stay a few MB however wide it is.
+_FIXPOINT_BLOCK = 1 << 15
+
+
 def state_fixpoint(
-    start: Hashable, letters: Sequence[int], step: Callable[[Hashable, int], tuple]
+    start: tuple[int, ...], dims: tuple[int, ...], letters: Sequence[int], step: Callable
 ) -> tuple[int, list[Word]]:
     """Every failing transition of a word check whose verdict is a state.
 
-    A word over letters is read from start one letter at a time:
-    step(state, x) returns (next, bad), the state of the word extended by x
-    (None where the check does not extend it) and whether that extended
-    word fails.  When the states are finite, searching them breadth first
-    to a fixpoint decides the check on words of every length; this is the
-    product-automaton construction of Epstein et al., Word Processing in
-    Groups (1992).
+    A state is a tuple of ints, component k in range(-1, dims[k] - 1).
+    Words over letters are read from start a level at a time: step(level,
+    xs) gets a level's states as one array per component and the letters
+    as an array, and returns (nxt, live, bad), each of shape (states,
+    letters): the components of each extended word's state, whether the
+    check extends it and whether it fails.  When the states are finite,
+    searching them breadth first to a fixpoint decides the check on words
+    of every length: the product-automaton construction of Epstein et al.,
+    Word Processing in Groups (1992).
 
-    States are interned in the order they are first reached, each with the
-    state and letter that reached it; letters are tried in the order given,
-    so that chain spells the least word of each state in shortlex order
-    (letters ranked as given).  Returns (number of states reached, one
-    failing word per failing transition: the least word of its state
-    followed by its letter).  The words come in shortlex order, the
-    shortest failing word first.  Interning more than STATE_FIXPOINT_CAP
-    states raises SweepBudgetExceeded.
+    Next states are packed into int64 keys (np.ravel_multi_index, where -1
+    packs as dims[k] - 1) and the unseen ones interned in (state, letter)
+    order, with no numpy sort.  So each state is first reached by the least
+    word in shortlex order (letters ranked as given).  Returns (number of
+    states, one failing word per failing transition: the least word of its
+    state followed by its letter), in shortlex order.  Interning more than
+    STATE_FIXPOINT_CAP states raises SweepBudgetExceeded.
     """
-    seen = {start}
-    states = [start]
-    reached_by = [(-1, -1)]  # (id of the state it was reached from, letter)
-    failing: list[tuple[int, int]] = []
-    for i, state in enumerate(states):  # states grows while it is read
-        for x in letters:
-            nxt, bad = step(state, x)
-            if bad:
-                failing.append((i, x))
-            if nxt is None or nxt in seen:
-                continue
-            if len(states) == STATE_FIXPOINT_CAP:
+    xs = np.asarray(letters, dtype=np.int64)
+    m = xs.size
+    xs_list = xs.tolist()
+    seen = {int(np.ravel_multi_index(start, dims, mode="wrap"))}
+    words: list[Word] = [()]  # the least word of each state, by id
+    failing: list[Word] = []
+    level = tuple(np.array([c], dtype=np.int64) for c in start)
+    first = 0  # id of the level's first state
+    block = max(1, _FIXPOINT_BLOCK // max(m, 1))  # states stepped at once
+    while level[0].size:
+        grown = []
+        for lo in range(0, level[0].size, block):
+            nxt, live, bad = step(tuple(c[lo:lo + block] for c in level), xs)
+            at_lo = first + lo  # id of the block's first state
+            failing += [words[at_lo + p // m] + (xs_list[p % m],)
+                        for p in np.flatnonzero(bad).tolist()]
+            pos = np.flatnonzero(live)
+            nxt = tuple(c.ravel()[pos] for c in nxt)
+            keys = np.ravel_multi_index(nxt, dims, mode="wrap").tolist()
+            # each key at its first index into pos: reversed, the first wins
+            at = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            new = sorted(i for key, i in at.items() if key not in seen)
+            if len(words) + len(new) > STATE_FIXPOINT_CAP:
                 raise SweepBudgetExceeded(
-                    f"word-state search reached {len(states) + 1} states,"
+                    f"word-state search reached {STATE_FIXPOINT_CAP + 1} states,"
                     f" over the budget of {STATE_FIXPOINT_CAP}"
                 )
-            seen.add(nxt)
-            states.append(nxt)
-            reached_by.append((i, x))
-
-    def least_word(i: int) -> Word:
-        word = []
-        while i > 0:
-            i, x = reached_by[i]
-            word.append(x)
-        return tuple(reversed(word))
-
-    return len(states), [least_word(i) + (x,) for i, x in failing]
+            seen.update(keys[i] for i in new)
+            words += [words[at_lo + p // m] + (xs_list[p % m],) for p in pos[new].tolist()]
+            grown.append(tuple(c[new] for c in nxt))
+        first += level[0].size
+        level = tuple(np.concatenate(cs) for cs in zip(*grown))
+    return len(words), failing
 
 
 @dataclass
@@ -687,11 +744,13 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
     partial group).  The table is the instance's own cache of mul2, so the
     fold is the mul2 fold on every instance, corrupted ones and quotients
     included.  After each factor the words are merged by their (walker
-    state, value) pair, which decides every extension because walk_step
-    and the table are deterministic: the walker steps once per pair and
-    letter.  The empty word carries the value EMPTY_WORD; a domain word
-    whose fold meets an undefined product (-1, on a table that breaks the
-    axioms) has no value and is dropped.
+    code, value) pair, which decides every extension because the walker
+    and the table are deterministic: the fold reads one walker row entry
+    per pair and letter, from pg.walker_table() (built once per instance,
+    on first use, within STATE_FIXPOINT_CAP states).  The empty word has
+    code 0 and carries the value EMPTY_WORD; a domain word whose fold
+    meets an undefined product (-1, on a table that breaks the axioms)
+    has no value and is dropped.
     """
     if len(factors) == 0:
         raise ValueError("subset_product needs at least one factor")
@@ -700,20 +759,21 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
         if not f:
             raise ValueError("subset_product factors must be nonempty")
     table = pg.product_table()
-    frontier = {(pg.walk_start(), EMPTY_WORD)}
+    rows = pg.walker_table().rows
+    frontier = {(0, EMPTY_WORD)}
     for xs in factor_lists[:-1]:
         frontier = {
             (nxt, v)
-            for state, value in frontier
+            for code, value in frontier
             for x in xs
-            if (nxt := pg.walk_step(state, x)) is not None
+            if (nxt := rows[code][x]) >= 0
             and (v := x if value is EMPTY_WORD else table[value][x]) >= 0
         }
     return frozenset(
         v
-        for state, value in frontier
+        for code, value in frontier
         for x in factor_lists[-1]
-        if pg.walk_step(state, x) is not None
+        if rows[code][x] >= 0
         and (v := x if value is EMPTY_WORD else table[value][x]) >= 0
     )
 

@@ -126,15 +126,6 @@ def is_up_maximal(loc: Locality, K: Iterable[int], f: int) -> bool:
     return True
 
 
-def _padded_products(pg: PartialGroup) -> np.ndarray:
-    """pg.product_table() as an (n+1) x (n+1) array whose last row and
-    column are -1, so a product with the missing value -1 is missing too."""
-    n = pg.size
-    table = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    table[:n, :n] = pg.product_table()
-    return table
-
-
 def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
     """is_up_maximal(loc, K, f) for every f, in one pass.
 
@@ -145,8 +136,8 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
     interned sets is read from one matrix.  For each f, an array over
     (x in K, g) says whether x and y = f^-1 (x g) are the witness
     up_relates looks for, with every product read from product_table()
-    rows.  f is maximal unless it relates upward to some g that does not
-    relate back.
+    rows (pg.padded_products()).  f is maximal unless it relates upward to
+    some g that does not relate back.
     """
     K = frozenset(K)
     pg = loc.pg
@@ -182,7 +173,7 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
     sub = np.zeros((len(sets) + 1, len(sets) + 1), dtype=bool)
     sub[:-1, :-1] = ~(has[:, None, :] & ~has[None, :, :]).any(axis=2)
 
-    table = _padded_products(pg)
+    table = pg.padded_products()
     in_k = np.zeros(n + 1, dtype=bool)
     in_k[ks] = True
     h = table[ks, :n]  # x g, one row per x in K
@@ -422,13 +413,23 @@ class QuotientBundle:
         return frozenset(x for x in self.base.elements() if self.rho[x] in wanted)
 
 
-def _coset_word_reads(pg: PartialGroup, qpg: QuotientPartialGroup):
-    """What the word checks of a quotient read: pg.product_table() with a
-    last row and column of -1 (so a missing value, -1, stays missing), rho
-    with -1 appended (a missing value has no coset), and the representative
-    of each base element's coset."""
-    rep = [qpg.reps[c] for c in qpg.rho]
-    return _padded_products(pg).tolist(), qpg.rho + (-1,), rep
+def _coset_word_steps(pg: PartialGroup, qpg: QuotientPartialGroup):
+    """(steps, rho, dims): a state of the word checks is (walker code of v,
+    pi(v), walker code of its representative word, pi of that word), with
+    components bounded by dims.  steps(level, f) gathers those of v f for
+    every state and letter from pg.walker_table().array and
+    pg.padded_products(), where -1 (a dead code, a missing value) stays -1
+    and rho of -1 is -1."""
+    walk = pg.walker_table().array
+    table = pg.padded_products()
+    rep = np.array([qpg.reps[c] for c in qpg.rho])
+
+    def steps(level, f):
+        base, v, bar, r = (c[:, None] for c in level)
+        rf = rep[f]
+        return walk[base, f], table[v, f], walk[bar, rf], table[r, rf]
+
+    return steps, np.array(qpg.rho + (-1,)), (len(walk), pg.size + 1) * 2
 
 
 def _homomorphism_failures(
@@ -438,27 +439,23 @@ def _homomorphism_failures(
     word bar(v) is off the quotient domain or has pi(bar(v)) != rho(pi(v)),
     one per failing transition of state_fixpoint.
 
-    The state of v is (walker state of v, pi(v), walker state of its
-    representative word, pi of that word), with values read from
-    pg.product_table().  pi(bar(v)) is rho of the last entry, as
+    The states are those of _coset_word_steps: codes read from
+    pg.walker_table() and values from pg.padded_products(), both built
+    once per instance on first use (the walker table within
+    STATE_FIXPOINT_CAP states).  pi(bar(v)) is rho of the last entry, as
     QuotientPartialGroup._raw_product defines it.  A failing word is not
     extended.
     """
-    table, rho, rep = _coset_word_reads(pg, qpg)
+    steps, rho, dims = _coset_word_steps(pg, qpg)
 
-    def step(state, f):
-        base, v, bar, r = state
-        base = pg.walk_step(base, f)
-        if base is None:
-            return None, False
-        bar = pg.walk_step(bar, rep[f])
-        v, r = table[v][f], table[r][rep[f]]
-        if bar is None or r < 0 or rho[v] != rho[r]:
-            return None, True
-        return (base, v, bar, r), False
+    def step(level, f):
+        base, v, bar, r = steps(level, f)
+        live = base >= 0
+        bad = live & ((bar < 0) | (r < 0) | (rho[v] != rho[r]))
+        return (base, v, bar, r), live & ~bad, bad
 
-    s, e = pg.walk_start(), pg.identity
-    return state_fixpoint((s, e, s, e), pg.elements(), step)
+    e = pg.identity
+    return state_fixpoint((0, e, 0, e), dims, pg.elements(), step)
 
 
 def build_quotient(loc: Locality, K: Iterable[int], check_len: int = 3) -> QuotientBundle:
@@ -468,8 +465,10 @@ def build_quotient(loc: Locality, K: Iterable[int], check_len: int = 3) -> Quoti
     on the domain words of every length, the kernel identity, inversion
     compatibility, and the locality axioms of the quotient up to check_len.
 
-    The homomorphism check is a state_fixpoint search (_homomorphism_failures),
-    so its witnesses come in shortlex order, the shortest first.
+    The homomorphism check is a state_fixpoint search (_homomorphism_failures)
+    over the walker table of loc.pg, built once per instance on first use
+    within STATE_FIXPOINT_CAP states, so its witnesses come in shortlex
+    order, the shortest first.
     """
     K = frozenset(K)
     part = coset_partition(loc, K)
@@ -595,26 +594,23 @@ def _descent_failures(
     domain or rho(pi(w)) != pi(bar(w)), one per failing transition of
     state_fixpoint.
 
-    States are those of _homomorphism_failures, except that a word off the
-    base domain carries the dead base state None and the missing value -1
+    States are those of _homomorphism_failures, read from the same
+    pg.walker_table() (built once per instance on first use, within
+    STATE_FIXPOINT_CAP states) and pg.padded_products(), except that a word
+    off the base domain carries the dead code -1 and the missing value -1
     and is still extended; a word off the quotient domain is not, since
     none of its extensions is in it.
     """
-    table, rho, rep = _coset_word_reads(pg, qpg)
+    steps, rho, dims = _coset_word_steps(pg, qpg)
 
-    def step(state, f):
-        base, v, bar, r = state
-        bar = pg.walk_step(bar, rep[f])
-        if bar is None:
-            return None, False
-        if base is not None:
-            base = pg.walk_step(base, f)
-        v = -1 if base is None else table[v][f]
-        r = table[r][rep[f]]
-        return (base, v, bar, r), base is None or r < 0 or rho[v] != rho[r]
+    def step(level, f):
+        base, v, bar, r = steps(level, f)
+        v = np.where(base >= 0, v, -1)
+        live = bar >= 0
+        return (base, v, bar, r), live, live & ((base < 0) | (r < 0) | (rho[v] != rho[r]))
 
-    s, e = pg.walk_start(), pg.identity
-    return state_fixpoint((s, e, s, e), letters, step)
+    e = pg.identity
+    return state_fixpoint((0, e, 0, e), dims, letters, step)
 
 
 def _image_reader(rho: tuple[int, ...]):
@@ -884,8 +880,8 @@ def verify_quotient_lemmas(
     # 15: f with bar f in bar M bar N is some m n with S_(m,n) = S_f; the
     # candidates n = m^-1 f come from table rows, for every m in M and f.
     # A missing product (-1) reads the pad of table, where it stays -1
-    table = _padded_products(pg)
-    qtable = _padded_products(qpg)
+    table = pg.padded_products()
+    qtable = qpg.padded_products()
     rho_of = np.array(rho)
     inv = np.array([pg.inverse(x) for x in loc.elements()])
     targets = np.arange(n)

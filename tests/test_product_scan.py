@@ -15,7 +15,12 @@ import pytest
 from localities import normal
 from localities.locality import Locality
 from localities.normal import enumerate_partial_normals, product_theorem2
-from localities.partial import CorruptedProducts, subset_product, swap_two_products
+from localities.partial import (
+    CorruptedProducts,
+    WalkerTable,
+    subset_product,
+    swap_two_products,
+)
 from localities.quotient import QuotientPartialGroup, build_quotient
 
 
@@ -161,62 +166,61 @@ def test_subset_product_on_a_quotient(s5f):
 
 
 class CountingRow(list):
-    """A product-table row that counts its reads on its walker."""
+    """A table row that counts its reads in one counter of its walker."""
 
-    def __init__(self, row, walker):
+    def __init__(self, row, walker, counter):
         super().__init__(row)
         self.walker = walker
+        self.counter = counter
 
     def __getitem__(self, i):
-        self.walker.table_reads += 1
+        setattr(self.walker, self.counter, getattr(self.walker, self.counter) + 1)
         return super().__getitem__(i)
 
 
 class CountingWalker:
-    """Counts walk_step calls and product-table reads on a partial group,
-    delegating both."""
+    """Counts walker-row reads and product-table reads on a partial group,
+    delegating both tables."""
 
     def __init__(self, pg):
-        self.pg = pg
-        self.walk_steps = 0
+        self.walker_reads = 0
         self.table_reads = 0
-        self.table = [CountingRow(row, self) for row in pg.product_table()]
+        self.table = [CountingRow(row, self, "table_reads") for row in pg.product_table()]
+        rows, array = pg.walker_table()
+        self.walker = WalkerTable([CountingRow(row, self, "walker_reads") for row in rows], array)
 
-    def walk_start(self):
-        return self.pg.walk_start()
-
-    def walk_step(self, state, x):
-        self.walk_steps += 1
-        return self.pg.walk_step(state, x)
+    def walker_table(self):
+        return self.walker
 
     def product_table(self):
         return self.table
 
 
 def fold_each_word(pg, factors):
-    """The product word by word: one walk_step per (prefix word, letter)
-    and one table read per such step after the first factor, never
+    """The product word by word: one walker-row read per (prefix word,
+    letter) and one table read per such read after the first factor, never
     merging words."""
     table = pg.product_table()
-    words = [(pg.walk_start(), None)]
+    rows = pg.walker_table().rows
+    words = [(0, None)]
     for xs in factors:
         words = [
             (nxt, x if value is None else table[value][x])
-            for state, value in words
+            for code, value in words
             for x in sorted(xs)
-            if (nxt := pg.walk_step(state, x)) is not None
+            if (nxt := rows[code][x]) >= 0
         ]
-        words = [(state, value) for state, value in words if value >= 0]
+        words = [(code, value) for code, value in words if value >= 0]
     return {value for _, value in words}
 
 
 def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
-    """C2 * V4 * A4 * S4 on GRP-C2xS4: one walk_step per (frontier key,
-    letter), where a key is a distinct (walker state, value) pair of the
-    domain words before that factor, and one product-table read per such
-    step after the first factor.  Enumerating the words takes one step per
-    (prefix word, letter): 2,410 here, so the word-by-word fold breaks the
-    bound."""
+    """C2 * V4 * A4 * S4 on GRP-C2xS4: one walker-row read per (frontier
+    key, letter), where a key is a distinct (walker state, value) pair of
+    the domain words before that factor, and one product-table read per
+    such read after the first factor.  Enumerating the words takes one
+    read per (prefix word, letter): 2,410 here, so the word-by-word fold
+    breaks the bound."""
     loc = c2s4f.loc
     factors = [c2s4f.subsets[n] for n in ("C2", "V4", "A4", "S4")]
     pg = loc.pg
@@ -238,7 +242,7 @@ def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
     def within_bound(product):
         counting = CountingWalker(pg)
         assert product(counting, factors) == expected
-        return counting.walk_steps <= bound and counting.table_reads <= bound - len(factors[0])
+        return counting.walker_reads <= bound and counting.table_reads <= bound - len(factors[0])
 
     assert within_bound(subset_product)
     assert not within_bound(fold_each_word)

@@ -6,11 +6,13 @@
   length, against the recursive word sweep up to length 3 the lemma suite
   ran before;
 - state_fixpoint against a sweep bounded at length 3, on a defect that
-  first shows at length 4;
+  first shows at length 4, with the toy checks run as array steps on both
+  the kernel and the one-state-at-a-time reference;
 - partial_subgroups_containing against the enumeration that closed
   current | {x} from scratch for every x outside current.
 """
 
+import numpy as np
 import pytest
 
 from localities import quotient
@@ -29,6 +31,7 @@ from localities.quotient import (
 )
 
 import _frozen as frozen
+import fixpoint_reference as reference
 
 FIXTURES = [
     ("s4f", frozen.S4_PN_ORDERS),
@@ -153,32 +156,44 @@ def bounded_sweep(start, letters, step, max_len):
     return bad
 
 
-def count_twos(count, x):
+def both_fixpoints(start, dims, letters, step):
+    """The kernel's answer, asserted equal to the reference's."""
+    got = state_fixpoint(start, dims, letters, step)
+    assert got == reference.state_fixpoint(start, letters, reference.per_state(step))
+    return got
+
+
+def count_twos(level, xs):
     """Words over 0, 1, 2 carry their number of 2s mod 5; a fourth 2 fails."""
-    count = (count + (x == 2)) % 5
-    return count, x == 2 and count == 4
+    (count,) = level
+    count = (count[:, None] + (xs == 2)) % 5
+    return (count,), np.ones(count.shape, dtype=bool), (xs == 2) & (count == 4)
 
 
 def test_a_defect_first_shown_at_length_4_fails_only_the_fixpoint():
-    assert bounded_sweep(0, range(3), count_twos, 3) == []
-    assert state_fixpoint(0, range(3), count_twos) == (5, [(2, 2, 2, 2)])
-    assert bounded_sweep(0, range(3), count_twos, 4) == [(2, 2, 2, 2)]
+    step = reference.per_state(count_twos)
+    assert bounded_sweep((0,), range(3), step, 3) == []
+    assert both_fixpoints((0,), (5,), range(3), count_twos) == (5, [(2, 2, 2, 2)])
+    assert bounded_sweep((0,), range(3), step, 4) == [(2, 2, 2, 2)]
 
 
 def test_fixpoint_words_are_the_least_word_of_each_failing_transition():
     """Words over 0, 1 carry their letter sum mod 3; a word ending in 1 at
     sum 0 fails and is not extended."""
 
-    def step(total, x):
-        total = (total + x) % 3
-        return (None, True) if x == 1 and total == 0 else (total, False)
+    def step(level, xs):
+        (total,) = level
+        total = (total[:, None] + xs) % 3
+        bad = (xs == 1) & (total == 0)
+        return (total,), ~bad, bad
 
-    states, words = state_fixpoint(0, (0, 1), step)
+    states, words = both_fixpoints((0,), (3,), (0, 1), step)
     assert states == 3
     # sum 2 is first reached by (1, 1); from it, 1 fails
     assert words == [(1, 1, 1)]
-    assert set(bounded_sweep(0, (0, 1), step, 4)) == {(1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1),
-                                                     (1, 1, 0, 1)}
+    assert set(bounded_sweep((0,), (0, 1), reference.per_state(step), 4)) == {
+        (1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)
+    }
 
 
 def enumerate_by_full_closures(pg, seed, cap=20_000):
