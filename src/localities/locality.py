@@ -21,7 +21,9 @@ from .partial import (
     _is_prime_power,
     classify_subset,
     closure_twins,
+    intern_states,
     partial_subgroup_closure,
+    state_fixpoint,
     total_group_component,
 )
 from .report import CheckRecord, VerificationReport
@@ -190,7 +192,8 @@ class ThreadAutomaton:
         """trans[state, x] over every state reachable from the start.
 
         Fills the row of every state with all letters, so it interns the
-        states outside Delta too (full_closure stops at the first of them).
+        states outside Delta too: the threading check of check_locality
+        reads them on words off the domain.
         """
         sid = 0
         while sid < len(self.states):
@@ -198,25 +201,6 @@ class ThreadAutomaton:
                 self.step(sid, g)
             sid += 1
         return np.array(self._rows, dtype=np.int32)
-
-    def full_closure(self, letters: Iterable[int] | None = None) -> tuple[bool, Word | None]:
-        """Explore all states reachable over the letters (default: everything).
-
-        Returns (every reachable state lies in Delta, witness word if not).
-        """
-        alphabet = list(letters) if letters is not None else list(range(self._n))
-        seen = {0}
-        queue: list[tuple[int, Word]] = [(0, ())]
-        while queue:
-            sid, path = queue.pop()
-            if not self.in_delta[sid]:
-                return False, path
-            for g in alphabet:
-                nid = self.step(sid, g)
-                if nid not in seen:
-                    seen.add(nid)
-                    queue.append((nid, path + (g,)))
-        return True, None
 
 
 class LocalityPartialGroup(PartialGroup):
@@ -251,7 +235,6 @@ class LocalityPartialGroup(PartialGroup):
         self.automaton = ThreadAutomaton(
             s_elems, conj_step_of, size, lambda starts: starts in delta_sets
         )
-        self._total: bool | None = None
 
     def inverse(self, x: int) -> int:
         return self._inv[x]
@@ -299,17 +282,6 @@ class LocalityPartialGroup(PartialGroup):
     def walk_step(self, state: int, x: int):
         nid = self.automaton.step(state, x)
         return nid if self.automaton.in_delta[nid] else None
-
-    @property
-    def domain_is_total(self) -> bool:  # type: ignore[override]
-        if self._total is None:
-            ok, _ = self.automaton.full_closure()
-            self._total = ok
-        return self._total
-
-    def words_all_in_domain(self, members: frozenset[int]):
-        ok, witness = self.automaton.full_closure(sorted(members))
-        return ok, "domain-closure", witness
 
     def _vector_components(self):
         return total_group_component(self)
@@ -490,9 +462,7 @@ def normalizer_in_L(loc: Locality, X: Iterable[int]) -> NormalizerResult:
 # construction from a group
 
 
-def locality_from_group(
-    M: FiniteGroup, p: int, delta: DeltaFamily, check_len: int = 2
-) -> Locality:
+def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
     """Restrict M to {g : S cap S^(g^-1) in Delta} with threading-decided words.
 
     Delta lives in M's id space (over a Sylow p-subgroup of M).  The result
@@ -575,7 +545,7 @@ def locality_from_group(
     loc.to_ambient = to_ambient  # type: ignore[attr-defined]
     loc.to_local = to_local  # type: ignore[attr-defined]
     loc.ambient = M  # type: ignore[attr-defined]
-    report = check_locality(loc, max_len=check_len)
+    report = check_locality(loc)
     if not report.ok:
         raise LocalityConstructionError(report)
     return loc
@@ -620,40 +590,66 @@ def _p_subgroup_above(
             continue
         grown = partial_subgroup_closure(pg, base | {x})
         if len(grown) != len(base) and _is_prime_power(len(grown), loc.p):
-            ok, _, _ = pg.words_all_in_domain(grown)
+            ok, _ = pg.words_all_in_domain(grown)
             if ok:
                 return (x, grown)
         done.update(closure_twins(pg, base, x))
     return None
 
 
-def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
+def _chain_word_steps(loc: Locality, delta_list: list[frozenset[int]], images: list[list]):
+    """(steps, in_delta, dims): a state of the (L2) and threading checks is
+    (chain front code, walker code, threading state) of a word, with
+    components bounded by dims.  The front of a word is the set of Delta
+    members a chain through it can reach: all of Delta for the empty word,
+    then P^g = images[i][g] for each P = delta_list[i] in the front with
+    P^g in Delta.  Fronts are interned by intern_states, the empty front as -1.
+    steps(level, g) gathers the states of w g for every state and letter
+    from the front rows, pg.walker_table().array (a dead code stays -1) and
+    loc.automaton.dense_rows(); in_delta[t] says whether S_w lies in
+    loc.delta (the automaton's own mask may be that of another Delta).
+    """
+    pg = loc.pg
+    delta_idx = {P: i for i, P in enumerate(delta_list)}
+    chain_step = [[delta_idx.get(img, -1) for img in row] for row in images]
+
+    def front_step(front: frozenset[int], g: int) -> frozenset[int] | None:
+        nxt = frozenset(t for t in (chain_step[i][g] for i in front) if t >= 0)
+        return nxt or None
+
+    rows = intern_states(frozenset(range(len(delta_list))), front_step, pg.size, "chain fronts")
+    fronts = np.array(rows + [[-1] * pg.size], dtype=np.int64)
+    walk = pg.walker_table().array
+    thread = loc.automaton.dense_rows()
+
+    def steps(level, g):
+        front, code, sid = (c[:, None] for c in level)
+        return fronts[front, g], walk[code, g], thread[sid, g]
+
+    in_delta = np.array([P in loc.delta.members for P in loc.automaton.start_sets])
+    return steps, in_delta, (len(fronts), len(walk), len(thread))
+
+
+def check_locality(loc: Locality) -> VerificationReport:
     """Verify the three locality axioms plus structural sanity.
 
     (L1) S is maximal among p-subgroups; (L2) a word is in the domain iff a
-    conjugation chain through Delta witnesses it, for all words up to
-    max_len; (L3) Delta is closed under overgroups of images inside S.
+    conjugation chain through Delta witnesses it, for words of every
+    length; (L3) Delta is closed under overgroups of images inside S.
     When the products on S are not a group (FiniteGroup rejects them), a
     failing check S-is-a-group carries the certificate's message, and the
     two checks that need the subgroup lattice of S are skipped.
 
-    The (L2) sweep grows words one letter at a time and carries, per
-    prefix, its chain front (the Delta members a chain can reach), its
-    walker state pg.walk_step and its threading state automaton.step.
-    What the sweep finds below a prefix depends only on the key (front,
-    walker state, threading state, remaining length) and the suffix: the
-    front fixes chain existence, the walker state fixes domain membership
-    (it decides every extension) and the threading state fixes S_w.  So a
-    key whose subtree added no finding is recorded and skipped when it
-    recurs, since it would add none again (the finding count only grows,
-    so the cap never reopens a subtree).  Every other subtree is swept in
-    the literal order under the same cap, so both findings lists equal
-    those of the word-by-word sweep.  Below a word off the domain the
-    walker has no state: those words ask pg.in_domain and are not recorded.
-    Fronts and recorded keys live for one call.
+    The image P^g of every Delta member P and element g is computed once,
+    by loc.conjugate_set, and read by (L2) and (L3).  (L2) and the check
+    that S_w lies in Delta exactly on domain words are two state_fixpoint
+    searches over the key (chain front code, walker code, threading state)
+    of _chain_word_steps: the front fixes chain existence, the walker code
+    domain membership under every extension (the walker contract of
+    PartialGroup) and the threading state S_w, so their verdicts cover
+    words of every length.  A word is extended while its front is
+    nonempty; its failing words come in shortlex order, the shortest first.
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
     report = VerificationReport("locality axioms")
     pg = loc.pg
 
@@ -677,7 +673,7 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
         )
 
     # (L1)
-    ok_s, _, bad_word = pg.words_all_in_domain(loc.sylow_set)
+    ok_s, bad_word = pg.words_all_in_domain(loc.sylow_set)
     order = len(loc.sylow_set)
     is_p_group = _is_prime_power(order, loc.p)
     above = (
@@ -698,68 +694,31 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
         "S is a p-subgroup and no p-subgroup properly contains it",
     )
 
-    # (L2): domain decision vs chain existence, all words up to max_len
+    # (L2): domain decision vs chain existence, on words of every length
     delta_list = sorted(loc.delta.members, key=sorted)
-    delta_idx = {P: i for i, P in enumerate(delta_list)}
-    chain_step: list[tuple[int, ...]] = []
-    for P in delta_list:
-        row = []
-        for g in pg.elements():
-            img = loc.conjugate_set(P, g)
-            row.append(delta_idx.get(img, -1) if img is not None else -1)
-        chain_step.append(tuple(row))
-    full_front = frozenset(range(len(delta_list)))
-    mismatches: list[tuple] = []
-    prop_e_mismatches: list[tuple] = []
-    automaton = loc.automaton
-    fronts: dict[tuple[frozenset[int], int], frozenset[int]] = {}
-    clean: set[tuple] = set()
-    visited = 0
+    images = [[loc.conjugate_set(P, g) for g in pg.elements()] for P in delta_list]
+    steps, in_delta, dims = _chain_word_steps(loc, delta_list, images)
 
-    def sweep(word: Word, front: frozenset[int], state, sid: int, budget: int) -> None:
-        nonlocal visited
-        if budget == 0 or len(mismatches) + len(prop_e_mismatches) > 20:
-            return
-        for g in pg.elements():
-            visited += 1
-            w = word + (g,)
-            nxt = fronts.get((front, g))
-            if nxt is None:
-                nxt = frozenset(t for t in (chain_step[i][g] for i in front) if t >= 0)
-                fronts[(front, g)] = nxt
-            if state is None:
-                nstate, in_dom = None, pg.in_domain(w)
-            else:
-                nstate = pg.walk_step(state, g)
-                in_dom = nstate is not None
-            nsid = automaton.step(sid, g)
-            if in_dom != bool(nxt):
-                mismatches.append((w, in_dom, bool(nxt)))
-            if (automaton.start_sets[nsid] in loc.delta.members) != in_dom:
-                prop_e_mismatches.append(w)
-            if not nxt:
-                continue
-            key = (nxt, nstate, nsid, budget - 1)
-            if nstate is None:
-                sweep(w, *key)
-            elif key not in clean:
-                found = len(mismatches) + len(prop_e_mismatches)
-                sweep(w, *key)
-                if found == len(mismatches) + len(prop_e_mismatches):
-                    clean.add(key)
+    def l2_step(level, g):
+        front, code, _ = nxt = steps(level, g)
+        return nxt, front >= 0, (front >= 0) != (code >= 0)
 
-    sweep((), full_front, pg.walk_start(), 0, max_len)
+    def threading_step(level, g):
+        front, code, sid = nxt = steps(level, g)
+        return nxt, front >= 0, in_delta[sid] != (code >= 0)
+
+    states, words = state_fixpoint((0, 0, 0), dims, pg.elements(), l2_step)
     report.record(
         "L2-domain-iff-chain",
-        not mismatches,
-        mismatches[:10],
-        f"chain existence matches the domain on words up to length {max_len}"
-        f" ({visited} words visited)",
+        not words,
+        [(w, d, not d) for w in words[:10] for d in [pg.in_domain(w)]],
+        f"chain existence matches the domain on all domain words ({states} states)",
     )
+    _, words = state_fixpoint((0, 0, 0), dims, pg.elements(), threading_step)
     report.record(
         "threading-matches-domain",
-        not prop_e_mismatches,
-        prop_e_mismatches[:10],
+        not words,
+        words[:10],
         "S_w in Delta exactly on domain words",
     )
 
@@ -771,9 +730,8 @@ def check_locality(loc: Locality, max_len: int = 2) -> VerificationReport:
     overs: dict[frozenset[int], list[frozenset[int]]] = {}
     for P in lattice:
         overs[P] = [Q for Q in lattice if P <= Q]
-    for P in delta_list:
-        for g in pg.elements():
-            img = loc.conjugate_set(P, g)
+    for P, row in zip(delta_list, images):
+        for g, img in enumerate(row):
             if img is None or not img <= loc.sylow_set:
                 continue
             base = overs.get(img)

@@ -165,7 +165,7 @@ def strongly_closed_and_T(
                 bad.append((g, sorted(img or ())))
     report.record("setwise-invariant", not bad, bad[:5], "T^g = T whenever T <= S_g")
 
-    ok_t, _, bad_word = loc.pg.words_all_in_domain(T)
+    ok_t, bad_word = loc.pg.words_all_in_domain(T)
     t_is_p = _is_prime_power(len(T), loc.p)
     above = _p_subgroup_above(loc, T, sorted(N - T)) if ok_t and t_is_p else None
     report.record(

@@ -20,10 +20,9 @@ Word = tuple[int, ...]
 # element id, and not None, which is mul2's answer off the domain.
 EMPTY_WORD = object()
 
-GENERIC_SWEEP_CAP = 500_000
 # The most words one check_axioms call sweeps (LOC-S5 at length 4: 10,013,304).
 AXIOM_SWEEP_CAP = 20_000_000
-# The most states one walker table or state_fixpoint search interns
+# The most states one intern_states table or state_fixpoint search interns
 # (LOC-S5's quotient checks: 80).
 STATE_FIXPOINT_CAP = 1_000_000
 
@@ -48,7 +47,6 @@ class PartialGroup:
     identity: int
     labels: tuple[str, ...]
     p: int | None = None
-    domain_is_total: bool = False
     _product_table: list[list[int]] | None = None
     _padded_products: np.ndarray | None = None
     _conj_table: list[list[int]] | None = None
@@ -126,18 +124,19 @@ class PartialGroup:
     # A walker extends a word one letter at a time and returns None as soon
     # as no extension of the prefix can be in the domain (valid for partial
     # groups because domain words have all their prefixes in the domain).
-    # Contract, relied on by subset_product, the product scan of
-    # normal._scan_product, build_quotient and the (L2) sweep of
-    # check_locality: walk_step(state, x) is None exactly when
-    # in_domain(word + (x,)) is false, where state is the state of word;
-    # a state is hashable and decides every extension, so two words with
-    # equal states have the same domain status under every suffix.
-    # walker_table() numbers the states that walk_start() reaches; it is
-    # built once per instance, on first use, and interning more than
-    # STATE_FIXPOINT_CAP states raises SweepBudgetExceeded, so a walker
-    # must reach finitely many states for it to end.  subset_product and
-    # the quotient's word checks (state_fixpoint) read its rows, and
-    # merge words with equal (code, value) pairs for that reason.
+    # Contract, relied on by every reader of walker_table(): walk_step(state,
+    # x) is None exactly when in_domain(word + (x,)) is false, where state
+    # is the state of word; a state is hashable and decides every
+    # extension, so two words with equal states have the same domain
+    # status under every suffix.  walker_table() numbers the states that
+    # walk_start() reaches; it is built once per instance, on first use,
+    # and interning more than STATE_FIXPOINT_CAP states raises
+    # SweepBudgetExceeded, so a walker must reach finitely many states for
+    # it to end.  It is the one domain decider for words of every length:
+    # words_all_in_domain, domain_is_total, the (L2) and threading checks
+    # of check_locality, subset_product, the product scan of
+    # normal._scan_product and the quotient's word checks (state_fixpoint)
+    # read its rows, and merge words with equal codes for that reason.
 
     def walk_start(self):
         raise NotImplementedError
@@ -150,70 +149,73 @@ class PartialGroup:
         first pass over the letters 0..size-1 reaches them from walk_start()
         (code 0): two words share a code exactly when they share a state."""
         if self._walker_table is None:
-            start = self.walk_start()
-            codes = {start: 0}
-            states = [start]
-            rows = []
-            for state in states:  # states grows while it is read
-                row = []
-                for x in range(self.size):
-                    nxt = self.walk_step(state, x)
-                    code = -1 if nxt is None else codes.get(nxt)
-                    if code is None:
-                        if len(states) == STATE_FIXPOINT_CAP:
-                            raise SweepBudgetExceeded(
-                                f"walker table reached {len(states) + 1} states,"
-                                f" over the budget of {STATE_FIXPOINT_CAP}"
-                            )
-                        code = codes[nxt] = len(states)
-                        states.append(nxt)
-                    row.append(code)
-                rows.append(row)
+            rows = intern_states(self.walk_start(), self.walk_step, self.size, "walker table")
             array = np.array(rows + [[-1] * self.size], dtype=np.int64)
             self._walker_table = WalkerTable(rows, array)
         return self._walker_table
 
-    # -- subgroup certificates ----------------------------------------------
+    @property
+    def domain_is_total(self) -> bool:
+        """Whether every word is in the domain: no -1 in the walker rows."""
+        return bool((self.walker_table().array[:-1] >= 0).all())
 
-    def words_all_in_domain(self, members: frozenset[int]) -> tuple[bool, str, Word | None]:
-        """Decide whether every word over members lies in the domain.
+    def words_all_in_domain(self, members: frozenset[int]) -> tuple[bool, Word | None]:
+        """(whether every word over members lies in the domain, the
+        shortlex-least word over them off it when not), for words of every
+        length.
 
-        Returns (verdict, criterion name, witness word when the verdict is
-        negative).  The generic fallback sweeps words up to length
-        len(members) + 1 and refuses to run past a node cap.
+        A breadth-first search over the walker codes that words over the
+        members reach, reading walker_table() rows on the member letters in
+        ascending order: each code is first reached by its shortlex-least
+        word, so the first -1 met ends the shortlex-least failing word.
         """
-        if self.domain_is_total:
-            return True, "domain-closure", None
-        elems = sorted(members)
-        max_len = len(elems) + 1
-        budget = GENERIC_SWEEP_CAP
-
-        def rec(word: Word) -> Word | None:
-            nonlocal budget
-            if len(word) >= max_len:
-                return None
-            for x in elems:
-                budget -= 1
-                if budget <= 0:
-                    raise SweepBudgetExceeded(
-                        "generic bounded-length subgroup sweep is too large"
-                    )
-                grown = word + (x,)
-                if not self.in_domain(grown):
-                    return grown
-                bad = rec(grown)
-                if bad is not None:
-                    return bad
-            return None
-
-        witness = rec(())
-        if witness is not None:
-            return False, "bounded-length", witness
-        return True, "bounded-length", None
+        rows = self.walker_table().rows
+        letters = sorted(members)
+        least = {0: ()}  # the shortlex-least word of each code reached
+        codes = [0]
+        for code in codes:  # codes grows while it is read
+            row = rows[code]
+            for x in letters:
+                nxt = row[x]
+                if nxt < 0:
+                    return False, least[code] + (x,)
+                if nxt not in least:
+                    least[nxt] = least[code] + (x,)
+                    codes.append(nxt)
+        return True, None
 
 
 class SweepBudgetExceeded(RuntimeError):
     pass
+
+
+def intern_states(start, step: Callable, letters: int, what: str) -> list[list[int]]:
+    """The transition rows of the states that step(state, x) reaches from
+    start over the letters 0..letters-1, numbered 0, 1, ... in the order
+    one breadth-first pass reaches them (start is 0): rows[c][x] is the
+    number of step(state c, x), or -1 where it is None.  States must be
+    hashable; interning more than STATE_FIXPOINT_CAP of them raises
+    SweepBudgetExceeded, naming what is built.
+    """
+    codes = {start: 0}
+    states = [start]
+    rows = []
+    for state in states:  # states grows while it is read
+        row = []
+        for x in range(letters):
+            nxt = step(state, x)
+            code = -1 if nxt is None else codes.get(nxt)
+            if code is None:
+                if len(states) == STATE_FIXPOINT_CAP:
+                    raise SweepBudgetExceeded(
+                        f"{what} reached {len(states) + 1} states,"
+                        f" over the budget of {STATE_FIXPOINT_CAP}"
+                    )
+                code = codes[nxt] = len(states)
+                states.append(nxt)
+            row.append(code)
+        rows.append(row)
+    return rows
 
 
 def pi(pg: PartialGroup, word: Iterable[int]) -> int | None:
@@ -230,8 +232,6 @@ def invert_word(pg: PartialGroup, word: Iterable[int]) -> Word:
 
 class GroupPartialGroup(PartialGroup):
     """A finite group viewed as a partial group with a total domain."""
-
-    domain_is_total = True
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -390,16 +390,6 @@ class AmalgamPartialGroup(PartialGroup):
         m = state & self.side_mask[x]
         return m if m else None
 
-    def words_all_in_domain(self, members: frozenset[int]) -> tuple[bool, str, Word | None]:
-        m = self.SIDE_LEFT | self.SIDE_RIGHT
-        for x in members:
-            m &= self.side_mask[x]
-        if m:
-            return True, "domain-closure", None
-        lefts = [x for x in members if not self.side_mask[x] & self.SIDE_RIGHT]
-        rights = [x for x in members if not self.side_mask[x] & self.SIDE_LEFT]
-        return False, "domain-closure", (min(lefts), min(rights))
-
     def _vector_components(self):
         left_ids = tuple(self.from_left)
         right_ids = tuple(self.from_right)
@@ -421,7 +411,6 @@ class CorruptedProducts(PartialGroup):
         self.identity = base.identity
         self.labels = base.labels
         self.p = base.p
-        self.domain_is_total = base.domain_is_total
 
     def inverse(self, x: int) -> int:
         return self.base.inverse(x)
@@ -439,9 +428,6 @@ class CorruptedProducts(PartialGroup):
 
     def walk_step(self, state, x: int):
         return self.base.walk_step(state, x)
-
-    def words_all_in_domain(self, members: frozenset[int]):
-        return self.base.words_all_in_domain(members)
 
 
 def swap_two_products(base: PartialGroup, w1: Word, w2: Word) -> CorruptedProducts:
@@ -643,7 +629,6 @@ class SubsetHandle:
     is_subgroup: bool
     is_p_subgroup: bool
     is_partial_normal: bool
-    subgroup_criterion: str | None = None
     witness: tuple | None = None
 
     @property
@@ -710,9 +695,8 @@ def classify_subset(
     witness = _closure_failure(pg, X)
     partial_sub = witness is None
     is_subgroup = False
-    criterion = None
     if partial_sub:
-        ok, criterion, bad = pg.words_all_in_domain(X)
+        ok, bad = pg.words_all_in_domain(X)
         is_subgroup = ok
         if not ok and witness is None:
             witness = ("word", bad)
@@ -731,7 +715,6 @@ def classify_subset(
         is_subgroup=is_subgroup,
         is_p_subgroup=is_p,
         is_partial_normal=is_pn,
-        subgroup_criterion=criterion,
         witness=witness,
     )
 

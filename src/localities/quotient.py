@@ -377,22 +377,8 @@ class QuotientPartialGroup(PartialGroup):
     def walk_step(self, state, x: int):
         return self.base.walk_step(state, self.reps[x])
 
-    @property
-    def domain_is_total(self) -> bool:  # type: ignore[override]
-        return self.words_all_in_domain(frozenset(self.elements()))[0]
-
     def _vector_components(self):
         return total_group_component(self)
-
-    def words_all_in_domain(self, members: frozenset[int]):
-        """The base verdict on the representatives; the base witness is a
-        word over them, read back as a coset word through rho."""
-        ok, criterion, wit = self.base.words_all_in_domain(
-            frozenset(self.reps[c] for c in members)
-        )
-        if wit is not None:
-            wit = tuple(self.rho[x] for x in wit)
-        return ok, criterion, wit
 
 
 @dataclass
@@ -458,12 +444,12 @@ def _homomorphism_failures(
     return state_fixpoint((0, e, 0, e), dims, pg.elements(), step)
 
 
-def build_quotient(loc: Locality, K: Iterable[int], check_len: int = 3) -> QuotientBundle:
+def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
     """Form the quotient locality by K and verify it end to end.
 
     Verified here: the coset partition, pi-homomorphism of the quotient map
     on the domain words of every length, the kernel identity, inversion
-    compatibility, and the locality axioms of the quotient up to check_len.
+    compatibility, and the locality axioms of the quotient.
 
     The homomorphism check is a state_fixpoint search (_homomorphism_failures)
     over the walker table of loc.pg, built once per instance on first use
@@ -509,7 +495,7 @@ def build_quotient(loc: Locality, K: Iterable[int], check_len: int = 3) -> Quoti
         f"bar(pi(v)) = pi(bar(v)) on all domain words ({states} states)",
     )
 
-    loc_report = check_locality(quotient, max_len=check_len)
+    loc_report = check_locality(quotient)
     report.extend(loc_report, prefix="quotient-")
 
     bundle = QuotientBundle(

@@ -74,7 +74,7 @@ def test_a_locality_command_on_an_amalgam_says_what_it_needs(capsys):
     [
         (["normals", "--model", "{tmp}/missing.model"], "No such file or directory"),
         (["normals", "--model", "{tmp}"], "Is a directory"),
-        (["quotient", "--builtin", "GRP-S4", "--kernel", "V4", "--max-word-len", "3",
+        (["quotient", "--builtin", "GRP-S4", "--kernel", "V4",
           "--emit", "{tmp}/no/dir/x.model"], "No such file or directory"),
     ],
     ids=["missing-model", "model-is-a-directory", "emit-to-a-missing-directory"],
@@ -90,8 +90,7 @@ def test_a_file_that_cannot_be_read_or_written_exits_2_naming_it(tmp_path, capsy
 
 def _emit(tmp_path, capsys, builtin, kernel):
     path = tmp_path / "q.model"
-    argv = ["quotient", "--builtin", builtin, "--kernel", kernel, "--max-word-len", "3",
-            "--emit", str(path)]
+    argv = ["quotient", "--builtin", builtin, "--kernel", kernel, "--emit", str(path)]
     assert cli.main(argv) == 0
     capsys.readouterr()
     return path
@@ -216,7 +215,7 @@ def test_object_is_another_name_for_locality(command):
 def test_flags_are_taken_only_by_the_commands_that_read_them(command, capsys):
     parser = cli.build_parser()
     for flag, readers in [
-        ("--max-word-len", {"pg-check", "loc-check", "quotient"}),
+        ("--max-word-len", {"pg-check", "loc-check"}),
         ("--seed", {"lemmas"}),
     ]:
         if command in readers:
@@ -226,6 +225,18 @@ def test_flags_are_taken_only_by_the_commands_that_read_them(command, capsys):
             parser.parse_args([command, flag, "3"])
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def test_loc_check_ignores_the_word_length_flag(capsys):
+    outputs = []
+    for extra in ([], ["--max-word-len", "2"], ["--max-word-len", "7"]):
+        assert cli.main(["loc-check", "--builtin", "PG-AM20", "--format", "json", *extra]) == 1
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
+    with pytest.raises(SystemExit):
+        cli.main(["loc-check", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "ignored: loc-check covers words of every length" in help_text
 
 
 class _ClosedPipe:
@@ -268,7 +279,7 @@ def test_closed_pipe_keeps_the_report_exit_code(monkeypatch, tmp_path, argv, cod
 TIMED_COMMANDS = [
     ["pg-check", "--builtin", "GRP-S4", "--max-word-len", "3"],
     ["loc-check", "--builtin", "GRP-S4", "--max-word-len", "3"],
-    ["quotient", "--builtin", "GRP-S4", "--kernel", "V4", "--max-word-len", "3"],
+    ["quotient", "--builtin", "GRP-S4", "--kernel", "V4"],
     ["lemmas", "--builtin", "GRP-S4", "--kernel", "A4"],
 ]
 

@@ -53,7 +53,7 @@ def p_subgroup_above_by_every_candidate(loc, base, candidates, closed_base=False
             grown = partial_subgroup_closure(pg, base | {x})
         if len(grown) == len(base) or not _is_prime_power(len(grown), loc.p):
             continue
-        ok, _, _ = pg.words_all_in_domain(grown)
+        ok, _ = pg.words_all_in_domain(grown)
         if ok:
             return (x, grown)
     return None

@@ -91,13 +91,13 @@ def test_loc_s5_is_genuinely_partial(s5f):
 
 
 def test_check_locality_passes_on_corpus(s4f, s5f):
-    assert check_locality(s4f.loc, max_len=4).ok
-    assert check_locality(s5f.loc, max_len=3).ok
+    assert check_locality(s4f.loc).ok
+    assert check_locality(s5f.loc).ok
 
 
 def test_amalgam_as_locality_fails(am20):
     loc = am20.as_locality()
-    report = check_locality(loc, max_len=3)
+    report = check_locality(loc)
     assert not report.ok
     failed = {c.name for c in report.failures()}
     assert "L2-domain-iff-chain" in failed

@@ -307,7 +307,7 @@ def test_trivial_kernel_quotient_domain_is_partial(s5f):
     assert qpg.size == 56
     assert bfs_domain_is_total(qpg) is False
     assert qpg.domain_is_total is False
-    ok, _, wit = qpg.words_all_in_domain(frozenset(qpg.elements()))
+    ok, wit = qpg.words_all_in_domain(frozenset(qpg.elements()))
     assert not ok
     assert all(0 <= c < qpg.size for c in wit)
     assert not qpg.in_domain(wit)
