@@ -320,8 +320,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports bad flags on one line,
+    error: <message>, with exit code 2; subparsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="localities",
         description="verification engine for finite partial groups and localities",
     )

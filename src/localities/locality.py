@@ -8,6 +8,7 @@ through all its letters (staying inside S at every step) belongs to Delta.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -123,12 +124,17 @@ def delta_min_order(S: SubgroupRef, min_order: int) -> DeltaFamily:
 class ThreadAutomaton:
     """Tracks, per word prefix, which elements of S conjugate through it.
 
-    A state is the injective partial map start -> current over S positions;
-    prefixes with the same state behave identically under extension, which
-    collapses word sweeps to walks over a small interned state set.
-    Transitions live in one dense row of n_elements ints per state, -1 for
-    a transition not computed yet; step fills a row lazily, so states are
-    interned in the order the walks first reach them.
+    A state is the injective partial map start -> current over S positions,
+    as a tuple of (start, current) pairs; prefixes with the same state
+    behave identically under extension, which collapses word sweeps to
+    walks over a small state set.  maps[g] sends each S position to the
+    position of its conjugate by g, -1 where that leaves S.  Every state
+    reachable from the start is interned once, at construction, by
+    intern_states: states, their transition rows (a letter never leaves
+    the automaton, so no entry is -1), the same rows as one int32 array,
+    and start_sets[sid], the threading subgroup S_w of the words reaching
+    sid.  The automaton knows no Delta: whoever decides a domain from it
+    builds the mask start_sets[sid] in Delta against its own Delta.
     """
 
     def __init__(
@@ -136,71 +142,24 @@ class ThreadAutomaton:
         s_elems: tuple[int, ...],
         step_of: Callable[[int], tuple[int, ...]],
         n_elements: int,
-        in_delta_of: Callable[[frozenset[int]], bool],
     ):
         self.s_elems = s_elems
-        self._step_of = step_of
-        self._n = n_elements
-        self._in_delta_of = in_delta_of
-        self._steps: dict[int, tuple[int, ...]] = {}
+        self.maps = [step_of(g) for g in range(n_elements)]
         start = tuple((i, i) for i in range(len(s_elems)))
-        self.states: list[tuple[tuple[int, int], ...]] = [start]
-        self._state_ids: dict[tuple, int] = {start: 0}
-        self.start_sets: list[frozenset[int]] = [frozenset(s_elems)]
-        self.in_delta: list[bool] = [in_delta_of(self.start_sets[0])]
-        self._rows: list[list[int]] = [[-1] * n_elements]
+        self.states, self.rows = intern_states(start, self.step, n_elements, "threading automaton")
+        self.array = np.array(self.rows, dtype=np.int32)
+        self.start_sets = [frozenset(s_elems[a] for a, _ in state) for state in self.states]
 
-    def _step_map(self, g: int) -> tuple[int, ...]:
-        got = self._steps.get(g)
-        if got is None:
-            got = self._step_of(g)
-            self._steps[g] = got
-        return got
-
-    def step(self, sid: int, g: int) -> int:
-        got = self._rows[sid][g]
-        if got >= 0:
-            return got
-        mp = self._step_map(g)
-        new_pairs = []
-        for start, cur in self.states[sid]:
-            img = mp[cur]
-            if img >= 0:
-                new_pairs.append((start, img))
-        state = tuple(new_pairs)
-        nid = self._state_ids.get(state)
-        if nid is None:
-            nid = len(self.states)
-            self.states.append(state)
-            self._state_ids[state] = nid
-            starts = frozenset(self.s_elems[a] for a, _ in state)
-            self.start_sets.append(starts)
-            self.in_delta.append(self._in_delta_of(starts))
-            self._rows.append([-1] * self._n)
-        self._rows[sid][g] = nid
-        return nid
+    def step(self, state: tuple, g: int) -> tuple:
+        mp = self.maps[g]
+        return tuple((start, mp[cur]) for start, cur in state if mp[cur] >= 0)
 
     def walk(self, word: Word) -> int:
-        rows = self._rows
+        rows = self.rows
         sid = 0
         for g in word:
-            nid = rows[sid][g]
-            sid = nid if nid >= 0 else self.step(sid, g)
+            sid = rows[sid][g]
         return sid
-
-    def dense_rows(self) -> np.ndarray:
-        """trans[state, x] over every state reachable from the start.
-
-        Fills the row of every state with all letters, so it interns the
-        states outside Delta too: the threading check of check_locality
-        reads them on words off the domain.
-        """
-        sid = 0
-        while sid < len(self.states):
-            for g in range(self._n):
-                self.step(sid, g)
-            sid += 1
-        return np.array(self._rows, dtype=np.int32)
 
 
 class LocalityPartialGroup(PartialGroup):
@@ -232,15 +191,15 @@ class LocalityPartialGroup(PartialGroup):
         self.p = p
         self.s_elems = s_elems
         self.delta_sets = delta_sets
-        self.automaton = ThreadAutomaton(
-            s_elems, conj_step_of, size, lambda starts: starts in delta_sets
-        )
+        self.automaton = ThreadAutomaton(s_elems, conj_step_of, size)
+        # in_delta[sid]: whether the threading subgroup of state sid is in Delta
+        self.in_delta = [starts in delta_sets for starts in self.automaton.start_sets]
 
     def inverse(self, x: int) -> int:
         return self._inv[x]
 
     def in_domain(self, word: Word) -> bool:
-        return self.automaton.in_delta[self.automaton.walk(word)]
+        return self.in_delta[self.automaton.walk(word)]
 
     def _mul_raw(self, a: int, b: int) -> int:
         v = self._raw[a][b]
@@ -256,20 +215,25 @@ class LocalityPartialGroup(PartialGroup):
 
     def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(trans, in_delta, raw) as arrays for the axiom sweep: the
-        automaton's transitions over every reachable state, its accept mask
-        and the raw product with -1 where it is undefined."""
-        trans = self.automaton.dense_rows()
-        in_delta = np.array(self.automaton.in_delta, dtype=bool)
-        return trans, in_delta, np.array(self._raw, dtype=np.int32)
+        automaton's transitions over every reachable state, the Delta mask
+        of its states and the raw product with -1 where it is undefined."""
+        in_delta = np.array(self.in_delta, dtype=bool)
+        return self.automaton.array, in_delta, np.array(self._raw, dtype=np.int32)
 
     def product_table(self) -> list[list[int]]:
-        """The base class table, filled from the domain and the raw product."""
+        """The base class table, filled from the domain and the raw product:
+        (a, b) is in the domain when the state rows[rows[0][a]][b] is in
+        Delta, read for every pair in one gather.  A pair in the domain
+        with no raw product raises raw_missing, the first such pair in
+        row-major order."""
         if self._product_table is None:
-            n = range(self.size)
-            self._product_table = [
-                [self._mul_raw(a, b) if self.in_domain((a, b)) else -1 for b in n]
-                for a in n
-            ]
+            array = self.automaton.array
+            domain = np.array(self.in_delta, dtype=bool)[array[array[0]]]
+            raw = np.array(self._raw, dtype=np.int64)
+            missing = np.argwhere(domain & (raw < 0))
+            if len(missing):
+                raise self._raw_missing(*(int(i) for i in missing[0]))
+            self._product_table = np.where(domain, raw, -1).tolist()
         return self._product_table
 
     def mul2(self, a: int, b: int) -> int | None:
@@ -280,8 +244,8 @@ class LocalityPartialGroup(PartialGroup):
         return 0
 
     def walk_step(self, state: int, x: int):
-        nid = self.automaton.step(state, x)
-        return nid if self.automaton.in_delta[nid] else None
+        nid = self.automaton.rows[state][x]
+        return nid if self.in_delta[nid] else None
 
     def _vector_components(self):
         return total_group_component(self)
@@ -319,14 +283,15 @@ class Locality:
             raise ValueError("delta family is not over S")
         self.delta = delta
         self._s_pos = {g: i for i, g in enumerate(self.sylow)}
-        if isinstance(pg, LocalityPartialGroup):
-            self.automaton = pg.automaton
-        else:
-            self.automaton = ThreadAutomaton(
-                self.sylow, self._definitional_step, pg.size,
-                lambda starts: starts in delta.members,
-            )
         self._s_group: FiniteGroup | None = None
+
+    @functools.cached_property
+    def automaton(self) -> ThreadAutomaton:
+        """The partial group's own automaton on a LocalityPartialGroup, else
+        one built on first use from the definitional conjugation step."""
+        if isinstance(self.pg, LocalityPartialGroup):
+            return self.pg.automaton
+        return ThreadAutomaton(self.sylow, self._definitional_step, self.pg.size)
 
     # -- basic maps ----------------------------------------------------------
 
@@ -606,8 +571,7 @@ def _chain_word_steps(loc: Locality, delta_list: list[frozenset[int]], images: l
     P^g in Delta.  Fronts are interned by intern_states, the empty front as -1.
     steps(level, g) gathers the states of w g for every state and letter
     from the front rows, pg.walker_table().array (a dead code stays -1) and
-    loc.automaton.dense_rows(); in_delta[t] says whether S_w lies in
-    loc.delta (the automaton's own mask may be that of another Delta).
+    loc.automaton.array; in_delta[t] says whether S_w lies in loc.delta.
     """
     pg = loc.pg
     delta_idx = {P: i for i, P in enumerate(delta_list)}
@@ -617,10 +581,10 @@ def _chain_word_steps(loc: Locality, delta_list: list[frozenset[int]], images: l
         nxt = frozenset(t for t in (chain_step[i][g] for i in front) if t >= 0)
         return nxt or None
 
-    rows = intern_states(frozenset(range(len(delta_list))), front_step, pg.size, "chain fronts")
+    _, rows = intern_states(frozenset(range(len(delta_list))), front_step, pg.size, "chain fronts")
     fronts = np.array(rows + [[-1] * pg.size], dtype=np.int64)
     walk = pg.walker_table().array
-    thread = loc.automaton.dense_rows()
+    thread = loc.automaton.array
 
     def steps(level, g):
         front, code, sid = (c[:, None] for c in level)

@@ -212,7 +212,7 @@ class ProductCertificate:
     product: frozenset[int]
     witnesses: dict[int, Word]
     witness_counts: dict[int, int]
-    word_states: int  # (automaton state, value) keys the product scan visited
+    word_states: int  # (walker code, automaton state, value) keys the product scan visited
     flags: CertFlags
     normality_witness: tuple | None = None
 
@@ -235,9 +235,10 @@ def _scan_product(
 ) -> tuple[frozenset[int], dict[int, Word], dict[int, int], int]:
     """The product over all domain words x1..xl (xi in factor i), folded
     left to right by binary products read from pg.product_table() rows and
-    merged by (automaton state, value) after each factor, as subset_product
-    merges by (walker code, value): the automaton steps once per key and
-    letter.
+    merged by (walker code, automaton state, value) after each factor.  The
+    domain is decided by pg.walker_table() rows, as in subset_product; the
+    threading automaton only supplies S_w, and each key steps once per
+    letter in both.
 
     Returns the product, the lexicographically least word of each value v
     whose threading subgroup is that of v, the number of such words, and
@@ -248,20 +249,22 @@ def _scan_product(
     dropped.
     """
     table = loc.pg.product_table()
+    walker = loc.pg.walker_table().rows
     auto = loc.automaton
-    frontier: dict[tuple, list] = {(0, EMPTY_WORD): [(), 1]}  # key -> [least word, words]
+    thread = auto.rows
+    frontier: dict[tuple, list] = {(0, 0, EMPTY_WORD): [(), 1]}  # key -> [least word, words]
     visited = 0
     for xs in [sorted(f) for f in factors]:
         grown: dict[tuple, list] = {}
-        for (sid, value), (word, mult) in frontier.items():
+        for (code, sid, value), (word, mult) in frontier.items():
             for x in xs:
-                nid = auto.step(sid, x)
-                if not auto.in_delta[nid]:
+                nxt = walker[code][x]
+                if nxt < 0:
                     continue
                 v = x if value is EMPTY_WORD else table[value][x]
                 if v < 0:
                     continue
-                key = (nid, v)
+                key = (nxt, thread[sid][x], v)
                 entry = grown.get(key)
                 if entry is None:
                     grown[key] = [word + (x,), mult]
@@ -272,14 +275,14 @@ def _scan_product(
     witnesses: dict[int, Word] = {}
     counts: dict[int, int] = {}
     s_of: dict[int, frozenset[int]] = {}
-    for (nid, v), (word, mult) in frontier.items():
+    for (_, sid, v), (word, mult) in frontier.items():
         target = s_of.get(v)
         if target is None:
             target = s_of[v] = loc.thread_subgroup((v,))
-        if auto.start_sets[nid] == target:
+        if auto.start_sets[sid] == target:
             counts[v] = counts.get(v, 0) + mult
             witnesses.setdefault(v, word)
-    return frozenset(v for _, v in frontier), witnesses, counts, visited
+    return frozenset(v for *_, v in frontier), witnesses, counts, visited
 
 
 def product_theorem1(

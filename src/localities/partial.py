@@ -135,7 +135,8 @@ class PartialGroup:
     # it to end.  It is the one domain decider for words of every length:
     # words_all_in_domain, domain_is_total, the (L2) and threading checks
     # of check_locality, subset_product, the product scan of
-    # normal._scan_product and the quotient's word checks (state_fixpoint)
+    # normal._scan_product (which reads S_w, never the domain, from the
+    # threading automaton) and the quotient's word checks (state_fixpoint)
     # read its rows, and merge words with equal codes for that reason.
 
     def walk_start(self):
@@ -149,7 +150,7 @@ class PartialGroup:
         first pass over the letters 0..size-1 reaches them from walk_start()
         (code 0): two words share a code exactly when they share a state."""
         if self._walker_table is None:
-            rows = intern_states(self.walk_start(), self.walk_step, self.size, "walker table")
+            _, rows = intern_states(self.walk_start(), self.walk_step, self.size, "walker table")
             array = np.array(rows + [[-1] * self.size], dtype=np.int64)
             self._walker_table = WalkerTable(rows, array)
         return self._walker_table
@@ -189,13 +190,14 @@ class SweepBudgetExceeded(RuntimeError):
     pass
 
 
-def intern_states(start, step: Callable, letters: int, what: str) -> list[list[int]]:
-    """The transition rows of the states that step(state, x) reaches from
-    start over the letters 0..letters-1, numbered 0, 1, ... in the order
-    one breadth-first pass reaches them (start is 0): rows[c][x] is the
-    number of step(state c, x), or -1 where it is None.  States must be
-    hashable; interning more than STATE_FIXPOINT_CAP of them raises
-    SweepBudgetExceeded, naming what is built.
+def intern_states(start, step: Callable, letters: int, what: str) -> tuple[list, list[list[int]]]:
+    """(states, rows): the states that step(state, x) reaches from start
+    over the letters 0..letters-1, numbered 0, 1, ... in the order one
+    breadth-first pass reaches them (states[0] is start), and their
+    transition rows: rows[c][x] is the number of step(states[c], x), or -1
+    where it is None.  States must be hashable; interning more than
+    STATE_FIXPOINT_CAP of them raises SweepBudgetExceeded, naming what is
+    built.
     """
     codes = {start: 0}
     states = [start]
@@ -215,7 +217,7 @@ def intern_states(start, step: Callable, letters: int, what: str) -> list[list[i
                 states.append(nxt)
             row.append(code)
         rows.append(row)
-    return rows
+    return states, rows
 
 
 def pi(pg: PartialGroup, word: Iterable[int]) -> int | None:

@@ -26,17 +26,18 @@ from localities.quotient import QuotientPartialGroup
 GENERIC_SWEEP_CAP = 500_000
 
 
-def full_closure(automaton, letters):
+def full_closure(rows, in_delta, letters):
     """(every automaton state reachable over letters lies in Delta, a word
-    reaching one outside it if not)."""
+    reaching one outside it if not), over the automaton's transition rows
+    and the Delta mask of its states."""
     seen = {0}
     queue = [(0, ())]
     while queue:
         sid, path = queue.pop()
-        if not automaton.in_delta[sid]:
+        if not in_delta[sid]:
             return False, path
         for g in letters:
-            nid = automaton.step(sid, g)
+            nid = rows[sid][g]
             if nid not in seen:
                 seen.add(nid)
                 queue.append((nid, path + (g,)))
@@ -71,7 +72,7 @@ def bounded_length_sweep(pg, members):
 def words_all_in_domain(pg, members):
     """(verdict, witness) as the class of pg decided it."""
     if isinstance(pg, LocalityPartialGroup):
-        return full_closure(pg.automaton, sorted(members))
+        return full_closure(pg.automaton.rows, pg.in_delta, sorted(members))
     if isinstance(pg, AmalgamPartialGroup):
         m = pg.SIDE_LEFT | pg.SIDE_RIGHT
         for x in members:

@@ -40,7 +40,7 @@ def rebuild(pg, delta_sets=None, raw=None):
         p=pg.p,
         s_elems=pg.s_elems,
         delta_sets=pg.delta_sets if delta_sets is None else delta_sets,
-        conj_step_of=pg.automaton._step_of,
+        conj_step_of=pg.automaton.maps.__getitem__,
     )
 
 
@@ -122,6 +122,73 @@ def test_products_off_the_raw_table_past_the_cap_report_what_the_dfs_reports(s5f
     swept = _dfs_axiom_sweep(pg, 3)[1]
     assert len(swept) == 200
     assert report.violations[-len(swept):] == swept
+
+
+# -- the product table ---------------------------------------------------------
+
+
+def per_pair_table(pg):
+    """LocalityPartialGroup.product_table() as one in_domain walk per pair:
+    raises raw_missing at the first pair, row-major, in the domain with no
+    raw product."""
+    n = range(pg.size)
+    return [[pg._mul_raw(a, b) if pg.in_domain((a, b)) else -1 for b in n] for a in n]
+
+
+def am20_threaded(am20):
+    """PG-AM20 read as a locality, as a LocalityPartialGroup over its own
+    products: S_w lies in Delta on pairs whose product is undefined."""
+    loc = am20.as_locality()
+    pg = loc.pg
+    return LocalityPartialGroup(
+        size=pg.size,
+        identity=pg.identity,
+        inv=tuple(pg.inverse(x) for x in pg.elements()),
+        labels=pg.labels,
+        raw=pg.product_table(),
+        raw_missing=lambda a, b: KeyError((a, b)),
+        p=loc.p,
+        s_elems=loc.sylow,
+        delta_sets=loc.delta.members,
+        conj_step_of=loc.automaton.maps.__getitem__,
+    )
+
+
+def off_the_raw_table(pg):
+    raw = [row[:] for row in pg._raw]
+    raw[1][1] = -1
+    return rebuild(pg, raw=raw)
+
+
+TABLE_CASES = {
+    "GRP-S4": lambda r: rebuild(r.getfixturevalue("s4f").loc.pg),
+    "GRP-C2xS4": lambda r: rebuild(r.getfixturevalue("c2s4f").loc.pg),
+    "LOC-S5": lambda r: rebuild(r.getfixturevalue("s5f").loc.pg),
+    "PG-AM20": lambda r: am20_threaded(r.getfixturevalue("am20")),
+    **{
+        name: lambda r, build=build: build(r.getfixturevalue("s5f").loc.pg)
+        for name, build in [
+            ("minus-smallest", minus_smallest),
+            ("only-S", only_s),
+            ("swapped", swapped),
+            ("swapped-minus-smallest", lambda pg: minus_smallest(swapped(pg))),
+            ("off-the-raw-table", off_the_raw_table),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_CASES))
+def test_product_table_matches_per_pair_walks(request, name):
+    pg = TABLE_CASES[name](request)
+    if name in ("PG-AM20", "off-the-raw-table"):
+        with pytest.raises((KeyError, LocalityConstructionError)) as expected:
+            per_pair_table(pg)
+        with pytest.raises(expected.type) as error:
+            pg.product_table()
+        assert str(error.value) == str(expected.value)
+    else:
+        assert pg.product_table() == per_pair_table(pg)
 
 
 # -- the total-component route -------------------------------------------------

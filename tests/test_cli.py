@@ -227,6 +227,25 @@ def test_flags_are_taken_only_by_the_commands_that_read_them(command, capsys):
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pg-check", "--bogus"], "unrecognized arguments: --bogus"),
+        (["pg-check", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "bad-choice", "no-command"],
+)
+def test_a_bad_command_line_prints_one_error_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
 def test_loc_check_ignores_the_word_length_flag(capsys):
     outputs = []
     for extra in ([], ["--max-word-len", "2"], ["--max-word-len", "7"]):

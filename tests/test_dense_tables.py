@@ -1,10 +1,13 @@
 """The dense tables under the domain layer against literal recomputation.
 
-ThreadAutomaton keeps one transition row per state; the reference here is
-the dict-keyed automaton it replaced, and the states themselves are
-recomputed straight from the conjugation step maps.  locality_from_group
-tabulates the ambient product once; the reference is the ambient product
-read element by element.
+ThreadAutomaton interns every reachable state once, with intern_states;
+the reference here is the dict-keyed automaton it replaced, filled lazily
+as walks reach its states, and the states themselves are recomputed
+straight from the conjugation step maps.  The two number their states in
+different orders (breadth first against walk order), so words are
+compared by the state they reach.  locality_from_group tabulates the
+ambient product once; the reference is the ambient product read element
+by element.
 """
 
 import itertools
@@ -12,22 +15,22 @@ import random
 
 import pytest
 
+from localities import partial
 from localities.locality import LocalityConstructionError, ThreadAutomaton
+from localities.partial import SweepBudgetExceeded
 from localities.quotient import build_quotient
 
 
 class DictAutomaton:
     """The automaton with transitions in a dict keyed by (state, letter)."""
 
-    def __init__(self, s_elems, step_of, n_elements, in_delta_of):
+    def __init__(self, s_elems, step_of):
         self.s_elems = s_elems
         self._step_of = step_of
-        self._in_delta_of = in_delta_of
         start = tuple((i, i) for i in range(len(s_elems)))
         self.states = [start]
         self._state_ids = {start: 0}
         self.start_sets = [frozenset(s_elems)]
-        self.in_delta = [in_delta_of(self.start_sets[0])]
         self._trans = {}
 
     def step(self, sid, g):
@@ -41,9 +44,7 @@ class DictAutomaton:
             nid = len(self.states)
             self.states.append(state)
             self._state_ids[state] = nid
-            starts = frozenset(self.s_elems[a] for a, _ in state)
-            self.start_sets.append(starts)
-            self.in_delta.append(self._in_delta_of(starts))
+            self.start_sets.append(frozenset(self.s_elems[a] for a, _ in state))
         self._trans[(sid, g)] = nid
         return nid
 
@@ -78,8 +79,8 @@ def _words(n, name):
 def test_walk_matches_literal_states(request, name):
     build, reachable = CASES[name]
     aut = build(request).automaton
-    n = aut._n
-    maps = [aut._step_of(g) for g in range(n)]
+    maps = aut.maps
+    n = len(maps)
     start = tuple((i, i) for i in range(len(aut.s_elems)))
     for word in _words(n, name):
         pairs = start
@@ -87,25 +88,40 @@ def test_walk_matches_literal_states(request, name):
             pairs = tuple((s, maps[g][c]) for s, c in pairs if maps[g][c] >= 0)
         assert aut.states[aut.walk(word)] == pairs, word
 
-    # fresh automata over the same step maps intern the same states in the
-    # same order as the dict-keyed reference
-    args = (aut.s_elems, aut._step_of, n, aut._in_delta_of)
-    dense, ref = ThreadAutomaton(*args), DictAutomaton(*args)
+    # a fresh automaton over the same step maps reaches the same state and
+    # the same threading subgroup on every word as the dict-keyed reference
+    dense = ThreadAutomaton(aut.s_elems, maps.__getitem__, n)
+    ref = DictAutomaton(aut.s_elems, maps.__getitem__)
     for word in _words(n, name):
-        assert dense.walk(word) == ref.walk(word), word
-    assert dense.states == ref.states
-    assert dense.start_sets == ref.start_sets
-    assert dense.in_delta == ref.in_delta
+        sid, rid = dense.walk(word), ref.walk(word)
+        assert dense.states[sid] == ref.states[rid], word
+        assert dense.start_sets[sid] == ref.start_sets[rid], word
+    assert dense.array.dtype == "int32"
+    assert dense.array.tolist() == dense.rows
 
     seen, queue = {0}, [0]
     while queue:
-        sid = queue.pop()
+        rid = queue.pop()
         for g in range(n):
-            nid = dense.step(sid, g)
+            nid = ref.step(rid, g)
             if nid not in seen:
                 seen.add(nid)
                 queue.append(nid)
     assert len(seen) == len(dense.states) == reachable
+    assert set(ref.states) == set(dense.states)
+
+
+def test_automaton_build_meets_the_state_budget(s5f, monkeypatch):
+    """LOC-S5 has 15 threading states: a fresh build within a budget of 14
+    raises, and one within 15 is whole."""
+    aut = s5f.loc.automaton
+    args = (aut.s_elems, aut.maps.__getitem__, len(aut.maps))
+    monkeypatch.setattr(partial, "STATE_FIXPOINT_CAP", 14)
+    with pytest.raises(SweepBudgetExceeded) as err:
+        ThreadAutomaton(*args)
+    assert str(err.value) == "threading automaton reached 15 states, over the budget of 14"
+    monkeypatch.setattr(partial, "STATE_FIXPOINT_CAP", 15)
+    assert ThreadAutomaton(*args).states == aut.states
 
 
 def test_raw_product_table_matches_ambient(s5f):

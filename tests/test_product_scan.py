@@ -1,9 +1,10 @@
 """The product scans against the literal enumeration of their words.
 
-subset_product and normal._scan_product merge the words of a product by
-(walker state, value) after each factor.  The references below ask the engine
-about every word x1..xl on its own and read the words in the lexicographic
-order of itertools.product over the sorted factors.
+subset_product merges the words of a product by (walker code, value) after
+each factor, normal._scan_product by (walker code, threading state, value);
+both decide the domain from the walker table alone.  The references below
+ask the engine about every word x1..xl on its own and read the words in the
+lexicographic order of itertools.product over the sorted factors.
 """
 
 import functools
@@ -21,7 +22,7 @@ from localities.partial import (
     subset_product,
     swap_two_products,
 )
-from localities.quotient import QuotientPartialGroup, build_quotient
+from localities.quotient import QuotientPartialGroup, build_quotient, partial_subgroups_containing
 
 
 class WordTable:
@@ -248,15 +249,34 @@ def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
     assert not within_bound(fold_each_word)
 
 
+def test_scan_decides_the_domain_by_the_walker_alone(am20):
+    """PG-AM20 read as a locality: S_w lies in Delta on words off its domain
+    (64 of length 2), so a scan that asked the automaton would count them.
+    On every ordered pair of its 36 partial subgroups the scan's product is
+    that of subset_product, and each witness is a domain word; on 1 to 3
+    factors from its named subsets the whole scan matches the reference."""
+    loc = am20.as_locality()
+    pg = loc.pg
+    subgroups = partial_subgroups_containing(pg, frozenset({pg.identity}))
+    assert len(subgroups) == 36
+    for A, B in itertools.product(subgroups, repeat=2):
+        product, witnesses, _, _ = normal._scan_product(loc, [A, B])
+        assert product == subset_product(pg, [A, B]), (sorted(A), sorted(B))
+        assert all(pg.in_domain(w) for w in witnesses.values()), (sorted(A), sorted(B))
+    assert_scan_matches(loc, tuples(list(am20.subsets.values()), (1, 2, 3)))
+
+
 def test_product_certificate_counts_its_word_states(c2s4f):
-    """word_states is the number of distinct (automaton state, value) keys
-    of the domain words over every prefix length 1..l."""
+    """word_states is the number of distinct (walker code, automaton state,
+    value) keys of the domain words over every prefix length 1..l."""
     loc = c2s4f.loc
+    rows = loc.pg.walker_table().rows
     factors = [c2s4f.subsets[n] for n in ("C2", "V4", "A4", "S4")]
     keys = 0
     for n in range(1, len(factors) + 1):
         keys += len({
-            (loc.automaton.walk(word), loc.pi(word))
+            (functools.reduce(lambda c, x: rows[c][x], word, 0), loc.automaton.walk(word),
+             loc.pi(word))
             for word in itertools.product(*factors[:n])
             if loc.in_domain(word)
         })
