@@ -18,7 +18,6 @@ from .groups import (
     sylow_p,
 )
 from .locality import (
-    ConjChain,
     DeltaFamily,
     Locality,
     LocalityConstructionError,
@@ -26,7 +25,6 @@ from .locality import (
     check_locality,
     conjugate_elem,
     delta_close,
-    domain_chain,
     locality_from_group,
     normalizer_in_L,
     s_of_word,

@@ -159,7 +159,7 @@ def cmd_pg_check(args, catalog: Catalog) -> VerificationReport:
         "axioms",
         axioms.ok,
         [(v.axiom, v.word, v.detail) for v in axioms.violations[:10]],
-        axioms.summary(),
+        "; ".join([axioms.summary(), *axioms.notes]),
     )
     return rep
 
@@ -328,6 +328,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _word_length(text: str) -> int:
+    """--max-word-len: an int of at least 2, as check_axioms needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="localities",
@@ -335,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
-        ("pg-check", "verify the partial group axioms on words up to --max-word-len"),
+        ("pg-check", "verify the partial group axioms on words up to --max-word-len:"
+                     " proved from the ambient group or by Light's test where they"
+                     " apply, else swept word by word; the detail names the route"),
         ("loc-check", "verify the locality axioms"),
         ("normals", "enumerate partial normal subgroups"),
         ("product", "certify a product of partial normal subgroups"),
@@ -348,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="path to a model file")
         p.add_argument("--locality", "--object", help="object name inside the source")
         if name == "pg-check":
-            p.add_argument("--max-word-len", type=int, default=4)
+            p.add_argument("--max-word-len", type=_word_length, default=4,
+                           help="longest word checked, at least 2 (default 4)")
         if name == "loc-check":
             p.add_argument("--max-word-len", type=int, default=4,
                            help="ignored: loc-check covers words of every length;"

@@ -102,10 +102,11 @@ def certify_group_table(table: np.ndarray) -> tuple[int, tuple[int, ...]]:
     gens: list[int] = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
+        columns = table[:, gens]
         frontier = np.nonzero(reached)[0]
         while frontier.size:
             fresh = np.zeros(n, dtype=bool)
-            fresh[table[frontier][:, gens].ravel()] = True
+            fresh[columns[frontier]] = True
             frontier = np.flatnonzero(fresh & ~reached)
             reached[frontier] = True
     block = max(1, _PRODUCT_BLOCK // n)

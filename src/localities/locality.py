@@ -9,12 +9,21 @@ through all its letters (staying inside S at every step) belongs to Delta.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, SubgroupRef, all_subgroups, subset_group, _is_prime, _p_part
+from .groups import (
+    FiniteGroup,
+    SubgroupRef,
+    _is_prime,
+    _p_part,
+    all_subgroups,
+    certify_group_table,
+    subset_group,
+)
 from .partial import (
     PartialGroup,
     SubsetHandle,
@@ -162,6 +171,51 @@ class ThreadAutomaton:
         return sid
 
 
+def _ids(values, bound: int, what: str) -> np.ndarray:
+    """values as an int64 array; ValueError if one lies outside 0..bound-1."""
+    out = np.asarray(values, dtype=np.int64)
+    if out.size and (out.min() < 0 or out.max() >= bound):
+        raise ValueError(f"{what} holds an id outside 0..{bound - 1}")
+    return out
+
+
+def _rows_in(queries: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """Whether each boolean row of queries equals some row of family: rows
+    are packed to bytes, sorted together, and equal neighbours share a class."""
+    both = np.packbits(np.concatenate((family, queries)), axis=1)
+    order = np.lexsort(both.T[::-1])
+    ranked = both[order]
+    fresh = np.ones(len(both), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    cls = np.empty(len(both), dtype=np.int64)
+    cls[order] = np.cumsum(fresh) - 1
+    known = np.zeros(len(both), dtype=bool)
+    known[cls[: len(family)]] = True
+    return known[cls[len(family):]]
+
+
+def _generated(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The closure of each boolean row under the product table (the
+    subgroup it generates, in a finite group): X | X X until it stops
+    growing, the products counted by one matrix product, in blocks of rows
+    that keep the pair matrix near 2^20 entries."""
+    k = len(table)
+    product_of = np.zeros((k * k, k), dtype=np.float32)
+    product_of[np.arange(k * k), table.ravel()] = 1
+    block = max(1, (1 << 20) // (k * k))
+    out = [rows[:0]]  # so that no rows give no rows
+    for start in range(0, len(rows), block):
+        x = rows[start:start + block]
+        while True:
+            pairs = (x[:, :, None] & x[:, None, :]).reshape(len(x), k * k)
+            nxt = x | (pairs @ product_of > 0)
+            if (nxt == x).all():
+                break
+            x = nxt
+        out.append(x)
+    return np.concatenate(out)
+
+
 class LocalityPartialGroup(PartialGroup):
     """Partial group whose domain is decided by the threading subgroup.
 
@@ -181,6 +235,7 @@ class LocalityPartialGroup(PartialGroup):
         s_elems: tuple[int, ...],
         delta_sets: frozenset[frozenset[int]],
         conj_step_of: Callable[[int], tuple[int, ...]],
+        ambient: tuple[FiniteGroup, tuple[int, ...]] | None = None,
     ):
         self.size = size
         self.identity = identity
@@ -194,6 +249,9 @@ class LocalityPartialGroup(PartialGroup):
         self.automaton = ThreadAutomaton(s_elems, conj_step_of, size)
         # in_delta[sid]: whether the threading subgroup of state sid is in Delta
         self.in_delta = [starts in delta_sets for starts in self.automaton.start_sets]
+        # (M, to_ambient) when L was cut from a group M (locality_from_group):
+        # local id i is M's element to_ambient[i]; read by certify_ambient
+        self.ambient = ambient
 
     def inverse(self, x: int) -> int:
         return self._inv[x]
@@ -250,17 +308,130 @@ class LocalityPartialGroup(PartialGroup):
     def _vector_components(self):
         return total_group_component(self)
 
+    def certify_ambient(self) -> None:
+        """Prove the partial group axioms from the ambient group, or raise
+        ValueError naming the first hypothesis that fails.
+
+        With self.ambient = (M, to_ambient), L is read as Chermak's
+        L_Delta(M) (Fusion systems and localities, Acta Math. 2013): the g
+        in M with S_g = S cap S^(g^-1) in Delta, whose words w are in the
+        domain when S_w is in Delta and multiply as in M.  These hypotheses
+        are read on the tables as they stand, by array gathers, no word at
+        a time (conjugation and S_w are taken in M):
+        (H1) M.mult passes certify_group_table with M's identity and inverses;
+        (H2) to_ambient is injective, and _raw, _inv and identity are M's
+             restricted to L, with -1 exactly where a product leaves L;
+        (H3) S is a subgroup of M, automaton.maps[g] is conjugation by g on
+             S positions, and states, rows, array, start_sets and in_delta
+             are the threading automaton of those maps masked by "S_w in
+             delta_sets": state 0 is the identity map of S, and the state in
+             row g of a state is its map followed by maps[g];
+        (H4) S is in Delta; <P, s> is in Delta for every P in Delta and s
+             in S; P^g is in Delta for every P in Delta and g in L with P^g
+             inside S;
+        (H5) every g in M with S_g in Delta lies in L.
+        Proof that split, collapse and cancellation then hold on domain
+        words of every length.  By (H3) a walk over w ends at a state whose
+        start set is S_w, so in_domain(w) says S_w is in Delta; and by (H4)
+        every subgroup of S over a member of Delta is in Delta (add its
+        elements one at a time).  Let w be a domain word and u a prefix of
+        w with h = Pi(u) in M.  S_w <= S_u <= S_h, all subgroups, so u is in
+        the domain and, by (H5), h is in L; by (H2) the raw fold of w
+        therefore never leaves L and is w's product in M.  The suffix v
+        after u has S_w^h <= S_v, and S_w^h is in Delta by (H4) as h is in
+        L: splits hold.  Collapsing a segment x of w = u x v to its product
+        leaves u (Pi x) v, through which every element of S_w still
+        threads, so it is in the domain with the same product by (H1); so
+        is u (1) v, as S is in Delta.  S_w^Pi(w) threads through w^-1 w,
+        which is thus in the domain, with product 1.  The empty word,
+        length-1 words and inversion are _base_axiom_checks' to report.
+        """
+        M, to_ambient = self.ambient
+        try:
+            identity, inv = certify_group_table(M.mult)
+        except ValueError as exc:
+            raise ValueError(f"(H1) {exc}") from None
+        if identity != M.identity or inv != M.inv:
+            raise ValueError("(H1) M's table has another identity or other inverses")
+        n, size, k = M.order, self.size, len(self.s_elems)
+        amb = _ids(to_ambient, n, "(H2) to_ambient")
+        local_of = np.full(n, -1, dtype=np.int64)
+        local_of[amb] = np.arange(len(amb))
+        mult = M.mult
+        if amb.shape != (size,) or (local_of[amb] != np.arange(size)).any():
+            raise ValueError("(H2) to_ambient is not one-to-one on L")
+        if local_of[mult[np.ix_(amb, amb)]].tolist() != self._raw:
+            raise ValueError("(H2) the raw products are not M's restricted to L")
+        inv_m = np.array(inv, dtype=np.int64)
+        inverses = local_of[inv_m[amb]].tolist()
+        if local_of[identity] != self.identity or inverses != list(self._inv) or -1 in inverses:
+            raise ValueError("(H2) the identity or the inverses are not M's in L")
+
+        s_amb = amb[_ids(self.s_elems, size, "(H3) S")]
+        s_pos = np.full(n, -1, dtype=np.int64)
+        s_pos[s_amb] = np.arange(k)
+        s_mult = s_pos[mult[np.ix_(s_amb, s_amb)]]
+        if not k or (s_pos[s_amb] != np.arange(k)).any() or (s_mult < 0).any():
+            raise ValueError("(H3) S is not a subgroup of M")
+        # conj[g, i]: the position of s_i^g in S for every g in M, -1 outside S
+        conj = s_pos[mult[mult[inv_m[:, None], s_amb], np.arange(n)[:, None]]]
+        maps = conj[amb]
+        auto = self.automaton
+        if not np.array_equal(np.array(auto.maps, dtype=np.int64).reshape(size, k), maps):
+            raise ValueError("(H3) an automaton map is not conjugation in M")
+        # cur[sid, a]: the current position of start a in state sid, -1 if gone
+        cur = np.full((len(auto.states), k), -1, dtype=np.int64)
+        pairs = [(sid, a, c) for sid, state in enumerate(auto.states) for a, c in state]
+        sid_, a_, c_ = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+        cur[sid_, _ids(a_, k, "(H3) a state")] = _ids(c_, k, "(H3) a state")
+        rows = _ids(auto.array, len(cur), "(H3) a row")
+        if (
+            (cur >= 0).sum() != len(pairs)
+            or (cur[0] != np.arange(k)).any()
+            or rows.shape != (len(cur), size)
+            or rows.tolist() != auto.rows
+        ):
+            raise ValueError("(H3) the automaton states or rows are malformed")
+        step = np.concatenate((maps, np.full((size, 1), -1)), axis=1)  # -1 stays -1
+        if not np.array_equal(cur[rows], step[np.arange(size)[:, None], cur[:, None, :]]):
+            raise ValueError("(H3) the automaton rows do not follow conjugation in M")
+        starts = [frozenset(itertools.compress(self.s_elems, row)) for row in (cur >= 0).tolist()]
+        if starts != auto.start_sets or self.in_delta != [P in self.delta_sets for P in starts]:
+            raise ValueError("(H3) the start sets or the Delta mask are not the states'")
+
+        s_set = frozenset(self.s_elems)
+        if s_set not in self.delta_sets or not all(P <= s_set for P in self.delta_sets):
+            raise ValueError("(H4) S is not in Delta, or a member is not inside S")
+        s_index = {x: i for i, x in enumerate(self.s_elems)}
+        members = list(self.delta_sets)
+        family = np.zeros((len(members), k), dtype=bool)
+        family[
+            np.repeat(np.arange(len(members)), [len(P) for P in members]),
+            [s_index[x] for P in members for x in P],
+        ] = True
+        which, extra = np.nonzero(~family)  # <P, s> for every P in Delta and s outside it
+        grown = family[which]
+        grown[np.arange(len(grown)), extra] = True
+        grown = _generated(grown, s_mult)
+        # P^g for every member P and g in L: position j is in it when the
+        # position of s_j^(g^-1) is in P
+        padded = np.concatenate((family, np.zeros((len(family), 1), dtype=bool)), axis=1)
+        images = padded[:, conj[inv_m[amb]]]
+        images = images[images.sum(axis=2) == family.sum(axis=1)[:, None]]  # those inside S
+        over, conjugates, s_g = np.split(
+            _rows_in(np.concatenate((grown, images, conj >= 0)), family),
+            [len(grown), len(grown) + len(images)],
+        )
+        if not over.all():
+            raise ValueError("(H4) Delta is not closed under overgroups in S")
+        if not conjugates.all():
+            raise ValueError("(H4) Delta is not closed under conjugation in L")
+        if (s_g & (local_of < 0)).any():
+            raise ValueError("(H5) an element g of M with S_g in Delta is not in L")
+
 
 # ---------------------------------------------------------------------------
 # the locality proper
-
-
-@dataclass
-class ConjChain:
-    """A witnessing chain of Delta members for a domain word."""
-
-    word: Word
-    stations: tuple[frozenset[int], ...]
 
 
 class Locality:
@@ -371,38 +542,6 @@ def conjugate_elem(loc: Locality, x: int, g: int) -> int | None:
     return loc.conjugate(x, g)
 
 
-def domain_chain(loc: Locality, word: Iterable[int]) -> ConjChain | None:
-    """A canonical witnessing chain for a domain word, None outside the domain.
-
-    The canonical choice starts at S_w and conjugates station by station.
-    """
-    word = tuple(word)
-    if not loc.in_domain(word):
-        return None
-    station = loc.thread_subgroup(word)
-    stations = [station]
-    for g in word:
-        nxt = loc.conjugate_set(station, g)
-        if nxt is None:
-            return None
-        station = nxt
-        stations.append(station)
-    return ConjChain(word=word, stations=tuple(stations))
-
-
-def chain_is_valid(loc: Locality, chain: ConjChain) -> bool:
-    """Check the chain condition: consecutive stations conjugate correctly."""
-    if len(chain.stations) != len(chain.word) + 1:
-        return False
-    for P, g, Q in zip(chain.stations, chain.word, chain.stations[1:]):
-        if P not in loc.delta.members or Q not in loc.delta.members:
-            return False
-        img = loc.conjugate_set(P, g)
-        if img is None or img != Q:
-            return False
-    return bool(chain.stations) and chain.stations[0] in loc.delta.members
-
-
 @dataclass
 class NormalizerResult:
     handle: SubsetHandle
@@ -505,6 +644,7 @@ def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
         s_elems=s_local,
         delta_sets=local_delta.members,
         conj_step_of=conj_step,
+        ambient=(M, to_ambient),
     )
     loc = Locality(pg, p, s_local, local_delta)
     loc.to_ambient = to_ambient  # type: ignore[attr-defined]

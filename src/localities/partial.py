@@ -1137,20 +1137,26 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
     the same product, and w^-1 ∘ w multiplies to the identity.  Violations are
     reported, never repaired.
 
-    Total components (pg._vector_components() is not None: groups, an
-    amalgam's two sides, a locality or quotient whose domain is total and
-    whose product table is a group) are proved, not swept: if the
-    component's table, as it stands at check time, passes
-    certify_group_table with the identity and inverses the component
-    holds, every word over it satisfies the axioms.  The fallbacks sweep:
-    - a total component that fails the certificate (a table changed after
-      construction): _table_axiom_sweep over its group table as a
-      one-state automaton, which reports what _dfs_axiom_sweep reports on
+    Routes, each named in the report's first note:
+    - total components (pg._vector_components() is not None: groups, an
+      amalgam's two sides, a locality or quotient whose domain is total and
+      whose product table is a group) are proved, not swept: if the
+      component's table, as it stands at check time, passes
+      certify_group_table (Light's test) with the identity and inverses the
+      component holds, every word over it satisfies the axioms.  A
+      component that fails it (a table changed after construction) is
+      swept by _table_axiom_sweep over its group table as a one-state
+      automaton, which reports what _dfs_axiom_sweep reports on
       GroupPartialGroup(its group), read back through the component's ids;
+    - a partial group that knows its ambient group (pg.ambient is not None:
+      a LocalityPartialGroup from locality_from_group) is proved by
+      pg.certify_ambient(), which reads Chermak's hypotheses on L_Delta(M)
+      off the tables as they stand; if one fails, a second note names it
+      and the partial group takes the routes below;
     - automaton-backed partial domains (pg.sweep_tables() exists: a
       LocalityPartialGroup whose domain is not total or whose table is not
-      a group): _table_axiom_sweep over the automaton and raw product
-      tables;
+      a group, such as a plocality file or a quotient read back):
+      _table_axiom_sweep over the automaton and raw product tables;
     - everything else (CorruptedProducts, a partial QuotientPartialGroup,
       generic partial groups), and a table sweep that meets a product
       missing from the raw table: the per-word _dfs_axiom_sweep.
@@ -1183,12 +1189,21 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
             f" {len(components) - len(unproved)} of {len(components)} total component(s),"
             f" vectorized sweep on {len(unproved)}"
         )
-    else:
-        swept = _table_axiom_sweep(pg, max_len) if hasattr(pg, "sweep_tables") else None
-        if swept is not None:
-            note = "route: dense automaton and raw product tables"
+        return AxiomReport(max_len, words, violations, [note])
+    refused = []
+    if getattr(pg, "ambient", None) is not None:
+        try:
+            pg.certify_ambient()
+        except ValueError as exc:
+            refused.append(f"ambient-group certificate refused: {exc}")
         else:
-            swept = _dfs_axiom_sweep(pg, max_len)
-            note = "route: per-word DFS"
-        violations.extend(swept[1])
-    return AxiomReport(max_len=max_len, words_checked=words, violations=violations, notes=[note])
+            note = "route: ambient-group certificate (L is L_Delta(M) of its group M)"
+            return AxiomReport(max_len, words, violations, [note])
+    swept = _table_axiom_sweep(pg, max_len) if hasattr(pg, "sweep_tables") else None
+    if swept is not None:
+        note = "route: table sweep over the automaton and raw product tables"
+    else:
+        swept = _dfs_axiom_sweep(pg, max_len)
+        note = "route: per-word DFS"
+    violations.extend(swept[1])
+    return AxiomReport(max_len, words, violations, [note, *refused])

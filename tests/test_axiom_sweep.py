@@ -90,7 +90,7 @@ def test_table_route_matches_the_dfs(s5f, monkeypatch, build, max_len, count, bl
 def test_check_axioms_takes_the_table_route(s5f):
     pg = minus_smallest(s5f.loc.pg)
     report = check_axioms(pg, 3)
-    assert report.notes == ["route: dense automaton and raw product tables"]
+    assert report.notes == ["route: table sweep over the automaton and raw product tables"]
     assert report.words_checked == 178808
     # length-1 words off the domain first, then the sweep's findings
     swept = _table_axiom_sweep(pg, 3)[1]

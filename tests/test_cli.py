@@ -129,6 +129,16 @@ def test_pg_check_over_the_word_budget_exits_2_before_sweeping(monkeypatch, caps
     ]
 
 
+@pytest.mark.parametrize("length", ["1", "0", "-1"])
+def test_pg_check_word_length_below_2_is_one_error_line(capsys, length):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["pg-check", "--builtin", "GRP-S4", "--max-word-len", length])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: argument --max-word-len: must be at least 2, got {length}\n"
+
+
 def test_plocality_missing_product_entry_exits_2(tmp_path, capsys):
     path = _emit(tmp_path, capsys, "GRP-S4", "V4")
     lines = path.read_text().splitlines()
@@ -340,7 +350,10 @@ def test_pg_check_on_a_total_domain_that_is_not_a_group_reports_violations(tmp_p
     assert (words, len(expected)) == (39, 16)
     assert partial._table_axiom_sweep(pg, 3) == (words, expected)
     assert expected[0] == partial.AxiomViolation("cancellation", (0, 1, 2), "pi(w^-1 ∘ w) != 1")
-    assert check["detail"] == "axiom sweep to length 3: 39 words, 16 violation(s)"
+    assert check["detail"] == (
+        "axiom sweep to length 3: 39 words, 16 violation(s);"
+        " route: table sweep over the automaton and raw product tables"
+    )
     assert check["witnesses"] == [[v.axiom, list(v.word), v.detail] for v in expected[:10]]
 
 

@@ -6,17 +6,16 @@ from localities.groups import SubgroupRef, all_subgroups, generate_group, sylow_
 from localities.locality import (
     DeltaFamily,
     LocalityConstructionError,
-    chain_is_valid,
     check_locality,
     conjugate_elem,
     delta_close,
-    domain_chain,
     locality_from_group,
     normalizer_in_L,
     s_of_word,
 )
 
 import _frozen as frozen
+from chain_reference import chain_is_valid, domain_chain
 from conj_iso_reference import conj_iso
 
 
