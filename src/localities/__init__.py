@@ -52,9 +52,7 @@ from .partial import (
     check_axioms,
     classify_subset,
     dedekind_verify,
-    invert_word,
     partial_subgroup_closure,
-    pi,
     subset_product,
     swap_two_products,
 )

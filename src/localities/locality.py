@@ -272,7 +272,7 @@ class LocalityPartialGroup(PartialGroup):
         return out
 
     def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(trans, in_delta, raw) as arrays for the axiom sweep: the
+        """(trans, in_delta, raw) as arrays for the axiom searches: the
         automaton's transitions over every reachable state, the Delta mask
         of its states and the raw product with -1 where it is undefined."""
         in_delta = np.array(self.in_delta, dtype=bool)

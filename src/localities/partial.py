@@ -6,8 +6,7 @@ x^g means pi((g^-1, x, g)) whenever that word is in the domain.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ Word = tuple[int, ...]
 # element id, and not None, which is mul2's answer off the domain.
 EMPTY_WORD = object()
 
-# The most words one check_axioms call sweeps (LOC-S5 at length 4: 10,013,304).
+# The most words the per-word DFS of check_axioms visits (LOC-S5, length 4: 10,013,304).
 AXIOM_SWEEP_CAP = 20_000_000
 # The most states one intern_states table or state_fixpoint search interns
 # (LOC-S5's quotient checks: 80).
@@ -220,14 +219,6 @@ def intern_states(start, step: Callable, letters: int, what: str) -> tuple[list,
     return states, rows
 
 
-def pi(pg: PartialGroup, word: Iterable[int]) -> int | None:
-    return pg.pi(tuple(word))
-
-
-def invert_word(pg: PartialGroup, word: Iterable[int]) -> Word:
-    return pg.invert_word(tuple(word))
-
-
 # ---------------------------------------------------------------------------
 # concrete backends
 
@@ -265,7 +256,7 @@ class GroupPartialGroup(PartialGroup):
 
 def total_group_component(pg: PartialGroup):
     """[(every id, the group on them)] when pg's domain is total and its
-    product table is a group; otherwise None, and check_axioms sweeps words."""
+    product table is a group; otherwise None, and check_axioms searches words."""
     if not pg.domain_is_total:
         return None
     try:
@@ -855,313 +846,228 @@ def _base_axiom_checks(pg: PartialGroup, out: list[AxiomViolation]) -> None:
         out.append(AxiomViolation("inversion", (), "inversion is not a bijection"))
 
 
+
+
+
+
+def _word_violations(pg: PartialGroup, word: Word) -> list[AxiomViolation]:
+    """The violations _dfs_axiom_sweep reports on one word, none off the domain."""
+    if not pg.in_domain(word):
+        return []
+    n, total = len(word), pg.pi(word)
+    out = []
+    for k in range(1, n):  # both halves of a domain word are domain words
+        if not pg.in_domain(word[:k]):
+            out.append(AxiomViolation("split", word, f"prefix of length {k} not in domain"))
+        if not pg.in_domain(word[k:]):
+            out.append(AxiomViolation("split", word, f"suffix from {k} not in domain"))
+    for i in range(n + 1):  # a segment collapsed to its product keeps word and product
+        for j in range(i, n + 1):
+            mid = None if j == i + 1 else pg.pi(word[i:j])
+            if mid is not None and (val := pg.pi(word[:i] + (mid,) + word[j:])) != total:
+                what = "leaves domain" if val is None else "changes the product"
+                out.append(AxiomViolation("collapse", word, f"collapse [{i}:{j}] {what}"))
+    cancelled = pg.pi(pg.invert_word(word) + word)
+    if cancelled != pg.identity:
+        what = "w^-1 ∘ w not in domain" if cancelled is None else "pi(w^-1 ∘ w) != 1"
+        out.append(AxiomViolation("cancellation", word, what))
+    return out
+
+
 def _dfs_axiom_sweep(pg: PartialGroup, max_len: int) -> tuple[int, list[AxiomViolation]]:
-    """Literal sweep over every word of length <= max_len."""
+    """(words visited, violations) of a literal sweep over every word of
+    length <= max_len, in pre-order (a word, then its extensions); once
+    MAX_REPORTED_VIOLATIONS are found it checks no further word."""
     out: list[AxiomViolation] = []
-    words_checked = 0
-    elements = list(pg.elements())
-
-    def visit(word: Word) -> None:
-        nonlocal words_checked
-        words_checked += 1
-        if len(out) >= MAX_REPORTED_VIOLATIONS:
-            return
-        if not pg.in_domain(word):
-            return
-        n = len(word)
-        total = pg.pi(word)
-        # splits: both halves of a domain word are domain words
-        for k in range(1, n):
-            if not pg.in_domain(word[:k]):
-                out.append(AxiomViolation("split", word, f"prefix of length {k} not in domain"))
-            if not pg.in_domain(word[k:]):
-                out.append(AxiomViolation("split", word, f"suffix from {k} not in domain"))
-        # collapse: replacing an inner factor by its product preserves everything
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                if j == i + 1:
-                    continue
-                mid = pg.pi(word[i:j])
-                if mid is None:
-                    continue
-                squeezed = word[:i] + (mid,) + word[j:]
-                val = pg.pi(squeezed)
-                if val is None:
-                    out.append(
-                        AxiomViolation("collapse", word, f"collapse [{i}:{j}] leaves domain")
-                    )
-                elif val != total:
-                    out.append(
-                        AxiomViolation(
-                            "collapse", word, f"collapse [{i}:{j}] changes the product"
-                        )
-                    )
-        inv_word = pg.invert_word(word)
-        cancelled = pg.pi(inv_word + word)
-        if cancelled is None:
-            out.append(AxiomViolation("cancellation", word, "w^-1 ∘ w not in domain"))
-        elif cancelled != pg.identity:
-            out.append(AxiomViolation("cancellation", word, "pi(w^-1 ∘ w) != 1"))
-
-    def rec(word: Word) -> None:
-        if len(word) >= max_len:
-            return
-        for x in elements:
-            w = word + (x,)
-            visit(w)
-            rec(w)
-
-    rec(())
-    return words_checked, out
+    stack, visited = [(x,) for x in reversed(pg.elements())], 0
+    while stack:
+        word = stack.pop()
+        visited += 1
+        if len(out) < MAX_REPORTED_VIOLATIONS:
+            out.extend(_word_violations(pg, word))
+        if len(word) < max_len:
+            stack += [word + (x,) for x in reversed(pg.elements())]
+    return visited, out
 
 
-# Words of one length are swept in blocks that fix their leading letters,
-# at most this many words to a block, so the arrays stay a few MB at any
-# length.
-_SWEEP_BLOCK = 1 << 18
+def _axiom_searches(
+    trans: np.ndarray, in_delta: np.ndarray, raw: np.ndarray, inv: Sequence[int], e: int,
+    missing: Callable[[int, int], Exception] | None,
+) -> tuple[list[int], dict[str, list[Word]]]:
+    """([split, collapse, cancellation state counts], {axiom: its failing
+    words in shortlex order}) over the words on the letters 0..m-1 of trans.
 
-
-def _block_split(m: int, n: int) -> tuple[int, int]:
-    """(lead, tail): words of length n = lead fixed letters + tail swept ones."""
-    tail = n
-    while tail > 1 and m**tail > _SWEEP_BLOCK:
-        tail -= 1
-    return n - tail, tail
-
-
-def _digit_arrays(m: int, n: int) -> list[np.ndarray]:
-    idx = np.arange(m**n, dtype=np.int32)
-    return [(idx // m ** (n - 1 - k)) % m for k in range(n)]
-
-
-class _Findings:
-    """Violations of a table sweep, reported as the DFS reports them.
-
-    The DFS visits words in pre-order (a word, then its extensions), checks
-    each word in a fixed order, and stops checking words once
-    MAX_REPORTED_VIOLATIONS are found, finishing the word it is on.  A
-    length's blocks come in word order, so once that many violating words of
-    one length are kept, no later word of that length can be reported and
-    the sweep of that length stops.
+    A word is in the domain when its walk over trans from state 0 ends in
+    in_delta; its product is its left fold over raw (-1: undefined) from
+    e.  No walker is read: a walker assumes split.  Each search is one
+    state_fixpoint over letters tagged with a guess (x with tag g is x *
+    tags + g), failing a domain word as it ends; a path stops once no
+    extension of its word can reach in_delta (A):
+    - split, (state, flag, suffix state): the flag is -1 on the empty word
+      and 1 once a proper prefix is off the domain or the suffix can no
+      longer reach it; tag 1 starts the suffix.  Fails: flag 1, or the
+      suffix off the domain;
+    - collapse, (phase, state, value, y, z): phase 0 reads the word, which
+      fails if its fold leaves raw (missing(a, b) is raised at its first
+      undefined pair) or if appending the empty word changes it.  Tag 1
+      collapses the empty word before its letter; tag 2 keeps a letter in
+      y (phase 1), and the next letter collapses that pair, if in the
+      domain, to its product.  Phase 2 reads the collapsed word too, as
+      (state y, value z): both values -1 once they agree, y -1 once it
+      cannot reach the domain.  Fails: it is off the domain or its
+      product is another;
+    - cancellation, domain half, (T_w, T_w^-1): the transition maps of w
+      and w^-1 as codes in the transition monoid; w^-1 w walks to
+      T_w(T_w^-1(0)).  The value half is read on single letters.
     """
+    k, m = trans.shape
+    T = np.pad(np.asarray(trans, dtype=np.int64), (0, 1), constant_values=-1)  # -1 reads -1
+    R = np.pad(np.asarray(raw, dtype=np.int64), (0, 1), constant_values=-1)
+    D = np.append(np.asarray(in_delta, dtype=bool), False)
+    A = D.copy()
+    while not ((grown := A | A[T[:, :m]].any(axis=1)) == A).all():
+        A = grown
+    inv = np.asarray(inv, dtype=np.int64)
+    counts: list[int] = []
 
-    def __init__(self, letters: Sequence[int]):
-        self.letters = letters
-        self.kept: list[tuple[Word, int, str, str]] = []
-        self.words_of_length: dict[int, int] = {}
+    def search(start, dims, tags, step, *more: Word) -> list[Word]:
+        states, failing = state_fixpoint(start, dims, range(m * tags), step)
+        counts.append(states)
+        words = {tuple(c // tags for c in w) for w in failing}.union(more)
+        return sorted(words, key=lambda w: (len(w), w))
 
-    def full(self, n: int) -> bool:
-        return self.words_of_length.get(n, 0) >= MAX_REPORTED_VIOLATIONS
+    def split_step(level, xs):
+        s, f, t = (c[:, None] for c in level)
+        x, starts = xs // 2, xs % 2 == 1
+        s2, t2 = T[s, x], T[np.where(starts, 0, t), x]
+        f2 = np.where(f < 0, 0, f | ~D[s]) | ~A[t2] & (t2 >= 0)
+        t2 = np.where(f2 == 1, -1, t2)
+        live = (~starts | (t < 0) & (f == 0)) & A[s2]
+        return (s2, f2, t2), live, live & D[s2] & ((f2 == 1) | ~D[t2] & (t2 >= 0))
 
-    def add(
-        self,
-        lead: Word,
-        tails: np.ndarray,
-        m: int,
-        tail_len: int,
-        checks: list[tuple[str, str, np.ndarray]],
-    ) -> None:
-        """checks[c] = (axiom, detail, mask): mask[k] says whether the word
-        lead + (tail code tails[k]) fails check c (c is its per-word order)."""
-        n = len(lead) + tail_len
-        found = self.words_of_length.get(n, 0)
-        bad = np.logical_or.reduce([mask for _, _, mask in checks])
-        hits = np.flatnonzero(bad)[: MAX_REPORTED_VIOLATIONS - found]
-        self.words_of_length[n] = found + hits.size
-        for k in hits.tolist():
-            tail = np.unravel_index(tails[k], (m,) * tail_len)
-            word = lead + tuple(int(x) for x in tail)
-            for c, (axiom, detail, mask) in enumerate(checks):
-                if mask[k]:
-                    self.kept.append((word, c, axiom, detail))
+    def collapse_step(level, xs):
+        ph, s, v, y, z = (c[:, None] for c in level)
+        x, tag = xs // 3, xs % 3
+        one, two = ph == 1, ph == 2
+        a = np.where(one, y, -1)  # the pair's first letter
+        sw = T[np.where(one, T[s, a], s), x]  # the word: u x, or u a x in phase 1
+        vw = R[np.where(one, R[v, a], v), x]
+        c = R[R[e, a], x]  # the pair's product
+        cs = np.where(two, T[np.where(two, y, -1), x], np.where(one, T[s, c], T[T[s, e], x]))
+        cv = np.where(two, R[z, x], np.where(one, R[v, c], R[R[v, e], x]))
+        cs = np.where(A[cs], cs, -1)
+        same = (cs < 0) | (vw == cv)
+        vc, cv = np.where(same, -1, vw), np.where(same, -1, cv)
+        to0, to1 = (ph == 0) & (tag == 0), (ph == 0) & (tag == 2)
+        pair = two | one & D[T[T[0, a], x]] & (c >= 0)
+        to2 = (ph == 0) & (tag == 1) & D[0] | pair & (tag == 0)
+        live = A[sw] & (to0 | to1 | to2)
+        end = D[0] & ~(D[T[sw, e]] & (R[vw, e] == vw))
+        bad = to0 & ((vw < 0) | end) | to2 & (~D[cs] | (vc >= 0) & (cv >= 0) & (vc != cv))
+        nxt = (to1 + 2 * to2, np.where(to1, s, sw), np.where(to1, v, np.where(to2, vc, vw)),
+               np.where(to1, x, np.where(to2, cs, -1)), np.where(to2, cv, -1))
+        return nxt, live, live & D[sw] & bad
 
-    def violations(self) -> list[AxiomViolation]:
-        out: list[AxiomViolation] = []
-        last = None
-        # tuples compare in pre-order: a prefix sorts before its extensions
-        for word, _, axiom, detail in sorted(self.kept):
-            if word != last:
-                if len(out) >= MAX_REPORTED_VIOLATIONS:
-                    break
-                last = word
-            out.append(AxiomViolation(axiom, tuple(self.letters[x] for x in word), detail))
-        return out
+    found = {"split": search((0, -1, -1), (k + 1, 3, k + 1), 2, split_step)}
+    dims = (3, k + 1, m + 1, max(k, m) + 1, m + 1)
+    found["collapse"] = search((0, 0, e, -1, -1), dims, 3, collapse_step)
+    for word in found["collapse"]:  # a domain word whose fold leaves raw fails here
+        state, value, pair = 0, e, None
+        for x in word:
+            if pair is None and R[value, x] < 0 <= value:
+                pair = (int(value), x)
+            state, value = trans[state, x], R[value, x]
+        if pair is not None and in_delta[state]:
+            raise missing(*pair)
+
+    cols = [tuple(col) for col in trans.T.tolist()]
+    maps, app = intern_states(tuple(range(k)), lambda mp, x: tuple(map(cols[x].__getitem__, mp)),
+                              m, "transition monoid")
+    code = {mp: i for i, mp in enumerate(maps)}  # w^-1 gains x^-1 in front when w gains x
+    pre = np.array([[code[tuple(map(mp.__getitem__, col))] for col in cols] for mp in maps])
+    app, maps = np.array(app), np.array(maps)
+
+    def cancel_step(level, xs):
+        n1, n2 = app[level[0][:, None], xs], pre[level[1][:, None], inv[xs]]
+        live = A[maps[n1, 0]]
+        return (n1, n2), live, live & D[maps[n1, 0]] & ~D[maps[n1, maps[n2, 0]]]
+
+    xs = np.arange(m)
+    single = D[T[0, xs]] & D[T[T[0, inv], xs]] & (R[R[e, inv], xs] != e)
+    singles = [(x,) for x in np.flatnonzero(single).tolist()]
+    found["cancellation"] = search((0, 0), (len(maps) + 1,) * 2, 1, cancel_step, *singles)
+    return counts, found
 
 
-class AxiomTables(NamedTuple):
-    """What _table_axiom_sweep reads.  Words are over the letters
-    0..len(inv)-1; letter x stands for the partial group's id letters[x]."""
-
-    trans: np.ndarray  # automaton transitions, from state 0
-    in_delta: np.ndarray  # accept mask of its states
-    raw: np.ndarray  # raw products, -1 where undefined
-    inv: Sequence[int]
-    identity: int
-    letters: Sequence[int]
-
-
-def _component_tables(elems: Sequence[int], group: FiniteGroup) -> AxiomTables:
-    """A total component as a one-state automaton over its group table."""
-    return AxiomTables(
-        np.zeros((1, group.order), dtype=np.int32), np.ones(1, dtype=bool), group.mult,
-        group.inv, group.identity, elems,
-    )
-
-
-def _table_axiom_sweep(
-    pg: PartialGroup, max_len: int, tables: AxiomTables | None = None
-) -> tuple[int, list[AxiomViolation]] | None:
-    """Every check of _dfs_axiom_sweep on dense tables, by default those of
-    pg.sweep_tables(); check_axioms passes a total component's tables.
-
-    Per block the words of the domain are found by walking the automaton
-    over the block, then each check runs on arrays of all those words at
-    once: prefix and segment states and values are carried letter by
-    letter, and each squeezed or cancelled word is walked and folded from
-    them exactly as pi would walk and fold it.  The violations, their
-    order and the cap are those of the DFS.  Returns None when a product the
-    DFS would take leaves the raw table; the DFS then reports (or raises)
-    what it finds.
-    """
-    if tables is None:
-        inverses = [pg.inverse(x) for x in pg.elements()]
-        tables = AxiomTables(*pg.sweep_tables(), inverses, pg.identity, pg.elements())
-    trans, in_delta, raw, inv, e, letters = tables
-    m = len(inv)
-    inv = np.asarray(inv, dtype=np.int32)
-    tf = trans.ravel()
-    # raw products with one extra row of -1: a missing product v = -1 reads
-    # index -m + x, which wraps into that row, so -1 stays -1 along a fold.
-    rf = np.concatenate((raw.ravel(), np.full(m, -1, dtype=np.int32)))
-
-    def step(s, x):
-        return np.take(tf, s * m + x)
-
-    def mul(v, x):
-        return np.take(rf, v * m + x)
-
-    def word_checks(w: list[np.ndarray], n: int) -> list[tuple[str, str, np.ndarray]] | None:
-        """The DFS's checks, in its order, on the domain words w (one letter
-        array per position); None if one of their products leaves raw."""
-        st: dict[tuple[int, int], np.ndarray] = {}
-        val: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(n):
-            s, v = step(0, w[i]), mul(e, w[i])
-            st[i, i + 1], val[i, i + 1] = s, v
-            for j in range(i + 2, n + 1):
-                s, v = step(s, w[j - 1]), mul(v, w[j - 1])
-                st[i, j], val[i, j] = s, v
-        total = val[0, n]
-        missing = total < 0
-        none = np.zeros(total.size, dtype=bool)
-        checks = []
-        for k in range(1, n):
-            checks.append(("split", f"prefix of length {k} not in domain", ~in_delta[st[0, k]]))
-            checks.append(("split", f"suffix from {k} not in domain", ~in_delta[st[k, n]]))
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                if j == i + 1:
-                    continue
-                leaves = f"collapse [{i}:{j}] leaves domain"
-                changes = f"collapse [{i}:{j}] changes the product"
-                if i < j:
-                    mid, mid_in = val[i, j], in_delta[st[i, j]]
-                    missing |= mid_in & (mid < 0)
-                elif in_delta[0]:
-                    mid, mid_in = e, ~none
-                else:  # pi(()) is undefined: nothing to insert
-                    checks += [("collapse", leaves, none), ("collapse", changes, none)]
-                    continue
-                s, v = (st[0, i], val[0, i]) if i else (0, e)
-                s, v = step(s, mid), mul(v, mid)
-                for t in range(j, n):
-                    s, v = step(s, w[t]), mul(v, w[t])
-                sq_in = in_delta[s] & mid_in
-                missing |= sq_in & (v < 0)
-                checks.append(("collapse", leaves, mid_in & ~sq_in))
-                checks.append(("collapse", changes, sq_in & (v != total)))
-        s, v = 0, e
-        for x in reversed(w):
-            s, v = step(s, inv[x]), mul(v, inv[x])
-        for x in w:
-            s, v = step(s, x), mul(v, x)
-        c_in = in_delta[s]
-        missing |= c_in & (v < 0)
-        if missing.any():
-            return None
-        checks.append(("cancellation", "w^-1 ∘ w not in domain", ~c_in))
-        checks.append(("cancellation", "pi(w^-1 ∘ w) != 1", c_in & (v != e)))
-        return checks
-
-    findings = _Findings(letters)
-    for n in range(1, max_len + 1):
-        lead_len, tail_len = _block_split(m, n)
-        tail_digits = _digit_arrays(m, tail_len)
-        for lead in itertools.product(range(m), repeat=lead_len):
-            state = 0
-            for x in lead:
-                state = int(trans[state, x])
-            reach = trans[state][tail_digits[0]]
-            for d in tail_digits[1:]:
-                reach = step(reach, d)
-            tails = np.flatnonzero(in_delta[reach])
-            if not tails.size:
-                continue
-            w = [np.full(tails.size, x, dtype=np.int32) for x in lead]
-            w += [d[tails] for d in tail_digits]
-            checks = word_checks(w, n)
-            if checks is None:
-                return None
-            findings.add(lead, tails, m, tail_len, checks)
-            if findings.full(n):
-                break
-    return sum(m**k for k in range(1, max_len + 1)), findings.violations()
+def _searched(pg: PartialGroup, trans, in_delta, raw, missing) -> tuple[list, str]:
+    """(violations, note) of _axiom_searches on pg's tables: per axiom, its
+    failing words in shortlex order with their violations of it, as
+    _dfs_axiom_sweep reports them, until MAX_REPORTED_VIOLATIONS are kept."""
+    inverses = [pg.inverse(x) for x in pg.elements()]
+    counts, found = _axiom_searches(trans, in_delta, raw, inverses, pg.identity, missing)
+    out: list[AxiomViolation] = []
+    for axiom, words in found.items():
+        kept: list[AxiomViolation] = []
+        for word in words:
+            if len(kept) < MAX_REPORTED_VIOLATIONS:
+                kept += [v for v in _word_violations(pg, word) if v.axiom == axiom]
+        out += kept
+    return out, "every word length: split {}, collapse {}, cancellation {} states".format(*counts)
 
 
 def _still_a_group(group: FiniteGroup) -> bool:
-    """Whether group.mult, as it stands now, is a group whose identity and
-    inverses are the ones its component sweep reads (the table may have
-    been changed after construction)."""
+    """Whether group.mult, as it stands now, is a group with group's identity and inverses."""
     try:
-        identity, inv = certify_group_table(group.mult)
+        return certify_group_table(group.mult) == (group.identity, group.inv)
     except ValueError:
         return False
-    return identity == group.identity and inv == group.inv
 
 
 def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
-    """Verify the partial group axioms on every word of length <= max_len.
+    """Check the partial group axioms (Chermak, Fusion systems and
+    localities, Acta Math. 2013) on the domain D: length-1 words multiply
+    to themselves; splits of words in D are in D; collapsing a segment v in
+    D, |v| != 1, of u v t in D to its product keeps it in D with the same
+    product; w^-1 w is in D with product 1.  Violations are reported, never
+    repaired.
 
-    Checks: length-1 words multiply to themselves, splits of domain words are
-    domain words, collapsing an inner factor keeps the word in the domain with
-    the same product, and w^-1 ∘ w multiplies to the identity.  Violations are
-    reported, never repaired.
+    Assume split, so every segment of a word in D is in D.  Then:
+    (C) collapse of every segment follows from collapse of the empty word
+        and of two letters, by induction on |v| >= 3.  Write v = (a, b) v'
+        and c = Pi(a, b); (a, b) is in D as a prefix of v.  Collapsing (a,
+        b) in u v t gives W = u (c) v' t in D with the same product, and in
+        v gives (c) v' in D with product Pi(v).  By induction on the
+        shorter segment (c) v' of W, u (Pi(v)) t is in D with product Pi(W).
+    (V) given (C), Pi(w^-1 w) = 1 follows from w^-1 w in D and from
+        Pi(x^-1, x) = 1 for letters x, by induction on |w| >= 2.  Write w =
+        (x) u.  Collapsing (x^-1, x) in w^-1 w = u^-1 (x^-1, x) u gives u^-1
+        (1) u with the same product.  u is a suffix of w, so u^-1 u is in
+        D, and collapsing its empty segment between u^-1 and u (Pi(()) = 1)
+        gives the same word, with product Pi(u^-1 u) = 1 by induction.
+    So split, the empty and two-letter collapses and the domain half of
+    cancellation for words of every length, with the single letters,
+    decide every check; a failing Pi(w^-1 w) whose single letters and
+    domain half pass is reported as the collapse failure it follows from.
 
     Routes, each named in the report's first note:
-    - total components (pg._vector_components() is not None: groups, an
-      amalgam's two sides, a locality or quotient whose domain is total and
-      whose product table is a group) are proved, not swept: if the
-      component's table, as it stands at check time, passes
-      certify_group_table (Light's test) with the identity and inverses the
-      component holds, every word over it satisfies the axioms.  A
-      component that fails it (a table changed after construction) is
-      swept by _table_axiom_sweep over its group table as a one-state
-      automaton, which reports what _dfs_axiom_sweep reports on
-      GroupPartialGroup(its group), read back through the component's ids;
-    - a partial group that knows its ambient group (pg.ambient is not None:
-      a LocalityPartialGroup from locality_from_group) is proved by
-      pg.certify_ambient(), which reads Chermak's hypotheses on L_Delta(M)
-      off the tables as they stand; if one fails, a second note names it
-      and the partial group takes the routes below;
-    - automaton-backed partial domains (pg.sweep_tables() exists: a
-      LocalityPartialGroup whose domain is not total or whose table is not
-      a group, such as a plocality file or a quotient read back):
-      _table_axiom_sweep over the automaton and raw product tables;
-    - everything else (CorruptedProducts, a partial QuotientPartialGroup,
-      generic partial groups), and a table sweep that meets a product
-      missing from the raw table: the per-word _dfs_axiom_sweep.
-    The word count is stated before any of this, whatever the route: over
-    AXIOM_SWEEP_CAP words raises SweepBudgetExceeded.
+    - a total component (pg._vector_components(): a group, an amalgam's
+      sides, a locality or quotient whose domain is total and whose table
+      is a group) is proved if its table as it stands passes
+      certify_group_table (Light's test) with the identity and inverses it
+      holds, and else searched as a one-state automaton over that table,
+      with a second note;
+    - a partial group that knows its ambient group (pg.ambient, set by
+      locality_from_group) is proved by pg.certify_ambient(); if that is
+      refused, a second note says why and the routes below are taken;
+    - automaton-backed domains (pg.sweep_tables(): a LocalityPartialGroup,
+      such as a plocality file or a quotient read back) are searched by
+      _axiom_searches, for every word length; a domain word whose fold
+      leaves the raw table raises raw_missing, as product_table() does;
+    - anything else (CorruptedProducts, a partial QuotientPartialGroup):
+      _dfs_axiom_sweep to max_len, which raises SweepBudgetExceeded first
+      if that is over AXIOM_SWEEP_CAP words.
+    Each route states the number of words of length <= max_len (>= 2 on
+    total components), searched or not.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -1170,26 +1076,23 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
         words = sum(len(el) ** k for el, _ in components for k in range(2, max_len + 1))
     else:
         words = sum(pg.size**k for k in range(1, max_len + 1))
-    if words > AXIOM_SWEEP_CAP:
-        raise SweepBudgetExceeded(
-            f"axiom sweep to length {max_len} needs {words} words,"
-            f" over the budget of {AXIOM_SWEEP_CAP}"
-        )
     violations: list[AxiomViolation] = []
     _base_axiom_checks(pg, violations)
     if components is not None:
         unproved = [(elems, grp) for elems, grp in components if not _still_a_group(grp)]
-        for elems, grp in unproved:
-            swept = _table_axiom_sweep(pg, max_len, _component_tables(elems, grp))
-            if swept is None:
-                raise ValueError("a total component's table holds a product outside it")
-            violations.extend(swept[1])
-        note = (
+        notes = [
             f"route: group-table certificate (Light's test) on"
             f" {len(components) - len(unproved)} of {len(components)} total component(s),"
             f" vectorized sweep on {len(unproved)}"
-        )
-        return AxiomReport(max_len, words, violations, [note])
+        ]
+        for elems, grp in unproved:
+            if ((grp.mult < 0) | (grp.mult >= grp.order)).any():
+                raise ValueError("a total component's table holds a product outside it")
+            one_state = np.zeros((1, grp.order), dtype=np.int64), np.ones(1, dtype=bool)
+            found, note = _searched(GroupPartialGroup(grp), *one_state, grp.mult, None)
+            violations += [replace(v, word=tuple(elems[x] for x in v.word)) for v in found]
+            notes.append(f"state searches on a component of {grp.order} elements, {note}")
+        return AxiomReport(max_len, words, violations, notes)
     refused = []
     if getattr(pg, "ambient", None) is not None:
         try:
@@ -1199,11 +1102,13 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
         else:
             note = "route: ambient-group certificate (L is L_Delta(M) of its group M)"
             return AxiomReport(max_len, words, violations, [note])
-    swept = _table_axiom_sweep(pg, max_len) if hasattr(pg, "sweep_tables") else None
-    if swept is not None:
-        note = "route: table sweep over the automaton and raw product tables"
+    if hasattr(pg, "sweep_tables"):
+        found, note = _searched(pg, *pg.sweep_tables(), pg._raw_missing)
+        note = f"route: state searches over the automaton and raw product tables, {note}"
+    elif words > AXIOM_SWEEP_CAP:
+        raise SweepBudgetExceeded(f"axiom sweep to length {max_len} needs {words} words,"
+                                  f" over the budget of {AXIOM_SWEEP_CAP}")
     else:
-        swept = _dfs_axiom_sweep(pg, max_len)
-        note = "route: per-word DFS"
-    violations.extend(swept[1])
+        found, note = _dfs_axiom_sweep(pg, max_len)[1], "route: per-word DFS"
+    violations.extend(found)
     return AxiomReport(max_len, words, violations, [note, *refused])

@@ -391,13 +391,6 @@ class QuotientBundle:
     quotient: Locality
     report: VerificationReport
 
-    def image_of(self, members: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.rho[x] for x in members)
-
-    def preimage_of(self, cosets: Iterable[int]) -> frozenset[int]:
-        wanted = set(cosets)
-        return frozenset(x for x in self.base.elements() if self.rho[x] in wanted)
-
 
 def _coset_word_steps(pg: PartialGroup, qpg: QuotientPartialGroup):
     """(steps, rho, dims): a state of the word checks is (walker code of v,

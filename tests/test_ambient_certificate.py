@@ -17,14 +17,17 @@ from localities import cli, partial
 from localities.groups import FiniteGroup
 from localities.locality import LocalityPartialGroup
 from localities.model import parse_model
-from localities.partial import _base_axiom_checks, _dfs_axiom_sweep, check_axioms
+from localities.partial import _axiom_searches, _base_axiom_checks, _dfs_axiom_sweep, check_axioms
 
 AMBIENT_ROUTE = "route: ambient-group certificate (L is L_Delta(M) of its group M)"
 LIGHT_ROUTE = (
     "route: group-table certificate (Light's test) on {n} of {n} total component(s),"
     " vectorized sweep on 0"
 )
-TABLE_ROUTE = "route: table sweep over the automaton and raw product tables"
+SEARCH_ROUTE = (
+    "route: state searches over the automaton and raw product tables, every word length:"
+    " split 115, collapse 2282, cancellation 14 states"
+)
 
 
 def rebuild(pg, ambient, **fields):
@@ -152,8 +155,8 @@ def test_the_negative_controls_fail_on_their_tables(s5f):
     for name, build, _ in BROKEN:
         got = outcome(rebuild(build(pg, pg.ambient), None))
         found[name] = got[1] if isinstance(got[0], type) else len(got[0])
-    assert found["swapped-raw"] == 200
-    assert found["minus-smallest"] == 217  # 16 length-1 words and 201 swept
+    assert found["swapped-raw"] == 201
+    assert found["minus-smallest"] == 272  # 16 length-1 words and 256 searched
     assert found["no-order-4"] > 0
     assert found["changed-map"] > 0
     assert found["changed-mult"] == 0
@@ -206,7 +209,7 @@ def test_loc_s5_at_the_default_length_sweeps_no_word(monkeypatch, capsys):
     def no_sweep(*args):
         raise AssertionError("a word sweep started")
 
-    for kernel in ("_table_axiom_sweep", "_dfs_axiom_sweep"):
+    for kernel in ("_axiom_searches", "_dfs_axiom_sweep"):
         monkeypatch.setattr(partial, kernel, no_sweep)
     assert cli.main(["pg-check", "--builtin", "LOC-S5", "--format", "json"]) == 0
     (check,) = json.loads(capsys.readouterr().out)["checks"]
@@ -234,12 +237,13 @@ def test_pg_check_names_the_route_of_each_builtin(capsys, builtin, route):
 
 
 @pytest.mark.parametrize(
-    "kernel, route", [("N5", LIGHT_ROUTE.format(n=1)), ("1", TABLE_ROUTE)], ids=["N5", "1"]
+    "kernel, route", [("N5", LIGHT_ROUTE.format(n=1)), ("1", SEARCH_ROUTE)], ids=["N5", "1"]
 )
 def test_an_emitted_quotient_falls_back_to_the_swept_routes(tmp_path, capsys, kernel, route):
     """A plocality file holds no group: the LOC-S5/N5 quotient has a total
     domain and takes Light's test, the quotient by 1 a partial one and
-    the table sweep; both report what the DFS reports."""
+    the state searches; both pass, as the DFS does, and the tables of both
+    pass the searches."""
     path = tmp_path / "q.model"
     argv = ["quotient", "--builtin", "LOC-S5", "--kernel", kernel, "--emit", str(path)]
     assert cli.main(argv) == 0
@@ -249,4 +253,8 @@ def test_an_emitted_quotient_falls_back_to_the_swept_routes(tmp_path, capsys, ke
     report = check_axioms(loc.pg, 3)
     assert report.notes == [route]
     assert report.violations == _dfs_axiom_sweep(loc.pg, 3)[1] == []
+    pg = loc.pg
+    inverses = [pg.inverse(x) for x in pg.elements()]
+    found = _axiom_searches(*pg.sweep_tables(), inverses, pg.identity, pg._raw_missing)[1]
+    assert found == {"split": [], "collapse": [], "cancellation": []}
 

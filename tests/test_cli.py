@@ -115,18 +115,32 @@ def test_emit_parse_round_trip(s5f, tmp_path, capsys):
     assert got == want
 
 
-def test_pg_check_over_the_word_budget_exits_2_before_sweeping(monkeypatch, capsys):
-    def no_sweep(*args):
-        raise AssertionError("the sweep started")
-
-    for kernel in ("_table_axiom_sweep", "_dfs_axiom_sweep"):
-        monkeypatch.setattr(partial, kernel, no_sweep)
-    assert cli.main(["pg-check", "--builtin", "LOC-S5", "--max-word-len", "6"]) == 2
+def test_pg_check_past_the_word_budget_passes_by_the_ambient_certificate(capsys):
+    """The word budget bounds only the per-word DFS: LOC-S5 at length 6 is
+    proved by its ambient-group certificate, which visits no word."""
+    argv = ["pg-check", "--builtin", "LOC-S5", "--max-word-len", "6", "--format", "json"]
+    assert cli.main(argv) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
     words = sum(56**k for k in range(1, 7))
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: axiom sweep to length 6 needs {words} words,"
-        f" over the budget of {partial.AXIOM_SWEEP_CAP}"
-    ]
+    assert words > partial.AXIOM_SWEEP_CAP
+    assert check["detail"] == (
+        f"axiom sweep to length 6: {words} words, ok;"
+        " route: ambient-group certificate (L is L_Delta(M) of its group M)"
+    )
+
+
+def test_the_per_word_dfs_over_the_word_budget_raises_before_visiting_a_word(s5f, monkeypatch):
+    def no_visit(*args):
+        raise AssertionError("a word was visited")
+
+    monkeypatch.setattr(partial, "_word_violations", no_visit)
+    pg = partial.CorruptedProducts(s5f.loc.pg, {(1, 1): 24})
+    words = sum(56**k for k in range(1, 7))
+    with pytest.raises(SweepBudgetExceeded) as error:
+        partial.check_axioms(pg, 6)
+    assert str(error.value) == (
+        f"axiom sweep to length 6 needs {words} words, over the budget of {partial.AXIOM_SWEEP_CAP}"
+    )
 
 
 @pytest.mark.parametrize("length", ["1", "0", "-1"])
@@ -348,13 +362,21 @@ def test_pg_check_on_a_total_domain_that_is_not_a_group_reports_violations(tmp_p
     assert partial.total_group_component(pg) is None
     words, expected = partial._dfs_axiom_sweep(pg, 3)
     assert (words, len(expected)) == (39, 16)
-    assert partial._table_axiom_sweep(pg, 3) == (words, expected)
     assert expected[0] == partial.AxiomViolation("cancellation", (0, 1, 2), "pi(w^-1 ∘ w) != 1")
+    # the searches find the collapse failures that the DFS's failing values
+    # of w^-1 w follow from (reduction (V) of check_axioms), at every length
+    report = partial.check_axioms(pg, 3)
+    assert {v.axiom for v in expected} == {"collapse", "cancellation"}
+    assert {v.axiom for v in report.violations} == {"collapse"}
+    assert all(v in partial._word_violations(pg, v.word) for v in report.violations)
     assert check["detail"] == (
-        "axiom sweep to length 3: 39 words, 16 violation(s);"
-        " route: table sweep over the automaton and raw product tables"
+        "axiom sweep to length 3: 39 words, 38 violation(s); route: state searches over the"
+        " automaton and raw product tables, every word length: split 9, collapse 33,"
+        " cancellation 5 states"
     )
-    assert check["witnesses"] == [[v.axiom, list(v.word), v.detail] for v in expected[:10]]
+    assert check["witnesses"] == [[v.axiom, list(v.word), v.detail] for v in report.violations[:10]]
+    argv[-1] = "2"
+    assert cli.main(argv) == 1
 
 
 def test_loc_check_on_a_total_domain_that_is_not_a_group_reports_a_failing_check(
