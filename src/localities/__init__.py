@@ -14,7 +14,6 @@ from .groups import (
     all_subgroups,
     generate_group,
     group_landmarks,
-    subgroup_closure,
     sylow_p,
 )
 from .locality import (
@@ -23,11 +22,9 @@ from .locality import (
     LocalityConstructionError,
     as_locality,
     check_locality,
-    conjugate_elem,
     delta_close,
     locality_from_group,
     normalizer_in_L,
-    s_of_word,
 )
 from .normal import (
     ProductCertificate,
@@ -64,7 +61,6 @@ from .quotient import (
     build_quotient,
     coset_partition,
     is_up_maximal,
-    maximal_cosets,
     transporter_in_K,
     up_maximal_flags,
     up_relates,

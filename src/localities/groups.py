@@ -351,11 +351,6 @@ def closure_members(
     return frozenset(inside)
 
 
-def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> SubgroupRef:
-    """Least subgroup of G containing the seed elements."""
-    return SubgroupRef(G, closure_members(G, seed))
-
-
 def all_subgroups(G: FiniteGroup) -> list[SubgroupRef]:
     """Every subgroup of G, sorted by (order, member ids).
 

@@ -179,19 +179,48 @@ def _ids(values, bound: int, what: str) -> np.ndarray:
     return out
 
 
-def _rows_in(queries: np.ndarray, family: np.ndarray) -> np.ndarray:
-    """Whether each boolean row of queries equals some row of family: rows
-    are packed to bytes, sorted together, and equal neighbours share a class."""
-    both = np.packbits(np.concatenate((family, queries)), axis=1)
-    order = np.lexsort(both.T[::-1])
-    ranked = both[order]
-    fresh = np.ones(len(both), dtype=bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    cls = np.empty(len(both), dtype=np.int64)
-    cls[order] = np.cumsum(fresh) - 1
-    known = np.zeros(len(both), dtype=bool)
-    known[cls[: len(family)]] = True
-    return known[cls[len(family):]]
+def _positions(ids, n: int) -> np.ndarray:
+    """position[x]: the index of x in ids, for x in 0..n-1, -1 elsewhere."""
+    position = np.full(n, -1, dtype=np.int64)
+    position[np.asarray(ids, dtype=np.int64)] = np.arange(len(ids))
+    return position
+
+
+def _set_rows(sets: Iterable[Iterable[int]], n: int) -> np.ndarray:
+    """One boolean row over n elements per set, True on its members."""
+    sets = [list(X) for X in sets]
+    rows = np.zeros((len(sets), n), dtype=bool)
+    at = np.repeat(np.arange(len(sets)), [len(X) for X in sets])
+    rows[at, list(itertools.chain(*sets))] = True
+    return rows
+
+
+def _row_index(queries: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """The index of the row of family equal to each boolean row of queries,
+    -1 where none is: rows are packed to bytes and looked up in a dict (a
+    numpy sort would add about half a megabyte of resident memory the first
+    time it runs)."""
+    at = {row.tobytes(): i for i, row in enumerate(np.packbits(family, axis=1))}
+    rows = np.packbits(queries, axis=1)
+    return np.array([at.get(row.tobytes(), -1) for row in rows], dtype=np.int64)
+
+
+def _image_index(rows: np.ndarray, pos: np.ndarray, family: np.ndarray):
+    """(inside, index) for boolean rows over S positions, one per subset P:
+    inside[r, g] says that every member of P = rows[r] has its conjugate by
+    g in S, and index[r, g] is then the row of family equal to P^g, else -1.
+
+    pos[g, i] is the position in S of s_i^g, -1 where it is undefined or
+    leaves S, so P^g is the row set at pos[g, i] for the i in P: one
+    scatter over every pair (P, g), and one _row_index over the images.
+    """
+    (m, k), n = rows.shape, len(pos)
+    r, i = np.nonzero(rows)
+    images = np.zeros((m, n, k + 1), dtype=bool)
+    images[r[:, None], np.arange(n), pos[:, i].T] = True  # a position -1 sets column k
+    inside = ~images[..., k]
+    index = _row_index(images[..., :k].reshape(m * n, k), family).reshape(m, n)
+    return inside, np.where(inside, index, -1)
 
 
 def _generated(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -355,8 +384,7 @@ class LocalityPartialGroup(PartialGroup):
             raise ValueError("(H1) M's table has another identity or other inverses")
         n, size, k = M.order, self.size, len(self.s_elems)
         amb = _ids(to_ambient, n, "(H2) to_ambient")
-        local_of = np.full(n, -1, dtype=np.int64)
-        local_of[amb] = np.arange(len(amb))
+        local_of = _positions(amb, n)
         mult = M.mult
         if amb.shape != (size,) or (local_of[amb] != np.arange(size)).any():
             raise ValueError("(H2) to_ambient is not one-to-one on L")
@@ -368,8 +396,7 @@ class LocalityPartialGroup(PartialGroup):
             raise ValueError("(H2) the identity or the inverses are not M's in L")
 
         s_amb = amb[_ids(self.s_elems, size, "(H3) S")]
-        s_pos = np.full(n, -1, dtype=np.int64)
-        s_pos[s_amb] = np.arange(k)
+        s_pos = _positions(s_amb, n)
         s_mult = s_pos[mult[np.ix_(s_amb, s_amb)]]
         if not k or (s_pos[s_amb] != np.arange(k)).any() or (s_mult < 0).any():
             raise ValueError("(H3) S is not a subgroup of M")
@@ -402,31 +429,17 @@ class LocalityPartialGroup(PartialGroup):
         s_set = frozenset(self.s_elems)
         if s_set not in self.delta_sets or not all(P <= s_set for P in self.delta_sets):
             raise ValueError("(H4) S is not in Delta, or a member is not inside S")
-        s_index = {x: i for i, x in enumerate(self.s_elems)}
-        members = list(self.delta_sets)
-        family = np.zeros((len(members), k), dtype=bool)
-        family[
-            np.repeat(np.arange(len(members)), [len(P) for P in members]),
-            [s_index[x] for P in members for x in P],
-        ] = True
+        family = _set_rows(self.delta_sets, size)[:, self.s_elems]
         which, extra = np.nonzero(~family)  # <P, s> for every P in Delta and s outside it
         grown = family[which]
         grown[np.arange(len(grown)), extra] = True
-        grown = _generated(grown, s_mult)
-        # P^g for every member P and g in L: position j is in it when the
-        # position of s_j^(g^-1) is in P
-        padded = np.concatenate((family, np.zeros((len(family), 1), dtype=bool)), axis=1)
-        images = padded[:, conj[inv_m[amb]]]
-        images = images[images.sum(axis=2) == family.sum(axis=1)[:, None]]  # those inside S
-        over, conjugates, s_g = np.split(
-            _rows_in(np.concatenate((grown, images, conj >= 0)), family),
-            [len(grown), len(grown) + len(images)],
-        )
-        if not over.all():
+        if (_row_index(_generated(grown, s_mult), family) < 0).any():
             raise ValueError("(H4) Delta is not closed under overgroups in S")
-        if not conjugates.all():
+        # P^g for every member P and g in L, scattered through conjugation in M
+        inside, index = _image_index(family, maps, family)
+        if (index[inside] < 0).any():
             raise ValueError("(H4) Delta is not closed under conjugation in L")
-        if (s_g & (local_of < 0)).any():
+        if ((_row_index(conj >= 0, family) >= 0) & (local_of < 0)).any():
             raise ValueError("(H5) an element g of M with S_g in Delta is not in L")
 
 
@@ -453,23 +466,24 @@ class Locality:
         if delta.sylow != self.sylow_set:
             raise ValueError("delta family is not over S")
         self.delta = delta
-        self._s_pos = {g: i for i, g in enumerate(self.sylow)}
         self._s_group: FiniteGroup | None = None
 
     @functools.cached_property
     def automaton(self) -> ThreadAutomaton:
         """The partial group's own automaton on a LocalityPartialGroup, else
-        one built on first use from the definitional conjugation step."""
+        one built on first use from the maps of s_positions()."""
         if isinstance(self.pg, LocalityPartialGroup):
             return self.pg.automaton
-        return ThreadAutomaton(self.sylow, self._definitional_step, self.pg.size)
+        return ThreadAutomaton(self.sylow, self.s_positions().tolist().__getitem__, self.pg.size)
 
     # -- basic maps ----------------------------------------------------------
 
-    def _definitional_step(self, g: int) -> tuple[int, ...]:
-        """Conjugation map on S positions: column g of the rows of S."""
-        conj = self.pg.conj_table()
-        return tuple(self._s_pos.get(conj[s][g], -1) for s in self.sylow)
+    def s_positions(self) -> np.ndarray:
+        """pos[g, i]: the position in S of s_i^g, s_i the i-th member of S,
+        read from conj_table(); -1 where it is undefined or leaves S."""
+        conj, n = self.pg.conj_table(), self.pg.size
+        columns = np.array([conj[s] for s in self.sylow], dtype=np.int64).reshape(-1, n)
+        return _positions(self.sylow, n + 1)[columns.T]  # -1 reads the last entry
 
     def conjugate(self, x: int, g: int) -> int | None:
         """x^g = pi((g^-1, x, g)) when defined."""
@@ -533,15 +547,6 @@ class Locality:
         return frozenset(out)
 
 
-def s_of_word(loc: Locality, word: Iterable[int]) -> frozenset[int]:
-    """The threading subgroup S_w of a word (S itself for the empty word)."""
-    return loc.thread_subgroup(tuple(word))
-
-
-def conjugate_elem(loc: Locality, x: int, g: int) -> int | None:
-    return loc.conjugate(x, g)
-
-
 @dataclass
 class NormalizerResult:
     handle: SubsetHandle
@@ -566,6 +571,11 @@ def normalizer_in_L(loc: Locality, X: Iterable[int]) -> NormalizerResult:
 # construction from a group
 
 
+def _construction_failure(name: str, detail: str) -> LocalityConstructionError:
+    check = CheckRecord(name=name, status="fail", detail=detail)
+    return LocalityConstructionError(VerificationReport("locality construction", [check]))
+
+
 def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
     """Restrict M to {g : S cap S^(g^-1) in Delta} with threading-decided words.
 
@@ -579,59 +589,29 @@ def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
     SubgroupRef(M, S_m)
 
     s_sorted = tuple(sorted(S_m))
-    keep = []
-    for g in M.elements():
-        sg = frozenset(s for s in s_sorted if M.conj(s, g) in S_m)
-        if sg in delta.members:
-            keep.append(g)
+    # pos[g, i]: the position in S of s_i^g for every g in M, -1 outside S;
+    # L keeps the g whose S_g, the row of pos >= 0, is a member of Delta
+    n = M.order
+    inv = np.array(M.inv, dtype=np.int64)
+    pos = _positions(s_sorted, n)[M.mult[M.mult[inv[:, None], s_sorted], np.arange(n)[:, None]]]
+    delta_rows = _set_rows(delta.members, n)[:, s_sorted]
+    keep = np.flatnonzero(_row_index(pos >= 0, delta_rows) >= 0).tolist()
     to_ambient = tuple(keep)
     to_local = {g: i for i, g in enumerate(keep)}
     for g in keep:
         if M.inv[g] not in to_local:
-            raise LocalityConstructionError(
-                VerificationReport(
-                    "locality construction",
-                    [
-                        CheckRecord(
-                            name="inversion-closure",
-                            status="fail",
-                            detail=f"element {M.labels[g]} kept but its inverse dropped",
-                        )
-                    ],
-                )
-            )
+            detail = f"element {M.labels[g]} kept but its inverse dropped"
+            raise _construction_failure("inversion-closure", detail)
 
     local_delta = delta.translate(to_local)
     s_local = tuple(to_local[s] for s in s_sorted)
     # The ambient product over the kept elements in local ids, -1 where it
     # leaves L: tabulated once, so _mul_raw is a list read.
-    local_of = np.full(M.order, -1, dtype=np.int64)
-    local_of[keep] = np.arange(len(keep))
-    raw: list[list[int]] = local_of[M.mult[np.ix_(keep, keep)]].tolist()
+    raw: list[list[int]] = _positions(keep, n)[M.mult[np.ix_(keep, keep)]].tolist()
 
     def escapes(a: int, b: int) -> LocalityConstructionError:
-        return LocalityConstructionError(
-            VerificationReport(
-                "locality construction",
-                [
-                    CheckRecord(
-                        name="product-closure",
-                        status="fail",
-                        detail=f"domain product escapes the element set at ({a},{b})",
-                    )
-                ],
-            )
-        )
-
-    s_pos_local = {to_local[s]: i for i, s in enumerate(s_sorted)}
-
-    def conj_step(gl: int) -> tuple[int, ...]:
-        g = to_ambient[gl]
-        out = []
-        for s in s_sorted:
-            v = M.conj(s, g)
-            out.append(s_pos_local[to_local[v]] if v in S_m else -1)
-        return tuple(out)
+        detail = f"domain product escapes the element set at ({a},{b})"
+        return _construction_failure("product-closure", detail)
 
     pg = LocalityPartialGroup(
         size=len(keep),
@@ -643,7 +623,7 @@ def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
         p=p,
         s_elems=s_local,
         delta_sets=local_delta.members,
-        conj_step_of=conj_step,
+        conj_step_of=pos[keep].tolist().__getitem__,
         ambient=(M, to_ambient),
     )
     loc = Locality(pg, p, s_local, local_delta)
@@ -702,26 +682,26 @@ def _p_subgroup_above(
     return None
 
 
-def _chain_word_steps(loc: Locality, delta_list: list[frozenset[int]], images: list[list]):
+def _chain_word_steps(loc: Locality, chain: np.ndarray):
     """(steps, in_delta, dims): a state of the (L2) and threading checks is
     (chain front code, walker code, threading state) of a word, with
     components bounded by dims.  The front of a word is the set of Delta
     members a chain through it can reach: all of Delta for the empty word,
-    then P^g = images[i][g] for each P = delta_list[i] in the front with
-    P^g in Delta.  Fronts are interned by intern_states, the empty front as -1.
+    then the member chain[i, g] for each member i in the front, where
+    chain[i, g] is the index of P^g in Delta (-1 where P^g is not in it).
+    Fronts are interned by intern_states, the empty front as -1.
     steps(level, g) gathers the states of w g for every state and letter
     from the front rows, pg.walker_table().array (a dead code stays -1) and
     loc.automaton.array; in_delta[t] says whether S_w lies in loc.delta.
     """
     pg = loc.pg
-    delta_idx = {P: i for i, P in enumerate(delta_list)}
-    chain_step = [[delta_idx.get(img, -1) for img in row] for row in images]
+    chain_step = chain.tolist()
 
     def front_step(front: frozenset[int], g: int) -> frozenset[int] | None:
         nxt = frozenset(t for t in (chain_step[i][g] for i in front) if t >= 0)
         return nxt or None
 
-    _, rows = intern_states(frozenset(range(len(delta_list))), front_step, pg.size, "chain fronts")
+    _, rows = intern_states(frozenset(range(len(chain_step))), front_step, pg.size, "chain fronts")
     fronts = np.array(rows + [[-1] * pg.size], dtype=np.int64)
     walk = pg.walker_table().array
     thread = loc.automaton.array
@@ -744,15 +724,19 @@ def check_locality(loc: Locality) -> VerificationReport:
     failing check S-is-a-group carries the certificate's message, and the
     two checks that need the subgroup lattice of S are skipped.
 
-    The image P^g of every Delta member P and element g is computed once,
-    by loc.conjugate_set, and read by (L2) and (L3).  (L2) and the check
-    that S_w lies in Delta exactly on domain words are two state_fixpoint
-    searches over the key (chain front code, walker code, threading state)
-    of _chain_word_steps: the front fixes chain existence, the walker code
-    domain membership under every extension (the walker contract of
-    PartialGroup) and the threading state S_w, so their verdicts cover
-    words of every length.  A word is extended while its front is
-    nonempty; its failing words come in shortlex order, the shortest first.
+    The image P^g of every Delta member P and element g is found once, by
+    _image_index on loc.s_positions() (so on conj_table()), as its index
+    in one family of rows: Delta, then the rest of the lattice of S.  (L2)
+    reads the indices in Delta, (L3) the overgroups outside Delta of each
+    image.  (L2) and the check that S_w lies in Delta exactly on domain
+    words are two state_fixpoint searches over the key (chain front code,
+    walker code, threading state) of _chain_word_steps: the front fixes
+    chain existence, the walker code domain membership under every
+    extension (the walker contract of PartialGroup) and the threading
+    state S_w, so their verdicts cover words of every length.  A word is
+    extended while its front is nonempty; its failing words come in
+    shortlex order, the shortest first.  (L3) goes through the members in
+    Delta order, then g, then the overgroups in lattice order.
     """
     report = VerificationReport("locality axioms")
     pg = loc.pg
@@ -799,9 +783,13 @@ def check_locality(loc: Locality) -> VerificationReport:
     )
 
     # (L2): domain decision vs chain existence, on words of every length
-    delta_list = sorted(loc.delta.members, key=sorted)
-    images = [[loc.conjugate_set(P, g) for g in pg.elements()] for P in delta_list]
-    steps, in_delta, dims = _chain_word_steps(loc, delta_list, images)
+    delta = loc.delta.members
+    delta_list = sorted(delta, key=sorted)
+    outside = [Q for Q in lattice or () if Q not in delta]  # in lattice order
+    family = delta_list + outside
+    rows = _set_rows(family, pg.size)[:, loc.sylow]
+    _, index = _image_index(rows[: len(delta_list)], loc.s_positions(), rows)
+    steps, in_delta, dims = _chain_word_steps(loc, np.where(index < len(delta_list), index, -1))
 
     def l2_step(level, g):
         front, code, _ = nxt = steps(level, g)
@@ -830,21 +818,13 @@ def check_locality(loc: Locality) -> VerificationReport:
     if lattice is None:
         report.skip("L3-overgroup-closure", no_lattice)
         return report
+    # the overgroups outside Delta of each family member in the lattice
+    bad = [[Q for Q in outside if P <= Q] if P in lattice else [] for P in family]
+    has_bad = np.array([bool(b) for b in bad])
     l3_bad: list[tuple] = []
-    overs: dict[frozenset[int], list[frozenset[int]]] = {}
-    for P in lattice:
-        overs[P] = [Q for Q in lattice if P <= Q]
-    for P, row in zip(delta_list, images):
-        for g, img in enumerate(row):
-            if img is None or not img <= loc.sylow_set:
-                continue
-            base = overs.get(img)
-            if base is None:
-                continue
-            for Q in base:
-                if Q not in loc.delta.members:
-                    l3_bad.append((sorted(P), g, sorted(Q)))
-        if len(l3_bad) > 10:
+    for r, g in np.argwhere((index >= 0) & has_bad[index]).tolist():
+        l3_bad += [(sorted(delta_list[r]), g, sorted(Q)) for Q in bad[index[r, g]]]
+        if len(l3_bad) >= 10:
             break
     report.record(
         "L3-overgroup-closure",

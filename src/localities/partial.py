@@ -846,10 +846,6 @@ def _base_axiom_checks(pg: PartialGroup, out: list[AxiomViolation]) -> None:
         out.append(AxiomViolation("inversion", (), "inversion is not a bijection"))
 
 
-
-
-
-
 def _word_violations(pg: PartialGroup, word: Word) -> list[AxiomViolation]:
     """The violations _dfs_axiom_sweep reports on one word, none off the domain."""
     if not pg.in_domain(word):

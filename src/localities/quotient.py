@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 import weakref
-from itertools import chain, compress
+from itertools import compress
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .groups import SizeCapExceeded
-from .locality import DeltaFamily, Locality, check_locality
+from .locality import DeltaFamily, Locality, _set_rows, check_locality
 from .normal import enumerate_partial_normals, is_partial_normal
 from .partial import (
     PartialGroup,
@@ -326,14 +326,6 @@ def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
     return part
 
 
-def maximal_cosets(loc: Locality, K: Iterable[int]) -> list[CosetRecord]:
-    """The maximal cosets of K; raises if they fail to behave as a partition."""
-    part = coset_partition(loc, K)
-    if not part.report.ok:
-        raise QuotientConstructionError(part.report)
-    return part.maximal
-
-
 # ---------------------------------------------------------------------------
 # the quotient partial group and bundle
 
@@ -616,14 +608,6 @@ def _image_reader(rho: tuple[int, ...]):
         return np.logical_or.reduceat(masks[..., order], starts, axis=-1)
 
     return image, np.array(column)
-
-
-def _set_rows(sets: Iterable[Iterable[int]], n: int) -> np.ndarray:
-    """One boolean row over n elements per set, True on its members."""
-    sets = [list(X) for X in sets]
-    rows = np.zeros((len(sets), n), dtype=bool)
-    rows[np.repeat(np.arange(len(sets)), [len(X) for X in sets]), list(chain(*sets))] = True
-    return rows
 
 
 def verify_quotient_lemmas(

@@ -12,7 +12,6 @@ from localities.groups import (
     closure_members,
     generate_group,
     group_landmarks,
-    subgroup_closure,
     sylow_p,
 )
 
@@ -61,21 +60,21 @@ def test_identity_is_element_zero():
 
 def test_subgroup_closure_empty_seed():
     G = s4()
-    sub = subgroup_closure(G, [])
+    sub = SubgroupRef(G, closure_members(G, []))
     assert sub.members == frozenset({G.identity})
 
 
 def test_subgroup_closure_fours_group():
     G = s4()
-    sub = subgroup_closure(
-        G, [G.index_of_perm((1, 0, 3, 2)), G.index_of_perm((2, 3, 0, 1))]
+    sub = SubgroupRef(
+        G, closure_members(G, [G.index_of_perm((1, 0, 3, 2)), G.index_of_perm((2, 3, 0, 1))])
     )
     assert sub.order == 4
 
 
 def test_subgroup_closure_cyclic_factor():
     G = c2xc4()
-    sub = subgroup_closure(G, [G.index_of_perm((0, 1, 3, 4, 5, 2))])
+    sub = SubgroupRef(G, closure_members(G, [G.index_of_perm((0, 1, 3, 4, 5, 2))]))
     assert sub.order == 4
 
 

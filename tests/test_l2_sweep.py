@@ -21,7 +21,7 @@ the quotient by every partial normal subgroup of the three localities:
 
 import pytest
 
-from localities import partial
+from localities import locality, partial
 from localities.locality import Locality, as_locality, check_locality
 from localities.partial import PartialGroup, SweepBudgetExceeded, swap_two_products
 from localities.quotient import build_quotient
@@ -239,16 +239,27 @@ def test_a_walker_without_a_finite_table_meets_the_budget(monkeypatch):
 
 
 def test_each_delta_image_is_computed_once(s5f, monkeypatch):
-    """(L2) and (L3) read one table of the images P^g."""
+    """(L2) and (L3) read one table of the images P^g: each check_locality
+    call builds it by one _image_index call over every Delta member and
+    element, and calls conjugate_set on no pair."""
     loc = s5f.loc
-    calls = 0
+    calls = {"conjugate_set": 0, "_image_index": 0}
     conjugate_set = Locality.conjugate_set
+    image_index = locality._image_index
 
-    def counting(self, X, g):
-        nonlocal calls
-        calls += 1
+    def counting_set(self, X, g):
+        calls["conjugate_set"] += 1
         return conjugate_set(self, X, g)
 
-    monkeypatch.setattr(Locality, "conjugate_set", counting)
+    def counting_index(rows, pos, family):
+        calls["_image_index"] += 1
+        assert rows.shape == (len(loc.delta.members), len(loc.sylow))
+        assert pos.shape == (loc.size, len(loc.sylow))
+        return image_index(rows, pos, family)
+
+    monkeypatch.setattr(Locality, "conjugate_set", counting_set)
+    monkeypatch.setattr(locality, "_image_index", counting_index)
     assert check_locality(loc).ok
-    assert calls == len(loc.delta.members) * loc.size
+    assert calls == {"conjugate_set": 0, "_image_index": 1}
+    assert check_locality(loc).ok
+    assert calls == {"conjugate_set": 0, "_image_index": 2}

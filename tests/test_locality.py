@@ -7,11 +7,9 @@ from localities.locality import (
     DeltaFamily,
     LocalityConstructionError,
     check_locality,
-    conjugate_elem,
     delta_close,
     locality_from_group,
     normalizer_in_L,
-    s_of_word,
 )
 
 import _frozen as frozen
@@ -105,16 +103,16 @@ def test_amalgam_as_locality_fails(am20):
 
 def test_thread_subgroup_empty_and_sylow_words(s4f):
     loc = s4f.loc
-    assert s_of_word(loc, ()) == loc.sylow_set
+    assert loc.thread_subgroup(()) == loc.sylow_set
     for s in loc.sylow:
-        assert s_of_word(loc, (s,)) == loc.sylow_set
+        assert loc.thread_subgroup((s,)) == loc.sylow_set
 
 
 def test_thread_subgroup_order_four_example(s5f):
     loc = s5f.loc
     g = loc.to_local[s5f.group.index_of_perm(frozen.S5_ORDER4_STATION_ELEMENT)]
     expect = frozenset(loc.to_local[x] for x in frozen.S5_ORDER4_STATION)
-    assert s_of_word(loc, (g,)) == expect
+    assert loc.thread_subgroup((g,)) == expect
     assert len(expect) == 4
 
 
@@ -151,7 +149,7 @@ def test_domain_chain_agrees_with_domain(s5f):
 def test_conjugate_by_identity(s5f):
     loc = s5f.loc
     for x in loc.elements():
-        assert conjugate_elem(loc, x, loc.identity) == x
+        assert loc.conjugate(x, loc.identity) == x
 
 
 def test_conjugation_matches_group_everywhere(s4f):
@@ -160,7 +158,7 @@ def test_conjugation_matches_group_everywhere(s4f):
     for x in loc.elements():
         for g in loc.elements():
             expect = loc.to_local[M.conj(loc.to_ambient[x], loc.to_ambient[g])]
-            assert conjugate_elem(loc, x, g) == expect
+            assert loc.conjugate(x, g) == expect
 
 
 def test_conjugation_absent_on_excluded_pair(s5f):
@@ -168,7 +166,7 @@ def test_conjugation_absent_on_excluded_pair(s5f):
     found = None
     for x in loc.elements():
         for g in loc.elements():
-            if conjugate_elem(loc, x, g) is None:
+            if loc.conjugate(x, g) is None:
                 found = (x, g)
                 break
         if found:
@@ -190,7 +188,7 @@ def test_ambient_and_abstract_stations_agree(s5f):
             for s in loc.sylow
             if loc.conjugate(s, g) is not None and loc.conjugate(s, g) in loc.sylow_set
         )
-        assert ambient == s_of_word(loc, (g,)) == abstract
+        assert ambient == loc.thread_subgroup((g,)) == abstract
 
 
 def test_normalizer_of_sylow(s4f, s5f):
@@ -236,7 +234,7 @@ def test_conj_iso_composition_along_chains(s5f):
     for w in itertools.product(loc.elements(), repeat=2):
         if checked >= 40 or not loc.in_domain(w):
             continue
-        P0 = s_of_word(loc, w)
+        P0 = loc.thread_subgroup(w)
         if P0 not in loc.delta.members:
             continue
         g1, g2 = w
@@ -255,18 +253,18 @@ def test_station_in_delta_for_every_element(s4f, c2s4f, s5f):
     for fix in (s4f, c2s4f, s5f):
         loc = fix.loc
         for g in loc.elements():
-            assert s_of_word(loc, (g,)) in loc.delta.members
+            assert loc.thread_subgroup((g,)) in loc.delta.members
 
 
 def test_station_monotone_and_domain_iff(s5f):
     loc = s5f.loc
     count = 0
     for w in itertools.product(loc.elements(), repeat=2):
-        sw = s_of_word(loc, w)
+        sw = loc.thread_subgroup(w)
         in_dom = loc.in_domain(w)
         assert (sw in loc.delta.members) == in_dom
         if in_dom:
-            assert sw <= s_of_word(loc, (loc.pi(w),))
+            assert sw <= loc.thread_subgroup((loc.pi(w),))
             count += 1
     assert count
 

@@ -4,7 +4,7 @@ import pytest
 
 from localities import quotient
 from localities.groups import generate_group, sylow_p
-from localities.locality import delta_min_order, locality_from_group, s_of_word
+from localities.locality import delta_min_order, locality_from_group
 from localities.normal import enumerate_partial_normals
 from localities.quotient import (
     LDeltaPair,
@@ -13,7 +13,6 @@ from localities.quotient import (
     build_quotient,
     coset_partition,
     is_up_maximal,
-    maximal_cosets,
     transporter_in_K,
     up_relates,
     verify_quotient_lemmas,
@@ -24,7 +23,7 @@ import _frozen as frozen
 
 def _pairs(loc):
     for f in loc.elements():
-        sf = s_of_word(loc, (f,))
+        sf = loc.thread_subgroup((f,))
         for P in loc.delta.members:
             if P <= sf:
                 yield LDeltaPair(f, P)
@@ -34,7 +33,7 @@ def test_transporter_trivial_kernel(s4f):
     loc = s4f.loc
     v4 = s4f.subsets["V4"]
     assert transporter_in_K(loc, {loc.identity}, v4, v4) == {loc.identity}
-    other = s_of_word(loc, (next(iter(frozenset(loc.elements()) - s4f.subsets["A4"])),))
+    other = loc.thread_subgroup((next(iter(frozenset(loc.elements()) - s4f.subsets["A4"])),))
     if other != v4:
         assert transporter_in_K(loc, {loc.identity}, v4, other) == frozenset()
 
@@ -59,7 +58,7 @@ def test_up_relates_to_top_station_via_identities(s4f, s5f):
         loc = fix.loc
         K = fix.subsets.get("V4") or fix.subsets["N5"]
         for pair in _pairs(loc):
-            top = LDeltaPair(pair.f, s_of_word(loc, (pair.f,)))
+            top = LDeltaPair(pair.f, loc.thread_subgroup((pair.f,)))
             wit = up_relates(loc, K, pair, top)
             assert wit is not None
             x, y = wit
@@ -140,20 +139,26 @@ def test_normalizer_elements_maximal(s4f):
 
 def test_maximal_cosets_trivial_kernel(s4f):
     loc = s4f.loc
-    records = maximal_cosets(loc, {loc.identity})
+    part = coset_partition(loc, {loc.identity})
+    assert part.report.ok
+    records = part.maximal
     assert len(records) == loc.size
     assert all(len(r.members) == 1 for r in records)
 
 
 def test_maximal_cosets_full_kernel(s4f):
     loc = s4f.loc
-    records = maximal_cosets(loc, frozenset(loc.elements()))
+    part = coset_partition(loc, frozenset(loc.elements()))
+    assert part.report.ok
+    records = part.maximal
     assert len(records) == 1
     assert records[0].members == frozenset(loc.elements())
 
 
 def test_maximal_cosets_a4(s4f):
-    records = maximal_cosets(s4f.loc, s4f.subsets["A4"])
+    part = coset_partition(s4f.loc, s4f.subsets["A4"])
+    assert part.report.ok
+    records = part.maximal
     assert len(records) == 2
     assert sorted(len(r.members) for r in records) == [12, 12]
 
@@ -165,7 +170,9 @@ def test_maximal_coset_counts_match_frozen(s4f, c2s4f, s5f):
         (s5f, frozen.S5_MAX_COSET_COUNTS),
     ):
         for handle in enumerate_partial_normals(fix.loc):
-            records = maximal_cosets(fix.loc, handle.members)
+            part = coset_partition(fix.loc, handle.members)
+            assert part.report.ok
+            records = part.maximal
             assert len(records) == table[len(handle.members)]
 
 
