@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -392,38 +391,6 @@ def all_subgroups(G: FiniteGroup) -> list[SubgroupRef]:
     refs.sort(key=lambda r: (r.order, r.sorted_members()))
     G._subgroup_cache = refs
     return list(refs)
-
-
-def is_normal_subset(G: FiniteGroup, members: frozenset[int]) -> bool:
-    return all(G.conj(x, g) in members for x in members for g in G.elements())
-
-
-@dataclass
-class Landmarks:
-    center: SubgroupRef
-    frattini: SubgroupRef
-    normal_subgroups: list[SubgroupRef]
-
-
-def group_landmarks(G: FiniteGroup) -> Landmarks:
-    """Center, Frattini subgroup and the list of normal subgroups."""
-    center = frozenset(
-        int(g) for g in G.elements() if np.array_equal(G.mult[g], G.mult[:, g])
-    )
-    subs = all_subgroups(G)
-    proper = [s.members for s in subs if s.order < G.order]
-    maximal = [
-        m for m in proper if not any(m < other for other in proper)
-    ]
-    frat = frozenset(G.elements())
-    for m in maximal:
-        frat &= m
-    normals = [s for s in subs if is_normal_subset(G, s.members)]
-    return Landmarks(
-        center=SubgroupRef(G, center),
-        frattini=SubgroupRef(G, frat),
-        normal_subgroups=normals,
-    )
 
 
 def _p_part(n: int, p: int) -> int:

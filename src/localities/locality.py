@@ -26,10 +26,8 @@ from .groups import (
 )
 from .partial import (
     PartialGroup,
-    SubsetHandle,
     Word,
     _is_prime_power,
-    classify_subset,
     closure_twins,
     intern_states,
     partial_subgroup_closure,
@@ -136,8 +134,9 @@ class ThreadAutomaton:
     A state is the injective partial map start -> current over S positions,
     as a tuple of (start, current) pairs; prefixes with the same state
     behave identically under extension, which collapses word sweeps to
-    walks over a small state set.  maps[g] sends each S position to the
-    position of its conjugate by g, -1 where that leaves S.  Every state
+    walks over a small state set.  maps is an (n, |S|) array of positions:
+    maps[g, i] is the position in S of s_i^g, -1 where that leaves S; it
+    is kept as lists of rows, which step reads.  Every state
     reachable from the start is interned once, at construction, by
     intern_states: states, their transition rows (a letter never leaves
     the automaton, so no entry is -1), the same rows as one int32 array,
@@ -146,16 +145,11 @@ class ThreadAutomaton:
     builds the mask start_sets[sid] in Delta against its own Delta.
     """
 
-    def __init__(
-        self,
-        s_elems: tuple[int, ...],
-        step_of: Callable[[int], tuple[int, ...]],
-        n_elements: int,
-    ):
+    def __init__(self, s_elems: tuple[int, ...], maps: np.ndarray):
         self.s_elems = s_elems
-        self.maps = [step_of(g) for g in range(n_elements)]
+        self.maps = np.asarray(maps, dtype=np.int64).tolist()
         start = tuple((i, i) for i in range(len(s_elems)))
-        self.states, self.rows = intern_states(start, self.step, n_elements, "threading automaton")
+        self.states, self.rows = intern_states(start, self.step, len(self.maps), "threading automaton")
         self.array = np.array(self.rows, dtype=np.int32)
         self.start_sets = [frozenset(s_elems[a] for a, _ in state) for state in self.states]
 
@@ -250,6 +244,8 @@ class LocalityPartialGroup(PartialGroup):
 
     raw[a][b] is the underlying product of a and b, -1 where it is
     undefined; multiplying such a pair raises raw_missing(a, b).
+    conj_maps[g, i] is the position in S of s_i^g, -1 where it leaves S:
+    the maps of the ThreadAutomaton.
     """
 
     def __init__(
@@ -263,7 +259,7 @@ class LocalityPartialGroup(PartialGroup):
         p: int,
         s_elems: tuple[int, ...],
         delta_sets: frozenset[frozenset[int]],
-        conj_step_of: Callable[[int], tuple[int, ...]],
+        conj_maps: np.ndarray,
         ambient: tuple[FiniteGroup, tuple[int, ...]] | None = None,
     ):
         self.size = size
@@ -275,7 +271,7 @@ class LocalityPartialGroup(PartialGroup):
         self.p = p
         self.s_elems = s_elems
         self.delta_sets = delta_sets
-        self.automaton = ThreadAutomaton(s_elems, conj_step_of, size)
+        self.automaton = ThreadAutomaton(s_elems, conj_maps)
         # in_delta[sid]: whether the threading subgroup of state sid is in Delta
         self.in_delta = [starts in delta_sets for starts in self.automaton.start_sets]
         # (M, to_ambient) when L was cut from a group M (locality_from_group):
@@ -404,7 +400,7 @@ class LocalityPartialGroup(PartialGroup):
         conj = s_pos[mult[mult[inv_m[:, None], s_amb], np.arange(n)[:, None]]]
         maps = conj[amb]
         auto = self.automaton
-        if not np.array_equal(np.array(auto.maps, dtype=np.int64).reshape(size, k), maps):
+        if auto.maps != maps.tolist():
             raise ValueError("(H3) an automaton map is not conjugation in M")
         # cur[sid, a]: the current position of start a in state sid, -1 if gone
         cur = np.full((len(auto.states), k), -1, dtype=np.int64)
@@ -474,7 +470,7 @@ class Locality:
         one built on first use from the maps of s_positions()."""
         if isinstance(self.pg, LocalityPartialGroup):
             return self.pg.automaton
-        return ThreadAutomaton(self.sylow, self.s_positions().tolist().__getitem__, self.pg.size)
+        return ThreadAutomaton(self.sylow, self.s_positions())
 
     # -- basic maps ----------------------------------------------------------
 
@@ -547,26 +543,6 @@ class Locality:
         return frozenset(out)
 
 
-@dataclass
-class NormalizerResult:
-    handle: SubsetHandle
-    group: FiniteGroup | None
-    member_map: tuple[int, ...] | None
-
-
-def normalizer_in_L(loc: Locality, X: Iterable[int]) -> NormalizerResult:
-    """N_L(X) classified; exported as a FiniteGroup when X is in Delta."""
-    X = frozenset(X)
-    members = loc.normalizer(X)
-    handle = classify_subset(loc.pg, members, p=loc.p)
-    group = None
-    mapping = None
-    if X in loc.delta.members and handle.is_subgroup:
-        mapping = tuple(sorted(members))
-        group = subset_group(mapping, loc.pg.mul2, loc.pg.labels)
-    return NormalizerResult(handle=handle, group=group, member_map=mapping)
-
-
 # ---------------------------------------------------------------------------
 # construction from a group
 
@@ -623,7 +599,7 @@ def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
         p=p,
         s_elems=s_local,
         delta_sets=local_delta.members,
-        conj_step_of=pos[keep].tolist().__getitem__,
+        conj_maps=pos[keep],
         ambient=(M, to_ambient),
     )
     loc = Locality(pg, p, s_local, local_delta)

@@ -22,9 +22,12 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .groups import FiniteGroup, SubgroupRef, closure_members, pad_perm, sylow_p
 from .locality import (
-    DeltaFamily, Locality, LocalityPartialGroup, delta_close, delta_min_order, locality_from_group
+    DeltaFamily, Locality, LocalityPartialGroup, _positions, delta_close, delta_min_order,
+    locality_from_group,
 )
 from .partial import AmalgamPartialGroup, AmalgamSpec, AmalgamSpecError, build_amalgam
 from .quotient import QuotientBundle
@@ -257,7 +260,6 @@ def _parse_plocality(body: str, line: int) -> Locality:
         bad = next((x for x in ids if not 0 <= x < size), None)
         if bad is not None:
             raise ModelError(f"{section} holds id {bad}, outside 0..{size - 1}", line)
-    conj = {(s, g): v for s, g, v in conj_triples}
     raw = [[-1] * size for _ in range(size)]
     for a, b, v in prod_triples:
         raw[a][b] = v
@@ -277,23 +279,21 @@ def _parse_plocality(body: str, line: int) -> Locality:
             raise ModelError(
                 f"conj entry ({s} {g} {v}) disagrees with prod, where (g^-1 s) g is {w}", line
             )
-    s_set = set(sylow)
-    for s in sylow:
+    # maps[g, i]: the position in S of s_i^g from the conj entries, -1 where
+    # there is none or it leaves S.  An entry agrees with prod, so an s^g in
+    # S that prod gives has an entry exactly when maps holds it.
+    triples = np.array(conj_triples, dtype=np.int64).reshape(-1, 3)
+    conj = np.full((size, size), -1, dtype=np.int64)
+    conj[triples[:, 1], triples[:, 0]] = _positions(sylow, size)[triples[:, 2]]
+    maps = conj[:, list(sylow)]
+    s_set, rows = set(sylow), maps.tolist()
+    for i, s in enumerate(sylow):
         for g in range(size):
             h = raw[inv[g]][s]
-            if (s, g) not in conj and h >= 0 and (w := raw[h][g]) in s_set:
+            if rows[g][i] < 0 and h >= 0 and (w := raw[h][g]) in s_set:
                 raise ModelError(
                     f"conj has no entry for ({s},{g}), whose conjugate {w} lies in sylow", line
                 )
-
-    s_pos = {s: i for i, s in enumerate(sylow)}
-
-    def conj_step(g: int) -> tuple[int, ...]:
-        out = []
-        for s in sylow:
-            v = conj.get((s, g), -1)
-            out.append(s_pos.get(v, -1) if v >= 0 else -1)
-        return tuple(out)
 
     pg = LocalityPartialGroup(
         size=size,
@@ -305,7 +305,7 @@ def _parse_plocality(body: str, line: int) -> Locality:
         p=p,
         s_elems=sylow,
         delta_sets=delta_members,
-        conj_step_of=conj_step,
+        conj_maps=maps,
     )
     delta = DeltaFamily(sylow=frozenset(sylow), members=delta_members)
     return Locality(pg, p, sylow, delta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .groups import SizeCapExceeded
-from .locality import Locality, _p_subgroup_above
+from .locality import Locality
 from .partial import (
     EMPTY_WORD,
     SubsetHandle,
@@ -21,11 +21,9 @@ from .partial import (
     _close,
     _closure_failure,
     _conjugation_failure,
-    _is_prime_power,
     classify_subset,
     subset_product,
 )
-from .report import VerificationReport
 
 ENUMERATION_CAP = 200
 MAX_FACTORS = 4
@@ -125,56 +123,6 @@ def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
                 family[grown.members] = grown
                 queue.append(grown)
     return sorted(family.values(), key=lambda h: (len(h.members), sorted(h.members)))
-
-
-# ---------------------------------------------------------------------------
-# strong closure of T = N cap S
-
-
-def strongly_closed_and_T(
-    loc: Locality, N: Iterable[int]
-) -> tuple[frozenset[int], VerificationReport]:
-    """T = N cap S: strong closure, setwise invariance, and maximality in N."""
-    _require_locality(loc)
-    N = frozenset(N)
-    ok, wit = is_partial_normal(loc, N)
-    if not ok:
-        raise ValueError(f"N must be partial normal (witness {wit})")
-    T = N & loc.sylow_set
-    report = VerificationReport("strong closure of N cap S")
-
-    bad = []
-    for g in loc.elements():
-        sg = loc.thread_subgroup((g,))
-        for t in T & sg:
-            v = loc.conjugate(t, g)
-            if v not in T:
-                bad.append((t, g, v))
-    report.record(
-        "strongly-closed",
-        not bad,
-        bad[:5],
-        "t^g stays in T whenever t lies in T cap S_g",
-    )
-
-    bad = []
-    for g in loc.elements():
-        if T <= loc.thread_subgroup((g,)):
-            img = loc.conjugate_set(T, g)
-            if img != T:
-                bad.append((g, sorted(img or ())))
-    report.record("setwise-invariant", not bad, bad[:5], "T^g = T whenever T <= S_g")
-
-    ok_t, bad_word = loc.pg.words_all_in_domain(T)
-    t_is_p = _is_prime_power(len(T), loc.p)
-    above = _p_subgroup_above(loc, T, sorted(N - T)) if ok_t and t_is_p else None
-    report.record(
-        "maximal-p-subgroup-of-N",
-        ok_t and t_is_p and above is None,
-        [w for w in [bad_word, above] if w],
-        "T is a p-subgroup of N maximal among p-subgroups of N",
-    )
-    return T, report
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ Word = tuple[int, ...]
 # element id, and not None, which is mul2's answer off the domain.
 EMPTY_WORD = object()
 
-# The most words the per-word DFS of check_axioms visits (LOC-S5, length 4: 10,013,304).
+# The most words the per-word DFS of check_axioms visits.  Only a partial
+# group with neither automaton tables nor an ambient group takes that route,
+# and no command builds one.  A word count past the cap is stated as "more
+# than" it.
 AXIOM_SWEEP_CAP = 20_000_000
 # The most states one intern_states table or state_fixpoint search interns
 # (LOC-S5's quotient checks: 80).
@@ -75,7 +78,8 @@ class PartialGroup:
         """Binary products: row a holds mul2(a, b) at b, or -1 off the domain.
 
         Built from mul2 on first use and kept on the instance, so overridden
-        products (CorruptedProducts, quotients) are what the closures see.
+        products (quotients, a test's product overrides) are what the
+        closures see.
         It holds size**2 Python ints (3,136 for a 56-element locality) for
         the life of the partial group.  It is per-instance, never a cache
         keyed by id(), because ids are reused once an object is collected.
@@ -102,8 +106,8 @@ class PartialGroup:
         the domain.
 
         Built from pi on first use and kept on the instance, as
-        product_table() is, so overridden products (CorruptedProducts,
-        quotients) are what every conjugation reads.
+        product_table() is, so overridden products (quotients, a test's
+        product overrides) are what every conjugation reads.
         """
         if self._conj_table is None:
             n = range(self.size)
@@ -392,43 +396,6 @@ class AmalgamPartialGroup(PartialGroup):
 def build_amalgam(spec: AmalgamSpec) -> AmalgamPartialGroup:
     """Glue spec.left and spec.right along the identified subgroup."""
     return AmalgamPartialGroup(spec)
-
-
-class CorruptedProducts(PartialGroup):
-    """Wrapper that overrides the product on chosen words (fault injection)."""
-
-    def __init__(self, base: PartialGroup, overrides: dict[Word, int]):
-        self.base = base
-        self.overrides = dict(overrides)
-        self.size = base.size
-        self.identity = base.identity
-        self.labels = base.labels
-        self.p = base.p
-
-    def inverse(self, x: int) -> int:
-        return self.base.inverse(x)
-
-    def in_domain(self, word: Word) -> bool:
-        return self.base.in_domain(word)
-
-    def _raw_product(self, word: Word) -> int:
-        if word in self.overrides:
-            return self.overrides[word]
-        return self.base._raw_product(word)
-
-    def walk_start(self):
-        return self.base.walk_start()
-
-    def walk_step(self, state, x: int):
-        return self.base.walk_step(state, x)
-
-
-def swap_two_products(base: PartialGroup, w1: Word, w2: Word) -> CorruptedProducts:
-    """Swap the products of two domain words of equal length."""
-    v1, v2 = base.pi(w1), base.pi(w2)
-    if v1 is None or v2 is None or v1 == v2:
-        raise ValueError("swap needs two domain words with distinct products")
-    return CorruptedProducts(base, {tuple(w1): v2, tuple(w2): v1})
 
 
 # ---------------------------------------------------------------------------
@@ -755,53 +722,6 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
 
 
 # ---------------------------------------------------------------------------
-# Dedekind identity
-
-
-@dataclass
-class DedekindReport:
-    left_ok: bool
-    right_ok: bool
-    witnesses: list[tuple] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.left_ok and self.right_ok
-
-
-def dedekind_verify(
-    pg: PartialGroup,
-    A: Iterable[int],
-    H: Iterable[int],
-    K: Iterable[int],
-) -> DedekindReport:
-    """Check A∩(HK) = (A∩H)K and A∩(KH) = K(A∩H) for a partial subgroup A ⊇ K."""
-    A = frozenset(A)
-    H = frozenset(H)
-    K = frozenset(K)
-    if _closure_failure(pg, A) is not None:
-        raise ValueError("A must be a partial subgroup")
-    if not K <= A:
-        raise ValueError("K must be contained in A")
-
-    def prod(U: frozenset[int], V: frozenset[int]) -> frozenset[int]:
-        if not U or not V:
-            return frozenset()
-        return subset_product(pg, [U, V])
-
-    lhs1 = A & prod(H, K)
-    rhs1 = prod(A & H, K)
-    lhs2 = A & prod(K, H)
-    rhs2 = prod(K, A & H)
-    witnesses = []
-    if lhs1 != rhs1:
-        witnesses.append(("left", tuple(sorted(lhs1 ^ rhs1))))
-    if lhs2 != rhs2:
-        witnesses.append(("right", tuple(sorted(lhs2 ^ rhs2))))
-    return DedekindReport(lhs1 == rhs1, lhs2 == rhs2, witnesses)
-
-
-# ---------------------------------------------------------------------------
 # axiom verification
 
 
@@ -825,7 +745,9 @@ class AxiomReport:
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.violations)} violation(s)"
-        return f"axiom sweep to length {self.max_len}: {self.words_checked} words, {state}"
+        words = self.words_checked
+        count = f"more than {AXIOM_SWEEP_CAP}" if words > AXIOM_SWEEP_CAP else words
+        return f"axiom sweep to length {self.max_len}: {count} words, {state}"
 
 
 MAX_REPORTED_VIOLATIONS = 200
@@ -1011,6 +933,18 @@ def _searched(pg: PartialGroup, trans, in_delta, raw, missing) -> tuple[list, st
     return out, "every word length: split {}, collapse {}, cancellation {} states".format(*counts)
 
 
+def _word_count(sizes: list[int], lengths: range) -> int:
+    """The number of words with a length in lengths over alphabets of the
+    given sizes, summed length by length until it passes AXIOM_SWEEP_CAP."""
+    big = [m for m in sizes if m > 1]  # a one-letter alphabet has one word of each length
+    total = len(lengths) * (len(sizes) - len(big))
+    for k in lengths if big else ():
+        if total > AXIOM_SWEEP_CAP:
+            break
+        total += sum(m**k for m in big)
+    return total
+
+
 def _still_a_group(group: FiniteGroup) -> bool:
     """Whether group.mult, as it stands now, is a group with group's identity and inverses."""
     try:
@@ -1059,19 +993,21 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
       such as a plocality file or a quotient read back) are searched by
       _axiom_searches, for every word length; a domain word whose fold
       leaves the raw table raises raw_missing, as product_table() does;
-    - anything else (CorruptedProducts, a partial QuotientPartialGroup):
-      _dfs_axiom_sweep to max_len, which raises SweepBudgetExceeded first
-      if that is over AXIOM_SWEEP_CAP words.
+    - anything else (a partial QuotientPartialGroup, or a test's product
+      overrides): _dfs_axiom_sweep to max_len, which raises
+      SweepBudgetExceeded first if that is over AXIOM_SWEEP_CAP words.
     Each route states the number of words of length <= max_len (>= 2 on
-    total components), searched or not.
+    total components), searched or not; the count stops once it passes
+    AXIOM_SWEEP_CAP, so words_checked is then a number above the cap and
+    the summary says "more than" the cap.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     components = getattr(pg, "_vector_components", lambda: None)()
     if components is not None:
-        words = sum(len(el) ** k for el, _ in components for k in range(2, max_len + 1))
+        words = _word_count([len(el) for el, _ in components], range(2, max_len + 1))
     else:
-        words = sum(pg.size**k for k in range(1, max_len + 1))
+        words = _word_count([pg.size], range(1, max_len + 1))
     violations: list[AxiomViolation] = []
     _base_axiom_checks(pg, violations)
     if components is not None:
@@ -1102,8 +1038,8 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
         found, note = _searched(pg, *pg.sweep_tables(), pg._raw_missing)
         note = f"route: state searches over the automaton and raw product tables, {note}"
     elif words > AXIOM_SWEEP_CAP:
-        raise SweepBudgetExceeded(f"axiom sweep to length {max_len} needs {words} words,"
-                                  f" over the budget of {AXIOM_SWEEP_CAP}")
+        raise SweepBudgetExceeded(f"axiom sweep to length {max_len} needs more words"
+                                  f" than the budget of {AXIOM_SWEEP_CAP}")
     else:
         found, note = _dfs_axiom_sweep(pg, max_len)[1], "route: per-word DFS"
     violations.extend(found)

@@ -432,9 +432,11 @@ def _homomorphism_failures(
 def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
     """Form the quotient locality by K and verify it end to end.
 
-    Verified here: the coset partition, pi-homomorphism of the quotient map
-    on the domain words of every length, the kernel identity, inversion
-    compatibility, and the locality axioms of the quotient.
+    Verified here: the coset partition, the kernel identity, inversion
+    compatibility, pi-homomorphism of the quotient map on the domain words
+    of every length, and check_locality on the quotient (S-is-a-group,
+    delta-well-formed, (L1), (L2), threading-matches-domain and (L3)).
+    The partial-group axioms of the quotient (check_axioms) are not run.
 
     The homomorphism check is a state_fixpoint search (_homomorphism_failures)
     over the walker table of loc.pg, built once per instance on first use

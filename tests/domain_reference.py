@@ -17,11 +17,12 @@ both read the walker table.  tests/test_domain_closure.py compares the two.
 from localities.locality import LocalityPartialGroup
 from localities.partial import (
     AmalgamPartialGroup,
-    CorruptedProducts,
     GroupPartialGroup,
     SweepBudgetExceeded,
 )
 from localities.quotient import QuotientPartialGroup
+
+from fault_injection import CorruptedProducts
 
 GENERIC_SWEEP_CAP = 500_000
 

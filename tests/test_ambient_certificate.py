@@ -43,7 +43,7 @@ def rebuild(pg, ambient, **fields):
         p=pg.p,
         s_elems=pg.s_elems,
         delta_sets=pg.delta_sets,
-        conj_step_of=pg.automaton.maps.__getitem__,
+        conj_maps=pg.automaton.maps,
     )
     args.update(fields)
     return LocalityPartialGroup(**args, ambient=ambient)
@@ -86,7 +86,7 @@ def changed_map(pg, ambient):
     g = next(g for g in pg.elements() if g not in pg.s_elems)
     i = next(i for i, c in enumerate(maps[g]) if c >= 0)
     maps[g][i] = -1
-    return rebuild(pg, ambient, conj_step_of=lambda x: tuple(maps[x]))
+    return rebuild(pg, ambient, conj_maps=maps)
 
 
 def changed_mult(pg, ambient):
@@ -117,7 +117,7 @@ def element_left_out(pg, ambient):
         raw=raw,
         s_elems=tuple(new[s] for s in pg.s_elems),
         delta_sets=frozenset(frozenset(new[s] for s in P) for P in pg.delta_sets),
-        conj_step_of=maps.__getitem__,
+        conj_maps=maps,
     )
 
 

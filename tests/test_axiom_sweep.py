@@ -45,7 +45,7 @@ def rebuild(pg, delta_sets=None, raw=None):
         p=pg.p,
         s_elems=pg.s_elems,
         delta_sets=pg.delta_sets if delta_sets is None else delta_sets,
-        conj_step_of=pg.automaton.maps.__getitem__,
+        conj_maps=pg.automaton.maps,
     )
 
 
@@ -257,7 +257,7 @@ def am20_threaded(am20):
         p=loc.p,
         s_elems=loc.sylow,
         delta_sets=loc.delta.members,
-        conj_step_of=loc.automaton.maps.__getitem__,
+        conj_maps=loc.automaton.maps,
     )
 
 

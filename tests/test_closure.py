@@ -13,9 +13,10 @@ from localities.normal import partial_normal_closure
 from localities.partial import (
     GroupPartialGroup,
     partial_subgroup_closure,
-    swap_two_products,
 )
 from localities.quotient import build_quotient
+
+from fault_injection import swap_two_products
 
 
 def fixpoint_closure(pg, seed):

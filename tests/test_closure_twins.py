@@ -28,15 +28,14 @@ from localities import locality, normal, quotient
 from localities.locality import _p_subgroup_above, as_locality, check_locality
 from localities.normal import enumerate_partial_normals, partial_normal_closure
 from localities.partial import (
-    CorruptedProducts,
     _close,
     _is_prime_power,
     closure_twins,
     partial_subgroup_closure,
-    swap_two_products,
 )
 from localities.quotient import _partial_normals_cached, partial_subgroups_containing
 
+from fault_injection import CorruptedProducts, swap_two_products
 from test_quotient_tables import enumerate_by_full_closures
 
 

@@ -8,13 +8,14 @@ import pytest
 
 from localities.normal import is_partial_normal
 from localities.partial import (
-    CorruptedProducts,
     _conjugation_failure,
     classify_subset,
     partial_subgroup_closure,
     subset_product,
 )
 from localities.quotient import build_quotient
+
+from fault_injection import CorruptedProducts
 
 
 def pi_conjugation_failure(pg, X):

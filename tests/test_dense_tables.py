@@ -90,7 +90,7 @@ def test_walk_matches_literal_states(request, name):
 
     # a fresh automaton over the same step maps reaches the same state and
     # the same threading subgroup on every word as the dict-keyed reference
-    dense = ThreadAutomaton(aut.s_elems, maps.__getitem__, n)
+    dense = ThreadAutomaton(aut.s_elems, maps)
     ref = DictAutomaton(aut.s_elems, maps.__getitem__)
     for word in _words(n, name):
         sid, rid = dense.walk(word), ref.walk(word)
@@ -115,7 +115,7 @@ def test_automaton_build_meets_the_state_budget(s5f, monkeypatch):
     """LOC-S5 has 15 threading states: a fresh build within a budget of 14
     raises, and one within 15 is whole."""
     aut = s5f.loc.automaton
-    args = (aut.s_elems, aut.maps.__getitem__, len(aut.maps))
+    args = (aut.s_elems, aut.maps)
     monkeypatch.setattr(partial, "STATE_FIXPOINT_CAP", 14)
     with pytest.raises(SweepBudgetExceeded) as err:
         ThreadAutomaton(*args)

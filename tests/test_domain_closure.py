@@ -15,10 +15,11 @@ import random
 
 import pytest
 
-from localities.partial import AmalgamPartialGroup, swap_two_products
+from localities.partial import AmalgamPartialGroup
 from localities.quotient import build_quotient, partial_subgroups_containing
 
 import domain_reference as reference
+from fault_injection import swap_two_products
 
 CASES = {
     "GRP-S4": lambda r: r.getfixturevalue("s4f").loc.pg,

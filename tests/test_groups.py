@@ -11,12 +11,12 @@ from localities.groups import (
     certify_group_table,
     closure_members,
     generate_group,
-    group_landmarks,
     sylow_p,
 )
 
 import _frozen as frozen
 from oracle import OGroup, o_all_subgroups, o_subgroup_closure
+from theorem_checks import is_normal_subset
 
 
 def s4():
@@ -97,25 +97,10 @@ def test_all_subgroups_are_valid_and_sorted():
     assert keys == sorted(keys)
 
 
-def test_landmarks_abelian_center():
-    G = c2xc4()
-    lm = group_landmarks(G)
-    assert lm.center.order == G.order
-
-
-def test_landmarks_d16():
-    lm = group_landmarks(d16())
-    assert lm.center.order == frozen.D16_CENTER_ORDER
-
-
-def test_landmarks_frattini_c2xc4():
-    lm = group_landmarks(c2xc4())
-    assert lm.frattini.order == frozen.C2XC4_FRATTINI_ORDER
-
-
 def test_landmarks_s4_normals():
-    lm = group_landmarks(s4())
-    assert sorted(s.order for s in lm.normal_subgroups) == frozen.S4_NORMAL_ORDERS
+    G = s4()
+    normals = [s for s in all_subgroups(G) if is_normal_subset(G, s.members)]
+    assert sorted(s.order for s in normals) == frozen.S4_NORMAL_ORDERS
 
 
 def test_sylow_trivial_when_coprime():

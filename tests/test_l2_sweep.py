@@ -23,10 +23,11 @@ import pytest
 
 from localities import locality, partial
 from localities.locality import Locality, as_locality, check_locality
-from localities.partial import PartialGroup, SweepBudgetExceeded, swap_two_products
+from localities.partial import PartialGroup, SweepBudgetExceeded
 from localities.quotient import build_quotient
 
 import fixpoint_reference as reference
+from fault_injection import swap_two_products
 from test_quotient_tables import KERNEL_IDS, KERNELS, _kernel
 
 

@@ -8,11 +8,12 @@ from localities.normal import (
     partial_normal_closure,
     product_theorem1,
     product_theorem2,
-    strongly_closed_and_T,
 )
 from localities.partial import classify_subset, subset_product
 
 import _frozen as frozen
+from oracle import OGroup, o_normal_subgroups
+from theorem_checks import strongly_closed_and_T
 
 
 def test_trivial_and_full_are_partial_normal(s4f):
@@ -66,13 +67,9 @@ def test_enumeration_cap_error_names_the_cap_and_the_size(s4f, monkeypatch):
 
 def test_enumeration_matches_group_normals(s4f):
     """On a group locality the partial normals are the normal subgroups."""
-    from localities.groups import group_landmarks
-
-    lm = group_landmarks(s4f.group)
-    expect = {
-        frozenset(s4f.loc.to_local[x] for x in sub.members)
-        for sub in lm.normal_subgroups
-    }
+    G = OGroup(s4f.group.perms)
+    assert G.perms == list(s4f.group.perms), "oracle and engine must index alike"
+    expect = {frozenset(s4f.loc.to_local[x] for x in sub) for sub in o_normal_subgroups(G)}
     got = {h.members for h in enumerate_partial_normals(s4f.loc)}
     assert got == expect
 

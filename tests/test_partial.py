@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from localities.groups import generate_group, all_subgroups, is_normal_subset
+from localities.groups import generate_group, all_subgroups
 from localities.partial import (
     AmalgamSpec,
     AmalgamSpecError,
@@ -12,13 +12,13 @@ from localities.partial import (
     build_amalgam,
     check_axioms,
     classify_subset,
-    dedekind_verify,
     subset_product,
-    swap_two_products,
 )
 from localities.quotient import build_quotient
 
 import _frozen as frozen
+from fault_injection import swap_two_products
+from theorem_checks import dedekind_verify, is_normal_subset
 
 
 def test_degenerate_amalgam_is_the_group():

@@ -16,13 +16,10 @@ import pytest
 from localities import normal
 from localities.locality import Locality
 from localities.normal import enumerate_partial_normals, product_theorem2
-from localities.partial import (
-    CorruptedProducts,
-    WalkerTable,
-    subset_product,
-    swap_two_products,
-)
+from localities.partial import WalkerTable, subset_product
 from localities.quotient import QuotientPartialGroup, build_quotient, partial_subgroups_containing
+
+from fault_injection import CorruptedProducts, swap_two_products
 
 
 class WordTable:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from localities import cli, partial
-from localities.partial import GroupPartialGroup, SweepBudgetExceeded, swap_two_products
+from localities.partial import GroupPartialGroup, SweepBudgetExceeded
 from localities.quotient import build_quotient
 
+from fault_injection import swap_two_products
 from test_l2_sweep import GappedC2
 
 WALKERS = {
