@@ -7,6 +7,7 @@ Exit codes: 0 every check passed, 1 at least one check failed (a finding),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from . import corpus as corpus_mod
 from .groups import SizeCapExceeded
 from .locality import Locality, LocalityConstructionError, check_locality
 from .model import ModelError, emit_quotient, parse_model
-from .normal import enumerate_partial_normals, is_partial_normal, product_theorem1, product_theorem2
+from .normal import partial_normals, product_theorem1, product_theorem2
 from .partial import (
     PartialGroup, SweepBudgetExceeded, check_axioms, classify_subset, subset_product
 )
@@ -182,7 +183,7 @@ def cmd_normals(args, catalog: Catalog) -> VerificationReport:
     entry = catalog.pick(args.locality, kind="locality")
     loc: Locality = entry.obj
     rep = VerificationReport(f"normals {entry.name}")
-    handles = enumerate_partial_normals(loc)
+    handles = partial_normals(loc)
     listing = [
         {
             "order": len(h.members),
@@ -339,7 +340,10 @@ def _word_length(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every
+    later main() call in the process; each parse_args gives a new namespace."""
     parser = _Parser(
         prog="localities",
         description="verification engine for finite partial groups and localities",

@@ -202,14 +202,14 @@ def locality_s5() -> LocalityFixture:
     S = sylow_p(M, 2)
     delta = delta_min_order(S, 2)
     loc = locality_from_group(M, 2, delta)
-    from .normal import enumerate_partial_normals
+    from .normal import partial_normals
 
     subsets = {
         "1": frozenset({loc.identity}),
         "S": loc.sylow_set,
         "L": frozenset(loc.elements()),
     }
-    for handle in enumerate_partial_normals(loc):
+    for handle in partial_normals(loc):
         n = len(handle.members)
         if 1 < n < loc.size:
             subsets[f"N{n}"] = handle.members

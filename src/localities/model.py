@@ -260,6 +260,9 @@ def _parse_plocality(body: str, line: int) -> Locality:
         bad = next((x for x in ids if not 0 <= x < size), None)
         if bad is not None:
             raise ModelError(f"{section} holds id {bad}, outside 0..{size - 1}", line)
+    repeated = next((a for a, b in zip(sylow, sylow[1:]) if a == b), None)
+    if repeated is not None:
+        raise ModelError(f"sylow repeats id {repeated}", line)
     raw = [[-1] * size for _ in range(size)]
     for a, b, v in prod_triples:
         raw[a][b] = v

@@ -9,6 +9,7 @@ any theorem.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -123,6 +124,23 @@ def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
                 family[grown.members] = grown
                 queue.append(grown)
     return sorted(family.values(), key=lambda h: (len(h.members), sorted(h.members)))
+
+
+# The family of each locality, enumerated once.  The weak keys drop a
+# locality's family when it is collected, so a later locality that reuses
+# its id() never receives it; a handle refers to loc.pg, never to loc.
+_FAMILY_CACHE: weakref.WeakKeyDictionary[Locality, tuple[SubsetHandle, ...]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def partial_normals(loc: Locality) -> tuple[SubsetHandle, ...]:
+    """The handles of enumerate_partial_normals(loc), in its order,
+    enumerated on the first call for loc and kept for later ones."""
+    family = _FAMILY_CACHE.get(loc)
+    if family is None:
+        family = _FAMILY_CACHE[loc] = tuple(enumerate_partial_normals(loc))
+    return family
 
 
 # ---------------------------------------------------------------------------

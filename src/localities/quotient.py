@@ -12,14 +12,14 @@ from __future__ import annotations
 import random
 import weakref
 from itertools import compress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
 from .groups import SizeCapExceeded
 from .locality import DeltaFamily, Locality, _set_rows, check_locality
-from .normal import enumerate_partial_normals, is_partial_normal
+from .normal import is_partial_normal, partial_normals
 from .partial import (
     PartialGroup,
     Word,
@@ -222,10 +222,15 @@ def _left_coset(loc: Locality, K: frozenset[int], f: int) -> frozenset[int]:
     return frozenset(row[k] for k in K) - {-1}
 
 
-# Verified partitions per locality, then per kernel.  The weak keys drop a
-# locality's partitions when it is collected, so a later locality that
-# reuses its id() never receives them.
+# Verified results per locality, then per kernel: the coset partitions of
+# coset_partition and the quotient bundles of build_quotient.  Only a result
+# whose report passes is kept.  The weak keys drop a locality's results when
+# it is collected, so a later locality that reuses its id() never receives
+# them; a bundle is kept without its base, which would hold the key alive.
 _KERNEL_CACHE: weakref.WeakKeyDictionary[Locality, dict[frozenset[int], CosetPartition]] = (
+    weakref.WeakKeyDictionary()
+)
+_BUNDLE_CACHE: weakref.WeakKeyDictionary[Locality, dict[frozenset[int], QuotientBundle]] = (
     weakref.WeakKeyDictionary()
 )
 
@@ -442,6 +447,10 @@ def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
     over the walker table of loc.pg, built once per instance on first use
     within STATE_FIXPOINT_CAP states, so its witnesses come in shortlex
     order, the shortest first.
+
+    Every call builds and verifies anew.  A bundle whose report passes is
+    kept per locality and kernel, for verify_quotient_lemmas; a failing one
+    raises and is never kept.
     """
     K = frozenset(K)
     part = coset_partition(loc, K)
@@ -496,6 +505,7 @@ def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
     )
     if not report.ok:
         raise QuotientConstructionError(report)
+    _BUNDLE_CACHE.setdefault(loc, {})[K] = replace(bundle, base=None)
     return bundle
 
 
@@ -545,14 +555,6 @@ def partial_subgroups_containing(
     if stats is not None:
         stats["closures"] = closures
     return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def _partial_normals_cached(loc: Locality) -> list[frozenset[int]]:
-    cache = getattr(loc, "_pn_cache", None)
-    if cache is None:
-        cache = [h.members for h in enumerate_partial_normals(loc)]
-        loc._pn_cache = cache  # type: ignore[attr-defined]
-    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +625,8 @@ def verify_quotient_lemmas(
     Each check is a theorem for genuine localities, so any failure reported
     here points at an engine bug rather than at the input.  A bundle, when
     given, must be one built for loc and K; it is checked as it stands.
+    Without one, the suite takes the bundle that build_quotient kept for loc
+    and K, and calls build_quotient when none is kept.
 
     The set checks read arrays, each built by the first check that needs
     it: images of sets through the coset sort of _image_reader (checks 8
@@ -639,7 +643,8 @@ def verify_quotient_lemmas(
             f"the locality has {loc.size}"
         )
     if bundle is None:
-        bundle = build_quotient(loc, K)
+        kept = _BUNDLE_CACHE.get(loc, {}).get(K)
+        bundle = build_quotient(loc, K) if kept is None else replace(kept, base=loc)
     elif bundle.base is not loc or bundle.kernel != K:
         raise ValueError("the quotient bundle was built for another locality or kernel")
     part = coset_partition(loc, K)
@@ -824,7 +829,7 @@ def verify_quotient_lemmas(
     report.record("same-image-same-station-maximal", not bad, bad[:5])
 
     # 14/15: bridge checks for kernels arising as intersections
-    pns = _partial_normals_cached(loc)
+    pns = [h.members for h in partial_normals(loc)]
     pairs = [
         (M, N)
         for M in pns

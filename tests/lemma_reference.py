@@ -12,10 +12,10 @@ product-preimage-splitting (15).
 
 import random
 
+from localities.normal import partial_normals
 from localities.partial import EMPTY_WORD
 from localities.quotient import (
     LEMMA_SAMPLES,
-    _partial_normals_cached,
     coset_partition,
     partial_subgroups_containing,
 )
@@ -109,7 +109,7 @@ def reference_checks(loc, K, seed, bundle):
                 bad.append((f, g, "coset"))
     out["same-image-same-station-maximal"] = _result(bad, 5)
 
-    pns = _partial_normals_cached(loc)
+    pns = [h.members for h in partial_normals(loc)]
     pairs = [(M, N) for M in pns for N in pns if M & N == K]
     if not pairs:
         out["images-intersect-trivially"] = ("skipped", [])

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from localities import cli, partial
+from localities import cli, corpus, partial, quotient
 from localities.locality import LocalityConstructionError, check_locality
 from localities.model import parse_model
 from localities.partial import SweepBudgetExceeded
@@ -54,7 +54,7 @@ def test_exit_code_2_with_one_line_error(monkeypatch, capsys, exc):
     def broken(loc):
         raise exc
 
-    monkeypatch.setattr(cli, "enumerate_partial_normals", broken)
+    monkeypatch.setattr(cli, "partial_normals", broken)
     assert cli.main(["normals", "--builtin", "GRP-S4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -181,6 +181,18 @@ def test_plocality_missing_product_entry_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     a, b, _ = dropped.split()
     assert err == [f"error: line {lineno}: product table has no entry for ({a},{b})"]
+
+
+def test_plocality_repeated_sylow_id_exits_2(tmp_path, capsys):
+    path = _emit(tmp_path, capsys, "GRP-S4", "V4")
+    text = path.read_text()
+    assert text.count(" : sylow 0 1 : ") == 1
+    path.write_text(text.replace(" : sylow 0 1 : ", " : sylow 0 0 1 : "))
+    for command in ("pg-check", "loc-check", "normals"):
+        assert cli.main([command, "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: line 2: sylow repeats id 0"]
 
 
 OUT_OF_RANGE = [
@@ -459,3 +471,92 @@ print("numpy.ma" in sys.modules)
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# what one main() call keeps for the next in the same process
+
+
+def test_two_main_calls_build_the_parser_once(monkeypatch, capsys):
+    """The first call builds the parser and its subparsers, one _Parser
+    each; the second builds none."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argv = ["normals", "--builtin", "GRP-S4", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert len(built) == 1 + len(cli.COMMANDS)
+    assert cli.main(argv) == 0
+    assert len(built) == 1 + len(cli.COMMANDS)
+    capsys.readouterr()
+
+
+def test_a_flag_of_one_call_never_reaches_the_next(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["quotient", "--builtin", "GRP-S4", "--kernel", "V4", "--format", "json"]
+    assert cli.main([*argv, "--emit", str(tmp_path / "q.model"), "--timings"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert cli.main(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert list(tmp_path.iterdir()) == [tmp_path / "q.model"]
+    assert "emitted" in [c["name"] for c in first["checks"]]
+    assert "emitted" not in [c["name"] for c in second["checks"]]
+    assert all(c["timing_ms"] is not None for c in first["checks"])
+    assert all(c["timing_ms"] is None for c in second["checks"])
+
+
+def _fresh_builtin(monkeypatch, name, loader):
+    """Serve the builtin `name` from one new fixture, built past the
+    loader's lru_cache, for the rest of the test."""
+    fixture = loader.__wrapped__()
+    monkeypatch.setitem(corpus.BUILTIN_LOADERS, name, lambda: fixture)
+    return fixture
+
+
+def _counting_builds(monkeypatch) -> list:
+    """The (locality, kernel) of every build_quotient call that
+    verify_quotient_lemmas makes from now on."""
+    builds = []
+    build = quotient.build_quotient
+
+    def counting(loc, K):
+        builds.append((loc, K))
+        return build(loc, K)
+
+    monkeypatch.setattr(quotient, "build_quotient", counting)
+    return builds
+
+
+def test_lemmas_after_quotient_takes_the_bundle_quotient_verified(monkeypatch, capsys):
+    lemmas = ["lemmas", "--builtin", "GRP-S4", "--kernel", "V4", "--format", "json"]
+    _fresh_builtin(monkeypatch, "GRP-S4", corpus.locality_s4)
+    assert cli.main(lemmas) == 0
+    on_a_fresh_locality = capsys.readouterr().out
+    _fresh_builtin(monkeypatch, "GRP-S4", corpus.locality_s4)
+    assert cli.main(["quotient", "--builtin", "GRP-S4", "--kernel", "V4"]) == 0
+    capsys.readouterr()
+    builds = _counting_builds(monkeypatch)
+    assert cli.main(lemmas) == 0
+    assert builds == []
+    assert capsys.readouterr().out == on_a_fresh_locality
+
+
+def test_a_failing_build_is_not_kept_and_lemmas_fails_alike(monkeypatch, capsys):
+    """check_locality of the quotient is made to fail: quotient and then
+    lemmas on the same kernel each build, fail and print the build report."""
+    fixture = _fresh_builtin(monkeypatch, "GRP-S4", corpus.locality_s4)
+    monkeypatch.setattr(quotient, "check_locality", lambda loc: _failing_report("locality"))
+    builds = _counting_builds(monkeypatch)
+    for command, title in [("quotient", "quotient GRP-S4 / V4"), ("lemmas", "lemmas GRP-S4 / V4")]:
+        assert cli.main([command, "--builtin", "GRP-S4", "--kernel", "V4", "--format", "json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["title"] == title
+        assert [c["name"] for c in out["checks"] if c["status"] == "fail"] == ["quotient-partition"]
+        assert fixture.subsets["V4"] not in quotient._BUNDLE_CACHE.get(fixture.loc, {})
+    assert builds == [(fixture.loc, fixture.subsets["V4"])]

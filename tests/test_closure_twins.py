@@ -26,14 +26,14 @@ import pytest
 
 from localities import locality, normal, quotient
 from localities.locality import _p_subgroup_above, as_locality, check_locality
-from localities.normal import enumerate_partial_normals, partial_normal_closure
+from localities.normal import enumerate_partial_normals, partial_normal_closure, partial_normals
 from localities.partial import (
     _close,
     _is_prime_power,
     closure_twins,
     partial_subgroup_closure,
 )
-from localities.quotient import _partial_normals_cached, partial_subgroups_containing
+from localities.quotient import partial_subgroups_containing
 
 from fault_injection import CorruptedProducts, swap_two_products
 from test_quotient_tables import enumerate_by_full_closures
@@ -100,7 +100,7 @@ def test_l1_search_matches_every_candidate(request, name):
     S = loc.sylow_set
     searches = [(S, list(loc.elements()))]
     if name != "PG-AM20":
-        for N in _partial_normals_cached(loc):
+        for N in (h.members for h in partial_normals(loc)):
             T = N & S
             searches += [(T, sorted(N - T)), (T, list(loc.elements()))]
     for base, candidates in searches:

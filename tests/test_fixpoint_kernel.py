@@ -16,11 +16,11 @@ import fixpoint_reference as reference
 from localities import partial
 from localities.groups import generate_group, sylow_p
 from localities.locality import delta_min_order, locality_from_group
+from localities.normal import partial_normals
 from localities.quotient import (
     QuotientPartialGroup,
     _descent_failures,
     _homomorphism_failures,
-    _partial_normals_cached,
     build_quotient,
     coset_partition,
 )
@@ -55,13 +55,13 @@ def test_the_kernels_are_all_18_partial_normals(request):
     assert len(KERNELS) == 18
     for name, orders in FIXTURES:
         loc = request.getfixturevalue(name).loc
-        assert [len(K) for K in _partial_normals_cached(loc)] == list(orders)
+        assert [len(h.members) for h in partial_normals(loc)] == list(orders)
 
 
 @pytest.mark.parametrize("fixture,index", KERNELS, ids=KERNEL_IDS)
 def test_kernel_matches_the_reference(request, fixture, index):
     loc = request.getfixturevalue(fixture).loc
-    K = _partial_normals_cached(loc)[index]
+    K = partial_normals(loc)[index].members
     (_, hom), (_, descent) = assert_both_checks_match(loc, *_quotient(loc, K))
     assert hom == descent == []
 
@@ -69,7 +69,7 @@ def test_kernel_matches_the_reference(request, fixture, index):
 def test_kernel_matches_the_reference_on_a_quotient_base(s5f):
     base = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
     assert isinstance(base.pg, QuotientPartialGroup)
-    for K in _partial_normals_cached(base):
+    for K in (h.members for h in partial_normals(base)):
         assert_both_checks_match(base, *_quotient(base, K))
 
 

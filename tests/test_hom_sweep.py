@@ -10,11 +10,11 @@ per-word predicate.
 import pytest
 
 from localities import quotient
+from localities.normal import partial_normals
 from localities.quotient import (
     QuotientConstructionError,
     QuotientPartialGroup,
     _homomorphism_failures,
-    _partial_normals_cached,
     build_quotient,
     coset_partition,
 )
@@ -95,7 +95,7 @@ CASES = [
 def test_cases_name_every_partial_normal_subgroup(request, fixture):
     fix = request.getfixturevalue(fixture)
     named = {fix.subsets[k] for name, k in CASES if name == fixture}
-    assert named == set(_partial_normals_cached(fix.loc))
+    assert named == {h.members for h in partial_normals(fix.loc)}
 
 
 @pytest.mark.parametrize("fixture,kernel", CASES)
@@ -111,7 +111,7 @@ def test_sweep_matches_per_word_reference_on_a_quotient_base(s5f):
     its walker states are those of the LOC-S5 automaton it delegates to."""
     base = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
     assert isinstance(base.pg, QuotientPartialGroup)
-    for K in _partial_normals_cached(base):
+    for K in (h.members for h in partial_normals(base)):
         rec = _assert_matches_reference(base, K)
         assert rec.status == "pass"
 

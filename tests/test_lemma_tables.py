@@ -17,9 +17,10 @@ import pytest
 import lemma_reference
 import localities.report as report_module
 from localities import quotient
-from localities.locality import Locality
+from localities.groups import generate_group, sylow_p
+from localities.locality import Locality, delta_min_order, locality_from_group
+from localities.normal import partial_normals
 from localities.quotient import (
-    _partial_normals_cached,
     _right_coset,
     build_quotient,
     verify_quotient_lemmas,
@@ -46,7 +47,7 @@ def table_checks(report, names):
 @pytest.mark.parametrize("fixture,index", KERNELS, ids=KERNEL_IDS)
 def test_table_checks_match_the_reference(request, fixture, index):
     loc = request.getfixturevalue(fixture).loc
-    K = _partial_normals_cached(loc)[index]
+    K = partial_normals(loc)[index].members
     bundle = build_quotient(loc, K)
     for seed in SEEDS:
         expected = reference_checks(loc, K, seed, bundle)
@@ -92,8 +93,9 @@ def test_pairs_that_are_not_partial_normal_fail_alike(s4f, monkeypatch):
     found = set()
     for M in unions:
         for N in unions:
+            pair = (SimpleNamespace(members=M), SimpleNamespace(members=N))
             for module in (quotient, lemma_reference):
-                monkeypatch.setattr(module, "_partial_normals_cached", lambda loc: [M, N])
+                monkeypatch.setattr(module, "partial_normals", lambda loc: pair)
             expected = reference_checks(loc, K, 0, bundle)
             report = verify_quotient_lemmas(loc, K, bundle=bundle)
             assert table_checks(report, expected) == expected
@@ -118,7 +120,7 @@ def test_each_check_carries_its_own_time(c2s4f, monkeypatch):
     product-preimage-splitting threads, so both do."""
     loc, K = c2s4f.loc, c2s4f.subsets["A4"]
     bundle = build_quotient(loc, K)
-    _partial_normals_cached(loc)
+    partial_normals(loc)
     clock = [0.0]
 
     def ticking(method):
@@ -136,3 +138,33 @@ def test_each_check_carries_its_own_time(c2s4f, monkeypatch):
     assert ms["preimage-exactness-over-T"] == ms["images-intersect-trivially"] == 0
     assert ms["normalizer-image"] > 0
     assert ms["product-preimage-splitting"] > 0
+
+
+def test_two_localities_on_one_group_keep_their_own_family_and_bundle(monkeypatch):
+    """Two localities from one group and Delta: each enumerates its own
+    family, and the lemma suite takes only the bundle built for its own."""
+    M = generate_group([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    delta = delta_min_order(sylow_p(M, 2), 8)
+    a, b = locality_from_group(M, 2, delta), locality_from_group(M, 2, delta)
+    family = partial_normals(a)
+    assert partial_normals(a) is family
+    assert partial_normals(b) is not family
+    assert [h.members for h in partial_normals(b)] == [h.members for h in family]
+    assert all(h.owner is a.pg for h in family)
+    assert all(h.owner is b.pg for h in partial_normals(b))
+    K = family[1].members
+    bundle = build_quotient(a, K)
+    builds = []
+    build = quotient.build_quotient
+
+    def counting(loc, K):
+        builds.append(loc)
+        return build(loc, K)
+
+    monkeypatch.setattr(quotient, "build_quotient", counting)
+    assert verify_quotient_lemmas(a, K).ok
+    assert builds == []
+    assert verify_quotient_lemmas(b, K).ok
+    assert builds == [b]
+    with pytest.raises(ValueError, match="another locality or kernel"):
+        verify_quotient_lemmas(b, K, bundle=bundle)

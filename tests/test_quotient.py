@@ -1,11 +1,12 @@
 import gc
+import weakref
 
 import pytest
 
 from localities import quotient
 from localities.groups import generate_group, sylow_p
 from localities.locality import delta_min_order, locality_from_group
-from localities.normal import enumerate_partial_normals
+from localities.normal import enumerate_partial_normals, partial_normals
 from localities.quotient import (
     LDeltaPair,
     QuotientConstructionError,
@@ -289,6 +290,20 @@ def test_kernel_cache_ignores_reused_ids(monkeypatch):
     big = locality_from_group(M, 2, delta_min_order(S, 1))
     assert big.size == 120
     assert len(coset_partition(big, {big.identity}).maximal) == 120
+
+
+def test_kept_results_do_not_keep_a_locality_alive():
+    """The family, partition and bundle kept for a locality go when it is
+    collected: no kept value refers back to its key."""
+    M = generate_group([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    loc = locality_from_group(M, 2, delta_min_order(sylow_p(M, 2), 8))
+    K = partial_normals(loc)[1].members
+    assert verify_quotient_lemmas(loc, K).ok
+    assert K in quotient._BUNDLE_CACHE[loc] and K in quotient._KERNEL_CACHE[loc]
+    ref = weakref.ref(loc)
+    del loc
+    gc.collect()
+    assert ref() is None
 
 
 def bfs_domain_is_total(qpg):

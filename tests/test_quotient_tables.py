@@ -17,11 +17,11 @@ import pytest
 
 from localities import quotient
 from localities.groups import SizeCapExceeded
+from localities.normal import partial_normals
 from localities.partial import partial_subgroup_closure, state_fixpoint
 from localities.quotient import (
     QuotientPartialGroup,
     _descent_failures,
-    _partial_normals_cached,
     build_quotient,
     coset_partition,
     is_up_maximal,
@@ -45,7 +45,7 @@ KERNEL_IDS = [f"{name}-{orders[i]}-{i}" for name, orders in FIXTURES for i in ra
 
 def _kernel(request, fixture, index):
     loc = request.getfixturevalue(fixture).loc
-    return loc, _partial_normals_cached(loc)[index]
+    return loc, partial_normals(loc)[index].members
 
 
 @pytest.mark.parametrize("fixture,index", KERNELS, ids=KERNEL_IDS)
@@ -116,7 +116,7 @@ def test_descent_sweep_matches_the_recursive_sweep(request, fixture, index):
 
 def test_descent_sweep_matches_the_recursive_sweep_on_a_quotient_base(s5f):
     base = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
-    for K in _partial_normals_cached(base):
+    for K in (h.members for h in partial_normals(base)):
         qpg = build_quotient(base, K).quotient.pg
         max_elements = [f for f in base.elements() if coset_partition(base, K).up_max[f]]
         _, got = _descent_failures(base.pg, qpg, max_elements)
