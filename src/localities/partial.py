@@ -20,9 +20,9 @@ Word = tuple[int, ...]
 EMPTY_WORD = object()
 
 # The most words the per-word DFS of check_axioms visits.  Only a partial
-# group with neither automaton tables nor an ambient group takes that route,
-# and no command builds one.  A word count past the cap is stated as "more
-# than" it.
+# group with neither automaton tables nor an ambient group takes that route:
+# a test's product overrides (CorruptedProducts); no command builds one.  A
+# word count past the cap is stated as "more than" it.
 AXIOM_SWEEP_CAP = 20_000_000
 # The most states one intern_states table or state_fixpoint search interns
 # (LOC-S5's quotient checks: 80).
@@ -78,8 +78,7 @@ class PartialGroup:
         """Binary products: row a holds mul2(a, b) at b, or -1 off the domain.
 
         Built from mul2 on first use and kept on the instance, so overridden
-        products (quotients, a test's product overrides) are what the
-        closures see.
+        products (a test's product overrides) are what the closures see.
         It holds size**2 Python ints (3,136 for a 56-element locality) for
         the life of the partial group.  It is per-instance, never a cache
         keyed by id(), because ids are reused once an object is collected.
@@ -106,8 +105,8 @@ class PartialGroup:
         the domain.
 
         Built from pi on first use and kept on the instance, as
-        product_table() is, so overridden products (quotients, a test's
-        product overrides) are what every conjugation reads.
+        product_table() is, so overridden products (a test's product
+        overrides) are what every conjugation reads.
         """
         if self._conj_table is None:
             n = range(self.size)
@@ -990,12 +989,13 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
       locality_from_group) is proved by pg.certify_ambient(); if that is
       refused, a second note says why and the routes below are taken;
     - automaton-backed domains (pg.sweep_tables(): a LocalityPartialGroup,
-      such as a plocality file or a quotient read back) are searched by
-      _axiom_searches, for every word length; a domain word whose fold
-      leaves the raw table raises raw_missing, as product_table() does;
-    - anything else (a partial QuotientPartialGroup, or a test's product
-      overrides): _dfs_axiom_sweep to max_len, which raises
-      SweepBudgetExceeded first if that is over AXIOM_SWEEP_CAP words.
+      such as a plocality file or a quotient, in memory or read back) are
+      searched by _axiom_searches, for every word length; a domain word
+      whose fold leaves the raw table raises raw_missing, as
+      product_table() does;
+    - anything else (a test's product overrides): _dfs_axiom_sweep to
+      max_len, which raises SweepBudgetExceeded first if that is over
+      AXIOM_SWEEP_CAP words.
     Each route states the number of words of length <= max_len (>= 2 on
     total components), searched or not; the count stops once it passes
     AXIOM_SWEEP_CAP, so words_checked is then a number above the cap and

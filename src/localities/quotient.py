@@ -2,7 +2,8 @@
 
 The elements of a quotient are the maximal cosets of the kernel; the
 quotient map sends each element to the unique maximal coset containing it.
-Products in the quotient are computed from relatively-maximal coset
+The quotient is a table locality whose products and conjugates are
+gathered from the base's tables over relatively-maximal coset
 representatives, and every structural property used along the way is
 re-verified on the instance at hand.
 """
@@ -18,7 +19,9 @@ from typing import Iterable
 import numpy as np
 
 from .groups import SizeCapExceeded
-from .locality import DeltaFamily, Locality, _set_rows, check_locality
+from .locality import (
+    DeltaFamily, Locality, LocalityPartialGroup, _positions, _set_rows, check_locality,
+)
 from .normal import is_partial_normal, partial_normals
 from .partial import (
     PartialGroup,
@@ -26,7 +29,6 @@ from .partial import (
     closure_twins,
     partial_subgroup_closure,
     state_fixpoint,
-    total_group_component,
 )
 from .report import VerificationReport
 
@@ -197,14 +199,12 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
 class CosetRecord:
     base: int
     members: frozenset[int]
-    is_maximal: bool
 
 
 @dataclass
 class CosetPartition:
     kernel: frozenset[int]
     maximal: list[CosetRecord]
-    all_cosets: list[CosetRecord]
     up_max: tuple[bool, ...]
     coset_of: tuple[int, ...]
     report: VerificationReport
@@ -236,7 +236,7 @@ _BUNDLE_CACHE: weakref.WeakKeyDictionary[Locality, dict[frozenset[int], Quotient
 
 
 def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
-    """All cosets of K, the maximal ones, and the verified partition of L.
+    """The maximal cosets of K and the verified partition of L.
 
     The relative maximality flag of every element comes from one
     up_maximal_flags pass; cosets are read from product_table() rows.  A
@@ -295,17 +295,12 @@ def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
         "Kf = fK for relatively maximal f",
     )
 
-    records = []
     coset_of = [-1] * loc.size
     maximal_records = []
     for members in sorted(maximal_sets, key=min):
         bases = [f for f in sorted(members) if flags[f] and coset_by_f[f] == members]
-        rec = CosetRecord(
-            base=bases[0] if bases else min(members),
-            members=members,
-            is_maximal=True,
-        )
-        maximal_records.append(rec)
+        base = bases[0] if bases else min(members)
+        maximal_records.append(CosetRecord(base=base, members=members))
         if not bases:
             report.record(
                 "maximal-coset-has-maximal-base",
@@ -315,13 +310,9 @@ def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
             )
         for x in members:
             coset_of[x] = len(maximal_records) - 1
-    for members in distinct:
-        if members not in maximal_set_lookup:
-            records.append(CosetRecord(base=min(members), members=members, is_maximal=False))
     part = CosetPartition(
         kernel=K,
         maximal=maximal_records,
-        all_cosets=maximal_records + records,
         up_max=flags,
         coset_of=tuple(coset_of),
         report=report,
@@ -335,77 +326,81 @@ def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
 # the quotient partial group and bundle
 
 
-class QuotientPartialGroup(PartialGroup):
-    """Cosets of a kernel, multiplied through relatively-maximal representatives.
+class QuotientPartialGroup(LocalityPartialGroup):
+    """L/N as a table locality, over the maximal cosets of the kernel.
 
-    A coset word is in the domain exactly when its representative word is in
-    the base domain, and its product is rho of the representative word's
-    product.  This is well defined because products of maximal
-    representatives descend: build_quotient checks that rho is a
-    homomorphism onto it on base domain words of every length.
+    Each coset c has a representative r_c, the relatively maximal base of
+    its CosetRecord; rho is the coset map.  The tables are
+    gathered from base.pg.walker_table() and base.pg.padded_products():
+    - inverses rho(r_c^-1), S-bar = rho(S) and Delta-bar = rho(Delta);
+    - raw[a][b] = rho(r_a r_b), -1 where (r_a, r_b) is off the base domain;
+    - conj_maps[g, i], the position in S-bar of rho(Pi(r_h, r_s, r_g)) for
+      h = g^-1 and the i-th member s of S-bar, -1 where that word is off
+      the base domain or its image leaves S-bar.
+    Words are then decided by threading, as in every LocalityPartialGroup.
+    That this domain and product are the images of the base's is what
+    build_quotient proves.
     """
 
-    def __init__(self, base: PartialGroup, part: CosetPartition, p: int | None):
-        self.base = base
-        self.part = part
+    def __init__(self, base: Locality, part: CosetPartition):
+        pg = base.pg
+        self.base = pg
         self.reps = tuple(rec.base for rec in part.maximal)
         self.rho = part.coset_of
-        self.size = len(self.reps)
-        self.identity = part.coset_of[base.identity]
-        self._inv = tuple(part.coset_of[base.inverse(r)] for r in self.reps)
-        self.labels = tuple("[" + base.labels[r] + "]" for r in self.reps)
-        self.p = p
+        size = len(self.reps)
+        r = np.array(self.reps)
+        rho = np.array(self.rho + (-1,))  # rho of the missing value -1 is -1
+        walk, table = pg.walker_table().array, pg.padded_products()
+        inv = rho[[pg.inverse(x) for x in self.reps]]
+        s_bar = tuple(sorted({self.rho[s] for s in base.sylow}))
+        h, s, g = r[inv][:, None], r[list(s_bar)], r[:, None]
+        image = np.where(walk[walk[walk[0, h], s], g] >= 0, rho[table[table[h, s], g]], -1)
+        super().__init__(
+            size=size,
+            identity=self.rho[pg.identity],
+            inv=tuple(inv.tolist()),
+            labels=tuple("[" + pg.labels[x] + "]" for x in self.reps),
+            raw=rho[table[np.ix_(r, r)]].tolist(),
+            raw_missing=lambda a, b: ValueError(
+                f"the representatives of cosets {a} and {b} have no product in the base"
+            ),
+            p=base.p,
+            s_elems=s_bar,
+            delta_sets=frozenset(frozenset(self.rho[x] for x in P) for P in base.delta.members),
+            conj_maps=_positions(s_bar, size + 1)[image],
+        )
 
-    def rep_word(self, word: Word) -> Word:
-        return tuple(self.reps[c] for c in word)
-
-    def inverse(self, x: int) -> int:
-        return self._inv[x]
-
-    def in_domain(self, word: Word) -> bool:
-        return self.base.in_domain(self.rep_word(word))
-
-    def _raw_product(self, word: Word) -> int:
-        return self.rho[self.base._raw_product(self.rep_word(word))]
-
-    def walk_start(self):
-        return self.base.walk_start()
-
-    def walk_step(self, state, x: int):
-        return self.base.walk_step(state, self.reps[x])
-
-    def _vector_components(self):
-        return total_group_component(self)
+    in_domain = LocalityPartialGroup.in_domain  # a class entry that perfbench/tracing.py counts
 
 
 @dataclass
 class QuotientBundle:
     base: Locality
     kernel: frozenset[int]
-    cosets: list[CosetRecord]
     rho: tuple[int, ...]
-    reps: tuple[int, ...]
     quotient: Locality
     report: VerificationReport
 
 
 def _coset_word_steps(pg: PartialGroup, qpg: QuotientPartialGroup):
     """(steps, rho, dims): a state of the word checks is (walker code of v,
-    pi(v), walker code of its representative word, pi of that word), with
-    components bounded by dims.  steps(level, f) gathers those of v f for
-    every state and letter from pg.walker_table().array and
-    pg.padded_products(), where -1 (a dead code, a missing value) stays -1
-    and rho of -1 is -1."""
-    walk = pg.walker_table().array
-    table = pg.padded_products()
-    rep = np.array([qpg.reps[c] for c in qpg.rho])
+    pi(v), quotient walker code of bar(v), pi(bar(v))), with components
+    bounded by dims.  steps(level, f) gathers those of v f for every state
+    and letter from pg.walker_table().array, pg.padded_products(),
+    qpg.walker_table().array and qpg's raw product, whose left fold is
+    pi(bar(v)) as LocalityPartialGroup._raw_product multiplies.  -1 (a dead
+    code, a missing value) stays -1, and rho of -1 is -1."""
+    walk, table = pg.walker_table().array, pg.padded_products()
+    bar_walk = qpg.walker_table().array
+    raw = np.pad(np.array(qpg._raw, dtype=np.int64), (0, 1), constant_values=-1)
+    rho = np.array(qpg.rho + (-1,))
 
     def steps(level, f):
         base, v, bar, r = (c[:, None] for c in level)
-        rf = rep[f]
-        return walk[base, f], table[v, f], walk[bar, rf], table[r, rf]
+        fbar = rho[f]
+        return walk[base, f], table[v, f], bar_walk[bar, fbar], raw[r, fbar]
 
-    return steps, np.array(qpg.rho + (-1,)), (len(walk), pg.size + 1) * 2
+    return steps, rho, (len(walk), pg.size + 1, len(bar_walk), qpg.size + 1)
 
 
 def _homomorphism_failures(
@@ -415,11 +410,10 @@ def _homomorphism_failures(
     word bar(v) is off the quotient domain or has pi(bar(v)) != rho(pi(v)),
     one per failing transition of state_fixpoint.
 
-    The states are those of _coset_word_steps: codes read from
-    pg.walker_table() and values from pg.padded_products(), both built
-    once per instance on first use (the walker table within
-    STATE_FIXPOINT_CAP states).  pi(bar(v)) is rho of the last entry, as
-    QuotientPartialGroup._raw_product defines it.  A failing word is not
+    The states are those of _coset_word_steps: codes read from the walker
+    tables of pg and qpg and values from pg.padded_products() and qpg's
+    raw product, each table built once per instance on first use (a walker
+    table within STATE_FIXPOINT_CAP states).  A failing word is not
     extended.
     """
     steps, rho, dims = _coset_word_steps(pg, qpg)
@@ -427,26 +421,31 @@ def _homomorphism_failures(
     def step(level, f):
         base, v, bar, r = steps(level, f)
         live = base >= 0
-        bad = live & ((bar < 0) | (r < 0) | (rho[v] != rho[r]))
+        bad = live & ((bar < 0) | (r < 0) | (rho[v] != r))
         return (base, v, bar, r), live & ~bad, bad
 
-    e = pg.identity
-    return state_fixpoint((0, e, 0, e), dims, pg.elements(), step)
+    return state_fixpoint((0, pg.identity, 0, qpg.identity), dims, pg.elements(), step)
 
 
 def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
-    """Form the quotient locality by K and verify it end to end.
+    """Form the quotient locality by K, the table locality that
+    QuotientPartialGroup gathers from loc's tables, and verify it end to end.
 
     Verified here: the coset partition, the kernel identity, inversion
-    compatibility, pi-homomorphism of the quotient map on the domain words
-    of every length, and check_locality on the quotient (S-is-a-group,
-    delta-well-formed, (L1), (L2), threading-matches-domain and (L3)).
-    The partial-group axioms of the quotient (check_axioms) are not run.
-
-    The homomorphism check is a state_fixpoint search (_homomorphism_failures)
-    over the walker table of loc.pg, built once per instance on first use
-    within STATE_FIXPOINT_CAP states, so its witnesses come in shortlex
-    order, the shortest first.
+    compatibility, and that the quotient's threading domain and raw product
+    are the images of loc's, on words of every length, both ways:
+    - product-homomorphism: every base domain word v has bar(v) in the
+      quotient domain with pi(bar(v)) = rho(pi(v)) (_homomorphism_failures);
+    - representative-lift: every quotient domain word, written in the
+      representatives, is a base domain word with that image
+      (_descent_failures over the representatives).
+    Then check_locality on the quotient (S-is-a-group, delta-well-formed,
+    (L1), (L2), threading-matches-domain and (L3)).  A quotient that fails
+    the lift may have a domain pair with no raw product, so it raises
+    before check_locality reads its products.  The partial-group axioms of
+    the quotient (check_axioms) are not run.  Both word checks are
+    state_fixpoint searches over the walker tables of loc.pg and of the
+    quotient, so their witnesses come in shortlex order, the shortest first.
 
     Every call builds and verifies anew.  A bundle whose report passes is
     kept per locality and kernel, for verify_quotient_lemmas; a failing one
@@ -459,18 +458,12 @@ def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
     if not part.report.ok:
         raise QuotientConstructionError(report)
 
-    qpg = QuotientPartialGroup(loc.pg, part, loc.p)
+    qpg = QuotientPartialGroup(loc, part)
     rho = part.coset_of
-    q_sylow = sorted({rho[s] for s in loc.sylow})
-    q_delta_members = frozenset(
-        frozenset(rho[s] for s in P) for P in loc.delta.members
-    )
-    q_delta = DeltaFamily(sylow=frozenset(q_sylow), members=q_delta_members)
-    quotient = Locality(qpg, loc.p, q_sylow, q_delta)
+    q_delta = DeltaFamily(sylow=frozenset(qpg.s_elems), members=qpg.delta_sets)
+    quotient = Locality(qpg, loc.p, qpg.s_elems, q_delta)
 
-    kernel_of_rho = frozenset(
-        x for x in loc.elements() if rho[x] == rho[loc.identity]
-    )
+    kernel_of_rho = frozenset(x for x in loc.elements() if rho[x] == rho[loc.identity])
     report.record(
         "kernel-of-rho",
         kernel_of_rho == K,
@@ -490,19 +483,20 @@ def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
         mism[:5],
         f"bar(pi(v)) = pi(bar(v)) on all domain words ({states} states)",
     )
+    states, mism = _descent_failures(loc.pg, qpg, list(qpg.reps))
+    report.record(
+        "representative-lift",
+        not mism,
+        mism[:5],
+        f"quotient domain words of representatives lift with their image ({states} states)",
+    )
+    if mism:
+        raise QuotientConstructionError(report)
 
     loc_report = check_locality(quotient)
     report.extend(loc_report, prefix="quotient-")
 
-    bundle = QuotientBundle(
-        base=loc,
-        kernel=K,
-        cosets=part.maximal,
-        rho=rho,
-        reps=qpg.reps,
-        quotient=quotient,
-        report=report,
-    )
+    bundle = QuotientBundle(base=loc, kernel=K, rho=rho, quotient=quotient, report=report)
     if not report.ok:
         raise QuotientConstructionError(report)
     _BUNDLE_CACHE.setdefault(loc, {})[K] = replace(bundle, base=None)
@@ -570,11 +564,9 @@ def _descent_failures(
     state_fixpoint.
 
     States are those of _homomorphism_failures, read from the same
-    pg.walker_table() (built once per instance on first use, within
-    STATE_FIXPOINT_CAP states) and pg.padded_products(), except that a word
-    off the base domain carries the dead code -1 and the missing value -1
-    and is still extended; a word off the quotient domain is not, since
-    none of its extensions is in it.
+    tables, except that a word off the base domain carries the dead code -1
+    and the missing value -1 and is still extended; a word off the quotient
+    domain is not, since none of its extensions is in it.
     """
     steps, rho, dims = _coset_word_steps(pg, qpg)
 
@@ -582,10 +574,9 @@ def _descent_failures(
         base, v, bar, r = steps(level, f)
         v = np.where(base >= 0, v, -1)
         live = bar >= 0
-        return (base, v, bar, r), live, live & ((base < 0) | (r < 0) | (rho[v] != rho[r]))
+        return (base, v, bar, r), live, live & ((base < 0) | (r < 0) | (rho[v] != r))
 
-    e = pg.identity
-    return state_fixpoint((0, e, 0, e), dims, letters, step)
+    return state_fixpoint((0, pg.identity, 0, qpg.identity), dims, letters, step)
 
 
 def _image_reader(rho: tuple[int, ...]):

@@ -12,8 +12,6 @@ CLOSURE_ORDERS = {
 }
 
 # landmarks
-D16_CENTER_ORDER = 2
-C2XC4_FRATTINI_ORDER = 2
 S4_NORMAL_ORDERS = [1, 4, 12, 24]
 
 # the amalgam counterexample

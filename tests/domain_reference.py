@@ -8,7 +8,9 @@ both read the walker table.  tests/test_domain_closure.py compares the two.
 - AmalgamPartialGroup: the members lie on one side;
 - CorruptedProducts: the base's verdict;
 - QuotientPartialGroup: the base's verdict on the representatives, its
-  witness read back through rho;
+  witness read back through rho.  It is the reference for quotients, which
+  now decide words by threading as a LocalityPartialGroup, their base
+  class, so it is tested first;
 - GroupPartialGroup: always true;
 - any other class: every word over the members up to length
   len(members) + 1, depth first, under a cap on the words visited.
@@ -72,6 +74,9 @@ def bounded_length_sweep(pg, members):
 
 def words_all_in_domain(pg, members):
     """(verdict, witness) as the class of pg decided it."""
+    if isinstance(pg, QuotientPartialGroup):  # before its base class, LocalityPartialGroup
+        ok, wit = words_all_in_domain(pg.base, frozenset(pg.reps[c] for c in members))
+        return ok, None if wit is None else tuple(pg.rho[x] for x in wit)
     if isinstance(pg, LocalityPartialGroup):
         return full_closure(pg.automaton.rows, pg.in_delta, sorted(members))
     if isinstance(pg, AmalgamPartialGroup):
@@ -85,9 +90,6 @@ def words_all_in_domain(pg, members):
         return False, (min(lefts), min(rights))
     if isinstance(pg, CorruptedProducts):
         return words_all_in_domain(pg.base, members)
-    if isinstance(pg, QuotientPartialGroup):
-        ok, wit = words_all_in_domain(pg.base, frozenset(pg.reps[c] for c in members))
-        return ok, None if wit is None else tuple(pg.rho[x] for x in wit)
     if isinstance(pg, GroupPartialGroup):
         return True, None
     return bounded_length_sweep(pg, members)
@@ -96,7 +98,7 @@ def words_all_in_domain(pg, members):
 def domain_is_total(pg):
     """The verdict on all elements where the class computed it; an amalgam,
     and any class without its own decider, said False."""
-    deciders = (LocalityPartialGroup, CorruptedProducts, QuotientPartialGroup, GroupPartialGroup)
+    deciders = (LocalityPartialGroup, CorruptedProducts, GroupPartialGroup)
     if isinstance(pg, deciders):
         return words_all_in_domain(pg, frozenset(pg.elements()))[0]
     return False

@@ -1,7 +1,10 @@
 """Fault injection: a partial group whose product is overridden on chosen
 words, to show that a check fails when an axiom breaks."""
 
+from dataclasses import replace
+
 from localities.partial import PartialGroup, Word
+from localities.quotient import CosetPartition
 
 
 class CorruptedProducts(PartialGroup):
@@ -39,3 +42,11 @@ def swap_two_products(base: PartialGroup, w1: Word, w2: Word) -> CorruptedProduc
     if v1 is None or v2 is None or v1 == v2:
         raise ValueError("swap needs two domain words with distinct products")
     return CorruptedProducts(base, {tuple(w1): v2, tuple(w2): v1})
+
+
+def with_representatives(part: CosetPartition, reps) -> CosetPartition:
+    """A copy of part whose maximal cosets have the bases reps, so that a
+    QuotientPartialGroup built on it reads other representatives.  The
+    kept partition is left as it is."""
+    maximal = [replace(rec, base=r) for rec, r in zip(part.maximal, reps, strict=True)]
+    return replace(part, maximal=maximal)

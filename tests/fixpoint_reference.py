@@ -1,7 +1,8 @@
 """The word-state fixpoint one state at a time, as the engine ran it
 before the level-by-level array kernel (partial.state_fixpoint), and the
-quotient word checks on it, stepping the walker by walk_step and reading
-values from product_table() rows.  The tests compare the kernel with these.
+quotient word checks on it, stepping the walkers of the base and of the
+quotient by walk_step and reading values from the base's product_table()
+rows and the quotient's raw product.  The tests compare the kernel with these.
 """
 
 import numpy as np
@@ -56,44 +57,47 @@ def per_state(step):
 
 
 def _reads(pg, qpg):
-    n = pg.size
+    """The base products, rho and the quotient's raw product as padded lists:
+    the missing value -1 reads -1."""
+    n, q = pg.size, qpg.size
     table = [row + [-1] for row in pg.product_table()] + [[-1] * (n + 1)]
-    return table, qpg.rho + (-1,), [qpg.reps[c] for c in qpg.rho]
+    raw = [row + [-1] for row in qpg._raw] + [[-1] * (q + 1)]
+    return table, qpg.rho + (-1,), raw
 
 
 def homomorphism_failures(pg, qpg):
     """quotient._homomorphism_failures on walker states and walk_step."""
-    table, rho, rep = _reads(pg, qpg)
+    table, rho, raw = _reads(pg, qpg)
 
     def step(state, f):
         base, v, bar, r = state
         base = pg.walk_step(base, f)
         if base is None:
             return None, False
-        bar = pg.walk_step(bar, rep[f])
-        v, r = table[v][f], table[r][rep[f]]
-        if bar is None or r < 0 or rho[v] != rho[r]:
+        bar = qpg.walk_step(bar, rho[f])
+        v, r = table[v][f], raw[r][rho[f]]
+        if bar is None or r < 0 or rho[v] != r:
             return None, True
         return (base, v, bar, r), False
 
-    s, e = pg.walk_start(), pg.identity
-    return state_fixpoint((s, e, s, e), pg.elements(), step)
+    start = (pg.walk_start(), pg.identity, qpg.walk_start(), qpg.identity)
+    return state_fixpoint(start, pg.elements(), step)
 
 
 def descent_failures(pg, qpg, letters):
     """quotient._descent_failures on walker states and walk_step."""
-    table, rho, rep = _reads(pg, qpg)
+    table, rho, raw = _reads(pg, qpg)
 
     def step(state, f):
         base, v, bar, r = state
-        bar = pg.walk_step(bar, rep[f])
+        bar = qpg.walk_step(bar, rho[f])
         if bar is None:
             return None, False
         if base is not None:
             base = pg.walk_step(base, f)
         v = -1 if base is None else table[v][f]
-        r = table[r][rep[f]]
-        return (base, v, bar, r), base is None or r < 0 or rho[v] != rho[r]
+        r = raw[r][rho[f]]
+        return (base, v, bar, r), base is None or r < 0 or rho[v] != r
 
-    s, e = pg.walk_start(), pg.identity
-    return state_fixpoint((s, e, s, e), letters, step)
+    start = (pg.walk_start(), pg.identity, qpg.walk_start(), qpg.identity)
+    return state_fixpoint(start, letters, step)

@@ -105,21 +105,6 @@ def o_all_subgroups(G: OGroup):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def o_center(G: OGroup):
-    return frozenset(
-        g for g in range(G.n) if all(G.mult[g][x] == G.mult[x][g] for x in range(G.n))
-    )
-
-
-def o_frattini(G: OGroup):
-    subs = [s for s in o_all_subgroups(G) if len(s) < G.n]
-    maximal = [s for s in subs if not any(s < t for t in subs)]
-    out = frozenset(range(G.n))
-    for m in maximal:
-        out &= m
-    return out
-
-
 def o_normal_subgroups(G: OGroup):
     return [
         s

@@ -13,6 +13,7 @@ states and on S6.
 import pytest
 
 import fixpoint_reference as reference
+from fault_injection import with_representatives
 from localities import partial
 from localities.groups import generate_group, sylow_p
 from localities.locality import delta_min_order, locality_from_group
@@ -46,9 +47,17 @@ def assert_both_checks_match(loc, qpg, up_max):
     return hom, descent
 
 
-def _quotient(loc, K):
+def _quotient(loc, K, reps=None):
+    """The quotient by K, its representatives replaced by reps when given,
+    with the flags of the maximal letters."""
     part = coset_partition(loc, K)
-    return QuotientPartialGroup(loc.pg, part, loc.p), part.up_max
+    if reps is not None:
+        part = with_representatives(part, reps)
+    return QuotientPartialGroup(loc, part), part.up_max
+
+
+def _genuine_reps(loc, K):
+    return tuple(rec.base for rec in coset_partition(loc, K).maximal)
 
 
 def test_the_kernels_are_all_18_partial_normals(request):
@@ -77,17 +86,16 @@ def test_kernel_matches_the_reference_on_corrupted_quotients(s5f, s4f):
     """LOC-S5 / N5 with the identity coset represented by 26, and GRP-S4 /
     V4 with coset 1 represented by the identity (test_hom_sweep.py and
     test_quotient_tables.py)."""
-    loc = s5f.loc
-    qpg, up_max = _quotient(loc, s5f.subsets["N5"])
-    qpg.reps = (26,) + qpg.reps[1:]
+    loc, K = s5f.loc, s5f.subsets["N5"]
+    qpg, up_max = _quotient(loc, K, (26,) + _genuine_reps(loc, K)[1:])
     (states, words), _ = assert_both_checks_match(loc, qpg, up_max)
-    assert (states, len(words)) == (416, 1344)
+    assert (states, len(words)) == (112, 256)
 
-    loc = s4f.loc
-    qpg, up_max = _quotient(loc, s4f.subsets["V4"])
-    qpg.reps = (qpg.reps[0], loc.identity) + qpg.reps[2:]
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    reps = _genuine_reps(loc, K)
+    qpg, up_max = _quotient(loc, K, (reps[0], loc.identity) + reps[2:])
     _, (states, words) = assert_both_checks_match(loc, qpg, up_max)
-    assert (states, len(words)) == (152, 2976)
+    assert (states, len(words)) == (153, 2980)
 
 
 def test_kernel_matches_the_reference_where_base_words_leave_the_domain(s5f):
@@ -96,10 +104,9 @@ def test_kernel_matches_the_reference_where_base_words_leave_the_domain(s5f):
     check goes on extending base words that have left the domain, which
     carry the dead code and the missing value."""
     loc = s5f.loc
-    qpg, up_max = _quotient(loc, {loc.identity})
-    qpg.reps = (loc.identity,) * qpg.size
+    qpg, up_max = _quotient(loc, {loc.identity}, (loc.identity,) * loc.size)
     _, (states, words) = assert_both_checks_match(loc, qpg, up_max)
-    assert (states, len(words)) == (81, 4456)
+    assert (states, len(words)) == (82, 4511)
     assert sum(not loc.pg.in_domain(w) for w in words) == 2360
 
 
@@ -109,14 +116,12 @@ def test_kernel_matches_the_reference_in_smaller_blocks(s5f, monkeypatch, pairs)
     (state, letter) pairs to a step, LOC-S5's 56 letters take one or three
     states per step."""
     monkeypatch.setattr(partial, "_FIXPOINT_BLOCK", pairs)
-    loc = s5f.loc
-    qpg, up_max = _quotient(loc, s5f.subsets["N5"])
-    qpg.reps = (26,) + qpg.reps[1:]
+    loc, K = s5f.loc, s5f.subsets["N5"]
+    qpg, up_max = _quotient(loc, K, (26,) + _genuine_reps(loc, K)[1:])
     (states, words), _ = assert_both_checks_match(loc, qpg, up_max)
-    assert (states, len(words)) == (416, 1344)
-    qpg, up_max = _quotient(loc, {loc.identity})
-    qpg.reps = (loc.identity,) * qpg.size
-    assert assert_both_checks_match(loc, qpg, up_max)[1][0] == 81
+    assert (states, len(words)) == (112, 256)
+    qpg, up_max = _quotient(loc, {loc.identity}, (loc.identity,) * loc.size)
+    assert assert_both_checks_match(loc, qpg, up_max)[1][0] == 82
 
 
 def _is_even(perm):

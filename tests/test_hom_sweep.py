@@ -19,6 +19,8 @@ from localities.quotient import (
     coset_partition,
 )
 
+from fault_injection import with_representatives
+
 
 def per_word_hom_sweep(loc, qpg, rho, hom_len=3):
     mism = []
@@ -61,7 +63,7 @@ def _hom_record(loc, K):
 def _assert_matches_reference(loc, K):
     rec = _hom_record(loc, K)
     part = coset_partition(loc, K)
-    qpg = QuotientPartialGroup(loc.pg, part, loc.p)
+    qpg = QuotientPartialGroup(loc, part)
     mism = per_word_hom_sweep(loc, qpg, part.coset_of)
     assert rec.status == ("pass" if not mism else "fail")
     assert all(fails_per_word(loc, qpg, w) for w in rec.witnesses)
@@ -107,8 +109,8 @@ def test_sweep_matches_per_word_reference(request, fixture, kernel):
 
 
 def test_sweep_matches_per_word_reference_on_a_quotient_base(s5f):
-    """A base whose pg is a QuotientPartialGroup, not a LocalityPartialGroup:
-    its walker states are those of the LOC-S5 automaton it delegates to."""
+    """A base whose pg is a QuotientPartialGroup: its tables are gathered
+    from LOC-S5's, and its walker is its own threading automaton."""
     base = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
     assert isinstance(base.pg, QuotientPartialGroup)
     for K in (h.members for h in partial_normals(base)):
@@ -118,9 +120,10 @@ def test_sweep_matches_per_word_reference_on_a_quotient_base(s5f):
 
 def _mutated(loc, K, coset, rep):
     """The quotient by K with the representative of one coset replaced."""
-    qpg = QuotientPartialGroup(loc.pg, coset_partition(loc, K), loc.p)
-    qpg.reps = qpg.reps[:coset] + (rep,) + qpg.reps[coset + 1:]
-    return qpg
+    part = coset_partition(loc, K)
+    reps = [rec.base for rec in part.maximal]
+    reps[coset] = rep
+    return QuotientPartialGroup(loc, with_representatives(part, reps))
 
 
 def test_sweep_finds_a_corrupted_coset_product(s5f, monkeypatch):
@@ -130,15 +133,14 @@ def test_sweep_finds_a_corrupted_coset_product(s5f, monkeypatch):
     assert 26 in K
     qpg = _mutated(loc, K, 0, 26)
     states, words = _homomorphism_failures(loc.pg, qpg)
-    assert (states, len(words)) == (416, 1344)
+    assert (states, len(words)) == (112, 256)
     assert words == sorted(words, key=lambda w: (len(w), w))
     assert all(fails_per_word(loc, qpg, w) for w in words)
     assert per_word_hom_sweep(loc, qpg, qpg.rho)
 
     class Mutated(QuotientPartialGroup):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.reps = qpg.reps
+        def __init__(self, base, part):
+            super().__init__(base, with_representatives(part, qpg.reps))
 
     monkeypatch.setattr(quotient, "QuotientPartialGroup", Mutated)
     rec = _hom_record(loc, K)

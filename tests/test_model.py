@@ -1,10 +1,48 @@
-"""The model layer's parser on plocality sections that must be refused."""
+"""The model layer: emitted quotients read back with the tables they were
+written from, and plocality sections that must be refused."""
 
 import pytest
 
 from localities.corpus import locality_s4
 from localities.model import ModelError, emit_quotient, parse_model
+from localities.normal import partial_normals
+from localities.partial import check_axioms
 from localities.quotient import build_quotient
+
+import _frozen as frozen
+
+FIXTURES = [
+    ("s4f", frozen.S4_PN_ORDERS),
+    ("c2s4f", frozen.C2XS4_PN_ORDERS),
+    ("s5f", frozen.S5_PN_ORDERS),
+]
+# every partial normal subgroup of the three localities, 18 in all
+KERNELS = [(name, i) for name, orders in FIXTURES for i in range(len(orders))]
+KERNEL_IDS = [f"{name}-{orders[i]}-{i}" for name, orders in FIXTURES for i in range(len(orders))]
+
+
+@pytest.mark.parametrize("fixture,index", KERNELS, ids=KERNEL_IDS)
+def test_an_emitted_quotient_reads_back_with_its_tables(request, tmp_path, fixture, index):
+    loc = request.getfixturevalue(fixture).loc
+    bundle = build_quotient(loc, partial_normals(loc)[index].members)
+    path = tmp_path / "q.model"
+    path.write_text(emit_quotient(bundle, name="q"))
+    back, qloc = parse_model(path).localities["q"], bundle.quotient
+    assert back.pg.product_table() == qloc.pg.product_table()
+    assert back.pg.conj_table() == qloc.pg.conj_table()
+    assert (back.sylow, back.delta.members) == (qloc.sylow, qloc.delta.members)
+
+
+def test_a_partial_quotient_passes_the_state_searches(s5f):
+    """LOC-S5 by its trivial kernel has a partial domain and no ambient
+    group: check_axioms searches its tables for every word length."""
+    qpg = build_quotient(s5f.loc, {s5f.loc.identity}).quotient.pg
+    assert not qpg.domain_is_total
+    report = check_axioms(qpg, 4)
+    assert report.ok
+    assert report.notes[0].startswith(
+        "route: state searches over the automaton and raw product tables, every word length"
+    )
 
 
 def test_a_repeated_sylow_id_is_refused_naming_it(tmp_path):

@@ -325,7 +325,7 @@ def bfs_domain_is_total(qpg):
 
 def test_trivial_kernel_quotient_domain_is_partial(s5f):
     loc = s5f.loc
-    qpg = QuotientPartialGroup(loc.pg, coset_partition(loc, {loc.identity}), 2)
+    qpg = QuotientPartialGroup(loc, coset_partition(loc, {loc.identity}))
     assert qpg.size == 56
     assert bfs_domain_is_total(qpg) is False
     assert qpg.domain_is_total is False

@@ -1,0 +1,154 @@
+"""Negative controls for the checks build_quotient records itself.
+
+Each entry of CONTROLS is a stated tampering of GRP-S4 or LOC-S5's
+quotient: its coset partition, its representatives or its gathered
+tables.  Each must fail its own check by name in the report, so the check
+is shown to be able to fail; other checks may fail with it, and each
+entry lists every check its tampering fails.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from localities import quotient
+from localities.locality import check_locality
+from localities.quotient import QuotientConstructionError, QuotientPartialGroup, build_quotient
+
+from fault_injection import with_representatives
+
+
+def _report(loc, K):
+    try:
+        return build_quotient(loc, K).report
+    except QuotientConstructionError as exc:
+        return exc.report
+
+
+def _statuses(report):
+    return {c.name: c.status for c in report.checks}
+
+
+def _with_reps(monkeypatch, change):
+    """build_quotient with the representatives that change(reps) leaves."""
+
+    class Tampered(QuotientPartialGroup):
+        def __init__(self, base, part):
+            reps = [rec.base for rec in part.maximal]
+            change(base, part, reps)
+            super().__init__(base, with_representatives(part, reps))
+
+    monkeypatch.setattr(quotient, "QuotientPartialGroup", Tampered)
+
+
+def stray_element_in_the_identity_coset(monkeypatch, s4f, s5f):
+    """GRP-S4 / V4, its partition mapping the least element outside V4 to
+    the identity coset."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    real = quotient.coset_partition
+
+    def patched(loc, K):
+        part = real(loc, K)
+        coset_of = list(part.coset_of)
+        coset_of[min(set(loc.elements()) - K)] = coset_of[loc.identity]
+        return replace(part, coset_of=tuple(coset_of))
+
+    monkeypatch.setattr(quotient, "coset_partition", patched)
+    return loc, K
+
+
+def a_coset_no_element_maps_to(monkeypatch, s4f, s5f):
+    """GRP-S4 / V4, its partition given a last coset that copies coset 1
+    and that rho never reaches.  The inverse of that coset is read from its
+    representative, which lies in coset 1, so inverting twice leads to
+    coset 1.  On the cosets rho reaches, inversion-homomorphism implies
+    the involution, so only a coset outside the image can fail it alone."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    real = quotient.coset_partition
+
+    def patched(loc, K):
+        part = real(loc, K)
+        return replace(part, maximal=part.maximal + [part.maximal[1]])
+
+    monkeypatch.setattr(quotient, "coset_partition", patched)
+    return loc, K
+
+
+def representative_from_another_coset(monkeypatch, s4f, s5f):
+    """GRP-S4 / V4 with coset 1 represented by the representative of coset
+    2: the inverse of coset 1 is read from a member of another coset."""
+
+    def change(base, part, reps):
+        reps[1] = reps[2]
+
+    _with_reps(monkeypatch, change)
+    return s4f.loc, s4f.subsets["V4"]
+
+
+def kernel_member_for_the_identity_coset(monkeypatch, s4f, s5f):
+    """LOC-S5 / N5 with the identity coset represented by 26, another member
+    of N5 (tests/test_hom_sweep.py)."""
+
+    def change(base, part, reps):
+        reps[0] = 26
+
+    _with_reps(monkeypatch, change)
+    return s5f.loc, s5f.subsets["N5"]
+
+
+def trivial_subgroup_added_to_delta(monkeypatch, s4f, s5f):
+    """LOC-S5 / 1 with the trivial subgroup added to the quotient's Delta:
+    every word is then in the quotient domain, including words of
+    representatives off the base domain.  The base domain words keep their
+    images, so only the lift sees it."""
+
+    class Widened(QuotientPartialGroup):
+        def __init__(self, base, part):
+            super().__init__(base, part)
+            self.delta_sets = self.delta_sets | {frozenset({self.identity})}
+            self.in_delta = [P in self.delta_sets for P in self.automaton.start_sets]
+
+    monkeypatch.setattr(quotient, "QuotientPartialGroup", Widened)
+    return s5f.loc, frozenset({s5f.loc.identity})
+
+
+# check name -> (tampering, the checks it fails, in report order)
+CONTROLS = {
+    "kernel-of-rho": (
+        stray_element_in_the_identity_coset,
+        ["kernel-of-rho", "inversion-homomorphism", "quotient-inversion-involutory",
+         "product-homomorphism", "representative-lift"],
+    ),
+    "inversion-homomorphism": (
+        representative_from_another_coset,
+        ["inversion-homomorphism", "quotient-inversion-involutory", "product-homomorphism",
+         "representative-lift"],
+    ),
+    "quotient-inversion-involutory": (a_coset_no_element_maps_to, ["quotient-inversion-involutory"]),
+    "product-homomorphism": (
+        kernel_member_for_the_identity_coset,
+        ["product-homomorphism", "representative-lift"],
+    ),
+    "representative-lift": (trivial_subgroup_added_to_delta, ["representative-lift"]),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTROLS))
+def test_each_check_fails_on_its_tampering(monkeypatch, s4f, s5f, name):
+    tamper, failing = CONTROLS[name]
+    loc, K = tamper(monkeypatch, s4f, s5f)
+    report = _report(loc, K)
+    assert _statuses(report)[name] == "fail"
+    assert [c.name for c in report.failures()] == failing
+
+
+def test_every_check_of_build_quotient_has_a_control(s4f):
+    """The report is the partition's checks, build_quotient's own, then
+    check_locality's on the quotient with a prefix; each of its own has an
+    entry in CONTROLS."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    bundle = build_quotient(loc, K)
+    names = [c.name for c in bundle.report.checks]
+    partition = [c.name for c in quotient.coset_partition(loc, K).report.checks]
+    axioms = ["quotient-" + c.name for c in check_locality(bundle.quotient).checks]
+    assert names == partition + list(CONTROLS) + axioms

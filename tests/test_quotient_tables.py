@@ -32,6 +32,7 @@ from localities.quotient import (
 
 import _frozen as frozen
 import fixpoint_reference as reference
+from fault_injection import with_representatives
 
 FIXTURES = [
     ("s4f", frozen.S4_PN_ORDERS),
@@ -128,12 +129,13 @@ def test_descent_sweep_finds_a_corrupted_coset_product(s4f):
     both sweeps read the representatives, and both fail."""
     loc, K = s4f.loc, s4f.subsets["V4"]
     part = coset_partition(loc, K)
-    qpg = QuotientPartialGroup(loc.pg, part, loc.p)
-    assert qpg.rho[loc.identity] != 1
-    qpg.reps = (qpg.reps[0], loc.identity) + qpg.reps[2:]
+    reps = [rec.base for rec in part.maximal]
+    assert part.coset_of[loc.identity] != 1
+    reps[1] = loc.identity
+    qpg = QuotientPartialGroup(loc, with_representatives(part, reps))
     max_elements = [f for f in loc.elements() if part.up_max[f]]
     states, got = _descent_failures(loc.pg, qpg, max_elements)
-    assert (states, len(got)) == (152, 2976)
+    assert (states, len(got)) == (153, 2980)
     assert got[0] == (1,)
     assert got == sorted(got, key=lambda w: (len(w), w))
     assert all(fails_descent(loc.pg, qpg, w) for w in got)
