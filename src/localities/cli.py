@@ -33,7 +33,7 @@ class InputError(ValueError):
 class CatalogEntry:
     name: str
     kind: str  # "amalgam" | "locality"
-    obj: object
+    obj: object  # an AmalgamPartialGroup or a Locality
     subsets: dict[str, frozenset[int]]
 
 
@@ -84,7 +84,7 @@ class Catalog:
 def _entry_from_builtin(name: str) -> CatalogEntry:
     fixture = corpus_mod.get_builtin(name)
     if isinstance(fixture, corpus_mod.AmalgamFixture):
-        return CatalogEntry(fixture.name, "amalgam", fixture, dict(fixture.subsets))
+        return CatalogEntry(fixture.name, "amalgam", fixture.pg, dict(fixture.subsets))
     return CatalogEntry(fixture.name, "locality", fixture.loc, dict(fixture.subsets))
 
 
@@ -146,9 +146,7 @@ def load_catalog(args) -> Catalog:
 
 
 def _pg_of(entry: CatalogEntry) -> PartialGroup:
-    if entry.kind == "amalgam":
-        return entry.obj.pg if hasattr(entry.obj, "pg") else entry.obj
-    return entry.obj.pg
+    return entry.obj if entry.kind == "amalgam" else entry.obj.pg
 
 
 def cmd_pg_check(args, catalog: Catalog) -> VerificationReport:
@@ -166,9 +164,15 @@ def cmd_pg_check(args, catalog: Catalog) -> VerificationReport:
 
 
 def _as_locality(entry: CatalogEntry) -> Locality:
+    """The locality itself, or the builtin amalgam's stated locality
+    candidate; no other amalgam states one."""
     if entry.kind == "locality":
         return entry.obj
-    return entry.obj.as_locality()
+    builtin = corpus_mod.amalgam_counterexample()
+    if entry.obj is not builtin.pg:
+        raise InputError(f"amalgam {entry.name!r} states no locality candidate;"
+                         f" only the builtin {builtin.name} does")
+    return builtin.as_locality()
 
 
 def cmd_loc_check(args, catalog: Catalog) -> VerificationReport:
@@ -281,15 +285,10 @@ def cmd_lemmas(args, catalog: Catalog) -> VerificationReport:
 
 
 def cmd_counterexample(args, catalog: Catalog) -> VerificationReport:
-    entry = catalog.pick(args.locality)
-    if entry.kind != "amalgam":
-        raise InputError("the counterexample command runs on the amalgam builtin")
-    fixture: corpus_mod.AmalgamFixture = entry.obj
-    pg = fixture.pg
+    entry = catalog.pick(args.locality, kind="amalgam")
+    pg = entry.obj
     rep = VerificationReport(f"counterexample {entry.name}")
-    M = fixture.subsets["M"]
-    N = fixture.subsets["N"]
-    G1 = fixture.subsets["G1"]
+    M, N, G1 = (catalog.subset(entry, name) for name in ("M", "N", "G1"))
     hm = classify_subset(pg, M)
     hn = classify_subset(pg, N)
     rep.record("m-partial-normal", hm.is_partial_normal, [],

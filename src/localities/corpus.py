@@ -128,9 +128,8 @@ def locality_s4() -> LocalityFixture:
     )
     delta = delta_close(S, [SubgroupRef(M, v4)], M)
     loc = locality_from_group(M, 2, delta)
-    a4 = frozenset(
-        g for g in M.elements() if _perm_sign(M.perms[g]) == 1
-    )
+    # A4, generated by (1 2 3) and (2 3 4)
+    a4 = closure_members(M, [M.index_of_perm((1, 2, 0, 3)), M.index_of_perm((0, 2, 3, 1))])
     subsets = {
         "1": frozenset({loc.identity}),
         "V4": _loc_subset(loc, v4),
@@ -139,24 +138,6 @@ def locality_s4() -> LocalityFixture:
         "L": frozenset(loc.elements()),
     }
     return LocalityFixture(name="GRP-S4", loc=loc, group=M, subsets=subsets)
-
-
-def _perm_sign(p) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = p[i]
-        length = 1
-        seen[i] = True
-        while j != i:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,7 @@ from .groups import (
 )
 from .partial import (
     PartialGroup,
+    TablePartialGroup,
     Word,
     _is_prime_power,
     closure_twins,
@@ -239,8 +240,11 @@ def _generated(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-class LocalityPartialGroup(PartialGroup):
-    """Partial group whose domain is decided by the threading subgroup.
+class LocalityPartialGroup(TablePartialGroup):
+    """Partial group whose domain is decided by the threading subgroup: the
+    table backend over the rows of a ThreadAutomaton, whose accept mask is
+    in_delta (in_delta[sid]: whether the threading subgroup of state sid is
+    in Delta).
 
     raw[a][b] is the underlying product of a and b, -1 where it is
     undefined; multiplying such a pair raises raw_missing(a, b).
@@ -262,73 +266,22 @@ class LocalityPartialGroup(PartialGroup):
         conj_maps: np.ndarray,
         ambient: tuple[FiniteGroup, tuple[int, ...]] | None = None,
     ):
-        self.size = size
-        self.identity = identity
-        self._inv = inv
-        self.labels = labels
-        self._raw = raw
-        self._raw_missing = raw_missing
         self.p = p
         self.s_elems = s_elems
         self.delta_sets = delta_sets
         self.automaton = ThreadAutomaton(s_elems, conj_maps)
-        # in_delta[sid]: whether the threading subgroup of state sid is in Delta
-        self.in_delta = [starts in delta_sets for starts in self.automaton.start_sets]
+        in_delta = [starts in delta_sets for starts in self.automaton.start_sets]
+        super().__init__(size, identity, labels, inv, raw, self.automaton.rows, in_delta,
+                         raw_missing)
         # (M, to_ambient) when L was cut from a group M (locality_from_group):
         # local id i is M's element to_ambient[i]; read by certify_ambient
         self.ambient = ambient
 
-    def inverse(self, x: int) -> int:
-        return self._inv[x]
-
-    def in_domain(self, word: Word) -> bool:
-        return self.in_delta[self.automaton.walk(word)]
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        v = self._raw[a][b]
-        if v < 0:
-            raise self._raw_missing(a, b)
-        return v
-
-    def _raw_product(self, word: Word) -> int:
-        out = self.identity
-        for x in word:
-            out = self._mul_raw(out, x)
-        return out
-
-    def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(trans, in_delta, raw) as arrays for the axiom searches: the
-        automaton's transitions over every reachable state, the Delta mask
-        of its states and the raw product with -1 where it is undefined."""
-        in_delta = np.array(self.in_delta, dtype=bool)
-        return self.automaton.array, in_delta, np.array(self._raw, dtype=np.int32)
-
-    def product_table(self) -> list[list[int]]:
-        """The base class table, filled from the domain and the raw product:
-        (a, b) is in the domain when the state rows[rows[0][a]][b] is in
-        Delta, read for every pair in one gather.  A pair in the domain
-        with no raw product raises raw_missing, the first such pair in
-        row-major order."""
-        if self._product_table is None:
-            array = self.automaton.array
-            domain = np.array(self.in_delta, dtype=bool)[array[array[0]]]
-            raw = np.array(self._raw, dtype=np.int64)
-            missing = np.argwhere(domain & (raw < 0))
-            if len(missing):
-                raise self._raw_missing(*(int(i) for i in missing[0]))
-            self._product_table = np.where(domain, raw, -1).tolist()
-        return self._product_table
-
-    def mul2(self, a: int, b: int) -> int | None:
-        v = self.product_table()[a][b]
-        return None if v < 0 else v
-
-    def walk_start(self):
-        return 0
-
-    def walk_step(self, state: int, x: int):
-        nid = self.automaton.rows[state][x]
-        return nid if self.in_delta[nid] else None
+    # the accept mask under its locality name: one attribute, rebound or changed in place
+    in_delta = property(lambda self: self.accept, lambda self, mask: setattr(self, "accept", mask))
+    # class entries that perfbench/tracing.py counts
+    in_domain = TablePartialGroup.in_domain
+    mul2 = TablePartialGroup.mul2
 
     def _vector_components(self):
         return total_group_component(self)

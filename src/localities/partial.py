@@ -42,7 +42,12 @@ class PartialGroup:
     """Base interface: indexed elements, inversion, and a partial product.
 
     Subclasses fix the domain decision and the product; pi() returns a value
-    exactly on the words the domain decider accepts.
+    exactly on the words the domain decider accepts.  Every partial group
+    the package builds is a TablePartialGroup, which gathers its product
+    and conjugation tables from its automaton and raw product.  The
+    per-pair builders here serve backends that override products word by
+    word (a test's CorruptedProducts), and are the references the gathers
+    are tested against.
     """
 
     size: int
@@ -77,8 +82,9 @@ class PartialGroup:
     def product_table(self) -> list[list[int]]:
         """Binary products: row a holds mul2(a, b) at b, or -1 off the domain.
 
-        Built from mul2 on first use and kept on the instance, so overridden
-        products (a test's product overrides) are what the closures see.
+        Built from mul2, one call per pair, on first use and kept on the
+        instance, so overridden products (a test's product overrides) are
+        what the closures see.
         It holds size**2 Python ints (3,136 for a 56-element locality) for
         the life of the partial group.  It is per-instance, never a cache
         keyed by id(), because ids are reused once an object is collected.
@@ -104,9 +110,9 @@ class PartialGroup:
         """Conjugates: row x holds x^f = pi((f^-1, x, f)) at f, or -1 off
         the domain.
 
-        Built from pi on first use and kept on the instance, as
-        product_table() is, so overridden products (a test's product
-        overrides) are what every conjugation reads.
+        Built from pi, one call per pair, on first use and kept on the
+        instance, as product_table() is, so overridden products (a test's
+        product overrides) are what every conjugation reads.
         """
         if self._conj_table is None:
             n = range(self.size)
@@ -223,35 +229,114 @@ def intern_states(start, step: Callable, letters: int, what: str) -> tuple[list,
 
 
 # ---------------------------------------------------------------------------
-# concrete backends
+# the table backend
 
 
-class GroupPartialGroup(PartialGroup):
-    """A finite group viewed as a partial group with a total domain."""
+def _no_raw_entry(a: int, b: int) -> ValueError:
+    return ValueError(f"the raw product table has no entry for ({a},{b})")
 
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.size = group.order
-        self.identity = group.identity
-        self.labels = group.labels
+
+class TablePartialGroup(PartialGroup):
+    """A partial group held as tables, as every one the package builds is
+    (groups, amalgams and table localities, quotients among them).
+
+    _inv[x] is the inverse of x.  _raw[a][b] is the raw product, -1 where
+    it is undefined; a domain word whose fold meets such a pair raises
+    raw_missing(a, b).  trans is a domain automaton (Epstein et al., Word
+    Processing in Groups, 1992): trans[s][x] is the state x takes s to,
+    never -1, from state 0 for the empty word, and accept[s] says whether
+    the words reaching s are in the domain.  A domain word's product is its
+    left fold over _raw from the identity.  The tables are read where they
+    are used, as they stand then (the product, conjugation and walker
+    tables once, on first use), never copied at construction.
+    """
+
+    def __init__(self, size: int, identity: int, labels: tuple[str, ...], inv: Sequence[int],
+                 raw: list[list[int]], trans: list[list[int]], accept: list[bool],
+                 raw_missing: Callable[[int, int], Exception] = _no_raw_entry):
+        self.size, self.identity, self.labels = size, identity, labels
+        self._inv, self._raw, self._raw_missing = inv, raw, raw_missing
+        self.trans, self.accept = trans, accept
 
     def inverse(self, x: int) -> int:
-        return self.group.inv[x]
+        return self._inv[x]
 
     def in_domain(self, word: Word) -> bool:
-        return True
+        state, trans = 0, self.trans
+        for x in word:
+            state = trans[state][x]
+        return self.accept[state]
+
+    def _mul_raw(self, a: int, b: int) -> int:
+        v = self._raw[a][b]
+        if v < 0:
+            raise self._raw_missing(a, b)
+        return v
 
     def _raw_product(self, word: Word) -> int:
-        return self.group.fold(word)
+        out = self.identity
+        for x in word:
+            out = self._mul_raw(out, x)
+        return out
 
-    def mul2(self, a: int, b: int) -> int:
-        return self.group.mul(a, b)
+    def mul2(self, a: int, b: int) -> int | None:
+        v = self.product_table()[a][b]
+        return None if v < 0 else v
 
     def walk_start(self):
         return 0
 
-    def walk_step(self, state, x: int):
-        return 0
+    def walk_step(self, state: int, x: int):
+        nxt = self.trans[state][x]
+        return nxt if self.accept[nxt] else None
+
+    def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(trans, accept, raw) as arrays for the axiom searches."""
+        return np.array(self.trans), np.array(self.accept, dtype=bool), np.array(self._raw)
+
+    def _gather(self, *letters: np.ndarray) -> list[list[int]]:
+        """pi of the words letters[0] letters[1] ..., the letter arrays
+        broadcast to one table: a walk over trans and a fold over _raw, one
+        gather per letter, -1 off the domain.  A domain word whose fold
+        meets a missing raw product raises as pi does: the first such word
+        in row-major order, at its first missing pair."""
+        trans = np.array(self.trans, dtype=np.int64)
+        raw = np.pad(np.array(self._raw, dtype=np.int64), (0, 1), constant_values=-1)
+        state, value = 0, self.identity  # a missing value -1 reads -1 from then on
+        for x in letters:
+            state, value = trans[state, x], raw[value, x]
+        domain = np.array(self.accept, dtype=bool)[state]
+        missing = np.argwhere(domain & (value < 0))
+        if len(missing):  # the scalar fold of the first such word raises
+            at = tuple(missing[0])
+            self._raw_product(tuple(int(np.broadcast_to(x, value.shape)[at]) for x in letters))
+        return np.where(domain, value, -1).tolist()
+
+    def product_table(self) -> list[list[int]]:
+        """The base class table, pi((a, b)) in one gather over every pair."""
+        if self._product_table is None:
+            n = np.arange(self.size)
+            self._product_table = self._gather(n[:, None], n)
+        return self._product_table
+
+    def conj_table(self) -> list[list[int]]:
+        """The base class table, pi((f^-1, x, f)) in one gather over every
+        x (row) and f (column)."""
+        if self._conj_table is None:
+            n = np.arange(self.size)
+            self._conj_table = self._gather(np.array(self._inv, dtype=np.int64), n[:, None], n)
+        return self._conj_table
+
+
+class GroupPartialGroup(TablePartialGroup):
+    """A finite group viewed as a partial group with a total domain: one
+    accepting state over the group's table."""
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        n = group.order
+        super().__init__(n, group.identity, group.labels, group.inv, group.mult.tolist(),
+                         [[0] * n], [True])
 
     def _vector_components(self):
         return [(tuple(self.elements()), self.group)]
@@ -282,9 +367,9 @@ class AmalgamSpec:
     pairing: dict[int, int]
 
 
-def _validate_pairing(spec: AmalgamSpec) -> tuple[SubgroupRef, SubgroupRef]:
+def _validate_pairing(spec: AmalgamSpec) -> None:
     try:
-        shared_left = SubgroupRef(spec.left, spec.pairing.keys())
+        SubgroupRef(spec.left, spec.pairing.keys())
         shared_right = SubgroupRef(spec.right, spec.pairing.values())
     except ValueError as exc:
         raise AmalgamSpecError(f"identified sets are not subgroups: {exc}") from exc
@@ -300,96 +385,50 @@ def _validate_pairing(spec: AmalgamSpec) -> tuple[SubgroupRef, SubgroupRef]:
                 raise AmalgamSpecError(
                     f"identification is not a homomorphism at ({a},{b})"
                 )
-    return shared_left, shared_right
 
 
-class AmalgamPartialGroup(PartialGroup):
-    """Union of two groups; a word is multipliable iff it stays on one side."""
+class AmalgamPartialGroup(TablePartialGroup):
+    """Union of two groups; a word is multipliable iff it stays on one side.
+
+    The left group keeps its ids and the right group's ids outside the
+    shared subgroup follow.  The raw product is glued from the two tables;
+    the automaton's four states are both sides, left, right and dead.
+    """
 
     SIDE_LEFT = 1
     SIDE_RIGHT = 2
 
     def __init__(self, spec: AmalgamSpec):
-        shared_left, shared_right = _validate_pairing(spec)
-        left, right = spec.left, spec.right
+        _validate_pairing(spec)
+        left, right, n = spec.left, spec.right, spec.left.order
         if spec.pairing[left.identity] != right.identity:
             raise AmalgamSpecError("identification must match identities")
         self.spec = spec
-        self.shared_left = shared_left
-        self.shared_right = shared_right
-        self.degenerate = (
-            shared_left.order == left.order or shared_right.order == right.order
+        self.degenerate = len(spec.pairing) in (n, right.order)
+        from_right = np.full(right.order, -1)
+        from_right[list(spec.pairing.values())] = list(spec.pairing)
+        own = np.flatnonzero(from_right < 0)  # right ids outside the shared subgroup
+        from_right[own] = n + np.arange(len(own))
+        size = n + len(own)
+        side_mask = np.zeros(size, dtype=np.int64)
+        side_mask[:n] = self.SIDE_LEFT
+        side_mask[from_right] |= self.SIDE_RIGHT
+        raw, inv = np.full((size, size), -1), np.zeros(size, dtype=np.int64)
+        raw[:n, :n], inv[:n] = left.mult, left.inv
+        raw[np.ix_(from_right, from_right)] = from_right[right.mult]
+        inv[from_right] = from_right[list(right.inv)]
+        state = np.array([3, 1, 2, 0])  # the state of each side mask, and the mask of each state
+        super().__init__(
+            size, left.identity, tuple(left.labels) + tuple("r." + right.labels[j] for j in own),
+            tuple(inv.tolist()), raw.tolist(), state[state[:, None] & side_mask].tolist(),
+            [True, True, True, False],
         )
-
-        right_to_left = {r: l for l, r in spec.pairing.items()}
-        size = left.order + right.order - len(spec.pairing)
-        to_left: list[int | None] = [None] * size
-        to_right: list[int | None] = [None] * size
-        from_left = list(range(left.order))
-        from_right: list[int] = [-1] * right.order
-        labels: list[str] = list(left.labels)
-        for i in range(left.order):
-            to_left[i] = i
-        nxt = left.order
-        for j in range(right.order):
-            if j in right_to_left:
-                pid = right_to_left[j]
-            else:
-                pid = nxt
-                labels.append("r." + right.labels[j])
-                nxt += 1
-            from_right[j] = pid
-            to_right[pid] = j
-
-        self.size = size
-        self.identity = left.identity
-        self.labels = tuple(labels)
-        self.to_left = tuple(to_left)
-        self.to_right = tuple(to_right)
-        self.from_left = tuple(from_left)
-        self.from_right = tuple(from_right)
-        mask = []
-        for i in range(size):
-            m = 0
-            if to_left[i] is not None:
-                m |= self.SIDE_LEFT
-            if to_right[i] is not None:
-                m |= self.SIDE_RIGHT
-            mask.append(m)
-        self.side_mask = tuple(mask)
-
-    def inverse(self, x: int) -> int:
-        if self.to_left[x] is not None:
-            return self.from_left[self.spec.left.inv[self.to_left[x]]]
-        return self.from_right[self.spec.right.inv[self.to_right[x]]]
-
-    def word_mask(self, word: Word) -> int:
-        m = self.SIDE_LEFT | self.SIDE_RIGHT
-        for x in word:
-            m &= self.side_mask[x]
-            if not m:
-                return 0
-        return m
-
-    def in_domain(self, word: Word) -> bool:
-        return self.word_mask(word) != 0
-
-    def _raw_product(self, word: Word) -> int:
-        if self.word_mask(word) & self.SIDE_LEFT:
-            return self.from_left[self.spec.left.fold(self.to_left[x] for x in word)]
-        return self.from_right[self.spec.right.fold(self.to_right[x] for x in word)]
-
-    def walk_start(self):
-        return self.SIDE_LEFT | self.SIDE_RIGHT
-
-    def walk_step(self, state, x: int):
-        m = state & self.side_mask[x]
-        return m if m else None
+        self.from_left = tuple(range(n))
+        self.from_right = tuple(from_right.tolist())
+        self.side_mask = tuple(side_mask.tolist())
 
     def _vector_components(self):
-        left_ids = tuple(self.from_left)
-        right_ids = tuple(self.from_right)
-        return [(left_ids, self.spec.left), (right_ids, self.spec.right)]
+        return [(self.from_left, self.spec.left), (self.from_right, self.spec.right)]
 
 
 def build_amalgam(spec: AmalgamSpec) -> AmalgamPartialGroup:
@@ -916,12 +955,11 @@ def _axiom_searches(
     return counts, found
 
 
-def _searched(pg: PartialGroup, trans, in_delta, raw, missing) -> tuple[list, str]:
-    """(violations, note) of _axiom_searches on pg's tables: per axiom, its
-    failing words in shortlex order with their violations of it, as
-    _dfs_axiom_sweep reports them, until MAX_REPORTED_VIOLATIONS are kept."""
-    inverses = [pg.inverse(x) for x in pg.elements()]
-    counts, found = _axiom_searches(trans, in_delta, raw, inverses, pg.identity, missing)
+def _searched(pg: TablePartialGroup) -> tuple[list, str]:
+    """(violations, note) of _axiom_searches on pg.sweep_tables(): per
+    axiom, its failing words in shortlex order with their violations of it,
+    as _dfs_axiom_sweep reports them, until MAX_REPORTED_VIOLATIONS are kept."""
+    counts, found = _axiom_searches(*pg.sweep_tables(), pg._inv, pg.identity, pg._raw_missing)
     out: list[AxiomViolation] = []
     for axiom, words in found.items():
         kept: list[AxiomViolation] = []
@@ -983,16 +1021,16 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
       sides, a locality or quotient whose domain is total and whose table
       is a group) is proved if its table as it stands passes
       certify_group_table (Light's test) with the identity and inverses it
-      holds, and else searched as a one-state automaton over that table,
-      with a second note;
+      holds, and else searched on GroupPartialGroup(its group).sweep_tables(),
+      one accepting state over that table, with a second note;
     - a partial group that knows its ambient group (pg.ambient, set by
       locality_from_group) is proved by pg.certify_ambient(); if that is
       refused, a second note says why and the routes below are taken;
-    - automaton-backed domains (pg.sweep_tables(): a LocalityPartialGroup,
-      such as a plocality file or a quotient, in memory or read back) are
-      searched by _axiom_searches, for every word length; a domain word
-      whose fold leaves the raw table raises raw_missing, as
-      product_table() does;
+    - the other table backends (pg.sweep_tables(): a LocalityPartialGroup
+      with a partial domain or a refused certificate, such as a plocality
+      file or a quotient, in memory or read back) are searched by
+      _axiom_searches, for every word length; a domain word whose fold
+      leaves the raw table raises raw_missing, as product_table() does;
     - anything else (a test's product overrides): _dfs_axiom_sweep to
       max_len, which raises SweepBudgetExceeded first if that is over
       AXIOM_SWEEP_CAP words.
@@ -1020,8 +1058,7 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
         for elems, grp in unproved:
             if ((grp.mult < 0) | (grp.mult >= grp.order)).any():
                 raise ValueError("a total component's table holds a product outside it")
-            one_state = np.zeros((1, grp.order), dtype=np.int64), np.ones(1, dtype=bool)
-            found, note = _searched(GroupPartialGroup(grp), *one_state, grp.mult, None)
+            found, note = _searched(GroupPartialGroup(grp))
             violations += [replace(v, word=tuple(elems[x] for x in v.word)) for v in found]
             notes.append(f"state searches on a component of {grp.order} elements, {note}")
         return AxiomReport(max_len, words, violations, notes)
@@ -1034,8 +1071,8 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
         else:
             note = "route: ambient-group certificate (L is L_Delta(M) of its group M)"
             return AxiomReport(max_len, words, violations, [note])
-    if hasattr(pg, "sweep_tables"):
-        found, note = _searched(pg, *pg.sweep_tables(), pg._raw_missing)
+    if isinstance(pg, TablePartialGroup):
+        found, note = _searched(pg)
         note = f"route: state searches over the automaton and raw product tables, {note}"
     elif words > AXIOM_SWEEP_CAP:
         raise SweepBudgetExceeded(f"axiom sweep to length {max_len} needs more words"

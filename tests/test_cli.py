@@ -90,6 +90,67 @@ def test_a_file_that_cannot_be_read_or_written_exits_2_naming_it(tmp_path, capsy
     assert captured.err.splitlines() == [f"error: {path}: {reason}"]
 
 
+# PG-AM20 as model lines: C2xC4 glued to D16 along the Frattini subgroup
+# of the abelian side and the center of the dihedral side
+AMALGAM_MODEL = """\
+group c2xc4 = (1 2), (3 4 5 6)
+group d16 = (1 2 3 4 5 6 7 8), (2 8)(3 7)(4 6)
+subset M = c2xc4 : (3 4 5 6)
+subset N = c2xc4 : (1 2)(3 4 5 6)
+amalgam am = c2xc4 & d16 : (1 2) ~ (2 8)(3 7)(4 6), (3 5)(4 6) ~ (1 5)(2 6)(3 7)(4 8), \
+(1 2)(3 5)(4 6) ~ (1 5)(2 4)(6 8)
+"""
+
+
+def _amalgam_model(tmp_path, drop=None):
+    path = tmp_path / "am.model"
+    path.write_text("".join(line for line in AMALGAM_MODEL.splitlines(keepends=True)
+                            if drop is None or not line.startswith(drop)))
+    return str(path)
+
+
+def _checks(capsys):
+    return [(c["name"], c["status"]) for c in json.loads(capsys.readouterr().out)["checks"]]
+
+
+def test_counterexample_on_a_model_amalgam_finds_what_the_builtin_finds(tmp_path, capsys):
+    assert cli.main(["counterexample", "--format", "json"]) == 0
+    builtin = _checks(capsys)
+    assert cli.main(["counterexample", "--model", _amalgam_model(tmp_path), "--format", "json"]) == 0
+    assert _checks(capsys) == builtin
+    assert ("product-not-partial-normal (expected)", "pass") in builtin
+
+
+def test_counterexample_on_a_locality_says_what_it_needs(capsys):
+    assert cli.main(["counterexample", "--builtin", "GRP-S4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: 'GRP-S4' is a locality; this command needs an amalgam"
+    ]
+
+
+def test_counterexample_without_a_named_subset_exits_2(tmp_path, capsys):
+    assert cli.main(["counterexample", "--model", _amalgam_model(tmp_path, "subset M")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: object 'am' has no subset 'M'; available: ['1', 'G1', 'G2', 'N']"
+    ]
+
+
+def test_loc_check_on_a_model_amalgam_exits_2(tmp_path, capsys):
+    """Only the builtin amalgam states a locality candidate (S = G2)."""
+    assert cli.main(["loc-check", "--model", _amalgam_model(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: amalgam 'am' states no locality candidate; only the builtin PG-AM20 does"
+    ]
+    assert cli.main(["loc-check", "--builtin", "PG-AM20"]) == 1
+    assert cli.main(["pg-check", "--model", _amalgam_model(tmp_path)]) == 0
+
+
 def _emit(tmp_path, capsys, builtin, kernel):
     path = tmp_path / "q.model"
     argv = ["quotient", "--builtin", builtin, "--kernel", kernel, "--emit", str(path)]

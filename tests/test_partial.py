@@ -147,8 +147,8 @@ def _amalgam_subset_criteria(am20, members):
     pg = am20.pg
     left = am20.spec.left
     right = am20.spec.right
-    lpart = frozenset(pg.to_left[x] for x in members if pg.to_left[x] is not None)
-    rpart = frozenset(pg.to_right[x] for x in members if pg.to_right[x] is not None)
+    lpart = frozenset(i for i, x in enumerate(pg.from_left) if x in members)
+    rpart = frozenset(j for j, x in enumerate(pg.from_right) if x in members)
 
     def is_subgroup(G, mem):
         if not mem or G.identity not in mem:
