@@ -401,15 +401,21 @@ def _p_part(n: int, p: int) -> int:
     return out
 
 
+# Miller-Rabin on the prime bases 2..41 is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin; ValueError for p at or above _PRIME_BOUND."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p = {p} is too large: primality is decided only below {_PRIME_BOUND}")
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 is an odd number times 2^r
+    return all(pow(a, (p - 1) >> r, p) == 1 or p - 1 in [pow(a, (p - 1) >> i, p)
+               for i in range(1, r + 1)] for a in _PRIME_BASES)
 
 
 def sylow_p(G: FiniteGroup, p: int) -> SubgroupRef:
@@ -436,9 +442,11 @@ def sylow_p(G: FiniteGroup, p: int) -> SubgroupRef:
         members = np.fromiter(P, dtype=np.int64)
         return G.mult[G.mult[inv[:, None], members[None, :]], everyone[:, None]]
 
-    power = everyone
-    for _ in range(p - 1):
-        power = G.mult[power, everyone]
+    power, square, e = np.full(G.order, G.identity), everyone, p  # x^p by repeated squaring
+    while e:
+        if e & 1:
+            power = G.mult[power, square]
+        square, e = G.mult[square, square], e >> 1
     P = frozenset({G.identity})
     while len(P) < target:
         inside = np.zeros(G.order, dtype=bool)

@@ -32,6 +32,7 @@ from .partial import (
     closure_twins,
     intern_states,
     partial_subgroup_closure,
+    row_lookup,
     state_fixpoint,
     total_group_component,
 )
@@ -133,30 +134,36 @@ class ThreadAutomaton:
     """Tracks, per word prefix, which elements of S conjugate through it.
 
     A state is the injective partial map start -> current over S positions,
-    as a tuple of (start, current) pairs; prefixes with the same state
-    behave identically under extension, which collapses word sweeps to
-    walks over a small state set.  maps is an (n, |S|) array of positions:
-    maps[g, i] is the position in S of s_i^g, -1 where that leaves S; it
-    is kept as lists of rows, which step reads.  Every state
-    reachable from the start is interned once, at construction, by
-    intern_states: states, their transition rows (a letter never leaves
-    the automaton, so no entry is -1), the same rows as one int32 array,
-    and start_sets[sid], the threading subgroup S_w of the words reaching
-    sid.  The automaton knows no Delta: whoever decides a domain from it
-    builds the mask start_sets[sid] in Delta against its own Delta.
+    as a row: states[sid, a] is the position start a has reached, -1 once
+    it left S.  Prefixes with the same state behave identically under
+    extension, which collapses word sweeps to walks over a small state set.
+    maps[g, i] is the position in S of s_i^g, -1 where that leaves S, kept
+    as lists of rows and, with a last column of -1 (a start gone stays
+    gone), as the array step gathers from.  Every state reachable from the
+    start is interned once, at construction, by intern_states, a level per
+    gather: states, their transition rows (a letter never leaves the
+    automaton, so no entry is -1), the same rows as one int32 array, and
+    start_sets[sid], the threading subgroup S_w of the words reaching sid.
+    The automaton knows no Delta: whoever decides a domain from it builds
+    the mask start_sets[sid] in Delta against its own Delta.
     """
 
     def __init__(self, s_elems: tuple[int, ...], maps: np.ndarray):
-        self.s_elems = s_elems
-        self.maps = np.asarray(maps, dtype=np.int64).tolist()
-        start = tuple((i, i) for i in range(len(s_elems)))
-        self.states, self.rows = intern_states(start, self.step, len(self.maps), "threading automaton")
+        self.s_elems, k = s_elems, len(s_elems)
+        maps = np.asarray(maps, dtype=np.int64).reshape(len(maps), k)
+        self.maps = maps.tolist()
+        at = np.min_scalar_type(-1 - k)  # a least int type that holds -1..k-1
+        self._padded = np.concatenate((maps, np.full((len(maps), 1), -1)), axis=1).astype(at)
+        self.states, self.rows = intern_states(np.arange(k, dtype=at), self.step,
+                                               "threading automaton")
         self.array = np.array(self.rows, dtype=np.int32)
-        self.start_sets = [frozenset(s_elems[a] for a, _ in state) for state in self.states]
+        self.start_sets = [frozenset(itertools.compress(s_elems, r))
+                           for r in (self.states >= 0).tolist()]
 
-    def step(self, state: tuple, g: int) -> tuple:
-        mp = self.maps[g]
-        return tuple((start, mp[cur]) for start, cur in state if mp[cur] >= 0)
+    def step(self, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each state of level followed by every maps[g], in one gather."""
+        nxt = self._padded[:, level].swapaxes(0, 1)
+        return nxt, np.ones(nxt.shape[:2], dtype=bool)
 
     def walk(self, word: Word) -> int:
         rows = self.rows
@@ -190,14 +197,15 @@ def _set_rows(sets: Iterable[Iterable[int]], n: int) -> np.ndarray:
     return rows
 
 
-def _row_index(queries: np.ndarray, family: np.ndarray) -> np.ndarray:
-    """The index of the row of family equal to each boolean row of queries,
-    -1 where none is: rows are packed to bytes and looked up in a dict (a
-    numpy sort would add about half a megabyte of resident memory the first
-    time it runs)."""
-    at = {row.tobytes(): i for i, row in enumerate(np.packbits(family, axis=1))}
-    rows = np.packbits(queries, axis=1)
-    return np.array([at.get(row.tobytes(), -1) for row in rows], dtype=np.int64)
+def _scatter(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """images[r, g]: the set {table[g, i] : i in rows[r]} as a boolean row,
+    for boolean rows over the k columns of a table with entries in -1..k-1,
+    where -1 sets column k; one scatter over every pair (r, g)."""
+    (m, k), n = rows.shape, len(table)
+    r, i = np.nonzero(rows)
+    images = np.zeros((m, n, k + 1), dtype=bool)
+    images[r[:, None], np.arange(n), table[:, i].T] = True
+    return images
 
 
 def _image_index(rows: np.ndarray, pos: np.ndarray, family: np.ndarray):
@@ -207,14 +215,12 @@ def _image_index(rows: np.ndarray, pos: np.ndarray, family: np.ndarray):
 
     pos[g, i] is the position in S of s_i^g, -1 where it is undefined or
     leaves S, so P^g is the row set at pos[g, i] for the i in P: one
-    scatter over every pair (P, g), and one _row_index over the images.
+    _scatter over every pair (P, g), and one row_lookup over the images.
     """
     (m, k), n = rows.shape, len(pos)
-    r, i = np.nonzero(rows)
-    images = np.zeros((m, n, k + 1), dtype=bool)
-    images[r[:, None], np.arange(n), pos[:, i].T] = True  # a position -1 sets column k
+    images = _scatter(rows, pos)
     inside = ~images[..., k]
-    index = _row_index(images[..., :k].reshape(m * n, k), family).reshape(m, n)
+    index = row_lookup(images[..., :k].reshape(m * n, k), family).reshape(m, n)
     return inside, np.where(inside, index, -1)
 
 
@@ -300,10 +306,11 @@ class LocalityPartialGroup(TablePartialGroup):
         (H2) to_ambient is injective, and _raw, _inv and identity are M's
              restricted to L, with -1 exactly where a product leaves L;
         (H3) S is a subgroup of M, automaton.maps[g] is conjugation by g on
-             S positions, and states, rows, array, start_sets and in_delta
-             are the threading automaton of those maps masked by "S_w in
-             delta_sets": state 0 is the identity map of S, and the state in
-             row g of a state is its map followed by maps[g];
+             S positions, and states (read as they are held: each start's
+             position, -1 once it left S), rows, array, start_sets and
+             in_delta are the threading automaton of those maps masked by
+             "S_w in delta_sets": state 0 is the identity map of S, and the
+             state in row g of a state is its map followed by maps[g];
         (H4) S is in Delta; <P, s> is in Delta for every P in Delta and s
              in S; P^g is in Delta for every P in Delta and g in L with P^g
              inside S;
@@ -356,13 +363,11 @@ class LocalityPartialGroup(TablePartialGroup):
         if auto.maps != maps.tolist():
             raise ValueError("(H3) an automaton map is not conjugation in M")
         # cur[sid, a]: the current position of start a in state sid, -1 if gone
-        cur = np.full((len(auto.states), k), -1, dtype=np.int64)
-        pairs = [(sid, a, c) for sid, state in enumerate(auto.states) for a, c in state]
-        sid_, a_, c_ = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
-        cur[sid_, _ids(a_, k, "(H3) a state")] = _ids(c_, k, "(H3) a state")
+        cur = np.asarray(auto.states)
         rows = _ids(auto.array, len(cur), "(H3) a row")
         if (
-            (cur >= 0).sum() != len(pairs)
+            cur.shape[1:] != (k,) or not len(cur)
+            or ((cur < -1) | (cur >= k)).any()
             or (cur[0] != np.arange(k)).any()
             or rows.shape != (len(cur), size)
             or rows.tolist() != auto.rows
@@ -382,13 +387,13 @@ class LocalityPartialGroup(TablePartialGroup):
         which, extra = np.nonzero(~family)  # <P, s> for every P in Delta and s outside it
         grown = family[which]
         grown[np.arange(len(grown)), extra] = True
-        if (_row_index(_generated(grown, s_mult), family) < 0).any():
+        if (row_lookup(_generated(grown, s_mult), family) < 0).any():
             raise ValueError("(H4) Delta is not closed under overgroups in S")
         # P^g for every member P and g in L, scattered through conjugation in M
         inside, index = _image_index(family, maps, family)
         if (index[inside] < 0).any():
             raise ValueError("(H4) Delta is not closed under conjugation in L")
-        if ((_row_index(conj >= 0, family) >= 0) & (local_of < 0)).any():
+        if ((row_lookup(conj >= 0, family) >= 0) & (local_of < 0)).any():
             raise ValueError("(H5) an element g of M with S_g in Delta is not in L")
 
 
@@ -427,12 +432,13 @@ class Locality:
 
     # -- basic maps ----------------------------------------------------------
 
-    def s_positions(self) -> np.ndarray:
-        """pos[g, i]: the position in S of s_i^g, s_i the i-th member of S,
-        read from conj_table(); -1 where it is undefined or leaves S."""
-        conj, n = self.pg.conj_table(), self.pg.size
-        columns = np.array([conj[s] for s in self.sylow], dtype=np.int64).reshape(-1, n)
-        return _positions(self.sylow, n + 1)[columns.T]  # -1 reads the last entry
+    def s_positions(self, members: Sequence[int] | None = None) -> np.ndarray:
+        """pos[g, i]: the position in S (or in members) of s_i^g, s_i its
+        i-th member, read from conj_table(); -1 where it is undefined or
+        leaves it."""
+        conj, n, X = self.pg.conj_table(), self.pg.size, self.sylow if members is None else members
+        columns = np.array([conj[s] for s in X], dtype=np.int64).reshape(-1, n)
+        return _positions(X, n + 1)[columns.T]  # -1 reads the last entry
 
     def conjugate(self, x: int, g: int) -> int | None:
         """x^g = pi((g^-1, x, g)) when defined."""
@@ -486,14 +492,13 @@ class Locality:
         return self.pg.identity
 
     def normalizer(self, X: Iterable[int]) -> frozenset[int]:
-        """N_L(X): elements g with X inside D(g) and X^g = X."""
-        X = frozenset(X)
-        out = set()
-        for g in self.pg.elements():
-            img = self.conjugate_set(X, g)
-            if img is not None and img == X:
-                out.add(g)
-        return frozenset(out)
+        """N_L(X): elements g with X inside D(g) and X^g = X, read from one
+        _scatter of X through s_positions(X): the image must hit every
+        member of X and nothing outside, so a map that is not one-to-one on
+        X (a broken table) fails."""
+        X = sorted(set(X))
+        image = _scatter(np.ones((1, len(X)), dtype=bool), self.s_positions(X))[0]
+        return frozenset(np.flatnonzero(image[:, :-1].all(axis=1) & ~image[:, -1]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +529,7 @@ def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
     inv = np.array(M.inv, dtype=np.int64)
     pos = _positions(s_sorted, n)[M.mult[M.mult[inv[:, None], s_sorted], np.arange(n)[:, None]]]
     delta_rows = _set_rows(delta.members, n)[:, s_sorted]
-    keep = np.flatnonzero(_row_index(pos >= 0, delta_rows) >= 0).tolist()
+    keep = np.flatnonzero(row_lookup(pos >= 0, delta_rows) >= 0).tolist()
     to_ambient = tuple(keep)
     to_local = {g: i for i, g in enumerate(keep)}
     for g in keep:
@@ -612,25 +617,24 @@ def _p_subgroup_above(
 
 
 def _chain_word_steps(loc: Locality, chain: np.ndarray):
-    """(steps, in_delta, dims): a state of the (L2) and threading checks is
-    (chain front code, walker code, threading state) of a word, with
-    components bounded by dims.  The front of a word is the set of Delta
-    members a chain through it can reach: all of Delta for the empty word,
-    then the member chain[i, g] for each member i in the front, where
-    chain[i, g] is the index of P^g in Delta (-1 where P^g is not in it).
-    Fronts are interned by intern_states, the empty front as -1.
+    """(steps, in_delta): a state of the (L2) and threading checks is (chain
+    front code, walker code, threading state) of a word.  The front of a
+    word is the set of Delta members a chain through it can reach: all of
+    Delta for the empty word, then chain[i, g] for each member i in the
+    front, the index of P_i^g in Delta (-1 where P_i^g is not in it).
+    Fronts are boolean rows over Delta, interned by intern_states, a level
+    per _scatter (as in _image_index); a front with no member is dead (-1).
     steps(level, g) gathers the states of w g for every state and letter
     from the front rows, pg.walker_table().array (a dead code stays -1) and
     loc.automaton.array; in_delta[t] says whether S_w lies in loc.delta.
     """
     pg = loc.pg
-    chain_step = chain.tolist()
 
-    def front_step(front: frozenset[int], g: int) -> frozenset[int] | None:
-        nxt = frozenset(t for t in (chain_step[i][g] for i in front) if t >= 0)
-        return nxt or None
+    def front_step(level):
+        nxt = _scatter(level, chain.T)[..., :-1]
+        return nxt, nxt.any(axis=2)
 
-    _, rows = intern_states(frozenset(range(len(chain_step))), front_step, pg.size, "chain fronts")
+    _, rows = intern_states(np.ones(len(chain), dtype=bool), front_step, "chain fronts")
     fronts = np.array(rows + [[-1] * pg.size], dtype=np.int64)
     walk = pg.walker_table().array
     thread = loc.automaton.array
@@ -640,7 +644,7 @@ def _chain_word_steps(loc: Locality, chain: np.ndarray):
         return fronts[front, g], walk[code, g], thread[sid, g]
 
     in_delta = np.array([P in loc.delta.members for P in loc.automaton.start_sets])
-    return steps, in_delta, (len(fronts), len(walk), len(thread))
+    return steps, in_delta
 
 
 def check_locality(loc: Locality) -> VerificationReport:
@@ -718,7 +722,7 @@ def check_locality(loc: Locality) -> VerificationReport:
     family = delta_list + outside
     rows = _set_rows(family, pg.size)[:, loc.sylow]
     _, index = _image_index(rows[: len(delta_list)], loc.s_positions(), rows)
-    steps, in_delta, dims = _chain_word_steps(loc, np.where(index < len(delta_list), index, -1))
+    steps, in_delta = _chain_word_steps(loc, np.where(index < len(delta_list), index, -1))
 
     def l2_step(level, g):
         front, code, _ = nxt = steps(level, g)
@@ -728,14 +732,14 @@ def check_locality(loc: Locality) -> VerificationReport:
         front, code, sid = nxt = steps(level, g)
         return nxt, front >= 0, in_delta[sid] != (code >= 0)
 
-    states, words = state_fixpoint((0, 0, 0), dims, pg.elements(), l2_step)
+    states, words = state_fixpoint((0, 0, 0), pg.elements(), l2_step)
     report.record(
         "L2-domain-iff-chain",
         not words,
         [(w, d, not d) for w in words[:10] for d in [pg.in_domain(w)]],
         f"chain existence matches the domain on all domain words ({states} states)",
     )
-    _, words = state_fixpoint((0, 0, 0), dims, pg.elements(), threading_step)
+    _, words = state_fixpoint((0, 0, 0), pg.elements(), threading_step)
     report.record(
         "threading-matches-domain",
         not words,

@@ -24,8 +24,8 @@ EMPTY_WORD = object()
 # a test's product overrides (CorruptedProducts); no command builds one.  A
 # word count past the cap is stated as "more than" it.
 AXIOM_SWEEP_CAP = 20_000_000
-# The most states one intern_states table or state_fixpoint search interns
-# (LOC-S5's quotient checks: 80).
+# The most states one intern_states automaton or state_fixpoint search
+# interns (LOC-S5's quotient checks: 80; S4xS4's threading automaton: 100).
 STATE_FIXPOINT_CAP = 1_000_000
 
 
@@ -33,7 +33,7 @@ class AmalgamSpecError(ValueError):
     """The identification of an amalgam is not a subgroup isomorphism."""
 
 
-class WalkerTable(NamedTuple):  # see PartialGroup.walker_table
+class WalkerTable(NamedTuple):  # see TablePartialGroup.walker_table
     rows: list[list[int]]  # rows[c][x]: the code of walk_step(state c, x), -1 for None
     array: np.ndarray  # rows as int64 plus a last row of -1: code -1 stays -1
 
@@ -57,7 +57,6 @@ class PartialGroup:
     _product_table: list[list[int]] | None = None
     _padded_products: np.ndarray | None = None
     _conj_table: list[list[int]] | None = None
-    _walker_table: WalkerTable | None = None
 
     def inverse(self, x: int) -> int:
         raise NotImplementedError
@@ -136,14 +135,16 @@ class PartialGroup:
     # x) is None exactly when in_domain(word + (x,)) is false, where state
     # is the state of word; a state is hashable and decides every
     # extension, so two words with equal states have the same domain
-    # status under every suffix.  walker_table() numbers the states that
-    # walk_start() reaches; it is built once per instance, on first use,
-    # and interning more than STATE_FIXPOINT_CAP states raises
-    # SweepBudgetExceeded, so a walker must reach finitely many states for
-    # it to end.  It is the one domain decider for words of every length:
-    # words_all_in_domain, domain_is_total, the (L2) and threading checks
-    # of check_locality, subset_product, the product scan of
-    # normal._scan_product (which reads S_w, never the domain, from the
+    # status under every suffix.  walker_table(), which TablePartialGroup
+    # builds from its automaton (a backend with another walker builds its
+    # own), numbers the states walk_start() reaches as codes 0, 1, ... in
+    # breadth-first order over the letters 0..size-1, so two words share a
+    # code exactly when they share a state; it is built once per instance,
+    # on first use, and interning more than STATE_FIXPOINT_CAP states
+    # raises SweepBudgetExceeded.  It is the one domain decider for words
+    # of every length: words_all_in_domain, domain_is_total, the (L2) and
+    # threading checks of check_locality, subset_product, the product scan
+    # of normal._scan_product (which reads S_w, never the domain, from the
     # threading automaton) and the quotient's word checks (state_fixpoint)
     # read its rows, and merge words with equal codes for that reason.
 
@@ -152,16 +153,6 @@ class PartialGroup:
 
     def walk_step(self, state, x: int):
         raise NotImplementedError
-
-    def walker_table(self) -> WalkerTable:
-        """The walker states as codes 0, 1, ... in the order one breadth
-        first pass over the letters 0..size-1 reaches them from walk_start()
-        (code 0): two words share a code exactly when they share a state."""
-        if self._walker_table is None:
-            _, rows = intern_states(self.walk_start(), self.walk_step, self.size, "walker table")
-            array = np.array(rows + [[-1] * self.size], dtype=np.int64)
-            self._walker_table = WalkerTable(rows, array)
-        return self._walker_table
 
     @property
     def domain_is_total(self) -> bool:
@@ -198,34 +189,61 @@ class SweepBudgetExceeded(RuntimeError):
     pass
 
 
-def intern_states(start, step: Callable, letters: int, what: str) -> tuple[list, list[list[int]]]:
-    """(states, rows): the states that step(state, x) reaches from start
-    over the letters 0..letters-1, numbered 0, 1, ... in the order one
-    breadth-first pass reaches them (states[0] is start), and their
-    transition rows: rows[c][x] is the number of step(states[c], x), or -1
-    where it is None.  States must be hashable; interning more than
-    STATE_FIXPOINT_CAP of them raises SweepBudgetExceeded, naming what is
-    built.
+def _within_budget(states: int, what: str) -> None:
+    if states > STATE_FIXPOINT_CAP:
+        raise SweepBudgetExceeded(f"{what} reached {STATE_FIXPOINT_CAP + 1} states,"
+                                  f" over the budget of {STATE_FIXPOINT_CAP}")
+
+
+def intern_rows(rows: np.ndarray, codes: dict, coded: bool = True) -> tuple[list | None, list]:
+    """(code, new): the code of each row of a 2-d array in codes (None
+    unless coded), a dict keyed by row bytes (boolean rows packed to bits),
+    where an unseen row gets the next code, len(codes), in row order; new
+    lists the rows first met here, in code order.  No numpy sort: one adds
+    about half a megabyte of resident memory the first time it runs."""
+    rows = np.ascontiguousarray(np.packbits(rows, axis=1) if rows.dtype == bool else rows)
+    width, old = rows.dtype.itemsize * rows.shape[1], len(codes)
+    keys = rows.view(np.dtype((np.void, width))).ravel().tolist() if width else [b""] * len(rows)
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # reversed: the first wins
+    new = sorted(i for key, i in first.items() if key not in codes)
+    codes.update(zip([keys[i] for i in new], range(old, old + len(new))))
+    return (list(map(codes.__getitem__, keys)) if coded else None), new
+
+
+def row_lookup(queries: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """The index of the row of family (rows distinct) equal to each row of
+    queries, -1 where none is, through the dict of intern_rows."""
+    codes: dict = {}
+    intern_rows(family, codes)
+    code = np.array(intern_rows(queries, codes)[0], dtype=np.int64)
+    return np.where(code < len(family), code, -1)
+
+
+def intern_states(start: np.ndarray, step: Callable, what: str) -> tuple[np.ndarray, list]:
+    """(states, rows): the states a finite automaton reaches from start, as
+    the rows of one array in breadth-first order (states[0] is start), and
+    their transition rows.  step(level) gets a level's states as a (b, w)
+    array and returns (nxt, live) of shapes (b, m, w) and (b, m): the state
+    each letter 0..m-1 takes each to, and whether the word goes on (rows[c][x]
+    is -1 where not).  intern_rows numbers a level's unseen live rows in
+    (state, letter) row-major order, as one pair at a time would.  Interning
+    more than STATE_FIXPOINT_CAP states raises SweepBudgetExceeded, naming what.
     """
-    codes = {start: 0}
-    states = [start]
-    rows = []
-    for state in states:  # states grows while it is read
-        row = []
-        for x in range(letters):
-            nxt = step(state, x)
-            code = -1 if nxt is None else codes.get(nxt)
-            if code is None:
-                if len(states) == STATE_FIXPOINT_CAP:
-                    raise SweepBudgetExceeded(
-                        f"{what} reached {len(states) + 1} states,"
-                        f" over the budget of {STATE_FIXPOINT_CAP}"
-                    )
-                code = codes[nxt] = len(states)
-                states.append(nxt)
-            row.append(code)
-        rows.append(row)
-    return states, rows
+    level = np.asarray(start)[None]
+    codes: dict = {}
+    intern_rows(level, codes)
+    found, rows = [level], []
+    while len(level):
+        nxt, live = step(level)
+        live = live.ravel()
+        nxt = np.asarray(nxt, dtype=level.dtype).reshape(live.size, level.shape[1])[live]
+        code = np.full(live.size, -1, dtype=np.int64)
+        code[live], new = intern_rows(nxt, codes)
+        _within_budget(len(codes), what)
+        rows += code.reshape(len(level), -1).tolist()
+        level = nxt[new]
+        found.append(level)
+    return np.concatenate(found), rows
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +264,13 @@ class TablePartialGroup(PartialGroup):
     Processing in Groups, 1992): trans[s][x] is the state x takes s to,
     never -1, from state 0 for the empty word, and accept[s] says whether
     the words reaching s are in the domain.  A domain word's product is its
-    left fold over _raw from the identity.  The tables are read where they
-    are used, as they stand then (the product, conjugation and walker
-    tables once, on first use), never copied at construction.
+    left fold over _raw from the identity; the walker states are those of
+    trans, masked by accept.  The tables are read where they are used, as
+    they stand then (the product, conjugation and walker tables once, on
+    first use), never copied at construction.
     """
+
+    _walker_table: WalkerTable | None = None
 
     def __init__(self, size: int, identity: int, labels: tuple[str, ...], inv: Sequence[int],
                  raw: list[list[int]], trans: list[list[int]], accept: list[bool],
@@ -289,6 +310,17 @@ class TablePartialGroup(PartialGroup):
     def walk_step(self, state: int, x: int):
         nxt = self.trans[state][x]
         return nxt if self.accept[nxt] else None
+
+    def walker_table(self) -> WalkerTable:
+        """The walker codes of the PartialGroup contract, interned by
+        intern_states, each level one gather of trans and accept."""
+        if self._walker_table is None:
+            trans, accept = np.array(self.trans, dtype=np.int64), np.array(self.accept, dtype=bool)
+            _, rows = intern_states(np.zeros(1, dtype=np.int64), lambda level: (
+                trans[level[:, 0], :, None], accept[trans[level[:, 0]]]), "walker table")
+            array = np.array(rows + [[-1] * self.size], dtype=np.int64)
+            self._walker_table = WalkerTable(rows, array)
+        return self._walker_table
 
     def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(trans, accept, raw) as arrays for the axiom searches."""
@@ -560,60 +592,51 @@ _FIXPOINT_BLOCK = 1 << 15
 
 
 def state_fixpoint(
-    start: tuple[int, ...], dims: tuple[int, ...], letters: Sequence[int], step: Callable
+    start: tuple[int, ...], letters: Sequence[int], step: Callable
 ) -> tuple[int, list[Word]]:
     """Every failing transition of a word check whose verdict is a state.
 
-    A state is a tuple of ints, component k in range(-1, dims[k] - 1).
-    Words over letters are read from start a level at a time: step(level,
-    xs) gets a level's states as one array per component and the letters
-    as an array, and returns (nxt, live, bad), each of shape (states,
-    letters): the components of each extended word's state, whether the
-    check extends it and whether it fails.  When the states are finite,
-    searching them breadth first to a fixpoint decides the check on words
-    of every length: the product-automaton construction of Epstein et al.,
-    Word Processing in Groups (1992).
+    A state is a tuple of ints.  Words over letters are read from start a
+    level at a time: step(level, xs) gets a level's states as one array
+    per component and the letters as an array, and returns (nxt, live,
+    bad), each of shape (states, letters): the components of each extended
+    word's state, whether the check extends it and whether it fails.  When
+    the states are finite, searching them breadth first to a fixpoint
+    decides the check on words of every length: the product-automaton
+    construction of Epstein et al., Word Processing in Groups (1992).
 
-    Next states are packed into int64 keys (np.ravel_multi_index, where -1
-    packs as dims[k] - 1) and the unseen ones interned in (state, letter)
-    order, with no numpy sort.  So each state is first reached by the least
-    word in shortlex order (letters ranked as given).  Returns (number of
-    states, one failing word per failing transition: the least word of its
-    state followed by its letter), in shortlex order.  Interning more than
-    STATE_FIXPOINT_CAP states raises SweepBudgetExceeded.
+    The unseen next states are interned as rows by intern_rows in (state,
+    letter) order, as intern_states interns them.  So each state is first
+    reached by the least word in shortlex order (letters ranked as given).
+    Returns (number of states, one failing word per failing transition:
+    the least word of its state followed by its letter), in shortlex order.
+    Interning more than STATE_FIXPOINT_CAP states raises SweepBudgetExceeded.
     """
     xs = np.asarray(letters, dtype=np.int64)
     m = xs.size
     xs_list = xs.tolist()
-    seen = {int(np.ravel_multi_index(start, dims, mode="wrap"))}
-    words: list[Word] = [()]  # the least word of each state, by id
+    level = np.array([start], dtype=np.int64)
+    codes: dict = {}
+    intern_rows(level, codes)
+    words: list[Word] = [()]  # the least word of each state, by code
     failing: list[Word] = []
-    level = tuple(np.array([c], dtype=np.int64) for c in start)
-    first = 0  # id of the level's first state
+    first = 0  # code of the level's first state
     block = max(1, _FIXPOINT_BLOCK // max(m, 1))  # states stepped at once
-    while level[0].size:
+    while len(level):
         grown = []
-        for lo in range(0, level[0].size, block):
-            nxt, live, bad = step(tuple(c[lo:lo + block] for c in level), xs)
-            at_lo = first + lo  # id of the block's first state
+        for lo in range(0, len(level), block):
+            nxt, live, bad = step(tuple(level[lo:lo + block].T), xs)
+            at_lo = first + lo  # code of the block's first state
             failing += [words[at_lo + p // m] + (xs_list[p % m],)
                         for p in np.flatnonzero(bad).tolist()]
             pos = np.flatnonzero(live)
-            nxt = tuple(c.ravel()[pos] for c in nxt)
-            keys = np.ravel_multi_index(nxt, dims, mode="wrap").tolist()
-            # each key at its first index into pos: reversed, the first wins
-            at = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-            new = sorted(i for key, i in at.items() if key not in seen)
-            if len(words) + len(new) > STATE_FIXPOINT_CAP:
-                raise SweepBudgetExceeded(
-                    f"word-state search reached {STATE_FIXPOINT_CAP + 1} states,"
-                    f" over the budget of {STATE_FIXPOINT_CAP}"
-                )
-            seen.update(keys[i] for i in new)
+            nxt = np.stack([c.ravel()[pos] for c in nxt], axis=1).astype(np.int64, copy=False)
+            _, new = intern_rows(nxt, codes, coded=False)
+            _within_budget(len(codes), "word-state search")
             words += [words[at_lo + p // m] + (xs_list[p % m],) for p in pos[new].tolist()]
-            grown.append(tuple(c[new] for c in nxt))
-        first += level[0].size
-        level = tuple(np.concatenate(cs) for cs in zip(*grown))
+            grown.append(nxt[new])
+        first += len(level)
+        level = np.concatenate(grown)
     return len(words), failing
 
 
@@ -886,8 +909,8 @@ def _axiom_searches(
     inv = np.asarray(inv, dtype=np.int64)
     counts: list[int] = []
 
-    def search(start, dims, tags, step, *more: Word) -> list[Word]:
-        states, failing = state_fixpoint(start, dims, range(m * tags), step)
+    def search(start, tags, step, *more: Word) -> list[Word]:
+        states, failing = state_fixpoint(start, range(m * tags), step)
         counts.append(states)
         words = {tuple(c // tags for c in w) for w in failing}.union(more)
         return sorted(words, key=lambda w: (len(w), w))
@@ -924,9 +947,8 @@ def _axiom_searches(
                np.where(to1, x, np.where(to2, cs, -1)), np.where(to2, cv, -1))
         return nxt, live, live & D[sw] & bad
 
-    found = {"split": search((0, -1, -1), (k + 1, 3, k + 1), 2, split_step)}
-    dims = (3, k + 1, m + 1, max(k, m) + 1, m + 1)
-    found["collapse"] = search((0, 0, e, -1, -1), dims, 3, collapse_step)
+    found = {"split": search((0, -1, -1), 2, split_step)}
+    found["collapse"] = search((0, 0, e, -1, -1), 3, collapse_step)
     for word in found["collapse"]:  # a domain word whose fold leaves raw fails here
         state, value, pair = 0, e, None
         for x in word:
@@ -936,12 +958,13 @@ def _axiom_searches(
         if pair is not None and in_delta[state]:
             raise missing(*pair)
 
-    cols = [tuple(col) for col in trans.T.tolist()]
-    maps, app = intern_states(tuple(range(k)), lambda mp, x: tuple(map(cols[x].__getitem__, mp)),
-                              m, "transition monoid")
-    code = {mp: i for i, mp in enumerate(maps)}  # w^-1 gains x^-1 in front when w gains x
-    pre = np.array([[code[tuple(map(mp.__getitem__, col))] for col in cols] for mp in maps])
-    app, maps = np.array(app), np.array(maps)
+    def then_letter(level):  # T_w x for each map T_w of level and letter x
+        return T[level, :m].swapaxes(1, 2), np.ones((len(level), m), dtype=bool)
+
+    maps, app = intern_states(np.arange(k), then_letter, "transition monoid")
+    # w^-1 gains x^-1 in front when w gains x: pre[c, y] is y's map, then map c
+    pre = row_lookup(maps[:, T[:k, :m].T].reshape(-1, k), maps).reshape(len(maps), m)
+    app = np.array(app)
 
     def cancel_step(level, xs):
         n1, n2 = app[level[0][:, None], xs], pre[level[1][:, None], inv[xs]]
@@ -951,7 +974,7 @@ def _axiom_searches(
     xs = np.arange(m)
     single = D[T[0, xs]] & D[T[T[0, inv], xs]] & (R[R[e, inv], xs] != e)
     singles = [(x,) for x in np.flatnonzero(single).tolist()]
-    found["cancellation"] = search((0, 0), (len(maps) + 1,) * 2, 1, cancel_step, *singles)
+    found["cancellation"] = search((0, 0), 1, cancel_step, *singles)
     return counts, found
 
 

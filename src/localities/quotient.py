@@ -20,13 +20,14 @@ import numpy as np
 
 from .groups import SizeCapExceeded
 from .locality import (
-    DeltaFamily, Locality, LocalityPartialGroup, _positions, _set_rows, check_locality,
+    DeltaFamily, Locality, LocalityPartialGroup, _positions, _scatter, _set_rows, check_locality,
 )
 from .normal import is_partial_normal, partial_normals
 from .partial import (
     PartialGroup,
     Word,
     closure_twins,
+    intern_rows,
     partial_subgroup_closure,
     state_fixpoint,
 )
@@ -132,14 +133,16 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
     """is_up_maximal(loc, K, f) for every f, in one pass.
 
     up_relates runs on the top pairs (f, S_f), (g, S_g) for every f and g
-    at once.  The stations S_f and their images S_f^f are interned as ids.
-    Each conjugate of an interned station by an x in K is computed once
-    (conjugate_set per station and x), and containment between the
-    interned sets is read from one matrix.  For each f, an array over
-    (x in K, g) says whether x and y = f^-1 (x g) are the witness
-    up_relates looks for, with every product read from product_table()
-    rows (pg.padded_products()).  f is maximal unless it relates upward to
-    some g that does not relate back.
+    at once.  The stations S_f, their images S_f^f and the images of those
+    by each x in K are boolean rows over S positions, interned as ids by
+    intern_rows; each kind of image is one _scatter through
+    loc.s_positions(), and one that is undefined or leaves S is -1, inside
+    no set (a station S_g and its image S_g^g lie in S).  Containment
+    between the interned sets is read from one matrix.  For each f, an
+    array over (x in K, g) says whether x and y = f^-1 (x g) are the
+    witness up_relates looks for, with every product read from
+    product_table() rows (pg.padded_products()).  f is maximal unless it
+    relates upward to some g that does not relate back.
     """
     K = frozenset(K)
     pg = loc.pg
@@ -147,37 +150,30 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
     tops = [_top_pair(loc, f) for f in loc.elements()]
     if not all(pair_is_valid(loc, pair) for pair in tops):
         raise ValueError("both pairs must satisfy station <= S_f with station in Delta")
-    sets: list[frozenset[int]] = []
-    ids: dict[frozenset[int], int] = {}
+    pos, k = loc.s_positions(), len(loc.sylow)
+    codes, found = {}, []  # found: the sets, as rows over S positions, in id order
 
-    def intern(X: frozenset[int] | None) -> int:
-        if X is None:
-            return -1
-        i = ids.get(X)
-        if i is None:
-            i = ids[X] = len(sets)
-            sets.append(X)
-        return i
+    def intern(images: np.ndarray) -> np.ndarray:  # -1 where column k marks it undefined
+        ids, ok = np.full(images.shape[:-1], -1), ~images[..., k]
+        rows = images[ok][:, :k]
+        ids[ok], new = intern_rows(rows, codes)
+        found.append(rows[new])
+        return ids
 
-    station = np.array([intern(pair.station) for pair in tops])
-    image = np.array([intern(loc.conjugate_set(pair.station, pair.f)) for pair in tops])
+    station = intern(_set_rows([p.station for p in tops], n + 1)[:, [*loc.sylow, n]])  # n: no station
+    image = intern(_scatter(np.concatenate(found), pos)[station, np.arange(n)])
     ks = np.array(sorted(K))
-    # conj[s, x] is the id of sets[s]^x for x in K, -1 elsewhere; the last
+    # conj[s, x] is the id of set s^x for x in K, -1 elsewhere; the last
     # row and column stay -1, for a missing set and a missing element
-    conj = np.full((len(sets) + 1, n + 1), -1)
-    for s in range(len(sets)):
-        for x in ks.tolist():
-            conj[s, x] = intern(loc.conjugate_set(sets[s], x))
-    has = np.zeros((len(sets), n), dtype=bool)
-    for i, X in enumerate(sets):
-        has[i, list(X)] = True
-    # sub[a, b]: sets[a] <= sets[b]; the last row and column (-1) are False
-    sub = np.zeros((len(sets) + 1, len(sets) + 1), dtype=bool)
+    conj = np.full((len(codes) + 1, n + 1), -1)
+    conj[:-1, ks] = intern(_scatter(np.concatenate(found), pos[ks]))
+    has = np.concatenate(found)
+    # sub[a, b]: set a <= set b; the last row and column (-1) are False
+    sub = np.zeros((len(has) + 1, len(has) + 1), dtype=bool)
     sub[:-1, :-1] = ~(has[:, None, :] & ~has[None, :, :]).any(axis=2)
 
     table = pg.padded_products()
-    in_k = np.zeros(n + 1, dtype=bool)
-    in_k[ks] = True
+    in_k = _set_rows([K], n + 1)[0]
     h = table[ks, :n]  # x g, one row per x in K
     relates = np.zeros((n, n), dtype=bool)
     for f in range(n):
@@ -383,13 +379,13 @@ class QuotientBundle:
 
 
 def _coset_word_steps(pg: PartialGroup, qpg: QuotientPartialGroup):
-    """(steps, rho, dims): a state of the word checks is (walker code of v,
-    pi(v), quotient walker code of bar(v), pi(bar(v))), with components
-    bounded by dims.  steps(level, f) gathers those of v f for every state
-    and letter from pg.walker_table().array, pg.padded_products(),
-    qpg.walker_table().array and qpg's raw product, whose left fold is
-    pi(bar(v)) as LocalityPartialGroup._raw_product multiplies.  -1 (a dead
-    code, a missing value) stays -1, and rho of -1 is -1."""
+    """(steps, rho): a state of the word checks is (walker code of v, pi(v),
+    quotient walker code of bar(v), pi(bar(v))).  steps(level, f) gathers
+    those of v f for every state and letter from pg.walker_table().array,
+    pg.padded_products(), qpg.walker_table().array and qpg's raw product,
+    whose left fold is pi(bar(v)) as LocalityPartialGroup._raw_product
+    multiplies.  -1 (a dead code, a missing value) stays -1, and rho of -1
+    is -1."""
     walk, table = pg.walker_table().array, pg.padded_products()
     bar_walk = qpg.walker_table().array
     raw = np.pad(np.array(qpg._raw, dtype=np.int64), (0, 1), constant_values=-1)
@@ -400,7 +396,7 @@ def _coset_word_steps(pg: PartialGroup, qpg: QuotientPartialGroup):
         fbar = rho[f]
         return walk[base, f], table[v, f], bar_walk[bar, fbar], raw[r, fbar]
 
-    return steps, rho, (len(walk), pg.size + 1, len(bar_walk), qpg.size + 1)
+    return steps, rho
 
 
 def _homomorphism_failures(
@@ -416,7 +412,7 @@ def _homomorphism_failures(
     table within STATE_FIXPOINT_CAP states).  A failing word is not
     extended.
     """
-    steps, rho, dims = _coset_word_steps(pg, qpg)
+    steps, rho = _coset_word_steps(pg, qpg)
 
     def step(level, f):
         base, v, bar, r = steps(level, f)
@@ -424,7 +420,7 @@ def _homomorphism_failures(
         bad = live & ((bar < 0) | (r < 0) | (rho[v] != r))
         return (base, v, bar, r), live & ~bad, bad
 
-    return state_fixpoint((0, pg.identity, 0, qpg.identity), dims, pg.elements(), step)
+    return state_fixpoint((0, pg.identity, 0, qpg.identity), pg.elements(), step)
 
 
 def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
@@ -568,7 +564,7 @@ def _descent_failures(
     and the missing value -1 and is still extended; a word off the quotient
     domain is not, since none of its extensions is in it.
     """
-    steps, rho, dims = _coset_word_steps(pg, qpg)
+    steps, rho = _coset_word_steps(pg, qpg)
 
     def step(level, f):
         base, v, bar, r = steps(level, f)
@@ -576,33 +572,7 @@ def _descent_failures(
         live = bar >= 0
         return (base, v, bar, r), live, live & ((base < 0) | (r < 0) | (rho[v] != r))
 
-    return state_fixpoint((0, pg.identity, 0, qpg.identity), dims, letters, step)
-
-
-def _image_reader(rho: tuple[int, ...]):
-    """(image, column): image(masks) maps boolean rows over L (the last
-    axis) to boolean rows over the cosets rho meets, True where the row's
-    set meets that coset; column[x] is the column of x's coset.
-
-    The elements are sorted by coset once, so each image is one
-    np.logical_or.reduceat over the runs of a coset.  Only cosets that rho
-    meets get a column (all of them on a genuine bundle), so no run is
-    empty: reduceat would read an empty run as the next element.  The
-    sort is done in Python; numpy's sorting routines would add about half
-    a megabyte of resident memory the first time they run.
-    """
-    order = sorted(range(len(rho)), key=rho.__getitem__)
-    column = [0] * len(rho)
-    starts = []
-    for i, x in enumerate(order):
-        if i == 0 or rho[x] != rho[order[i - 1]]:
-            starts.append(i)
-        column[x] = len(starts) - 1
-
-    def image(masks: np.ndarray) -> np.ndarray:
-        return np.logical_or.reduceat(masks[..., order], starts, axis=-1)
-
-    return image, np.array(column)
+    return state_fixpoint((0, pg.identity, 0, qpg.identity), letters, step)
 
 
 def verify_quotient_lemmas(
@@ -620,12 +590,12 @@ def verify_quotient_lemmas(
     and K, and calls build_quotient when none is kept.
 
     The set checks read arrays, each built by the first check that needs
-    it: images of sets through the coset sort of _image_reader (checks 8
-    and 9), the right cosets Kf as boolean rows from pg.product_table()
-    (checks 9 and 13), and the product tables of L and of the quotient as
-    arrays (the products m n, bar m bar n and the witness search m^-1 f
-    of check 15).  Each check is computed right before it is recorded,
-    so the report's per-check times are its own.
+    it: images of sets as rows over the cosets, one _scatter through rho
+    (checks 8 and 9), the right cosets Kf as boolean rows, one _scatter
+    through pg.product_table() (checks 9 and 13), and the product tables
+    of L and of the quotient as arrays (the products m n, bar m bar n and
+    the witness search m^-1 f of check 15).  Each check is computed right
+    before it is recorded, so the report's per-check times are its own.
     """
     K = frozenset(K)
     if loc.size > LEMMA_CAP:
@@ -736,7 +706,11 @@ def verify_quotient_lemmas(
     # samples are drawn first, by the same rng calls in the same order as
     # one sample at a time; then each H, from the last to the first, marks
     # the samples it fails, so each failing sample keeps its first failing H.
-    image, column = _image_reader(rho)
+    rho_of = np.array(rho)
+
+    def image(masks: np.ndarray) -> np.ndarray:  # the cosets each row over L meets
+        return _scatter(masks, rho_of[None])[:, 0]
+
     rng = random.Random(seed)
     universe = list(loc.elements())
     samples = []
@@ -758,11 +732,9 @@ def verify_quotient_lemmas(
     # right cosets Kr over r in R, which is KR.  in_kf[f, g]: g lies in
     # Kf, set from the products k f; a missing product (-1) lands in the
     # last column, which is dropped
-    in_kf = np.zeros((n, n + 1), dtype=bool)
-    in_kf[np.arange(n), [rows[k] for k in ks]] = True
-    in_kf = in_kf[:, :n]
+    in_kf = _scatter(_set_rows([K], n), np.array(rows).T)[0, :, :n]
     s_sets = loc.s_subgroup_sets()
-    pre = image(_set_rows(s_sets, n))[:, column]
+    pre = image(_set_rows(s_sets, n))[:, rho_of]
     kr = np.array([in_kf[list(R)].any(axis=0) for R in s_sets])
     bad = [sorted(R) for R, wrong in zip(s_sets, (pre != kr).any(axis=1).tolist()) if wrong]
     report.record("preimage-is-KR", not bad, bad[:3],
@@ -782,14 +754,8 @@ def verify_quotient_lemmas(
     bad = []
     for R in over_t:
         rbar = frozenset(rho[r] for r in R)
-        ns_r = frozenset(
-            s for s in loc.sylow_set
-            if loc.conjugate_set(R, s) == R
-        )
-        q_ns = frozenset(
-            s for s in qloc.sylow_set
-            if qloc.conjugate_set(rbar, s) == rbar
-        )
+        ns_r = loc.normalizer(R) & loc.sylow_set
+        q_ns = qloc.normalizer(rbar) & qloc.sylow_set
         if frozenset(rho[x] for x in ns_r) != q_ns:
             bad.append(sorted(R))
     report.record("normalizer-image", not bad, bad[:3],
@@ -843,7 +809,6 @@ def verify_quotient_lemmas(
     # A missing product (-1) reads the pad of table, where it stays -1
     table = pg.padded_products()
     qtable = qpg.padded_products()
-    rho_of = np.array(rho)
     inv = np.array([pg.inverse(x) for x in loc.elements()])
     targets = np.arange(n)
     stations = [loc.thread_subgroup((f,)) for f in loc.elements()]
@@ -854,8 +819,7 @@ def verify_quotient_lemmas(
         mnbar[qtable[np.ix_(sorted({rho[x] for x in ms}), sorted({rho[x] for x in ns}))]] = True
         mn = np.zeros(n + 1, dtype=bool)
         mn[table[np.ix_(ms, ns)]] = True
-        in_n = np.zeros(n + 1, dtype=bool)
-        in_n[ns] = True
+        in_n = _set_rows([N], n + 1)[0]
         cand = table[inv[ms], :n]  # cand[i, f] = m_i^-1 f, -1 where undefined
         hits = in_n[cand] & (table[np.array(ms)[:, None], cand] == targets)
         # per f, the (m, m^-1 f) with m^-1 f in N and m (m^-1 f) = f, m ascending

@@ -1,0 +1,51 @@
+"""The automata one state at a time, as the engine built them before the
+level-by-level array kernel (partial.intern_states): a hashable state, a
+Python step(state, letter) per pair, and the walker table numbered from
+walk_step.  The test doubles that walk by walk_step build their tables
+here, and the tests compare the kernel with these.
+"""
+
+import numpy as np
+
+from localities import partial
+from localities.partial import WalkerTable
+
+
+def intern_states(start, step, letters, what):
+    """(states, rows): the states that step(state, x) reaches from start
+    over the letters 0..letters-1, numbered 0, 1, ... in the order one
+    breadth-first pass reaches them (states[0] is start), and their
+    transition rows: rows[c][x] is the number of step(states[c], x), or -1
+    where it is None.  States must be hashable; interning more than
+    STATE_FIXPOINT_CAP of them raises SweepBudgetExceeded, naming what is
+    built.
+    """
+    codes = {start: 0}
+    states = [start]
+    rows = []
+    for state in states:  # states grows while it is read
+        row = []
+        for x in range(letters):
+            nxt = step(state, x)
+            code = -1 if nxt is None else codes.get(nxt)
+            if code is None:
+                if len(states) == partial.STATE_FIXPOINT_CAP:
+                    raise partial.SweepBudgetExceeded(
+                        f"{what} reached {len(states) + 1} states,"
+                        f" over the budget of {partial.STATE_FIXPOINT_CAP}"
+                    )
+                code = codes[nxt] = len(states)
+                states.append(nxt)
+            row.append(code)
+        rows.append(row)
+    return states, rows
+
+
+def walker_table(pg) -> WalkerTable:
+    """The walker states of pg as codes 0, 1, ... in the order one breadth
+    first pass over the letters 0..size-1 reaches them from walk_start()
+    (code 0), by walk_step; built once per instance, on first use."""
+    if getattr(pg, "_walker_table", None) is None:
+        _, rows = intern_states(pg.walk_start(), pg.walk_step, pg.size, "walker table")
+        pg._walker_table = WalkerTable(rows, np.array(rows + [[-1] * pg.size], dtype=np.int64))
+    return pg._walker_table

@@ -6,6 +6,8 @@ from dataclasses import replace
 from localities.partial import PartialGroup, Word
 from localities.quotient import CosetPartition
 
+import automaton_reference
+
 
 class CorruptedProducts(PartialGroup):
     """Wrapper that overrides the product on chosen words (fault injection)."""
@@ -34,6 +36,8 @@ class CorruptedProducts(PartialGroup):
 
     def walk_step(self, state, x: int):
         return self.base.walk_step(state, x)
+
+    walker_table = automaton_reference.walker_table
 
 
 def swap_two_products(base: PartialGroup, w1: Word, w2: Word) -> CorruptedProducts:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -205,6 +206,48 @@ def test_pg_check_on_a_one_element_locality_counts_one_word_per_length(tmp_path,
         assert cli.main(argv) == 0
         (check,) = json.loads(capsys.readouterr().out)["checks"]
         assert check["detail"].startswith(f"axiom sweep to length {length}: {words} words, ok;")
+
+
+# A trivial S at a large prime: genuine localities, decided by Miller-Rabin
+# and by x^p through repeated squaring, not by p - 1 multiplications.
+LARGE_P = {
+    "plocality-2^61-1": "plocality t = p 2305843009213693951 : size 1 : identity 0 : inv 0"
+                        " : sylow 0 : delta { 0 } : conj (0 0 0) : prod (0 0 0)\n",
+    "sylow-auto-10^9+7": "group t = table 0 1 / 1 0\n"
+                         "locality l = t p=1000000007 sylow=auto delta=min-order:1\n",
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_P))
+def test_a_large_prime_is_answered_within_a_second(tmp_path, capsys, name):
+    path = tmp_path / "big.model"
+    path.write_text(LARGE_P[name])
+    start = time.perf_counter()
+    assert cli.main(["loc-check", "--model", str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+
+
+def test_a_prime_past_the_miller_rabin_bound_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "huge.model"
+    path.write_text(LARGE_P["plocality-2^61-1"].replace("2305843009213693951", str(2**89 - 1)))
+    assert cli.main(["loc-check", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: p = {2**89 - 1} is too large: primality is decided only below"
+                   " 3317044064679887385961981\n")
+
+
+def test_an_empty_sylow_set_is_reported_not_crashed_on(tmp_path, capsys):
+    """A plocality whose S is empty: its threading states are rows of width
+    0, one state, and loc-check reports S as no p-group."""
+    path = tmp_path / "empty.model"
+    path.write_text("plocality t = p 2 : size 1 : identity 0 : inv 0 : sylow : delta { }"
+                    " : conj : prod (0 0 0)\n")
+    assert cli.main(["loc-check", "--model", str(path), "--format", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["L1-sylow-maximal"]["witnesses"] == [["S-order-not-p-power", 0]]
+    assert checks["L2-domain-iff-chain"]["detail"].endswith("(1 states)")
 
 
 def test_the_per_word_dfs_over_the_word_budget_raises_before_visiting_a_word(s5f, monkeypatch):

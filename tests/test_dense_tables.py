@@ -1,11 +1,14 @@
 """The dense tables under the domain layer against literal recomputation.
 
-ThreadAutomaton interns every reachable state once, with intern_states;
-the reference here is the dict-keyed automaton it replaced, filled lazily
-as walks reach its states, and the states themselves are recomputed
-straight from the conjugation step maps.  The two number their states in
-different orders (breadth first against walk order), so words are
-compared by the state they reach.  locality_from_group tabulates the
+ThreadAutomaton interns every reachable state once, with intern_states, a
+level at a time; its states are the rows of one array of current
+positions.  The reference here is the dict-keyed automaton it replaced,
+filled lazily as walks reach its states, whose states are tuples of
+(start, current) pairs; the states themselves are recomputed straight
+from the conjugation step maps.  pairs() reads an array state as those
+pairs, and is the one place the two forms meet.  The two number their
+states in different orders (breadth first against walk order), so words
+are compared by the state they reach.  locality_from_group tabulates the
 ambient product once; the reference is the ambient product read element
 by element.
 """
@@ -19,6 +22,12 @@ from localities import partial
 from localities.locality import LocalityConstructionError, ThreadAutomaton
 from localities.partial import SweepBudgetExceeded
 from localities.quotient import build_quotient
+
+
+def pairs(row):
+    """An array state of ThreadAutomaton as its (start, current) pairs: the
+    starts still in S, in order, each with its current position."""
+    return tuple((a, c) for a, c in enumerate(row.tolist()) if c >= 0)
 
 
 class DictAutomaton:
@@ -83,10 +92,10 @@ def test_walk_matches_literal_states(request, name):
     n = len(maps)
     start = tuple((i, i) for i in range(len(aut.s_elems)))
     for word in _words(n, name):
-        pairs = start
+        pairs_of_word = start
         for g in word:
-            pairs = tuple((s, maps[g][c]) for s, c in pairs if maps[g][c] >= 0)
-        assert aut.states[aut.walk(word)] == pairs, word
+            pairs_of_word = tuple((s, maps[g][c]) for s, c in pairs_of_word if maps[g][c] >= 0)
+        assert pairs(aut.states[aut.walk(word)]) == pairs_of_word, word
 
     # a fresh automaton over the same step maps reaches the same state and
     # the same threading subgroup on every word as the dict-keyed reference
@@ -94,7 +103,7 @@ def test_walk_matches_literal_states(request, name):
     ref = DictAutomaton(aut.s_elems, maps.__getitem__)
     for word in _words(n, name):
         sid, rid = dense.walk(word), ref.walk(word)
-        assert dense.states[sid] == ref.states[rid], word
+        assert pairs(dense.states[sid]) == ref.states[rid], word
         assert dense.start_sets[sid] == ref.start_sets[rid], word
     assert dense.array.dtype == "int32"
     assert dense.array.tolist() == dense.rows
@@ -108,7 +117,7 @@ def test_walk_matches_literal_states(request, name):
                 seen.add(nid)
                 queue.append(nid)
     assert len(seen) == len(dense.states) == reachable
-    assert set(ref.states) == set(dense.states)
+    assert set(ref.states) == {pairs(row) for row in dense.states}
 
 
 def test_automaton_build_meets_the_state_budget(s5f, monkeypatch):
@@ -121,7 +130,7 @@ def test_automaton_build_meets_the_state_budget(s5f, monkeypatch):
         ThreadAutomaton(*args)
     assert str(err.value) == "threading automaton reached 15 states, over the budget of 14"
     monkeypatch.setattr(partial, "STATE_FIXPOINT_CAP", 15)
-    assert ThreadAutomaton(*args).states == aut.states
+    assert ThreadAutomaton(*args).states.tolist() == aut.states.tolist()
 
 
 def test_raw_product_table_matches_ambient(s5f):

@@ -383,3 +383,19 @@ def test_closure_members_matches_the_oracle_on_random_seeds(group, c2s4f):
     ]
     for seed in seeds:
         assert closure_members(G, seed) == o_subgroup_closure(O, seed), seed
+
+
+def test_is_prime_is_exact_below_its_bound():
+    """Miller-Rabin on the bases 2..41 agrees with trial division on small
+    numbers, rejects strong pseudoprimes to smaller base sets (the least one
+    to the bases 2..37 among them), and refuses p at its bound."""
+    from localities.groups import _is_prime
+
+    small = [n for n in range(3000) if _is_prime(n)]
+    assert small == [n for n in range(2, 3000) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(composite)
+    for prime in (2**31 - 1, 2**61 - 1, 1000000007, 2**64 - 59):
+        assert _is_prime(prime)
+    with pytest.raises(ValueError, match="decided only below 3317044064679887385961981$"):
+        _is_prime(3317044064679887385961981)

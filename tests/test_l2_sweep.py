@@ -26,6 +26,7 @@ from localities.locality import Locality, as_locality, check_locality
 from localities.partial import PartialGroup, SweepBudgetExceeded
 from localities.quotient import build_quotient
 
+import automaton_reference
 import fixpoint_reference as reference
 from fault_injection import swap_two_products
 from test_quotient_tables import KERNEL_IDS, KERNELS, _kernel
@@ -98,6 +99,8 @@ class GappedC2(PartialGroup):
         first, n = state
         nxt = (x if first is None else first, n + 1)
         return None if nxt == (1, 4) else nxt
+
+    walker_table = automaton_reference.walker_table
 
 
 def _s5_without_smallest(k):

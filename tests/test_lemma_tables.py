@@ -114,10 +114,11 @@ def test_a_bundle_for_another_kernel_or_locality_is_refused(s4f, c2s4f):
 
 
 def test_each_check_carries_its_own_time(c2s4f, monkeypatch):
-    """A clock that moves only in conjugate_set and thread_subgroup calls.
-    preimage-exactness-over-T reads rho alone and images-intersect-trivially
-    images alone, so neither carries time; normalizer-image conjugates and
-    product-preimage-splitting threads, so both do."""
+    """A clock that moves only in conjugate_set, normalizer and
+    thread_subgroup calls.  preimage-exactness-over-T reads rho alone and
+    images-intersect-trivially images alone, so neither carries time;
+    normalizer-image takes normalizers and product-preimage-splitting
+    threads, so both do."""
     loc, K = c2s4f.loc, c2s4f.subsets["A4"]
     bundle = build_quotient(loc, K)
     partial_normals(loc)
@@ -131,7 +132,7 @@ def test_each_check_carries_its_own_time(c2s4f, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(report_module, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-    for name in ("conjugate_set", "thread_subgroup"):
+    for name in ("conjugate_set", "normalizer", "thread_subgroup"):
         monkeypatch.setattr(Locality, name, ticking(getattr(Locality, name)))
     report = verify_quotient_lemmas(loc, K, bundle=bundle)
     ms = {c.name: c.timing_ms for c in report.checks}

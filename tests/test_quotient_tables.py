@@ -17,6 +17,7 @@ import pytest
 
 from localities import quotient
 from localities.groups import SizeCapExceeded
+from localities.locality import Locality
 from localities.normal import partial_normals
 from localities.partial import partial_subgroup_closure, state_fixpoint
 from localities.quotient import (
@@ -55,6 +56,27 @@ def test_flags_match_is_up_maximal(request, fixture, index):
     flags = up_maximal_flags(loc, K)
     assert flags == tuple(is_up_maximal(loc, K, f) for f in loc.elements())
     assert coset_partition(loc, K).up_max == flags
+
+
+def test_flags_and_lemmas_take_no_conjugate_set(s5f, c2s4f, monkeypatch):
+    """The stations, their images and the normalizers come from scatters of
+    whole rows; Locality.conjugate_set (one set and one element at a time)
+    is left to the definitional references.  The flags are computed anew;
+    the lemma suites take the bundles the builds keep."""
+    calls = []
+    conjugate_set = Locality.conjugate_set
+
+    def counting(self, X, g):
+        calls.append((X, g))
+        return conjugate_set(self, X, g)
+
+    cases = [(s5f, "N5", "N5"), (c2s4f, "V4", "A4")]
+    bundles = [build_quotient(fix.loc, fix.subsets[lem]) for fix, _, lem in cases]
+    monkeypatch.setattr(Locality, "conjugate_set", counting)
+    for (fix, flag_kernel, lemma_kernel), bundle in zip(cases, bundles):
+        assert up_maximal_flags(fix.loc, fix.subsets[flag_kernel])
+        assert verify_quotient_lemmas(fix.loc, fix.subsets[lemma_kernel], bundle=bundle).ok
+    assert calls == []
 
 
 # The oracle scans every (g, P) pair with a double loop over K; GRP-C2xS4's
@@ -158,9 +180,9 @@ def bounded_sweep(start, letters, step, max_len):
     return bad
 
 
-def both_fixpoints(start, dims, letters, step):
+def both_fixpoints(start, letters, step):
     """The kernel's answer, asserted equal to the reference's."""
-    got = state_fixpoint(start, dims, letters, step)
+    got = state_fixpoint(start, letters, step)
     assert got == reference.state_fixpoint(start, letters, reference.per_state(step))
     return got
 
@@ -175,7 +197,7 @@ def count_twos(level, xs):
 def test_a_defect_first_shown_at_length_4_fails_only_the_fixpoint():
     step = reference.per_state(count_twos)
     assert bounded_sweep((0,), range(3), step, 3) == []
-    assert both_fixpoints((0,), (5,), range(3), count_twos) == (5, [(2, 2, 2, 2)])
+    assert both_fixpoints((0,), range(3), count_twos) == (5, [(2, 2, 2, 2)])
     assert bounded_sweep((0,), range(3), step, 4) == [(2, 2, 2, 2)]
 
 
@@ -189,7 +211,7 @@ def test_fixpoint_words_are_the_least_word_of_each_failing_transition():
         bad = (xs == 1) & (total == 0)
         return (total,), ~bad, bad
 
-    states, words = both_fixpoints((0,), (3,), (0, 1), step)
+    states, words = both_fixpoints((0,), (0, 1), step)
     assert states == 3
     # sum 2 is first reached by (1, 1); from it, 1 fails
     assert words == [(1, 1, 1)]

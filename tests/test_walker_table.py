@@ -1,4 +1,6 @@
-"""PartialGroup.walker_table() against the walker it numbers.
+"""walker_table() against the walker it numbers: a table backend's, built
+by the array kernel partial.intern_states, and a test double's, built from
+walk_step by automaton_reference.
 
 On words up to length 3, the code a word reaches through the table rows is
 -1 exactly where walk_step returns None, and two words get the same code
