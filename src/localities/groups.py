@@ -394,8 +394,9 @@ def all_subgroups(G: FiniteGroup) -> list[SubgroupRef]:
 
 
 def _p_part(n: int, p: int) -> int:
+    """The largest power of p that divides n; 1 for n = 0, which is no power of p."""
     out = 1
-    while n % p == 0:
+    while n and n % p == 0:
         out *= p
         n //= p
     return out

@@ -28,7 +28,7 @@ from .partial import (
     PartialGroup,
     TablePartialGroup,
     Word,
-    _is_prime_power,
+    _padded,
     closure_twins,
     intern_states,
     partial_subgroup_closure,
@@ -248,9 +248,9 @@ def _generated(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 class LocalityPartialGroup(TablePartialGroup):
     """Partial group whose domain is decided by the threading subgroup: the
-    table backend over the rows of a ThreadAutomaton, whose accept mask is
-    in_delta (in_delta[sid]: whether the threading subgroup of state sid is
-    in Delta).
+    table backend whose trans is the array of a ThreadAutomaton (the same
+    object) and whose accept mask is in_delta (in_delta[sid]: whether the
+    threading subgroup of state sid is in Delta).
 
     raw[a][b] is the underlying product of a and b, -1 where it is
     undefined; multiplying such a pair raises raw_missing(a, b).
@@ -264,7 +264,7 @@ class LocalityPartialGroup(TablePartialGroup):
         identity: int,
         inv: tuple[int, ...],
         labels: tuple[str, ...],
-        raw: list[list[int]],
+        raw: np.ndarray,
         raw_missing: Callable[[int, int], Exception],
         p: int,
         s_elems: tuple[int, ...],
@@ -277,14 +277,13 @@ class LocalityPartialGroup(TablePartialGroup):
         self.delta_sets = delta_sets
         self.automaton = ThreadAutomaton(s_elems, conj_maps)
         in_delta = [starts in delta_sets for starts in self.automaton.start_sets]
-        super().__init__(size, identity, labels, inv, raw, self.automaton.rows, in_delta,
+        super().__init__(size, identity, labels, inv, raw, self.automaton.array, in_delta,
                          raw_missing)
         # (M, to_ambient) when L was cut from a group M (locality_from_group):
         # local id i is M's element to_ambient[i]; read by certify_ambient
         self.ambient = ambient
 
-    # the accept mask under its locality name: one attribute, rebound or changed in place
-    in_delta = property(lambda self: self.accept, lambda self, mask: setattr(self, "accept", mask))
+    in_delta = TablePartialGroup.accept  # the accept mask under its locality name
     # class entries that perfbench/tracing.py counts
     in_domain = TablePartialGroup.in_domain
     mul2 = TablePartialGroup.mul2
@@ -307,8 +306,8 @@ class LocalityPartialGroup(TablePartialGroup):
              restricted to L, with -1 exactly where a product leaves L;
         (H3) S is a subgroup of M, automaton.maps[g] is conjugation by g on
              S positions, and states (read as they are held: each start's
-             position, -1 once it left S), rows, array, start_sets and
-             in_delta are the threading automaton of those maps masked by
+             position, -1 once it left S), rows, array (trans), start_sets
+             and in_delta are the threading automaton of those maps masked by
              "S_w in delta_sets": state 0 is the identity map of S, and the
              state in row g of a state is its map followed by maps[g];
         (H4) S is in Delta; <P, s> is in Delta for every P in Delta and s
@@ -344,7 +343,7 @@ class LocalityPartialGroup(TablePartialGroup):
         mult = M.mult
         if amb.shape != (size,) or (local_of[amb] != np.arange(size)).any():
             raise ValueError("(H2) to_ambient is not one-to-one on L")
-        if local_of[mult[np.ix_(amb, amb)]].tolist() != self._raw:
+        if not np.array_equal(_padded(local_of[mult[np.ix_(amb, amb)]]), self._raw):
             raise ValueError("(H2) the raw products are not M's restricted to L")
         inv_m = np.array(inv, dtype=np.int64)
         inverses = local_of[inv_m[amb]].tolist()
@@ -364,7 +363,7 @@ class LocalityPartialGroup(TablePartialGroup):
             raise ValueError("(H3) an automaton map is not conjugation in M")
         # cur[sid, a]: the current position of start a in state sid, -1 if gone
         cur = np.asarray(auto.states)
-        rows = _ids(auto.array, len(cur), "(H3) a row")
+        rows = _ids(self.trans, len(cur), "(H3) a row")
         if (
             cur.shape[1:] != (k,) or not len(cur)
             or ((cur < -1) | (cur >= k)).any()
@@ -377,7 +376,8 @@ class LocalityPartialGroup(TablePartialGroup):
         if not np.array_equal(cur[rows], step[np.arange(size)[:, None], cur[:, None, :]]):
             raise ValueError("(H3) the automaton rows do not follow conjugation in M")
         starts = [frozenset(itertools.compress(self.s_elems, row)) for row in (cur >= 0).tolist()]
-        if starts != auto.start_sets or self.in_delta != [P in self.delta_sets for P in starts]:
+        in_delta = [P in self.delta_sets for P in starts]
+        if starts != auto.start_sets or self.in_delta.tolist() != in_delta:
             raise ValueError("(H3) the start sets or the Delta mask are not the states'")
 
         s_set = frozenset(self.s_elems)
@@ -539,9 +539,8 @@ def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
 
     local_delta = delta.translate(to_local)
     s_local = tuple(to_local[s] for s in s_sorted)
-    # The ambient product over the kept elements in local ids, -1 where it
-    # leaves L: tabulated once, so _mul_raw is a list read.
-    raw: list[list[int]] = _positions(keep, n)[M.mult[np.ix_(keep, keep)]].tolist()
+    # The ambient product over the kept elements in local ids, -1 where it leaves L
+    raw = _positions(keep, n)[M.mult[np.ix_(keep, keep)]]
 
     def escapes(a: int, b: int) -> LocalityConstructionError:
         detail = f"domain product escapes the element set at ({a},{b})"
@@ -608,7 +607,7 @@ def _p_subgroup_above(
         if x in done:
             continue
         grown = partial_subgroup_closure(pg, base | {x})
-        if len(grown) != len(base) and _is_prime_power(len(grown), loc.p):
+        if len(grown) != len(base) and _p_part(len(grown), loc.p) == len(grown):
             ok, _ = pg.words_all_in_domain(grown)
             if ok:
                 return (x, grown)
@@ -696,7 +695,7 @@ def check_locality(loc: Locality) -> VerificationReport:
     # (L1)
     ok_s, bad_word = pg.words_all_in_domain(loc.sylow_set)
     order = len(loc.sylow_set)
-    is_p_group = _is_prime_power(order, loc.p)
+    is_p_group = _p_part(order, loc.p) == order
     above = (
         _p_subgroup_above(loc, loc.sylow_set, pg.elements()) if ok_s and is_p_group else None
     )

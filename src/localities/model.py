@@ -244,6 +244,8 @@ def _parse_plocality(body: str, line: int) -> Locality:
         ]
     except ValueError as exc:
         raise ModelError(f"bad plocality numbers: {exc}", line)
+    if size < 1:
+        raise ModelError("size must be at least 1", line)
     if len(inv) != size:
         raise ModelError("inv length does not match size", line)
     delta_members = frozenset(frozenset(P) for P in delta_lists)
@@ -263,9 +265,9 @@ def _parse_plocality(body: str, line: int) -> Locality:
     repeated = next((a for a, b in zip(sylow, sylow[1:]) if a == b), None)
     if repeated is not None:
         raise ModelError(f"sylow repeats id {repeated}", line)
-    raw = [[-1] * size for _ in range(size)]
-    for a, b, v in prod_triples:
-        raw[a][b] = v
+    raw = np.full((size, size), -1, dtype=np.int64)
+    for a, b, v in prod_triples:  # a repeated entry: the last one holds
+        raw[a, b] = v
 
     def no_entry(a: int, b: int) -> ModelError:
         return ModelError(f"product table has no entry for ({a},{b})", line)
@@ -273,10 +275,10 @@ def _parse_plocality(body: str, line: int) -> Locality:
     # Each conj entry must be s^g = (g^-1 s) g.  An entry means (g^-1, s, g)
     # is a domain word, so both products must exist.
     for s, g, v in conj_triples:
-        h = raw[inv[g]][s]
+        h = raw.item(inv[g], s)
         if h < 0:
             raise no_entry(inv[g], s)
-        if (w := raw[h][g]) < 0:
+        if (w := raw.item(h, g)) < 0:
             raise no_entry(h, g)
         if w != v:
             raise ModelError(
@@ -284,19 +286,18 @@ def _parse_plocality(body: str, line: int) -> Locality:
             )
     # maps[g, i]: the position in S of s_i^g from the conj entries, -1 where
     # there is none or it leaves S.  An entry agrees with prod, so an s^g in
-    # S that prod gives has an entry exactly when maps holds it.
+    # S that prod gives (w[g, i], -1 if none) has an entry iff maps holds it.
     triples = np.array(conj_triples, dtype=np.int64).reshape(-1, 3)
     conj = np.full((size, size), -1, dtype=np.int64)
     conj[triples[:, 1], triples[:, 0]] = _positions(sylow, size)[triples[:, 2]]
     maps = conj[:, list(sylow)]
-    s_set, rows = set(sylow), maps.tolist()
-    for i, s in enumerate(sylow):
-        for g in range(size):
-            h = raw[inv[g]][s]
-            if rows[g][i] < 0 and h >= 0 and (w := raw[h][g]) in s_set:
-                raise ModelError(
-                    f"conj has no entry for ({s},{g}), whose conjugate {w} lies in sylow", line
-                )
+    h = raw[np.array(inv)[:, None], list(sylow)]
+    w = np.where(h >= 0, raw[h, np.arange(size)[:, None]], -1)
+    unlisted = np.argwhere(((maps < 0) & np.isin(w, sylow)).T)  # (i, g), i first
+    if len(unlisted):
+        i, g = unlisted[0].tolist()
+        raise ModelError(f"conj has no entry for ({sylow[i]},{g}), whose conjugate"
+                         f" {w[g, i]} lies in sylow", line)
 
     pg = LocalityPartialGroup(
         size=size,

@@ -11,7 +11,7 @@ from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, SubgroupRef, certify_group_table, subset_group
+from .groups import FiniteGroup, SubgroupRef, _p_part, certify_group_table, subset_group
 
 Word = tuple[int, ...]
 
@@ -24,8 +24,8 @@ EMPTY_WORD = object()
 # a test's product overrides (CorruptedProducts); no command builds one.  A
 # word count past the cap is stated as "more than" it.
 AXIOM_SWEEP_CAP = 20_000_000
-# The most states one intern_states automaton or state_fixpoint search
-# interns (LOC-S5's quotient checks: 80; S4xS4's threading automaton: 100).
+# The most states one intern_states automaton or state_fixpoint search interns
+# (LOC-S5's quotient checks: 80; S4xS4's threading automaton: 100); walker tables intern none.
 STATE_FIXPOINT_CAP = 1_000_000
 
 
@@ -36,6 +36,13 @@ class AmalgamSpecError(ValueError):
 class WalkerTable(NamedTuple):  # see TablePartialGroup.walker_table
     rows: list[list[int]]  # rows[c][x]: the code of walk_step(state c, x), -1 for None
     array: np.ndarray  # rows as int64 plus a last row of -1: code -1 stays -1
+
+
+def _padded(table: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """A 2-d table in int64 with a last row and column of -1: index -1 reads -1."""
+    out = np.full(np.add(np.shape(table), 1), -1, dtype=np.int64)
+    out[:-1, :-1] = table
+    return out
 
 
 class PartialGroup:
@@ -100,9 +107,7 @@ class PartialGroup:
         and column are -1, so a product with the missing value -1 is
         missing too.  Built on first use and kept on the instance."""
         if self._padded_products is None:
-            n = self.size
-            self._padded_products = np.full((n + 1, n + 1), -1, dtype=np.int64)
-            self._padded_products[:n, :n] = self.product_table()
+            self._padded_products = _padded(self.product_table())
         return self._padded_products
 
     def conj_table(self) -> list[list[int]]:
@@ -135,14 +140,13 @@ class PartialGroup:
     # x) is None exactly when in_domain(word + (x,)) is false, where state
     # is the state of word; a state is hashable and decides every
     # extension, so two words with equal states have the same domain
-    # status under every suffix.  walker_table(), which TablePartialGroup
-    # builds from its automaton (a backend with another walker builds its
-    # own), numbers the states walk_start() reaches as codes 0, 1, ... in
-    # breadth-first order over the letters 0..size-1, so two words share a
-    # code exactly when they share a state; it is built once per instance,
-    # on first use, and interning more than STATE_FIXPOINT_CAP states
-    # raises SweepBudgetExceeded.  It is the one domain decider for words
-    # of every length: words_all_in_domain, domain_is_total, the (L2) and
+    # status under every suffix.  walker_table() codes the states, code 0
+    # for walk_start(), so that two words share a code exactly when they
+    # share a state: rows[c][x] is the code of walk_step(state c, x), -1
+    # for None.  A TablePartialGroup's codes are its automaton's states; a
+    # test double numbers the states it reaches breadth first.  Built once
+    # per instance, on first use, it is the one domain decider for words of
+    # every length: words_all_in_domain, domain_is_total, the (L2) and
     # threading checks of check_locality, subset_product, the product scan
     # of normal._scan_product (which reads S_w, never the domain, from the
     # threading automaton) and the quotient's word checks (state_fixpoint)
@@ -156,7 +160,9 @@ class PartialGroup:
 
     @property
     def domain_is_total(self) -> bool:
-        """Whether every word is in the domain: no -1 in the walker rows."""
+        """Whether every word is in the domain: no -1 in the walker rows, all
+        of which words reach from code 0, as every builder interns trans from
+        state 0 (a threading automaton, an amalgam's side masks) or has one state."""
         return bool((self.walker_table().array[:-1] >= 0).all())
 
     def words_all_in_domain(self, members: frozenset[int]) -> tuple[bool, Word | None]:
@@ -258,38 +264,46 @@ class TablePartialGroup(PartialGroup):
     """A partial group held as tables, as every one the package builds is
     (groups, amalgams and table localities, quotients among them).
 
-    _inv[x] is the inverse of x.  _raw[a][b] is the raw product, -1 where
+    _inv[x] is the inverse of x.  _raw[a, b] is the raw product, -1 where
     it is undefined; a domain word whose fold meets such a pair raises
     raw_missing(a, b).  trans is a domain automaton (Epstein et al., Word
-    Processing in Groups, 1992): trans[s][x] is the state x takes s to,
+    Processing in Groups, 1992): trans[s, x] is the state x takes s to,
     never -1, from state 0 for the empty word, and accept[s] says whether
     the words reaching s are in the domain.  A domain word's product is its
     left fold over _raw from the identity; the walker states are those of
-    trans, masked by accept.  The tables are read where they are used, as
-    they stand then (the product, conjugation and walker tables once, on
-    first use), never copied at construction.
+    trans, masked by accept.  The three are arrays from construction on,
+    _raw with a last row and column of -1, read as they stand (the product,
+    conjugation and walker tables once, on first use); the scalar methods
+    read memoryviews of them, Python ints and bools at twice a list read's cost.
     """
 
     _walker_table: WalkerTable | None = None
 
     def __init__(self, size: int, identity: int, labels: tuple[str, ...], inv: Sequence[int],
-                 raw: list[list[int]], trans: list[list[int]], accept: list[bool],
+                 raw: np.ndarray, trans: np.ndarray | list, accept: np.ndarray | list,
                  raw_missing: Callable[[int, int], Exception] = _no_raw_entry):
         self.size, self.identity, self.labels = size, identity, labels
-        self._inv, self._raw, self._raw_missing = inv, raw, raw_missing
-        self.trans, self.accept = trans, accept
+        self._inv, self._raw, self._raw_missing = inv, _padded(raw), raw_missing
+        self.trans, self.accept = np.asarray(trans), accept
+        self._trans_at, self._raw_at = memoryview(self.trans), memoryview(self._raw)
+
+    def _set_accept(self, mask: np.ndarray | list) -> None:  # a rebound mask, a new view
+        self._accept = np.asarray(mask, dtype=bool)
+        self._accept_at = memoryview(self._accept)
+
+    accept = property(lambda self: self._accept, _set_accept)
 
     def inverse(self, x: int) -> int:
         return self._inv[x]
 
     def in_domain(self, word: Word) -> bool:
-        state, trans = 0, self.trans
+        state, trans = 0, self._trans_at
         for x in word:
-            state = trans[state][x]
-        return self.accept[state]
+            state = trans[state, x]
+        return self._accept_at[state]
 
     def _mul_raw(self, a: int, b: int) -> int:
-        v = self._raw[a][b]
+        v = self._raw_at[a, b]
         if v < 0:
             raise self._raw_missing(a, b)
         return v
@@ -308,55 +322,52 @@ class TablePartialGroup(PartialGroup):
         return 0
 
     def walk_step(self, state: int, x: int):
-        nxt = self.trans[state][x]
-        return nxt if self.accept[nxt] else None
+        nxt = self._trans_at[state, x]
+        return nxt if self._accept_at[nxt] else None
 
     def walker_table(self) -> WalkerTable:
-        """The walker codes of the PartialGroup contract, interned by
-        intern_states, each level one gather of trans and accept."""
+        """The walker codes of the PartialGroup contract: trans's own states,
+        each row masked by accept in one gather (every builder bounded trans)."""
         if self._walker_table is None:
-            trans, accept = np.array(self.trans, dtype=np.int64), np.array(self.accept, dtype=bool)
-            _, rows = intern_states(np.zeros(1, dtype=np.int64), lambda level: (
-                trans[level[:, 0], :, None], accept[trans[level[:, 0]]]), "walker table")
-            array = np.array(rows + [[-1] * self.size], dtype=np.int64)
-            self._walker_table = WalkerTable(rows, array)
+            masked = np.where(self.accept[self.trans], self.trans, -1)
+            array = np.concatenate((masked, np.full((1, self.size), -1)))
+            self._walker_table = WalkerTable(masked.tolist(), array)
         return self._walker_table
 
-    def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(trans, accept, raw) as arrays for the axiom searches."""
-        return np.array(self.trans), np.array(self.accept, dtype=bool), np.array(self._raw)
-
-    def _gather(self, *letters: np.ndarray) -> list[list[int]]:
+    def _gather(self, *letters: np.ndarray) -> np.ndarray:
         """pi of the words letters[0] letters[1] ..., the letter arrays
         broadcast to one table: a walk over trans and a fold over _raw, one
         gather per letter, -1 off the domain.  A domain word whose fold
         meets a missing raw product raises as pi does: the first such word
         in row-major order, at its first missing pair."""
-        trans = np.array(self.trans, dtype=np.int64)
-        raw = np.pad(np.array(self._raw, dtype=np.int64), (0, 1), constant_values=-1)
         state, value = 0, self.identity  # a missing value -1 reads -1 from then on
         for x in letters:
-            state, value = trans[state, x], raw[value, x]
-        domain = np.array(self.accept, dtype=bool)[state]
+            state, value = self.trans[state, x], self._raw[value, x]
+        domain = self.accept[state]
         missing = np.argwhere(domain & (value < 0))
         if len(missing):  # the scalar fold of the first such word raises
             at = tuple(missing[0])
             self._raw_product(tuple(int(np.broadcast_to(x, value.shape)[at]) for x in letters))
-        return np.where(domain, value, -1).tolist()
+        return np.where(domain, value, -1)
+
+    def padded_products(self) -> np.ndarray:
+        """The base class array, pi((a, b)) in one gather over every pair."""
+        if self._padded_products is None:
+            n = np.arange(self.size)
+            self._padded_products = _padded(self._gather(n[:, None], n))
+        return self._padded_products
 
     def product_table(self) -> list[list[int]]:
-        """The base class table, pi((a, b)) in one gather over every pair."""
+        """padded_products() as lists, without its last row and column."""
         if self._product_table is None:
-            n = np.arange(self.size)
-            self._product_table = self._gather(n[:, None], n)
+            self._product_table = self.padded_products()[:-1, :-1].tolist()
         return self._product_table
 
     def conj_table(self) -> list[list[int]]:
-        """The base class table, pi((f^-1, x, f)) in one gather over every
-        x (row) and f (column)."""
+        """The base class table, pi((f^-1, x, f)) at row x, column f, in one gather."""
         if self._conj_table is None:
             n = np.arange(self.size)
-            self._conj_table = self._gather(np.array(self._inv, dtype=np.int64), n[:, None], n)
+            self._conj_table = self._gather(np.asarray(self._inv), n[:, None], n).tolist()
         return self._conj_table
 
 
@@ -366,9 +377,8 @@ class GroupPartialGroup(TablePartialGroup):
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        n = group.order
-        super().__init__(n, group.identity, group.labels, group.inv, group.mult.tolist(),
-                         [[0] * n], [True])
+        super().__init__(group.order, group.identity, group.labels, group.inv, group.mult,
+                         np.zeros((1, group.order), dtype=np.int64), [True])
 
     def _vector_components(self):
         return [(tuple(self.elements()), self.group)]
@@ -424,7 +434,7 @@ class AmalgamPartialGroup(TablePartialGroup):
 
     The left group keeps its ids and the right group's ids outside the
     shared subgroup follow.  The raw product is glued from the two tables;
-    the automaton's four states are both sides, left, right and dead.
+    the automaton's states are the side masks words reach from 3 (both).
     """
 
     SIDE_LEFT = 1
@@ -449,11 +459,11 @@ class AmalgamPartialGroup(TablePartialGroup):
         raw[:n, :n], inv[:n] = left.mult, left.inv
         raw[np.ix_(from_right, from_right)] = from_right[right.mult]
         inv[from_right] = from_right[list(right.inv)]
-        state = np.array([3, 1, 2, 0])  # the state of each side mask, and the mask of each state
+        masks, trans = intern_states(np.array([3]), lambda s: (
+            s[:, None] & side_mask[:, None], np.ones((len(s), size), bool)), "amalgam automaton")
         super().__init__(
             size, left.identity, tuple(left.labels) + tuple("r." + right.labels[j] for j in own),
-            tuple(inv.tolist()), raw.tolist(), state[state[:, None] & side_mask].tolist(),
-            [True, True, True, False],
+            tuple(inv.tolist()), raw, trans, masks[:, 0] > 0,
         )
         self.from_left = tuple(range(n))
         self.from_right = tuple(from_right.tolist())
@@ -698,14 +708,6 @@ def _conjugation_failure(pg: PartialGroup, X: frozenset[int]) -> tuple | None:
     return None
 
 
-def _is_prime_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def classify_subset(
     pg: PartialGroup, members: Iterable[int], p: int | None = None
 ) -> SubsetHandle:
@@ -722,7 +724,7 @@ def classify_subset(
         if not ok and witness is None:
             witness = ("word", bad)
     prime = p if p is not None else pg.p
-    is_p = bool(is_subgroup and prime is not None and _is_prime_power(len(X), prime))
+    is_p = bool(is_subgroup and prime is not None and _p_part(len(X), prime) == len(X))
     is_pn = False
     if partial_sub:
         bad_conj = _conjugation_failure(pg, X)
@@ -751,7 +753,7 @@ def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozen
     code, value) pair, which decides every extension because the walker
     and the table are deterministic: the fold reads one walker row entry
     per pair and letter, from pg.walker_table() (built once per instance,
-    on first use, within STATE_FIXPOINT_CAP states).  The empty word has
+    on first use).  The empty word has
     code 0 and carries the value EMPTY_WORD; a domain word whose fold
     meets an undefined product (-1, on a table that breaks the axioms)
     has no value and is dropped.
@@ -869,25 +871,23 @@ def _dfs_axiom_sweep(pg: PartialGroup, max_len: int) -> tuple[int, list[AxiomVio
     return visited, out
 
 
-def _axiom_searches(
-    trans: np.ndarray, in_delta: np.ndarray, raw: np.ndarray, inv: Sequence[int], e: int,
-    missing: Callable[[int, int], Exception] | None,
-) -> tuple[list[int], dict[str, list[Word]]]:
+def _axiom_searches(pg: TablePartialGroup) -> tuple[list[int], dict[str, list[Word]]]:
     """([split, collapse, cancellation state counts], {axiom: its failing
-    words in shortlex order}) over the words on the letters 0..m-1 of trans.
+    words in shortlex order}) over the words on the letters 0..m-1 of
+    pg.trans, with D = pg.accept, R = pg._raw and e = pg.identity.
 
     A word is in the domain when its walk over trans from state 0 ends in
-    in_delta; its product is its left fold over raw (-1: undefined) from
-    e.  No walker is read: a walker assumes split.  Each search is one
+    D; its product is its left fold over R (-1: undefined) from e.  No
+    walker is read: a walker assumes split.  Each search is one
     state_fixpoint over letters tagged with a guess (x with tag g is x *
     tags + g), failing a domain word as it ends; a path stops once no
-    extension of its word can reach in_delta (A):
+    extension of its word can reach D (A):
     - split, (state, flag, suffix state): the flag is -1 on the empty word
       and 1 once a proper prefix is off the domain or the suffix can no
       longer reach it; tag 1 starts the suffix.  Fails: flag 1, or the
       suffix off the domain;
     - collapse, (phase, state, value, y, z): phase 0 reads the word, which
-      fails if its fold leaves raw (missing(a, b) is raised at its first
+      fails if its fold leaves R (pg._raw_missing(a, b) is raised at its first
       undefined pair) or if appending the empty word changes it.  Tag 1
       collapses the empty word before its letter; tag 2 keeps a letter in
       y (phase 1), and the next letter collapses that pair, if in the
@@ -899,14 +899,14 @@ def _axiom_searches(
       and w^-1 as codes in the transition monoid; w^-1 w walks to
       T_w(T_w^-1(0)).  The value half is read on single letters.
     """
+    trans, R, e = pg.trans, pg._raw, pg.identity
     k, m = trans.shape
-    T = np.pad(np.asarray(trans, dtype=np.int64), (0, 1), constant_values=-1)  # -1 reads -1
-    R = np.pad(np.asarray(raw, dtype=np.int64), (0, 1), constant_values=-1)
-    D = np.append(np.asarray(in_delta, dtype=bool), False)
+    T = _padded(trans)  # the dead state -1 and the letter -1 read -1
+    D = np.append(pg.accept, False)
     A = D.copy()
     while not ((grown := A | A[T[:, :m]].any(axis=1)) == A).all():
         A = grown
-    inv = np.asarray(inv, dtype=np.int64)
+    inv = np.asarray(pg._inv, dtype=np.int64)
     counts: list[int] = []
 
     def search(start, tags, step, *more: Word) -> list[Word]:
@@ -949,14 +949,14 @@ def _axiom_searches(
 
     found = {"split": search((0, -1, -1), 2, split_step)}
     found["collapse"] = search((0, 0, e, -1, -1), 3, collapse_step)
-    for word in found["collapse"]:  # a domain word whose fold leaves raw fails here
+    for word in found["collapse"]:  # a domain word whose fold leaves R fails here
         state, value, pair = 0, e, None
         for x in word:
             if pair is None and R[value, x] < 0 <= value:
                 pair = (int(value), x)
             state, value = trans[state, x], R[value, x]
-        if pair is not None and in_delta[state]:
-            raise missing(*pair)
+        if pair is not None and D[state]:
+            raise pg._raw_missing(*pair)
 
     def then_letter(level):  # T_w x for each map T_w of level and letter x
         return T[level, :m].swapaxes(1, 2), np.ones((len(level), m), dtype=bool)
@@ -979,10 +979,10 @@ def _axiom_searches(
 
 
 def _searched(pg: TablePartialGroup) -> tuple[list, str]:
-    """(violations, note) of _axiom_searches on pg.sweep_tables(): per
-    axiom, its failing words in shortlex order with their violations of it,
-    as _dfs_axiom_sweep reports them, until MAX_REPORTED_VIOLATIONS are kept."""
-    counts, found = _axiom_searches(*pg.sweep_tables(), pg._inv, pg.identity, pg._raw_missing)
+    """(violations, note) of _axiom_searches on pg: per axiom, its failing
+    words in shortlex order with their violations of it, as
+    _dfs_axiom_sweep reports them, until MAX_REPORTED_VIOLATIONS are kept."""
+    counts, found = _axiom_searches(pg)
     out: list[AxiomViolation] = []
     for axiom, words in found.items():
         kept: list[AxiomViolation] = []
@@ -1044,15 +1044,15 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
       sides, a locality or quotient whose domain is total and whose table
       is a group) is proved if its table as it stands passes
       certify_group_table (Light's test) with the identity and inverses it
-      holds, and else searched on GroupPartialGroup(its group).sweep_tables(),
-      one accepting state over that table, with a second note;
+      holds, and else searched by _axiom_searches on GroupPartialGroup(its
+      group), one accepting state over that table, with a second note;
     - a partial group that knows its ambient group (pg.ambient, set by
       locality_from_group) is proved by pg.certify_ambient(); if that is
       refused, a second note says why and the routes below are taken;
-    - the other table backends (pg.sweep_tables(): a LocalityPartialGroup
-      with a partial domain or a refused certificate, such as a plocality
-      file or a quotient, in memory or read back) are searched by
-      _axiom_searches, for every word length; a domain word whose fold
+    - the other table backends (a LocalityPartialGroup with a partial
+      domain or a refused certificate, such as a plocality file or a
+      quotient, in memory or read back) are searched by _axiom_searches on
+      their own arrays, for every word length; a domain word whose fold
       leaves the raw table raises raw_missing, as product_table() does;
     - anything else (a test's product overrides): _dfs_axiom_sweep to
       max_len, which raises SweepBudgetExceeded first if that is over

@@ -356,7 +356,7 @@ class QuotientPartialGroup(LocalityPartialGroup):
             identity=self.rho[pg.identity],
             inv=tuple(inv.tolist()),
             labels=tuple("[" + pg.labels[x] + "]" for x in self.reps),
-            raw=rho[table[np.ix_(r, r)]].tolist(),
+            raw=rho[table[np.ix_(r, r)]],
             raw_missing=lambda a, b: ValueError(
                 f"the representatives of cosets {a} and {b} have no product in the base"
             ),
@@ -382,13 +382,12 @@ def _coset_word_steps(pg: PartialGroup, qpg: QuotientPartialGroup):
     """(steps, rho): a state of the word checks is (walker code of v, pi(v),
     quotient walker code of bar(v), pi(bar(v))).  steps(level, f) gathers
     those of v f for every state and letter from pg.walker_table().array,
-    pg.padded_products(), qpg.walker_table().array and qpg's raw product,
-    whose left fold is pi(bar(v)) as LocalityPartialGroup._raw_product
+    pg.padded_products(), qpg.walker_table().array and qpg._raw, whose
+    left fold is pi(bar(v)) as LocalityPartialGroup._raw_product
     multiplies.  -1 (a dead code, a missing value) stays -1, and rho of -1
     is -1."""
     walk, table = pg.walker_table().array, pg.padded_products()
-    bar_walk = qpg.walker_table().array
-    raw = np.pad(np.array(qpg._raw, dtype=np.int64), (0, 1), constant_values=-1)
+    bar_walk, raw = qpg.walker_table().array, qpg._raw
     rho = np.array(qpg.rho + (-1,))
 
     def steps(level, f):
@@ -408,9 +407,8 @@ def _homomorphism_failures(
 
     The states are those of _coset_word_steps: codes read from the walker
     tables of pg and qpg and values from pg.padded_products() and qpg's
-    raw product, each table built once per instance on first use (a walker
-    table within STATE_FIXPOINT_CAP states).  A failing word is not
-    extended.
+    raw product, each table built once per instance on first use.  A
+    failing word is not extended.
     """
     steps, rho = _coset_word_steps(pg, qpg)
 

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -15,24 +16,40 @@ from localities.corpus import (
 )
 
 
+def _left_unchanged(fixture, pg):
+    """Yield a session builtin, then require that its tables (raw, trans,
+    accept and inverses) are as they were when it was built: a test that
+    tampers with one must tamper with a copy."""
+    tables = (pg._raw.copy(), pg.trans.copy(), pg.accept.copy(), tuple(pg._inv))
+    yield fixture
+    now = (pg._raw, pg.trans, pg.accept, tuple(pg._inv))
+    changed = [name for name, old, new in zip(("raw", "trans", "accept", "inv"), tables, now)
+               if not np.array_equal(old, new)]
+    assert not changed, f"tests wrote into the {changed} of a shared builtin"
+
+
 @pytest.fixture(scope="session")
 def am20():
-    return amalgam_counterexample()
+    fixture = amalgam_counterexample()
+    yield from _left_unchanged(fixture, fixture.pg)
 
 
 @pytest.fixture(scope="session")
 def s4f():
-    return locality_s4()
+    fixture = locality_s4()
+    yield from _left_unchanged(fixture, fixture.loc.pg)
 
 
 @pytest.fixture(scope="session")
 def c2s4f():
-    return locality_c2xs4()
+    fixture = locality_c2xs4()
+    yield from _left_unchanged(fixture, fixture.loc.pg)
 
 
 @pytest.fixture(scope="session")
 def s5f():
-    return locality_s5()
+    fixture = locality_s5()
+    yield from _left_unchanged(fixture, fixture.loc.pg)
 
 
 def oracle_locality(fix, keep) -> OLocality:

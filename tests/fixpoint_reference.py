@@ -59,9 +59,9 @@ def per_state(step):
 def _reads(pg, qpg):
     """The base products, rho and the quotient's raw product as padded lists:
     the missing value -1 reads -1."""
-    n, q = pg.size, qpg.size
+    n = pg.size
     table = [row + [-1] for row in pg.product_table()] + [[-1] * (n + 1)]
-    raw = [row + [-1] for row in qpg._raw] + [[-1] * (q + 1)]
+    raw = qpg._raw.tolist()
     return table, qpg.rho + (-1,), raw
 
 

@@ -40,7 +40,7 @@ def rebuild(pg, delta_sets=None, raw=None):
         identity=pg.identity,
         inv=pg._inv,
         labels=pg.labels,
-        raw=pg._raw if raw is None else raw,
+        raw=pg._raw[:-1, :-1] if raw is None else raw,
         raw_missing=pg._raw_missing,
         p=pg.p,
         s_elems=pg.s_elems,
@@ -62,7 +62,7 @@ def swapped(pg):
     """Two domain products of the raw table swapped: (1,1) and (1,6)."""
     table = pg.product_table()
     assert -1 < table[1][1] != table[1][6] > -1
-    raw = [row[:] for row in pg._raw]
+    raw = pg._raw[:-1, :-1].tolist()
     raw[1][1], raw[1][6] = raw[1][6], raw[1][1]
     return rebuild(pg, raw=raw)
 
@@ -72,7 +72,7 @@ def right_identity_broken(pg):
     the empty word inserted after x fails on the word (x,)."""
     e = pg.identity
     x = next(g for g in pg.elements() if g not in pg.s_elems)
-    raw = [row[:] for row in pg._raw]
+    raw = pg._raw[:-1, :-1].tolist()
     raw[x][e] = next(v for v in raw[x] if v >= 0 and v != x)
     return rebuild(pg, raw=raw)
 
@@ -107,8 +107,7 @@ def assert_confirmed(pg, violations):
 
 def search(pg):
     """(state counts, failing words) of the searches on pg's own tables."""
-    inverses = [pg.inverse(x) for x in pg.elements()]
-    return _axiom_searches(*pg.sweep_tables(), inverses, pg.identity, pg._raw_missing)
+    return _axiom_searches(pg)
 
 
 def assert_witnesses_fail(pg, first=500):
@@ -205,7 +204,7 @@ def test_check_axioms_takes_the_table_route(s5f):
 
 
 def test_product_off_the_raw_table_raises_what_the_dfs_raises(s5f):
-    raw = [row[:] for row in s5f.loc.pg._raw]
+    raw = s5f.loc.pg._raw[:-1, :-1].tolist()
     raw[1][1] = -1
     pg = rebuild(s5f.loc.pg, raw=raw)
     with pytest.raises(LocalityConstructionError) as dfs_error:
@@ -220,7 +219,7 @@ def test_products_off_the_raw_table_past_the_dfs_cap_raise(s5f):
     """The transposed product leaves the raw table on some domain words that
     the DFS, stopped at its cap, never multiplies; the searches reach them
     and raise as product_table() does, at a pair off the table."""
-    raw = [list(row) for row in zip(*s5f.loc.pg._raw)]
+    raw = s5f.loc.pg._raw[:-1, :-1].T.tolist()
     pg = minus_smallest(rebuild(s5f.loc.pg, raw=raw))
     assert len(_dfs_axiom_sweep(pg, 3)[1]) == 200
     with pytest.raises(LocalityConstructionError):
@@ -262,7 +261,7 @@ def am20_threaded(am20):
 
 
 def off_the_raw_table(pg):
-    raw = [row[:] for row in pg._raw]
+    raw = pg._raw[:-1, :-1].tolist()
     raw[1][1] = -1
     return rebuild(pg, raw=raw)
 
@@ -303,10 +302,7 @@ def test_product_table_matches_per_pair_walks(request, name):
 
 def one_state_search(group):
     """What check_axioms searches on a total component that fails its certificate."""
-    return _axiom_searches(
-        np.zeros((1, group.order), dtype=np.int64), np.ones(1, dtype=bool), group.mult,
-        group.inv, group.identity, None,
-    )
+    return _axiom_searches(GroupPartialGroup(group))
 
 
 def test_total_kernel_matches_the_reference_on_grp_s4(s4f):

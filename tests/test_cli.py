@@ -334,6 +334,7 @@ MALFORMED = [
     ("unknown-section", " : prod ", " : foo 1 : prod ", "plocality has unknown section 'foo'"),
     ("repeated-section", " : size 2 : ", " : size 2 : size 7 : ",
      "plocality repeats section 'size'"),
+    ("size-0", " : size 2 : ", " : size 0 : ", "size must be at least 1"),
 ]
 
 
@@ -356,6 +357,26 @@ def test_quotient_over_the_state_budget_exits_2(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: word-state search reached 32 states, over the budget of 31"
+    ]
+
+
+def test_quotient_over_the_automaton_budget_exits_2(s5f, monkeypatch, capsys):
+    """The threading automaton of LOC-S5 / N5 reaches 10 states.  The CLI
+    shares the fixture's LOC-S5, whose own automaton (15 states) is built
+    already, and a first call keeps the kernel's coset partition; the
+    second call builds the quotient again under a budget of 9, and its
+    automaton is the first that meets it."""
+    argv = ["quotient", "--builtin", "LOC-S5", "--kernel", "N5"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    quotient = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
+    assert len(quotient.automaton.states) == 10
+    monkeypatch.setattr(partial, "STATE_FIXPOINT_CAP", 9)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: threading automaton reached 10 states, over the budget of 9"
     ]
 
 

@@ -25,11 +25,11 @@ import random
 import pytest
 
 from localities import locality, normal, quotient
+from localities.groups import _p_part
 from localities.locality import _p_subgroup_above, as_locality, check_locality
 from localities.normal import enumerate_partial_normals, partial_normal_closure, partial_normals
 from localities.partial import (
     _close,
-    _is_prime_power,
     closure_twins,
     partial_subgroup_closure,
 )
@@ -50,7 +50,7 @@ def p_subgroup_above_by_every_candidate(loc, base, candidates, closed_base=False
             grown = partial_subgroup_closure(pg, {x}, closed=base)
         else:
             grown = partial_subgroup_closure(pg, base | {x})
-        if len(grown) == len(base) or not _is_prime_power(len(grown), loc.p):
+        if len(grown) == len(base) or _p_part(len(grown), loc.p) != len(grown):
             continue
         ok, _ = pg.words_all_in_domain(grown)
         if ok:

@@ -96,7 +96,7 @@ def test_conj_table_matches_pi(request, name):
 
 def _with_raw(pg, changes):
     """pg rebuilt with the raw products changes[(a, b)] (-1: none)."""
-    raw = [row[:] for row in pg._raw]
+    raw = pg._raw[:-1, :-1].tolist()
     for (a, b), v in changes.items():
         raw[a][b] = v
     return LocalityPartialGroup(

@@ -30,6 +30,10 @@ def test_degenerate_amalgam_is_the_group():
     for a in pg.elements():
         for b in pg.elements():
             assert pg.in_domain((a, b))
+    # every word stays on both sides: the automaton reaches one state, and
+    # the walker rows, all of which domain_is_total reads, hold no -1
+    assert pg.trans.tolist() == [[0] * G.order]
+    assert pg.domain_is_total
 
 
 def test_amalgam_size_and_mixed_words(am20):
@@ -135,6 +139,18 @@ def test_classify_left_group_not_normal(am20):
     kind, x, f, img = handle.witness
     assert kind == "conjugation"
     assert f in am20.right_set
+
+
+def test_classify_an_odd_prime_subgroup(s4f):
+    """A subgroup of order 3 of GRP-S4 is a p-subgroup for p = 3, not for p = 2."""
+    pg = s4f.loc.pg
+    x = next(x for x in pg.elements() if x != pg.identity and pg.pi((x, x, x)) == pg.identity)
+    members = {pg.identity, x, pg.mul2(x, x)}
+    for p, is_p in ((3, True), (2, False)):
+        handle = classify_subset(pg, members, p=p)
+        assert handle.is_subgroup
+        assert handle.is_p_subgroup is is_p
+        assert handle.classification == ("p-subgroup" if is_p else "subgroup")
 
 
 def test_classify_empty_rejected(am20):

@@ -14,6 +14,7 @@ import itertools
 import pytest
 
 from localities.partial import AmalgamPartialGroup, GroupPartialGroup
+from localities.quotient import build_quotient
 
 import domain_reference as reference
 from oracle import OAmalgam, OGroup
@@ -60,3 +61,33 @@ def test_subset_verdicts_match_the_old_decider(request, name):
         members = frozenset(word)
         got, old = pg.words_all_in_domain(members), reference.words_all_in_domain(pg, members)
         assert got == old, word
+
+
+BUILTINS = {
+    "PG-AM20": lambda r: r.getfixturevalue("am20").pg,
+    "GRP-S4": lambda r: r.getfixturevalue("s4f").loc.pg,
+    "GRP-C2xS4": lambda r: r.getfixturevalue("c2s4f").loc.pg,
+    "LOC-S5": lambda r: r.getfixturevalue("s5f").loc.pg,
+    "LOC-S5/N5": lambda r: build_quotient(
+        r.getfixturevalue("s5f").loc, r.getfixturevalue("s5f").subsets["N5"]
+    ).quotient.pg,
+}
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_the_scalar_api_answers_in_python_ints_and_bools(request, name):
+    """The tables are numpy arrays; pi, mul2, inverse, in_domain and
+    walk_step still answer in Python ints and bools (None off the domain)."""
+    pg = BUILTINS[name](request)
+    assert type(pg.pi(())) is int
+    for a in pg.elements():
+        assert type(pg.inverse(a)) is int
+        assert type(pg.pi((a,))) is int
+        assert type(pg.in_domain((a,))) is bool
+        assert type(pg.walk_step(pg.walk_start(), a)) is int
+        for b in pg.elements():
+            domain = pg.in_domain((a, b))
+            assert type(domain) is bool
+            v = pg.mul2(a, b)
+            assert v == pg.pi((a, b))
+            assert type(v) is (int if domain else type(None))

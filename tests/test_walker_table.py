@@ -1,19 +1,19 @@
-"""walker_table() against the walker it numbers: a table backend's, built
-by the array kernel partial.intern_states, and a test double's, built from
-walk_step by automaton_reference.
+"""walker_table() against the walker it numbers: a table backend's, whose
+codes are its automaton's states masked by accept, and a test double's,
+built from walk_step by automaton_reference.
 
 On words up to length 3, the code a word reaches through the table rows is
 -1 exactly where walk_step returns None, and two words get the same code
 exactly when they have the same walker state.  Words are taken a level at
 a time as their distinct (walker state, code) pairs: every word of a level
 has its pair in that level's set, so each word is covered without listing
-each one.  Building the table interns at most STATE_FIXPOINT_CAP states.
+each one.  A test double's table interns at most STATE_FIXPOINT_CAP states.
 """
 
 import numpy as np
 import pytest
 
-from localities import cli, partial
+from localities import partial
 from localities.partial import GroupPartialGroup, SweepBudgetExceeded
 from localities.quotient import build_quotient
 
@@ -57,19 +57,6 @@ def test_codes_follow_the_walker_on_words_up_to_length_3(request, name):
     assert len({s for s, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
 
 
-@pytest.mark.parametrize("name", list(WALKERS))
-def test_codes_are_numbered_in_breadth_first_order(request, name):
-    """One breadth-first pass over the rows meets the codes as 0, 1, ..."""
-    pg = WALKERS[name](request)
-    rows = pg.walker_table().rows
-    order = [0]
-    for code in order:  # order grows while it is read
-        for c in rows[code]:
-            if c >= 0 and c not in order:
-                order.append(c)
-    assert order == list(range(len(rows)))
-
-
 def test_the_table_is_built_once_per_instance(s4f):
     pg = s4f.loc.pg
     assert pg.walker_table() is pg.walker_table()
@@ -85,18 +72,3 @@ def test_a_walker_with_unbounded_states_meets_the_budget(monkeypatch):
                        match=r"^walker table reached 41 states, over the budget of 40$"):
         GappedC2().walker_table()
 
-
-def test_a_walker_table_over_the_budget_exits_2(s4f, monkeypatch, capsys):
-    """GRP-S4's walker reaches 10 states.  The CLI shares the fixture's
-    locality, so its table is dropped first; the homomorphism check of the
-    quotient builds it again, under a budget of 9."""
-    pg = s4f.loc.pg
-    assert len(pg.walker_table().rows) == 10
-    monkeypatch.setattr(pg, "_walker_table", None)
-    monkeypatch.setattr(partial, "STATE_FIXPOINT_CAP", 9)
-    assert cli.main(["quotient", "--builtin", "GRP-S4", "--kernel", "V4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: walker table reached 10 states, over the budget of 9"
-    ]

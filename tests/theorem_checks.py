@@ -5,10 +5,10 @@ Chermak's strong closure of T = N cap S for a partial normal subgroup N."""
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from localities.groups import FiniteGroup
+from localities.groups import FiniteGroup, _p_part
 from localities.locality import Locality, _p_subgroup_above
 from localities.normal import _require_locality, is_partial_normal
-from localities.partial import PartialGroup, _closure_failure, _is_prime_power, subset_product
+from localities.partial import PartialGroup, _closure_failure, subset_product
 from localities.report import VerificationReport
 
 
@@ -94,7 +94,7 @@ def strongly_closed_and_T(
     report.record("setwise-invariant", not bad, bad[:5], "T^g = T whenever T <= S_g")
 
     ok_t, bad_word = loc.pg.words_all_in_domain(T)
-    t_is_p = _is_prime_power(len(T), loc.p)
+    t_is_p = _p_part(len(T), loc.p) == len(T)
     above = _p_subgroup_above(loc, T, sorted(N - T)) if ok_t and t_is_p else None
     report.record(
         "maximal-p-subgroup-of-N",
