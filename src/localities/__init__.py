@@ -5,6 +5,11 @@ subsets, certifies products of partial normal subgroups, constructs
 quotient localities, and machine-verifies the structural lemmas behind all
 of it on every instance it touches.
 
+Every partial group is a PartialGroup, held as its tables: a domain
+automaton and a raw product, from which its product, conjugation and
+walker tables are gathered.  GroupPartialGroup, AmalgamPartialGroup and
+the locality and quotient partial groups build those tables.
+
 Every name exported here is reached from a command in localities.cli, but
 for the quotient's four definitional forms: LDeltaPair, is_up_maximal,
 transporter_in_K and up_relates.  up_maximal_flags replaced them in the

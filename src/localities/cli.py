@@ -351,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("pg-check", "verify the partial group axioms for words of every length:"
                      " proved from the ambient group or by Light's test where they"
-                     " apply, else decided by state searches over the tables (swept"
-                     " word by word to --max-word-len where no tables exist); the"
+                     " apply, else decided by state searches over the tables; the"
                      " detail names the route"),
         ("loc-check", "verify the locality axioms"),
         ("normals", "enumerate partial normal subgroups"),
@@ -367,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--locality", "--object", help="object name inside the source")
         if name == "pg-check":
             p.add_argument("--max-word-len", type=_word_length, default=4,
-                           help="words up to this length are counted in the report and"
-                                " swept where no tables exist, at least 2 (default 4)")
+                           help="words up to this length are counted in the report;"
+                                " no word is swept one at a time, at least 2 (default 4)")
         if name == "loc-check":
             p.add_argument("--max-word-len", type=int, default=4,
                            help="ignored: loc-check covers words of every length;"

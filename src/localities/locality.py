@@ -26,7 +26,6 @@ from .groups import (
 )
 from .partial import (
     PartialGroup,
-    TablePartialGroup,
     Word,
     _padded,
     closure_twins,
@@ -246,10 +245,9 @@ def _generated(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-class LocalityPartialGroup(TablePartialGroup):
-    """Partial group whose domain is decided by the threading subgroup: the
-    table backend whose trans is the array of a ThreadAutomaton (the same
-    object) and whose accept mask is in_delta (in_delta[sid]: whether the
+class LocalityPartialGroup(PartialGroup):
+    """Partial group whose domain is decided by the threading subgroup:
+    its trans is the array of a ThreadAutomaton (the same object) and whose accept mask is in_delta (in_delta[sid]: whether the
     threading subgroup of state sid is in Delta).
 
     raw[a][b] is the underlying product of a and b, -1 where it is
@@ -279,14 +277,12 @@ class LocalityPartialGroup(TablePartialGroup):
         in_delta = [starts in delta_sets for starts in self.automaton.start_sets]
         super().__init__(size, identity, labels, inv, raw, self.automaton.array, in_delta,
                          raw_missing)
-        # (M, to_ambient) when L was cut from a group M (locality_from_group):
-        # local id i is M's element to_ambient[i]; read by certify_ambient
-        self.ambient = ambient
+        self.ambient = ambient  # local id i is M's element to_ambient[i]
 
-    in_delta = TablePartialGroup.accept  # the accept mask under its locality name
+    in_delta = PartialGroup.accept  # the accept mask under its locality name
     # class entries that perfbench/tracing.py counts
-    in_domain = TablePartialGroup.in_domain
-    mul2 = TablePartialGroup.mul2
+    in_domain = PartialGroup.in_domain
+    mul2 = PartialGroup.mul2
 
     def _vector_components(self):
         return total_group_component(self)
@@ -664,7 +660,7 @@ def check_locality(loc: Locality) -> VerificationReport:
     words are two state_fixpoint searches over the key (chain front code,
     walker code, threading state) of _chain_word_steps: the front fixes
     chain existence, the walker code domain membership under every
-    extension (the walker contract of PartialGroup) and the threading
+    extension (the walker of PartialGroup) and the threading
     state S_w, so their verdicts cover words of every length.  A word is
     extended while its front is nonempty; its failing words come in
     shortlex order, the shortest first.  (L3) goes through the members in

@@ -178,13 +178,14 @@ def _parse_locality(model: ModelFile, body: str, line: int) -> Locality:
         delta = delta_min_order(S, floor)
     elif dspec.startswith("seeds:"):
         seeds = []
-        for chunk in dspec[len("seeds:"):].split(";"):
+        for k, chunk in enumerate(dspec[len("seeds:"):].split(";"), start=1):
+            if not chunk.strip():  # {} is the trivial subgroup; nothing is no seed
+                raise ModelError(f"delta=seeds: seed {k} is empty; write {{}} for the"
+                                 " trivial subgroup", line)
             gens = perm_list(chunk.strip().strip("{}"))
             seeds.append(
                 SubgroupRef(M, closure_members(M, [_group_elem(M, g, line) for g in gens]))
             )
-        if not seeds:
-            raise ModelError("delta=seeds: needs at least one seed subgroup", line)
         delta = delta_close(S, seeds, M)
     else:
         raise ModelError(f"delta must be min-order:N or seeds:{{...}}, got {dspec!r}", line)
@@ -298,6 +299,18 @@ def _parse_plocality(body: str, line: int) -> Locality:
         i, g = unlisted[0].tolist()
         raise ModelError(f"conj has no entry for ({sylow[i]},{g}), whose conjugate"
                          f" {w[g, i]} lies in sylow", line)
+    # Every partial group's domain holds (e, x), (x, e), (x^-1, x) and
+    # (x, x^-1), with the products x, x, e and e: one gather per pair.
+    x = np.arange(size)
+    pairs = [(identity, x, x), (x, identity, x), (np.array(inv), x, identity),
+             (x, np.array(inv), identity)]
+    wrong = np.argwhere(np.column_stack([raw[a, b] != v for a, b, v in pairs]))
+    if len(wrong):
+        at, k = wrong[0].tolist()
+        a, b, v = (int(np.broadcast_to(t, size)[at]) for t in pairs[k])
+        has = "no entry" if raw[a, b] < 0 else f"({a} {b} {raw[a, b]})"
+        raise ModelError(f"prod has {has} where x = {at} needs ({a} {b} {v}):"
+                         " e x = x e = x and x^-1 x = x x^-1 = e", line)
 
     pg = LocalityPartialGroup(
         size=size,

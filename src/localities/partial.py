@@ -19,10 +19,9 @@ Word = tuple[int, ...]
 # element id, and not None, which is mul2's answer off the domain.
 EMPTY_WORD = object()
 
-# The most words the per-word DFS of check_axioms visits.  Only a partial
-# group with neither automaton tables nor an ambient group takes that route:
-# a test's product overrides (CorruptedProducts); no command builds one.  A
-# word count past the cap is stated as "more than" it.
+# check_axioms states the number of words up to its length; the count stops
+# once it passes this cap, and the summary then says "more than" it.  No
+# route visits the words one at a time.
 AXIOM_SWEEP_CAP = 20_000_000
 # The most states one intern_states automaton or state_fixpoint search interns
 # (LOC-S5's quotient checks: 80; S4xS4's threading automaton: 100); walker tables intern none.
@@ -33,7 +32,7 @@ class AmalgamSpecError(ValueError):
     """The identification of an amalgam is not a subgroup isomorphism."""
 
 
-class WalkerTable(NamedTuple):  # see TablePartialGroup.walker_table
+class WalkerTable(NamedTuple):  # see PartialGroup.walker_table
     rows: list[list[int]]  # rows[c][x]: the code of walk_step(state c, x), -1 for None
     array: np.ndarray  # rows as int64 plus a last row of -1: code -1 stays -1
 
@@ -43,152 +42,6 @@ def _padded(table: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     out = np.full(np.add(np.shape(table), 1), -1, dtype=np.int64)
     out[:-1, :-1] = table
     return out
-
-
-class PartialGroup:
-    """Base interface: indexed elements, inversion, and a partial product.
-
-    Subclasses fix the domain decision and the product; pi() returns a value
-    exactly on the words the domain decider accepts.  Every partial group
-    the package builds is a TablePartialGroup, which gathers its product
-    and conjugation tables from its automaton and raw product.  The
-    per-pair builders here serve backends that override products word by
-    word (a test's CorruptedProducts), and are the references the gathers
-    are tested against.
-    """
-
-    size: int
-    identity: int
-    labels: tuple[str, ...]
-    p: int | None = None
-    _product_table: list[list[int]] | None = None
-    _padded_products: np.ndarray | None = None
-    _conj_table: list[list[int]] | None = None
-
-    def inverse(self, x: int) -> int:
-        raise NotImplementedError
-
-    def in_domain(self, word: Word) -> bool:
-        raise NotImplementedError
-
-    def _raw_product(self, word: Word) -> int:
-        """Product of a word already known to be in the domain."""
-        raise NotImplementedError
-
-    def pi(self, word: Word) -> int | None:
-        """The partial product: a value on domain words, None elsewhere."""
-        word = tuple(word)
-        if not self.in_domain(word):
-            return None
-        return self._raw_product(word)
-
-    def mul2(self, a: int, b: int) -> int | None:
-        return self.pi((a, b))
-
-    def product_table(self) -> list[list[int]]:
-        """Binary products: row a holds mul2(a, b) at b, or -1 off the domain.
-
-        Built from mul2, one call per pair, on first use and kept on the
-        instance, so overridden products (a test's product overrides) are
-        what the closures see.
-        It holds size**2 Python ints (3,136 for a 56-element locality) for
-        the life of the partial group.  It is per-instance, never a cache
-        keyed by id(), because ids are reused once an object is collected.
-        """
-        if self._product_table is None:
-            n = range(self.size)
-            self._product_table = [
-                [-1 if (v := self.mul2(a, b)) is None else v for b in n] for a in n
-            ]
-        return self._product_table
-
-    def padded_products(self) -> np.ndarray:
-        """product_table() as an (n+1) x (n+1) int64 array whose last row
-        and column are -1, so a product with the missing value -1 is
-        missing too.  Built on first use and kept on the instance."""
-        if self._padded_products is None:
-            self._padded_products = _padded(self.product_table())
-        return self._padded_products
-
-    def conj_table(self) -> list[list[int]]:
-        """Conjugates: row x holds x^f = pi((f^-1, x, f)) at f, or -1 off
-        the domain.
-
-        Built from pi, one call per pair, on first use and kept on the
-        instance, as product_table() is, so overridden products (a test's
-        product overrides) are what every conjugation reads.
-        """
-        if self._conj_table is None:
-            n = range(self.size)
-            inv = [self.inverse(f) for f in n]
-            self._conj_table = [
-                [-1 if (v := self.pi((inv[f], x, f))) is None else v for f in n] for x in n
-            ]
-        return self._conj_table
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def invert_word(self, word: Word) -> Word:
-        return tuple(self.inverse(x) for x in reversed(word))
-
-    # -- prefix walkers ----------------------------------------------------
-    # A walker extends a word one letter at a time and returns None as soon
-    # as no extension of the prefix can be in the domain (valid for partial
-    # groups because domain words have all their prefixes in the domain).
-    # Contract, relied on by every reader of walker_table(): walk_step(state,
-    # x) is None exactly when in_domain(word + (x,)) is false, where state
-    # is the state of word; a state is hashable and decides every
-    # extension, so two words with equal states have the same domain
-    # status under every suffix.  walker_table() codes the states, code 0
-    # for walk_start(), so that two words share a code exactly when they
-    # share a state: rows[c][x] is the code of walk_step(state c, x), -1
-    # for None.  A TablePartialGroup's codes are its automaton's states; a
-    # test double numbers the states it reaches breadth first.  Built once
-    # per instance, on first use, it is the one domain decider for words of
-    # every length: words_all_in_domain, domain_is_total, the (L2) and
-    # threading checks of check_locality, subset_product, the product scan
-    # of normal._scan_product (which reads S_w, never the domain, from the
-    # threading automaton) and the quotient's word checks (state_fixpoint)
-    # read its rows, and merge words with equal codes for that reason.
-
-    def walk_start(self):
-        raise NotImplementedError
-
-    def walk_step(self, state, x: int):
-        raise NotImplementedError
-
-    @property
-    def domain_is_total(self) -> bool:
-        """Whether every word is in the domain: no -1 in the walker rows, all
-        of which words reach from code 0, as every builder interns trans from
-        state 0 (a threading automaton, an amalgam's side masks) or has one state."""
-        return bool((self.walker_table().array[:-1] >= 0).all())
-
-    def words_all_in_domain(self, members: frozenset[int]) -> tuple[bool, Word | None]:
-        """(whether every word over members lies in the domain, the
-        shortlex-least word over them off it when not), for words of every
-        length.
-
-        A breadth-first search over the walker codes that words over the
-        members reach, reading walker_table() rows on the member letters in
-        ascending order: each code is first reached by its shortlex-least
-        word, so the first -1 met ends the shortlex-least failing word.
-        """
-        rows = self.walker_table().rows
-        letters = sorted(members)
-        least = {0: ()}  # the shortlex-least word of each code reached
-        codes = [0]
-        for code in codes:  # codes grows while it is read
-            row = rows[code]
-            for x in letters:
-                nxt = row[x]
-                if nxt < 0:
-                    return False, least[code] + (x,)
-                if nxt not in least:
-                    least[nxt] = least[code] + (x,)
-                    codes.append(nxt)
-        return True, None
 
 
 class SweepBudgetExceeded(RuntimeError):
@@ -253,30 +106,48 @@ def intern_states(start: np.ndarray, step: Callable, what: str) -> tuple[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# the table backend
+# partial groups
 
 
 def _no_raw_entry(a: int, b: int) -> ValueError:
     return ValueError(f"the raw product table has no entry for ({a},{b})")
 
 
-class TablePartialGroup(PartialGroup):
-    """A partial group held as tables, as every one the package builds is
-    (groups, amalgams and table localities, quotients among them).
+class PartialGroup:
+    """A partial group held as its tables, as every one the package builds
+    is (groups, amalgams and table localities, quotients among them).
 
     _inv[x] is the inverse of x.  _raw[a, b] is the raw product, -1 where
     it is undefined; a domain word whose fold meets such a pair raises
     raw_missing(a, b).  trans is a domain automaton (Epstein et al., Word
     Processing in Groups, 1992): trans[s, x] is the state x takes s to,
     never -1, from state 0 for the empty word, and accept[s] says whether
-    the words reaching s are in the domain.  A domain word's product is its
-    left fold over _raw from the identity; the walker states are those of
-    trans, masked by accept.  The three are arrays from construction on,
-    _raw with a last row and column of -1, read as they stand (the product,
-    conjugation and walker tables once, on first use); the scalar methods
-    read memoryviews of them, Python ints and bools at twice a list read's cost.
+    the words reaching s are in the domain.  A domain word's product pi is
+    its left fold over _raw from the identity.  The three are arrays from
+    construction on, _raw with a last row and column of -1, read as they
+    stand; the scalar methods read memoryviews of them, Python ints and
+    bools at twice a list read's cost.
+
+    The walker is trans masked by accept: walk_step(s, x) is the state of
+    the word extended by x, None once that word is off the domain, and
+    then so is every extension, as domain words have all their prefixes in
+    the domain.  walker_table() holds it as rows, the one domain decider
+    for words of every length: words_all_in_domain, domain_is_total, the
+    (L2) and threading checks of check_locality, subset_product and the
+    quotient's word checks (state_fixpoint) read its rows, and merge words
+    with equal states for that reason.  The product, conjugation and
+    walker tables are gathered once per instance, on first use, and kept
+    on it, never in a cache keyed by id(), as ids are reused once an
+    object is collected.
     """
 
+    p: int | None = None
+    # (M, to_ambient) on a locality cut from a group M (locality_from_group);
+    # check_axioms then proves the axioms by certify_ambient
+    ambient: tuple[FiniteGroup, tuple[int, ...]] | None = None
+    _product_table: list[list[int]] | None = None
+    _padded_products: np.ndarray | None = None
+    _conj_table: list[list[int]] | None = None
     _walker_table: WalkerTable | None = None
 
     def __init__(self, size: int, identity: int, labels: tuple[str, ...], inv: Sequence[int],
@@ -293,8 +164,14 @@ class TablePartialGroup(PartialGroup):
 
     accept = property(lambda self: self._accept, _set_accept)
 
+    def elements(self) -> range:
+        return range(self.size)
+
     def inverse(self, x: int) -> int:
         return self._inv[x]
+
+    def invert_word(self, word: Word) -> Word:
+        return tuple(self.inverse(x) for x in reversed(word))
 
     def in_domain(self, word: Word) -> bool:
         state, trans = 0, self._trans_at
@@ -309,10 +186,18 @@ class TablePartialGroup(PartialGroup):
         return v
 
     def _raw_product(self, word: Word) -> int:
+        """The fold of a word already known to be in the domain."""
         out = self.identity
         for x in word:
             out = self._mul_raw(out, x)
         return out
+
+    def pi(self, word: Word) -> int | None:
+        """The partial product: a value on domain words, None elsewhere."""
+        word = tuple(word)
+        if not self.in_domain(word):
+            return None
+        return self._raw_product(word)
 
     def mul2(self, a: int, b: int) -> int | None:
         v = self.product_table()[a][b]
@@ -326,8 +211,8 @@ class TablePartialGroup(PartialGroup):
         return nxt if self._accept_at[nxt] else None
 
     def walker_table(self) -> WalkerTable:
-        """The walker codes of the PartialGroup contract: trans's own states,
-        each row masked by accept in one gather (every builder bounded trans)."""
+        """The walker: trans's own states, each row masked by accept in one
+        gather (every builder bounded trans)."""
         if self._walker_table is None:
             masked = np.where(self.accept[self.trans], self.trans, -1)
             array = np.concatenate((masked, np.full((1, self.size), -1)))
@@ -351,7 +236,10 @@ class TablePartialGroup(PartialGroup):
         return np.where(domain, value, -1)
 
     def padded_products(self) -> np.ndarray:
-        """The base class array, pi((a, b)) in one gather over every pair."""
+        """Binary products pi((a, b)) at row a, column b, -1 off the domain,
+        in one gather over every pair, as an (n+1) x (n+1) int64 array whose
+        last row and column are -1: a product with the missing value -1 is
+        missing too."""
         if self._padded_products is None:
             n = np.arange(self.size)
             self._padded_products = _padded(self._gather(n[:, None], n))
@@ -364,14 +252,52 @@ class TablePartialGroup(PartialGroup):
         return self._product_table
 
     def conj_table(self) -> list[list[int]]:
-        """The base class table, pi((f^-1, x, f)) at row x, column f, in one gather."""
+        """Conjugates x^f = pi((f^-1, x, f)) at row x, column f, -1 off the
+        domain, in one gather."""
         if self._conj_table is None:
             n = np.arange(self.size)
             self._conj_table = self._gather(np.asarray(self._inv), n[:, None], n).tolist()
         return self._conj_table
 
+    @property
+    def domain_is_total(self) -> bool:
+        """Whether every word is in the domain: no -1 in the walker rows, all
+        of which words reach from code 0, as every builder interns trans from
+        state 0 (a threading automaton, an amalgam's side masks) or has one state."""
+        return bool((self.walker_table().array[:-1] >= 0).all())
 
-class GroupPartialGroup(TablePartialGroup):
+    def words_all_in_domain(self, members: frozenset[int]) -> tuple[bool, Word | None]:
+        """(whether every word over members lies in the domain, the
+        shortlex-least word over them off it when not), for words of every
+        length.
+
+        A breadth-first search over the walker codes that words over the
+        members reach, reading walker_table() rows on the member letters in
+        ascending order: each code is first reached by its shortlex-least
+        word, so the first -1 met ends the shortlex-least failing word.
+        """
+        rows = self.walker_table().rows
+        letters = sorted(members)
+        least = {0: ()}  # the shortlex-least word of each code reached
+        codes = [0]
+        for code in codes:  # codes grows while it is read
+            row = rows[code]
+            for x in letters:
+                nxt = row[x]
+                if nxt < 0:
+                    return False, least[code] + (x,)
+                if nxt not in least:
+                    least[nxt] = least[code] + (x,)
+                    codes.append(nxt)
+        return True, None
+
+    def _vector_components(self) -> list[tuple[tuple[int, ...], FiniteGroup]] | None:
+        """The total components check_axioms proves by Light's test, as
+        [(their ids, the group on them)]; None: the domain has none."""
+        return None
+
+
+class GroupPartialGroup(PartialGroup):
     """A finite group viewed as a partial group with a total domain: one
     accepting state over the group's table."""
 
@@ -429,7 +355,7 @@ def _validate_pairing(spec: AmalgamSpec) -> None:
                 )
 
 
-class AmalgamPartialGroup(TablePartialGroup):
+class AmalgamPartialGroup(PartialGroup):
     """Union of two groups; a word is multipliable iff it stays on one side.
 
     The left group keeps its ids and the right group's ids outside the
@@ -832,7 +758,8 @@ def _base_axiom_checks(pg: PartialGroup, out: list[AxiomViolation]) -> None:
 
 
 def _word_violations(pg: PartialGroup, word: Word) -> list[AxiomViolation]:
-    """The violations _dfs_axiom_sweep reports on one word, none off the domain."""
+    """The violations of the axioms on one word, read from pi and in_domain,
+    none off the domain: what check_axioms reports on each failing word."""
     if not pg.in_domain(word):
         return []
     n, total = len(word), pg.pi(word)
@@ -855,23 +782,7 @@ def _word_violations(pg: PartialGroup, word: Word) -> list[AxiomViolation]:
     return out
 
 
-def _dfs_axiom_sweep(pg: PartialGroup, max_len: int) -> tuple[int, list[AxiomViolation]]:
-    """(words visited, violations) of a literal sweep over every word of
-    length <= max_len, in pre-order (a word, then its extensions); once
-    MAX_REPORTED_VIOLATIONS are found it checks no further word."""
-    out: list[AxiomViolation] = []
-    stack, visited = [(x,) for x in reversed(pg.elements())], 0
-    while stack:
-        word = stack.pop()
-        visited += 1
-        if len(out) < MAX_REPORTED_VIOLATIONS:
-            out.extend(_word_violations(pg, word))
-        if len(word) < max_len:
-            stack += [word + (x,) for x in reversed(pg.elements())]
-    return visited, out
-
-
-def _axiom_searches(pg: TablePartialGroup) -> tuple[list[int], dict[str, list[Word]]]:
+def _axiom_searches(pg: PartialGroup) -> tuple[list[int], dict[str, list[Word]]]:
     """([split, collapse, cancellation state counts], {axiom: its failing
     words in shortlex order}) over the words on the letters 0..m-1 of
     pg.trans, with D = pg.accept, R = pg._raw and e = pg.identity.
@@ -978,10 +889,10 @@ def _axiom_searches(pg: TablePartialGroup) -> tuple[list[int], dict[str, list[Wo
     return counts, found
 
 
-def _searched(pg: TablePartialGroup) -> tuple[list, str]:
+def _searched(pg: PartialGroup) -> tuple[list, str]:
     """(violations, note) of _axiom_searches on pg: per axiom, its failing
     words in shortlex order with their violations of it, as
-    _dfs_axiom_sweep reports them, until MAX_REPORTED_VIOLATIONS are kept."""
+    _word_violations reads them, until MAX_REPORTED_VIOLATIONS are kept."""
     counts, found = _axiom_searches(pg)
     out: list[AxiomViolation] = []
     for axiom, words in found.items():
@@ -1045,18 +956,17 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
       is a group) is proved if its table as it stands passes
       certify_group_table (Light's test) with the identity and inverses it
       holds, and else searched by _axiom_searches on GroupPartialGroup(its
-      group), one accepting state over that table, with a second note;
+      group), one accepting state over that table, with a second note.
+      Light's test says nothing of pg's own inverses: each x whose inverse
+      is not its group inverse fails cancellation on (x,);
     - a partial group that knows its ambient group (pg.ambient, set by
       locality_from_group) is proved by pg.certify_ambient(); if that is
-      refused, a second note says why and the routes below are taken;
-    - the other table backends (a LocalityPartialGroup with a partial
-      domain or a refused certificate, such as a plocality file or a
-      quotient, in memory or read back) are searched by _axiom_searches on
-      their own arrays, for every word length; a domain word whose fold
-      leaves the raw table raises raw_missing, as product_table() does;
-    - anything else (a test's product overrides): _dfs_axiom_sweep to
-      max_len, which raises SweepBudgetExceeded first if that is over
-      AXIOM_SWEEP_CAP words.
+      refused, a second note says why and the searches below are taken;
+    - any other (a LocalityPartialGroup with a partial domain or a
+      refused certificate, such as a plocality file or a quotient, in
+      memory or read back) is searched by _axiom_searches on its own
+      arrays, for every word length; a domain word whose fold leaves the
+      raw table raises raw_missing, as product_table() does.
     Each route states the number of words of length <= max_len (>= 2 on
     total components), searched or not; the count stops once it passes
     AXIOM_SWEEP_CAP, so words_checked is then a number above the cap and
@@ -1064,7 +974,7 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
-    components = getattr(pg, "_vector_components", lambda: None)()
+    components = pg._vector_components()
     if components is not None:
         words = _word_count([len(el) for el, _ in components], range(2, max_len + 1))
     else:
@@ -1072,6 +982,10 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
     violations: list[AxiomViolation] = []
     _base_axiom_checks(pg, violations)
     if components is not None:
+        for elems, grp in components:
+            ids = np.asarray(elems)
+            for x in ids[np.asarray(pg._inv)[ids] != ids[list(grp.inv)]].tolist():
+                violations += [v for v in _word_violations(pg, (x,)) if v.axiom == "cancellation"]
         unproved = [(elems, grp) for elems, grp in components if not _still_a_group(grp)]
         notes = [
             f"route: group-table certificate (Light's test) on"
@@ -1086,7 +1000,7 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
             notes.append(f"state searches on a component of {grp.order} elements, {note}")
         return AxiomReport(max_len, words, violations, notes)
     refused = []
-    if getattr(pg, "ambient", None) is not None:
+    if pg.ambient is not None:
         try:
             pg.certify_ambient()
         except ValueError as exc:
@@ -1094,13 +1008,7 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
         else:
             note = "route: ambient-group certificate (L is L_Delta(M) of its group M)"
             return AxiomReport(max_len, words, violations, [note])
-    if isinstance(pg, TablePartialGroup):
-        found, note = _searched(pg)
-        note = f"route: state searches over the automaton and raw product tables, {note}"
-    elif words > AXIOM_SWEEP_CAP:
-        raise SweepBudgetExceeded(f"axiom sweep to length {max_len} needs more words"
-                                  f" than the budget of {AXIOM_SWEEP_CAP}")
-    else:
-        found, note = _dfs_axiom_sweep(pg, max_len)[1], "route: per-word DFS"
+    found, note = _searched(pg)
     violations.extend(found)
+    note = f"route: state searches over the automaton and raw product tables, {note}"
     return AxiomReport(max_len, words, violations, [note, *refused])

@@ -1,15 +1,79 @@
-"""Fault injection: a partial group whose product is overridden on chosen
-words, to show that a check fails when an axiom breaks."""
+"""Fault injection: partial groups answered word by word, whose product is
+overridden on chosen words, to show that a check fails when an axiom
+breaks; and the per-word forms of the tables and of the axiom sweep, the
+references the gathers and the state searches of localities.partial are
+tested against."""
 
 from dataclasses import replace
 
-from localities.partial import PartialGroup, Word
+import numpy as np
+
+from localities import partial
+from localities.partial import AxiomViolation, PartialGroup, Word, _padded
 from localities.quotient import CosetPartition
 
 import automaton_reference
 
 
-class CorruptedProducts(PartialGroup):
+class WordPartialGroup:
+    """A partial group answered one word at a time: subclasses give size,
+    identity, labels, inverse, in_domain, _raw_product (the product of a
+    word known to be in the domain), walk_start and walk_step.  Its tables
+    are built from pi, one call per pair, on first use and kept on the
+    instance, so overridden products are what the closures and the
+    conjugations see.  The walker is numbered breadth first by
+    automaton_reference; the domain readers are PartialGroup's own."""
+
+    p: int | None = None
+    _product_table: list[list[int]] | None = None
+    _padded_products: np.ndarray | None = None
+    _conj_table: list[list[int]] | None = None
+
+    elements = PartialGroup.elements
+    invert_word = PartialGroup.invert_word
+    domain_is_total = PartialGroup.domain_is_total
+    words_all_in_domain = PartialGroup.words_all_in_domain
+    walker_table = automaton_reference.walker_table
+
+    def pi(self, word: Word) -> int | None:
+        """The partial product: a value on domain words, None elsewhere."""
+        word = tuple(word)
+        if not self.in_domain(word):
+            return None
+        return self._raw_product(word)
+
+    def mul2(self, a: int, b: int) -> int | None:
+        return self.pi((a, b))
+
+    def product_table(self) -> list[list[int]]:
+        """Binary products: row a holds mul2(a, b) at b, or -1 off the domain."""
+        if self._product_table is None:
+            n = range(self.size)
+            self._product_table = [
+                [-1 if (v := self.mul2(a, b)) is None else v for b in n] for a in n
+            ]
+        return self._product_table
+
+    def padded_products(self) -> np.ndarray:
+        """product_table() as an (n+1) x (n+1) int64 array whose last row
+        and column are -1."""
+        if self._padded_products is None:
+            self._padded_products = _padded(self.product_table())
+        return self._padded_products
+
+    def conj_table(self) -> list[list[int]]:
+        """Conjugates: row x holds x^f = pi((f^-1, x, f)) at f, or -1 off
+        the domain."""
+        if self._conj_table is None:
+            n = range(self.size)
+            inv = [self.inverse(f) for f in n]
+            self._conj_table = [
+                [-1 if (v := self.pi((inv[f], x, f))) is None else v for f in n] for x in n
+            ]
+        return self._conj_table
+
+
+class CorruptedProducts(WordPartialGroup):
     """Wrapper that overrides the product on chosen words (fault injection)."""
 
     def __init__(self, base: PartialGroup, overrides: dict[Word, int]):
@@ -37,7 +101,22 @@ class CorruptedProducts(PartialGroup):
     def walk_step(self, state, x: int):
         return self.base.walk_step(state, x)
 
-    walker_table = automaton_reference.walker_table
+
+def dfs_axiom_sweep(pg, max_len: int) -> tuple[int, list[AxiomViolation]]:
+    """(words visited, violations) of a literal sweep over every word of
+    length <= max_len, in pre-order (a word, then its extensions), each
+    checked by partial._word_violations; once partial.MAX_REPORTED_VIOLATIONS
+    are found it checks no further word."""
+    out: list[AxiomViolation] = []
+    stack, visited = [(x,) for x in reversed(pg.elements())], 0
+    while stack:
+        word = stack.pop()
+        visited += 1
+        if len(out) < partial.MAX_REPORTED_VIOLATIONS:
+            out.extend(partial._word_violations(pg, word))
+        if len(word) < max_len:
+            stack += [word + (x,) for x in reversed(pg.elements())]
+    return visited, out
 
 
 def swap_two_products(base: PartialGroup, w1: Word, w2: Word) -> CorruptedProducts:

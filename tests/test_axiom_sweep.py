@@ -4,9 +4,9 @@ check_axioms decides split, collapse and cancellation for words of every
 length by three reachable-state searches, _axiom_searches: over the
 automaton and raw product tables of a partial domain, and over the group
 table of a total component that fails its certificate, as a one-state
-automaton.  The per-word DFS, _dfs_axiom_sweep, asks pi and in_domain of
-every word up to a length (for a component, those of GroupPartialGroup on
-its group) and is the reference: every axiom it finds failing there is
+automaton.  The per-word DFS, fault_injection.dfs_axiom_sweep, asks pi
+and in_domain of every word up to a length (for a component, those of
+GroupPartialGroup on its group) and is the reference: every axiom it finds failing there is
 reported failing, every reported violation is one it finds on that word,
 the words a search returns fail that axiom's check at their own length,
 and genuine tables pass every search.
@@ -24,21 +24,22 @@ from localities.partial import (
     AxiomViolation,
     GroupPartialGroup,
     _axiom_searches,
-    _dfs_axiom_sweep,
     _word_violations,
     check_axioms,
 )
 
+from fault_injection import dfs_axiom_sweep
+
 SEARCHED = ("split", "collapse", "cancellation")
 
 
-def rebuild(pg, delta_sets=None, raw=None):
-    """pg rebuilt with no ambient group, and another Delta or another raw
-    product table."""
+def rebuild(pg, delta_sets=None, raw=None, inv=None):
+    """pg rebuilt with no ambient group, and another Delta, another raw
+    product table or other inverses."""
     return LocalityPartialGroup(
         size=pg.size,
         identity=pg.identity,
-        inv=pg._inv,
+        inv=pg._inv if inv is None else inv,
         labels=pg.labels,
         raw=pg._raw[:-1, :-1] if raw is None else raw,
         raw_missing=pg._raw_missing,
@@ -82,7 +83,7 @@ def dfs_axioms(pg, max_len):
     max_len, with no cap on the violations it reports."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partial, "MAX_REPORTED_VIOLATIONS", 10**9)
-        return {v.axiom for v in _dfs_axiom_sweep(pg, max_len)[1]}
+        return {v.axiom for v in dfs_axiom_sweep(pg, max_len)[1]}
 
 
 def axioms(report):
@@ -172,7 +173,7 @@ def test_the_empty_word_collapse_is_searched(s5f):
     """Only the empty segment inserted at the end fails on (x,): the first
     collapse reported has the length of the DFS's first."""
     pg = right_identity_broken(s5f.loc.pg)
-    dfs = [v for v in _dfs_axiom_sweep(pg, 2)[1] if v.axiom == "collapse"]
+    dfs = [v for v in dfs_axiom_sweep(pg, 2)[1] if v.axiom == "collapse"]
     assert min(len(v.word) for v in dfs) == 1
     collapse = [v for v in check_axioms(pg, 2).violations if v.axiom == "collapse"]
     assert len(collapse[0].word) == 1
@@ -208,7 +209,7 @@ def test_product_off_the_raw_table_raises_what_the_dfs_raises(s5f):
     raw[1][1] = -1
     pg = rebuild(s5f.loc.pg, raw=raw)
     with pytest.raises(LocalityConstructionError) as dfs_error:
-        _dfs_axiom_sweep(pg, 3)
+        dfs_axiom_sweep(pg, 3)
     with pytest.raises(LocalityConstructionError) as error:
         check_axioms(pg, 3)
     assert str(error.value) == str(dfs_error.value)
@@ -221,7 +222,7 @@ def test_products_off_the_raw_table_past_the_dfs_cap_raise(s5f):
     and raise as product_table() does, at a pair off the table."""
     raw = s5f.loc.pg._raw[:-1, :-1].T.tolist()
     pg = minus_smallest(rebuild(s5f.loc.pg, raw=raw))
-    assert len(_dfs_axiom_sweep(pg, 3)[1]) == 200
+    assert len(dfs_axiom_sweep(pg, 3)[1]) == 200
     with pytest.raises(LocalityConstructionError):
         pg.product_table()
     with pytest.raises(LocalityConstructionError) as error:
@@ -308,13 +309,13 @@ def one_state_search(group):
 def test_total_kernel_matches_the_reference_on_grp_s4(s4f):
     (component,) = s4f.loc.pg._vector_components()
     assert one_state_search(component[1])[1] == {axiom: [] for axiom in SEARCHED}
-    assert _dfs_axiom_sweep(GroupPartialGroup(component[1]), 3) == (24 + 24**2 + 24**3, [])
+    assert dfs_axiom_sweep(GroupPartialGroup(component[1]), 3) == (24 + 24**2 + 24**3, [])
 
 
 def test_total_kernel_matches_the_reference_on_pg_am20(am20):
     for _, group in am20.pg._vector_components():
         assert one_state_search(group)[1] == {axiom: [] for axiom in SEARCHED}
-        assert _dfs_axiom_sweep(GroupPartialGroup(group), 3)[1] == []
+        assert dfs_axiom_sweep(GroupPartialGroup(group), 3)[1] == []
 
 
 def tampered_s3():
@@ -364,10 +365,51 @@ def test_certified_components_sweep_no_word(request, monkeypatch, pg_of, max_len
         raise AssertionError("a certified component was searched")
 
     monkeypatch.setattr(partial, "_axiom_searches", no_search)
-    monkeypatch.setattr(partial, "_dfs_axiom_sweep", no_search)
     report = check_axioms(pg_of(request), max_len)
     assert report.summary() == f"axiom sweep to length {max_len}: {words} words, ok"
     assert report.notes == [certified_note(components, components)]
+
+
+def z3_with_inverses(inv):
+    """Z3 as a locality with S = Z3 and Delta = {S}: a total domain, and a
+    table that is a group whatever inverses it holds."""
+    return LocalityPartialGroup(
+        size=3, identity=0, inv=inv, labels=("0", "1", "2"),
+        raw=np.add.outer(range(3), range(3)) % 3, raw_missing=lambda a, b: KeyError((a, b)),
+        p=3, s_elems=(0, 1, 2), delta_sets=frozenset({frozenset({0, 1, 2})}),
+        conj_maps=np.tile(np.arange(3), (3, 1)),
+    )
+
+
+def s4_with_inverses_swapped(s4f):
+    """GRP-S4 rebuilt with the inverses of two pairs of inverse 3-cycles
+    swapped between the pairs: inversion stays an involution."""
+    pg = s4f.loc.pg
+    threes = [x for x in pg.elements() if x != pg.identity and pg.pi((x, x, x)) == pg.identity]
+    a, b = threes[0], pg.inverse(threes[0])
+    c = next(x for x in threes if x not in (a, b))
+    d = pg.inverse(c)
+    inv = list(pg._inv)
+    inv[a], inv[b], inv[c], inv[d] = c, d, a, b
+    return rebuild(pg, inv=tuple(inv)), sorted({a, b, c, d})
+
+
+@pytest.mark.parametrize("case", ["Z3", "GRP-S4"])
+def test_a_total_component_with_other_inverses_fails_cancellation(s4f, case):
+    """Light's test proves the table a group; each x whose held inverse is
+    not its group inverse fails cancellation on (x,), where Pi(x^-1 x) is
+    not the identity, and nothing else fails."""
+    if case == "Z3":
+        pg, moved = z3_with_inverses((0, 1, 2)), [1, 2]
+    else:
+        pg, moved = s4_with_inverses_swapped(s4f)
+    assert check_axioms(z3_with_inverses((0, 2, 1)), 3).ok
+    report = check_axioms(pg, 3)
+    assert report.notes == [certified_note(1, 1)]
+    assert report.violations == [
+        AxiomViolation("cancellation", (x,), "pi(w^-1 ∘ w) != 1") for x in moved
+    ]
+    assert_confirmed(pg, report.violations)
 
 
 def test_tampered_table_is_swept_with_the_kernels_witnesses():

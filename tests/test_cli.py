@@ -16,7 +16,7 @@ from localities.partial import SweepBudgetExceeded
 from localities.quotient import QuotientConstructionError, build_quotient
 from localities.report import VerificationReport
 
-from fault_injection import CorruptedProducts
+from fault_injection import dfs_axiom_sweep
 
 
 def _failing_report(title: str) -> VerificationReport:
@@ -250,19 +250,6 @@ def test_an_empty_sylow_set_is_reported_not_crashed_on(tmp_path, capsys):
     assert checks["L2-domain-iff-chain"]["detail"].endswith("(1 states)")
 
 
-def test_the_per_word_dfs_over_the_word_budget_raises_before_visiting_a_word(s5f, monkeypatch):
-    def no_visit(*args):
-        raise AssertionError("a word was visited")
-
-    monkeypatch.setattr(partial, "_word_violations", no_visit)
-    pg = CorruptedProducts(s5f.loc.pg, {(1, 1): 24})
-    with pytest.raises(SweepBudgetExceeded) as error:
-        partial.check_axioms(pg, 6)
-    assert str(error.value) == (
-        f"axiom sweep to length 6 needs more words than the budget of {partial.AXIOM_SWEEP_CAP}"
-    )
-
-
 @pytest.mark.parametrize("length", ["1", "0", "-1"])
 def test_pg_check_word_length_below_2_is_one_error_line(capsys, length):
     with pytest.raises(SystemExit) as exit_:
@@ -335,6 +322,8 @@ MALFORMED = [
     ("repeated-section", " : size 2 : ", " : size 2 : size 7 : ",
      "plocality repeats section 'size'"),
     ("size-0", " : size 2 : ", " : size 0 : ", "size must be at least 1"),
+    ("identity-1", " : identity 0 : ", " : identity 1 : ",
+     "prod has (1 0 1) where x = 0 needs (1 0 0): e x = x e = x and x^-1 x = x x^-1 = e"),
 ]
 
 
@@ -347,6 +336,50 @@ def test_plocality_malformed_entry_exits_2_naming_its_line(tmp_path, capsys, old
     path.write_text(text.replace(old, new))
     assert cli.main(["loc-check", "--model", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: line 2: {message}"]
+
+
+def _one_error_line(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_plocality_whose_prod_breaks_an_inverse_pair_exits_2(tmp_path, capsys):
+    """Z3 with inv 0 1 2, its conj entries written from that inverse:
+    (1^-1, 1) is then (1 1), whose product 2 is not the identity."""
+    inv = [0, 1, 2]
+    conj = " ".join(f"({s} {g} {(inv[g] + s + g) % 3})" for s in range(3) for g in range(3))
+    prod = " ".join(f"({a} {b} {(a + b) % 3})" for a in range(3) for b in range(3))
+    path = tmp_path / "z3.model"
+    path.write_text(f"plocality z3 = p 3 : size 3 : identity 0 : inv 0 1 2 : sylow 0 1 2"
+                    f" : delta {{ 0 1 2 }} : conj {conj} : prod {prod}\n")
+    for command in ("pg-check", "loc-check", "normals"):
+        _one_error_line(capsys, [command, "--model", str(path)], "line 1: prod has (1 1 2)"
+                        " where x = 1 needs (1 1 0): e x = x e = x and x^-1 x = x x^-1 = e")
+
+
+S3_SEEDS = "group s3 = (1 2 3), (1 2)\nlocality L = s3 p=2 sylow={(1 2)} delta=seeds:"
+
+
+@pytest.mark.parametrize("seeds, k", [("", 1), ("{(1 2)};", 2), (";{(1 2)}", 1)],
+                         ids=["nothing", "trailing", "leading"])
+def test_an_empty_seed_exits_2_naming_it(tmp_path, capsys, seeds, k):
+    path = tmp_path / "s3.model"
+    path.write_text(S3_SEEDS + seeds + "\n")
+    _one_error_line(capsys, ["loc-check", "--model", str(path)],
+                    f"line 2: delta=seeds: seed {k} is empty; write {{}} for the trivial subgroup")
+
+
+@pytest.mark.parametrize("seeds, states", [("{(1 2)}", 1), ("{}", 2), ("{(1 2)};{}", 2)],
+                         ids=["S", "trivial", "both"])
+def test_an_explicit_empty_seed_is_the_trivial_subgroup(tmp_path, capsys, seeds, states):
+    """Delta over S = <(1 2)> in S3: {S} from S, {1, S} once {} seeds 1."""
+    path = tmp_path / "s3.model"
+    path.write_text(S3_SEEDS + seeds + "\n")
+    assert cli.main(["loc-check", "--model", str(path), "--format", "json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["L2-domain-iff-chain"]["detail"].endswith(f"({states} states)")
 
 
 def test_quotient_over_the_state_budget_exits_2(monkeypatch, capsys):
@@ -513,7 +546,7 @@ def test_pg_check_on_a_total_domain_that_is_not_a_group_reports_violations(tmp_p
     pg = parse_model(path).localities["BAD3"].pg
     assert pg.domain_is_total
     assert partial.total_group_component(pg) is None
-    words, expected = partial._dfs_axiom_sweep(pg, 3)
+    words, expected = dfs_axiom_sweep(pg, 3)
     assert (words, len(expected)) == (39, 16)
     assert expected[0] == partial.AxiomViolation("cancellation", (0, 1, 2), "pi(w^-1 ∘ w) != 1")
     # the searches find the collapse failures that the DFS's failing values

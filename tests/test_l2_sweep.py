@@ -23,12 +23,11 @@ import pytest
 
 from localities import locality, partial
 from localities.locality import Locality, as_locality, check_locality
-from localities.partial import PartialGroup, SweepBudgetExceeded
+from localities.partial import SweepBudgetExceeded
 from localities.quotient import build_quotient
 
-import automaton_reference
 import fixpoint_reference as reference
-from fault_injection import swap_two_products
+from fault_injection import WordPartialGroup, swap_two_products
 from test_quotient_tables import KERNEL_IDS, KERNELS, _kernel
 
 
@@ -71,7 +70,7 @@ def literal_l2_sweep(loc, max_len):
     return mismatches, prop_e_mismatches, visited
 
 
-class GappedC2(PartialGroup):
+class GappedC2(WordPartialGroup):
     """C2 = {1, t} whose domain leaves out the length-4 words starting with t.
 
     Not a partial group: words below the gap are back in the domain.  The
@@ -99,8 +98,6 @@ class GappedC2(PartialGroup):
         first, n = state
         nxt = (x if first is None else first, n + 1)
         return None if nxt == (1, 4) else nxt
-
-    walker_table = automaton_reference.walker_table
 
 
 def _s5_without_smallest(k):

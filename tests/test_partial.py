@@ -1,23 +1,29 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from localities.groups import generate_group, all_subgroups
+from localities.locality import LocalityPartialGroup
+from localities.model import emit_quotient, parse_model
 from localities.partial import (
+    AmalgamPartialGroup,
     AmalgamSpec,
     AmalgamSpecError,
     GroupPartialGroup,
     PartialGroup,
+    _word_violations,
     build_amalgam,
     check_axioms,
     classify_subset,
     subset_product,
 )
-from localities.quotient import build_quotient
+from localities.quotient import QuotientPartialGroup, build_quotient
 
 import _frozen as frozen
-from fault_injection import swap_two_products
+from fault_injection import CorruptedProducts, swap_two_products
+from test_conj_table import KERNELS, RAW_CHANGES, _quotient, _with_raw
 from theorem_checks import dedekind_verify, is_normal_subset
 
 
@@ -95,11 +101,20 @@ def test_axioms_group_as_partial_group():
 
 
 def test_axioms_detect_planted_swap():
-    gp = GroupPartialGroup(generate_group([(1, 2, 3, 0), (1, 0, 2, 3)]))
-    bad = swap_two_products(gp, (1, 2), (2, 1))
+    """S4's products 1*2 and 2*1 swapped in the raw table of a one-state
+    PartialGroup: the state searches report collapse, each violation one
+    that the per-word checks find on its word."""
+    G = generate_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+    raw = G.mult.copy()
+    raw[1, 2], raw[2, 1] = G.mult[2, 1], G.mult[1, 2]
+    assert raw[1, 2] != raw[2, 1]
+    one_state = np.zeros((1, G.order), dtype=np.int64)
+    bad = PartialGroup(G.order, G.identity, G.labels, G.inv, raw, one_state, [True])
     report = check_axioms(bad, max_len=3)
     assert not report.ok
     assert any(v.axiom == "collapse" for v in report.violations)
+    assert all(v in _word_violations(bad, v.word) for v in report.violations)
+    assert report.notes[0].startswith("route: state searches over the automaton")
 
 
 def test_subset_product_identity_factor(am20):
@@ -303,10 +318,53 @@ def test_walker_contract(request, name):
 
 
 
-def test_the_base_class_brings_no_walker():
-    """Every backend walks its own domain; the base class has no walker."""
-    pg = PartialGroup()
-    with pytest.raises(NotImplementedError):
-        pg.walk_start()
-    with pytest.raises(NotImplementedError):
-        pg.walk_step((), 0)
+def _built(request):
+    """The partial groups the commands build: the four builtins, the
+    quotients by all 18 kernels, a group, an amalgam built directly and a
+    plocality parsed back from LOC-S5/N5's emitted quotient; and LOC-S5
+    rebuilt over each tampering of its raw product in test_conj_table."""
+    s5f = request.getfixturevalue("s5f")
+    tmp = request.getfixturevalue("tmp_path") / "q.model"
+    tmp.write_text(emit_quotient(build_quotient(s5f.loc, s5f.subsets["N5"]), "q"))
+    yield "plocality", parse_model(tmp).localities["q"].pg
+    for (fixture, name), kernels in KERNELS.items():
+        yield name, request.getfixturevalue(fixture).loc.pg
+        for kernel in kernels.split():
+            yield f"{name}/{kernel}", _quotient(fixture, kernel)(request)
+    am20 = request.getfixturevalue("am20")
+    yield "PG-AM20", am20.pg
+    yield "AmalgamPartialGroup-PG-AM20", AmalgamPartialGroup(am20.spec)
+    yield "GroupPartialGroup-S4", GroupPartialGroup(request.getfixturevalue("s4f").group)
+    for name, change in RAW_CHANGES.items():
+        yield f"LOC-S5-{name}", _with_raw(s5f.loc.pg, change(s5f.loc.pg))
+
+
+def _outcome(build):
+    try:
+        out = build()
+    except Exception as exc:  # a fold that leaves the raw product raises
+        return type(exc), str(exc)
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+def test_every_built_partial_group_is_its_tables_and_they_are_the_per_pair_ones(request):
+    """One class holds every partial group the package builds, the four
+    builders its only subclasses in src/; each one's gathered tables are
+    those the per-pair builders of fault_injection.WordPartialGroup give
+    over its own pi, or raise what they raise."""
+    def subclasses(cls):
+        return {c for sub in cls.__subclasses__() for c in {sub} | subclasses(sub)}
+
+    builders = {c for c in subclasses(PartialGroup) if c.__module__.startswith("localities.")}
+    assert builders == {
+        GroupPartialGroup, AmalgamPartialGroup, LocalityPartialGroup, QuotientPartialGroup
+    }
+    names = set()
+    for name, pg in _built(request):
+        names.add(name)
+        assert isinstance(pg, PartialGroup), name
+        reference = CorruptedProducts(pg, {})
+        for table in ("product_table", "padded_products", "conj_table"):
+            got = _outcome(getattr(pg, table))
+            assert got == _outcome(getattr(reference, table)), (name, table)
+    assert len(names) == 1 + 18 + 6 + len(RAW_CHANGES)

@@ -1,19 +1,29 @@
-"""Negative controls for the checks build_quotient records itself.
+"""Negative controls for the checks build_quotient records itself, and
+for those of the lemma suite that no other test shows failing.
 
 Each entry of CONTROLS is a stated tampering of GRP-S4 or LOC-S5's
 quotient: its coset partition, its representatives or its gathered
-tables.  Each must fail its own check by name in the report, so the check
-is shown to be able to fail; other checks may fail with it, and each
-entry lists every check its tampering fails.
+tables.  Each entry of LEMMA_CONTROLS is one of the same kinds, made
+after the quotient is built, that verify_quotient_lemmas (or, for
+maximal-coset-has-maximal-base, coset_partition) reads.  Each must fail
+its own check by name in the report, so the check is shown to be able to
+fail; other checks may fail with it, and each entry lists every check its
+tampering fails.
 """
 
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from localities import quotient
-from localities.locality import check_locality
-from localities.quotient import QuotientConstructionError, QuotientPartialGroup, build_quotient
+from localities.locality import DeltaFamily, Locality, check_locality
+from localities.quotient import (
+    QuotientConstructionError,
+    QuotientPartialGroup,
+    build_quotient,
+    verify_quotient_lemmas,
+)
 
 from fault_injection import with_representatives
 
@@ -152,3 +162,138 @@ def test_every_check_of_build_quotient_has_a_control(s4f):
     partition = [c.name for c in quotient.coset_partition(loc, K).report.checks]
     axioms = ["quotient-" + c.name for c in check_locality(bundle.quotient).checks]
     assert names == partition + list(CONTROLS) + axioms
+
+
+# -- the lemma suite -------------------------------------------------------------
+
+
+def _lemmas_with_flags(monkeypatch, loc, K, pick):
+    """verify_quotient_lemmas on loc and K's own quotient, reading a
+    partition whose relative maximality flags pick(loc, K, flags) changes
+    as {f: flag}."""
+    bundle = build_quotient(loc, K)
+    real = quotient.coset_partition
+
+    def patched(loc, K):
+        part = real(loc, K)
+        flags = list(part.up_max)
+        for f, flag in pick(loc, K, part.up_max).items():
+            flags[f] = flag
+        return replace(part, up_max=tuple(flags))
+
+    monkeypatch.setattr(quotient, "coset_partition", patched)
+    return verify_quotient_lemmas(loc, K, bundle=bundle)
+
+
+def identity_not_maximal(monkeypatch, s4f, s5f):
+    """LOC-S5 / N5 with the identity, a member of S, flagged not
+    relatively maximal."""
+    return _lemmas_with_flags(monkeypatch, s5f.loc, s5f.subsets["N5"],
+                              lambda loc, K, flags: {loc.identity: False})
+
+
+def maximal_without_t(monkeypatch, s4f, s5f):
+    """GRP-S4 / L (T = S) with the least element whose S_f does not hold
+    T flagged relatively maximal."""
+    def pick(loc, K, flags):
+        T = K & loc.sylow_set
+        return {min(f for f in loc.elements() if not T <= loc.thread_subgroup((f,))): True}
+
+    return _lemmas_with_flags(monkeypatch, s4f.loc, s4f.subsets["L"], pick)
+
+
+def least_non_maximal_read_as_maximal(kernel, fixture):
+    """The least element that is not relatively maximal flagged maximal:
+    on GRP-S4 / A4 the image of its S_f is not the station of its image;
+    on LOC-S5 / N5 words over it are off the base domain while their coset
+    words are in the quotient's."""
+    def tamper(monkeypatch, s4f, s5f):
+        fx = {"s4f": s4f, "s5f": s5f}[fixture]
+        return _lemmas_with_flags(
+            monkeypatch, fx.loc, fx.subsets[kernel],
+            lambda loc, K, flags: {flags.index(False): True},
+        )
+
+    return tamper
+
+
+def a_coset_short_of_a_member(monkeypatch, s4f, s5f):
+    """GRP-S4 / V4 with maximal coset 1 read without its largest member."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    bundle = build_quotient(loc, K)
+    real = quotient.coset_partition
+
+    def patched(loc, K):
+        part = real(loc, K)
+        maximal = list(part.maximal)
+        maximal[1] = replace(maximal[1], members=maximal[1].members - {max(maximal[1].members)})
+        return replace(part, maximal=maximal)
+
+    monkeypatch.setattr(quotient, "coset_partition", patched)
+    return verify_quotient_lemmas(loc, K, bundle=bundle)
+
+
+def quotient_from_a_kernel_member(monkeypatch, s4f, s5f):
+    """LOC-S5 / N5 with a bundle whose quotient gathers its tables with the
+    identity coset represented by 26, another member of N5, as
+    kernel_member_for_the_identity_coset does at build time."""
+    loc, K = s5f.loc, s5f.subsets["N5"]
+    bundle = build_quotient(loc, K)
+    part = quotient.coset_partition(loc, K)
+    reps = [rec.base for rec in part.maximal]
+    reps[0] = 26
+    qpg = QuotientPartialGroup(loc, with_representatives(part, reps))
+    q_delta = DeltaFamily(sylow=frozenset(qpg.s_elems), members=qpg.delta_sets)
+    bundle = replace(bundle, quotient=Locality(qpg, loc.p, qpg.s_elems, q_delta))
+    return verify_quotient_lemmas(loc, K, bundle=bundle)
+
+
+def a_coset_with_no_maximal_element(monkeypatch, s4f, s5f):
+    """GRP-S4 / V4 with every member of maximal coset 1 flagged not
+    relatively maximal, the partition built anew (none is kept)."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    coset = quotient.coset_partition(loc, K).maximal[1].members
+    real = quotient.up_maximal_flags
+
+    def patched(loc, K):
+        return tuple(flag and f not in coset for f, flag in enumerate(real(loc, K)))
+
+    monkeypatch.setattr(quotient, "up_maximal_flags", patched)
+    monkeypatch.setattr(quotient, "_KERNEL_CACHE", weakref.WeakKeyDictionary())
+    return _report(loc, K)
+
+
+# check name -> (tampering, the checks it fails, in report order)
+LEMMA_CONTROLS = {
+    "normalizer-elements-maximal": (identity_not_maximal, ["normalizer-elements-maximal"]),
+    "maximal-station-contains-T": (
+        maximal_without_t,
+        ["maximal-station-contains-T", "kernel-splitting", "same-image-same-station-maximal"],
+    ),
+    "station-image-for-maximal": (
+        least_non_maximal_read_as_maximal("A4", "s4f"),
+        ["kernel-splitting", "station-image-for-maximal", "same-image-same-station-maximal"],
+    ),
+    "max-word-descent": (
+        least_non_maximal_read_as_maximal("N5", "s5f"),
+        ["kernel-splitting", "equal-image-lands-in-coset", "max-word-descent",
+         "station-image-for-maximal", "same-image-same-station-maximal"],
+    ),
+    "oversubgroup-partition": (
+        a_coset_short_of_a_member, ["equal-image-lands-in-coset", "oversubgroup-partition"]
+    ),
+    "oversubgroup-bijection": (
+        quotient_from_a_kernel_member, ["oversubgroup-bijection", "station-image-for-maximal"]
+    ),
+    "maximal-coset-has-maximal-base": (
+        a_coset_with_no_maximal_element, ["maximal-coset-has-maximal-base"]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LEMMA_CONTROLS))
+def test_each_lemma_fails_on_its_tampering(monkeypatch, s4f, s5f, name):
+    tamper, failing = LEMMA_CONTROLS[name]
+    report = tamper(monkeypatch, s4f, s5f)
+    assert _statuses(report)[name] == "fail"
+    assert [c.name for c in report.failures()] == failing
