@@ -398,7 +398,13 @@ class LocalityPartialGroup(PartialGroup):
 
 
 class Locality:
-    """A partial group together with S, Delta, and conjugation machinery."""
+    """A partial group together with S, Delta, and conjugation machinery.
+
+    Kept on the instance, each made on first use: the threading automaton
+    (automaton) and check_locality's report (report), which builders and
+    commands read, so each locality is checked once.  A reader copies the
+    report's checks and never changes it.
+    """
 
     def __init__(
         self,
@@ -425,6 +431,11 @@ class Locality:
         if isinstance(self.pg, LocalityPartialGroup):
             return self.pg.automaton
         return ThreadAutomaton(self.sylow, self.s_positions())
+
+    @functools.cached_property
+    def report(self) -> VerificationReport:
+        """check_locality(self), run on first use and kept."""
+        return check_locality(self)
 
     # -- basic maps ----------------------------------------------------------
 
@@ -510,7 +521,8 @@ def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
     """Restrict M to {g : S cap S^(g^-1) in Delta} with threading-decided words.
 
     Delta lives in M's id space (over a Sylow p-subgroup of M).  The result
-    is verified with check_locality and rejected if any axiom fails.
+    is verified by its kept report (Locality.report) and rejected, with that
+    report, if any axiom fails.
     """
     S_m = delta.sylow
     target = _p_part(M.order, p)
@@ -559,9 +571,8 @@ def locality_from_group(M: FiniteGroup, p: int, delta: DeltaFamily) -> Locality:
     loc.to_ambient = to_ambient  # type: ignore[attr-defined]
     loc.to_local = to_local  # type: ignore[attr-defined]
     loc.ambient = M  # type: ignore[attr-defined]
-    report = check_locality(loc)
-    if not report.ok:
-        raise LocalityConstructionError(report)
+    if not loc.report.ok:
+        raise LocalityConstructionError(loc.report)
     return loc
 
 
@@ -571,8 +582,8 @@ def as_locality(
     """Wrap an arbitrary partial group as a locality candidate (unchecked).
 
     Conjugation for the threading machinery is read off pg.conj_table(),
-    which is built from pi; run check_locality to find out whether the
-    axioms actually hold.
+    which is built from pi; its report (check_locality, run on first read)
+    says whether the axioms actually hold.
     """
     sylow = frozenset(sylow)
     delta = DeltaFamily(sylow=sylow, members=frozenset(delta_members) | {sylow})
@@ -644,6 +655,9 @@ def _chain_word_steps(loc: Locality, chain: np.ndarray):
 
 def check_locality(loc: Locality) -> VerificationReport:
     """Verify the three locality axioms plus structural sanity.
+
+    A pure function: each call checks anew and returns a new report; src/
+    calls it only through Locality.report, the report kept on loc.
 
     (L1) S is maximal among p-subgroups; (L2) a word is in the domain iff a
     conjugation chain through Delta witnesses it, for words of every

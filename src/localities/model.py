@@ -148,6 +148,13 @@ def _parse_amalgam(model: ModelFile, body: str, line: int) -> AmalgamPartialGrou
         raise ModelError(f"identification is not an isomorphism: {exc}", line)
 
 
+# One whitespace-separated piece of a locality line after the group name:
+# a setting key=value, or stray text.  A value runs to the first space
+# outside braces, except that a space after a ";" before the next "{" stays
+# inside it, so "seeds:{(1 2)}; {}" is two seeds.
+_SETTING_RE = re.compile(r"\s*(?:(\w+)=((?:\{[^}]*\}|;\s*(?=\{)|\S)+)|(\S+))")
+
+
 def _parse_locality(model: ModelFile, body: str, line: int) -> Locality:
     tokens = body.split()
     if not tokens:
@@ -156,8 +163,16 @@ def _parse_locality(model: ModelFile, body: str, line: int) -> Locality:
     if gname not in model.groups:
         raise ModelError(f"locality references undefined group {gname!r}", line)
     M = model.groups[gname]
-    rest = body[len(gname):].strip()
-    fields = dict(re.findall(r"(p|sylow|delta)=((?:\{[^}]*\}|[^\s])+)", rest))
+    fields: dict[str, str] = {}
+    for setting in _SETTING_RE.finditer(body, len(gname)):
+        key, value, stray = setting.groups()
+        if stray is not None:
+            raise ModelError(f"locality holds text outside its settings: {stray!r}", line)
+        if key not in {"p", "sylow", "delta"}:
+            raise ModelError(f"locality has unknown setting {setting.group().strip()!r}", line)
+        if key in fields:
+            raise ModelError(f"locality repeats setting {setting.group().strip()!r}", line)
+        fields[key] = value
     if set(fields) != {"p", "sylow", "delta"}:
         raise ModelError("locality needs p=, sylow=, delta= settings", line)
     try:

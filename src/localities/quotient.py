@@ -20,7 +20,7 @@ import numpy as np
 
 from .groups import SizeCapExceeded
 from .locality import (
-    DeltaFamily, Locality, LocalityPartialGroup, _positions, _scatter, _set_rows, check_locality,
+    DeltaFamily, Locality, LocalityPartialGroup, _positions, _scatter, _set_rows,
 )
 from .normal import is_partial_normal, partial_normals
 from .partial import (
@@ -293,19 +293,21 @@ def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
 
     coset_of = [-1] * loc.size
     maximal_records = []
+    baseless = []
     for members in sorted(maximal_sets, key=min):
         bases = [f for f in sorted(members) if flags[f] and coset_by_f[f] == members]
         base = bases[0] if bases else min(members)
         maximal_records.append(CosetRecord(base=base, members=members))
         if not bases:
-            report.record(
-                "maximal-coset-has-maximal-base",
-                False,
-                [sorted(members)],
-                "every maximal coset is generated by a relatively maximal element",
-            )
+            baseless.append(sorted(members))
         for x in members:
             coset_of[x] = len(maximal_records) - 1
+    report.record(
+        "maximal-coset-has-maximal-base",
+        not baseless,
+        baseless,
+        "every maximal coset is generated by a relatively maximal element",
+    )
     part = CosetPartition(
         kernel=K,
         maximal=maximal_records,
@@ -433,11 +435,13 @@ def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
     - representative-lift: every quotient domain word, written in the
       representatives, is a base domain word with that image
       (_descent_failures over the representatives).
-    Then check_locality on the quotient (S-is-a-group, delta-well-formed,
-    (L1), (L2), threading-matches-domain and (L3)).  A quotient that fails
-    the lift may have a domain pair with no raw product, so it raises
-    before check_locality reads its products.  The partial-group axioms of
-    the quotient (check_axioms) are not run.  Both word checks are
+    Then the quotient's own report, quotient.report (check_locality, run
+    once and kept on the quotient: S-is-a-group, delta-well-formed, (L1),
+    (L2), threading-matches-domain and (L3)), copied in with the prefix
+    quotient-.  A quotient that fails the lift may have a domain pair with
+    no raw product, so it raises before its report reads its products.  The
+    partial-group axioms of the quotient (check_axioms) are not run.  Both
+    word checks are
     state_fixpoint searches over the walker tables of loc.pg and of the
     quotient, so their witnesses come in shortlex order, the shortest first.
 
@@ -487,8 +491,7 @@ def build_quotient(loc: Locality, K: Iterable[int]) -> QuotientBundle:
     if mism:
         raise QuotientConstructionError(report)
 
-    loc_report = check_locality(quotient)
-    report.extend(loc_report, prefix="quotient-")
+    report.extend(quotient.report, prefix="quotient-")
 
     bundle = QuotientBundle(base=loc, kernel=K, rho=rho, quotient=quotient, report=report)
     if not report.ok:

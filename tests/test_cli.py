@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from localities import cli, corpus, partial, quotient
+from localities import cli, corpus, locality, partial, quotient
 from localities.locality import LocalityConstructionError, check_locality
 from localities.model import parse_model
 from localities.partial import SweepBudgetExceeded
@@ -709,7 +709,7 @@ def test_a_failing_build_is_not_kept_and_lemmas_fails_alike(monkeypatch, capsys)
     """check_locality of the quotient is made to fail: quotient and then
     lemmas on the same kernel each build, fail and print the build report."""
     fixture = _fresh_builtin(monkeypatch, "GRP-S4", corpus.locality_s4)
-    monkeypatch.setattr(quotient, "check_locality", lambda loc: _failing_report("locality"))
+    monkeypatch.setattr(locality, "check_locality", lambda loc: _failing_report("locality"))
     builds = _counting_builds(monkeypatch)
     for command, title in [("quotient", "quotient GRP-S4 / V4"), ("lemmas", "lemmas GRP-S4 / V4")]:
         assert cli.main([command, "--builtin", "GRP-S4", "--kernel", "V4", "--format", "json"]) == 1

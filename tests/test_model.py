@@ -1,8 +1,12 @@
 """The model layer: emitted quotients read back with the tables they were
-written from, and plocality sections that must be refused."""
+written from, and plocality sections and locality settings that must be
+refused."""
+
+import re
 
 import pytest
 
+from localities import cli
 from localities.corpus import locality_s4
 from localities.model import ModelError, emit_quotient, parse_model
 from localities.normal import partial_normals
@@ -53,3 +57,32 @@ def test_a_repeated_sylow_id_is_refused_naming_it(tmp_path):
     path.write_text(text.replace(" : sylow 0 1 : ", " : sylow 0 0 1 : "))
     with pytest.raises(ModelError, match=r"^line \d+: sylow repeats id 0$"):
         parse_model(path)
+
+
+S3 = "group s3 = (1 2 3), (1 2)\n"
+
+
+@pytest.mark.parametrize("settings,message", [
+    ("p=2 sylow=auto delta=min-order:1 bogus=7 whatever", "locality has unknown setting 'bogus=7'"),
+    ("p=2 sylow=auto delta=min-order:1 whatever",
+     "locality holds text outside its settings: 'whatever'"),
+    ("p=2 p=3 sylow=auto delta=min-order:1", "locality repeats setting 'p=3'"),
+], ids=["unknown-setting", "stray-text", "repeated-setting"])
+def test_a_locality_line_refuses_text_outside_its_settings(tmp_path, capsys, settings, message):
+    path = tmp_path / "l.model"
+    path.write_text(S3 + f"locality L = s3 {settings}\n")
+    with pytest.raises(ModelError, match="^line 2: " + re.escape(message) + "$"):
+        parse_model(path)
+    assert cli.main(["loc-check", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: line 2: {message}\n")
+
+
+def test_a_space_after_a_seed_separator_keeps_the_next_seed(tmp_path):
+    """delta=seeds: reads on past "; " to the next seed, as with no space."""
+    spaced, tight = tmp_path / "spaced.model", tmp_path / "tight.model"
+    spaced.write_text(S3 + "locality L = s3 p=2 sylow={(1 2)} delta=seeds:{(1 2)}; {}\n")
+    tight.write_text(S3 + "locality L = s3 p=2 sylow={(1 2)} delta=seeds:{(1 2)};{}\n")
+    loc, want = (parse_model(p).localities["L"] for p in (spaced, tight))
+    assert len(want.delta.members) == 2
+    assert loc.delta.members == want.delta.members

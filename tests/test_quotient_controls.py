@@ -248,15 +248,22 @@ def quotient_from_a_kernel_member(monkeypatch, s4f, s5f):
     return verify_quotient_lemmas(loc, K, bundle=bundle)
 
 
-def a_coset_with_no_maximal_element(monkeypatch, s4f, s5f):
-    """GRP-S4 / V4 with every member of maximal coset 1 flagged not
+def _baseless_cosets(s4f) -> list[frozenset[int]]:
+    """Maximal cosets 1 and 2 of GRP-S4 / V4, which the control below
+    leaves without a relatively maximal element."""
+    maximal = quotient.coset_partition(s4f.loc, s4f.subsets["V4"]).maximal
+    return [maximal[1].members, maximal[2].members]
+
+
+def cosets_with_no_maximal_element(monkeypatch, s4f, s5f):
+    """GRP-S4 / V4 with every member of maximal cosets 1 and 2 flagged not
     relatively maximal, the partition built anew (none is kept)."""
     loc, K = s4f.loc, s4f.subsets["V4"]
-    coset = quotient.coset_partition(loc, K).maximal[1].members
+    cleared = frozenset().union(*_baseless_cosets(s4f))
     real = quotient.up_maximal_flags
 
     def patched(loc, K):
-        return tuple(flag and f not in coset for f, flag in enumerate(real(loc, K)))
+        return tuple(flag and f not in cleared for f, flag in enumerate(real(loc, K)))
 
     monkeypatch.setattr(quotient, "up_maximal_flags", patched)
     monkeypatch.setattr(quotient, "_KERNEL_CACHE", weakref.WeakKeyDictionary())
@@ -286,7 +293,7 @@ LEMMA_CONTROLS = {
         quotient_from_a_kernel_member, ["oversubgroup-bijection", "station-image-for-maximal"]
     ),
     "maximal-coset-has-maximal-base": (
-        a_coset_with_no_maximal_element, ["maximal-coset-has-maximal-base"]
+        cosets_with_no_maximal_element, ["maximal-coset-has-maximal-base"]
     ),
 }
 
@@ -297,3 +304,16 @@ def test_each_lemma_fails_on_its_tampering(monkeypatch, s4f, s5f, name):
     report = tamper(monkeypatch, s4f, s5f)
     assert _statuses(report)[name] == "fail"
     assert [c.name for c in report.failures()] == failing
+
+
+def test_baseless_maximal_cosets_are_one_record_naming_each(monkeypatch, s4f, s5f):
+    """maximal-coset-has-maximal-base is recorded once per partition: on a
+    genuine one it passes with no witness, and with two cosets left without
+    a relatively maximal element its one record names both."""
+    (check,) = [c for c in quotient.coset_partition(s4f.loc, s4f.subsets["V4"]).report.checks
+                if c.name == "maximal-coset-has-maximal-base"]
+    assert (check.status, check.witnesses) == ("pass", [])
+    expected = [sorted(c) for c in _baseless_cosets(s4f)]
+    report = cosets_with_no_maximal_element(monkeypatch, s4f, s5f)
+    (check,) = [c for c in report.checks if c.name == "maximal-coset-has-maximal-base"]
+    assert (check.status, check.witnesses) == ("fail", expected)
