@@ -7,7 +7,7 @@ of named subsets used by the CLI and the test corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .groups import (
@@ -36,10 +36,14 @@ class AmalgamFixture:
     right_set: frozenset[int]
     shared: frozenset[int]
     subsets: dict[str, frozenset[int]]
+    _candidate: Locality | None = field(default=None, init=False, repr=False, compare=False)
 
     def as_locality(self) -> Locality:
-        """The (failing) locality candidate with S = G2 and Delta = {shared, G2}."""
-        return as_locality(self.pg, 2, self.right_set, [self.shared, self.right_set])
+        """The (failing) locality candidate with S = G2 and Delta = {shared, G2},
+        built on the first call and kept, so its report is made once."""
+        if self._candidate is None:
+            self._candidate = as_locality(self.pg, 2, self.right_set, [self.shared, self.right_set])
+        return self._candidate
 
 
 @dataclass

@@ -1,9 +1,13 @@
-"""Partial normal subgroups, their enumeration, and the product theorems.
+"""Partial normal subgroups, their enumeration, and the product theorem.
 
-The product of conjugation-closed partial subgroups is computed over every
-domain word across the factors and certified: the engine records set
-equalities, witness words, and normality checks as data instead of assuming
-any theorem.
+The theorem says that M1...Ml is partial normal for partial normal M1, ...,
+Ml, whatever the order and the bracketing of the factors.  One certificate
+(_certify, entered by product_theorem1 for two factors and product_theorem2
+for two to MAX_FACTORS) computes the product over every domain word across
+the factors and records as data that every order and every bracketing
+gives the same set, that the product is partial normal, that its
+intersection with S is the product of the factors' intersections, and a
+witness word for each element, instead of assuming any theorem.
 """
 
 from __future__ import annotations
@@ -149,27 +153,22 @@ def partial_normals(loc: Locality) -> tuple[SubsetHandle, ...]:
 
 @dataclass
 class CertFlags:
-    commutes: bool | None = None
-    is_partial_normal: bool = False
-    intersection_formula: bool | None = None
-    witnesses_complete: bool = False
-    trivial_intersection: bool | None = None
-    bracketings_ok: bool | None = None
-    permutations_ok: bool | None = None
-    adjacent_transpositions_ok: bool | None = None
+    commutes: bool
+    bracketings_ok: bool
+    is_partial_normal: bool
+    intersection_formula: bool
+    witnesses_complete: bool
+    trivial_intersection: bool
 
     def all_pass(self) -> bool:
         """Every verified identity holds; trivial_intersection is metadata."""
-        checked = (
+        return all((
             self.commutes,
+            self.bracketings_ok,
             self.is_partial_normal,
             self.intersection_formula,
             self.witnesses_complete,
-            self.bracketings_ok,
-            self.permutations_ok,
-            self.adjacent_transpositions_ok,
-        )
-        return all(v is not False for v in checked)
+        ))
 
 
 @dataclass
@@ -251,110 +250,58 @@ def _scan_product(
     return frozenset(v for *_, v in frontier), witnesses, counts, visited
 
 
-def product_theorem1(
-    loc: Locality, M: Iterable[int], N: Iterable[int]
-) -> ProductCertificate:
-    """Certify the two-factor product of partial normal subgroups.
-
-    Flags: MN = NM as sets, MN partial normal, (MN) cap S = (M cap S)(N cap S),
-    and a witness word (m, n) with matching threading subgroup for every
-    element of MN.
+def _certify(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertificate:
+    """Certify the product M1...Ml of partial normal subgroups, l >= 2: the
+    set and witnesses of _scan_product, and the flags
+    - commutes: every order of the factors gives that set;
+    - bracketings_ok: for every split 1 <= k < l, (M1...Mk)(Mk+1...Ml) does;
+    - is_partial_normal: the set is partial normal;
+    - intersection_formula: (M1...Ml) cap S = (M1 cap S)...(Ml cap S).  The
+      theorem states it for l = 2.  For l > 2, P = M1...Ml-1 is partial
+      normal and M1...Ml = P Ml, so by induction on l
+      (P Ml) cap S = (P cap S)(Ml cap S) = (M1 cap S)...(Ml cap S);
+    - witnesses_complete: every element has a witness word;
+    - trivial_intersection: the factors meet in the identity alone
+      (metadata, not a verified identity).
+    Every other product is a subset_product; a factor order met twice is
+    computed once, and the scan's own order not again.
     """
-    _require_locality(loc)
-    M = frozenset(M)
-    N = frozenset(N)
-    for name, X in (("M", M), ("N", N)):
-        ok, wit = is_partial_normal(loc, X)
-        if not ok:
-            raise ValueError(f"{name} is not partial normal (witness {wit})")
-    product, witnesses, counts, states = _scan_product(loc, [M, N])
-    reverse = subset_product(loc.pg, [N, M])
-    pn, pn_wit = is_partial_normal(loc, product)
-    lhs = product & loc.sylow_set
-    rhs = subset_product(loc.pg, [M & loc.sylow_set, N & loc.sylow_set])
-    flags = CertFlags(
-        commutes=product == reverse,
-        is_partial_normal=pn,
-        intersection_formula=lhs == rhs,
-        witnesses_complete=set(witnesses) == set(product),
-        trivial_intersection=(M & N == {loc.identity}),
-    )
-    return ProductCertificate(
-        factors=[M, N],
-        product=product,
-        witnesses=witnesses,
-        witness_counts=counts,
-        word_states=states,
-        flags=flags,
-        normality_witness=pn_wit,
-    )
-
-
-def product_theorem2(
-    loc: Locality, factors: Sequence[Iterable[int]]
-) -> ProductCertificate:
-    """Certify an l-fold product (2 <= l <= 4) of partial normal subgroups.
-
-    Checks every bracketing split, factor permutations both exhaustively and
-    through adjacent transpositions, normality, and witness completeness.
-    """
-    _require_locality(loc)
     facs = [frozenset(f) for f in factors]
-    l = len(facs)
-    if not 2 <= l <= MAX_FACTORS:
-        raise ValueError(f"product_theorem2 handles 2..{MAX_FACTORS} factors, got {l}")
     for i, X in enumerate(facs):
         ok, wit = is_partial_normal(loc, X)
         if not ok:
             raise ValueError(f"factor {i} is not partial normal (witness {wit})")
-
-    memo: dict[tuple[frozenset[int], ...], frozenset[int]] = {}
-
-    def set_product(fs: Sequence[frozenset[int]]) -> frozenset[int]:
-        key = tuple(fs)
-        got = memo.get(key)
-        if got is None:
-            got = subset_product(loc.pg, fs)
-            memo[key] = got
-        return got
-
     product, witnesses, counts, states = _scan_product(loc, facs)
-    memo[tuple(facs)] = product
-
-    bracketing = True
-    for k in range(1, l):
-        left = set_product(facs[:k]) if k > 1 else facs[0]
-        right = set_product(facs[k:]) if l - k > 1 else facs[-1]
-        if subset_product(loc.pg, [left, right]) != product:
-            bracketing = False
-
-    permutations_ok = True
-    for sigma in itertools.permutations(range(l)):
-        if set_product([facs[i] for i in sigma]) != product:
-            permutations_ok = False
-    adjacent_ok = True
-    for i in range(l - 1):
-        order = list(range(l))
-        order[i], order[i + 1] = order[i + 1], order[i]
-        if set_product([facs[j] for j in order]) != product:
-            adjacent_ok = False
-
     pn, pn_wit = is_partial_normal(loc, product)
+
+    def times(fs: Sequence[frozenset[int]]) -> frozenset[int]:
+        return subset_product(loc.pg, fs)
+
+    S = loc.sylow_set
     flags = CertFlags(
-        commutes=permutations_ok,
+        commutes=all(times(order) == product
+                     for order in set(itertools.permutations(facs)) - {tuple(facs)}),
+        bracketings_ok=all(times([times(facs[:k]), times(facs[k:])]) == product
+                           for k in range(1, len(facs))),
         is_partial_normal=pn,
-        intersection_formula=None,
+        intersection_formula=product & S == times([f & S for f in facs]),
         witnesses_complete=set(witnesses) == set(product),
-        bracketings_ok=bracketing,
-        permutations_ok=permutations_ok,
-        adjacent_transpositions_ok=adjacent_ok,
+        trivial_intersection=frozenset.intersection(*facs) == {loc.identity},
     )
-    return ProductCertificate(
-        factors=facs,
-        product=product,
-        witnesses=witnesses,
-        witness_counts=counts,
-        word_states=states,
-        flags=flags,
-        normality_witness=pn_wit,
-    )
+    return ProductCertificate(factors=facs, product=product, witnesses=witnesses,
+                              witness_counts=counts, word_states=states, flags=flags,
+                              normality_witness=pn_wit)
+
+
+def product_theorem1(loc: Locality, M: Iterable[int], N: Iterable[int]) -> ProductCertificate:
+    """Certify the product MN of two partial normal subgroups (_certify)."""
+    return _certify(loc, [M, N])
+
+
+def product_theorem2(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertificate:
+    """Certify a product of 2 to MAX_FACTORS partial normal subgroups (_certify)."""
+    if not 2 <= len(factors) <= MAX_FACTORS:
+        raise ValueError(
+            f"a product certificate handles 2 to {MAX_FACTORS} factors, got {len(factors)}"
+        )
+    return _certify(loc, factors)

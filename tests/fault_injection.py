@@ -4,11 +4,13 @@ breaks; and the per-word forms of the tables and of the axiom sweep, the
 references the gathers and the state searches of localities.partial are
 tested against."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 
 from localities import partial
+from localities.locality import Locality
 from localities.partial import AxiomViolation, PartialGroup, Word, _padded
 from localities.quotient import CosetPartition
 
@@ -133,3 +135,21 @@ def with_representatives(part: CosetPartition, reps) -> CosetPartition:
     kept partition is left as it is."""
     maximal = [replace(rec, base=r) for rec, r in zip(part.maximal, reps, strict=True)]
     return replace(part, maximal=maximal)
+
+
+def tampered_locality(loc: Locality, products: dict[tuple[int, int], int] | None = None,
+                      **attrs) -> Locality:
+    """A copy of loc whose binary product table, the one that closures,
+    subset_product and the product scan read, holds the given (a, b) ->
+    value entries (-1 leaves a product undefined), and whose attributes
+    attrs replace its own (sylow_set, or thread_subgroup as a function of
+    the word).  pi and the other gathered tables still read the untouched
+    arrays, and loc and its partial group are left as they are."""
+    pg = copy.copy(loc.pg)
+    pg._product_table = [row[:] for row in loc.pg.product_table()]
+    for (a, b), v in (products or {}).items():
+        pg._product_table[a][b] = v
+    out = copy.copy(loc)
+    out.pg = pg
+    vars(out).update(attrs)
+    return out

@@ -152,6 +152,55 @@ def test_loc_check_on_a_model_amalgam_exits_2(tmp_path, capsys):
     assert cli.main(["pg-check", "--model", _amalgam_model(tmp_path)]) == 0
 
 
+PRODUCT_RECORDS = [
+    "product-order",
+    "product-commutes",
+    "bracketings-agree",
+    "product-partial-normal",
+    "intersection-with-sylow",
+    "witness-complete",
+    "certificate-revalidates",
+]
+
+
+@pytest.mark.parametrize(
+    "builtin, ideals, order, trivial",
+    [
+        ("LOC-S5", "N5,N20", "product has 20 elements (33 word states)", False),
+        ("GRP-C2xS4", "C2,V4", "product has 8 elements (10 word states)", True),
+        ("LOC-S5", "N5,N20,N28", "product has 28 elements (69 word states)", False),
+        ("GRP-C2xS4", "C2,V4,A4", "product has 24 elements (34 word states)", True),
+        ("GRP-C2xS4", "C2,V4,A4,S4", "product has 48 elements (98 word states)", True),
+    ],
+    ids=["2", "2-trivial-intersection", "3", "3-trivial-intersection", "4-trivial-intersection"],
+)
+def test_product_records_one_list_for_every_number_of_factors(capsys, builtin, ideals, order,
+                                                              trivial):
+    """Every check passes; trivial-intersection-path is recorded only when
+    the factors meet in the identity alone."""
+    argv = ["product", "--builtin", builtin, "--ideals", ideals, "--format", "json"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["title"] == f"product {builtin}: {ideals.replace(',', ' * ')}"
+    assert [(c["name"], c["status"]) for c in out["checks"]] == [
+        (name, "pass") for name in PRODUCT_RECORDS + ["trivial-intersection-path"] * trivial
+    ]
+    assert out["checks"][0]["detail"] == order
+
+
+@pytest.mark.parametrize(
+    "builtin, ideals, message",
+    [
+        ("LOC-S5", "S,N5", "factor 0 is not partial normal (witness (1, 2, 5))"),
+        ("LOC-S5", "N5,N20,S", "factor 2 is not partial normal (witness (1, 2, 5))"),
+        ("GRP-S4", "V4,V4,V4,V4,V4", "a product certificate handles 2 to 4 factors, got 5"),
+    ],
+    ids=["first-factor-not-partial-normal", "last-factor-not-partial-normal", "five-factors"],
+)
+def test_a_product_the_certificate_cannot_take_exits_2(capsys, builtin, ideals, message):
+    _one_error_line(capsys, ["product", "--builtin", builtin, "--ideals", ideals], message)
+
+
 def _emit(tmp_path, capsys, builtin, kernel):
     path = tmp_path / "q.model"
     argv = ["quotient", "--builtin", builtin, "--kernel", kernel, "--emit", str(path)]

@@ -2,6 +2,7 @@
 it and every later loc-check read that one report, so a locality is
 checked once, and the report is never shared or changed."""
 
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -44,6 +45,19 @@ def test_a_fresh_loc_check_on_a_group_built_builtin_checks_once(monkeypatch, cap
     assert cli.main(["loc-check", "--builtin", name, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["overall"] == "pass"
     assert len(calls) == 1
+
+
+def test_three_loc_checks_on_the_builtin_amalgam_check_its_candidate_once(monkeypatch, capsys):
+    """PG-AM20 states one locality candidate and keeps it, so its report is
+    made once; the amalgam is built inside the test, past the loader's cache."""
+    fresh = functools.cache(corpus.amalgam_counterexample.__wrapped__)
+    monkeypatch.setattr(corpus, "amalgam_counterexample", fresh)
+    monkeypatch.setitem(corpus.BUILTIN_LOADERS, "PG-AM20", fresh)
+    calls = _counting_checks(monkeypatch)
+    for _ in range(3):
+        assert cli.main(["loc-check", "--builtin", "PG-AM20", "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["overall"] == "fail"
+    assert calls == [fresh().as_locality()]
 
 
 def test_a_fresh_loc_check_on_a_locality_line_checks_once(monkeypatch, capsys, tmp_path):

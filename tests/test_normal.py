@@ -6,6 +6,7 @@ from localities.normal import (
     enumerate_partial_normals,
     is_partial_normal,
     partial_normal_closure,
+    partial_normals,
     product_theorem1,
     product_theorem2,
 )
@@ -145,6 +146,20 @@ def test_enumeration_closed_under_products(c2s4f):
         for b in handles:
             cert = product_theorem1(c2s4f.loc, a.members, b.members)
             assert cert.product in family
+
+
+@pytest.mark.parametrize("name", ["s4f", "c2s4f", "s5f"])
+def test_both_entries_give_one_certificate(request, name):
+    """product_theorem1(M, N) and product_theorem2([M, N]) run one
+    certificate: equal products, witnesses, counts, word states and flags,
+    every flag passing, on every ordered pair of partial normals."""
+    loc = request.getfixturevalue(name).loc
+    handles = partial_normals(loc)
+    for a in handles:
+        for b in handles:
+            cert = product_theorem1(loc, a.members, b.members)
+            assert cert == product_theorem2(loc, [a.members, b.members])
+            assert cert.flags.all_pass()
 
 
 def test_contrast_amalgam_product_not_normal(am20):
