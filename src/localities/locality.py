@@ -343,7 +343,7 @@ class LocalityPartialGroup(PartialGroup):
             raise ValueError("(H2) the raw products are not M's restricted to L")
         inv_m = np.array(inv, dtype=np.int64)
         inverses = local_of[inv_m[amb]].tolist()
-        if local_of[identity] != self.identity or inverses != list(self._inv) or -1 in inverses:
+        if local_of[identity] != self.identity or inverses != self._inv.tolist() or -1 in inverses:
             raise ValueError("(H2) the identity or the inverses are not M's in L")
 
         s_amb = amb[_ids(self.s_elems, size, "(H3) S")]
@@ -441,31 +441,26 @@ class Locality:
 
     def s_positions(self, members: Sequence[int] | None = None) -> np.ndarray:
         """pos[g, i]: the position in S (or in members) of s_i^g, s_i its
-        i-th member, read from conj_table(); -1 where it is undefined or
+        i-th member, sliced from conj_table(); -1 where it is undefined or
         leaves it."""
         conj, n, X = self.pg.conj_table(), self.pg.size, self.sylow if members is None else members
-        columns = np.array([conj[s] for s in X], dtype=np.int64).reshape(-1, n)
+        columns = conj[np.asarray(X, dtype=np.int64), :n]
         return _positions(X, n + 1)[columns.T]  # -1 reads the last entry
 
     def conjugate(self, x: int, g: int) -> int | None:
         """x^g = pi((g^-1, x, g)) when defined."""
-        v = self.pg.conj_table()[x][g]
+        v = int(self.pg.conj_table()[x, g])
         return None if v < 0 else v
 
-    def conj_table(self) -> list[list[int]]:
-        """The partial group's conjugation table, pg.conj_table()."""
+    def conj_table(self) -> np.ndarray:
+        """The partial group's conjugation array, pg.conj_table(): x^g at
+        row x, column g, with a last row and column of -1."""
         return self.pg.conj_table()
 
     def conjugate_set(self, X: Iterable[int], g: int) -> frozenset[int] | None:
         """X^g, or None when some x^g is undefined."""
-        conj = self.pg.conj_table()
-        out = set()
-        for x in X:
-            v = conj[x][g]
-            if v < 0:
-                return None
-            out.add(v)
-        return frozenset(out)
+        images = self.pg.conj_table()[np.fromiter(X, dtype=np.int64), g]
+        return None if (images < 0).any() else frozenset(images.tolist())
 
     def thread_subgroup(self, word: Word) -> frozenset[int]:
         """S_w: the members of S threading through the word inside S."""
@@ -581,9 +576,9 @@ def as_locality(
 ) -> Locality:
     """Wrap an arbitrary partial group as a locality candidate (unchecked).
 
-    Conjugation for the threading machinery is read off pg.conj_table(),
-    which is built from pi; its report (check_locality, run on first read)
-    says whether the axioms actually hold.
+    Conjugation for the threading machinery is sliced from pg.conj_table();
+    its report (check_locality, run on first read) says whether the axioms
+    actually hold.
     """
     sylow = frozenset(sylow)
     delta = DeltaFamily(sylow=sylow, members=frozenset(delta_members) | {sylow})

@@ -391,8 +391,18 @@ def parse_model(path: str | Path) -> ModelFile:
 # emitting quotients
 
 
+def _emitted(ids: np.ndarray, table: np.ndarray, keep: np.ndarray) -> str:
+    """"(a b v)" for each entry v of table where keep holds, row-major,
+    with a = ids[row] and b its column."""
+    r, c = np.nonzero(keep)
+    return " ".join(f"({a} {b} {v})" for a, b, v in zip(ids[r].tolist(), c.tolist(),
+                                                         table[r, c].tolist()))
+
+
 def emit_quotient(bundle: QuotientBundle, name: str = "quotient") -> str:
-    """Serialize a quotient locality as a parseable plocality line."""
+    """Serialize a quotient locality as a parseable plocality line, its
+    conj and prod entries read row-major from pg.conj_table() and
+    pg.padded_products()."""
     loc = bundle.quotient
     pg = loc.pg
     parts = [
@@ -406,18 +416,12 @@ def emit_quotient(bundle: QuotientBundle, name: str = "quotient") -> str:
             for P in sorted(loc.delta.members, key=sorted)
         ),
     ]
-    conj = pg.conj_table()
-    conj_entries = [
-        f"({s} {g} {v})" for s in loc.sylow for g, v in enumerate(conj[s]) if v in loc.sylow_set
-    ]
-    parts.append("conj " + " ".join(conj_entries))
-    prod_entries = [
-        f"({a} {b} {v})"
-        for a, row in enumerate(pg.product_table())
-        for b, v in enumerate(row)
-        if v >= 0
-    ]
-    parts.append("prod " + " ".join(prod_entries))
+    n, sylow = pg.size, np.array(loc.sylow)
+    in_s = np.zeros(n + 1, dtype=bool)  # -1, the last entry, is outside S
+    in_s[sylow] = True
+    conj, table = pg.conj_table()[sylow, :n], pg.padded_products()[:n, :n]
+    parts.append("conj " + _emitted(sylow, conj, in_s[conj]))
+    parts.append("prod " + _emitted(np.arange(n), table, table >= 0))
     body = " : ".join(parts)
     lines = [
         "# quotient locality emitted as an explicit table",

@@ -67,7 +67,7 @@ def partial_normal_closure(
     classified; closed, when given, must already be closed under products,
     inverses and conjugates, as every result of this function is.
 
-    The frontier closure of partial_subgroup_closure, run with the rows of
+    The frontier closure of partial_subgroup_closure, run with the array
     loc.conj_table() so that every defined conjugate x^f of a member joins.
     known maps closures made before to their handles.  The closure stops as
     soon as its members equal one of them (exact, see _close), and a
@@ -90,7 +90,8 @@ def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
     exhaustive.  One singleton closure is made per conjugacy class: after
     x, each y = x^f with y^(f^-1) = x is skipped, and so is x^-1 when its
     inverse is x, since each closure then contains the other's generator.
-    Both lookups are checked per instance, never assumed.  A join of h
+    Both lookups are checked per instance, never assumed; the first reads
+    row x of loc.conj_table() and the return conjugates in one gather.  A join of h
     with another closure starts from h, which is already closed.  Every
     closure is handed the family found so far: it stops when its members
     equal one of those sets, each a closure and so closed on any table, and
@@ -103,8 +104,7 @@ def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
             f"partial normal enumeration is capped at {ENUMERATION_CAP} elements; "
             f"the locality has {loc.size}"
         )
-    conj = loc.conj_table()
-    inv = [loc.pg.inverse(f) for f in loc.elements()]
+    conj, inv = loc.conj_table(), loc.pg._inv
     family: dict[frozenset[int], SubsetHandle] = {}
     done: set[int] = set()
     for x in loc.elements():
@@ -113,10 +113,9 @@ def enumerate_partial_normals(loc: Locality) -> list[SubsetHandle]:
         h = partial_normal_closure(loc, [x], known=family)
         family.setdefault(h.members, h)
         if inv[inv[x]] == x:
-            done.add(inv[x])
-        for f, y in enumerate(conj[x]):
-            if y >= 0 and conj[y][inv[f]] == x:
-                done.add(y)
+            done.add(int(inv[x]))
+        ys = conj[x, :-1]  # a missing y = -1 reads the last row, all -1
+        done.update(ys[conj[ys, inv] == x].tolist())
     queue = list(family.values())
     while queue:
         h = queue.pop()
@@ -158,6 +157,7 @@ class CertFlags:
     is_partial_normal: bool
     intersection_formula: bool
     witnesses_complete: bool
+    revalidates: bool
     trivial_intersection: bool
 
     def all_pass(self) -> bool:
@@ -168,6 +168,7 @@ class CertFlags:
             self.is_partial_normal,
             self.intersection_formula,
             self.witnesses_complete,
+            self.revalidates,
         ))
 
 
@@ -261,6 +262,7 @@ def _certify(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertific
       normal and M1...Ml = P Ml, so by induction on l
       (P Ml) cap S = (P cap S)(Ml cap S) = (M1 cap S)...(Ml cap S);
     - witnesses_complete: every element has a witness word;
+    - revalidates: every witness passes ProductCertificate.validate;
     - trivial_intersection: the factors meet in the identity alone
       (metadata, not a verified identity).
     Every other product is a subset_product; a factor order met twice is
@@ -278,7 +280,10 @@ def _certify(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertific
         return subset_product(loc.pg, fs)
 
     S = loc.sylow_set
-    flags = CertFlags(
+    cert = ProductCertificate(factors=facs, product=product, witnesses=witnesses,
+                              witness_counts=counts, word_states=states, flags=None,
+                              normality_witness=pn_wit)
+    cert.flags = CertFlags(
         commutes=all(times(order) == product
                      for order in set(itertools.permutations(facs)) - {tuple(facs)}),
         bracketings_ok=all(times([times(facs[:k]), times(facs[k:])]) == product
@@ -286,11 +291,10 @@ def _certify(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertific
         is_partial_normal=pn,
         intersection_formula=product & S == times([f & S for f in facs]),
         witnesses_complete=set(witnesses) == set(product),
+        revalidates=cert.validate(loc),
         trivial_intersection=frozenset.intersection(*facs) == {loc.identity},
     )
-    return ProductCertificate(factors=facs, product=product, witnesses=witnesses,
-                              witness_counts=counts, word_states=states, flags=flags,
-                              normality_witness=pn_wit)
+    return cert
 
 
 def product_theorem1(loc: Locality, M: Iterable[int], N: Iterable[int]) -> ProductCertificate:

@@ -123,7 +123,7 @@ class PartialGroup:
     Processing in Groups, 1992): trans[s, x] is the state x takes s to,
     never -1, from state 0 for the empty word, and accept[s] says whether
     the words reaching s are in the domain.  A domain word's product pi is
-    its left fold over _raw from the identity.  The three are arrays from
+    its left fold over _raw from the identity.  The four are arrays from
     construction on, _raw with a last row and column of -1, read as they
     stand; the scalar methods read memoryviews of them, Python ints and
     bools at twice a list read's cost.
@@ -138,7 +138,13 @@ class PartialGroup:
     with equal states for that reason.  The product, conjugation and
     walker tables are gathered once per instance, on first use, and kept
     on it, never in a cache keyed by id(), as ids are reused once an
-    object is collected.
+    object is collected.  Each is held in one form, and read as:
+    - padded_products() and conj_table(), (n+1) x (n+1) int64 arrays with
+      a last row and column of -1: the classifiers, _close, the class skip
+      of enumerate_partial_normals, the coset layer, s_positions,
+      emit_quotient and the quotient's tables gather masks or rows of them;
+    - product_table(), the products as lists: the per-pair loops
+      closure_twins, subset_product, _scan_product and mul2 only.
     """
 
     p: int | None = None
@@ -147,16 +153,17 @@ class PartialGroup:
     ambient: tuple[FiniteGroup, tuple[int, ...]] | None = None
     _product_table: list[list[int]] | None = None
     _padded_products: np.ndarray | None = None
-    _conj_table: list[list[int]] | None = None
+    _conj: np.ndarray | None = None
     _walker_table: WalkerTable | None = None
 
     def __init__(self, size: int, identity: int, labels: tuple[str, ...], inv: Sequence[int],
                  raw: np.ndarray, trans: np.ndarray | list, accept: np.ndarray | list,
                  raw_missing: Callable[[int, int], Exception] = _no_raw_entry):
         self.size, self.identity, self.labels = size, identity, labels
-        self._inv, self._raw, self._raw_missing = inv, _padded(raw), raw_missing
+        self._inv, self._raw, self._raw_missing = np.array(inv, np.int64), _padded(raw), raw_missing
         self.trans, self.accept = np.asarray(trans), accept
         self._trans_at, self._raw_at = memoryview(self.trans), memoryview(self._raw)
+        self._inv_at = memoryview(self._inv)
 
     def _set_accept(self, mask: np.ndarray | list) -> None:  # a rebound mask, a new view
         self._accept = np.asarray(mask, dtype=bool)
@@ -168,7 +175,7 @@ class PartialGroup:
         return range(self.size)
 
     def inverse(self, x: int) -> int:
-        return self._inv[x]
+        return self._inv_at[x]
 
     def invert_word(self, word: Word) -> Word:
         return tuple(self.inverse(x) for x in reversed(word))
@@ -246,18 +253,20 @@ class PartialGroup:
         return self._padded_products
 
     def product_table(self) -> list[list[int]]:
-        """padded_products() as lists, without its last row and column."""
+        """padded_products() as lists, without its last row and column, for
+        the per-pair loops, where one list read costs less than a numpy one."""
         if self._product_table is None:
             self._product_table = self.padded_products()[:-1, :-1].tolist()
         return self._product_table
 
-    def conj_table(self) -> list[list[int]]:
+    def conj_table(self) -> np.ndarray:
         """Conjugates x^f = pi((f^-1, x, f)) at row x, column f, -1 off the
-        domain, in one gather."""
-        if self._conj_table is None:
+        domain, in one gather, padded as padded_products() is: the
+        conjugates of -1, and by it, are -1."""
+        if self._conj is None:
             n = np.arange(self.size)
-            self._conj_table = self._gather(np.asarray(self._inv), n[:, None], n).tolist()
-        return self._conj_table
+            self._conj = _padded(self._gather(self._inv, n[:, None], n))
+        return self._conj
 
     @property
     def domain_is_total(self) -> bool:
@@ -408,24 +417,34 @@ def build_amalgam(spec: AmalgamSpec) -> AmalgamPartialGroup:
 # subset machinery
 
 
+def _mask(n: int, members) -> np.ndarray:
+    """A subset of 0..n-1 as a boolean mask with one more entry, set, for
+    the missing value -1: a gathered -1 is never outside the subset."""
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[members] = True
+    mask[n] = True
+    return mask
+
+
 def _close(
     pg: PartialGroup,
     seed: Iterable[int],
-    rows: Sequence[Sequence[int]] = (),
+    conj: np.ndarray | None = None,
     closed: frozenset[int] = frozenset(),
     known: Container[frozenset[int]] = (),
 ) -> frozenset[int]:
     """Frontier closure: the least subset containing the identity, closed
     and seed that is closed under inversion, under every defined product of
-    two members and, when rows are given, under every entry >= 0 of rows[x]
-    for each member x.
+    two members and, when conj (a padded array, as conj_table() is) is
+    given, under every entry >= 0 of row x of conj for each member x.
 
     closed must already be closed in that sense (a partial subgroup when no
-    rows are given); its members start out as old members, so only the seed
-    elements outside it form the first frontier.  Each round multiplies only
-    the elements added in the previous round with the current members, in
-    both orders, reading pg.product_table(); pairs of older members are
-    never multiplied again.
+    conj is given); its members, a _mask, start out as old members, so only
+    the seed elements outside it form the first frontier.  Each round
+    gathers at once the inverses, the conj rows and the products with the
+    current members, in both orders, from pg.padded_products(), of the
+    elements added in the previous round; pairs of older members are never
+    multiplied again.
 
     known holds sets already closed in the same sense.  Before each round
     the closure stops when the members equal one of them or are all of L.
@@ -434,29 +453,24 @@ def _close(
     is the closure: the stop is exact on any table.  Only equality proves
     it; members inside a larger known set say nothing.
     """
-    table = pg.product_table()
-    members = set(closed)
-    fresh = {pg.identity}
-    fresh.update(int(x) for x in seed)
-    frontier = list(fresh - members)
+    n, table, inv = pg.size, pg.padded_products(), pg._inv
+    members = _mask(n, list(closed))
+    fresh = _mask(n, [pg.identity, *map(int, seed)])
+    frontier = (fresh > members).nonzero()[0]
     members |= fresh
-    while frontier:
-        if len(members) == pg.size or (known and frozenset(members) in known):
+    while len(frontier):
+        current = members[:n].nonzero()[0]
+        if len(current) == n or (known and frozenset(current.tolist()) in known):
             break
-        current = list(members)
-        fresh = set()
-        for a in frontier:
-            fresh.add(pg.inverse(a))
-            row = table[a]
-            fresh.update([row[b] for b in current])
-            fresh.update([table[b][a] for b in current])
-            if rows:
-                fresh.update(rows[a])
-        fresh.discard(-1)
-        fresh -= members
+        fresh = np.zeros(n + 1, dtype=bool)
+        fresh[inv[frontier]] = True
+        fresh[table[frontier[:, None], current]] = True
+        fresh[table[current[:, None], frontier]] = True
+        if conj is not None:
+            fresh[conj[frontier]] = True
+        frontier = (fresh > members).nonzero()[0]
         members |= fresh
-        frontier = list(fresh)
-    return frozenset(members)
+    return frozenset(members[:n].nonzero()[0].tolist())
 
 
 def partial_subgroup_closure(
@@ -472,8 +486,8 @@ def partial_subgroup_closure(
 
     Closing under defined length-2 products suffices: any longer domain word
     collapses to nested length-2 products by the partial group axioms.
-    Computed by the frontier kernel _close over pg.product_table(), so the
-    first call on a partial group also builds its table.
+    Computed by the frontier kernel _close over pg.padded_products(), so
+    the first call on a partial group also builds its table.
     """
     return _close(pg, seed, closed=closed, known=known)
 
@@ -607,31 +621,38 @@ class SubsetHandle:
         return len(self.members)
 
 
+def _escape(mask: np.ndarray, images: np.ndarray) -> tuple[int, int, int] | None:
+    """(row, column, value) of the first entry of a 2-d gather outside a
+    _mask, row-major, or None."""
+    bad = np.flatnonzero(~mask[images])
+    if not len(bad):
+        return None
+    r, c = divmod(int(bad[0]), images.shape[1])
+    return r, c, int(images[r, c])
+
+
 def _closure_failure(pg: PartialGroup, X: frozenset[int]) -> tuple | None:
-    """A witness that X is not a partial subgroup, or None if it is one."""
-    elems = sorted(X)
-    for a in elems:
-        if pg.inverse(a) not in X:
-            return ("inverse", a)
-    table = pg.product_table()
-    for a in elems:
-        row = table[a]
-        for b in elems:
-            c = row[b]
-            if c >= 0 and c not in X:
-                return ("product", a, b, c)
+    """A witness that X is not a partial subgroup, or None if it is one:
+    ("inverse", a) for the least a whose inverse is outside X, else
+    ("product", a, b, ab) for the first defined product outside X in sorted
+    a, then b.  One gather each, from pg._inv and pg.padded_products()."""
+    elems = np.array(sorted(X), dtype=np.int64)
+    mask = _mask(pg.size, elems)
+    bad = _escape(mask, pg._inv[elems][:, None])
+    if bad is not None:
+        return ("inverse", int(elems[bad[0]]))
+    bad = _escape(mask, pg.padded_products()[elems[:, None], elems])
+    if bad is not None:
+        return ("product", int(elems[bad[0]]), int(elems[bad[1]]), bad[2])
     return None
 
 
 def _conjugation_failure(pg: PartialGroup, X: frozenset[int]) -> tuple | None:
     """A witness (x, f, x^f) with x^f defined outside X, or None; the
-    first in sorted x, then f, read from pg.conj_table()."""
-    conj = pg.conj_table()
-    for x in sorted(X):
-        for f, v in enumerate(conj[x]):
-            if v >= 0 and v not in X:
-                return (x, f, v)
-    return None
+    first in sorted x, then f, in one gather from pg.conj_table()."""
+    elems = np.array(sorted(X), dtype=np.int64)
+    bad = _escape(_mask(pg.size, elems), pg.conj_table()[elems, :-1])
+    return None if bad is None else (int(elems[bad[0]]), *bad[1:])
 
 
 def classify_subset(
@@ -817,7 +838,7 @@ def _axiom_searches(pg: PartialGroup) -> tuple[list[int], dict[str, list[Word]]]
     A = D.copy()
     while not ((grown := A | A[T[:, :m]].any(axis=1)) == A).all():
         A = grown
-    inv = np.asarray(pg._inv, dtype=np.int64)
+    inv = pg._inv
     counts: list[int] = []
 
     def search(start, tags, step, *more: Word) -> list[Word]:
@@ -984,7 +1005,7 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
     if components is not None:
         for elems, grp in components:
             ids = np.asarray(elems)
-            for x in ids[np.asarray(pg._inv)[ids] != ids[list(grp.inv)]].tolist():
+            for x in ids[pg._inv[ids] != ids[list(grp.inv)]].tolist():
                 violations += [v for v in _word_violations(pg, (x,)) if v.axiom == "cancellation"]
         unproved = [(elems, grp) for elems, grp in components if not _still_a_group(grp)]
         notes = [

@@ -141,7 +141,7 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
     between the interned sets is read from one matrix.  For each f, an
     array over (x in K, g) says whether x and y = f^-1 (x g) are the
     witness up_relates looks for, with every product read from
-    product_table() rows (pg.padded_products()).  f is maximal unless it
+    pg.padded_products().  f is maximal unless it
     relates upward to some g that does not relate back.
     """
     K = frozenset(K)
@@ -204,18 +204,18 @@ class CosetPartition:
     up_max: tuple[bool, ...]
     coset_of: tuple[int, ...]
     report: VerificationReport
+    right: np.ndarray  # right[f, g]: whether g lies in the right coset Kf
 
 
-def _right_coset(loc: Locality, K: frozenset[int], f: int) -> frozenset[int]:
-    """Kf: the defined products k f, read from product_table()."""
-    table = loc.pg.product_table()
-    return frozenset(table[k][f] for k in K) - {-1}
-
-
-def _left_coset(loc: Locality, K: frozenset[int], f: int) -> frozenset[int]:
-    """fK: the defined products f k, read from product_table()."""
-    row = loc.pg.product_table()[f]
-    return frozenset(row[k] for k in K) - {-1}
+def _cosets(pg: PartialGroup, K: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(right, left): boolean n x n arrays whose row f is the right coset
+    Kf = {k f}, resp. the left coset fK = {f k}, over the k in K whose
+    product with f is defined.  Each is one _scatter of K through
+    pg.padded_products(); a missing product (-1) sets the last column,
+    which is dropped."""
+    n = pg.size
+    k_row, table = _set_rows([K], n), pg.padded_products()[:n, :n]
+    return _scatter(k_row, table.T)[0, :, :n], _scatter(k_row, table)[0, :, :n]
 
 
 # Verified results per locality, then per kernel: the coset partitions of
@@ -234,9 +234,12 @@ _BUNDLE_CACHE: weakref.WeakKeyDictionary[Locality, dict[frozenset[int], Quotient
 def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
     """The maximal cosets of K and the verified partition of L.
 
-    The relative maximality flag of every element comes from one
-    up_maximal_flags pass; cosets are read from product_table() rows.  A
-    partition whose report passes is kept per locality and kernel.
+    Every right coset Kf and left coset fK is a row of _cosets.  The
+    distinct right cosets are interned by intern_rows, and one boolean
+    matrix product says which lies inside which.  The relative maximality
+    flag of every element comes from one up_maximal_flags pass.  The
+    partition keeps the right-coset rows for the lemma suite.  A partition
+    whose report passes is kept per locality and kernel.
     """
     K = frozenset(K)
     per_kernel = _KERNEL_CACHE.setdefault(loc, {})
@@ -247,74 +250,45 @@ def coset_partition(loc: Locality, K: Iterable[int]) -> CosetPartition:
     if not ok:
         raise ValueError(f"kernel is not partial normal (witness {wit})")
     report = VerificationReport("maximal cosets")
-    coset_by_f = {f: _right_coset(loc, K, f) for f in loc.elements()}
-    distinct = sorted(set(coset_by_f.values()), key=lambda c: (len(c), sorted(c)))
-    maximal_sets = [
-        c for c in distinct if not any(c < other for other in distinct)
-    ]
+    right, left = _cosets(loc.pg, K)
+    code, first = intern_rows(right, {})
+    code = np.array(code)  # code[f]: the index of Kf among the distinct cosets
+    cosets = right[first]
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in cosets]
+    # below[a, b]: coset a lies properly inside coset b (the rows are distinct)
+    below = ~(cosets @ ~cosets.T) & ~np.eye(len(sets), dtype=bool)
+    maximal = [i for i in sorted(range(len(sets)), key=lambda i: (len(sets[i]), sorted(sets[i])))
+               if not below[i].any()]
 
-    covered: set[int] = set()
-    overlap = []
-    for c in maximal_sets:
-        if covered & c:
-            overlap.append(sorted(covered & c))
-        covered |= c
-    report.record(
-        "partition",
-        not overlap and covered == set(loc.elements()),
-        overlap[:5],
-        "maximal cosets are disjoint and cover every element",
-    )
+    # the members of each maximal coset that an earlier one already covers
+    rows = cosets[maximal]
+    overlap = [np.flatnonzero(r).tolist() for r in rows & (rows.cumsum(axis=0) > rows) if r.any()]
+    report.record("partition", not overlap and rows.any(axis=0).all(), overlap[:5],
+                  "maximal cosets are disjoint and cover every element")
 
     flags = up_maximal_flags(loc, K)
-    maximal_set_lookup = set(maximal_sets)
+    up = np.array(flags, dtype=bool)
     # Relatively maximal elements generate maximal cosets.  The converse
     # (every generator of a maximal coset is relatively maximal) is false
     # under the literal witness conditions, so it is not checked; maximal
     # cosets are instead required to own at least one maximal generator.
-    bad = [f for f in loc.elements() if flags[f] and coset_by_f[f] not in maximal_set_lookup]
-    report.record(
-        "up-maximal-gives-maximal-coset",
-        not bad,
-        bad[:5],
-        "Kf is a maximal coset whenever f is relatively maximal",
-    )
+    bad = np.flatnonzero(up & below[code].any(axis=1)).tolist()
+    report.record("up-maximal-gives-maximal-coset", not bad, bad[:5],
+                  "Kf is a maximal coset whenever f is relatively maximal")
+    bad = np.flatnonzero(up & (left != right).any(axis=1)).tolist()
+    report.record("two-sided-for-maximal", not bad, bad[:5], "Kf = fK for relatively maximal f")
 
-    bad = []
-    for f in loc.elements():
-        if flags[f] and _left_coset(loc, K, f) != coset_by_f[f]:
-            bad.append(f)
-    report.record(
-        "two-sided-for-maximal",
-        not bad,
-        bad[:5],
-        "Kf = fK for relatively maximal f",
-    )
-
-    coset_of = [-1] * loc.size
-    maximal_records = []
-    baseless = []
-    for members in sorted(maximal_sets, key=min):
-        bases = [f for f in sorted(members) if flags[f] and coset_by_f[f] == members]
-        base = bases[0] if bases else min(members)
-        maximal_records.append(CosetRecord(base=base, members=members))
+    coset_of = np.full(loc.size, -1)
+    records, baseless = [], []
+    for i in sorted(maximal, key=lambda i: min(sets[i])):
+        bases = np.flatnonzero(cosets[i] & up & (code == i)).tolist()
+        records.append(CosetRecord(base=bases[0] if bases else min(sets[i]), members=sets[i]))
         if not bases:
-            baseless.append(sorted(members))
-        for x in members:
-            coset_of[x] = len(maximal_records) - 1
-    report.record(
-        "maximal-coset-has-maximal-base",
-        not baseless,
-        baseless,
-        "every maximal coset is generated by a relatively maximal element",
-    )
-    part = CosetPartition(
-        kernel=K,
-        maximal=maximal_records,
-        up_max=flags,
-        coset_of=tuple(coset_of),
-        report=report,
-    )
+            baseless.append(sorted(sets[i]))
+        coset_of[cosets[i]] = len(records) - 1
+    report.record("maximal-coset-has-maximal-base", not baseless, baseless,
+                  "every maximal coset is generated by a relatively maximal element")
+    part = CosetPartition(K, records, flags, tuple(coset_of.tolist()), report, right)
     if report.ok:
         per_kernel[K] = part
     return part
@@ -349,7 +323,7 @@ class QuotientPartialGroup(LocalityPartialGroup):
         r = np.array(self.reps)
         rho = np.array(self.rho + (-1,))  # rho of the missing value -1 is -1
         walk, table = pg.walker_table().array, pg.padded_products()
-        inv = rho[[pg.inverse(x) for x in self.reps]]
+        inv = rho[pg._inv[r]]
         s_bar = tuple(sorted({self.rho[s] for s in base.sylow}))
         h, s, g = r[inv][:, None], r[list(s_bar)], r[:, None]
         image = np.where(walk[walk[walk[0, h], s], g] >= 0, rho[table[table[h, s], g]], -1)
@@ -590,13 +564,13 @@ def verify_quotient_lemmas(
     Without one, the suite takes the bundle that build_quotient kept for loc
     and K, and calls build_quotient when none is kept.
 
-    The set checks read arrays, each built by the first check that needs
-    it: images of sets as rows over the cosets, one _scatter through rho
-    (checks 8 and 9), the right cosets Kf as boolean rows, one _scatter
-    through pg.product_table() (checks 9 and 13), and the product tables
-    of L and of the quotient as arrays (the products m n, bar m bar n and
-    the witness search m^-1 f of check 15).  Each check is computed right
-    before it is recorded, so the report's per-check times are its own.
+    The set checks read arrays: images of sets as rows over the cosets,
+    one _scatter through rho (checks 8 and 9); the right cosets Kf, the
+    rows coset_partition keeps (checks 4, 9 and 13); and the products of
+    L and of the quotient from their padded_products() (the products x f
+    of check 3, and m n, bar m bar n and the witness search m^-1 f of
+    check 15).  Each check is computed right before it is recorded, so the
+    report's per-check times are its own.
     """
     K = frozenset(K)
     if loc.size > LEMMA_CAP:
@@ -632,27 +606,25 @@ def verify_quotient_lemmas(
     report.record("maximal-station-contains-T", not bad, bad[:5])
 
     # 3: splitting off a kernel factor keeps the threading subgroup
-    rows = pg.product_table()
-    bad = []
-    for x in ks:
-        for f in max_elements:
-            v = rows[x][f]
-            if v < 0:
-                continue
-            if loc.thread_subgroup((x, f)) != loc.thread_subgroup((v,)):
-                bad.append((x, f))
+    table = pg.padded_products()
+    rho_of = np.array(rho)
+    maxes = np.array(max_elements, dtype=np.int64)
+    bad = [(x, f) for x, row in zip(ks, table[np.array(ks)[:, None], maxes].tolist())
+           for f, v in zip(max_elements, row)
+           if v >= 0 and loc.thread_subgroup((x, f)) != loc.thread_subgroup((v,))]
     report.record("kernel-splitting", not bad, bad[:5],
                   "S_(x,f) = S_xf for x in K and f relatively maximal")
 
-    # 4: equal images land in the coset of the maximal element
+    # 4: equal images land in the coset of the maximal element: row i of
+    # kf is K f_i, of own the maximal coset rho(f_i) and of same rho^-1(rho(f_i))
+    kf = part.right[maxes]
+    own = _set_rows([rec.members for rec in part.maximal], n)[rho_of[maxes]]
+    same = rho_of[maxes][:, None] == rho_of
     bad = []
-    for f in max_elements:
-        Kf = _right_coset(loc, K, f)
-        if Kf != part.maximal[rho[f]].members:
+    for f, mismatch, wrong in zip(max_elements, (kf != own).any(axis=1).tolist(), same != kf):
+        if mismatch:
             bad.append(("coset-mismatch", f))
-        for g in loc.elements():
-            if (rho[g] == rho[f]) != (g in Kf):
-                bad.append((f, g))
+        bad += [(f, g) for g in np.flatnonzero(wrong).tolist()]
     report.record("equal-image-lands-in-coset", not bad, bad[:5])
 
     # 5: words of maximal representatives descend from the quotient domain
@@ -730,13 +702,11 @@ def verify_quotient_lemmas(
 
     # 9: preimages of subgroups of S, every R at once: row R of pre holds
     # the elements whose coset meets R, and row R of kr the union of the
-    # right cosets Kr over r in R, which is KR.  in_kf[f, g]: g lies in
-    # Kf, set from the products k f; a missing product (-1) lands in the
-    # last column, which is dropped
-    in_kf = _scatter(_set_rows([K], n), np.array(rows).T)[0, :, :n]
+    # right cosets Kr over r in R, which is KR
     s_sets = loc.s_subgroup_sets()
-    pre = image(_set_rows(s_sets, n))[:, rho_of]
-    kr = np.array([in_kf[list(R)].any(axis=0) for R in s_sets])
+    s_rows = _set_rows(s_sets, n)
+    pre = image(s_rows)[:, rho_of]
+    kr = s_rows @ part.right
     bad = [sorted(R) for R, wrong in zip(s_sets, (pre != kr).any(axis=1).tolist()) if wrong]
     report.record("preimage-is-KR", not bad, bad[:3],
                   "{f : bar f in bar R} = KR for every R <= S")
@@ -771,9 +741,9 @@ def verify_quotient_lemmas(
     report.record("station-image-for-maximal", not bad, bad[:5],
                   "bar(S_f) equals the quotient threading subgroup of bar f")
 
-    # 13: equal image and equal station promote maximality; equal rows of
-    # in_kf are equal cosets Kf
-    coset_key = [row.tobytes() for row in in_kf]
+    # 13: equal image and equal station promote maximality; equal right
+    # coset rows are equal cosets Kf
+    coset_key = [row.tobytes() for row in part.right]
     bad = []
     for f in max_elements:
         Sf = loc.thread_subgroup((f,))
@@ -808,9 +778,7 @@ def verify_quotient_lemmas(
     # 15: f with bar f in bar M bar N is some m n with S_(m,n) = S_f; the
     # candidates n = m^-1 f come from table rows, for every m in M and f.
     # A missing product (-1) reads the pad of table, where it stays -1
-    table = pg.padded_products()
     qtable = qpg.padded_products()
-    inv = np.array([pg.inverse(x) for x in loc.elements()])
     targets = np.arange(n)
     stations = [loc.thread_subgroup((f,)) for f in loc.elements()]
     bad = []
@@ -821,7 +789,7 @@ def verify_quotient_lemmas(
         mn = np.zeros(n + 1, dtype=bool)
         mn[table[np.ix_(ms, ns)]] = True
         in_n = _set_rows([N], n + 1)[0]
-        cand = table[inv[ms], :n]  # cand[i, f] = m_i^-1 f, -1 where undefined
+        cand = table[pg._inv[ms], :n]  # cand[i, f] = m_i^-1 f, -1 where undefined
         hits = in_n[cand] & (table[np.array(ms)[:, None], cand] == targets)
         # per f, the (m, m^-1 f) with m^-1 f in N and m (m^-1 f) = f, m ascending
         cand_of, hits_of = cand.T.tolist(), hits.T.tolist()

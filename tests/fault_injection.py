@@ -5,6 +5,7 @@ references the gathers and the state searches of localities.partial are
 tested against."""
 
 import copy
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -21,15 +22,17 @@ class WordPartialGroup:
     """A partial group answered one word at a time: subclasses give size,
     identity, labels, inverse, in_domain, _raw_product (the product of a
     word known to be in the domain), walk_start and walk_step.  Its tables
-    are built from pi, one call per pair, on first use and kept on the
-    instance, so overridden products are what the closures and the
-    conjugations see.  The walker is numbered breadth first by
-    automaton_reference; the domain readers are PartialGroup's own."""
+    are built from pi, one call per pair or conjugation word, and its
+    inverse array from inverse, on first use and kept on the instance, so
+    overridden products and inverses are what the closures, the
+    classifiers and the conjugations see.  The walker is numbered breadth
+    first by automaton_reference; the domain readers are PartialGroup's
+    own."""
 
     p: int | None = None
     _product_table: list[list[int]] | None = None
     _padded_products: np.ndarray | None = None
-    _conj_table: list[list[int]] | None = None
+    _conj: np.ndarray | None = None
 
     elements = PartialGroup.elements
     invert_word = PartialGroup.invert_word
@@ -63,16 +66,21 @@ class WordPartialGroup:
             self._padded_products = _padded(self.product_table())
         return self._padded_products
 
-    def conj_table(self) -> list[list[int]]:
+    @functools.cached_property
+    def _inv(self) -> np.ndarray:
+        """The inverses as one int64 array."""
+        return np.array([self.inverse(x) for x in range(self.size)], dtype=np.int64)
+
+    def conj_table(self) -> np.ndarray:
         """Conjugates: row x holds x^f = pi((f^-1, x, f)) at f, or -1 off
-        the domain."""
-        if self._conj_table is None:
+        the domain, with a last row and column of -1."""
+        if self._conj is None:
             n = range(self.size)
-            inv = [self.inverse(f) for f in n]
-            self._conj_table = [
+            inv = self._inv.tolist()
+            self._conj = _padded([
                 [-1 if (v := self.pi((inv[f], x, f))) is None else v for f in n] for x in n
-            ]
-        return self._conj_table
+            ])
+        return self._conj
 
 
 class CorruptedProducts(WordPartialGroup):
@@ -139,16 +147,20 @@ def with_representatives(part: CosetPartition, reps) -> CosetPartition:
 
 def tampered_locality(loc: Locality, products: dict[tuple[int, int], int] | None = None,
                       **attrs) -> Locality:
-    """A copy of loc whose binary product table, the one that closures,
-    subset_product and the product scan read, holds the given (a, b) ->
-    value entries (-1 leaves a product undefined), and whose attributes
-    attrs replace its own (sylow_set, or thread_subgroup as a function of
-    the word).  pi and the other gathered tables still read the untouched
-    arrays, and loc and its partial group are left as they are."""
+    """A copy of loc whose binary products, in both forms that are read
+    (the padded_products() array of the closures, the classifiers and the
+    coset layer, and the product_table() lists of closure_twins,
+    subset_product and the product scan), hold the given (a, b) -> value
+    entries (-1 leaves a product undefined), and whose attributes attrs
+    replace its own (sylow_set, or thread_subgroup as a function of the
+    word).  pi and the conjugation array still read the untouched arrays.
+    Both forms are written as new copies, so loc and its partial group are
+    left as they are."""
     pg = copy.copy(loc.pg)
     pg._product_table = [row[:] for row in loc.pg.product_table()]
+    pg._padded_products = loc.pg.padded_products().copy()
     for (a, b), v in (products or {}).items():
-        pg._product_table[a][b] = v
+        pg._product_table[a][b] = pg._padded_products[a, b] = v
     out = copy.copy(loc)
     out.pg = pg
     vars(out).update(attrs)

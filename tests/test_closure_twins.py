@@ -310,14 +310,14 @@ def test_twins_share_the_closure_on_product_swaps(swapped):
             assert_twins_share_the_closure(cand.pg, base)
 
 
-def assert_known_sets_change_no_closure(pg, family, rows=(), closed_sets=()):
+def assert_known_sets_change_no_closure(pg, family, conj=None, closed_sets=()):
     """_close handed the closed sets of family equals _close without them,
     from every seed {x}, alone and over each of closed_sets."""
     family = set(family)
     for x in pg.elements():
         for H in [frozenset(), *closed_sets]:
-            assert _close(pg, {x}, rows, closed=H, known=family) == _close(
-                pg, {x}, rows, closed=H
+            assert _close(pg, {x}, conj, closed=H, known=family) == _close(
+                pg, {x}, conj, closed=H
             )
 
 

@@ -20,14 +20,11 @@ from localities import quotient
 from localities.groups import generate_group, sylow_p
 from localities.locality import Locality, delta_min_order, locality_from_group
 from localities.normal import partial_normals
-from localities.quotient import (
-    _right_coset,
-    build_quotient,
-    verify_quotient_lemmas,
-)
+from localities.quotient import build_quotient, verify_quotient_lemmas
 
 import _frozen as frozen
 from lemma_reference import reference_checks
+from subset_reference import right_coset
 
 FIXTURES = [
     ("s4f", frozen.S4_PN_ORDERS),
@@ -89,7 +86,7 @@ def test_pairs_that_are_not_partial_normal_fail_alike(s4f, monkeypatch):
     subgroup."""
     loc, K = s4f.loc, s4f.subsets["V4"]
     bundle = build_quotient(loc, K)
-    unions = sorted({K | _right_coset(loc, K, f) for f in loc.elements()}, key=sorted)
+    unions = sorted({K | right_coset(loc.pg, K, f) for f in loc.elements()}, key=sorted)
     found = set()
     for M in unions:
         for N in unions:

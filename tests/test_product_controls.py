@@ -13,9 +13,11 @@ trivial-intersection-path is metadata, recorded only when it holds.
 
 import argparse
 
+import numpy as np
 import pytest
 
 from localities import cli
+from localities.normal import product_theorem1
 from localities.partial import subset_product
 
 from fault_injection import tampered_locality
@@ -121,12 +123,31 @@ def test_every_check_that_can_fail_has_a_control(c2s4f):
     assert names == {name for _, failing in CONTROLS for name in failing}
 
 
+def test_a_certificate_whose_witnesses_do_not_revalidate_fails_all_pass(am20, s4f, c2s4f):
+    """A library caller reads the certificate's verdict from all_pass():
+    the witness whose product is another fails it there too, not only in
+    the report of the product command."""
+    loc, subsets, names = a_witness_whose_product_is_another(am20, s4f, c2s4f)
+    cert = product_theorem1(loc, *(subsets[name] for name in names))
+    assert cert.flags.all_pass() is False
+    assert not cert.validate(loc)
+
+
 def test_the_controls_leave_the_builtins_as_they_were(am20, s4f, c2s4f):
     """tampered_locality changes copies: the builtins' own product tables,
-    S and threading subgroups read as before."""
+    as lists and as the padded array, their conjugation arrays, S and
+    threading subgroups read as before."""
+    def tables(f):
+        pg = f.loc.pg
+        return ([row[:] for row in pg.product_table()], pg.padded_products().copy(),
+                pg.conj_table().copy(), f.loc.sylow_set)
+
     fixtures = (s4f, c2s4f)
-    before = [([row[:] for row in f.loc.pg.product_table()], f.loc.sylow_set) for f in fixtures]
+    before = [tables(f) for f in fixtures]
     for make, _ in CONTROLS:
         make(am20, s4f, c2s4f)
-    assert [(f.loc.pg.product_table(), f.loc.sylow_set) for f in fixtures] == before
+    for f, (rows, padded, conj, S) in zip(fixtures, before):
+        assert f.loc.pg.product_table() == rows and f.loc.sylow_set == S
+        assert np.array_equal(f.loc.pg.padded_products(), padded)
+        assert np.array_equal(f.loc.pg.conj_table(), conj)
     assert all("thread_subgroup" not in vars(f.loc) for f in fixtures)
