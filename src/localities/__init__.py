@@ -7,7 +7,7 @@ of it on every instance it touches.
 
 Every partial group is a PartialGroup, held as its tables: a domain
 automaton and a raw product, from which its product, conjugation and
-walker tables are gathered.  GroupPartialGroup, AmalgamPartialGroup and
+walker arrays are gathered.  GroupPartialGroup, AmalgamPartialGroup and
 the locality and quotient partial groups build those tables.
 
 Every name exported here is reached from a command in localities.cli, but

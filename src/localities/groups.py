@@ -419,6 +419,12 @@ def _is_prime(p: int) -> bool:
                for i in range(1, r + 1)] for a in _PRIME_BASES)
 
 
+def conjugates(G: FiniteGroup, P: Iterable[int]) -> np.ndarray:
+    """Row g holds P^g, member by member, for every g of G: one gather."""
+    members = np.fromiter(P, dtype=np.int64)
+    return G.mult[G.mult[np.asarray(G.inv)[:, None], members], np.arange(G.order)[:, None]]
+
+
 def sylow_p(G: FiniteGroup, p: int) -> SubgroupRef:
     """One Sylow p-subgroup, chosen as the least candidate member list.
 
@@ -436,13 +442,6 @@ def sylow_p(G: FiniteGroup, p: int) -> SubgroupRef:
         raise ValueError(f"{p} is not prime")
     target = _p_part(G.order, p)
     everyone = np.arange(G.order)
-    inv = np.asarray(G.inv)
-
-    def conjugates(P: frozenset[int]) -> np.ndarray:
-        """Row g holds P^g, member by member."""
-        members = np.fromiter(P, dtype=np.int64)
-        return G.mult[G.mult[inv[:, None], members[None, :]], everyone[:, None]]
-
     power, square, e = np.full(G.order, G.identity), everyone, p  # x^p by repeated squaring
     while e:
         if e & 1:
@@ -452,7 +451,7 @@ def sylow_p(G: FiniteGroup, p: int) -> SubgroupRef:
     while len(P) < target:
         inside = np.zeros(G.order, dtype=bool)
         inside[list(P)] = True
-        grows = inside[conjugates(P)].all(axis=1) & ~inside & inside[power]
+        grows = inside[conjugates(G, P)].all(axis=1) & ~inside & inside[power]
         P = closure_members(G, P | {int(np.argmax(grows))})
-    least = min(tuple(sorted(row)) for row in conjugates(P).tolist())
+    least = min(tuple(sorted(row)) for row in conjugates(G, P).tolist())
     return SubgroupRef(G, least)

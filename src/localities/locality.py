@@ -22,11 +22,13 @@ from .groups import (
     _p_part,
     all_subgroups,
     certify_group_table,
+    conjugates,
     subset_group,
 )
 from .partial import (
     PartialGroup,
     Word,
+    _ids,
     _padded,
     closure_twins,
     intern_states,
@@ -112,8 +114,7 @@ def delta_close(
         for Q in lattice:
             if P < Q and Q not in family:
                 queue.append(Q)
-        for g in ambient_group.elements():
-            img = frozenset(ambient_group.conj(x, g) for x in P)
+        for img in map(frozenset, conjugates(ambient_group, P).tolist()):
             if img <= S.members and img not in family:
                 queue.append(img)
     return DeltaFamily(sylow=S.members, members=frozenset(family))
@@ -136,26 +137,26 @@ class ThreadAutomaton:
     as a row: states[sid, a] is the position start a has reached, -1 once
     it left S.  Prefixes with the same state behave identically under
     extension, which collapses word sweeps to walks over a small state set.
-    maps[g, i] is the position in S of s_i^g, -1 where that leaves S, kept
-    as lists of rows and, with a last column of -1 (a start gone stays
-    gone), as the array step gathers from.  Every state reachable from the
-    start is interned once, at construction, by intern_states, a level per
-    gather: states, their transition rows (a letter never leaves the
-    automaton, so no entry is -1), the same rows as one int32 array, and
-    start_sets[sid], the threading subgroup S_w of the words reaching sid.
-    The automaton knows no Delta: whoever decides a domain from it builds
-    the mask start_sets[sid] in Delta against its own Delta.
+    The maps are held as one array, _padded: _padded[g, i] is the position
+    in S of s_i^g, -1 where that leaves S, and a last column of -1 (a
+    start gone stays gone), which step gathers from.  Every state
+    reachable from the start is interned once, at construction, by
+    intern_states, a level per gather: states, their transition rows as one
+    int32 array (a letter never leaves the automaton, so no entry is -1),
+    which walk reads through a memoryview, and start_sets[sid], the
+    threading subgroup S_w of the words reaching sid.  The automaton knows
+    no Delta: whoever decides a domain from it builds the mask
+    start_sets[sid] in Delta against its own Delta.
     """
 
     def __init__(self, s_elems: tuple[int, ...], maps: np.ndarray):
         self.s_elems, k = s_elems, len(s_elems)
         maps = np.asarray(maps, dtype=np.int64).reshape(len(maps), k)
-        self.maps = maps.tolist()
         at = np.min_scalar_type(-1 - k)  # a least int type that holds -1..k-1
         self._padded = np.concatenate((maps, np.full((len(maps), 1), -1)), axis=1).astype(at)
-        self.states, self.rows = intern_states(np.arange(k, dtype=at), self.step,
-                                               "threading automaton")
-        self.array = np.array(self.rows, dtype=np.int32)
+        self.states, rows = intern_states(np.arange(k, dtype=at), self.step, "threading automaton")
+        self.array = rows.astype(np.int32)
+        self._array_at = memoryview(self.array)
         self.start_sets = [frozenset(itertools.compress(s_elems, r))
                            for r in (self.states >= 0).tolist()]
 
@@ -165,19 +166,10 @@ class ThreadAutomaton:
         return nxt, np.ones(nxt.shape[:2], dtype=bool)
 
     def walk(self, word: Word) -> int:
-        rows = self.rows
-        sid = 0
+        sid, array = 0, self._array_at
         for g in word:
-            sid = rows[sid][g]
+            sid = array[sid, g]
         return sid
-
-
-def _ids(values, bound: int, what: str) -> np.ndarray:
-    """values as an int64 array; ValueError if one lies outside 0..bound-1."""
-    out = np.asarray(values, dtype=np.int64)
-    if out.size and (out.min() < 0 or out.max() >= bound):
-        raise ValueError(f"{what} holds an id outside 0..{bound - 1}")
-    return out
 
 
 def _positions(ids, n: int) -> np.ndarray:
@@ -300,12 +292,12 @@ class LocalityPartialGroup(PartialGroup):
         (H1) M.mult passes certify_group_table with M's identity and inverses;
         (H2) to_ambient is injective, and _raw, _inv and identity are M's
              restricted to L, with -1 exactly where a product leaves L;
-        (H3) S is a subgroup of M, automaton.maps[g] is conjugation by g on
-             S positions, and states (read as they are held: each start's
-             position, -1 once it left S), rows, array (trans), start_sets
+        (H3) S is a subgroup of M, the automaton's map g is conjugation by
+             g on S positions, and states (read as they are held: each
+             start's position, -1 once it left S), array (trans), start_sets
              and in_delta are the threading automaton of those maps masked by
              "S_w in delta_sets": state 0 is the identity map of S, and the
-             state in row g of a state is its map followed by maps[g];
+             state in row g of a state is its map followed by map g;
         (H4) S is in Delta; <P, s> is in Delta for every P in Delta and s
              in S; P^g is in Delta for every P in Delta and g in L with P^g
              inside S;
@@ -355,7 +347,7 @@ class LocalityPartialGroup(PartialGroup):
         conj = s_pos[mult[mult[inv_m[:, None], s_amb], np.arange(n)[:, None]]]
         maps = conj[amb]
         auto = self.automaton
-        if auto.maps != maps.tolist():
+        if not np.array_equal(auto._padded[:, :-1], maps):
             raise ValueError("(H3) an automaton map is not conjugation in M")
         # cur[sid, a]: the current position of start a in state sid, -1 if gone
         cur = np.asarray(auto.states)
@@ -365,7 +357,6 @@ class LocalityPartialGroup(PartialGroup):
             or ((cur < -1) | (cur >= k)).any()
             or (cur[0] != np.arange(k)).any()
             or rows.shape != (len(cur), size)
-            or rows.tolist() != auto.rows
         ):
             raise ValueError("(H3) the automaton states or rows are malformed")
         step = np.concatenate((maps, np.full((size, 1), -1)), axis=1)  # -1 stays -1
@@ -626,7 +617,7 @@ def _chain_word_steps(loc: Locality, chain: np.ndarray):
     Fronts are boolean rows over Delta, interned by intern_states, a level
     per _scatter (as in _image_index); a front with no member is dead (-1).
     steps(level, g) gathers the states of w g for every state and letter
-    from the front rows, pg.walker_table().array (a dead code stays -1) and
+    from the front rows, pg.walker_table() (a dead code stays -1) and
     loc.automaton.array; in_delta[t] says whether S_w lies in loc.delta.
     """
     pg = loc.pg
@@ -636,8 +627,8 @@ def _chain_word_steps(loc: Locality, chain: np.ndarray):
         return nxt, nxt.any(axis=2)
 
     _, rows = intern_states(np.ones(len(chain), dtype=bool), front_step, "chain fronts")
-    fronts = np.array(rows + [[-1] * pg.size], dtype=np.int64)
-    walk = pg.walker_table().array
+    fronts = np.concatenate((rows, np.full((1, pg.size), -1)))
+    walk = pg.walker_table()
     thread = loc.automaton.array
 
     def steps(level, g):

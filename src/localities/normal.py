@@ -17,16 +17,21 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .groups import SizeCapExceeded
 from .locality import Locality
 from .partial import (
-    EMPTY_WORD,
     SubsetHandle,
     Word,
     _close,
     _closure_failure,
     _conjugation_failure,
+    _first_of_each,
+    _ids,
+    _least_words,
     classify_subset,
+    product_scan,
     subset_product,
 )
 
@@ -47,7 +52,7 @@ def is_partial_normal(loc: Locality, members: Iterable[int]) -> tuple[bool, tupl
     conjugate x^f.
     """
     _require_locality(loc)
-    X = frozenset(int(x) for x in members)
+    X = frozenset(_ids(list(members), loc.size, "the subset").tolist())
     if not X:
         raise ValueError("the empty set is not a partial subgroup")
     bad = _closure_failure(loc.pg, X)
@@ -177,7 +182,6 @@ class ProductCertificate:
     factors: list[frozenset[int]]
     product: frozenset[int]
     witnesses: dict[int, Word]
-    witness_counts: dict[int, int]
     word_states: int  # (walker code, automaton state, value) keys the product scan visited
     flags: CertFlags
     normality_witness: tuple | None = None
@@ -198,57 +202,30 @@ class ProductCertificate:
 
 def _scan_product(
     loc: Locality, factors: Sequence[frozenset[int]]
-) -> tuple[frozenset[int], dict[int, Word], dict[int, int], int]:
-    """The product over all domain words x1..xl (xi in factor i), folded
-    left to right by binary products read from pg.product_table() rows and
-    merged by (walker code, automaton state, value) after each factor.  The
-    domain is decided by pg.walker_table() rows, as in subset_product; the
-    threading automaton only supplies S_w, and each key steps once per
-    letter in both.
+) -> tuple[frozenset[int], dict[int, Word], int]:
+    """The product over all domain words x1..xl (xi in factor i), by
+    product_scan with loc.automaton.array as its thread: keys (walker code,
+    threading state, value).  The domain is decided by the walker alone,
+    as in subset_product; the automaton only supplies S_w.
 
-    Returns the product, the lexicographically least word of each value v
-    whose threading subgroup is that of v, the number of such words, and
-    the number of keys visited.  A key keeps the first word that reaches
-    it, its least word, since keys are extended in the order they were
-    reached and letters in sorted order; it counts the words that reach it.
-    A word whose fold meets an undefined product (-1) has no value and is
-    dropped.
+    Returns the product, the least word of each value v whose threading
+    subgroup is loc.thread_subgroup((v,)), and the number of keys visited.
+    The witness of v is the first word of the first final key, in the
+    order keys are first reached, with value v and that threading
+    subgroup; first words are least in lexicographic order.
     """
-    table = loc.pg.product_table()
-    walker = loc.pg.walker_table().rows
     auto = loc.automaton
-    thread = auto.rows
-    frontier: dict[tuple, list] = {(0, 0, EMPTY_WORD): [(), 1]}  # key -> [least word, words]
-    visited = 0
-    for xs in [sorted(f) for f in factors]:
-        grown: dict[tuple, list] = {}
-        for (code, sid, value), (word, mult) in frontier.items():
-            for x in xs:
-                nxt = walker[code][x]
-                if nxt < 0:
-                    continue
-                v = x if value is EMPTY_WORD else table[value][x]
-                if v < 0:
-                    continue
-                key = (nxt, thread[sid][x], v)
-                entry = grown.get(key)
-                if entry is None:
-                    grown[key] = [word + (x,), mult]
-                else:
-                    entry[1] += mult
-        visited += len(grown)
-        frontier = grown
-    witnesses: dict[int, Word] = {}
-    counts: dict[int, int] = {}
-    s_of: dict[int, frozenset[int]] = {}
-    for (_, sid, v), (word, mult) in frontier.items():
-        target = s_of.get(v)
-        if target is None:
-            target = s_of[v] = loc.thread_subgroup((v,))
-        if auto.start_sets[sid] == target:
-            counts[v] = counts.get(v, 0) + mult
-            witnesses.setdefault(v, word)
-    return frozenset(v for *_, v in frontier), witnesses, counts, visited
+    state, value, steps, visited = product_scan(loc.pg, factors, auto.array)
+    product = sorted(set(value.tolist()))
+    # each threading subgroup numbered once; a target outside them matches no state
+    number: dict[frozenset[int], int] = {}
+    of_state = np.array([number.setdefault(P, len(number)) for P in auto.start_sets])
+    target = np.full(loc.size, -1)
+    target[product] = [number.get(loc.thread_subgroup((v,)), -1) for v in product]
+    match = np.flatnonzero(of_state[state] == target[value])
+    firsts = match[_first_of_each(value[match], loc.size)]
+    witnesses = dict(zip(value[firsts].tolist(), _least_words(steps, firsts)))
+    return frozenset(product), witnesses, visited
 
 
 def _certify(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertificate:
@@ -273,7 +250,7 @@ def _certify(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertific
         ok, wit = is_partial_normal(loc, X)
         if not ok:
             raise ValueError(f"factor {i} is not partial normal (witness {wit})")
-    product, witnesses, counts, states = _scan_product(loc, facs)
+    product, witnesses, states = _scan_product(loc, facs)
     pn, pn_wit = is_partial_normal(loc, product)
 
     def times(fs: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -281,8 +258,7 @@ def _certify(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertific
 
     S = loc.sylow_set
     cert = ProductCertificate(factors=facs, product=product, witnesses=witnesses,
-                              witness_counts=counts, word_states=states, flags=None,
-                              normality_witness=pn_wit)
+                              word_states=states, flags=None, normality_witness=pn_wit)
     cert.flags = CertFlags(
         commutes=all(times(order) == product
                      for order in set(itertools.permutations(facs)) - {tuple(facs)}),

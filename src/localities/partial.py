@@ -7,17 +7,13 @@ x^g means pi((g^-1, x, g)) whenever that word is in the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
 from .groups import FiniteGroup, SubgroupRef, _p_part, certify_group_table, subset_group
 
 Word = tuple[int, ...]
-
-# The value of the empty word in the left folds of the product scans: no
-# element id, and not None, which is mul2's answer off the domain.
-EMPTY_WORD = object()
 
 # check_axioms states the number of words up to its length; the count stops
 # once it passes this cap, and the summary then says "more than" it.  No
@@ -32,9 +28,14 @@ class AmalgamSpecError(ValueError):
     """The identification of an amalgam is not a subgroup isomorphism."""
 
 
-class WalkerTable(NamedTuple):  # see PartialGroup.walker_table
-    rows: list[list[int]]  # rows[c][x]: the code of walk_step(state c, x), -1 for None
-    array: np.ndarray  # rows as int64 plus a last row of -1: code -1 stays -1
+def _ids(values, bound: int, what: str) -> np.ndarray:
+    """values as an int64 array; ValueError naming the first id outside 0..bound-1."""
+    out = np.asarray(values, dtype=np.int64)
+    # one reduction: a negative id reads as a huge unsigned one
+    if out.size and np.maximum.reduce(out.view(np.uint64), axis=None) >= bound:
+        bad = out[(out < 0) | (out >= bound)]
+        raise ValueError(f"{what} holds the id {bad[0]}, outside 0..{bound - 1}")
+    return out
 
 
 def _padded(table: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
@@ -78,15 +79,15 @@ def row_lookup(queries: np.ndarray, family: np.ndarray) -> np.ndarray:
     return np.where(code < len(family), code, -1)
 
 
-def intern_states(start: np.ndarray, step: Callable, what: str) -> tuple[np.ndarray, list]:
+def intern_states(start: np.ndarray, step: Callable, what: str) -> tuple[np.ndarray, np.ndarray]:
     """(states, rows): the states a finite automaton reaches from start, as
     the rows of one array in breadth-first order (states[0] is start), and
-    their transition rows.  step(level) gets a level's states as a (b, w)
-    array and returns (nxt, live) of shapes (b, m, w) and (b, m): the state
-    each letter 0..m-1 takes each to, and whether the word goes on (rows[c][x]
-    is -1 where not).  intern_rows numbers a level's unseen live rows in
-    (state, letter) row-major order, as one pair at a time would.  Interning
-    more than STATE_FIXPOINT_CAP states raises SweepBudgetExceeded, naming what.
+    their transition rows as one int64 array.  step(level) gets a level's
+    states as a (b, w) array and returns (nxt, live) of shapes (b, m, w) and
+    (b, m): the state each letter 0..m-1 takes each to, and whether the word
+    goes on (rows[c, x] is -1 where not).  intern_rows numbers a level's
+    unseen live rows in (state, letter) row-major order, as one pair at a
+    time would.  Over STATE_FIXPOINT_CAP states raises SweepBudgetExceeded.
     """
     level = np.asarray(start)[None]
     codes: dict = {}
@@ -99,10 +100,10 @@ def intern_states(start: np.ndarray, step: Callable, what: str) -> tuple[np.ndar
         code = np.full(live.size, -1, dtype=np.int64)
         code[live], new = intern_rows(nxt, codes)
         _within_budget(len(codes), what)
-        rows += code.reshape(len(level), -1).tolist()
+        rows.append(code.reshape(len(level), -1))
         level = nxt[new]
         found.append(level)
-    return np.concatenate(found), rows
+    return np.concatenate(found), np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +132,20 @@ class PartialGroup:
     The walker is trans masked by accept: walk_step(s, x) is the state of
     the word extended by x, None once that word is off the domain, and
     then so is every extension, as domain words have all their prefixes in
-    the domain.  walker_table() holds it as rows, the one domain decider
-    for words of every length: words_all_in_domain, domain_is_total, the
-    (L2) and threading checks of check_locality, subset_product and the
-    quotient's word checks (state_fixpoint) read its rows, and merge words
-    with equal states for that reason.  The product, conjugation and
-    walker tables are gathered once per instance, on first use, and kept
-    on it, never in a cache keyed by id(), as ids are reused once an
-    object is collected.  Each is held in one form, and read as:
-    - padded_products() and conj_table(), (n+1) x (n+1) int64 arrays with
-      a last row and column of -1: the classifiers, _close, the class skip
-      of enumerate_partial_normals, the coset layer, s_positions,
-      emit_quotient and the quotient's tables gather masks or rows of them;
-    - product_table(), the products as lists: the per-pair loops
-      closure_twins, subset_product, _scan_product and mul2 only.
+    the domain.  It decides words of every length: words_all_in_domain
+    reads trans and accept; domain_is_total, product_scan, the (L2) and
+    threading checks of check_locality and the quotient's word checks
+    (state_fixpoint) gather from walker_table(), and merge words with
+    equal states for that reason.  The product, conjugation and walker
+    tables are gathered once per instance, on first use, and kept on it,
+    never in a cache keyed by id(), as ids are reused once an object is
+    collected.  Each is one int64 array with a last row of -1, so that -1
+    reads -1 (padded_products() and conj_table() have a last column of -1
+    too): the classifiers, _close, product_scan, the class skip of
+    enumerate_partial_normals, the coset layer, s_positions, emit_quotient
+    and the quotient's tables gather from them.  product_table() keeps the
+    products as lists too, for the per-pair loops closure_twins and mul2,
+    where one list read costs less than a numpy one.
     """
 
     p: int | None = None
@@ -154,7 +155,7 @@ class PartialGroup:
     _product_table: list[list[int]] | None = None
     _padded_products: np.ndarray | None = None
     _conj: np.ndarray | None = None
-    _walker_table: WalkerTable | None = None
+    _walker_table: np.ndarray | None = None
 
     def __init__(self, size: int, identity: int, labels: tuple[str, ...], inv: Sequence[int],
                  raw: np.ndarray, trans: np.ndarray | list, accept: np.ndarray | list,
@@ -217,13 +218,12 @@ class PartialGroup:
         nxt = self._trans_at[state, x]
         return nxt if self._accept_at[nxt] else None
 
-    def walker_table(self) -> WalkerTable:
+    def walker_table(self) -> np.ndarray:
         """The walker: trans's own states, each row masked by accept in one
-        gather (every builder bounded trans)."""
+        gather (every builder bounded trans), and a last row of -1."""
         if self._walker_table is None:
             masked = np.where(self.accept[self.trans], self.trans, -1)
-            array = np.concatenate((masked, np.full((1, self.size), -1)))
-            self._walker_table = WalkerTable(masked.tolist(), array)
+            self._walker_table = np.concatenate((masked, np.full((1, self.size), -1)))
         return self._walker_table
 
     def _gather(self, *letters: np.ndarray) -> np.ndarray:
@@ -273,31 +273,30 @@ class PartialGroup:
         """Whether every word is in the domain: no -1 in the walker rows, all
         of which words reach from code 0, as every builder interns trans from
         state 0 (a threading automaton, an amalgam's side masks) or has one state."""
-        return bool((self.walker_table().array[:-1] >= 0).all())
+        return bool((self.walker_table()[:-1] >= 0).all())
 
     def words_all_in_domain(self, members: frozenset[int]) -> tuple[bool, Word | None]:
         """(whether every word over members lies in the domain, the
         shortlex-least word over them off it when not), for words of every
         length.
 
-        A breadth-first search over the walker codes that words over the
-        members reach, reading walker_table() rows on the member letters in
-        ascending order: each code is first reached by its shortlex-least
-        word, so the first -1 met ends the shortlex-least failing word.
+        A breadth-first search over the trans states that domain words over
+        the members reach, on the member letters in ascending order: each
+        state is first reached by its shortlex-least word, so the first
+        step to a state outside accept ends the shortlex-least failing word.
         """
-        rows = self.walker_table().rows
+        trans, accept = self._trans_at, self._accept_at
         letters = sorted(members)
-        least = {0: ()}  # the shortlex-least word of each code reached
-        codes = [0]
-        for code in codes:  # codes grows while it is read
-            row = rows[code]
+        least = {0: ()}  # the shortlex-least word of each state reached
+        states = [0]
+        for state in states:  # states grows while it is read
             for x in letters:
-                nxt = row[x]
-                if nxt < 0:
-                    return False, least[code] + (x,)
+                nxt = trans[state, x]
+                if not accept[nxt]:
+                    return False, least[state] + (x,)
                 if nxt not in least:
-                    least[nxt] = least[code] + (x,)
-                    codes.append(nxt)
+                    least[nxt] = least[state] + (x,)
+                    states.append(nxt)
         return True, None
 
     def _vector_components(self) -> list[tuple[tuple[int, ...], FiniteGroup]] | None:
@@ -659,7 +658,7 @@ def classify_subset(
     pg: PartialGroup, members: Iterable[int], p: int | None = None
 ) -> SubsetHandle:
     """Classify a subset: partial subgroup / subgroup / p-subgroup / partial normal."""
-    X = frozenset(int(x) for x in members)
+    X = frozenset(_ids(list(members), pg.size, "the subset").tolist())
     if not X:
         raise ValueError("cannot classify the empty subset")
     witness = _closure_failure(pg, X)
@@ -689,46 +688,81 @@ def classify_subset(
     )
 
 
-def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozenset[int]:
-    """{x1 x2 ... xl : xi in factor i, the word lies in the domain}.
+def _first_of_each(keys: np.ndarray, size: int) -> np.ndarray:
+    """The ascending positions of the first occurrence of each distinct
+    entry of keys (in 0..size-1), by one minimum scatter: no sort."""
+    at = np.arange(len(keys))
+    first = np.full(size, len(keys))
+    np.minimum.at(first, keys, at)
+    return (first[keys] == at).nonzero()[0]
 
-    Each word is folded left to right by binary products read from
-    pg.product_table() rows, never rebracketed (pi of the word on a
-    partial group).  The table is the instance's own cache of mul2, so the
-    fold is the mul2 fold on every instance, corrupted ones and quotients
-    included.  After each factor the words are merged by their (walker
-    code, value) pair, which decides every extension because the walker
-    and the table are deterministic: the fold reads one walker row entry
-    per pair and letter, from pg.walker_table() (built once per instance,
-    on first use).  The empty word has
-    code 0 and carries the value EMPTY_WORD; a domain word whose fold
-    meets an undefined product (-1, on a table that breaks the axioms)
-    has no value and is dropped.
+
+def product_scan(
+    pg: PartialGroup, factors: Sequence[Iterable[int]], thread: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]], int]:
+    """The domain words x1 ... xl of pg (xi in factors[i], ids checked by
+    _ids), a factor at a time, merged by key after each: (walker code,
+    value), or (walker code, thread state, value) given thread, a
+    transition array over pg's letters with no -1 (a threading
+    automaton's).  The first factor starts the keys: x has code
+    walker_table()[0, x], state thread[0, x] and value x.  Each level then
+    steps every key over the next factor's sorted letters in one gather
+    from pg.walker_table(), thread and pg.padded_products(): the mul2 fold,
+    never rebracketed.  A candidate lives when its code and value are >= 0
+    (a fold meeting an undefined product drops its word).  Equal keys merge
+    in the order first reached, row-major over (key, letter), so each key
+    keeps its least word.  Returns the final keys' thread states (None
+    without thread) and values, the steps _least_words reads, and the
+    number of keys over all levels.
     """
+    n = pg.size
+    letters = [_ids(sorted(set(f)), n, f"factor {i}") for i, f in enumerate(factors)]
+    walk, table = pg.walker_table(), pg.padded_products()
+    xs = letters[0]
+    codes = walk[0, xs]
+    live = codes >= 0
+    code, value = codes[live], xs[live]
+    state = None if thread is None else thread[0, value]
+    steps = [(live.nonzero()[0], xs)]
+    for xs in letters[1:]:
+        codes, values = walk[code[:, None], xs].ravel(), table[value[:, None], xs].ravel()
+        at = ((codes | values) >= 0).nonzero()[0]  # neither is -1
+        codes, values = codes[at], values[at]
+        pairs, width = codes, len(walk)
+        if thread is not None:  # the (code, state) pairs met, numbered by two scatters
+            state = thread[state[:, None], xs].ravel()[at]
+            pairs = codes * len(thread) + state
+            number = np.zeros(len(walk) * len(thread), dtype=np.int64)
+            number[pairs] = 1
+            met = number.nonzero()[0]
+            number[met] = np.arange(len(met))
+            pairs, width = number[pairs], len(met)
+        first = _first_of_each(pairs * n + values, width * n)
+        code, value = codes[first], values[first]
+        state = None if thread is None else state[first]
+        steps.append((at[first], xs))
+    return state, value, steps, sum(len(at) for at, _ in steps)
+
+
+def _least_words(steps: list[tuple[np.ndarray, np.ndarray]], keys: np.ndarray) -> list[Word]:
+    """The first word of each given final key of product_scan, from its
+    steps: each key's (parent, letter) position and the letters, per level."""
+    columns = []
+    for at, xs in reversed(steps):
+        keys, letter = np.divmod(at[keys], len(xs))
+        columns.append(xs[letter])
+    return list(zip(*(c.tolist() for c in reversed(columns))))
+
+
+def subset_product(pg: PartialGroup, factors: Sequence[Iterable[int]]) -> frozenset[int]:
+    """{x1 x2 ... xl : xi in factor i, the word lies in the domain}: the
+    values of the final keys of product_scan."""
     if len(factors) == 0:
         raise ValueError("subset_product needs at least one factor")
-    factor_lists = [sorted(set(int(x) for x in f)) for f in factors]
-    for f in factor_lists:
-        if not f:
-            raise ValueError("subset_product factors must be nonempty")
-    table = pg.product_table()
-    rows = pg.walker_table().rows
-    frontier = {(0, EMPTY_WORD)}
-    for xs in factor_lists[:-1]:
-        frontier = {
-            (nxt, v)
-            for code, value in frontier
-            for x in xs
-            if (nxt := rows[code][x]) >= 0
-            and (v := x if value is EMPTY_WORD else table[value][x]) >= 0
-        }
-    return frozenset(
-        v
-        for code, value in frontier
-        for x in factor_lists[-1]
-        if rows[code][x] >= 0
-        and (v := x if value is EMPTY_WORD else table[value][x]) >= 0
-    )
+    factors = [list(f) for f in factors]
+    if not all(factors):
+        raise ValueError("subset_product factors must be nonempty")
+    return frozenset(product_scan(pg, factors)[1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +930,6 @@ def _axiom_searches(pg: PartialGroup) -> tuple[list[int], dict[str, list[Word]]]
     maps, app = intern_states(np.arange(k), then_letter, "transition monoid")
     # w^-1 gains x^-1 in front when w gains x: pre[c, y] is y's map, then map c
     pre = row_lookup(maps[:, T[:k, :m].T].reshape(-1, k), maps).reshape(len(maps), m)
-    app = np.array(app)
 
     def cancel_step(level, xs):
         n1, n2 = app[level[0][:, None], xs], pre[level[1][:, None], inv[xs]]

@@ -322,7 +322,7 @@ class QuotientPartialGroup(LocalityPartialGroup):
         size = len(self.reps)
         r = np.array(self.reps)
         rho = np.array(self.rho + (-1,))  # rho of the missing value -1 is -1
-        walk, table = pg.walker_table().array, pg.padded_products()
+        walk, table = pg.walker_table(), pg.padded_products()
         inv = rho[pg._inv[r]]
         s_bar = tuple(sorted({self.rho[s] for s in base.sylow}))
         h, s, g = r[inv][:, None], r[list(s_bar)], r[:, None]
@@ -357,13 +357,13 @@ class QuotientBundle:
 def _coset_word_steps(pg: PartialGroup, qpg: QuotientPartialGroup):
     """(steps, rho): a state of the word checks is (walker code of v, pi(v),
     quotient walker code of bar(v), pi(bar(v))).  steps(level, f) gathers
-    those of v f for every state and letter from pg.walker_table().array,
-    pg.padded_products(), qpg.walker_table().array and qpg._raw, whose
+    those of v f for every state and letter from pg.walker_table(),
+    pg.padded_products(), qpg.walker_table() and qpg._raw, whose
     left fold is pi(bar(v)) as LocalityPartialGroup._raw_product
     multiplies.  -1 (a dead code, a missing value) stays -1, and rho of -1
     is -1."""
-    walk, table = pg.walker_table().array, pg.padded_products()
-    bar_walk, raw = qpg.walker_table().array, qpg._raw
+    walk, table = pg.walker_table(), pg.padded_products()
+    bar_walk, raw = qpg.walker_table(), qpg._raw
     rho = np.array(qpg.rho + (-1,))
 
     def steps(level, f):

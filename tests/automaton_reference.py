@@ -8,7 +8,6 @@ here, and the tests compare the kernel with these.
 import numpy as np
 
 from localities import partial
-from localities.partial import WalkerTable
 
 
 def intern_states(start, step, letters, what):
@@ -41,11 +40,18 @@ def intern_states(start, step, letters, what):
     return states, rows
 
 
-def walker_table(pg) -> WalkerTable:
+def walker_table(pg) -> np.ndarray:
     """The walker states of pg as codes 0, 1, ... in the order one breadth
     first pass over the letters 0..size-1 reaches them from walk_start()
-    (code 0), by walk_step; built once per instance, on first use."""
+    (code 0), by walk_step, as an int64 array with a last row of -1; built
+    once per instance, on first use."""
     if getattr(pg, "_walker_table", None) is None:
         _, rows = intern_states(pg.walk_start(), pg.walk_step, pg.size, "walker table")
-        pg._walker_table = WalkerTable(rows, np.array(rows + [[-1] * pg.size], dtype=np.int64))
+        pg._walker_table = np.array(rows + [[-1] * pg.size], dtype=np.int64)
     return pg._walker_table
+
+
+def maps(automaton) -> list[list[int]]:
+    """The conjugation maps of a ThreadAutomaton as lists: row g holds the
+    position in S of s_i^g at i, -1 where that leaves S."""
+    return automaton._padded[:, :-1].tolist()

@@ -78,7 +78,7 @@ def words_all_in_domain(pg, members):
         ok, wit = words_all_in_domain(pg.base, frozenset(pg.reps[c] for c in members))
         return ok, None if wit is None else tuple(pg.rho[x] for x in wit)
     if isinstance(pg, LocalityPartialGroup):
-        return full_closure(pg.automaton.rows, pg.in_delta, sorted(members))
+        return full_closure(pg.automaton.array.tolist(), pg.in_delta, sorted(members))
     if isinstance(pg, AmalgamPartialGroup):
         m = pg.SIDE_LEFT | pg.SIDE_RIGHT
         for x in members:

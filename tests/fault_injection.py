@@ -27,7 +27,8 @@ class WordPartialGroup:
     overridden products and inverses are what the closures, the
     classifiers and the conjugations see.  The walker is numbered breadth
     first by automaton_reference; the domain readers are PartialGroup's
-    own."""
+    own, and words_all_in_domain reads the walker as a trans and accept
+    pair whose last state is dead."""
 
     p: int | None = None
     _product_table: list[list[int]] | None = None
@@ -39,6 +40,18 @@ class WordPartialGroup:
     domain_is_total = PartialGroup.domain_is_total
     words_all_in_domain = PartialGroup.words_all_in_domain
     walker_table = automaton_reference.walker_table
+
+    @functools.cached_property
+    def _trans_at(self) -> memoryview:
+        """The walker table with its dead code -1 read as its last row."""
+        walk = self.walker_table()
+        return memoryview(np.where(walk < 0, len(walk) - 1, walk))
+
+    @functools.cached_property
+    def _accept_at(self) -> memoryview:
+        """Every walker code but the dead last one accepts."""
+        codes = len(self.walker_table())
+        return memoryview(np.arange(codes) < codes - 1)
 
     def pi(self, word: Word) -> int | None:
         """The partial product: a value on domain words, None elsewhere."""
@@ -148,9 +161,9 @@ def with_representatives(part: CosetPartition, reps) -> CosetPartition:
 def tampered_locality(loc: Locality, products: dict[tuple[int, int], int] | None = None,
                       **attrs) -> Locality:
     """A copy of loc whose binary products, in both forms that are read
-    (the padded_products() array of the closures, the classifiers and the
-    coset layer, and the product_table() lists of closure_twins,
-    subset_product and the product scan), hold the given (a, b) -> value
+    (the padded_products() array of the closures, the classifiers, the
+    coset layer and the product scans, and the product_table() lists of
+    closure_twins and mul2), hold the given (a, b) -> value
     entries (-1 leaves a product undefined), and whose attributes attrs
     replace its own (sylow_set, or thread_subgroup as a function of the
     word).  pi and the conjugation array still read the untouched arrays.

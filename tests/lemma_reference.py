@@ -13,12 +13,13 @@ product-preimage-splitting (15).
 import random
 
 from localities.normal import partial_normals
-from localities.partial import EMPTY_WORD
 from localities.quotient import (
     LEMMA_SAMPLES,
     coset_partition,
     partial_subgroups_containing,
 )
+
+from subset_reference import EMPTY_WORD
 
 
 def mul2_product(pg, factors):

@@ -1,10 +1,15 @@
 """The subset layer as per-element loops over list rows: the references
 the mask gathers of localities.partial (_close, _closure_failure,
-_conjugation_failure) and the coset rows of localities.quotient (_cosets)
-are tested against.  Each reads pg.product_table() and the conjugation
-array as lists, one entry at a time."""
+_conjugation_failure, product_scan) and the coset rows of
+localities.quotient (_cosets) are tested against.  Each reads
+pg.product_table(), and the conjugation, walker and threading arrays, as
+lists, one entry at a time."""
 
 from typing import Container, Iterable, Sequence
+
+# The value of the empty word in the left folds of the product scans: no
+# element id, and not None, which is mul2's answer off the domain.
+EMPTY_WORD = object()
 
 
 def conj_rows(pg) -> list[list[int]]:
@@ -87,3 +92,63 @@ def left_coset(pg, K: frozenset[int], f: int) -> frozenset[int]:
     """fK: the defined products f k."""
     row = pg.product_table()[f]
     return frozenset(row[k] for k in K) - {-1}
+
+
+def walker_rows(pg) -> list[list[int]]:
+    """pg.walker_table() as lists, without its last row."""
+    return pg.walker_table()[:-1].tolist()
+
+
+def subset_product(pg, factors) -> frozenset[int]:
+    """{x1 x2 ... xl : xi in factor i, the word in the domain}, as a dict
+    fold: the words merged by their (walker code, value) pair after each
+    factor, each folded left to right by product_table() reads.  The empty
+    word has code 0 and the value EMPTY_WORD; a domain word whose fold
+    meets an undefined product (-1) has no value and is dropped."""
+    table, rows = pg.product_table(), walker_rows(pg)
+    frontier = {(0, EMPTY_WORD)}
+    for xs in [sorted(set(int(x) for x in f)) for f in factors]:
+        frontier = {
+            (nxt, v)
+            for code, value in frontier
+            for x in xs
+            if (nxt := rows[code][x]) >= 0
+            and (v := x if value is EMPTY_WORD else table[value][x]) >= 0
+        }
+    return frozenset(v for _, v in frontier)
+
+
+def scan_product(loc, factors) -> tuple[frozenset[int], dict[int, tuple], int]:
+    """(product, witnesses, keys visited) of normal._scan_product as a dict
+    fold keyed by (walker code, threading state, value), each key holding
+    the first word that reaches it: keys are extended in the order they
+    were reached and letters in sorted order.  The witness of v is the word
+    of the first final key with value v whose threading subgroup is
+    loc.thread_subgroup((v,))."""
+    table, walker = loc.pg.product_table(), walker_rows(loc.pg)
+    auto = loc.automaton
+    thread = auto.array.tolist()
+    frontier: dict[tuple, tuple] = {(0, 0, EMPTY_WORD): ()}  # key -> least word
+    visited = 0
+    for xs in [sorted(f) for f in factors]:
+        grown: dict[tuple, tuple] = {}
+        for (code, sid, value), word in frontier.items():
+            for x in xs:
+                nxt = walker[code][x]
+                if nxt < 0:
+                    continue
+                v = x if value is EMPTY_WORD else table[value][x]
+                if v < 0:
+                    continue
+                grown.setdefault((nxt, thread[sid][x], v), word + (x,))
+        visited += len(grown)
+        frontier = grown
+    witnesses: dict[int, tuple] = {}
+    s_of: dict[int, frozenset[int]] = {}
+    for (_, sid, v), word in frontier.items():
+        target = s_of.get(v)
+        if target is None:
+            target = s_of[v] = loc.thread_subgroup((v,))
+        if auto.start_sets[sid] == target:
+            witnesses.setdefault(v, word)
+    return frozenset(v for *_, v in frontier), witnesses, visited

@@ -19,6 +19,7 @@ from localities.locality import LocalityPartialGroup
 from localities.model import parse_model
 from localities.partial import _axiom_searches, _base_axiom_checks, check_axioms
 
+from automaton_reference import maps as maps_of
 from fault_injection import dfs_axiom_sweep
 
 AMBIENT_ROUTE = "route: ambient-group certificate (L is L_Delta(M) of its group M)"
@@ -45,7 +46,7 @@ def rebuild(pg, ambient, **fields):
         p=pg.p,
         s_elems=pg.s_elems,
         delta_sets=pg.delta_sets,
-        conj_maps=pg.automaton.maps,
+        conj_maps=maps_of(pg.automaton),
     )
     args.update(fields)
     return LocalityPartialGroup(**args, ambient=ambient)
@@ -84,7 +85,7 @@ def no_order_4(pg, ambient):
 def changed_map(pg, ambient):
     """The first element outside S no longer carries the first S position
     that it keeps inside S."""
-    maps = [list(m) for m in pg.automaton.maps]
+    maps = maps_of(pg.automaton)
     g = next(g for g in pg.elements() if g not in pg.s_elems)
     i = next(i for i, c in enumerate(maps[g]) if c >= 0)
     maps[g][i] = -1
@@ -108,7 +109,7 @@ def element_left_out(pg, ambient):
     keep = [g for g in pg.elements() if g != x]
     new = {g: i for i, g in enumerate(keep)}
     raw = [[new.get(pg._raw[a][b], -1) for b in keep] for a in keep]
-    maps = [pg.automaton.maps[g] for g in keep]
+    maps = [row for g, row in enumerate(maps_of(pg.automaton)) if g != x]
     return rebuild(
         pg,
         (M, tuple(to_ambient[g] for g in keep)),
@@ -172,12 +173,12 @@ def test_tables_changed_after_construction_are_refused(s5f):
     with pytest.raises(ValueError, match=r"^\(H3\) the start sets or the Delta mask"):
         tampered.certify_ambient()
     tampered = rebuild(pg, pg.ambient)
-    tampered.automaton.rows[0][1] = 0
+    tampered.automaton.states[0, 0] = 1
     with pytest.raises(ValueError, match=r"^\(H3\) the automaton states or rows are malformed"):
         tampered.certify_ambient()
     tampered = rebuild(pg, pg.ambient)
     auto = tampered.automaton
-    auto.rows[0][1] = auto.array[0, 1] = (auto.rows[0][1] + 1) % len(auto.states)
+    auto.array[0, 1] = (auto.array[0, 1] + 1) % len(auto.states)
     with pytest.raises(ValueError, match=r"^\(H3\) the automaton rows do not follow"):
         tampered.certify_ambient()
 

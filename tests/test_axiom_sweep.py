@@ -28,6 +28,7 @@ from localities.partial import (
     check_axioms,
 )
 
+from automaton_reference import maps as maps_of
 from fault_injection import dfs_axiom_sweep
 
 SEARCHED = ("split", "collapse", "cancellation")
@@ -46,7 +47,7 @@ def rebuild(pg, delta_sets=None, raw=None, inv=None):
         p=pg.p,
         s_elems=pg.s_elems,
         delta_sets=pg.delta_sets if delta_sets is None else delta_sets,
-        conj_maps=pg.automaton.maps,
+        conj_maps=maps_of(pg.automaton),
     )
 
 
@@ -257,7 +258,7 @@ def am20_threaded(am20):
         p=loc.p,
         s_elems=loc.sylow,
         delta_sets=loc.delta.members,
-        conj_maps=loc.automaton.maps,
+        conj_maps=maps_of(loc.automaton),
     )
 
 

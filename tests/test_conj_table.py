@@ -23,6 +23,7 @@ from localities.partial import (
 )
 from localities.quotient import build_quotient
 
+from automaton_reference import maps as maps_of
 from fault_injection import CorruptedProducts
 
 
@@ -103,7 +104,7 @@ def _with_raw(pg, changes):
     return LocalityPartialGroup(
         size=pg.size, identity=pg.identity, inv=pg._inv, labels=pg.labels, raw=raw,
         raw_missing=pg._raw_missing, p=pg.p, s_elems=pg.s_elems, delta_sets=pg.delta_sets,
-        conj_maps=pg.automaton.maps,
+        conj_maps=maps_of(pg.automaton),
     )
 
 

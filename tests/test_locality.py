@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from localities import model
 from localities.groups import SubgroupRef, all_subgroups, generate_group, sylow_p
 from localities.locality import (
     DeltaFamily,
@@ -14,6 +15,7 @@ from localities.locality import (
 import _frozen as frozen
 from chain_reference import chain_is_valid, domain_chain
 from conj_iso_reference import conj_iso
+from test_model import S3
 
 
 def test_delta_close_sylow_alone(s4f):
@@ -55,6 +57,58 @@ def test_delta_close_s5_order_four_seeds(s5f):
         if sub.order >= 4
     )
     assert d.members == expect
+
+
+def delta_close_by_pairs(S, seeds, ambient_group):
+    """delta_close with one ambient_group.conj call per member of P and
+    element g, as it conjugated before its one gather per member."""
+    group, elems = S.as_group()
+    lattice = [frozenset(elems[i] for i in sub.members) for sub in all_subgroups(group)]
+    family, queue = set(), [seed.members for seed in seeds]
+    while queue:
+        P = queue.pop()
+        if P in family:
+            continue
+        family.add(P)
+        queue += [Q for Q in lattice if P < Q and Q not in family]
+        for g in ambient_group.elements():
+            img = frozenset(ambient_group.conj(x, g) for x in P)
+            if img <= S.members and img not in family:
+                queue.append(img)
+    return frozenset(family)
+
+
+SEED_GROUPS = {
+    "S4": [(1, 2, 3, 0), (1, 0, 2, 3)],
+    "S5": [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+    "S3xS3xC2": [(1, 2, 0, 3, 4, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7), (0, 1, 2, 4, 5, 3, 6, 7),
+                 (0, 1, 2, 4, 3, 5, 6, 7), (0, 1, 2, 3, 4, 5, 7, 6)],
+}
+
+
+@pytest.mark.parametrize("name", list(SEED_GROUPS))
+def test_delta_close_matches_the_conjugation_loop_on_every_single_seed(name):
+    M = generate_group(SEED_GROUPS[name])
+    S = sylow_p(M, 2)
+    sg, selems = S.as_group()
+    subgroups = all_subgroups(sg)
+    for sub in subgroups:
+        seed = SubgroupRef(M, frozenset(selems[i] for i in sub.members))
+        assert delta_close(S, [seed], M).members == delta_close_by_pairs(S, [seed], M)
+    assert len(subgroups) > 2
+
+
+def test_delta_close_matches_the_conjugation_loop_on_the_model_seed_lines(tmp_path, monkeypatch):
+    """The seeds: lines of test_model, read through the parser."""
+    calls = []
+    monkeypatch.setattr(model, "delta_close", lambda *args: calls.append(args) or delta_close(*args))
+    for k, line in enumerate(["seeds:{(1 2)}; {}", "seeds:{(1 2)};{}"]):
+        path = tmp_path / f"l{k}.model"
+        path.write_text(S3 + f"locality L = s3 p=2 sylow={{(1 2)}} delta={line}\n")
+        model.parse_model(path)
+    assert len(calls) == 2
+    for args in calls:
+        assert delta_close(*args).members == delta_close_by_pairs(*args)
 
 
 def test_delta_close_rejects_empty():

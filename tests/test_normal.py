@@ -211,5 +211,3 @@ def test_witness_invariant_recheck(s5f):
     cert = product_theorem1(s5f.loc, n5.members, n20.members)
     assert cert.flags.all_pass()
     assert cert.validate(s5f.loc)
-    for g, word in cert.witnesses.items():
-        assert cert.witness_counts[g] >= 1

@@ -7,6 +7,7 @@ import pytest
 from localities.groups import generate_group, all_subgroups
 from localities.locality import LocalityPartialGroup
 from localities.model import emit_quotient, parse_model
+from localities.normal import is_partial_normal
 from localities.partial import (
     AmalgamPartialGroup,
     AmalgamSpec,
@@ -368,3 +369,20 @@ def test_every_built_partial_group_is_its_tables_and_they_are_the_per_pair_ones(
             got = _outcome(getattr(pg, table))
             assert got == _outcome(getattr(reference, table)), (name, table)
     assert len(names) == 1 + 18 + 6 + len(RAW_CHANGES)
+
+
+ID_READERS = {
+    "classify_subset": lambda loc, bad: classify_subset(loc.pg, {0, bad}),
+    "is_partial_normal": lambda loc, bad: is_partial_normal(loc, {0, bad}),
+    "subset_product-first": lambda loc, bad: subset_product(loc.pg, [{bad}, {0}]),
+    "subset_product-last": lambda loc, bad: subset_product(loc.pg, [{0}, {0, bad}]),
+}
+
+
+@pytest.mark.parametrize("reader", list(ID_READERS))
+@pytest.mark.parametrize("bad", [-1, 24], ids=["minus-1", "n"])
+def test_an_id_outside_the_elements_is_refused_naming_it(s4f, reader, bad):
+    """GRP-S4 has the ids 0..23: -1 would read the padding entry of a mask
+    or a padded table, and 24 would index past them."""
+    with pytest.raises(ValueError, match=rf" holds the id {bad}, outside 0\.\.23$"):
+        ID_READERS[reader](s4f.loc, bad)

@@ -1,10 +1,11 @@
 """The product scans against the literal enumeration of their words.
 
-subset_product merges the words of a product by (walker code, value) after
-each factor, normal._scan_product by (walker code, threading state, value);
-both decide the domain from the walker table alone.  The references below
-ask the engine about every word x1..xl on its own and read the words in the
-lexicographic order of itertools.product over the sorted factors.
+partial.product_scan merges the words of a product by (walker code, value)
+after each factor for subset_product, and by (walker code, threading state,
+value) for normal._scan_product; both decide the domain from the walker
+table alone.  The references below ask the engine about every word x1..xl
+on its own and read the words in the lexicographic order of
+itertools.product over the sorted factors.
 """
 
 import functools
@@ -16,7 +17,7 @@ import pytest
 from localities import normal
 from localities.locality import Locality
 from localities.normal import enumerate_partial_normals, product_theorem2
-from localities.partial import WalkerTable, subset_product
+from localities.partial import subset_product
 from localities.quotient import QuotientPartialGroup, build_quotient, partial_subgroups_containing
 
 from fault_injection import CorruptedProducts, swap_two_products
@@ -54,10 +55,10 @@ def fold_product(table, factors):
 
 
 class ScanReference:
-    """(product, witnesses, witness_counts) as _scan_product defines them,
-    from pi(word) and thread_subgroup(word) asked of the engine per word:
-    the product of every domain word, the least word of each value whose
-    threading subgroup is that of the value, and the number of such words.
+    """(product, witnesses) as _scan_product defines them, from pi(word)
+    and thread_subgroup(word) asked of the engine per word: the product of
+    every domain word and the least word of each value whose threading
+    subgroup is that of the value.
     """
 
     def __init__(self, loc):
@@ -79,9 +80,7 @@ class ScanReference:
         letters = np.unravel_index(firsts, [len(f) for f in factors])
         words = zip(*(np.array(sorted(f))[k].tolist() for f, k in zip(factors, letters)))
         witnesses = dict(zip(values[firsts].tolist(), words))
-        counts = np.bincount(values[matching])
-        product = set(values[domain].tolist())
-        return product, witnesses, {v: int(counts[v]) for v in witnesses}
+        return set(values[domain].tolist()), witnesses
 
 
 def pool(loc):
@@ -102,11 +101,10 @@ def tuples(sets, lengths):
 def assert_scan_matches(loc, factor_tuples):
     reference = ScanReference(loc)
     for factors in factor_tuples:
-        product, witnesses, counts = reference(factors)
+        product, witnesses = reference(factors)
         got = normal._scan_product(loc, list(factors))
         assert got[0] == product
         assert list(got[1].items()) == list(witnesses.items())
-        assert got[2] == counts
         assert subset_product(loc.pg, factors) == product
 
 
@@ -151,7 +149,7 @@ def test_a_word_whose_fold_is_undefined_has_no_value(s5f):
     cand = Locality(bad, loc.p, loc.sylow_set, loc.delta)
     for factors in ([{1}, {1}, {2}], [{1}, {1}, {2}, {2}]):
         assert subset_product(bad, factors) == frozenset()
-        assert normal._scan_product(cand, factors)[:3] == (frozenset(), {}, {})
+        assert normal._scan_product(cand, factors)[:2] == (frozenset(), {})
 
 
 def test_subset_product_on_a_quotient(s5f):
@@ -163,62 +161,57 @@ def test_subset_product_on_a_quotient(s5f):
         assert subset_product(qpg, factors) == fold_product(table, factors)
 
 
-class CountingRow(list):
-    """A table row that counts its reads in one counter of its walker."""
+class CountingArray(np.ndarray):
+    """A table that counts the entries each index expression reads from it
+    and hands them out as plain arrays or scalars."""
 
-    def __init__(self, row, walker, counter):
-        super().__init__(row)
-        self.walker = walker
-        self.counter = counter
-
-    def __getitem__(self, i):
-        setattr(self.walker, self.counter, getattr(self.walker, self.counter) + 1)
-        return super().__getitem__(i)
+    def __getitem__(self, key):
+        out = np.asarray(super().__getitem__(key))
+        self.reads += out.size
+        return out if out.ndim else out[()]
 
 
-class CountingWalker:
-    """Counts walker-row reads and product-table reads on a partial group,
-    delegating both tables."""
+class CountingTables:
+    """A partial group's walker table and padded product array, each
+    counting the entries gathered from it."""
 
     def __init__(self, pg):
-        self.walker_reads = 0
-        self.table_reads = 0
-        self.table = [CountingRow(row, self, "table_reads") for row in pg.product_table()]
-        rows, array = pg.walker_table()
-        self.walker = WalkerTable([CountingRow(row, self, "walker_reads") for row in rows], array)
+        self.size = pg.size
+        self.walker = pg.walker_table().view(CountingArray)
+        self.table = pg.padded_products().view(CountingArray)
+        self.walker.reads = self.table.reads = 0
 
     def walker_table(self):
         return self.walker
 
-    def product_table(self):
+    def padded_products(self):
         return self.table
 
 
 def fold_each_word(pg, factors):
-    """The product word by word: one walker-row read per (prefix word,
-    letter) and one table read per such read after the first factor, never
+    """The product word by word: one walker entry per (prefix word, letter)
+    and one product entry per such read after the first factor, never
     merging words."""
-    table = pg.product_table()
-    rows = pg.walker_table().rows
+    walk, table = pg.walker_table(), pg.padded_products()
     words = [(0, None)]
     for xs in factors:
         words = [
-            (nxt, x if value is None else table[value][x])
+            (nxt, x if value is None else table[value, x])
             for code, value in words
             for x in sorted(xs)
-            if (nxt := rows[code][x]) >= 0
+            if (nxt := walk[code, x]) >= 0
         ]
         words = [(code, value) for code, value in words if value >= 0]
-    return {value for _, value in words}
+    return {int(value) for _, value in words}
 
 
 def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
-    """C2 * V4 * A4 * S4 on GRP-C2xS4: one walker-row read per (frontier
-    key, letter), where a key is a distinct (walker state, value) pair of
-    the domain words before that factor, and one product-table read per
-    such read after the first factor.  Enumerating the words takes one
-    read per (prefix word, letter): 2,410 here, so the word-by-word fold
-    breaks the bound."""
+    """C2 * V4 * A4 * S4 on GRP-C2xS4: subset_product gathers one walker
+    entry per (frontier key, letter), where a key is a distinct (walker
+    state, value) pair of the domain words before that factor, and one
+    product entry per such candidate after the first factor.  Enumerating
+    the words takes one read per (prefix word, letter): 2,410 here, so the
+    word-by-word fold breaks the bound."""
     loc = c2s4f.loc
     factors = [c2s4f.subsets[n] for n in ("C2", "V4", "A4", "S4")]
     pg = loc.pg
@@ -238,9 +231,10 @@ def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
     expected = {pg.pi(w) for w in itertools.product(*factors) if pg.in_domain(w)}
 
     def within_bound(product):
-        counting = CountingWalker(pg)
+        counting = CountingTables(pg)
         assert product(counting, factors) == expected
-        return counting.walker_reads <= bound and counting.table_reads <= bound - len(factors[0])
+        walker, table = counting.walker.reads, counting.table.reads
+        return walker <= bound and table <= bound - len(factors[0])
 
     assert within_bound(subset_product)
     assert not within_bound(fold_each_word)
@@ -257,7 +251,7 @@ def test_scan_decides_the_domain_by_the_walker_alone(am20):
     subgroups = partial_subgroups_containing(pg, frozenset({pg.identity}))
     assert len(subgroups) == 36
     for A, B in itertools.product(subgroups, repeat=2):
-        product, witnesses, _, _ = normal._scan_product(loc, [A, B])
+        product, witnesses, _ = normal._scan_product(loc, [A, B])
         assert product == subset_product(pg, [A, B]), (sorted(A), sorted(B))
         assert all(pg.in_domain(w) for w in witnesses.values()), (sorted(A), sorted(B))
     assert_scan_matches(loc, tuples(list(am20.subsets.values()), (1, 2, 3)))
@@ -267,12 +261,12 @@ def test_product_certificate_counts_its_word_states(c2s4f):
     """word_states is the number of distinct (walker code, automaton state,
     value) keys of the domain words over every prefix length 1..l."""
     loc = c2s4f.loc
-    rows = loc.pg.walker_table().rows
+    walk = loc.pg.walker_table().tolist()
     factors = [c2s4f.subsets[n] for n in ("C2", "V4", "A4", "S4")]
     keys = 0
     for n in range(1, len(factors) + 1):
         keys += len({
-            (functools.reduce(lambda c, x: rows[c][x], word, 0), loc.automaton.walk(word),
+            (functools.reduce(lambda c, x: walk[c][x], word, 0), loc.automaton.walk(word),
              loc.pi(word))
             for word in itertools.product(*factors[:n])
             if loc.in_domain(word)

@@ -38,9 +38,10 @@ WALKERS = {
 @pytest.mark.parametrize("name", list(WALKERS))
 def test_codes_follow_the_walker_on_words_up_to_length_3(request, name):
     pg = WALKERS[name](request)
-    rows, array = pg.walker_table()
+    array = pg.walker_table()
     assert array.dtype == np.int64
-    assert array.tolist() == rows + [[-1] * pg.size]
+    assert array[-1].tolist() == [-1] * pg.size
+    rows = array[:-1].tolist()
     level = {(pg.walk_start(), 0)}
     pairs = set(level)
     for _ in range(3):
