@@ -206,9 +206,11 @@ def cmd_normals(args, catalog: Catalog) -> VerificationReport:
 def cmd_product(args, catalog: Catalog) -> VerificationReport:
     entry = catalog.pick(args.locality, kind="locality")
     loc: Locality = entry.obj
-    names = [n.strip() for n in (args.ideals or "").split(",") if n.strip()]
+    names = [n.strip() for n in (args.ideals or "").split(",")]
     if len(names) < 2:
         raise InputError("--ideals needs at least two comma-separated subset names")
+    if "" in names:
+        raise InputError(f"--ideals has no subset name for factor {names.index('')}")
     factors = [catalog.subset(entry, n) for n in names]
     rep = VerificationReport(f"product {entry.name}: {' * '.join(names)}")
     cert = (product_theorem1(loc, *factors) if len(factors) == 2

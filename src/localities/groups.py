@@ -159,10 +159,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return self.inv[a]
 
-    def conj(self, x: int, g: int) -> int:
-        """Right conjugation x^g = g^-1 x g."""
-        return int(self.mult[self.mult[self.inv[g], x], g])
-
     def fold(self, word: Iterable[int]) -> int:
         out = self.identity
         for x in word:

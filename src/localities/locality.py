@@ -28,14 +28,15 @@ from .groups import (
 from .partial import (
     PartialGroup,
     Word,
+    _first_of_each,
     _ids,
     _padded,
-    closure_twins,
     intern_states,
     partial_subgroup_closure,
     row_lookup,
     state_fixpoint,
     total_group_component,
+    twin_labels,
 )
 from .report import CheckRecord, VerificationReport
 
@@ -587,24 +588,24 @@ def _p_subgroup_above(
     whose closure with base is a p-subgroup; None if there is none.
 
     Each closure starts from base | {x}, since base (S on a candidate) is
-    not proved closed.  After a failing x, its whole twin class over base
-    is skipped (base*x*base with its inverses on a genuine partial group):
-    closure_twins proves, per element and on any table, for a base that
-    need not be closed, that each twin has the same closure, which fails
-    too, so the first success and its witness are those of the
+    not proved closed.  Only the first candidate of each label of
+    twin_labels over base is closed: the labelling proves, on any table
+    and for a base that need not be closed, that a later candidate with
+    the label of a failing x has the same closure, which fails too (on a
+    genuine partial group the class is base*x*base with its inverses), so
+    the first success and its witness are those of the
     candidate-by-candidate search.
     """
     pg = loc.pg
-    done = set(base)
-    for x in candidates:
-        if x in done:
-            continue
+    label = twin_labels(pg, base)
+    xs = np.fromiter(candidates, dtype=np.int64)
+    xs = xs[label[xs] >= 0]
+    for x in xs[_first_of_each(label[xs], pg.size)].tolist():
         grown = partial_subgroup_closure(pg, base | {x})
         if len(grown) != len(base) and _p_part(len(grown), loc.p) == len(grown):
             ok, _ = pg.words_all_in_domain(grown)
             if ok:
                 return (x, grown)
-        done.update(closure_twins(pg, base, x))
     return None
 
 

@@ -6,6 +6,7 @@ x^g means pi((g^-1, x, g)) whenever that word is in the domain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Iterable, Sequence
 
@@ -129,30 +130,28 @@ class PartialGroup:
     stand; the scalar methods read memoryviews of them, Python ints and
     bools at twice a list read's cost.
 
-    The walker is trans masked by accept: walk_step(s, x) is the state of
-    the word extended by x, None once that word is off the domain, and
-    then so is every extension, as domain words have all their prefixes in
-    the domain.  It decides words of every length: words_all_in_domain
-    reads trans and accept; domain_is_total, product_scan, the (L2) and
-    threading checks of check_locality and the quotient's word checks
-    (state_fixpoint) gather from walker_table(), and merge words with
-    equal states for that reason.  The product, conjugation and walker
-    tables are gathered once per instance, on first use, and kept on it,
-    never in a cache keyed by id(), as ids are reused once an object is
-    collected.  Each is one int64 array with a last row of -1, so that -1
-    reads -1 (padded_products() and conj_table() have a last column of -1
-    too): the classifiers, _close, product_scan, the class skip of
-    enumerate_partial_normals, the coset layer, s_positions, emit_quotient
-    and the quotient's tables gather from them.  product_table() keeps the
-    products as lists too, for the per-pair loops closure_twins and mul2,
-    where one list read costs less than a numpy one.
+    The walker is trans masked by accept: walker_table()[s, x] is the
+    state of the word extended by x, -1 once that word is off the domain,
+    and then so is every extension, as domain words have all their
+    prefixes in the domain.  It decides words of every length:
+    words_all_in_domain reads trans and accept; domain_is_total,
+    product_scan, the (L2) and threading checks of check_locality and the
+    quotient's word checks (state_fixpoint) gather from walker_table(), and
+    merge words with equal states for that reason.  The product,
+    conjugation and walker tables are gathered once per instance, on first
+    use, and kept on it, never in a cache keyed by id(), as ids are reused
+    once an object is collected.  Each is one int64 array with a last row
+    of -1, so that -1 reads -1 (padded_products() and conj_table() have a
+    last column of -1 too): the classifiers, _close, twin_labels,
+    product_scan, the class skip of enumerate_partial_normals, the coset
+    layer, s_positions, emit_quotient and the quotient's tables gather from
+    them, and mul2 reads padded_products() through a memoryview.
     """
 
     p: int | None = None
     # (M, to_ambient) on a locality cut from a group M (locality_from_group);
     # check_axioms then proves the axioms by certify_ambient
     ambient: tuple[FiniteGroup, tuple[int, ...]] | None = None
-    _product_table: list[list[int]] | None = None
     _padded_products: np.ndarray | None = None
     _conj: np.ndarray | None = None
     _walker_table: np.ndarray | None = None
@@ -208,15 +207,13 @@ class PartialGroup:
         return self._raw_product(word)
 
     def mul2(self, a: int, b: int) -> int | None:
-        v = self.product_table()[a][b]
+        v = self._products_at[a, b]
         return None if v < 0 else v
 
-    def walk_start(self):
-        return 0
-
-    def walk_step(self, state: int, x: int):
-        nxt = self._trans_at[state, x]
-        return nxt if self._accept_at[nxt] else None
+    @functools.cached_property
+    def _products_at(self) -> memoryview:
+        """padded_products() as a memoryview, made on mul2's first call."""
+        return memoryview(self.padded_products())
 
     def walker_table(self) -> np.ndarray:
         """The walker: trans's own states, each row masked by accept in one
@@ -251,13 +248,6 @@ class PartialGroup:
             n = np.arange(self.size)
             self._padded_products = _padded(self._gather(n[:, None], n))
         return self._padded_products
-
-    def product_table(self) -> list[list[int]]:
-        """padded_products() as lists, without its last row and column, for
-        the per-pair loops, where one list read costs less than a numpy one."""
-        if self._product_table is None:
-            self._product_table = self.padded_products()[:-1, :-1].tolist()
-        return self._product_table
 
     def conj_table(self) -> np.ndarray:
         """Conjugates x^f = pi((f^-1, x, f)) at row x, column f, -1 off the
@@ -491,12 +481,15 @@ def partial_subgroup_closure(
     return _close(pg, seed, closed=closed, known=known)
 
 
-def closure_twins(pg: PartialGroup, base: Iterable[int], x: int) -> set[int]:
-    """The twin class of x over base: elements y whose closure with base
-    equals the closure of base and x, x among them.
+def twin_labels(pg: PartialGroup, base: Iterable[int]) -> np.ndarray:
+    """A label per element, -1 on base, such that the elements x outside
+    base with one label share the closure of base | {x}; each label is the
+    least element that carries it.
 
-    The class is closed under three moves, each proved per pair from
-    pg.product_table() and pg.inverse, never assumed:
+    Each x outside base has three kinds of move to a y outside base, each
+    proved on the table, never assumed, and all gathered at once from
+    pg.padded_products() and pg._inv (a pad entry -1 reads -1 and passes
+    no return lookup):
     - y = h*x (h in base) with h^-1 * y = x;
     - y = x*h (h in base) with y * h^-1 = x;
     - y = x^-1 with (x^-1)^-1 = x.
@@ -504,31 +497,30 @@ def closure_twins(pg: PartialGroup, base: Iterable[int], x: int) -> set[int]:
     its members), and the closure of base | {y} holds x by the return
     lookup (h^-1 is in it as the inverse of h), so the two closures hold
     each other's generators and are equal.  This holds for any base, closed
-    or not, and for any table; equality is transitive, so the whole class
-    shares one closure.  On a genuine partial group every lookup succeeds
-    where the products are defined, and the class is the double coset
-    base*x*base together with its inverses.
+    or not, and for any table.  Each min-label round gives x the least
+    label m over x and its moves, then the label of m (pointer jumping, as
+    in Shiloach and Vishkin, An O(log n) parallel connectivity algorithm,
+    J. Algorithms 1982); the rounds run until nothing changes.  Each label
+    stays an element joined to x by proved moves, so equal labels mean
+    equal closures.  On a genuine partial group with base a partial
+    subgroup the classes are the double cosets base*x*base together with
+    their inverses.
     """
-    table = pg.product_table()
-    hs = [(h, pg.inverse(h)) for h in base]
-    twins = {x}
-    queue = [x]
-    while queue:
-        z = queue.pop()
-        found = [pg.inverse(z)] if pg.inverse(pg.inverse(z)) == z else []
-        row = table[z]
-        for h, h_inv in hs:
-            y = table[h][z]
-            if y >= 0 and table[h_inv][y] == z:
-                found.append(y)
-            y = row[h]
-            if y >= 0 and table[y][h_inv] == z:
-                found.append(y)
-        for y in found:
-            if y not in twins:
-                twins.add(y)
-                queue.append(y)
-    return twins
+    n, table, inv = pg.size, pg.padded_products(), pg._inv
+    hs = np.fromiter(base, dtype=np.int64)
+    xs = (~_mask(n, hs)[:n]).nonzero()[0]
+    col, h_inv = xs[:, None], inv[hs]
+    left, right, flip = table[hs, col], table[col, hs], inv[col]
+    moves = np.concatenate((col, np.where(table[h_inv, left] == col, left, -1),
+                            np.where(table[right, h_inv] == col, right, -1),
+                            np.where(inv[flip] == col, flip, -1)), axis=1)
+    label = np.arange(n + 1)
+    label[hs] = n  # label[n], read by a move -1 or into base, is above every label
+    now = xs
+    while not ((least := label[label[moves].min(axis=1)]) == now).all():
+        label[xs] = now = least
+    label[hs] = -1
+    return label[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1012,7 @@ def check_axioms(pg: PartialGroup, max_len: int) -> AxiomReport:
       refused certificate, such as a plocality file or a quotient, in
       memory or read back) is searched by _axiom_searches on its own
       arrays, for every word length; a domain word whose fold leaves the
-      raw table raises raw_missing, as product_table() does.
+      raw table raises raw_missing, as padded_products() does.
     Each route states the number of words of length <= max_len (>= 2 on
     total components), searched or not; the count stops once it passes
     AXIOM_SWEEP_CAP, so words_checked is then a number above the cap and

@@ -26,10 +26,10 @@ from .normal import is_partial_normal, partial_normals
 from .partial import (
     PartialGroup,
     Word,
-    closure_twins,
     intern_rows,
     partial_subgroup_closure,
     state_fixpoint,
+    twin_labels,
 )
 from .report import VerificationReport
 
@@ -490,12 +490,13 @@ def partial_subgroups_containing(
     current is already closed, so the closure starts from it with x alone
     as the frontier, and it stops as soon as its members equal a partial
     subgroup already found (found holds only closures, each closed on any
-    table, so the stop is exact; see _close).  After x, its whole twin
-    class over current is skipped: closure_twins proves, per element and
-    on any table, that each twin gives the same grown closure (on a
-    genuine partial group the class is current*x*current with its
-    inverses).  More than cap results raise SizeCapExceeded.  When stats
-    is given, stats["closures"] is set to the number of closures made.
+    table, so the stop is exact; see _close).  Only the least x of each
+    label of twin_labels over current, the label itself, is closed: the
+    labelling proves, on any table, that x's whole twin class gives the
+    same grown closure (on a genuine partial group the class is
+    current*x*current with its inverses).  More than cap results raise
+    SizeCapExceeded.  When stats is given, stats["closures"] is set to the
+    number of closures made.
     """
     base = partial_subgroup_closure(loc_pg, seed)
     found = {base}
@@ -503,13 +504,10 @@ def partial_subgroups_containing(
     closures = 1
     while queue:
         current = queue.pop()
-        done = set(current)
-        for x in loc_pg.elements():
-            if x in done:
-                continue
+        label = twin_labels(loc_pg, current)
+        for x in (label == np.arange(loc_pg.size)).nonzero()[0].tolist():
             grown = partial_subgroup_closure(loc_pg, {x}, closed=current, known=found)
             closures += 1
-            done.update(closure_twins(loc_pg, current, x))
             if grown not in found:
                 if len(found) >= cap:
                     raise SizeCapExceeded(

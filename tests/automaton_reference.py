@@ -1,13 +1,16 @@
 """The automata one state at a time, as the engine built them before the
 level-by-level array kernel (partial.intern_states): a hashable state, a
 Python step(state, letter) per pair, and the walker table numbered from
-walk_step.  The test doubles that walk by walk_step build their tables
-here, and the tests compare the kernel with these.
+the walk of list_tables.walk (trans masked by accept, or a test double's
+walk_step).  The test doubles build their walker tables here, and the
+tests compare the kernel with these.
 """
 
 import numpy as np
 
 from localities import partial
+
+import list_tables
 
 
 def intern_states(start, step, letters, what):
@@ -42,11 +45,11 @@ def intern_states(start, step, letters, what):
 
 def walker_table(pg) -> np.ndarray:
     """The walker states of pg as codes 0, 1, ... in the order one breadth
-    first pass over the letters 0..size-1 reaches them from walk_start()
-    (code 0), by walk_step, as an int64 array with a last row of -1; built
-    once per instance, on first use."""
+    first pass over the letters 0..size-1 reaches them from the start of
+    list_tables.walk(pg) (code 0), by its step, as an int64 array with a
+    last row of -1; built once per instance, on first use."""
     if getattr(pg, "_walker_table", None) is None:
-        _, rows = intern_states(pg.walk_start(), pg.walk_step, pg.size, "walker table")
+        _, rows = intern_states(*list_tables.walk(pg), pg.size, "walker table")
         pg._walker_table = np.array(rows + [[-1] * pg.size], dtype=np.int64)
     return pg._walker_table
 

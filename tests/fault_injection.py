@@ -16,22 +16,23 @@ from localities.partial import AxiomViolation, PartialGroup, Word, _padded
 from localities.quotient import CosetPartition
 
 import automaton_reference
+import list_tables
 
 
 class WordPartialGroup:
     """A partial group answered one word at a time: subclasses give size,
     identity, labels, inverse, in_domain, _raw_product (the product of a
-    word known to be in the domain), walk_start and walk_step.  Its tables
-    are built from pi, one call per pair or conjugation word, and its
-    inverse array from inverse, on first use and kept on the instance, so
-    overridden products and inverses are what the closures, the
+    word known to be in the domain), walk_start and walk_step (the state
+    of a word extended by a letter, None once it is off the domain).  Its
+    tables are built from pi, one call per pair or conjugation word, and
+    its inverse array from inverse, on first use and kept on the instance,
+    so overridden products and inverses are what the closures, the
     classifiers and the conjugations see.  The walker is numbered breadth
     first by automaton_reference; the domain readers are PartialGroup's
     own, and words_all_in_domain reads the walker as a trans and accept
     pair whose last state is dead."""
 
     p: int | None = None
-    _product_table: list[list[int]] | None = None
     _padded_products: np.ndarray | None = None
     _conj: np.ndarray | None = None
 
@@ -63,20 +64,15 @@ class WordPartialGroup:
     def mul2(self, a: int, b: int) -> int | None:
         return self.pi((a, b))
 
-    def product_table(self) -> list[list[int]]:
-        """Binary products: row a holds mul2(a, b) at b, or -1 off the domain."""
-        if self._product_table is None:
-            n = range(self.size)
-            self._product_table = [
-                [-1 if (v := self.mul2(a, b)) is None else v for b in n] for a in n
-            ]
-        return self._product_table
-
     def padded_products(self) -> np.ndarray:
-        """product_table() as an (n+1) x (n+1) int64 array whose last row
-        and column are -1."""
+        """Binary products: row a holds mul2(a, b) at b, or -1 off the
+        domain, as an (n+1) x (n+1) int64 array whose last row and column
+        are -1."""
         if self._padded_products is None:
-            self._padded_products = _padded(self.product_table())
+            n = range(self.size)
+            self._padded_products = _padded([
+                [-1 if (v := self.mul2(a, b)) is None else v for b in n] for a in n
+            ])
         return self._padded_products
 
     @functools.cached_property
@@ -97,7 +93,8 @@ class WordPartialGroup:
 
 
 class CorruptedProducts(WordPartialGroup):
-    """Wrapper that overrides the product on chosen words (fault injection)."""
+    """Wrapper that overrides the product on chosen words (fault injection);
+    it walks the domain of its base."""
 
     def __init__(self, base: PartialGroup, overrides: dict[Word, int]):
         self.base = base
@@ -106,6 +103,7 @@ class CorruptedProducts(WordPartialGroup):
         self.identity = base.identity
         self.labels = base.labels
         self.p = base.p
+        self._walk = list_tables.walk(base)
 
     def inverse(self, x: int) -> int:
         return self.base.inverse(x)
@@ -119,10 +117,10 @@ class CorruptedProducts(WordPartialGroup):
         return self.base._raw_product(word)
 
     def walk_start(self):
-        return self.base.walk_start()
+        return self._walk[0]
 
     def walk_step(self, state, x: int):
-        return self.base.walk_step(state, x)
+        return self._walk[1](state, x)
 
 
 def dfs_axiom_sweep(pg, max_len: int) -> tuple[int, list[AxiomViolation]]:
@@ -160,20 +158,19 @@ def with_representatives(part: CosetPartition, reps) -> CosetPartition:
 
 def tampered_locality(loc: Locality, products: dict[tuple[int, int], int] | None = None,
                       **attrs) -> Locality:
-    """A copy of loc whose binary products, in both forms that are read
-    (the padded_products() array of the closures, the classifiers, the
-    coset layer and the product scans, and the product_table() lists of
-    closure_twins and mul2), hold the given (a, b) -> value
-    entries (-1 leaves a product undefined), and whose attributes attrs
-    replace its own (sylow_set, or thread_subgroup as a function of the
-    word).  pi and the conjugation array still read the untouched arrays.
-    Both forms are written as new copies, so loc and its partial group are
-    left as they are."""
+    """A copy of loc whose binary products, the one padded_products() array
+    that the closures, the twin labels, the classifiers, the coset layer,
+    the product scans and mul2 read, hold the given (a, b) -> value entries
+    (-1 leaves a product undefined), and whose attributes attrs replace its
+    own (sylow_set, or thread_subgroup as a function of the word).  pi and
+    the conjugation array still read the untouched arrays.  The array is
+    written as a new copy, so loc and its partial group are left as they
+    are."""
     pg = copy.copy(loc.pg)
-    pg._product_table = [row[:] for row in loc.pg.product_table()]
     pg._padded_products = loc.pg.padded_products().copy()
+    pg._products_at = memoryview(pg._padded_products)
     for (a, b), v in (products or {}).items():
-        pg._product_table[a][b] = pg._padded_products[a, b] = v
+        pg._padded_products[a, b] = v
     out = copy.copy(loc)
     out.pg = pg
     vars(out).update(attrs)

@@ -1,13 +1,16 @@
 """The word-state fixpoint one state at a time, as the engine ran it
 before the level-by-level array kernel (partial.state_fixpoint), and the
 quotient word checks on it, stepping the walkers of the base and of the
-quotient by walk_step and reading values from the base's product_table()
-rows and the quotient's raw product.  The tests compare the kernel with these.
+quotient one state at a time (list_tables.walk) and reading values from
+list copies of the base's products and the quotient's raw product.  The
+tests compare the kernel with these.
 """
 
 import numpy as np
 
 from localities import partial
+
+import list_tables
 
 
 def state_fixpoint(start, letters, step):
@@ -59,45 +62,46 @@ def per_state(step):
 def _reads(pg, qpg):
     """The base products, rho and the quotient's raw product as padded lists:
     the missing value -1 reads -1."""
-    n = pg.size
-    table = [row + [-1] for row in pg.product_table()] + [[-1] * (n + 1)]
+    table = pg.padded_products().tolist()
     raw = qpg._raw.tolist()
     return table, qpg.rho + (-1,), raw
 
 
 def homomorphism_failures(pg, qpg):
-    """quotient._homomorphism_failures on walker states and walk_step."""
+    """quotient._homomorphism_failures on walker states, one step at a time."""
     table, rho, raw = _reads(pg, qpg)
+    (start, walk), (bar_start, bar_walk) = list_tables.walk(pg), list_tables.walk(qpg)
 
     def step(state, f):
         base, v, bar, r = state
-        base = pg.walk_step(base, f)
+        base = walk(base, f)
         if base is None:
             return None, False
-        bar = qpg.walk_step(bar, rho[f])
+        bar = bar_walk(bar, rho[f])
         v, r = table[v][f], raw[r][rho[f]]
         if bar is None or r < 0 or rho[v] != r:
             return None, True
         return (base, v, bar, r), False
 
-    start = (pg.walk_start(), pg.identity, qpg.walk_start(), qpg.identity)
+    start = (start, pg.identity, bar_start, qpg.identity)
     return state_fixpoint(start, pg.elements(), step)
 
 
 def descent_failures(pg, qpg, letters):
-    """quotient._descent_failures on walker states and walk_step."""
+    """quotient._descent_failures on walker states, one step at a time."""
     table, rho, raw = _reads(pg, qpg)
+    (start, walk), (bar_start, bar_walk) = list_tables.walk(pg), list_tables.walk(qpg)
 
     def step(state, f):
         base, v, bar, r = state
-        bar = qpg.walk_step(bar, rho[f])
+        bar = bar_walk(bar, rho[f])
         if bar is None:
             return None, False
         if base is not None:
-            base = pg.walk_step(base, f)
+            base = walk(base, f)
         v = -1 if base is None else table[v][f]
         r = raw[r][rho[f]]
         return (base, v, bar, r), base is None or r < 0 or rho[v] != r
 
-    start = (pg.walk_start(), pg.identity, qpg.walk_start(), qpg.identity)
+    start = (start, pg.identity, bar_start, qpg.identity)
     return state_fixpoint(start, letters, step)

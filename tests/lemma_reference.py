@@ -20,19 +20,21 @@ from localities.quotient import (
 )
 
 from subset_reference import EMPTY_WORD
+import list_tables
 
 
 def mul2_product(pg, factors):
     """{x1 ... xl : xi in factor i, the word in the domain}, merged by
     (walker state, value) and folded with one mul2 call per pair and
     letter."""
-    frontier = {(pg.walk_start(), EMPTY_WORD)}
+    start, walk = list_tables.walk(pg)
+    frontier = {(start, EMPTY_WORD)}
     for xs in factors:
         frontier = {
             (nxt, v)
             for state, value in frontier
             for x in sorted(xs)
-            if (nxt := pg.walk_step(state, x)) is not None
+            if (nxt := walk(state, x)) is not None
             and (v := x if value is EMPTY_WORD else pg.mul2(value, x)) is not None
         }
     return frozenset(v for _, v in frontier)

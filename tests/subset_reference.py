@@ -1,20 +1,18 @@
 """The subset layer as per-element loops over list rows: the references
 the mask gathers of localities.partial (_close, _closure_failure,
-_conjugation_failure, product_scan) and the coset rows of
-localities.quotient (_cosets) are tested against.  Each reads
-pg.product_table(), and the conjugation, walker and threading arrays, as
-lists, one entry at a time."""
+_conjugation_failure, twin_labels, product_scan) and the coset rows of
+localities.quotient (_cosets) are tested against.  Each reads the
+products, the conjugation, walker and threading arrays as list copies
+(list_tables), one entry at a time."""
 
 from typing import Container, Iterable, Sequence
+
+import list_tables
+import list_tables
 
 # The value of the empty word in the left folds of the product scans: no
 # element id, and not None, which is mul2's answer off the domain.
 EMPTY_WORD = object()
-
-
-def conj_rows(pg) -> list[list[int]]:
-    """pg.conj_table() as lists, without its last row and column."""
-    return pg.conj_table()[:-1, :-1].tolist()
 
 
 def close(
@@ -30,7 +28,7 @@ def close(
     member x; each round multiplies the elements added in the previous
     round with the current members, in both orders.  Stops before a round
     when the members are all of L or equal a set of known."""
-    table = pg.product_table()
+    table = list_tables.products(pg)
     members = set(closed)
     fresh = {pg.identity}
     fresh.update(int(x) for x in seed)
@@ -55,13 +53,41 @@ def close(
     return frozenset(members)
 
 
+def closure_twins(pg, base: Iterable[int], x: int) -> set[int]:
+    """The twin class of x over base, one element and pair at a time: the
+    elements partial.twin_labels's moves reach from x (y = h*x with
+    h^-1 * y = x, y = x*h with y * h^-1 = x, for h in base, and y = x^-1
+    with (x^-1)^-1 = x), x among them.  Every move is proved by its return
+    lookup, so the class shares the closure of base | {x} on any table."""
+    table = list_tables.products(pg)
+    hs = [(h, pg.inverse(h)) for h in base]
+    twins = {x}
+    queue = [x]
+    while queue:
+        z = queue.pop()
+        found = [pg.inverse(z)] if pg.inverse(pg.inverse(z)) == z else []
+        row = table[z]
+        for h, h_inv in hs:
+            y = table[h][z]
+            if y >= 0 and table[h_inv][y] == z:
+                found.append(y)
+            y = row[h]
+            if y >= 0 and table[y][h_inv] == z:
+                found.append(y)
+        for y in found:
+            if y not in twins:
+                twins.add(y)
+                queue.append(y)
+    return twins
+
+
 def closure_failure(pg, X: frozenset[int]) -> tuple | None:
     """A witness that X is not a partial subgroup, or None if it is one."""
     elems = sorted(X)
     for a in elems:
         if pg.inverse(a) not in X:
             return ("inverse", a)
-    table = pg.product_table()
+    table = list_tables.products(pg)
     for a in elems:
         row = table[a]
         for b in elems:
@@ -74,7 +100,7 @@ def closure_failure(pg, X: frozenset[int]) -> tuple | None:
 def conjugation_failure(pg, X: frozenset[int]) -> tuple | None:
     """A witness (x, f, x^f) with x^f defined outside X, or None; the
     first in sorted x, then f."""
-    conj = conj_rows(pg)
+    conj = list_tables.conj(pg)
     for x in sorted(X):
         for f, v in enumerate(conj[x]):
             if v >= 0 and v not in X:
@@ -84,28 +110,23 @@ def conjugation_failure(pg, X: frozenset[int]) -> tuple | None:
 
 def right_coset(pg, K: frozenset[int], f: int) -> frozenset[int]:
     """Kf: the defined products k f."""
-    table = pg.product_table()
+    table = list_tables.products(pg)
     return frozenset(table[k][f] for k in K) - {-1}
 
 
 def left_coset(pg, K: frozenset[int], f: int) -> frozenset[int]:
     """fK: the defined products f k."""
-    row = pg.product_table()[f]
+    row = list_tables.products(pg)[f]
     return frozenset(row[k] for k in K) - {-1}
-
-
-def walker_rows(pg) -> list[list[int]]:
-    """pg.walker_table() as lists, without its last row."""
-    return pg.walker_table()[:-1].tolist()
 
 
 def subset_product(pg, factors) -> frozenset[int]:
     """{x1 x2 ... xl : xi in factor i, the word in the domain}, as a dict
     fold: the words merged by their (walker code, value) pair after each
-    factor, each folded left to right by product_table() reads.  The empty
+    factor, each folded left to right by reads of the products.  The empty
     word has code 0 and the value EMPTY_WORD; a domain word whose fold
     meets an undefined product (-1) has no value and is dropped."""
-    table, rows = pg.product_table(), walker_rows(pg)
+    table, rows = list_tables.products(pg), list_tables.walker(pg)
     frontier = {(0, EMPTY_WORD)}
     for xs in [sorted(set(int(x) for x in f)) for f in factors]:
         frontier = {
@@ -125,7 +146,7 @@ def scan_product(loc, factors) -> tuple[frozenset[int], dict[int, tuple], int]:
     were reached and letters in sorted order.  The witness of v is the word
     of the first final key with value v whose threading subgroup is
     loc.thread_subgroup((v,))."""
-    table, walker = loc.pg.product_table(), walker_rows(loc.pg)
+    table, walker = list_tables.products(loc.pg), list_tables.walker(loc.pg)
     auto = loc.automaton
     thread = auto.array.tolist()
     frontier: dict[tuple, tuple] = {(0, 0, EMPTY_WORD): ()}  # key -> least word

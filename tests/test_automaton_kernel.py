@@ -115,7 +115,7 @@ def table_backend(request, name):
 def test_the_walker_table_matches_the_reference(request, name, monkeypatch):
     """The codes are the automaton's states: numbered in the order one
     breadth-first pass from code 0 meets them, the rows are those of the
-    reference's walker table, numbered from walk_step.  Nothing is interned."""
+    reference's walker table, numbered from list_tables.walk.  Nothing is interned."""
     pg = table_backend(request, name)
     interned = record(monkeypatch)
     monkeypatch.setattr(pg, "_walker_table", None)

@@ -30,6 +30,7 @@ from localities.partial import (
 
 from automaton_reference import maps as maps_of
 from fault_injection import dfs_axiom_sweep
+import list_tables
 
 SEARCHED = ("split", "collapse", "cancellation")
 
@@ -62,7 +63,7 @@ def only_s(pg):
 
 def swapped(pg):
     """Two domain products of the raw table swapped: (1,1) and (1,6)."""
-    table = pg.product_table()
+    table = list_tables.products(pg)
     assert -1 < table[1][1] != table[1][6] > -1
     raw = pg._raw[:-1, :-1].tolist()
     raw[1][1], raw[1][6] = raw[1][6], raw[1][1]
@@ -220,12 +221,12 @@ def test_product_off_the_raw_table_raises_what_the_dfs_raises(s5f):
 def test_products_off_the_raw_table_past_the_dfs_cap_raise(s5f):
     """The transposed product leaves the raw table on some domain words that
     the DFS, stopped at its cap, never multiplies; the searches reach them
-    and raise as product_table() does, at a pair off the table."""
+    and raise as padded_products() does, at a pair off the table."""
     raw = s5f.loc.pg._raw[:-1, :-1].T.tolist()
     pg = minus_smallest(rebuild(s5f.loc.pg, raw=raw))
     assert len(dfs_axiom_sweep(pg, 3)[1]) == 200
     with pytest.raises(LocalityConstructionError):
-        pg.product_table()
+        pg.padded_products()
     with pytest.raises(LocalityConstructionError) as error:
         check_axioms(pg, 3)
     a, b = map(int, str(error.value).rpartition("(")[2].rstrip(")").split(","))
@@ -236,7 +237,7 @@ def test_products_off_the_raw_table_past_the_dfs_cap_raise(s5f):
 
 
 def per_pair_table(pg):
-    """LocalityPartialGroup.product_table() as one in_domain walk per pair:
+    """LocalityPartialGroup.padded_products() as one in_domain walk per pair:
     raises raw_missing at the first pair, row-major, in the domain with no
     raw product."""
     n = range(pg.size)
@@ -253,7 +254,7 @@ def am20_threaded(am20):
         identity=pg.identity,
         inv=tuple(pg.inverse(x) for x in pg.elements()),
         labels=pg.labels,
-        raw=pg.product_table(),
+        raw=list_tables.products(pg),
         raw_missing=lambda a, b: KeyError((a, b)),
         p=loc.p,
         s_elems=loc.sylow,
@@ -293,10 +294,10 @@ def test_product_table_matches_per_pair_walks(request, name):
         with pytest.raises((KeyError, LocalityConstructionError)) as expected:
             per_pair_table(pg)
         with pytest.raises(expected.type) as error:
-            pg.product_table()
+            list_tables.products(pg)
         assert str(error.value) == str(expected.value)
     else:
-        assert pg.product_table() == per_pair_table(pg)
+        assert list_tables.products(pg) == per_pair_table(pg)
 
 
 # -- the total-component route -------------------------------------------------

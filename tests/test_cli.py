@@ -17,6 +17,7 @@ from localities.quotient import QuotientConstructionError, build_quotient
 from localities.report import VerificationReport
 
 from fault_injection import dfs_axiom_sweep
+import list_tables
 
 
 def _failing_report(title: str) -> VerificationReport:
@@ -194,8 +195,11 @@ def test_product_records_one_list_for_every_number_of_factors(capsys, builtin, i
         ("LOC-S5", "S,N5", "factor 0 is not partial normal (witness (1, 2, 5))"),
         ("LOC-S5", "N5,N20,S", "factor 2 is not partial normal (witness (1, 2, 5))"),
         ("GRP-S4", "V4,V4,V4,V4,V4", "a product certificate handles 2 to 4 factors, got 5"),
+        ("LOC-S5", "N5,,N20", "--ideals has no subset name for factor 1"),
+        ("LOC-S5", "N5,N20,", "--ideals has no subset name for factor 2"),
     ],
-    ids=["first-factor-not-partial-normal", "last-factor-not-partial-normal", "five-factors"],
+    ids=["first-factor-not-partial-normal", "last-factor-not-partial-normal", "five-factors",
+         "empty-name", "trailing-comma"],
 )
 def test_a_product_the_certificate_cannot_take_exits_2(capsys, builtin, ideals, message):
     _one_error_line(capsys, ["product", "--builtin", builtin, "--ideals", ideals], message)
@@ -216,7 +220,7 @@ def test_emit_parse_round_trip(s5f, tmp_path, capsys):
     quotient = build_quotient(s5f.loc, s5f.subsets["N5"]).quotient
     expected = quotient.pg
     assert loc.size == expected.size == 24
-    assert loc.pg.product_table() == expected.product_table()
+    assert list_tables.products(loc.pg) == list_tables.products(expected)
     conj = path.read_text().partition(" : conj ")[2].partition(" : prod ")[0]
     want = {
         (s, g, v)

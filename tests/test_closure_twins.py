@@ -11,45 +11,45 @@ that close every candidate.
 on the builtins and their kernels, and on candidates that are not partial
 groups or localities: product swaps of GRP-S4, PG-AM20 read as a locality,
 S smaller than a Sylow 2-subgroup, and GRP-S4 with an inverse that is not
-an involution.  Two controls show that the swaps tell apart a skip without
-its return lookup and an (L1) search that trusts S to be closed.
+an involution.  Two controls show that the swaps tell apart a labelling
+without its return lookups and an (L1) search that trusts S to be closed.
 
-The kernels under the loops are checked on their own: every member of a
-twin class has the closure of the class's element, and a closure handed
-sets known to be closed equals the closure without them.
+The kernels under the loops are checked on their own: over every base the
+two searches meet, on all of these inputs and on the quotients by every
+kernel of the builtins, the elements with one twin_labels label share one
+closure; on genuine partial groups the label classes are the twin classes
+of the per-pair reference subset_reference.closure_twins, and the
+searches make as many closures as the per-element search over that
+reference; and a closure handed sets known to be closed equals the
+closure without them.
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from localities import locality, normal, quotient
 from localities.groups import _p_part
 from localities.locality import _p_subgroup_above, as_locality, check_locality
 from localities.normal import enumerate_partial_normals, partial_normal_closure, partial_normals
-from localities.partial import (
-    _close,
-    closure_twins,
-    partial_subgroup_closure,
-)
-from localities.quotient import partial_subgroups_containing
+from localities.partial import _close, partial_subgroup_closure, twin_labels
+from localities.quotient import build_quotient, partial_subgroups_containing
 
 from fault_injection import CorruptedProducts, swap_two_products
+from subset_reference import closure_twins
 from test_quotient_tables import enumerate_by_full_closures
+import list_tables
 
 
-def p_subgroup_above_by_every_candidate(loc, base, candidates, closed_base=False):
-    """_p_subgroup_above as it closed base | {x} for every candidate x;
-    closed_base=True starts each closure from base as if it were closed."""
+def p_subgroup_above_by_every_candidate(loc, base, candidates):
+    """_p_subgroup_above as it closed base | {x} for every candidate x."""
     pg = loc.pg
     for x in candidates:
         if x in base:
             continue
-        if closed_base:
-            grown = partial_subgroup_closure(pg, {x}, closed=base)
-        else:
-            grown = partial_subgroup_closure(pg, base | {x})
+        grown = partial_subgroup_closure(pg, base | {x})
         if len(grown) == len(base) or _p_part(len(grown), loc.p) != len(grown):
             continue
         ok, _ = pg.words_all_in_domain(grown)
@@ -80,10 +80,24 @@ def enumerate_by_every_closure(loc):
     return sorted(family.values(), key=lambda h: (len(h.members), sorted(h.members)))
 
 
-def one_way_twins(pg, base, x):
-    """closure_twins without the return lookup: not a proof."""
-    table = pg.product_table()
-    return [y for h in base if (y := table[h][x]) >= 0]
+def one_way_labels(pg, base):
+    """twin_labels with each y = h*x (h in base) taken as a twin of x, both
+    ways, without its return lookup: not a proof."""
+    table, label = list_tables.products(pg), list(range(pg.size))
+
+    def root(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    for x in pg.elements():
+        for h in base:
+            if (y := table[h][x]) >= 0:
+                a, b = sorted((root(x), root(y)))
+                label[b] = a
+    out = np.array([root(x) for x in pg.elements()])
+    out[list(base)] = -1
+    return out
 
 
 LOCALITIES = {
@@ -116,7 +130,7 @@ def test_enumeration_matches_every_closure(request, name):
 
 
 def _order_four_subgroups(pg):
-    table = pg.product_table()
+    table = list_tables.products(pg)
     others = [x for x in pg.elements() if x != pg.identity]
     fours = []
     for c in itertools.combinations(others, 3):
@@ -171,8 +185,8 @@ def test_closure_loops_match_the_references_on_product_swaps(swapped):
 
 
 def test_the_swaps_tell_a_one_way_skip_apart(swapped, monkeypatch):
-    monkeypatch.setattr(quotient, "closure_twins", one_way_twins)
-    monkeypatch.setattr(locality, "closure_twins", one_way_twins)
+    monkeypatch.setattr(quotient, "twin_labels", one_way_labels)
+    monkeypatch.setattr(locality, "twin_labels", one_way_labels)
     wrong_oversubgroups = wrong_l1 = 0
     for cand, oversubgroups in swapped:
         pg, S = cand.pg, cand.sylow_set
@@ -184,12 +198,17 @@ def test_the_swaps_tell_a_one_way_skip_apart(swapped, monkeypatch):
     assert wrong_oversubgroups > 0 and wrong_l1 > 0
 
 
-def test_the_swaps_tell_a_search_that_trusts_s_to_be_closed_apart(swapped):
+def test_the_swaps_tell_a_search_that_trusts_s_to_be_closed_apart(swapped, monkeypatch):
+    """_p_subgroup_above, labels and all, with each closure started from S
+    as if it were closed."""
     wrong = 0
     for cand, _ in swapped:
         S, elements = cand.sylow_set, cand.pg.elements()
-        trusted = p_subgroup_above_by_every_candidate(cand, S, elements, closed_base=True)
-        wrong += trusted != p_subgroup_above_by_every_candidate(cand, S, elements)
+        monkeypatch.setattr(locality, "partial_subgroup_closure", lambda pg, seed, S=S: (
+            partial_subgroup_closure(pg, seed - S, closed=S)))
+        wrong += _p_subgroup_above(cand, S, elements) != p_subgroup_above_by_every_candidate(
+            cand, S, elements
+        )
     assert wrong > 0
 
 
@@ -265,17 +284,31 @@ def test_enumeration_classifies_each_set_once(request, monkeypatch):
         assert sorted(map(sorted, classified)) == sorted(sorted(h.members) for h in got)
 
 
-# -- the kernels: twin classes and closures stopped at known closed sets
+# -- the kernels: twin labels and closures stopped at known closed sets
 
 
-def assert_twins_share_the_closure(pg, base):
-    """Every member of the twin class of x over base closes with base to
-    the closure of base and x, for every x."""
-    closure_of = {y: partial_subgroup_closure(pg, base | {y}) for y in pg.elements()}
+def assert_labels_share_the_closure(pg, base):
+    """base is labelled -1, and the elements x outside it with one label
+    close with base to one closure, for every x."""
+    label = twin_labels(pg, base)
+    closure_of = {}
     for x in pg.elements():
-        twins = closure_twins(pg, base, x)
-        assert x in twins
-        assert {closure_of[y] for y in twins} == {closure_of[x]}, (sorted(base), x)
+        assert (label[x] < 0) == (x in base), (sorted(base), x)
+        if x not in base:
+            grown = partial_subgroup_closure(pg, base | {x})
+            assert closure_of.setdefault(int(label[x]), grown) == grown, (sorted(base), x)
+
+
+def assert_labels_are_the_reference_twin_classes(pg, base):
+    """On a genuine partial group, with base a partial subgroup: each label
+    class is the twin class closure_twins gives each of its members."""
+    label = twin_labels(pg, base)
+    classes = {}
+    for x in pg.elements():
+        if x not in base:
+            classes.setdefault(int(label[x]), set()).add(x)
+    for twins in classes.values():
+        assert closure_twins(pg, base, min(twins)) == twins, sorted(base)
 
 
 def _bases(pg, S):
@@ -289,25 +322,129 @@ def test_twins_share_the_closure(request, name):
     loc = LOCALITIES[name](request)
     closed, loose = _bases(loc.pg, loc.sylow_set)
     assert partial_subgroup_closure(loc.pg, loose) != loose
-    assert_twins_share_the_closure(loc.pg, closed)
-    assert_twins_share_the_closure(loc.pg, loose)
+    assert_labels_share_the_closure(loc.pg, closed)
+    assert_labels_share_the_closure(loc.pg, loose)
+    assert_labels_are_the_reference_twin_classes(loc.pg, closed)
 
 
 @pytest.mark.parametrize("name", ["GRP-S4", "GRP-C2xS4"])
 def test_twin_classes_of_a_group_are_double_cosets_with_inverses(request, name):
     pg = LOCALITIES[name](request).pg
     assert pg.domain_is_total
-    table = pg.product_table()
-    H = sorted(partial_subgroup_closure(pg, LOCALITIES[name](request).sylow_set))
+    table = list_tables.products(pg)
+    H = partial_subgroup_closure(pg, LOCALITIES[name](request).sylow_set)
+    label = twin_labels(pg, H)
     for x in pg.elements():
         coset = {table[table[h][x]][k] for h in H for k in H}
-        assert closure_twins(pg, H, x) == coset | {pg.inverse(y) for y in coset}
+        twins = coset | {pg.inverse(y) for y in coset}
+        assert closure_twins(pg, H, x) == twins
+        if x not in H:
+            assert set(np.flatnonzero(label == label[x]).tolist()) == twins
 
 
 def test_twins_share_the_closure_on_product_swaps(swapped):
     for cand, _ in swapped:
         for base in _bases(cand.pg, cand.sylow_set):
-            assert_twins_share_the_closure(cand.pg, base)
+            assert_labels_share_the_closure(cand.pg, base)
+
+
+def _bases_met(monkeypatch, searches):
+    """The (partial group, base) pairs twin_labels is called on while each
+    search runs, each pair once."""
+    met = {}
+
+    def recording(pg, base):
+        met.setdefault((id(pg), frozenset(base)), (pg, frozenset(base)))
+        return twin_labels(pg, base)
+
+    with monkeypatch.context() as m:
+        m.setattr(quotient, "twin_labels", recording)
+        m.setattr(locality, "twin_labels", recording)
+        for search in searches:
+            search()
+    return list(met.values())
+
+
+def _both_searches(loc, seeds):
+    """partial_subgroups_containing from each seed and the (L1) search
+    above S, as zero-argument calls."""
+    out = [lambda seed=seed: partial_subgroups_containing(loc.pg, seed) for seed in seeds]
+    return out + [lambda: _p_subgroup_above(loc, loc.sylow_set, loc.elements())]
+
+
+def _genuine_searches(request):
+    """The searches of the lemma suite on every kernel of the builtins: over
+    L above K, but for LOC-S5's trivial kernel (its enumeration is the
+    slowest), and over L/K from the trivial subgroup."""
+    searches = []
+    for name in ("GRP-S4", "GRP-C2xS4", "LOC-S5"):
+        loc = LOCALITIES[name](request)
+        for i, K in enumerate(h.members for h in partial_normals(loc)):
+            seeds = [K] if (name, i) != ("LOC-S5", 0) else []
+            searches += _both_searches(loc, seeds)
+            bar = build_quotient(loc, K).quotient
+            searches += _both_searches(bar, [{bar.identity}])
+    return searches
+
+
+def test_label_classes_share_the_closure_over_every_base_met(request, monkeypatch):
+    met = _bases_met(monkeypatch, _genuine_searches(request))
+    assert len(met) > 100
+    for pg, base in met:
+        assert_labels_share_the_closure(pg, base)
+        assert_labels_are_the_reference_twin_classes(pg, base)
+
+
+def test_label_classes_share_the_closure_over_every_base_met_on_tamperings(
+    request, swapped, s4f, monkeypatch
+):
+    """The swaps, GRP-S4 with an inverse that is not an involution, PG-AM20
+    read as a locality, and GRP-S4 with S of order 4."""
+    pg = s4f.loc.pg
+    searches = [s for cand, _ in swapped for s in _both_searches(cand, [{pg.identity}])]
+    searches += _both_searches(LOCALITIES["PG-AM20"](request), [{0}])
+    skewed = as_locality(_skewed_s4(s4f)[0], 2, s4f.loc.sylow_set, [s4f.loc.sylow_set])
+    searches += _both_searches(skewed, [{pg.identity}])
+    for S in _order_four_subgroups(pg):
+        searches += _both_searches(as_locality(pg, 2, S, [S]), [])
+    met = _bases_met(monkeypatch, searches)
+    assert {type(pg).__name__ for pg, _ in met} == {
+        "CorruptedProducts", "SkewedInverse", "LocalityPartialGroup", "AmalgamPartialGroup"
+    }
+    for pg, base in met:
+        assert_labels_share_the_closure(pg, base)
+
+
+def per_element_search(pg, seed):
+    """(found, closures) of partial_subgroups_containing as it closed each x
+    outside current not yet in the closure_twins class of an x it closed."""
+    base = partial_subgroup_closure(pg, seed)
+    found, queue, closures = {base}, [base], 1
+    while queue:
+        current = queue.pop()
+        done = set(current)
+        for x in pg.elements():
+            if x not in done:
+                grown = partial_subgroup_closure(pg, current | {x})
+                closures += 1
+                done |= closure_twins(pg, current, x)
+                if grown not in found:
+                    found.add(grown)
+                    queue.append(grown)
+    return sorted(found, key=lambda s: (len(s), sorted(s))), closures
+
+
+@pytest.mark.parametrize("name", ["GRP-S4", "GRP-C2xS4", "LOC-S5", "PG-AM20"])
+def test_closure_counts_match_the_per_element_search(request, name):
+    loc = LOCALITIES[name](request)
+    if name == "PG-AM20":
+        kernels = [{loc.identity}]
+    else:  # LOC-S5's trivial kernel left out, as above
+        kernels = [h.members for h in partial_normals(loc)][1 if name == "LOC-S5" else 0:]
+    for K in kernels:
+        stats = {}
+        found = partial_subgroups_containing(loc.pg, K, stats=stats)
+        assert (found, stats["closures"]) == per_element_search(loc.pg, K)
 
 
 def assert_known_sets_change_no_closure(pg, family, conj=None, closed_sets=()):
@@ -356,12 +493,10 @@ class SkewedInverse(CorruptedProducts):
         return self.inverses.get(x, self.base.inverse(x))
 
 
-def test_an_inverse_without_the_return_lookup_keeps_its_own_closure(s4f):
-    """GRP-S4 with the inverse of the least 3-cycle a read as a transposition
-    b > a of the S3 through a.  inv(inv(a)) = b, so b is no inverse twin of
-    a: the closure of {a} holds b, but the closure of {b} is {1, b}, which
-    only x = b reaches from the trivial subgroup."""
-    table = s4f.loc.pg.product_table()
+def _skewed_s4(s4f):
+    """(GRP-S4 with the inverse of the least 3-cycle a read as a
+    transposition b > a of the S3 through a, a, b)."""
+    table = list_tables.products(s4f.loc.pg)
 
     def order(x):
         k, y = 1, x
@@ -374,10 +509,19 @@ def test_an_inverse_without_the_return_lookup_keeps_its_own_closure(s4f):
         y for y in s4f.loc.elements()
         if y > a and order(y) == 2 and table[table[y][a]][y] == s4f.loc.pg.inverse(a)
     )
-    pg = SkewedInverse(s4f.loc.pg, {a: b})
+    return SkewedInverse(s4f.loc.pg, {a: b}), a, b
+
+
+def test_an_inverse_without_the_return_lookup_keeps_its_own_closure(s4f):
+    """GRP-S4 with the inverse of a 3-cycle a read as a transposition b.
+    inv(inv(a)) = b, so b is no inverse twin of a: the closure of {a} holds
+    b, but the closure of {b} is {1, b}, which only x = b reaches from the
+    trivial subgroup."""
+    pg, a, b = _skewed_s4(s4f)
     trivial = frozenset({pg.identity})
     assert b not in closure_twins(pg, trivial, a)
-    assert_twins_share_the_closure(pg, trivial)
+    assert twin_labels(pg, trivial)[a] != twin_labels(pg, trivial)[b]
+    assert_labels_share_the_closure(pg, trivial)
     oversubgroups = enumerate_by_full_closures(pg, trivial)
     assert frozenset({pg.identity, b}) in oversubgroups
     assert partial_subgroups_containing(pg, trivial) == oversubgroups

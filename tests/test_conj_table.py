@@ -139,10 +139,8 @@ def _pi_loop(pg, table):
     return [[-1 if (v := pg.pi(word(r, c))) is None else v for c in n] for r in n]
 
 
-def _unpadded(table):
-    """A product table's lists as they are, a conjugation array as lists
-    without its last row and column."""
-    return table if isinstance(table, list) else table[:-1, :-1].tolist()
+# the gathered array each table names
+GATHERS = {"product_table": "padded_products", "conj_table": "conj_table"}
 
 
 RAW_CHANGES = {
@@ -164,7 +162,8 @@ def test_a_gathered_table_is_what_the_pi_loop_gives_or_raises(s5f, change, table
     pi_loop = _outcome(lambda: _pi_loop(_with_raw(pg, changes), table))
     if change != "left-identity-moved":
         assert any(f"({a},{b})" in pi_loop for a, b in changes)
-    assert _outcome(lambda: _unpadded(getattr(_with_raw(pg, changes), table)())) == pi_loop
+    gathered = getattr(_with_raw(pg, changes), GATHERS[table])
+    assert _outcome(lambda: gathered()[:-1, :-1].tolist()) == pi_loop
 
 
 def test_corrupted_conjugate_is_the_classify_witness(s4f):
@@ -199,7 +198,7 @@ def test_conjugation_failure_matches_the_pi_loop(request):
 def test_classification_reads_only_the_table(s5f, monkeypatch):
     loc = s5f.loc
     loc.conj_table()
-    loc.pg.product_table()
+    loc.pg.padded_products()
 
     def no_pi(self, word):
         raise AssertionError(f"pi called on {word}")

@@ -3,7 +3,7 @@
 _homomorphism_failures and _descent_failures run partial.state_fixpoint
 over walker codes and padded products, a level at a time.  The reference
 (tests/fixpoint_reference.py) runs the same checks one state at a time on
-walker states and walk_step.  Both must return the same (states, words):
+walker states, stepped one at a time.  Both must return the same (states, words):
 the same interned state count and the same failing words in the same
 order, on every partial normal kernel of the three localities, on a
 quotient used as a base, on corrupted quotients, in smaller blocks of

@@ -20,16 +20,18 @@ from localities.quotient import (
 )
 
 from fault_injection import with_representatives
+import list_tables
 
 
 def per_word_hom_sweep(loc, qpg, rho, hom_len=3):
     mism = []
+    start, walk = list_tables.walk(loc.pg)
 
     def sweep(word, bar, state, value):
         if len(mism) > 5:
             return
         for g in loc.elements():
-            nxt = loc.pg.walk_step(state, g)
+            nxt = walk(state, g)
             if nxt is None:
                 continue
             v = g if value is None else loc.pg.mul2(value, g)
@@ -40,7 +42,7 @@ def per_word_hom_sweep(loc, qpg, rho, hom_len=3):
             elif len(w) < hom_len:
                 sweep(w, b, nxt, v)
 
-    sweep((), (), loc.pg.walk_start(), None)
+    sweep((), (), start, None)
     return mism
 
 

@@ -16,7 +16,7 @@ the quotient by every partial normal subgroup of the three localities:
 - the state count and the witnesses equal those of the one-state-at-a-time
   fixpoint of tests/fixpoint_reference.py over keys built from the
   definitions: the front as a set of Delta members, the walker state of
-  pg.walk_step and the partial map of S that threads through the word.
+  list_tables.walk and the partial map of S that threads through the word.
 """
 
 import pytest
@@ -29,6 +29,7 @@ from localities.quotient import build_quotient
 import fixpoint_reference as reference
 from fault_injection import WordPartialGroup, swap_two_products
 from test_quotient_tables import KERNEL_IDS, KERNELS, _kernel
+import list_tables
 
 
 def literal_l2_sweep(loc, max_len):
@@ -161,15 +162,16 @@ def reference_chain_checks(loc):
     """((states, words) of (L2), (states, words) of the threading check) by
     the reference fixpoint.  A key is (front, walker state or None once
     dead, the pairs (s, s^w) for the s in S_w), from loc.conjugate_set,
-    pg.walk_step and loc.conjugate; a word is extended while its front is
+    list_tables.walk and loc.conjugate; a word is extended while its front is
     nonempty."""
     pg, delta = loc.pg, loc.delta.members
+    start, walk = list_tables.walk(pg)
 
     def step_of(fails):
         def step(key, g):
             front, state, pairs = key
             front = frozenset(img for P in front if (img := loc.conjugate_set(P, g)) in delta)
-            state = None if state is None else pg.walk_step(state, g)
+            state = None if state is None else walk(state, g)
             pairs = tuple((s, y) for s, x in pairs
                           if (y := loc.conjugate(x, g)) is not None and y in loc.sylow_set)
             nxt = (front, state, pairs)
@@ -177,7 +179,7 @@ def reference_chain_checks(loc):
 
         return step
 
-    start = (frozenset(delta), pg.walk_start(), tuple((s, s) for s in loc.sylow))
+    start = (frozenset(delta), start, tuple((s, s) for s in loc.sylow))
     return [
         reference.state_fixpoint(start, pg.elements(), step_of(fails))
         for fails in [

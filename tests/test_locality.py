@@ -16,6 +16,7 @@ import _frozen as frozen
 from chain_reference import chain_is_valid, domain_chain
 from conj_iso_reference import conj_iso
 from test_model import S3
+import list_tables
 
 
 def test_delta_close_sylow_alone(s4f):
@@ -60,8 +61,10 @@ def test_delta_close_s5_order_four_seeds(s5f):
 
 
 def delta_close_by_pairs(S, seeds, ambient_group):
-    """delta_close with one ambient_group.conj call per member of P and
-    element g, as it conjugated before its one gather per member."""
+    """delta_close with one conjugation read per member of P and element g,
+    from list_tables.group_conj, as it conjugated before its one gather per
+    member."""
+    conj = list_tables.group_conj(ambient_group)
     group, elems = S.as_group()
     lattice = [frozenset(elems[i] for i in sub.members) for sub in all_subgroups(group)]
     family, queue = set(), [seed.members for seed in seeds]
@@ -72,7 +75,7 @@ def delta_close_by_pairs(S, seeds, ambient_group):
         family.add(P)
         queue += [Q for Q in lattice if P < Q and Q not in family]
         for g in ambient_group.elements():
-            img = frozenset(ambient_group.conj(x, g) for x in P)
+            img = frozenset(conj[x][g] for x in P)
             if img <= S.members and img not in family:
                 queue.append(img)
     return frozenset(family)
@@ -207,10 +210,10 @@ def test_conjugate_by_identity(s5f):
 
 def test_conjugation_matches_group_everywhere(s4f):
     loc = s4f.loc
-    M = s4f.group
+    conj = list_tables.group_conj(s4f.group)
     for x in loc.elements():
         for g in loc.elements():
-            expect = loc.to_local[M.conj(loc.to_ambient[x], loc.to_ambient[g])]
+            expect = loc.to_local[conj[loc.to_ambient[x]][loc.to_ambient[g]]]
             assert loc.conjugate(x, g) == expect
 
 
@@ -230,11 +233,11 @@ def test_conjugation_absent_on_excluded_pair(s5f):
 def test_ambient_and_abstract_stations_agree(s5f):
     """S_g from the ambient group equals the abstract threading subgroup."""
     loc = s5f.loc
-    M = s5f.group
+    conj = list_tables.group_conj(s5f.group)
     S_m = frozenset(loc.to_ambient[s] for s in loc.sylow)
     for g in loc.elements():
         ambient = frozenset(
-            loc.to_local[s] for s in S_m if M.conj(s, loc.to_ambient[g]) in S_m
+            loc.to_local[s] for s in S_m if conj[s][loc.to_ambient[g]] in S_m
         )
         abstract = frozenset(
             s

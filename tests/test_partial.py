@@ -26,6 +26,7 @@ import _frozen as frozen
 from fault_injection import CorruptedProducts, swap_two_products
 from test_conj_table import KERNELS, RAW_CHANGES, _quotient, _with_raw
 from theorem_checks import dedekind_verify, is_normal_subset
+import list_tables
 
 
 def test_degenerate_amalgam_is_the_group():
@@ -296,9 +297,10 @@ WALKER_CASES = {
 
 @pytest.mark.parametrize("name", list(WALKER_CASES))
 def test_walker_contract(request, name):
-    """walk_step is None exactly off the domain, and equal states agree on
-    the domain status of every one-letter extension."""
+    """The walker_table() code of a word is -1 exactly off the domain, and
+    equal codes agree on the domain status of every one-letter extension."""
     pg, words = WALKER_CASES[name](request)
+    rows = list_tables.walker(pg)
     if words == "all":
         words = itertools.product(pg.elements(), repeat=3)
     else:
@@ -306,16 +308,16 @@ def test_walker_contract(request, name):
         words = [tuple(rng.randrange(pg.size) for _ in range(4)) for _ in range(3000)]
     decided = {}
     for word in words:
-        state = pg.walk_start()
+        code = 0
         for k, x in enumerate(word):
             grown = word[: k + 1]
             in_dom = pg.in_domain(grown)
-            if state is None:
+            if code < 0:
                 assert not in_dom, grown
                 continue
-            assert decided.setdefault((state, x), in_dom) == in_dom, grown
-            state = pg.walk_step(state, x)
-            assert (state is not None) == in_dom, grown
+            assert decided.setdefault((code, x), in_dom) == in_dom, grown
+            code = rows[code][x]
+            assert (code >= 0) == in_dom, grown
 
 
 
@@ -365,7 +367,7 @@ def test_every_built_partial_group_is_its_tables_and_they_are_the_per_pair_ones(
         names.add(name)
         assert isinstance(pg, PartialGroup), name
         reference = CorruptedProducts(pg, {})
-        for table in ("product_table", "padded_products", "conj_table"):
+        for table in ("padded_products", "conj_table"):
             got = _outcome(getattr(pg, table))
             assert got == _outcome(getattr(reference, table)), (name, table)
     assert len(names) == 1 + 18 + 6 + len(RAW_CHANGES)

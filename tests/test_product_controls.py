@@ -134,12 +134,13 @@ def test_a_certificate_whose_witnesses_do_not_revalidate_fails_all_pass(am20, s4
 
 
 def test_the_controls_leave_the_builtins_as_they_were(am20, s4f, c2s4f):
-    """tampered_locality changes copies: the builtins' own product tables,
-    as lists and as the padded array, their conjugation arrays, S and
+    """tampered_locality changes copies: the builtins' own product arrays,
+    as mul2 and the gathers read them, their conjugation arrays, S and
     threading subgroups read as before."""
     def tables(f):
         pg = f.loc.pg
-        return ([row[:] for row in pg.product_table()], pg.padded_products().copy(),
+        n = pg.elements()
+        return ([[pg.mul2(a, b) for b in n] for a in n], pg.padded_products().copy(),
                 pg.conj_table().copy(), f.loc.sylow_set)
 
     fixtures = (s4f, c2s4f)
@@ -147,7 +148,8 @@ def test_the_controls_leave_the_builtins_as_they_were(am20, s4f, c2s4f):
     for make, _ in CONTROLS:
         make(am20, s4f, c2s4f)
     for f, (rows, padded, conj, S) in zip(fixtures, before):
-        assert f.loc.pg.product_table() == rows and f.loc.sylow_set == S
+        n = f.loc.pg.elements()
+        assert [[f.loc.pg.mul2(a, b) for b in n] for a in n] == rows and f.loc.sylow_set == S
         assert np.array_equal(f.loc.pg.padded_products(), padded)
         assert np.array_equal(f.loc.pg.conj_table(), conj)
     assert all("thread_subgroup" not in vars(f.loc) for f in fixtures)

@@ -21,6 +21,7 @@ from localities.partial import subset_product
 from localities.quotient import QuotientPartialGroup, build_quotient, partial_subgroups_containing
 
 from fault_injection import CorruptedProducts, swap_two_products
+import list_tables
 
 
 class WordTable:
@@ -215,12 +216,13 @@ def test_subset_product_work_stays_within_the_frontier_bound(c2s4f):
     loc = c2s4f.loc
     factors = [c2s4f.subsets[n] for n in ("C2", "V4", "A4", "S4")]
     pg = loc.pg
-    keys = [{(pg.walk_start(), None)}]
+    start, walk = list_tables.walk(pg)
+    keys = [{(start, None)}]
     for n in range(1, len(factors)):
         keys.append(set())
         for word in itertools.product(*(sorted(f) for f in factors[:n])):
             if pg.in_domain(word):
-                state = functools.reduce(pg.walk_step, word, pg.walk_start())
+                state = functools.reduce(walk, word, start)
                 keys[-1].add((state, pg.pi(word)))
     bound = sum(len(k) * len(f) for k, f in zip(keys, factors))
     words = sum(

@@ -20,6 +20,7 @@ from localities.quotient import (
 )
 
 import _frozen as frozen
+import list_tables
 
 
 def _pairs(loc):
@@ -309,12 +310,13 @@ def test_kept_results_do_not_keep_a_locality_alive():
 def bfs_domain_is_total(qpg):
     """The walk domain_is_total used to run: every base walker state reached
     over the representatives has every representative extension."""
-    seen = {qpg.base.walk_start()}
+    start, walk = list_tables.walk(qpg.base)
+    seen = {start}
     queue = list(seen)
     while queue:
         state = queue.pop()
         for x in range(qpg.size):
-            nxt = qpg.base.walk_step(state, qpg.reps[x])
+            nxt = walk(state, qpg.reps[x])
             if nxt is None:
                 return False
             if nxt not in seen:

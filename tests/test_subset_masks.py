@@ -23,6 +23,7 @@ from localities.quotient import _cosets
 
 from fault_injection import swap_two_products
 from test_conj_table import KERNELS, _quotient
+import list_tables
 
 
 def _swap(fixture, conjugation, seed):
@@ -80,7 +81,7 @@ def _members(row):
 @pytest.mark.parametrize("name", list(CASES))
 def test_the_masks_match_the_list_loops(request, name):
     pg = CASES[name](request)
-    conj, rows = pg.conj_table(), ref.conj_rows(pg)
+    conj, rows = pg.conj_table(), list_tables.conj(pg)
     rng = random.Random(name)
     subsets = _subsets(pg, rows, rng)
     verdicts = set()

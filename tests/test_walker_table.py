@@ -1,9 +1,10 @@
 """walker_table() against the walker it numbers: a table backend's, whose
 codes are its automaton's states masked by accept, and a test double's,
-built from walk_step by automaton_reference.
+built from walk_step by automaton_reference; both walked one state at a
+time by list_tables.walk.
 
 On words up to length 3, the code a word reaches through the table rows is
--1 exactly where walk_step returns None, and two words get the same code
+-1 exactly where the walk returns None, and two words get the same code
 exactly when they have the same walker state.  Words are taken a level at
 a time as their distinct (walker state, code) pairs: every word of a level
 has its pair in that level's set, so each word is covered without listing
@@ -19,6 +20,7 @@ from localities.quotient import build_quotient
 
 from fault_injection import swap_two_products
 from test_l2_sweep import GappedC2
+import list_tables
 
 WALKERS = {
     "GRP-S4": lambda r: r.getfixturevalue("s4f").loc.pg,
@@ -41,14 +43,15 @@ def test_codes_follow_the_walker_on_words_up_to_length_3(request, name):
     array = pg.walker_table()
     assert array.dtype == np.int64
     assert array[-1].tolist() == [-1] * pg.size
-    rows = array[:-1].tolist()
-    level = {(pg.walk_start(), 0)}
+    rows = list_tables.walker(pg)
+    start, walk = list_tables.walk(pg)
+    level = {(start, 0)}
     pairs = set(level)
     for _ in range(3):
         grown = set()
         for state, code in level:
             for x in pg.elements():
-                nxt = pg.walk_step(state, x)
+                nxt = walk(state, x)
                 assert (nxt is None) == (rows[code][x] == -1), (state, x)
                 if nxt is not None:
                     grown.add((nxt, rows[code][x]))

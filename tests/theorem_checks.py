@@ -11,9 +11,12 @@ from localities.normal import _require_locality, is_partial_normal
 from localities.partial import PartialGroup, _closure_failure, subset_product
 from localities.report import VerificationReport
 
+import list_tables
+
 
 def is_normal_subset(G: FiniteGroup, members: frozenset[int]) -> bool:
-    return all(G.conj(x, g) in members for x in members for g in G.elements())
+    conj = list_tables.group_conj(G)
+    return all(conj[x][g] in members for x in members for g in G.elements())
 
 
 @dataclass
