@@ -215,23 +215,7 @@ def cmd_product(args, catalog: Catalog) -> VerificationReport:
     rep = VerificationReport(f"product {entry.name}: {' * '.join(names)}")
     cert = (product_theorem1(loc, *factors) if len(factors) == 2
             else product_theorem2(loc, factors))
-    flags = cert.flags
-    # recorded first, so its time is that of the certificate
-    rep.record("product-order", True, [],
-               f"product has {len(cert.product)} elements ({cert.word_states} word states)")
-    rep.record("product-commutes", flags.commutes, [],
-               "every order of the factors gives the same set")
-    rep.record("bracketings-agree", flags.bracketings_ok, [],
-               "every split into two bracketed products gives the same set")
-    rep.record("product-partial-normal", flags.is_partial_normal,
-               [cert.normality_witness] if cert.normality_witness else [])
-    rep.record("intersection-with-sylow", flags.intersection_formula, [],
-               "(M1...Ml) cap S = (M1 cap S)...(Ml cap S)")
-    rep.record("witness-complete", flags.witnesses_complete, [],
-               "every product element has a word witness with matching threading subgroup")
-    rep.record("certificate-revalidates", flags.revalidates, [])
-    if flags.trivial_intersection:
-        rep.record("trivial-intersection-path", True, [], "factors intersect trivially")
+    rep.extend(cert.report)
     return rep
 
 
@@ -357,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("counterexample", "reproduce the amalgam where a product fails normality"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--builtin", help="builtin object name (PG-AM20, GRP-S4, GRP-C2xS4, LOC-S5)")
+        p.add_argument("--builtin",
+                       help=f"builtin object name ({', '.join(corpus_mod.builtin_names())})")
         p.add_argument("--model", help="path to a model file")
         p.add_argument("--locality", "--object", help="object name inside the source")
         if name == "pg-check":

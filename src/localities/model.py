@@ -102,6 +102,16 @@ def _group_elem(G: FiniteGroup, perm: tuple[int, ...], line: int) -> int:
         raise ModelError(f"permutation is not an element of the group: {exc}", line)
 
 
+def _generated(G: FiniteGroup, text: str, line: int) -> frozenset[int]:
+    """The members of the subgroup of G generated by the comma-separated
+    permutations in text."""
+    try:
+        perms = perm_list(text)
+    except ValueError as exc:
+        raise ModelError(str(exc), line)
+    return closure_members(G, [_group_elem(G, g, line) for g in perms])
+
+
 def _parse_group(body: str, line: int) -> FiniteGroup:
     from .groups import generate_group
 
@@ -182,8 +192,7 @@ def _parse_locality(model: ModelFile, body: str, line: int) -> Locality:
     if fields["sylow"] == "auto":
         S = sylow_p(M, p)
     else:
-        gens = perm_list(fields["sylow"].strip("{}"))
-        S = SubgroupRef(M, closure_members(M, [_group_elem(M, g, line) for g in gens]))
+        S = SubgroupRef(M, _generated(M, fields["sylow"].strip("{}"), line))
     dspec = fields["delta"]
     if dspec.startswith("min-order:"):
         try:
@@ -197,10 +206,7 @@ def _parse_locality(model: ModelFile, body: str, line: int) -> Locality:
             if not chunk.strip():  # {} is the trivial subgroup; nothing is no seed
                 raise ModelError(f"delta=seeds: seed {k} is empty; write {{}} for the"
                                  " trivial subgroup", line)
-            gens = perm_list(chunk.strip().strip("{}"))
-            seeds.append(
-                SubgroupRef(M, closure_members(M, [_group_elem(M, g, line) for g in gens]))
-            )
+            seeds.append(SubgroupRef(M, _generated(M, chunk.strip().strip("{}"), line)))
         delta = delta_close(S, seeds, M)
     else:
         raise ModelError(f"delta must be min-order:N or seeds:{{...}}, got {dspec!r}", line)
@@ -371,11 +377,7 @@ def parse_model(path: str | Path) -> ModelFile:
             owner = owner.strip()
             if owner not in model.groups:
                 raise ModelError(f"subset references undefined group {owner!r}", lineno)
-            G = model.groups[owner]
-            members = closure_members(
-                G, [_group_elem(G, perm, lineno) for perm in perm_list(perms)]
-            )
-            model.subsets[name] = (owner, members)
+            model.subsets[name] = (owner, _generated(model.groups[owner], perms, lineno))
         elif kind == "amalgam":
             model.amalgams[name] = _parse_amalgam(model, body, lineno)
         elif kind == "locality":

@@ -4,17 +4,18 @@ The theorem says that M1...Ml is partial normal for partial normal M1, ...,
 Ml, whatever the order and the bracketing of the factors.  One certificate
 (_certify, entered by product_theorem1 for two factors and product_theorem2
 for two to MAX_FACTORS) computes the product over every domain word across
-the factors and records as data that every order and every bracketing
-gives the same set, that the product is partial normal, that its
-intersection with S is the product of the factors' intersections, and a
-witness word for each element, instead of assuming any theorem.
+the factors and records in a VerificationReport that every order and
+every bracketing gives the same set, that the product is partial normal,
+that its intersection with S is the product of the factors'
+intersections, and a witness word for each element, instead of assuming
+any theorem.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .partial import (
     product_scan,
     subset_product,
 )
+from .report import VerificationReport
 
 ENUMERATION_CAP = 200
 MAX_FACTORS = 4
@@ -156,35 +158,14 @@ def partial_normals(loc: Locality) -> tuple[SubsetHandle, ...]:
 
 
 @dataclass
-class CertFlags:
-    commutes: bool
-    bracketings_ok: bool
-    is_partial_normal: bool
-    intersection_formula: bool
-    witnesses_complete: bool
-    revalidates: bool
-    trivial_intersection: bool
-
-    def all_pass(self) -> bool:
-        """Every verified identity holds; trivial_intersection is metadata."""
-        return all((
-            self.commutes,
-            self.bracketings_ok,
-            self.is_partial_normal,
-            self.intersection_formula,
-            self.witnesses_complete,
-            self.revalidates,
-        ))
-
-
-@dataclass
 class ProductCertificate:
     factors: list[frozenset[int]]
     product: frozenset[int]
     witnesses: dict[int, Word]
     word_states: int  # (walker code, automaton state, value) keys the product scan visited
-    flags: CertFlags
-    normality_witness: tuple | None = None
+    # each check as _certify made it, in its order and with its time; cert.report.ok
+    # is the verdict.  Two certificates compare equal by their data alone.
+    report: VerificationReport = field(compare=False)
 
     def validate(self, loc: Locality) -> bool:
         """Re-check every stored witness against the locality from scratch."""
@@ -230,46 +211,55 @@ def _scan_product(
 
 def _certify(loc: Locality, factors: Sequence[Iterable[int]]) -> ProductCertificate:
     """Certify the product M1...Ml of partial normal subgroups, l >= 2: the
-    set and witnesses of _scan_product, and the flags
-    - commutes: every order of the factors gives that set;
-    - bracketings_ok: for every split 1 <= k < l, (M1...Mk)(Mk+1...Ml) does;
-    - is_partial_normal: the set is partial normal;
-    - intersection_formula: (M1...Ml) cap S = (M1 cap S)...(Ml cap S).  The
-      theorem states it for l = 2.  For l > 2, P = M1...Ml-1 is partial
+    set and witnesses of _scan_product, and a report that records each
+    check right after computing it, so that each carries its own time:
+    - product-order: the set's size (data, timed with the factor checks and the scan);
+    - product-commutes: every order of the factors gives that set;
+    - bracketings-agree: for every split 1 <= k < l, (M1...Mk)(Mk+1...Ml) does;
+    - product-partial-normal: the set is partial normal;
+    - intersection-with-sylow: (M1...Ml) cap S = (M1 cap S)...(Ml cap S).
+      The theorem states it for l = 2.  For l > 2, P = M1...Ml-1 is partial
       normal and M1...Ml = P Ml, so by induction on l
       (P Ml) cap S = (P cap S)(Ml cap S) = (M1 cap S)...(Ml cap S);
-    - witnesses_complete: every element has a witness word;
-    - revalidates: every witness passes ProductCertificate.validate;
-    - trivial_intersection: the factors meet in the identity alone
-      (metadata, not a verified identity).
+    - witness-complete: every element has a witness word;
+    - certificate-revalidates: every witness passes ProductCertificate.validate;
+    - trivial-intersection-path: recorded only when the factors meet in the
+      identity alone (data, not a verified identity).
     Every other product is a subset_product; a factor order met twice is
     computed once, and the scan's own order not again.
     """
+    report = VerificationReport("product certificate")
     facs = [frozenset(f) for f in factors]
     for i, X in enumerate(facs):
         ok, wit = is_partial_normal(loc, X)
         if not ok:
             raise ValueError(f"factor {i} is not partial normal (witness {wit})")
     product, witnesses, states = _scan_product(loc, facs)
-    pn, pn_wit = is_partial_normal(loc, product)
+    cert = ProductCertificate(facs, product, witnesses, states, report)
+    report.record("product-order", True, [],
+                  f"product has {len(product)} elements ({states} word states)")
 
     def times(fs: Sequence[frozenset[int]]) -> frozenset[int]:
         return subset_product(loc.pg, fs)
 
+    report.record("product-commutes",
+                  all(times(order) == product
+                      for order in set(itertools.permutations(facs)) - {tuple(facs)}),
+                  [], "every order of the factors gives the same set")
+    report.record("bracketings-agree",
+                  all(times([times(facs[:k]), times(facs[k:])]) == product
+                      for k in range(1, len(facs))),
+                  [], "every split into two bracketed products gives the same set")
+    pn, pn_wit = is_partial_normal(loc, product)
+    report.record("product-partial-normal", pn, [pn_wit] if pn_wit else [])
     S = loc.sylow_set
-    cert = ProductCertificate(factors=facs, product=product, witnesses=witnesses,
-                              word_states=states, flags=None, normality_witness=pn_wit)
-    cert.flags = CertFlags(
-        commutes=all(times(order) == product
-                     for order in set(itertools.permutations(facs)) - {tuple(facs)}),
-        bracketings_ok=all(times([times(facs[:k]), times(facs[k:])]) == product
-                           for k in range(1, len(facs))),
-        is_partial_normal=pn,
-        intersection_formula=product & S == times([f & S for f in facs]),
-        witnesses_complete=set(witnesses) == set(product),
-        revalidates=cert.validate(loc),
-        trivial_intersection=frozenset.intersection(*facs) == {loc.identity},
-    )
+    report.record("intersection-with-sylow", product & S == times([f & S for f in facs]), [],
+                  "(M1...Ml) cap S = (M1 cap S)...(Ml cap S)")
+    report.record("witness-complete", set(witnesses) == set(product), [],
+                  "every product element has a word witness with matching threading subgroup")
+    report.record("certificate-revalidates", cert.validate(loc), [])
+    if frozenset.intersection(*facs) == {loc.identity}:
+        report.record("trivial-intersection-path", True, [], "factors intersect trivially")
     return cert
 
 

@@ -424,6 +424,24 @@ def test_an_empty_seed_exits_2_naming_it(tmp_path, capsys, seeds, k):
                     f"line 2: delta=seeds: seed {k} is empty; write {{}} for the trivial subgroup")
 
 
+BAD_PERMUTATIONS = [
+    ("subset", "subset v = s3 : (1 2", "malformed cycle notation: '(1 2'"),
+    ("sylow", "locality L = s3 p=2 sylow={(1 2} delta=min-order:1",
+     "malformed cycle notation: '(1 2'"),
+    ("seed", "locality L = s3 p=2 sylow={(1 2)} delta=seeds:{(1 0)}",
+     "cycle points are 1-based positive integers"),
+    ("repeated-point", "subset v = s3 : (1 1)", "point 1 repeated in '(1 1)'"),
+]
+
+
+@pytest.mark.parametrize("line, message", [c[1:] for c in BAD_PERMUTATIONS],
+                         ids=[c[0] for c in BAD_PERMUTATIONS])
+def test_a_malformed_permutation_exits_2_naming_its_line(tmp_path, capsys, line, message):
+    path = tmp_path / "s3.model"
+    path.write_text(f"group s3 = (1 2 3), (1 2)\n{line}\n")
+    _one_error_line(capsys, ["loc-check", "--model", str(path)], f"line 2: {message}")
+
+
 @pytest.mark.parametrize("seeds, states", [("{(1 2)}", 1), ("{}", 2), ("{(1 2)};{}", 2)],
                          ids=["S", "trivial", "both"])
 def test_an_explicit_empty_seed_is_the_trivial_subgroup(tmp_path, capsys, seeds, states):
@@ -507,6 +525,15 @@ def test_a_bad_command_line_prints_one_error_line(argv, message, capsys):
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_the_builtin_help_lists_every_builtin(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # one help line per flag
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "--builtin BUILTIN " in ln]
+    assert line.split("builtin object name ")[1] == f"({', '.join(corpus.builtin_names())})"
 
 
 def test_loc_check_ignores_the_word_length_flag(capsys):

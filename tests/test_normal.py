@@ -103,22 +103,22 @@ def test_theorem1_identity_factor(s4f):
     N = s4f.subsets["A4"]
     cert = product_theorem1(loc, {loc.identity}, N)
     assert cert.product == N
-    assert cert.flags.all_pass()
+    assert cert.report.ok
     assert all(w[0] == loc.identity for w in cert.witnesses.values())
 
 
 def test_theorem1_v4_a4(s4f):
     cert = product_theorem1(s4f.loc, s4f.subsets["V4"], s4f.subsets["A4"])
     assert cert.product == s4f.subsets["A4"]
-    assert cert.flags.all_pass()
+    assert cert.report.ok
     assert cert.validate(s4f.loc)
 
 
 def test_theorem1_trivial_intersection_path(c2s4f):
     cert = product_theorem1(c2s4f.loc, c2s4f.subsets["C2"], c2s4f.subsets["V4"])
     assert len(cert.product) == 8
-    assert cert.flags.trivial_intersection
-    assert cert.flags.all_pass()
+    assert cert.report.checks[-1].name == "trivial-intersection-path"
+    assert cert.report.ok
 
 
 def test_theorem1_rejects_non_normal(s4f):
@@ -136,7 +136,7 @@ def test_theorem1_idempotence(s4f, c2s4f):
         for handle in enumerate_partial_normals(fix.loc):
             cert = product_theorem1(fix.loc, handle.members, handle.members)
             assert cert.product == handle.members
-            assert cert.flags.all_pass()
+            assert cert.report.ok
 
 
 def test_enumeration_closed_under_products(c2s4f):
@@ -151,15 +151,19 @@ def test_enumeration_closed_under_products(c2s4f):
 @pytest.mark.parametrize("name", ["s4f", "c2s4f", "s5f"])
 def test_both_entries_give_one_certificate(request, name):
     """product_theorem1(M, N) and product_theorem2([M, N]) run one
-    certificate: equal products, witnesses, counts, word states and flags,
-    every flag passing, on every ordered pair of partial normals."""
+    certificate: equal products, witnesses, word states and records,
+    every record passing, on every ordered pair of partial normals."""
     loc = request.getfixturevalue(name).loc
     handles = partial_normals(loc)
     for a in handles:
         for b in handles:
             cert = product_theorem1(loc, a.members, b.members)
-            assert cert == product_theorem2(loc, [a.members, b.members])
-            assert cert.flags.all_pass()
+            other = product_theorem2(loc, [a.members, b.members])
+            assert cert == other
+            assert [c.to_dict() for c in cert.report.checks] == [
+                c.to_dict() for c in other.report.checks
+            ]
+            assert cert.report.ok
 
 
 def test_contrast_amalgam_product_not_normal(am20):
@@ -174,7 +178,7 @@ def test_theorem2_padded_identity(c2s4f):
     N = c2s4f.subsets["A4"]
     cert = product_theorem2(loc, [N, {loc.identity}, {loc.identity}])
     assert cert.product == N
-    assert cert.flags.all_pass()
+    assert cert.report.ok
 
 
 def test_theorem2_three_factors(c2s4f):
@@ -184,7 +188,7 @@ def test_theorem2_three_factors(c2s4f):
     )
     assert cert.product == c2s4f.subsets["C2xA4"]
     assert len(cert.product) == 24
-    assert cert.flags.all_pass()
+    assert cert.report.ok
     assert cert.validate(c2s4f.loc)
 
 
@@ -193,7 +197,7 @@ def test_theorem2_repeated_factors(s4f):
         s4f.loc, [s4f.subsets["V4"], s4f.subsets["V4"], s4f.subsets["A4"]]
     )
     assert cert.product == s4f.subsets["A4"]
-    assert cert.flags.all_pass()
+    assert cert.report.ok
 
 
 def test_theorem2_factor_count_cap(s4f):
@@ -209,5 +213,5 @@ def test_witness_invariant_recheck(s5f):
     n5 = next(h for h in handles if len(h.members) == 5)
     n20 = next(h for h in handles if len(h.members) == 20)
     cert = product_theorem1(s5f.loc, n5.members, n20.members)
-    assert cert.flags.all_pass()
+    assert cert.report.ok
     assert cert.validate(s5f.loc)

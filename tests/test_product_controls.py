@@ -12,12 +12,13 @@ trivial-intersection-path is metadata, recorded only when it holds.
 """
 
 import argparse
+import time
 
 import numpy as np
 import pytest
 
-from localities import cli
-from localities.normal import product_theorem1
+from localities import cli, normal
+from localities.normal import product_theorem1, product_theorem2
 from localities.partial import subset_product
 
 from fault_injection import tampered_locality
@@ -123,14 +124,35 @@ def test_every_check_that_can_fail_has_a_control(c2s4f):
     assert names == {name for _, failing in CONTROLS for name in failing}
 
 
-def test_a_certificate_whose_witnesses_do_not_revalidate_fails_all_pass(am20, s4f, c2s4f):
-    """A library caller reads the certificate's verdict from all_pass():
-    the witness whose product is another fails it there too, not only in
-    the report of the product command."""
-    loc, subsets, names = a_witness_whose_product_is_another(am20, s4f, c2s4f)
-    cert = product_theorem1(loc, *(subsets[name] for name in names))
-    assert cert.flags.all_pass() is False
-    assert not cert.validate(loc)
+@pytest.mark.parametrize("make,failing", CONTROLS, ids=[c[0].__name__ for c in CONTROLS])
+def test_library_report_fails_alike(am20, s4f, c2s4f, make, failing):
+    """A library caller reads the verdict from the certificate's own report:
+    it fails exactly the checks that the product command's report fails."""
+    loc, subsets, names = make(am20, s4f, c2s4f)
+    factors = [subsets[name] for name in names]
+    cert = (product_theorem1(loc, *factors) if len(factors) == 2
+            else product_theorem2(loc, factors))
+    assert [c.name for c in cert.report.failures()] == failing
+    assert not cert.report.ok
+
+
+def test_each_product_check_carries_its_own_time(c2s4f, monkeypatch):
+    """C2 * V4 * A4 * S4 checks 23 other factor orders, each one
+    subset_product; with every subset_product made 2 ms slower,
+    product-commutes takes at least 46 ms, and product-order, which is the
+    scan and calls no subset_product, less."""
+    real = normal.subset_product
+
+    def slow(*args):
+        time.sleep(0.002)
+        return real(*args)
+
+    monkeypatch.setattr(normal, "subset_product", slow)
+    rep = _report(c2s4f.loc, c2s4f.subsets, ["C2", "V4", "A4", "S4"])
+    times = {c.name: c.timing_ms for c in rep.checks}
+    assert rep.ok
+    assert times["product-commutes"] >= 23 * 2.0
+    assert times["product-order"] < 23 * 2.0
 
 
 def test_the_controls_leave_the_builtins_as_they_were(am20, s4f, c2s4f):
