@@ -251,7 +251,7 @@ def cmd_lemmas(args, catalog: Catalog) -> VerificationReport:
         raise InputError("--kernel NAME is required")
     K = catalog.subset(entry, args.kernel)
     try:
-        rep = verify_quotient_lemmas(loc, K, seed=args.seed)
+        rep = verify_quotient_lemmas(loc, K)
     except QuotientConstructionError as exc:
         rep = exc.report
     rep.title = f"lemmas {entry.name} / {args.kernel}"
@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ignored: loc-check covers words of every length;"
                                 " a later benchmark change drops the flag")
         if name == "lemmas":
-            p.add_argument("--seed", type=int, default=0, help="sampling seed")
+            p.add_argument("--seed", type=int, default=0,
+                           help="ignored: the suite samples nothing;"
+                                " a later benchmark change drops the flag")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--timings", action="store_true", help="include timings in output")
         if name == "product":

@@ -147,7 +147,10 @@ class ThreadAutomaton:
     which walk reads through a memoryview, and start_sets[sid], the
     threading subgroup S_w of the words reaching sid.  The automaton knows
     no Delta: whoever decides a domain from it builds the mask
-    start_sets[sid] in Delta against its own Delta.
+    start_sets[sid] in Delta against its own Delta.  Threading subgroups
+    are compared as numbers: set_number numbers start_sets once, set_ids
+    gives each state its number, and thread_ids reads S_w for whole arrays
+    of words.
     """
 
     def __init__(self, s_elems: tuple[int, ...], maps: np.ndarray):
@@ -171,6 +174,30 @@ class ThreadAutomaton:
         for g in word:
             sid = array[sid, g]
         return sid
+
+    @functools.cached_property
+    def set_number(self) -> dict[frozenset[int], int]:
+        """The threading subgroups of start_sets, numbered in order of first
+        state."""
+        number: dict[frozenset[int], int] = {}
+        for P in self.start_sets:
+            number.setdefault(P, len(number))
+        return number
+
+    @functools.cached_property
+    def set_ids(self) -> np.ndarray:
+        """set_ids[sid] = set_number[start_sets[sid]]: two states share a
+        number exactly when their threading subgroups are equal."""
+        return np.array([self.set_number[P] for P in self.start_sets])
+
+    def thread_ids(self, *letters) -> np.ndarray:
+        """The number of S_w for the words w whose letters come position by
+        position as arrays that broadcast together, one gather per letter.
+        A letter -1 reads the last column: the caller masks those words."""
+        sid = 0
+        for x in letters:
+            sid = self.array[sid, x]
+        return self.set_ids[sid]
 
 
 def _positions(ids, n: int) -> np.ndarray:

@@ -193,17 +193,17 @@ def _scan_product(
     subgroup is loc.thread_subgroup((v,)), and the number of keys visited.
     The witness of v is the first word of the first final key, in the
     order keys are first reached, with value v and that threading
-    subgroup; first words are least in lexicographic order.
+    subgroup; first words are least in lexicographic order.  The two
+    threading subgroups are compared as numbers: auto.set_ids of a key's
+    state against the auto.set_number of loc.thread_subgroup((v,)), -1
+    for a subgroup outside start_sets, which matches no state.
     """
     auto = loc.automaton
     state, value, steps, visited = product_scan(loc.pg, factors, auto.array)
     product = sorted(set(value.tolist()))
-    # each threading subgroup numbered once; a target outside them matches no state
-    number: dict[frozenset[int], int] = {}
-    of_state = np.array([number.setdefault(P, len(number)) for P in auto.start_sets])
     target = np.full(loc.size, -1)
-    target[product] = [number.get(loc.thread_subgroup((v,)), -1) for v in product]
-    match = np.flatnonzero(of_state[state] == target[value])
+    target[product] = [auto.set_number.get(loc.thread_subgroup((v,)), -1) for v in product]
+    match = np.flatnonzero(auto.set_ids[state] == target[value])
     firsts = match[_first_of_each(value[match], loc.size)]
     witnesses = dict(zip(value[firsts].tolist(), _least_words(steps, firsts)))
     return frozenset(product), witnesses, visited

@@ -10,9 +10,7 @@ re-verified on the instance at hand.
 
 from __future__ import annotations
 
-import random
 import weakref
-from itertools import compress
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -34,8 +32,6 @@ from .partial import (
 from .report import VerificationReport
 
 LEMMA_CAP = 200
-# verify_quotient_lemmas checks images of intersections on this many sampled subsets.
-LEMMA_SAMPLES = 100
 
 
 class QuotientConstructionError(RuntimeError):
@@ -133,22 +129,25 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
     """is_up_maximal(loc, K, f) for every f, in one pass.
 
     up_relates runs on the top pairs (f, S_f), (g, S_g) for every f and g
-    at once.  The stations S_f, their images S_f^f and the images of those
-    by each x in K are boolean rows over S positions, interned as ids by
-    intern_rows; each kind of image is one _scatter through
-    loc.s_positions(), and one that is undefined or leaves S is -1, inside
-    no set (a station S_g and its image S_g^g lie in S).  Containment
-    between the interned sets is read from one matrix.  For each f, an
-    array over (x in K, g) says whether x and y = f^-1 (x g) are the
-    witness up_relates looks for, with every product read from
-    pg.padded_products().  f is maximal unless it
-    relates upward to some g that does not relate back.
+    at once.  The stations S_f are read from loc.automaton, the start set
+    of the state each one-letter word reaches.  The stations, their images
+    S_f^f and the images of those by each x in K are boolean rows over S
+    positions, interned as ids by intern_rows; each kind of image is one
+    _scatter through loc.s_positions(), and one that is undefined or
+    leaves S is -1, inside no set (a station S_g and its image S_g^g lie
+    in S).  Containment between the interned sets is read from one matrix.
+    For each x in K, an array over (f, g) says whether x and
+    y = f^-1 (x g) are the witness up_relates looks for, with every
+    product read from pg.padded_products(); relates is the union of those
+    |K| arrays, so no step holds more than n^2 entries.  f is maximal
+    unless it relates upward to some g that does not relate back.
     """
     K = frozenset(K)
     pg = loc.pg
     n = pg.size
-    tops = [_top_pair(loc, f) for f in loc.elements()]
-    if not all(pair_is_valid(loc, pair) for pair in tops):
+    auto = loc.automaton
+    tops = auto.array[0]  # S_f = auto.start_sets[tops[f]]
+    if not all(auto.start_sets[s] in loc.delta.members for s in set(tops.tolist())):
         raise ValueError("both pairs must satisfy station <= S_f with station in Delta")
     pos, k = loc.s_positions(), len(loc.sylow)
     codes, found = {}, []  # found: the sets, as rows over S positions, in id order
@@ -160,7 +159,7 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
         found.append(rows[new])
         return ids
 
-    station = intern(_set_rows([p.station for p in tops], n + 1)[:, [*loc.sylow, n]])  # n: no station
+    station = intern(_set_rows(auto.start_sets, n + 1)[tops][:, [*loc.sylow, n]])  # n: no station
     image = intern(_scatter(np.concatenate(found), pos)[station, np.arange(n)])
     ks = np.array(sorted(K))
     # conj[s, x] is the id of set s^x for x in K, -1 elsewhere; the last
@@ -172,18 +171,21 @@ def up_maximal_flags(loc: Locality, K: Iterable[int]) -> tuple[bool, ...]:
     sub = np.zeros((len(has) + 1, len(has) + 1), dtype=bool)
     sub[:-1, :-1] = ~(has[:, None, :] & ~has[None, :, :]).any(axis=2)
 
+    # y depends on f and h = x g alone, so every test on it is an array
+    # over (f, h) made once; h = -1 (x g undefined) reads the pad column n,
+    # where y = -1, outside K.  An undefined S_f^f (image -1) or a missing
+    # y reads the last row or column of conj and of sub, so neither relates.
     table = pg.padded_products()
     in_k = _set_rows([K], n + 1)[0]
-    h = table[ks, :n]  # x g, one row per x in K
+    y = table[pg._inv]  # y[f, h] = f^-1 h
+    back = in_k[y] & (table[np.arange(n)[:, None], y] == np.arange(n + 1))  # f y = h
+    over = conj[image[:, None], y]  # the id of (S_f^f)^y
+    station_of = sub[:, station]
     relates = np.zeros((n, n), dtype=bool)
-    for f in range(n):
-        if image[f] < 0:
-            continue
-        y = table[pg.inverse(f)][h]
-        ok = (h >= 0) & in_k[y] & (table[f][y] == h)
-        ok &= sub[conj[station[f], ks]][:, station]  # S_f^x <= S_g
-        ok &= sub[conj[image[f]][y], image]  # (S_f^f)^y <= S_g^g
-        relates[f] = ok.any(axis=0)
+    for x in ks.tolist():  # relates[f, g] |= whether x and y witness it
+        h = table[x, :n]
+        ok = back[:, h] & station_of[conj[station, x]]  # S_f^x <= S_g
+        relates |= ok & sub[over[:, h], image]  # (S_f^f)^y <= S_g^g
     return tuple((~(relates & ~relates.T).any(axis=1)).tolist())
 
 
@@ -551,7 +553,6 @@ def _descent_failures(
 def verify_quotient_lemmas(
     loc: Locality,
     K: Iterable[int],
-    seed: int = 0,
     bundle: QuotientBundle | None = None,
 ) -> VerificationReport:
     """Instance-check the quotient toolbox on every admissible tuple.
@@ -563,12 +564,26 @@ def verify_quotient_lemmas(
     and K, and calls build_quotient when none is kept.
 
     The set checks read arrays: images of sets as rows over the cosets,
-    one _scatter through rho (checks 8 and 9); the right cosets Kf, the
-    rows coset_partition keeps (checks 4, 9 and 13); and the products of
-    L and of the quotient from their padded_products() (the products x f
-    of check 3, and m n, bar m bar n and the witness search m^-1 f of
-    check 15).  Each check is computed right before it is recorded, so the
-    report's per-check times are its own.
+    one _scatter through rho, gathered back through rho as preimages
+    (checks 8 and 9); the right cosets Kf, the rows coset_partition keeps
+    (checks 4, 9 and 13); and the products of L and of the quotient from
+    their padded_products() (the products x f of check 3, and m n,
+    bar m bar n and the witness search m^-1 f of check 15).  Threading
+    subgroups are compared as the numbers loc.automaton.thread_ids reads
+    for whole arrays of words (S_(x,f) and S_xf in check 3, S_f and S_g in
+    check 13, S_(m,y) and S_f in check 15).  Each check is computed right
+    before it is recorded, so the report's per-check times are its own.
+
+    Check 8 (image-intersection) decides bar(X cap H) = bar(X) cap bar(H)
+    for every X <= L and every partial subgroup H above K, for any map
+    rho.  The left side always lies in the right one.  Both sides are
+    unions over x in X of their values at {x}: bar(X cap H) is the union
+    of the bar({x} cap H), and bar(X) cap bar(H) the union of the
+    {bar x} cap bar(H).  So the identity holds for every X exactly when it
+    holds for every singleton, and at {x} it says that bar x in bar(H)
+    forces x in H.  The check is therefore rho^-1(bar H) = H for every H;
+    its witnesses are ([x], H) for each x that fails, x ascending, with
+    the first H it fails.
     """
     K = frozenset(K)
     if loc.size > LEMMA_CAP:
@@ -603,13 +618,16 @@ def verify_quotient_lemmas(
     bad = [f for f in max_elements if not T <= loc.thread_subgroup((f,))]
     report.record("maximal-station-contains-T", not bad, bad[:5])
 
-    # 3: splitting off a kernel factor keeps the threading subgroup
+    # 3: splitting off a kernel factor keeps the threading subgroup; a
+    # missing product x f (-1) is masked before its number is compared
+    auto = loc.automaton
     table = pg.padded_products()
     rho_of = np.array(rho)
     maxes = np.array(max_elements, dtype=np.int64)
-    bad = [(x, f) for x, row in zip(ks, table[np.array(ks)[:, None], maxes].tolist())
-           for f, v in zip(max_elements, row)
-           if v >= 0 and loc.thread_subgroup((x, f)) != loc.thread_subgroup((v,))]
+    xs = np.array(ks)[:, None]
+    xf = table[xs, maxes]
+    x, f = np.nonzero((xf >= 0) & (auto.thread_ids(xs, maxes) != auto.thread_ids(xf)))
+    bad = list(zip(xs[x, 0].tolist(), maxes[f].tolist()))
     report.record("kernel-splitting", not bad, bad[:5],
                   "S_(x,f) = S_xf for x in K and f relatively maximal")
 
@@ -673,37 +691,25 @@ def verify_quotient_lemmas(
                       "H -> image is a bijection onto quotient partial subgroups, "
                       "preserving normality")
 
-    # 8: images of intersections with oversubgroups (sampled subsets).  All
-    # samples are drawn first, by the same rng calls in the same order as
-    # one sample at a time; then each H, from the last to the first, marks
-    # the samples it fails, so each failing sample keeps its first failing H.
-    rho_of = np.array(rho)
+    # 8: images of intersections with oversubgroups, for every X: row H of
+    # stray holds the x outside H with bar x in bar(H) (see the docstring)
+    def preimage(masks: np.ndarray) -> np.ndarray:  # rho^-1(bar X) for each row X over L
+        return _scatter(masks, rho_of[None])[:, 0][:, rho_of]
 
-    def image(masks: np.ndarray) -> np.ndarray:  # the cosets each row over L meets
-        return _scatter(masks, rho_of[None])[:, 0]
-
-    rng = random.Random(seed)
-    universe = list(loc.elements())
-    samples = []
-    for _ in range(LEMMA_SAMPLES):
-        size = rng.randint(1, loc.size)
-        samples.append(rng.sample(universe, size))
-    xs = _set_rows(samples, n)
     h_rows = _set_rows(overs, n)
-    both = image(h_rows)[:, None, :] & image(xs)  # bar(H) cap bar(X), per H and X
-    first = np.full(LEMMA_SAMPLES, -1)
-    for i in reversed(range(len(overs))):
-        first[(both[i] != image(xs & h_rows[i])).any(axis=1)] = i
-    bad = [(sorted(X), sorted(overs[i])) for X, i in zip(samples, first.tolist()) if i >= 0]
-    report.record("image-intersection", not bad, bad[:2],
-                  f"bar(X) cap bar(H) = bar(X cap H) on {LEMMA_SAMPLES} sampled X")
+    stray = preimage(h_rows) & ~h_rows
+    fails = np.flatnonzero(stray.any(axis=0))[:2]
+    bad = [([x], sorted(overs[i]))
+           for x, i in zip(fails.tolist(), stray[:, fails].argmax(axis=0).tolist())]
+    report.record("image-intersection", not bad, bad,
+                  "bar(X) cap bar(H) = bar(X cap H) for every X: rho^-1(bar H) = H")
 
     # 9: preimages of subgroups of S, every R at once: row R of pre holds
     # the elements whose coset meets R, and row R of kr the union of the
     # right cosets Kr over r in R, which is KR
     s_sets = loc.s_subgroup_sets()
     s_rows = _set_rows(s_sets, n)
-    pre = image(s_rows)[:, rho_of]
+    pre = preimage(s_rows)
     kr = s_rows @ part.right
     bad = [sorted(R) for R, wrong in zip(s_sets, (pre != kr).any(axis=1).tolist()) if wrong]
     report.record("preimage-is-KR", not bad, bad[:3],
@@ -740,18 +746,18 @@ def verify_quotient_lemmas(
                   "bar(S_f) equals the quotient threading subgroup of bar f")
 
     # 13: equal image and equal station promote maximality; equal right
-    # coset rows are equal cosets Kf
-    coset_key = [row.tobytes() for row in part.right]
+    # coset rows are equal cosets Kf.  Row i of fail marks the g in the
+    # maximal coset of bar f_i (own) with S_g = S_f_i that break it; a
+    # failing row is listed in the order its coset's members iterate
+    station = auto.thread_ids(np.arange(n))
+    coset = np.array(intern_rows(part.right, {})[0])
+    up = np.array(flags, dtype=bool)
+    fail = own & (station == station[maxes][:, None]) & (~up | (coset != coset[maxes][:, None]))
     bad = []
-    for f in max_elements:
-        Sf = loc.thread_subgroup((f,))
-        for g in part.maximal[rho[f]].members:
-            if loc.thread_subgroup((g,)) != Sf:
-                continue
-            if not flags[g]:
-                bad.append((f, g))
-            elif coset_key[g] != coset_key[f]:
-                bad.append((f, g, "coset"))
+    for i in np.flatnonzero(fail.any(axis=1)).tolist():
+        f = max_elements[i]
+        bad += [(f, g) if not flags[g] else (f, g, "coset")
+                for g in part.maximal[rho[f]].members if fail[i, g]]
     report.record("same-image-same-station-maximal", not bad, bad[:5])
 
     # 14/15: bridge checks for kernels arising as intersections
@@ -775,10 +781,10 @@ def verify_quotient_lemmas(
 
     # 15: f with bar f in bar M bar N is some m n with S_(m,n) = S_f; the
     # candidates n = m^-1 f come from table rows, for every m in M and f.
-    # A missing product (-1) reads the pad of table, where it stays -1
+    # A missing product (-1) reads the pad of table, where it stays -1, and
+    # is masked before its number is compared
     qtable = qpg.padded_products()
     targets = np.arange(n)
-    stations = [loc.thread_subgroup((f,)) for f in loc.elements()]
     bad = []
     for M, N in pairs:
         ms, ns = sorted(M), sorted(N)
@@ -787,20 +793,13 @@ def verify_quotient_lemmas(
         mn = np.zeros(n + 1, dtype=bool)
         mn[table[np.ix_(ms, ns)]] = True
         in_n = _set_rows([N], n + 1)[0]
+        m_col = np.array(ms)[:, None]
         cand = table[pg._inv[ms], :n]  # cand[i, f] = m_i^-1 f, -1 where undefined
-        hits = in_n[cand] & (table[np.array(ms)[:, None], cand] == targets)
-        # per f, the (m, m^-1 f) with m^-1 f in N and m (m^-1 f) = f, m ascending
-        cand_of, hits_of = cand.T.tolist(), hits.T.tolist()
-        in_mn = mn.tolist()
-        for fx in np.flatnonzero(mnbar[rho_of]).tolist():
-            if not in_mn[fx]:
-                bad.append((len(M), len(N), fx, "not-in-MN"))
-                continue
-            if not any(
-                loc.thread_subgroup((m, y)) == stations[fx]
-                for m, y in compress(zip(ms, cand_of[fx]), hits_of[fx])
-            ):
-                bad.append((len(M), len(N), fx, "no-witness"))
+        hits = in_n[cand] & (table[m_col, cand] == targets)
+        # per f, some (m, m^-1 f) with m^-1 f in N, m (m^-1 f) = f and S_(m,m^-1 f) = S_f
+        witnessed = (hits & (auto.thread_ids(m_col, cand) == station)).any(axis=0)
+        bad += [(len(M), len(N), fx, "no-witness" if mn[fx] else "not-in-MN")
+                for fx in np.flatnonzero(mnbar[rho_of] & ~(mn[:n] & witnessed)).tolist()]
     report.record("product-preimage-splitting", not bad, bad[:3],
                   "f with bar f in bar M bar N lies in MN with a matching witness")
     return report

@@ -3,21 +3,22 @@ element by element as the suite once computed them: each set built one pi,
 mul2 or thread_subgroup call at a time, and each product folded with one
 mul2 call per (walker state, value) pair and letter.
 
-reference_checks(loc, K, seed, bundle) gives {check name: (status,
-witnesses)} for those checks: kernel-splitting (3),
-equal-image-lands-in-coset (4), image-intersection (8), preimage-is-KR (9),
+reference_checks(loc, K, bundle) gives {check name: (status, witnesses)}
+for those checks: kernel-splitting (3), equal-image-lands-in-coset (4),
+image-intersection (8), preimage-is-KR (9),
 same-image-same-station-maximal (13), images-intersect-trivially (14) and
-product-preimage-splitting (15).
+product-preimage-splitting (15).  Check 8 is the identity
+bar(X) cap bar(H) = bar(X cap H) at every singleton X = {x}, one set at a
+time.
+
+sampled_image_intersection(loc, K, seed, bundle) is check 8 as the suite
+once ran it, on SAMPLES subsets X drawn by a seeded rng.
 """
 
 import random
 
 from localities.normal import partial_normals
-from localities.quotient import (
-    LEMMA_SAMPLES,
-    coset_partition,
-    partial_subgroups_containing,
-)
+from localities.quotient import coset_partition, partial_subgroups_containing
 
 from subset_reference import EMPTY_WORD
 import list_tables
@@ -49,7 +50,33 @@ def _result(bad, keep):
     return ("pass" if not bad else "fail", bad[:keep])
 
 
-def reference_checks(loc, K, seed, bundle):
+SAMPLES = 100
+
+
+def _oversubgroups(loc, K):
+    return [frozenset(loc.elements())] if len(K) == 1 else partial_subgroups_containing(loc.pg, K)
+
+
+def sampled_image_intersection(loc, K, seed, bundle):
+    """Every sampled X with bar(X) cap bar(H) != bar(X cap H) for some H, as
+    (sorted X, sorted first such H)."""
+    rho = bundle.rho
+    rng = random.Random(seed)
+    bad = []
+    universe = list(loc.elements())
+    bars = [(H, frozenset(rho[x] for x in H)) for H in _oversubgroups(loc, frozenset(K))]
+    for _ in range(SAMPLES):
+        size = rng.randint(1, loc.size)
+        X = frozenset(rng.sample(universe, size))
+        xbar = frozenset(rho[x] for x in X)
+        for H, hbar in bars:
+            if xbar & hbar != frozenset(rho[x] for x in X & H):
+                bad.append((sorted(X), sorted(H)))
+                break
+    return bad
+
+
+def reference_checks(loc, K, bundle):
     K = frozenset(K)
     part = coset_partition(loc, K)
     flags = part.up_max
@@ -77,18 +104,13 @@ def reference_checks(loc, K, seed, bundle):
                 bad.append((f, g))
     out["equal-image-lands-in-coset"] = _result(bad, 5)
 
-    overs = [frozenset(loc.elements())] if len(K) == 1 else partial_subgroups_containing(pg, K)
-    rng = random.Random(seed)
     bad = []
-    universe = list(loc.elements())
-    bars = [(H, frozenset(rho[x] for x in H)) for H in overs]
-    for _ in range(LEMMA_SAMPLES):
-        size = rng.randint(1, loc.size)
-        X = frozenset(rng.sample(universe, size))
-        xbar = frozenset(rho[x] for x in X)
+    bars = [(H, frozenset(rho[x] for x in H)) for H in _oversubgroups(loc, K)]
+    for x in loc.elements():
+        X = frozenset({x})
         for H, hbar in bars:
-            if xbar & hbar != frozenset(rho[x] for x in X & H):
-                bad.append((sorted(X), sorted(H)))
+            if frozenset(rho[y] for y in X) & hbar != frozenset(rho[y] for y in X & H):
+                bad.append(([x], sorted(H)))
                 break
     out["image-intersection"] = _result(bad, 2)
 

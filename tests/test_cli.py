@@ -32,7 +32,7 @@ def test_exit_code_0_when_every_check_passes(capsys):
 
 
 def test_exit_code_1_when_lemmas_cannot_build_the_quotient(monkeypatch, capsys):
-    def broken(loc, K, seed):
+    def broken(loc, K):
         raise QuotientConstructionError(_failing_report("quotient"))
 
     monkeypatch.setattr(cli, "verify_quotient_lemmas", broken)
@@ -546,6 +546,21 @@ def test_loc_check_ignores_the_word_length_flag(capsys):
         cli.main(["loc-check", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "ignored: loc-check covers words of every length" in help_text
+
+
+def test_lemmas_ignores_the_seed_flag(capsys):
+    """The suite samples nothing, so --seed changes no byte of the output."""
+    for fmt in ("text", "json"):
+        outputs = []
+        for seed in ("1", "7"):
+            argv = ["lemmas", "--builtin", "GRP-S4", "--kernel", "V4", "--format", fmt]
+            assert cli.main([*argv, "--seed", seed]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+    with pytest.raises(SystemExit):
+        cli.main(["lemmas", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "ignored: the suite samples nothing" in help_text
 
 
 class _ClosedPipe:

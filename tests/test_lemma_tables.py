@@ -1,12 +1,14 @@
 """The lemma suite's table checks against the per-element reference.
 
 verify_quotient_lemmas reads checks 3, 4, 8, 9, 13, 14 and 15 from
-product-table rows and coset arrays; tests/lemma_reference.py computes the
-same checks element by element.  They are compared on every partial normal
-kernel of GRP-S4, GRP-C2xS4 and LOC-S5 at three seeds, and on bundles whose
-rho moves one element, or a whole coset, into another coset, where checks
-8, 9 and 15 fail, and on pairs that are not partial normal, where check 15
-finds no witness.
+product-table rows, coset arrays and automaton numbers;
+tests/lemma_reference.py computes the same checks element by element.
+They are compared on every partial normal kernel of GRP-S4, GRP-C2xS4 and
+LOC-S5, and on bundles whose rho moves one element, or a whole coset, into
+another coset, where checks 8, 9 and 15 fail, and on pairs that are not
+partial normal, where check 15 finds no witness.  On the moved bundles,
+every X that the sampled form of check 8 finds failing, at three seeds,
+holds an element whose singleton fails the check the suite runs.
 """
 
 import dataclasses
@@ -18,12 +20,14 @@ import lemma_reference
 import localities.report as report_module
 from localities import quotient
 from localities.groups import generate_group, sylow_p
-from localities.locality import Locality, delta_min_order, locality_from_group
+from localities.locality import (
+    Locality, ThreadAutomaton, delta_min_order, locality_from_group,
+)
 from localities.normal import partial_normals
 from localities.quotient import build_quotient, verify_quotient_lemmas
 
 import _frozen as frozen
-from lemma_reference import reference_checks
+from lemma_reference import reference_checks, sampled_image_intersection
 from subset_reference import right_coset
 
 FIXTURES = [
@@ -34,6 +38,7 @@ FIXTURES = [
 # (fixture, index of the kernel in the sorted partial normal subgroups)
 KERNELS = [(name, i) for name, orders in FIXTURES for i in range(len(orders))]
 KERNEL_IDS = [f"{name}-{orders[i]}-{i}" for name, orders in FIXTURES for i in range(len(orders))]
+# seeds of the sampled form of check 8
 SEEDS = (0, 1, 3)
 
 
@@ -46,11 +51,10 @@ def test_table_checks_match_the_reference(request, fixture, index):
     loc = request.getfixturevalue(fixture).loc
     K = partial_normals(loc)[index].members
     bundle = build_quotient(loc, K)
-    for seed in SEEDS:
-        expected = reference_checks(loc, K, seed, bundle)
-        report = verify_quotient_lemmas(loc, K, seed=seed, bundle=bundle)
-        assert report.ok
-        assert table_checks(report, expected) == expected
+    expected = reference_checks(loc, K, bundle)
+    report = verify_quotient_lemmas(loc, K, bundle=bundle)
+    assert report.ok
+    assert table_checks(report, expected) == expected
 
 
 def moved(bundle, xs, coset):
@@ -62,21 +66,43 @@ def moved(bundle, xs, coset):
     return dataclasses.replace(bundle, rho=tuple(rho))
 
 
-@pytest.mark.parametrize("whole_coset", [False, True], ids=["one-element", "whole-coset"])
-def test_a_tampered_rho_fails_alike(s4f, whole_coset):
-    """GRP-S4 over V4 with element 1 of S, or its whole coset, moved into
-    the identity coset.  Moving the whole coset leaves it empty, so the
-    coset sort has a coset with no run."""
+def moved_to_the_identity_coset(s4f, whole_coset):
+    """GRP-S4 over V4 and its bundle with element 1 of S, or its whole
+    coset, moved into the identity coset."""
     loc, K = s4f.loc, s4f.subsets["V4"]
     bundle = build_quotient(loc, K)
     xs = [x for x in loc.elements() if bundle.rho[x] == bundle.rho[1]] if whole_coset else [1]
-    bundle = moved(bundle, xs, 0)
+    return loc, K, moved(bundle, xs, 0)
+
+
+@pytest.mark.parametrize("whole_coset", [False, True], ids=["one-element", "whole-coset"])
+def test_a_tampered_rho_fails_alike(s4f, whole_coset):
+    """Moving the whole coset leaves it empty, so the coset sort has a
+    coset with no run."""
+    loc, K, bundle = moved_to_the_identity_coset(s4f, whole_coset)
     failing = {"image-intersection", "preimage-is-KR", "product-preimage-splitting"}
+    expected = reference_checks(loc, K, bundle)
+    report = verify_quotient_lemmas(loc, K, bundle=bundle)
+    assert failing <= {c.name for c in report.failures()}
+    assert table_checks(report, expected) == expected
+
+
+@pytest.mark.parametrize("whole_coset", [False, True], ids=["one-element", "whole-coset"])
+def test_image_intersection_is_at_least_as_strong_as_sampling(s4f, whole_coset):
+    """Each X the sampled check finds failing at some H holds an x outside
+    H with bar x in bar(H), a singleton failure, and the check fails."""
+    loc, K, bundle = moved_to_the_identity_coset(s4f, whole_coset)
+    (check,) = [c for c in verify_quotient_lemmas(loc, K, bundle=bundle).checks
+                if c.name == "image-intersection"]
+    rho = bundle.rho
+    found = 0
     for seed in SEEDS:
-        expected = reference_checks(loc, K, seed, bundle)
-        report = verify_quotient_lemmas(loc, K, seed=seed, bundle=bundle)
-        assert failing <= {c.name for c in report.failures()}
-        assert table_checks(report, expected) == expected
+        for X, H in sampled_image_intersection(loc, K, seed, bundle):
+            hbar = {rho[x] for x in H}
+            assert any(rho[x] in hbar and x not in H for x in X)
+            assert check.status == "fail"
+            found += 1
+    assert found > 0
 
 
 def test_pairs_that_are_not_partial_normal_fail_alike(s4f, monkeypatch):
@@ -93,7 +119,7 @@ def test_pairs_that_are_not_partial_normal_fail_alike(s4f, monkeypatch):
             pair = (SimpleNamespace(members=M), SimpleNamespace(members=N))
             for module in (quotient, lemma_reference):
                 monkeypatch.setattr(module, "partial_normals", lambda loc: pair)
-            expected = reference_checks(loc, K, 0, bundle)
+            expected = reference_checks(loc, K, bundle)
             report = verify_quotient_lemmas(loc, K, bundle=bundle)
             assert table_checks(report, expected) == expected
             found.update(w[-1] for w in expected["product-preimage-splitting"][1])
@@ -111,8 +137,8 @@ def test_a_bundle_for_another_kernel_or_locality_is_refused(s4f, c2s4f):
 
 
 def test_each_check_carries_its_own_time(c2s4f, monkeypatch):
-    """A clock that moves only in conjugate_set, normalizer and
-    thread_subgroup calls.  preimage-exactness-over-T reads rho alone and
+    """A clock that moves only in conjugate_set, normalizer, thread_subgroup
+    and thread_ids calls.  preimage-exactness-over-T reads rho alone and
     images-intersect-trivially images alone, so neither carries time;
     normalizer-image takes normalizers and product-preimage-splitting
     threads, so both do."""
@@ -131,6 +157,7 @@ def test_each_check_carries_its_own_time(c2s4f, monkeypatch):
     monkeypatch.setattr(report_module, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     for name in ("conjugate_set", "normalizer", "thread_subgroup"):
         monkeypatch.setattr(Locality, name, ticking(getattr(Locality, name)))
+    monkeypatch.setattr(ThreadAutomaton, "thread_ids", ticking(ThreadAutomaton.thread_ids))
     report = verify_quotient_lemmas(loc, K, bundle=bundle)
     ms = {c.name: c.timing_ms for c in report.checks}
     assert ms["preimage-exactness-over-T"] == ms["images-intersect-trivially"] == 0
@@ -166,3 +193,24 @@ def test_two_localities_on_one_group_keep_their_own_family_and_bundle(monkeypatc
     assert builds == [b]
     with pytest.raises(ValueError, match="another locality or kernel"):
         verify_quotient_lemmas(b, K, bundle=bundle)
+
+
+@pytest.mark.parametrize("fixture,kernel", [("s5f", "N5"), ("c2s4f", "A4"), ("c2s4f", "S4twist")])
+def test_the_suite_threads_at_most_three_words_per_element(request, fixture, kernel, monkeypatch):
+    """Checks 3, 13 and 15 compare threading subgroups as numbers read for
+    whole arrays of words (ThreadAutomaton.thread_ids); one word at a time,
+    Locality.thread_subgroup is left to checks 2 and 12, which read S_f
+    and its image for each relatively maximal f.  At most 3|L| calls."""
+    fx = request.getfixturevalue(fixture)
+    loc, K = fx.loc, fx.subsets[kernel]
+    bundle = build_quotient(loc, K)
+    calls = []
+    thread_subgroup = Locality.thread_subgroup
+
+    def counting(self, word):
+        calls.append(word)
+        return thread_subgroup(self, word)
+
+    monkeypatch.setattr(Locality, "thread_subgroup", counting)
+    assert verify_quotient_lemmas(loc, K, bundle=bundle).ok
+    assert 0 < len(calls) <= 3 * loc.size

@@ -1,7 +1,9 @@
 """The quotient layer on dense tables against the definitions it replaced.
 
-- up_maximal_flags against is_up_maximal, element by element, and against
-  the naive relation of tests/oracle.py;
+- up_maximal_flags against is_up_maximal, element by element, on every
+  partial normal kernel, on product swaps of GRP-S4 and LOC-S5 and on
+  quotients gathered over a foreign representative, and against the naive
+  relation of tests/oracle.py;
 - the max-word-descent check, a state_fixpoint search over words of every
   length, against the recursive word sweep up to length 3 the lemma suite
   ran before;
@@ -12,12 +14,14 @@
   current | {x} from scratch for every x outside current.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 from localities import quotient
 from localities.groups import SizeCapExceeded
-from localities.locality import Locality
+from localities.locality import DeltaFamily, Locality
 from localities.normal import partial_normals
 from localities.partial import partial_subgroup_closure, state_fixpoint
 from localities.quotient import (
@@ -33,7 +37,7 @@ from localities.quotient import (
 
 import _frozen as frozen
 import fixpoint_reference as reference
-from fault_injection import with_representatives
+from fault_injection import swap_two_products, with_representatives
 
 FIXTURES = [
     ("s4f", frozen.S4_PN_ORDERS),
@@ -56,6 +60,75 @@ def test_flags_match_is_up_maximal(request, fixture, index):
     flags = up_maximal_flags(loc, K)
     assert flags == tuple(is_up_maximal(loc, K, f) for f in loc.elements())
     assert coset_partition(loc, K).up_max == flags
+
+
+def flags_both_ways(loc, K):
+    """(up_maximal_flags, is_up_maximal per element), each the refusal's
+    message where it raises ValueError."""
+    def outcome(flags):
+        try:
+            return flags()
+        except ValueError as exc:
+            return str(exc)
+
+    return (outcome(lambda: up_maximal_flags(loc, K)),
+            outcome(lambda: tuple(is_up_maximal(loc, K, f) for f in loc.elements())))
+
+
+def swapped_localities(loc, kind, count):
+    """count localities over loc's S and Delta whose products swap those of
+    two domain words with distinct products: words of length 2, or
+    conjugation words (f^-1, s, f) with s in S, which move the conjugation
+    table and so the stations."""
+    pg, rng, out = loc.pg, random.Random(1), []
+    while len(out) < count:
+        if kind == "product":
+            w1, w2 = [(rng.randrange(pg.size), rng.randrange(pg.size)) for _ in range(2)]
+        else:
+            w1, w2 = [(pg.inverse(f), rng.choice(loc.sylow), f)
+                      for f in (rng.randrange(pg.size), rng.randrange(pg.size))]
+        v1, v2 = pg.pi(w1), pg.pi(w2)
+        if None not in (v1, v2) and v1 != v2:
+            out.append(Locality(swap_two_products(pg, w1, w2), loc.p, loc.sylow, loc.delta))
+    return out
+
+
+@pytest.mark.parametrize("fixture,kernel", [("s4f", "V4"), ("s5f", "N5")])
+def test_flags_match_is_up_maximal_on_product_swaps(request, fixture, kernel):
+    """Some swaps move the flags, and some leave a station outside Delta,
+    which both forms refuse."""
+    fx = request.getfixturevalue(fixture)
+    loc, K = fx.loc, fx.subsets[kernel]
+    genuine = up_maximal_flags(loc, K)
+    outcomes = []
+    for cand in swapped_localities(loc, "product", 4) + swapped_localities(loc, "conjugation", 13):
+        got, expected = flags_both_ways(cand, K)
+        assert got == expected
+        outcomes.append(got)
+    assert any(isinstance(o, tuple) and o != genuine for o in outcomes)
+    assert any(isinstance(o, str) for o in outcomes)
+
+
+@pytest.mark.parametrize("fixture,kernel,coset,rep", [("s4f", "V4", 1, 0), ("s5f", "N5", 0, 26)],
+                         ids=["GRP-S4-V4", "LOC-S5-N5"])
+def test_flags_match_is_up_maximal_on_a_foreign_representative(request, fixture, kernel, coset, rep):
+    """The quotient with the given coset represented by an element outside
+    it (GRP-S4 / V4: the identity) or by another member of the kernel
+    (LOC-S5 / N5: 26), over its trivial kernel, its S and the images of the
+    partial normal subgroups above the kernel."""
+    fx = request.getfixturevalue(fixture)
+    loc, K = fx.loc, fx.subsets[kernel]
+    part = coset_partition(loc, K)
+    reps = [rec.base for rec in part.maximal]
+    reps[coset] = rep
+    qpg = QuotientPartialGroup(loc, with_representatives(part, reps))
+    q_delta = DeltaFamily(sylow=frozenset(qpg.s_elems), members=qpg.delta_sets)
+    q = Locality(qpg, loc.p, qpg.s_elems, q_delta)
+    images = [frozenset(qpg.rho[x] for x in h.members)
+              for h in partial_normals(loc) if K <= h.members]
+    for kernel in [frozenset({q.identity}), q.sylow_set, *images]:
+        got, expected = flags_both_ways(q, kernel)
+        assert got == expected
 
 
 def test_flags_and_lemmas_take_no_conjugate_set(s5f, c2s4f, monkeypatch):
