@@ -445,9 +445,9 @@ class Locality:
 
     @functools.cached_property
     def automaton(self) -> ThreadAutomaton:
-        """The partial group's own automaton on a LocalityPartialGroup, else
-        one built on first use from the maps of s_positions()."""
-        if isinstance(self.pg, LocalityPartialGroup):
+        """The partial group's own automaton on a LocalityPartialGroup over
+        this S, else one built on first use from the maps of s_positions()."""
+        if isinstance(self.pg, LocalityPartialGroup) and tuple(self.pg.s_elems) == self.sylow:
             return self.pg.automaton
         return ThreadAutomaton(self.sylow, self.s_positions())
 
@@ -685,14 +685,15 @@ def check_locality(loc: Locality) -> VerificationReport:
     in one family of rows: Delta, then the rest of the lattice of S.  (L2)
     reads the indices in Delta, (L3) the overgroups outside Delta of each
     image.  (L2) and the check that S_w lies in Delta exactly on domain
-    words are two state_fixpoint searches over the key (chain front code,
-    walker code, threading state) of _chain_word_steps: the front fixes
-    chain existence, the walker code domain membership under every
-    extension (the walker of PartialGroup) and the threading
-    state S_w, so their verdicts cover words of every length.  A word is
-    extended while its front is nonempty; its failing words come in
-    shortlex order, the shortest first.  (L3) goes through the members in
-    Delta order, then g, then the overgroups in lattice order.
+    words are one state_fixpoint search, with a stack of two verdicts,
+    over the key (chain front code, walker code, threading state) of
+    _chain_word_steps: the front fixes chain existence, the walker code
+    domain membership under every extension (the walker of PartialGroup)
+    and the threading state S_w, so both verdicts cover words of every
+    length.  A word is extended while its front is nonempty; the failing
+    words of each check come in shortlex order, the shortest first.  (L3)
+    goes through the members in Delta order, then g, then the overgroups
+    in lattice order.
     """
     report = VerificationReport("locality axioms")
     pg = loc.pg
@@ -747,26 +748,22 @@ def check_locality(loc: Locality) -> VerificationReport:
     _, index = _image_index(rows[: len(delta_list)], loc.s_positions(), rows)
     steps, in_delta = _chain_word_steps(loc, np.where(index < len(delta_list), index, -1))
 
-    def l2_step(level, g):
-        front, code, _ = nxt = steps(level, g)
-        return nxt, front >= 0, (front >= 0) != (code >= 0)
-
-    def threading_step(level, g):
+    def step(level, g):  # verdicts: (L2), then threading
         front, code, sid = nxt = steps(level, g)
-        return nxt, front >= 0, in_delta[sid] != (code >= 0)
+        chain, domain = front >= 0, code >= 0
+        return nxt, chain, np.stack((chain != domain, in_delta[sid] != domain))
 
-    states, words = state_fixpoint((0, 0, 0), pg.elements(), l2_step)
+    states, (words, threading) = state_fixpoint((0, 0, 0), pg.elements(), step)
     report.record(
         "L2-domain-iff-chain",
         not words,
         [(w, d, not d) for w in words[:10] for d in [pg.in_domain(w)]],
         f"chain existence matches the domain on all domain words ({states} states)",
     )
-    _, words = state_fixpoint((0, 0, 0), pg.elements(), threading_step)
     report.record(
         "threading-matches-domain",
-        not words,
-        words[:10],
+        not threading,
+        threading[:10],
         "S_w in Delta exactly on domain words",
     )
 

@@ -534,24 +534,28 @@ _FIXPOINT_BLOCK = 1 << 15
 
 def state_fixpoint(
     start: tuple[int, ...], letters: Sequence[int], step: Callable
-) -> tuple[int, list[Word]]:
-    """Every failing transition of a word check whose verdict is a state.
+) -> tuple[int, list[Word] | list[list[Word]]]:
+    """Every failing transition of word checks whose verdicts are a state.
 
     A state is a tuple of ints.  Words over letters are read from start a
     level at a time: step(level, xs) gets a level's states as one array
     per component and the letters as an array, and returns (nxt, live,
-    bad), each of shape (states, letters): the components of each extended
-    word's state, whether the check extends it and whether it fails.  When
+    bad): the components of each extended word's state and whether the
+    search extends it, each of shape (states, letters), and whether it
+    fails, of that shape for one verdict or (verdicts, states, letters)
+    for a stack of verdicts that share the states and the live mask.  When
     the states are finite, searching them breadth first to a fixpoint
-    decides the check on words of every length: the product-automaton
+    decides every verdict on words of every length: the product-automaton
     construction of Epstein et al., Word Processing in Groups (1992).
 
     The unseen next states are interned as rows by intern_rows in (state,
     letter) order, as intern_states interns them.  So each state is first
     reached by the least word in shortlex order (letters ranked as given).
-    Returns (number of states, one failing word per failing transition:
-    the least word of its state followed by its letter), in shortlex order.
-    Interning more than STATE_FIXPOINT_CAP states raises SweepBudgetExceeded.
+    Returns (number of states, failing), where failing holds one word per
+    failing transition, the least word of its state followed by its
+    letter, in shortlex order: one such list for one verdict, one list per
+    verdict, in stack order, for a stack.  Interning more than
+    STATE_FIXPOINT_CAP states raises SweepBudgetExceeded.
     """
     xs = np.asarray(letters, dtype=np.int64)
     m = xs.size
@@ -560,7 +564,8 @@ def state_fixpoint(
     codes: dict = {}
     intern_rows(level, codes)
     words: list[Word] = [()]  # the least word of each state, by code
-    failing: list[Word] = []
+    failing: list[list[Word]] = []  # one list per verdict, made at the first step
+    stacked = False
     first = 0  # code of the level's first state
     block = max(1, _FIXPOINT_BLOCK // max(m, 1))  # states stepped at once
     while len(level):
@@ -568,8 +573,12 @@ def state_fixpoint(
         for lo in range(0, len(level), block):
             nxt, live, bad = step(tuple(level[lo:lo + block].T), xs)
             at_lo = first + lo  # code of the block's first state
-            failing += [words[at_lo + p // m] + (xs_list[p % m],)
-                        for p in np.flatnonzero(bad).tolist()]
+            stacked = np.ndim(bad) == 3
+            bad = np.reshape(bad, (-1, np.size(live)))
+            failing = failing or [[] for _ in bad]
+            for out, verdict in zip(failing, bad):
+                out += [words[at_lo + p // m] + (xs_list[p % m],)
+                        for p in np.flatnonzero(verdict).tolist()]
             pos = np.flatnonzero(live)
             nxt = np.stack([c.ravel()[pos] for c in nxt], axis=1).astype(np.int64, copy=False)
             _, new = intern_rows(nxt, codes, coded=False)
@@ -578,7 +587,7 @@ def state_fixpoint(
             grown.append(nxt[new])
         first += len(level)
         level = np.concatenate(grown)
-    return len(words), failing
+    return len(words), failing if stacked else failing[0]
 
 
 @dataclass
@@ -644,6 +653,39 @@ def _conjugation_failure(pg: PartialGroup, X: frozenset[int]) -> tuple | None:
     elems = np.array(sorted(X), dtype=np.int64)
     bad = _escape(_mask(pg.size, elems), pg.conj_table()[elems, :-1])
     return None if bad is None else (int(elems[bad[0]]), *bad[1:])
+
+
+# The most entries one (sets, n, n) temporary of subset_flags holds.
+_FLAGS_BLOCK = 1 << 21
+
+
+def subset_flags(pg: PartialGroup, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(closed, normal) for a family of nonempty subsets X, given as
+    boolean rows over pg's elements: closed[r] says that X is a partial
+    subgroup, with no witness from _closure_failure; normal[r] that it is
+    also closed under every defined conjugate x^f (x in X, f in L), with
+    no witness from _conjugation_failure either.  So on a Locality,
+    normal[r] is is_partial_normal's verdict, on any table.
+
+    Each row is padded, as _mask pads a set, with an entry for the missing
+    value -1 that is set; the inverses, the products of two members and
+    the conjugates of the members are then gathered for every row at once
+    from pg._inv, pg.padded_products() and pg.conj_table(), in blocks of
+    rows that keep each (rows, n, n) temporary near _FLAGS_BLOCK entries.
+    """
+    n = pg.size
+    rows = np.asarray(rows, dtype=bool).reshape(-1, n)
+    table, conj = pg.padded_products()[:n, :n], pg.conj_table()[:n, :n]
+    padded = np.ones((len(rows), n + 1), dtype=bool)
+    padded[:, :n] = rows
+    closed = ~(rows & ~padded[:, pg._inv]).any(axis=1)
+    conj_closed = np.empty(len(rows), dtype=bool)
+    block = max(1, _FLAGS_BLOCK // max(n * n, 1))
+    for lo in range(0, len(rows), block):
+        x, mask = rows[lo:lo + block, :, None], padded[lo:lo + block]
+        closed[lo:lo + block] &= ~(x & x.swapaxes(1, 2) & ~mask[:, table]).any(axis=(1, 2))
+        conj_closed[lo:lo + block] = ~(x & ~mask[:, conj]).any(axis=(1, 2))
+    return closed, closed & conj_closed
 
 
 def classify_subset(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .groups import SizeCapExceeded
 from .locality import (
-    DeltaFamily, Locality, LocalityPartialGroup, _positions, _scatter, _set_rows,
+    DeltaFamily, Locality, LocalityPartialGroup, _image_index, _positions, _scatter, _set_rows,
 )
 from .normal import is_partial_normal, partial_normals
 from .partial import (
@@ -27,6 +27,7 @@ from .partial import (
     intern_rows,
     partial_subgroup_closure,
     state_fixpoint,
+    subset_flags,
     twin_labels,
 )
 from .report import VerificationReport
@@ -550,6 +551,36 @@ def _descent_failures(
     return state_fixpoint((0, pg.identity, 0, qpg.identity), letters, step)
 
 
+def _correspondence_premises(
+    pg: PartialGroup, qpg: PartialGroup, K: frozenset[int], rho: np.ndarray
+) -> list[tuple]:
+    """One entry per premise (i)-(iv) of check 7 of verify_quotient_lemmas
+    that fails, with its first witness: ("rho-not-onto", the least coset
+    missed), ("rho-of-kernel", the least x in K or the identity with
+    rho(x) != 1), ("rho-of-inverse", the least x with rho(x^-1) !=
+    rho(x)^-1) and ("rho-of-product", a, b), the first defined ab of pg in
+    row-major order with rho(a) rho(b) undefined in qpg or not rho(ab),
+    from one gather of qpg.padded_products() at (rho a, rho b)."""
+    n, q = pg.size, qpg.size
+    out = []
+    hit = np.zeros(q + 1, dtype=bool)
+    hit[rho] = True
+    if not hit[:q].all():
+        out.append(("rho-not-onto", int(np.argmin(hit[:q]))))
+    wrong = [x for x in sorted(K | {pg.identity}) if rho[x] != qpg.identity]
+    if wrong:
+        out.append(("rho-of-kernel", wrong[0]))
+    wrong = np.flatnonzero(rho[pg._inv] != qpg._inv[rho])
+    if len(wrong):
+        out.append(("rho-of-inverse", int(wrong[0])))
+    table = pg.padded_products()[:n, :n]
+    rho_of = np.append(rho, -1)  # rho of the missing value -1 is -1
+    a, b = np.nonzero((table >= 0) & (qpg.padded_products()[rho[:, None], rho] != rho_of[table]))
+    if len(a):
+        out.append(("rho-of-product", int(a[0]), int(b[0])))
+    return out
+
+
 def verify_quotient_lemmas(
     loc: Locality,
     K: Iterable[int],
@@ -565,14 +596,22 @@ def verify_quotient_lemmas(
 
     The set checks read arrays: images of sets as rows over the cosets,
     one _scatter through rho, gathered back through rho as preimages
-    (checks 8 and 9); the right cosets Kf, the rows coset_partition keeps
-    (checks 4, 9 and 13); and the products of L and of the quotient from
-    their padded_products() (the products x f of check 3, and m n,
-    bar m bar n and the witness search m^-1 f of check 15).  Threading
-    subgroups are compared as the numbers loc.automaton.thread_ids reads
-    for whole arrays of words (S_(x,f) and S_xf in check 3, S_f and S_g in
-    check 13, S_(m,y) and S_f in check 15).  Each check is computed right
-    before it is recorded, so the report's per-check times are its own.
+    (checks 7 to 12); the right cosets Kf, the rows coset_partition keeps
+    (checks 4, 9 and 13), and the maximal cosets as rows (checks 4 and 6);
+    the products of L and of the quotient from their padded_products()
+    (the products x f of check 3, the premises of check 7, and m n,
+    bar m bar n and the witness search m^-1 f of check 15); the flags of
+    whole families of sets from subset_flags (check 7); and the
+    normalizers in S of every R over T, on each side, from one
+    _image_index gather (check 11).  Threading subgroups are compared as
+    the numbers loc.automaton.thread_ids reads for whole arrays of words
+    (S_(x,f) and S_xf in check 3, S_f and S_g in check 13, S_(m,y) and S_f
+    in check 15), or gathered as the start sets, as rows, of the states
+    the relatively maximal letters reach on each side (S_f in check 2, and
+    bar(S_f) against the quotient's station of bar f in check 12).  The
+    partial normal family of loc (checks 14 and 15) is enumerated before
+    the report starts, and each check is computed right before it is
+    recorded, so the report's per-check times are its own.
 
     Check 8 (image-intersection) decides bar(X cap H) = bar(X) cap bar(H)
     for every X <= L and every partial subgroup H above K, for any map
@@ -584,6 +623,27 @@ def verify_quotient_lemmas(
     forces x in H.  The check is therefore rho^-1(bar H) = H for every H;
     its witnesses are ([x], H) for each x that fails, x ascending, with
     the first H it fails.
+
+    Check 7 (oversubgroup-bijection) reads the family F of check 6, the
+    partial subgroups of L above K that partial_subgroups_containing finds
+    (exhaustive on any table), and never searches the quotient.  Its
+    premises are read on the bundle as it stands (_correspondence_premises):
+    (i) rho is onto; (ii) rho(K) = {1} and rho(1) = 1; (iii) rho(x^-1) =
+    rho(x)^-1; (iv) for every defined product ab of L, rho(a) rho(b) is
+    defined in L/K and equals rho(ab).  Proof that the images rho(H), H in
+    F, then cover every partial subgroup P of L/K: let H = rho^-1(P).  H
+    holds K and 1 by (ii), as P holds 1.  It is closed under inverses by
+    (iii) and under defined products of two members by (iv), which is the
+    engine's own definition of a partial subgroup (_closure_failure), so H
+    is in F, and rho(H) = P by (i).  Conversely, an image holds 1 and is a
+    partial subgroup of L/K exactly when it is closed there, which
+    subset_flags reads for every image row in one pass.  So the images are
+    the quotient's partial subgroups exactly when the premises hold and
+    every image is closed.  Normality on both sides is read by subset_flags
+    too, one pass per side.  The witnesses, in order: ("collision", H', H)
+    for two members of F with one image, the premises that fail,
+    ("image-not-closed", bar H) and ("normality", H) for each image, by its
+    last H, whose normality differs from that of H.
     """
     K = frozenset(K)
     if loc.size > LEMMA_CAP:
@@ -597,16 +657,26 @@ def verify_quotient_lemmas(
     elif bundle.base is not loc or bundle.kernel != K:
         raise ValueError("the quotient bundle was built for another locality or kernel")
     part = coset_partition(loc, K)
+    pns = [h.members for h in partial_normals(loc)]  # enumerated before the first check's clock
     flags = part.up_max
     rho = bundle.rho
     qloc = bundle.quotient
     qpg = qloc.pg
     report = VerificationReport(f"quotient lemmas, kernel order {len(K)}")
     pg = loc.pg
-    n = pg.size
+    n, q = pg.size, qpg.size
     T = K & loc.sylow_set
     max_elements = [f for f in loc.elements() if flags[f]]
     ks = sorted(K)
+    rho_of = np.array(rho)
+    maxes = np.array(max_elements, dtype=np.int64)
+    auto = loc.automaton
+
+    def image(masks: np.ndarray) -> np.ndarray:  # bar X for each row X over L, over the cosets
+        return _scatter(masks, rho_of[None])[:, 0, :q]
+
+    def preimage(masks: np.ndarray) -> np.ndarray:  # rho^-1(bar X) for each row X over L
+        return image(masks)[:, rho_of]
 
     # 1: every element of N_L(S), in particular of S, is relatively maximal
     nls = loc.normalizer(loc.sylow_set)
@@ -614,16 +684,15 @@ def verify_quotient_lemmas(
     report.record("normalizer-elements-maximal", not bad, bad[:5],
                   "all of N_L(S) and S is relatively maximal")
 
-    # 2: maximality forces T inside the threading subgroup
-    bad = [f for f in max_elements if not T <= loc.thread_subgroup((f,))]
+    # 2: maximality forces T inside the threading subgroup; row i of
+    # stations is S_f_i, the start set of the state f_i reaches
+    stations = _set_rows(auto.start_sets, n)[auto.array[0, maxes]]
+    bad = maxes[~stations[:, sorted(T)].all(axis=1)].tolist()
     report.record("maximal-station-contains-T", not bad, bad[:5])
 
     # 3: splitting off a kernel factor keeps the threading subgroup; a
     # missing product x f (-1) is masked before its number is compared
-    auto = loc.automaton
     table = pg.padded_products()
-    rho_of = np.array(rho)
-    maxes = np.array(max_elements, dtype=np.int64)
     xs = np.array(ks)[:, None]
     xf = table[xs, maxes]
     x, f = np.nonzero((xf >= 0) & (auto.thread_ids(xs, maxes) != auto.thread_ids(xf)))
@@ -634,7 +703,8 @@ def verify_quotient_lemmas(
     # 4: equal images land in the coset of the maximal element: row i of
     # kf is K f_i, of own the maximal coset rho(f_i) and of same rho^-1(rho(f_i))
     kf = part.right[maxes]
-    own = _set_rows([rec.members for rec in part.maximal], n)[rho_of[maxes]]
+    cosets = _set_rows([rec.members for rec in part.maximal], n)
+    own = cosets[rho_of[maxes]]
     same = rho_of[maxes][:, None] == rho_of
     bad = []
     for f, mismatch, wrong in zip(max_elements, (kf != own).any(axis=1).tolist(), same != kf):
@@ -650,8 +720,11 @@ def verify_quotient_lemmas(
                   f" on all domain words ({states} states)")
 
     # 6/7: partial subgroups above K correspond to quotient partial subgroups
+    stats: dict[str, int] = {}
+    overs = ([frozenset(loc.elements())] if len(K) == 1
+             else partial_subgroups_containing(pg, K, stats=stats))
+    h_rows = _set_rows(overs, n)
     if len(K) == 1:
-        overs = [frozenset(loc.elements())]
         report.record(
             "oversubgroup-partition",
             qpg.size == loc.size,
@@ -660,43 +733,38 @@ def verify_quotient_lemmas(
         )
         report.record("oversubgroup-bijection", qpg.size == loc.size, [])
     else:
-        stats: dict[str, int] = {}
-        overs = partial_subgroups_containing(pg, K, stats=stats)
-        bad = []
-        for H in overs:
-            inside = [rec.members for rec in part.maximal if rec.members <= H]
-            union = set().union(*inside) if inside else set()
-            if union != H:
-                bad.append(sorted(H - union))
+        # 6: row H of inside marks the maximal cosets inside H, whose union
+        # must be H
+        inside = ~(~h_rows @ cosets.T)
+        short = h_rows & ~(inside @ cosets)
+        bad = [np.flatnonzero(row).tolist() for row in short if row.any()]
         report.record("oversubgroup-partition", not bad, bad[:3],
                       f"maximal cosets inside H partition H ({len(overs)} partial subgroups, "
                       f"{stats['closures']} closures)")
 
-        images = {}
+        # 7: the images of F are the quotient's partial subgroups, by the
+        # proof in the docstring; last[c] is the last H with image code c
+        bars = image(h_rows)
+        last: dict[int, int] = {}
         bad = []
-        for H in overs:
-            img = frozenset(rho[x] for x in H)
-            if img in images:
-                bad.append(("collision", sorted(images[img]), sorted(H)))
-            images[img] = H
-        q_subs = partial_subgroups_containing(qpg, frozenset({qpg.identity}))
-        if set(images) != set(q_subs):
-            bad.append(("image-family-mismatch", len(images), len(q_subs)))
-        for img, H in images.items():
-            pn_down, _ = is_partial_normal(loc, H)
-            pn_up, _ = is_partial_normal(qloc, img)
-            if pn_down != pn_up:
-                bad.append(("normality", sorted(H)))
+        for i, c in enumerate(intern_rows(bars, {})[0]):
+            if c in last:
+                bad.append(("collision", sorted(overs[last[c]]), sorted(overs[i])))
+            last[c] = i
+        bad += _correspondence_premises(pg, qpg, K, rho_of)
+        keep = list(last.values())
+        closed_up, normal_up = subset_flags(qpg, bars[keep])
+        _, normal_down = subset_flags(pg, h_rows[keep])
+        bad += [("image-not-closed", np.flatnonzero(bars[i]).tolist())
+                for i, closed in zip(keep, closed_up.tolist()) if not closed]
+        bad += [("normality", sorted(overs[i]))
+                for i, wrong in zip(keep, (normal_down != normal_up).tolist()) if wrong]
         report.record("oversubgroup-bijection", not bad, bad[:3],
                       "H -> image is a bijection onto quotient partial subgroups, "
                       "preserving normality")
 
     # 8: images of intersections with oversubgroups, for every X: row H of
     # stray holds the x outside H with bar x in bar(H) (see the docstring)
-    def preimage(masks: np.ndarray) -> np.ndarray:  # rho^-1(bar X) for each row X over L
-        return _scatter(masks, rho_of[None])[:, 0][:, rho_of]
-
-    h_rows = _set_rows(overs, n)
     stray = preimage(h_rows) & ~h_rows
     fails = np.flatnonzero(stray.any(axis=0))[:2]
     bad = [([x], sorted(overs[i]))
@@ -715,33 +783,36 @@ def verify_quotient_lemmas(
     report.record("preimage-is-KR", not bad, bad[:3],
                   "{f : bar f in bar R} = KR for every R <= S")
 
-    # 10: exactness over T
+    # 10: exactness over T, every R at once as rows over L
     over_t = [R for R in s_sets if T <= R]
-    bad = []
-    for R in over_t:
-        rbar = frozenset(rho[r] for r in R)
-        if frozenset(s for s in loc.sylow_set if rho[s] in rbar) != R:
-            bad.append(sorted(R))
+    r_rows = _set_rows(over_t, n)
+    wrong = (preimage(r_rows) != r_rows)[:, loc.sylow].any(axis=1)
+    bad = [sorted(R) for R, w in zip(over_t, wrong.tolist()) if w]
     report.record("preimage-exactness-over-T", not bad, bad[:3],
                   "R = {s in S : bar s in bar R} whenever T <= R <= S")
 
     # 11: normalizer images inside S
-    bad = []
-    for R in over_t:
-        rbar = frozenset(rho[r] for r in R)
-        ns_r = loc.normalizer(R) & loc.sylow_set
-        q_ns = qloc.normalizer(rbar) & qloc.sylow_set
-        if frozenset(rho[x] for x in ns_r) != q_ns:
-            bad.append(sorted(R))
+    def normalized(pg_: PartialGroup, rows: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
+        """Rows over pg_'s elements: each X of rows with the members s
+        where X^s = X (all defined), read from one _image_index of every
+        X by every s through the conjugation array, against the distinct
+        rows."""
+        code, first = intern_rows(rows, {})
+        _, index = _image_index(rows, pg_.conj_table()[:pg_.size, members].T, rows[first])
+        out = np.zeros_like(rows)
+        out[:, members] = index == np.array(code)[:, None]
+        return out
+
+    wrong = image(normalized(pg, r_rows, loc.sylow)) != normalized(qpg, image(r_rows), qloc.sylow)
+    bad = [sorted(R) for R, w in zip(over_t, wrong.any(axis=1).tolist()) if w]
     report.record("normalizer-image", not bad, bad[:3],
                   "N_{bar S}(bar R) = bar(N_S(R)) whenever T <= R <= S")
 
-    # 12: threading subgroups of maximal elements push forward
-    bad = []
-    for f in max_elements:
-        sf_bar = frozenset(rho[s] for s in loc.thread_subgroup((f,)))
-        if sf_bar != qloc.thread_subgroup((rho[f],)):
-            bad.append(f)
+    # 12: threading subgroups of maximal elements push forward: bar(S_f)
+    # against the start set of the quotient state that bar f reaches
+    qauto = qloc.automaton
+    q_stations = _set_rows(qauto.start_sets, q)[qauto.array[0, rho_of[maxes]]]
+    bad = maxes[(image(stations) != q_stations).any(axis=1)].tolist()
     report.record("station-image-for-maximal", not bad, bad[:5],
                   "bar(S_f) equals the quotient threading subgroup of bar f")
 
@@ -761,7 +832,6 @@ def verify_quotient_lemmas(
     report.record("same-image-same-station-maximal", not bad, bad[:5])
 
     # 14/15: bridge checks for kernels arising as intersections
-    pns = [h.members for h in partial_normals(loc)]
     pairs = [
         (M, N)
         for M in pns

@@ -5,11 +5,16 @@ mul2 call per (walker state, value) pair and letter.
 
 reference_checks(loc, K, bundle) gives {check name: (status, witnesses)}
 for those checks: kernel-splitting (3), equal-image-lands-in-coset (4),
-image-intersection (8), preimage-is-KR (9),
-same-image-same-station-maximal (13), images-intersect-trivially (14) and
-product-preimage-splitting (15).  Check 8 is the identity
-bar(X) cap bar(H) = bar(X cap H) at every singleton X = {x}, one set at a
-time.
+image-intersection (8), preimage-is-KR (9), normalizer-image (11, one
+normalizer call per R on each side), same-image-same-station-maximal (13),
+images-intersect-trivially (14) and product-preimage-splitting (15).
+Check 8 is the identity bar(X) cap bar(H) = bar(X cap H) at every
+singleton X = {x}, one set at a time.
+
+reference_bijection(loc, K, bundle) is check 7 (oversubgroup-bijection)
+as two enumerations, the partial subgroups of L above K and those of the
+quotient, with one is_partial_normal call per set on each side;
+bijection_agrees says whether the suite's record of check 7 agrees with it.
 
 sampled_image_intersection(loc, K, seed, bundle) is check 8 as the suite
 once ran it, on SAMPLES subsets X drawn by a seeded rng.
@@ -17,7 +22,7 @@ once ran it, on SAMPLES subsets X drawn by a seeded rng.
 
 import random
 
-from localities.normal import partial_normals
+from localities.normal import is_partial_normal, partial_normals
 from localities.quotient import coset_partition, partial_subgroups_containing
 
 from subset_reference import EMPTY_WORD
@@ -76,6 +81,63 @@ def sampled_image_intersection(loc, K, seed, bundle):
     return bad
 
 
+# the witness kinds of the premises the suite reads for check 7
+PREMISES = ("rho-not-onto", "rho-of-kernel", "rho-of-inverse", "rho-of-product")
+
+
+def reference_bijection(loc, K, bundle):
+    """(status, witnesses) of check 7 from both enumerations: ("collision",
+    H', H) for two partial subgroups with one image; ("image-not-closed",
+    bar H) for each image, in order of first appearance, that the
+    quotient's enumeration does not hold; ("not-an-image", P) for the first
+    quotient partial subgroup that is no image; ("normality", H) for each
+    image, by its last H, whose normality differs from that of H."""
+    K = frozenset(K)
+    qloc = bundle.quotient
+    if len(K) == 1:
+        return ("pass" if qloc.size == loc.size else "fail", [])
+    rho = bundle.rho
+    images, bad = {}, []
+    for H in partial_subgroups_containing(loc.pg, K):
+        img = frozenset(rho[x] for x in H)
+        if img in images:
+            bad.append(("collision", sorted(images[img]), sorted(H)))
+        images[img] = H
+    q_subs = partial_subgroups_containing(qloc.pg, frozenset({qloc.identity}))
+    bad += [("image-not-closed", sorted(img)) for img in images if img not in q_subs]
+    bad += [("not-an-image", sorted(P)) for P in q_subs if P not in images][:1]
+    for img, H in images.items():
+        if is_partial_normal(loc, H)[0] != is_partial_normal(qloc, img)[0]:
+            bad.append(("normality", sorted(H)))
+    return _result(bad, 3)
+
+
+def bijection_agrees(check, expected):
+    """Whether the suite's check 7 record agrees with reference_bijection's
+    (status, witnesses): equal when every premise of the suite's proof
+    holds, since the images then cover the quotient's partial subgroups
+    and are among them exactly when closed; a failing record when one
+    premise fails, whatever the enumerations give."""
+    if any(w[0] in PREMISES for w in check.witnesses):
+        return check.status == "fail"
+    return (check.status, check.witnesses) == expected
+
+
+def normalizer_image(loc, K, bundle):
+    """Check 11: bar(N_S(R)) = N_(bar S)(bar R) for every R over T = K cap
+    S, with one normalizer call per R on each side."""
+    rho, qloc = bundle.rho, bundle.quotient
+    T = frozenset(K) & loc.sylow_set
+    bad = []
+    for R in loc.s_subgroup_sets():
+        if T <= R:
+            ns_r = loc.normalizer(R) & loc.sylow_set
+            q_ns = qloc.normalizer(frozenset(rho[r] for r in R)) & qloc.sylow_set
+            if frozenset(rho[x] for x in ns_r) != q_ns:
+                bad.append(sorted(R))
+    return _result(bad, 3)
+
+
 def reference_checks(loc, K, bundle):
     K = frozenset(K)
     part = coset_partition(loc, K)
@@ -121,6 +183,8 @@ def reference_checks(loc, K, bundle):
         if pre != mul2_product(pg, [K, R]):
             bad.append(sorted(R))
     out["preimage-is-KR"] = _result(bad, 3)
+
+    out["normalizer-image"] = normalizer_image(loc, K, bundle)
 
     bad = []
     for f in max_elements:

@@ -4,9 +4,11 @@ import pytest
 
 from localities import model
 from localities.groups import SubgroupRef, all_subgroups, generate_group, sylow_p
+from localities.partial import PartialGroup
 from localities.locality import (
     DeltaFamily,
     LocalityConstructionError,
+    as_locality,
     check_locality,
     delta_close,
     locality_from_group,
@@ -162,6 +164,25 @@ def test_thread_subgroup_empty_and_sylow_words(s4f):
     assert loc.thread_subgroup(()) == loc.sylow_set
     for s in loc.sylow:
         assert loc.thread_subgroup((s,)) == loc.sylow_set
+
+
+def test_a_locality_over_another_s_threads_through_its_own_s(s4f):
+    """GRP-S4's partial group read as a candidate over S = V4: its
+    automaton is built over V4, not taken from the partial group, whose
+    own is over the Sylow subgroup of GRP-S4.  Every S_x then lies in V4,
+    and the report is that of the same tables wrapped as a plain
+    PartialGroup, threading-matches-domain passing."""
+    pg, V4 = s4f.loc.pg, s4f.subsets["V4"]
+    loc = as_locality(pg, 2, V4, [V4])
+    plain = PartialGroup(pg.size, pg.identity, pg.labels, pg._inv, pg._raw[:-1, :-1],
+                         pg.trans, pg.accept)
+    assert loc.automaton is not pg.automaton
+    assert all(loc.thread_subgroup((x,)) <= V4 for x in pg.elements())
+    records = [[(c.name, c.status, c.witnesses, c.detail) for c in candidate.report.checks]
+               for candidate in (loc, as_locality(plain, 2, V4, [V4]))]
+    assert records[0] == records[1]
+    assert ("threading-matches-domain", "pass") in [r[:2] for r in records[0]]
+    assert s4f.loc.automaton is pg.automaton
 
 
 def test_thread_subgroup_order_four_example(s5f):

@@ -8,7 +8,10 @@ after the quotient is built, that verify_quotient_lemmas (or, for
 maximal-coset-has-maximal-base, coset_partition) reads.  Each must fail
 its own check by name in the report, so the check is shown to be able to
 fail; other checks may fail with it, and each entry lists every check its
-tampering fails.
+tampering fails.  Checks 7 and 11 are also read against their references
+(tests/lemma_reference.py) on each lemma control, and check 7 has a
+control for a broken premise of its proof and one for an image that is
+not closed.
 """
 
 import weakref
@@ -25,7 +28,8 @@ from localities.quotient import (
     verify_quotient_lemmas,
 )
 
-from fault_injection import with_representatives
+from fault_injection import tampered_locality, with_representatives
+from lemma_reference import bijection_agrees, normalizer_image, reference_bijection
 
 
 def _report(loc, K):
@@ -317,3 +321,65 @@ def test_baseless_maximal_cosets_are_one_record_naming_each(monkeypatch, s4f, s5
     report = cosets_with_no_maximal_element(monkeypatch, s4f, s5f)
     (check,) = [c for c in report.checks if c.name == "maximal-coset-has-maximal-base"]
     assert (check.status, check.witnesses) == ("fail", expected)
+
+
+@pytest.mark.parametrize("name", list(LEMMA_CONTROLS))
+def test_lemma_controls_agree_with_the_references(monkeypatch, s4f, s5f, name):
+    """Checks 7 and 11 of each suite a lemma control runs, on its own
+    locality, kernel and bundle: check 11 as the per-R normalizer
+    reference gives it, check 7 as bijection_agrees reads the
+    two-enumeration reference.  The control of
+    maximal-coset-has-maximal-base runs no suite."""
+    runs, verify = [], verify_quotient_lemmas
+
+    def spying(loc, K, bundle=None):
+        report = verify(loc, K, bundle=bundle)
+        runs.append((loc, K, bundle, {c.name: c for c in report.checks}))
+        return report
+
+    monkeypatch.setitem(globals(), "verify_quotient_lemmas", spying)  # the controls' own name
+    LEMMA_CONTROLS[name][0](monkeypatch, s4f, s5f)
+    assert len(runs) == (name != "maximal-coset-has-maximal-base")
+    for loc, K, bundle, checks in runs:
+        check = checks["normalizer-image"]
+        assert (check.status, check.witnesses) == normalizer_image(loc, K, bundle)
+        assert bijection_agrees(checks["oversubgroup-bijection"],
+                                reference_bijection(loc, K, bundle))
+
+
+def _bijection_failures(loc, K, bundle):
+    report = verify_quotient_lemmas(loc, K, bundle=bundle)
+    return [(c.name, c.witnesses) for c in report.failures()]
+
+
+def test_a_quotient_missing_one_product_breaks_premise_iv(s4f):
+    """GRP-S4 / V4 with the product of coset 1 by itself taken out of the
+    quotient's table: premise (iv) fails at the least pair (a, b) of L
+    with bar a = bar b = 1, and no other check reads that entry."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    bundle = build_quotient(loc, K)
+    rho = bundle.rho
+    quotient_ = tampered_locality(bundle.quotient, products={(1, 1): -1})
+    a, b = min((a, b) for a in loc.elements() for b in loc.elements()
+               if rho[a] == rho[b] == 1 and loc.pg.mul2(a, b) is not None)
+    assert _bijection_failures(loc, K, replace(bundle, quotient=quotient_)) == [
+        ("oversubgroup-bijection", [("rho-of-product", a, b)])
+    ]
+
+
+def test_an_image_that_is_not_closed_fails_the_bijection(monkeypatch, s4f):
+    """GRP-S4 / V4 with the family above K given one more set, K u Kf for
+    f in the coset c of order 3 in the quotient S3: the premises hold and
+    the partition and image checks pass, but its image {1, c} is not
+    closed (c c = c^-1)."""
+    loc, K = s4f.loc, s4f.subsets["V4"]
+    bundle = build_quotient(loc, K)
+    rho, qpg = bundle.rho, bundle.quotient.pg
+    c = min(c for c in qpg.elements() if qpg.mul2(c, c) not in (qpg.identity, c))
+    extra = frozenset(x for x in loc.elements() if rho[x] in (qpg.identity, c))
+    search = quotient.partial_subgroups_containing
+    monkeypatch.setattr(quotient, "partial_subgroups_containing",
+                        lambda pg, seed, **kwargs: search(pg, seed, **kwargs) + [extra])
+    assert _bijection_failures(loc, K, bundle) == [
+        ("oversubgroup-bijection", [("image-not-closed", sorted({qpg.identity, c}))])
+    ]

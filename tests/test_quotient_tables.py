@@ -9,7 +9,8 @@
   ran before;
 - state_fixpoint against a sweep bounded at length 3, on a defect that
   first shows at length 4, with the toy checks run as array steps on both
-  the kernel and the one-state-at-a-time reference;
+  the kernel and the one-state-at-a-time reference, and a stack of two
+  such verdicts in one search against each searched alone;
 - partial_subgroups_containing against the enumeration that closed
   current | {x} from scratch for every x outside current.
 """
@@ -19,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from localities import quotient
+from localities import partial, quotient
 from localities.groups import SizeCapExceeded
 from localities.locality import DeltaFamily, Locality
 from localities.normal import partial_normals
@@ -272,6 +273,28 @@ def test_a_defect_first_shown_at_length_4_fails_only_the_fixpoint():
     assert bounded_sweep((0,), range(3), step, 3) == []
     assert both_fixpoints((0,), range(3), count_twos) == (5, [(2, 2, 2, 2)])
     assert bounded_sweep((0,), range(3), step, 4) == [(2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["block-default", "block-1"])
+def test_a_stack_of_verdicts_gives_each_verdict_its_own_words(monkeypatch, block):
+    """count_twos with a second verdict, a third 2, stacked in one search:
+    one failing list per verdict, each the single-verdict search's, in
+    stack order, at the same state count, one state a step or many."""
+    if block is not None:
+        monkeypatch.setattr(partial, "_FIXPOINT_BLOCK", block)
+
+    def third_two(level, xs):
+        nxt, live, _ = count_twos(level, xs)
+        return nxt, live, (xs == 2) & (nxt[0] == 3)
+
+    def both(level, xs):
+        nxt, live, fourth = count_twos(level, xs)
+        return nxt, live, np.stack((fourth, third_two(level, xs)[2]))
+
+    states, fourth = both_fixpoints((0,), range(3), count_twos)
+    _, third = both_fixpoints((0,), range(3), third_two)
+    assert third == [(2, 2, 2)]
+    assert state_fixpoint((0,), range(3), both) == (states, [fourth, third])
 
 
 def test_fixpoint_words_are_the_least_word_of_each_failing_transition():

@@ -2,7 +2,9 @@
 replaced (tests/subset_reference.py).
 
 Compared: the verdicts and exact witness tuples of _closure_failure and
-_conjugation_failure; the closures of _close, without and with the
+_conjugation_failure; the family flags of subset_flags against
+is_partial_normal and the two witness kernels, one row at a time or all
+rows at once; the closures of _close, without and with the
 conjugation array, from scratch and from a closed start with known sets;
 and the right and left cosets of quotient._cosets.  The partial groups:
 GRP-S4, GRP-C2xS4, LOC-S5 and their quotients by all 18 kernels, PG-AM20
@@ -18,7 +20,10 @@ import numpy as np
 import pytest
 
 import subset_reference as ref
-from localities.partial import _close, _closure_failure, _conjugation_failure
+from localities import partial
+from localities.locality import as_locality
+from localities.normal import is_partial_normal
+from localities.partial import _close, _closure_failure, _conjugation_failure, subset_flags
 from localities.quotient import _cosets
 
 from fault_injection import swap_two_products
@@ -111,3 +116,29 @@ def test_the_masks_match_the_list_loops(request, name):
         for f in pg.elements():
             assert _members(right[f]) == ref.right_coset(pg, K, f), (sorted(K), f)
             assert _members(left[f]) == ref.left_coset(pg, K, f), (sorted(K), f)
+
+
+def _rows(pg, subsets):
+    """Each subset as a boolean row over the elements, set by set."""
+    rows = np.zeros((len(subsets), pg.size), dtype=bool)
+    for row, X in zip(rows, subsets):
+        row[list(X)] = True
+    return rows
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["block-default", "block-1"])
+@pytest.mark.parametrize("name", list(CASES))
+def test_subset_flags_match_is_partial_normal(request, monkeypatch, name, block):
+    """The flags of every subset of _subsets in one call: closed is
+    _closure_failure's verdict, normal is is_partial_normal's on the
+    partial group read as a locality candidate (over S = 1), on swaps that
+    are no partial groups too."""
+    if block is not None:
+        monkeypatch.setattr(partial, "_FLAGS_BLOCK", block)
+    pg = CASES[name](request)
+    subsets = _subsets(pg, list_tables.conj(pg), random.Random(name))
+    closed, normal = subset_flags(pg, _rows(pg, subsets))
+    loc = as_locality(pg, 2, [pg.identity], [])
+    assert closed.tolist() == [_closure_failure(pg, X) is None for X in subsets]
+    assert normal.tolist() == [is_partial_normal(loc, X)[0] for X in subsets]
+    assert set(normal.tolist()) == ({True, False} if pg.size > 1 else {True})
